@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test ci vet race race-io bench-smoke bench kernels-json kernels16-json widestripe readpath-smoke readpath-json fanout-json fuzz-smoke fuzz16-smoke chaos obs-smoke fanout-smoke writepath-smoke writepath-json disk-smoke disk-json repair-smoke repair-chaos repair-json cluster-smoke cluster-json
+.PHONY: all build test ci vet race race-io bench-smoke bench-quick bench kernels-json kernels16-json widestripe readpath-smoke readpath-json fanout-json fuzz-smoke fuzz16-smoke chaos obs-smoke fanout-smoke writepath-smoke writepath-json disk-smoke disk-json repair-smoke repair-chaos repair-json cluster-smoke cluster-json
 
 all: build
 
@@ -30,6 +30,13 @@ race-io:
 # panics/regressions in the bench harnesses without waiting for full timings.
 bench-smoke:
 	$(GO) test -run NONE -bench 'Encode|Reconstruct' -benchtime 1x -benchmem ./...
+
+# The nested benchmark module (bench/, its own go.mod): root `go vet ./...`
+# and `go test ./...` never reach it, so vet and test it here, then run one
+# tenth-size round of every workload against the real ecfrmd — shape and
+# correctness of the end-to-end benchmark, not speed.
+bench-quick:
+	cd bench && $(GO) vet ./... && $(GO) test ./... && bash run.sh -quick
 
 # The real kernel/throughput numbers used in acceptance checks.
 bench:
@@ -156,4 +163,4 @@ chaos:
 	CHAOS_SEED=$$seed $(GO) test -race -count=2 -run 'Chaos|FaultSequence|Replays|FaultStreams|StreamSourceFault|StreamSinkFault' \
 		./internal/faultinject/ ./internal/shardio/
 
-ci: vet race race-io bench-smoke widestripe readpath-smoke obs-smoke fanout-smoke writepath-smoke disk-smoke disk-json repair-smoke repair-chaos cluster-smoke cluster-json chaos
+ci: vet race race-io bench-smoke bench-quick widestripe readpath-smoke obs-smoke fanout-smoke writepath-smoke disk-smoke disk-json repair-smoke repair-chaos cluster-smoke cluster-json chaos

@@ -41,7 +41,8 @@
 // batch seals, so concurrent small objects pack into shared stripes instead
 // of flush-padding one stripe each. -wal-batch sets the byte threshold that
 // triggers an immediate commit (default one stripe of user data);
-// -wal-flush-interval bounds how long a lone PUT waits for company.
+// -wal-flush-interval is how long a PUT that arrived during another commit
+// waits for company; a lone PUT never waits.
 //
 // Storage backend: by default the store lives in memory and dies with the
 // process. -backend=file puts one data/checksum file pair per device in
@@ -154,7 +155,7 @@ var (
 
 	walBatch = flag.Int("wal-batch", 0, "group-commit byte threshold for PUTs (0 = one stripe of user data)")
 	walEvery = flag.Duration("wal-flush-interval", store.DefaultFlushInterval,
-		"max time a queued PUT waits for a group commit")
+		"how long a PUT that arrived during another commit waits for company; a lone PUT never waits")
 
 	repairOn   = flag.Bool("repair", false, "run the background repair/scrub scheduler")
 	repairRate = flag.Float64("repair-rate", 32, "repair bandwidth budget in MiB/s of rebuilt data (0 pauses rebuilds)")
@@ -172,6 +173,14 @@ var (
 	nodeTimeout = flag.Duration("node-timeout", 5*time.Second, "per-node request timeout before a node counts as unavailable (gateway mode)")
 	gwRecover   = flag.Bool("recover", false, "re-derive sealed extents from the nodes at startup (gateway mode)")
 )
+
+// heapFloor keeps the garbage collector's pacing sane for a process that
+// holds almost nothing — the write path keeps no bytes after an ack — yet
+// moves megabytes per request: under GOGC's proportional trigger alone a
+// ~10 MB live heap is collected every ~7 GETs, a third more CPU per GET than
+// collecting every few dozen. The slice is never touched, so it costs address
+// space, not memory; the collector just treats the heap as at least this big.
+var heapFloor = make([]byte, 32<<20)
 
 func main() {
 	flag.Parse()

@@ -109,7 +109,11 @@ func (s *Server) handleWriteRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad slot", http.StatusBadRequest)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRunBytes+1))
+	if r.ContentLength > maxRunBytes {
+		http.Error(w, "run too large", http.StatusRequestEntityTooLarge)
+		return
+	}
+	body, err := store.ReadBody(io.LimitReader(r.Body, maxRunBytes+1), r.ContentLength)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -373,7 +373,9 @@ func (g *Gateway) handleObject(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) putObject(w http.ResponseWriter, r *http.Request, name string) {
-	body, err := io.ReadAll(r.Body)
+	// One exactly sized buffer, which the WAL borrows until the object
+	// commits: the body is never copied again in user space.
+	body, err := store.ReadBody(r.Body, r.ContentLength)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -229,7 +229,7 @@ func NewServerWith(st *store.Store, cfg Config) *Server {
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // WAL exposes the server's group-commit write path (tests and benchmarks
-// inspect its depth and log).
+// inspect its depth and drive Put).
 func (s *Server) WAL() *store.WAL { return s.wal }
 
 // Close drains and shuts down the write path: queued PUTs are committed,
@@ -292,7 +292,9 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) putObject(w http.ResponseWriter, r *http.Request, name string) {
-	body, err := io.ReadAll(r.Body)
+	// One exactly sized buffer, which the WAL borrows until the object
+	// commits: the body is never copied again in user space.
+	body, err := store.ReadBody(r.Body, r.ContentLength)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -122,11 +123,31 @@ func TestPutFaulted503ThenRetrySucceeds(t *testing.T) {
 	}
 }
 
+// holdGate is a fault injector that parks the first device write it is asked
+// about until release is closed: it holds a PUT's commit in flight (a lone
+// PUT commits at once, so no flush interval can).
+type holdGate struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (g *holdGate) ReadFault(int) store.Fault { return store.Fault{} }
+
+func (g *holdGate) WriteFault(int) store.Fault {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return store.Fault{}
+}
+
 // TestPutDuplicateConflictsWhilePending: the 409 contract holds even while
 // the first PUT is still waiting for its group commit, and the pending
 // object stays invisible to GET/HEAD until the ack.
 func TestPutDuplicateConflictsWhilePending(t *testing.T) {
-	ts, srv, _ := newWriteTestServer(t, Config{WAL: store.WALConfig{FlushInterval: time.Hour}})
+	ts, _, st := newWriteTestServer(t, Config{})
+	gate := &holdGate{entered: make(chan struct{}), release: make(chan struct{})}
+	st.SetFaultInjector(gate)
 	payload := bytes.Repeat([]byte{7}, 100)
 
 	done := make(chan *http.Response, 1)
@@ -134,7 +155,7 @@ func TestPutDuplicateConflictsWhilePending(t *testing.T) {
 		r, _ := doReq(t, http.MethodPut, ts.URL+"/objects/dup", payload)
 		done <- r
 	}()
-	waitDepth(t, srv, 1)
+	<-gate.entered
 
 	if r, _ := doReq(t, http.MethodPut, ts.URL+"/objects/dup", payload); r.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate put while pending: %d; want 409", r.StatusCode)
@@ -146,11 +167,9 @@ func TestPutDuplicateConflictsWhilePending(t *testing.T) {
 		t.Fatalf("pending object visible to HEAD: %d", r.StatusCode)
 	}
 
-	if err := srv.WAL().Sync(); err != nil {
-		t.Fatalf("sync: %v", err)
-	}
+	close(gate.release)
 	if r := <-done; r.StatusCode != http.StatusCreated {
-		t.Fatalf("first put after sync: %d", r.StatusCode)
+		t.Fatalf("first put after its commit: %d", r.StatusCode)
 	}
 	if r, body := doReq(t, http.MethodGet, ts.URL+"/objects/dup", nil); r.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
 		t.Fatalf("get after commit: %d", r.StatusCode)
@@ -185,5 +204,40 @@ func waitDepth(t *testing.T, srv *Server, n int) {
 			t.Fatalf("wal depth %d; want %d", got, n)
 		}
 		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// TestPutAllocatesOnceForTheBody: the handler reads the body into one
+// exactly sized buffer which the WAL borrows and the seal never copies into
+// fresh memory, so a PUT allocates the body and little else — at most twice
+// the object's size, on a file-backed store with the log spilled.
+func TestPutAllocatesOnceForTheBody(t *testing.T) {
+	const elem = 4096
+	dir := t.TempDir()
+	st, _, err := store.OpenFileBacked(core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM), elem, store.FileConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv := NewServerWith(st, Config{WAL: store.WALConfig{LogPath: dir + "/wal.log"}})
+	defer srv.Close()
+	payload := bytes.Repeat([]byte{0x5c}, 10*elem)
+	put := func(i int) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, fmt.Sprintf("/objects/a%d", i), bytes.NewReader(payload)))
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("put %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	put(0) // warm: stripe buffer, seal runs, spill buffer
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const puts = 20
+	for i := 1; i <= puts; i++ {
+		put(i)
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / puts; per > 2*uint64(len(payload)) {
+		t.Fatalf("a PUT of %d bytes allocates %d; want at most twice the object", len(payload), per)
 	}
 }

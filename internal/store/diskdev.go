@@ -56,11 +56,17 @@ type devBackend interface {
 	// verifies the checksum (so transient mis-reads and stored corruption
 	// are distinguished at one place, Device.read).
 	readCell(slot int) (data []byte, crc uint32, err error)
-	// writeCell stores payload and checksum for slot.
-	writeCell(slot int, data []byte, crc uint32) error
+	// writeRun stores len(crcs) contiguous cells, flattened in flat, and
+	// their checksums starting at slot — one cell or a stripe's worth, as one
+	// operation where storage allows. The backend keeps no reference to
+	// flat: callers may reuse it as soon as the call returns.
+	writeRun(slot int, flat []byte, crcs []uint32) error
 	// corrupt damages slot's stored payload without touching its recorded
 	// checksum — the test hook behind Store.CorruptCell.
 	corrupt(slot int) error
+	// truncate drops every slot at or above the bound (recovery's torn-tail
+	// cut).
+	truncate(slots int) error
 	// slots returns the exclusive upper bound of occupied slot indices.
 	slots() int
 	// elements returns how many slots hold a cell.
@@ -71,18 +77,11 @@ type devBackend interface {
 	close() error
 }
 
-// runIO is the optional bulk interface backends expose when contiguous
+// runIO is the optional bulk read interface backends expose when contiguous
 // slots map to contiguous storage: the fan-out executor reads a whole
-// coalesced run as one positioned I/O, and seals write a stripe's worth of
-// device cells as one.
+// coalesced run as one positioned I/O, count cells back to back.
 type runIO interface {
 	readRun(slot, count int) (data []byte, crcs []uint32, err error)
-	writeRun(slot int, cells [][]byte, crcs []uint32) error
-}
-
-// truncater is implemented by backends whose recovery can drop a torn tail.
-type truncater interface {
-	truncate(slots int) error
 }
 
 // ---------------------------------------------------------------------------
@@ -106,12 +105,13 @@ func (b *memBackend) readCell(slot int) ([]byte, uint32, error) {
 	return data, b.crcs[slot], nil
 }
 
-func (b *memBackend) writeCell(slot int, data []byte, crc uint32) error {
-	b.cells[slot] = data
-	b.crcs[slot] = crc
-	if slot >= b.bound {
-		b.bound = slot + 1
+func (b *memBackend) writeRun(slot int, flat []byte, crcs []uint32) error {
+	elem := len(flat) / len(crcs)
+	for i, crc := range crcs {
+		b.cells[slot+i] = append([]byte(nil), flat[i*elem:(i+1)*elem]...)
+		b.crcs[slot+i] = crc
 	}
+	b.bound = max(b.bound, slot+len(crcs))
 	return nil
 }
 
@@ -123,6 +123,17 @@ func (b *memBackend) corrupt(slot int) error {
 	for i := range cell {
 		cell[i] ^= 0xa5
 	}
+	return nil
+}
+
+func (b *memBackend) truncate(slots int) error {
+	for s := range b.cells {
+		if s >= slots {
+			delete(b.cells, s)
+			delete(b.crcs, s)
+		}
+	}
+	b.bound = min(b.bound, slots)
 	return nil
 }
 
@@ -295,19 +306,11 @@ func (b *fileBackend) loadIndex() error {
 }
 
 func (b *fileBackend) readCell(slot int) ([]byte, uint32, error) {
-	if slot < 0 || slot >= len(b.present) || !b.present[slot] {
-		return nil, 0, errCellMissing
+	buf, crcs, err := b.readRun(slot, 1)
+	if err != nil {
+		return nil, 0, err
 	}
-	var buf []byte
-	if b.direct {
-		buf = alignedBytes(b.elemSize)
-	} else {
-		buf = make([]byte, b.elemSize)
-	}
-	if _, err := b.q.SubmitWait(OpRead, int64(slot)*int64(b.elemSize), buf); err != nil {
-		return nil, 0, fmt.Errorf("store: device read slot %d: %w", slot, err)
-	}
-	return buf, b.crcs[slot], nil
+	return buf, crcs[0], nil
 }
 
 // readRun reads count contiguous slots as one positioned I/O, returning the
@@ -337,27 +340,20 @@ func (b *fileBackend) grow(bound int) {
 	}
 }
 
-func (b *fileBackend) writeCell(slot int, data []byte, crc uint32) error {
-	return b.writeRun(slot, [][]byte{data}, []uint32{crc})
-}
-
 // writeRun writes contiguous slots as one data-file I/O plus one sidecar
-// I/O, then publishes them in the index.
-func (b *fileBackend) writeRun(slot int, cells [][]byte, crcs []uint32) error {
-	n := len(cells)
-	var buf []byte
-	if b.direct {
-		buf = alignedBytes(n * b.elemSize)[:0]
-	} else {
-		buf = make([]byte, 0, n*b.elemSize)
+// I/O, then publishes them in the index. flat is written from where it lies
+// (O_DIRECT stages an unaligned one through an aligned copy).
+func (b *fileBackend) writeRun(slot int, flat []byte, crcs []uint32) error {
+	n := len(crcs)
+	if len(flat) != n*b.elemSize {
+		return fmt.Errorf("store: run of %d bytes for %d cells, device stride %d", len(flat), n, b.elemSize)
 	}
-	for _, c := range cells {
-		if len(c) != b.elemSize {
-			return fmt.Errorf("store: cell size %d, device stride %d", len(c), b.elemSize)
-		}
-		buf = append(buf, c...)
+	if b.direct && uintptr(unsafe.Pointer(&flat[0]))%directAlign != 0 {
+		aligned := alignedBytes(len(flat))
+		copy(aligned, flat)
+		flat = aligned
 	}
-	if _, err := b.q.SubmitWait(OpWrite, int64(slot)*int64(b.elemSize), buf[:n*b.elemSize]); err != nil {
+	if _, err := b.q.SubmitWait(OpWrite, int64(slot)*int64(b.elemSize), flat); err != nil {
 		return fmt.Errorf("store: device write run [%d,+%d): %w", slot, n, err)
 	}
 	crcRaw := make([]byte, 4*n)
@@ -636,8 +632,8 @@ scan:
 		}
 		for _, mc := range missing {
 			cell := cells[mc.idx]
-			if err := s.devices[mc.disk].be.writeCell(stripe*s.rows+mc.pos.Row,
-				cell, crc32.Checksum(cell, castagnoli)); err != nil {
+			if err := s.devices[mc.disk].be.writeRun(stripe*s.rows+mc.pos.Row,
+				cell, []uint32{crc32.Checksum(cell, castagnoli)}); err != nil {
 				return fmt.Errorf("store: recovery: rewrite stripe %d cell (%d,%d): %w",
 					stripe, mc.pos.Row, mc.pos.Col, err)
 			}
@@ -647,10 +643,8 @@ scan:
 		stripes++
 	}
 	for _, dev := range s.devices {
-		if tr, ok := dev.be.(truncater); ok {
-			if err := tr.truncate(stripes * s.rows); err != nil {
-				return err
-			}
+		if err := dev.be.truncate(stripes * s.rows); err != nil {
+			return err
 		}
 	}
 	if report.HealedCells > 0 || report.ReencodedStripes > 0 || report.TruncatedStripes > 0 {
@@ -686,8 +680,8 @@ func (s *Store) reencodeStripe(stripe int, cells [][]byte, healedDisks map[int]b
 			continue
 		}
 		disk := lay.Disk(stripe, pos.Col)
-		if err := s.devices[disk].be.writeCell(stripe*s.rows+pos.Row,
-			cell, crc32.Checksum(cell, castagnoli)); err != nil {
+		if err := s.devices[disk].be.writeRun(stripe*s.rows+pos.Row,
+			cell, []uint32{crc32.Checksum(cell, castagnoli)}); err != nil {
 			return fmt.Errorf("store: recovery: re-encode stripe %d cell (%d,%d): %w",
 				stripe, pos.Row, pos.Col, err)
 		}
@@ -790,8 +784,9 @@ func (s *Store) DataDir() string {
 }
 
 // syncDevices runs the fsync barrier over the given device IDs (all devices
-// when ids is nil) under the FsyncAlways discipline. Memory backends and
-// FsyncNever stores return immediately. Caller holds mu exclusively.
+// when ids is nil) under the FsyncAlways discipline, every device at once.
+// Memory backends and FsyncNever stores return immediately. Caller holds mu
+// exclusively.
 func (s *Store) syncDevices(ids []int) error {
 	if !s.fsync {
 		return nil
@@ -799,19 +794,19 @@ func (s *Store) syncDevices(ids []int) error {
 	start := time.Now()
 	if ids == nil {
 		for d := range s.devices {
-			if err := s.devices[d].be.sync(); err != nil {
-				return fmt.Errorf("store: fsync device %d: %w", d, err)
-			}
-		}
-	} else {
-		for _, d := range ids {
-			if err := s.devices[d].be.sync(); err != nil {
-				return fmt.Errorf("store: fsync device %d: %w", d, err)
-			}
+			ids = append(ids, d)
 		}
 	}
-	s.obs.fsyncBarrier(time.Since(start).Seconds())
-	return nil
+	err := eachDevice(len(ids), func(i int) error {
+		if err := s.devices[ids[i]].be.sync(); err != nil {
+			return fmt.Errorf("store: fsync device %d: %w", ids[i], err)
+		}
+		return nil
+	})
+	if err == nil {
+		s.Metrics().fsyncBarrier(time.Since(start).Seconds())
+	}
+	return err
 }
 
 // closeBackends closes every device backend, keeping the first error.

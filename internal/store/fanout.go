@@ -376,7 +376,7 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 			for d := range p.newUnavail {
 				unavail[d] = true
 			}
-			s.obs.replan()
+			s.Metrics().replan()
 			for i, sc := range fetched {
 				if sc != nil {
 					s.putStripeCells(sc)
@@ -402,7 +402,7 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 		if err != nil {
 			return nil, err
 		}
-		s.obs.observeRead(len(failed) > 0, plan.MaxLoad())
+		s.Metrics().observeRead(len(failed) > 0, plan.MaxLoad())
 		return &ReadResult{Data: data, Plan: plan}, nil
 	}
 }
@@ -576,7 +576,7 @@ func (p *fanoutPass) execRun(ctx context.Context, run devRun, staged [][]byte) e
 		d.inflight.Add(-1)
 		d.obsInflight.Add(-1)
 	}()
-	s.obs.observeRun(len(run.slots) * s.elemSize)
+	s.Metrics().observeRun(len(run.slots) * s.elemSize)
 	start := time.Now()
 	var last error
 	for attempt := 0; attempt <= s.retries; attempt++ {
@@ -596,7 +596,7 @@ func (p *fanoutPass) execRun(ctx context.Context, run devRun, staged [][]byte) e
 				return err
 			}
 			last = fmt.Errorf("%w: device %d read timed out after %v", ErrUnavailable, run.dev, s.opTimeout)
-			s.obs.retry(false)
+			s.Metrics().retry(false)
 			d.observeLatency(s.opTimeout)
 			continue
 		}
@@ -607,7 +607,7 @@ func (p *fanoutPass) execRun(ctx context.Context, run devRun, staged [][]byte) e
 		}
 		if f.Err != nil {
 			last = fmt.Errorf("%w: device %d: %v", ErrUnavailable, run.dev, f.Err)
-			s.obs.retry(false)
+			s.Metrics().retry(false)
 			continue
 		}
 		var readErr error
@@ -652,7 +652,7 @@ func (p *fanoutPass) execRun(ctx context.Context, run devRun, staged [][]byte) e
 		}
 		if f.Corrupt {
 			last = fmt.Errorf("%w: device %d returned bytes failing checksum", ErrUnavailable, run.dev)
-			s.obs.retry(false)
+			s.Metrics().retry(false)
 			continue
 		}
 		elapsed := time.Since(start)
@@ -719,12 +719,12 @@ func (p *fanoutPass) execHedged(run devRun) error {
 		return err
 	case <-timer.C:
 	}
-	s.obs.hedge("fired")
+	s.Metrics().hedge("fired")
 	hedged, herr := p.hedgeFetch(hedgeCtx, run)
 	if herr == nil {
 		if winner.CompareAndSwap(0, 2) {
 			p.commit(run, hedged, true)
-			s.obs.hedge("won")
+			s.Metrics().hedge("won")
 			return nil
 		}
 		// The primary committed while we were decoding: drop our copy.
@@ -734,7 +734,7 @@ func (p *fanoutPass) execHedged(run devRun) error {
 	}
 	err := <-done
 	if err == nil {
-		s.obs.hedge("cancelled")
+		s.Metrics().hedge("cancelled")
 		return nil
 	}
 	return err

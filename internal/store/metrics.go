@@ -404,7 +404,7 @@ func (m *Metrics) deviceInflight(d int) *obs.Gauge {
 func (s *Store) SetMetrics(m *Metrics) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.obs = m
+	s.obs.Store(m)
 	for i, d := range s.devices {
 		d.obsReads, d.obsWrites = m.deviceCounters(i)
 		d.obsInflight = m.deviceInflight(i)
@@ -424,9 +424,6 @@ func (m *Metrics) deviceHealth(d int) (errs *obs.Counter, lat *obs.Gauge) {
 	return m.diskErrors[d], m.diskLatency[d]
 }
 
-// Metrics returns the installed metrics bundle (nil if none).
-func (s *Store) Metrics() *Metrics {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.obs
-}
+// Metrics returns the installed metrics bundle (nil if none). It takes no
+// lock, so a commit holding the store does not stall whoever only counts.
+func (s *Store) Metrics() *Metrics { return s.obs.Load() }

@@ -78,23 +78,9 @@ func (ds *DiskStore) WriteRun(slot int, data []byte, crcs []uint32) error {
 		return fmt.Errorf("store: disk write run [%d,+%d): %d bytes does not match %d cells of %d",
 			slot, count, len(data), count, ds.elem)
 	}
-	cells := make([][]byte, count)
-	for i := range cells {
-		cells[i] = data[i*ds.elem : (i+1)*ds.elem : (i+1)*ds.elem]
-	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if r, ok := ds.be.(runIO); ok {
-		return r.writeRun(slot, cells, crcs)
-	}
-	for i := range cells {
-		// The mem backend keeps the slice it is handed; copy so callers can
-		// reuse request buffers.
-		if err := ds.be.writeCell(slot+i, append([]byte(nil), cells[i]...), crcs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ds.be.writeRun(slot, data, crcs)
 }
 
 // Sync makes everything written so far durable (fsync through the disk's
@@ -112,26 +98,7 @@ func (ds *DiskStore) Truncate(slots int) error {
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if tr, ok := ds.be.(truncater); ok {
-		return tr.truncate(slots)
-	}
-	// Memory backend: rebuild below the bound.
-	mem, ok := ds.be.(*memBackend)
-	if !ok {
-		return fmt.Errorf("store: disk backend cannot truncate")
-	}
-	next := newMemBackend()
-	for s, cell := range mem.cells {
-		if s < slots {
-			next.cells[s] = cell
-			next.crcs[s] = mem.crcs[s]
-			if s >= next.bound {
-				next.bound = s + 1
-			}
-		}
-	}
-	ds.be = next
-	return nil
+	return ds.be.truncate(slots)
 }
 
 // Slots returns the exclusive upper bound of occupied slot indices.

@@ -140,12 +140,12 @@ func Load(scheme *core.Scheme, dir string) (*Store, error) {
 		}
 		off := 0
 		for slot := 0; slot < man.Stripes*lay.Rows(); slot++ {
-			cell := append([]byte(nil), buf[off:off+man.ElemSize]...)
+			cell := buf[off : off+man.ElemSize]
 			crc := binary.LittleEndian.Uint32(buf[off+man.ElemSize : off+recSize])
 			off += recSize
 			// Backend-direct write: checksums restore verbatim (no recompute)
 			// and the load does not count as device write traffic.
-			if err := st.devices[d].be.writeCell(slot, cell, crc); err != nil {
+			if err := st.devices[d].be.writeRun(slot, cell, []uint32{crc}); err != nil {
 				return nil, err
 			}
 		}

@@ -36,7 +36,8 @@ type CellBackend interface {
 	ReadRun(slot, count int) (data []byte, crcs []uint32, err error)
 	// WriteRun stores count contiguous cells (flattened into data) and their
 	// checksums starting at slot. Checksums are stored verbatim, never
-	// recomputed — the store side owns integrity.
+	// recomputed — the store side owns integrity. data is only borrowed: the
+	// store reuses it as soon as WriteRun returns.
 	WriteRun(slot int, data []byte, crcs []uint32) error
 	// Sync makes everything written so far durable on the remote device (the
 	// commit barrier of the two-phase gate, forwarded node-side).
@@ -53,30 +54,19 @@ type CellBackend interface {
 }
 
 // cellAdapter wires a CellBackend into the unexported devBackend seam,
-// including the bulk runIO and truncater capabilities, so Device treats a
-// remote disk exactly like a local file pair.
+// including the bulk runIO capability, so Device treats a remote disk exactly
+// like a local file pair.
 type cellAdapter struct {
 	cb   CellBackend
 	elem int
 }
 
 func (a *cellAdapter) readCell(slot int) ([]byte, uint32, error) {
-	data, crcs, err := a.cb.ReadRun(slot, 1)
+	data, crcs, err := a.readRun(slot, 1)
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(data) != a.elem || len(crcs) != 1 {
-		return nil, 0, fmt.Errorf("store: remote cell %d: malformed response (%d bytes, %d crcs)",
-			slot, len(data), len(crcs))
-	}
 	return data[:a.elem:a.elem], crcs[0], nil
-}
-
-func (a *cellAdapter) writeCell(slot int, data []byte, crc uint32) error {
-	if err := a.cb.WriteRun(slot, data, []uint32{crc}); err != nil {
-		return fmt.Errorf("%w: %v", ErrUnavailable, err)
-	}
-	return nil
 }
 
 // corrupt damages the stored payload while re-writing the original recorded
@@ -104,15 +94,10 @@ func (a *cellAdapter) readRun(slot, count int) ([]byte, []uint32, error) {
 	return data, crcs, nil
 }
 
-// writeRun (like writeCell and sync) wraps transport failures in
-// ErrUnavailable: a node that cannot be reached is a transiently unavailable
-// device, so WAL commit aborts surface to clients as 503 + Retry-After, not
-// opaque 500s.
-func (a *cellAdapter) writeRun(slot int, cells [][]byte, crcs []uint32) error {
-	flat := make([]byte, 0, len(cells)*a.elem)
-	for _, c := range cells {
-		flat = append(flat, c...)
-	}
+// writeRun (like sync) wraps transport failures in ErrUnavailable: a node
+// that cannot be reached is a transiently unavailable device, so WAL commit
+// aborts surface to clients as 503 + Retry-After, not opaque 500s.
+func (a *cellAdapter) writeRun(slot int, flat []byte, crcs []uint32) error {
 	if err := a.cb.WriteRun(slot, flat, crcs); err != nil {
 		return fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}

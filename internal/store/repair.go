@@ -393,7 +393,7 @@ func (r *DiskRebuild) finalizeRebuild() error {
 	delete(s.rebuilding, r.dev)
 	s.bumpEpoch()
 	r.done = true
-	s.obs.observeRecover(string(r.kind), r.readCost, time.Since(r.started).Seconds())
+	s.Metrics().observeRecover(string(r.kind), r.readCost, time.Since(r.started).Seconds())
 	return nil
 }
 
@@ -427,9 +427,7 @@ func (r *DiskRebuild) stepMigrate(batch int) (bool, error) {
 				// retry the migration.
 				return false, fmt.Errorf("store: migrate device %d stripe %d: %w", r.dev, stripe, err)
 			}
-			// Copy: on memory backends readCell returns the live cell slice,
-			// and the two backends must not alias.
-			if err := r.replacement.write(k, append([]byte(nil), data...)); err != nil {
+			if err := r.replacement.write(k, data); err != nil {
 				return false, fmt.Errorf("store: migrate device %d stripe %d: %w", r.dev, stripe, err)
 			}
 			r.readCost++
@@ -457,7 +455,7 @@ func (r *DiskRebuild) stepMigrate(batch int) (bool, error) {
 	delete(s.rebuilding, r.dev)
 	s.bumpEpoch()
 	r.done = true
-	s.obs.observeRecover(string(r.kind), r.readCost, time.Since(r.started).Seconds())
+	s.Metrics().observeRecover(string(r.kind), r.readCost, time.Since(r.started).Seconds())
 	// The old backend's files were renamed over (file) or are garbage (mem);
 	// a close failure no longer threatens the data.
 	if err := old.be.close(); err != nil {

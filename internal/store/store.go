@@ -189,38 +189,18 @@ func (d *Device) observeLatency(sample time.Duration) {
 func (d *Device) slot(k cellKey) int { return k.stripe*d.rows + k.pos.Row }
 
 func (d *Device) write(k cellKey, data []byte) error {
-	if err := d.be.writeCell(d.slot(k), data, crc32.Checksum(data, castagnoli)); err != nil {
-		return err
-	}
-	d.writes.Add(1)
-	d.obsWrites.Inc()
-	return nil
+	return d.writeRun(k, data, []uint32{crc32.Checksum(data, castagnoli)})
 }
 
-// writeRun writes count contiguous cells — one stripe's worth on this device
-// seals exactly this way — as a single backend operation when the backend
-// supports it (one pwrite instead of rows).
-func (d *Device) writeRun(k cellKey, cells [][]byte) error {
-	crcs := make([]uint32, len(cells))
-	for i, c := range cells {
-		crcs[i] = crc32.Checksum(c, castagnoli)
-	}
-	slot := d.slot(k)
-	var err error
-	if r, ok := d.be.(runIO); ok {
-		err = r.writeRun(slot, cells, crcs)
-	} else {
-		for i := range cells {
-			if err = d.be.writeCell(slot+i, cells[i], crcs[i]); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
+// writeRun writes len(crcs) contiguous cells, flattened into flat — a stripe
+// seals one such run per device — as a single backend operation when the
+// backend supports it (one pwrite instead of rows).
+func (d *Device) writeRun(k cellKey, flat []byte, crcs []uint32) error {
+	if err := d.be.writeRun(d.slot(k), flat, crcs); err != nil {
 		return err
 	}
-	d.writes.Add(int64(len(cells)))
-	d.obsWrites.Add(int64(len(cells)))
+	d.writes.Add(int64(len(crcs)))
+	d.obsWrites.Add(int64(len(crcs)))
 	return nil
 }
 
@@ -326,9 +306,10 @@ type Store struct {
 	// hold it exclusively.
 	mu      sync.RWMutex
 	devices []*Device
-	stripes int    // full stripes sealed so far
-	pending []byte // buffered bytes not yet forming a full stripe
-	length  int64  // total bytes appended
+	stripes int       // full stripes sealed so far
+	pending []byte    // buffered bytes not yet forming a full stripe; one reused stripe-sized buffer
+	sealing *sealBufs // what every seal reuses, built by the first
+	length  int64     // total bytes appended
 
 	// epoch increments on every mutation that can change the bytes a read
 	// returns or the plan it follows (failure, recovery, corruption, heal,
@@ -337,9 +318,9 @@ type Store struct {
 	epoch atomic.Int64
 
 	// obs, when non-nil, is the metrics bundle every interesting event feeds
-	// (see metrics.go). Guarded by mu like inject: set exclusively, consulted
-	// under either lock mode; the instruments themselves are atomic.
-	obs *Metrics
+	// (see metrics.go): installed under mu, read lock-free through Metrics();
+	// the instruments themselves are atomic.
+	obs atomic.Pointer[Metrics]
 
 	// inject, when non-nil, decides a fault for every device operation.
 	// Guarded by mu (set exclusively, consulted under either lock mode).
@@ -437,7 +418,7 @@ func (s *Store) Epoch() int64 { return s.epoch.Load() }
 // tied to the mutation they publish).
 func (s *Store) bumpEpoch() {
 	s.epoch.Add(1)
-	s.obs.epochBump()
+	s.Metrics().epochBump()
 }
 
 // SetFaultInjector installs (or with nil, removes) the fault injector
@@ -529,7 +510,7 @@ func (s *Store) readCellCtx(ctx context.Context, dev int, k cellKey) ([]byte, er
 				return nil, err
 			}
 			last = fmt.Errorf("%w: device %d read timed out after %v", ErrUnavailable, dev, s.opTimeout)
-			s.obs.retry(false)
+			s.Metrics().retry(false)
 			d.observeLatency(s.opTimeout)
 			continue
 		}
@@ -540,7 +521,7 @@ func (s *Store) readCellCtx(ctx context.Context, dev int, k cellKey) ([]byte, er
 		}
 		if f.Err != nil {
 			last = fmt.Errorf("%w: device %d: %v", ErrUnavailable, dev, f.Err)
-			s.obs.retry(false)
+			s.Metrics().retry(false)
 			continue
 		}
 		data, err := d.read(k)
@@ -558,7 +539,7 @@ func (s *Store) readCellCtx(ctx context.Context, dev int, k cellKey) ([]byte, er
 			// The device returned bits failing the checksum — a transient
 			// medium mis-read (the stored cell is clean). Retry.
 			last = fmt.Errorf("%w: device %d returned bytes failing checksum", ErrUnavailable, dev)
-			s.obs.retry(false)
+			s.Metrics().retry(false)
 			continue
 		}
 		d.observeLatency(time.Since(start))
@@ -591,7 +572,7 @@ func (s *Store) writeGate(dev int) error {
 		if f.Stuck || f.Delay > s.opTimeout {
 			time.Sleep(s.opTimeout)
 			last = fmt.Errorf("%w: device %d write timed out after %v", ErrUnavailable, dev, s.opTimeout)
-			s.obs.retry(true)
+			s.Metrics().retry(true)
 			continue
 		}
 		if f.Delay > 0 {
@@ -599,7 +580,7 @@ func (s *Store) writeGate(dev int) error {
 		}
 		if f.Err != nil {
 			last = fmt.Errorf("%w: device %d: %v", ErrUnavailable, dev, f.Err)
-			s.obs.retry(true)
+			s.Metrics().retry(true)
 			continue
 		}
 		return nil
@@ -612,98 +593,178 @@ func (s *Store) writeGate(dev int) error {
 
 // Append adds data to the store, sealing (encoding and distributing) every
 // stripe that fills. Partial tails stay buffered until more data arrives or
-// Flush pads them out.
+// Flush pads them out. The bytes are copied; data stays the caller's.
 //
 // On a file-backed store with the FsyncAlways discipline, Append returns
 // only after every sealed stripe is durably on disk: each seal gates all
 // writes, then writes, and one fsync barrier covers every device before
 // Append returns — write-then-fsync-then-publish, with the publish being the
 // lock release that makes the new stripes visible to readers.
-func (s *Store) Append(data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pending = append(s.pending, data...)
-	s.length += int64(len(data))
-	sealed := false
-	for len(s.pending) >= s.stripeBytes() {
-		if err := s.seal(s.pending[:s.stripeBytes()]); err != nil {
-			return err
-		}
-		sealed = true
-		s.pending = s.pending[s.stripeBytes():]
-	}
-	if sealed {
-		return s.syncDevices(nil)
-	}
-	return nil
-}
+func (s *Store) Append(data []byte) error { return s.commit(false, data) }
 
 // Flush zero-pads and seals any buffered partial stripe. The store's Len is
 // unchanged: padding is not user data. It does occupy address space, though,
 // so callers placing multiple objects must take NextOffset — not Len — as
 // the next object's position.
-func (s *Store) Flush() error {
+func (s *Store) Flush() error { return s.commit(true) }
+
+// commit is the one write entry point: under one exclusive lock it buffers
+// each object in turn, sealing every stripe that fills, then (flush) pads
+// and seals the tail, and runs one fsync barrier over whatever sealed — how a
+// group commit hands over its batch, with no concatenated copy. Every byte
+// handed over is buffered even when a seal faults (a faulted seal publishes
+// nothing), so callers never hand bytes twice; the next commit retries.
+func (s *Store) commit(flush bool, objs ...[]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.pending) == 0 {
-		return nil
+	before := s.stripes
+	err := s.buffer(nil) // first, whatever an earlier faulted seal left
+	for _, data := range objs {
+		s.length += int64(len(data))
+		if err == nil {
+			err = s.buffer(data)
+		} else {
+			s.pending = append(s.pending, data...)
+		}
 	}
-	buf := make([]byte, s.stripeBytes())
-	copy(buf, s.pending)
-	if err := s.seal(buf); err != nil {
-		// Keep the partial tail: a faulted seal wrote nothing, so the bytes
-		// are still only in the buffer and a later Flush can retry.
+	if n := len(s.pending); err == nil && flush && n > 0 {
+		// Only the last partial element is zero-filled, in place; the
+		// elements after it are seal's shared zero element.
+		padded := s.pending[:(n+s.elemSize-1)/s.elemSize*s.elemSize]
+		clear(padded[n:])
+		if err = s.seal(padded); err == nil {
+			s.pending = s.pending[:0]
+		}
+	}
+	if err != nil || s.stripes == before {
 		return err
 	}
-	s.pending = nil
 	return s.syncDevices(nil)
 }
 
-// seal encodes one stripe's worth of bytes and writes all cells to devices.
-// Caller holds mu exclusively.
+// buffer appends data to the pending buffer, sealing and recycling it each
+// time it fills, so it stays one stripe long however large the hand-over.
+// After a seal fault the rest of data is still buffered: pending exceeds a
+// stripe until a later call drains it, oldest first. Caller holds mu.
+func (s *Store) buffer(data []byte) error {
+	sb := s.stripeBytes()
+	if s.pending == nil && len(data) > 0 {
+		s.pending = make([]byte, 0, sb)
+	}
+	for {
+		if room := sb - len(s.pending); room > 0 {
+			n := min(room, len(data))
+			s.pending = append(s.pending, data[:n]...)
+			data = data[n:]
+		}
+		if len(s.pending) < sb {
+			return nil
+		}
+		if err := s.seal(s.pending[:sb]); err != nil {
+			s.pending = append(s.pending, data...)
+			return err
+		}
+		s.pending = s.pending[:copy(s.pending, s.pending[sb:])]
+	}
+}
+
+// sealBufs are the buffers every seal reuses (seals exclude each other under
+// mu): per column one flat run of rows cells plus its checksums — what the
+// device is handed — and the encoder's cell table, whose parity slots point
+// into the runs (parity is computed in place) and whose data slots each seal
+// re-aliases to its source.
+type sealBufs struct {
+	data, cells, runs [][]byte
+	crcs              [][]uint32
+	zero              []byte // the shared element behind every padding shard
+}
+
+func (s *Store) newSealBufs() *sealBufs {
+	n, rows, es := s.scheme.N(), s.rows, s.elemSize
+	sl := &sealBufs{data: make([][]byte, s.scheme.DataPerStripe()), cells: make([][]byte, rows*n),
+		runs: make([][]byte, n), crcs: make([][]uint32, n), zero: make([]byte, es)}
+	for col := range sl.runs {
+		sl.runs[col] = alignedBytes(rows * es)
+		sl.crcs[col] = make([]uint32, rows)
+		for row := 0; row < rows; row++ {
+			sl.cells[row*n+col] = sl.runs[col][row*es : (row+1)*es : (row+1)*es]
+		}
+	}
+	return sl
+}
+
+// seal encodes one stripe from buf — whole elements, at most a stripe's
+// worth; the elements buf lacks are zero — and writes every cell to its
+// device. Data shards alias buf only while seal runs; devices are handed the
+// store's own runs. Caller holds mu exclusively.
 func (s *Store) seal(buf []byte) error {
-	dps := s.scheme.DataPerStripe()
-	data := make([][]byte, dps)
-	for e := range data {
-		// Copy: the pending buffer is reused.
-		shard := make([]byte, s.elemSize)
-		copy(shard, buf[e*s.elemSize:(e+1)*s.elemSize])
-		data[e] = shard
+	if s.sealing == nil {
+		s.sealing = s.newSealBufs()
 	}
-	cells, err := s.scheme.EncodeStripe(data)
-	if err != nil {
-		return err
-	}
+	sl, es := s.sealing, s.elemSize
 	lay := s.scheme.Layout()
 	n := s.scheme.N()
+	for e := range sl.data {
+		if lo := e * es; lo < len(buf) {
+			sl.data[e] = buf[lo : lo+es]
+		} else {
+			sl.data[e] = sl.zero
+		}
+	}
+	if err := s.scheme.EncodeStripeInto(&s.bufs, sl.cells, sl.data); err != nil {
+		return err
+	}
+	for e, shard := range sl.data {
+		pos := lay.DataPos(e)
+		copy(sl.runs[pos.Col][pos.Row*es:], shard)
+	}
+	for col, run := range sl.runs {
+		for row := range sl.crcs[col] {
+			sl.crcs[col][row] = crc32.Checksum(run[row*es:(row+1)*es], castagnoli)
+		}
+	}
 	// Fault gate every cell write before touching any device: a faulted
-	// stripe seal aborts whole, leaving the pending buffer intact for a
-	// later retry instead of a half-written stripe.
+	// seal aborts whole, leaving the pending buffer for a retry instead of a
+	// half-written stripe. Serial, in this order: seeded plans replay.
 	for col := 0; col < n; col++ {
 		disk := lay.Disk(s.stripes, col)
-		for row := 0; row < lay.Rows(); row++ {
+		for row := 0; row < s.rows; row++ {
 			if err := s.writeGate(disk); err != nil {
 				return fmt.Errorf("store: seal stripe %d: %w", s.stripes, err)
 			}
 		}
 	}
-	// Each device's share of the stripe occupies rows contiguous slots, so
-	// it commits as one run (a single pwrite on file backends). The stripe
-	// counter advances only after every device write succeeded; the fsync
-	// barrier is the caller's (Append/Flush sync once per batch of seals).
-	devCells := make([][]byte, lay.Rows())
-	for col := 0; col < n; col++ {
+	// Each device's share of the stripe is rows contiguous slots: one run
+	// (a single pwrite on file backends), all devices at once. The stripe
+	// counter advances only if every write succeeded; commit runs the barrier.
+	err := eachDevice(n, func(col int) error {
 		disk := lay.Disk(s.stripes, col)
-		for row := 0; row < lay.Rows(); row++ {
-			devCells[row] = cells[row*n+col]
-		}
 		k := cellKey{s.stripes, layout.Pos{Row: 0, Col: col}}
-		if err := s.devices[disk].writeRun(k, devCells); err != nil {
+		if err := s.devices[disk].writeRun(k, sl.runs[col], sl.crcs[col]); err != nil {
 			return fmt.Errorf("store: seal stripe %d device %d: %w", s.stripes, disk, err)
 		}
+		return nil
+	})
+	if err == nil {
+		s.stripes++
 	}
-	s.stripes++
-	return nil
+	return err
+}
+
+// eachDevice runs fn(0..n-1) concurrently — one device operation each — and
+// returns their failures, joined.
+func eachDevice(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}(i)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // FailDisk marks device d failed. Its contents become unreadable until
@@ -906,7 +967,7 @@ replan:
 				healed++
 			} else if errors.Is(err, ErrUnavailable) || errors.Is(err, ErrFailed) {
 				unavail[a.Disk] = true
-				s.obs.replan()
+				s.Metrics().replan()
 				release()
 				continue replan
 			}
@@ -923,7 +984,7 @@ replan:
 		if err != nil {
 			return nil, err
 		}
-		s.obs.observeRead(len(failed) > 0, plan.MaxLoad())
+		s.Metrics().observeRead(len(failed) > 0, plan.MaxLoad())
 		return &ReadResult{Data: data, Plan: plan, Healed: healed}, nil
 	}
 }
@@ -1007,7 +1068,7 @@ func (s *Store) healCell(stripe int, pos layout.Pos) ([]byte, error) {
 	if err := s.syncDevices([]int{ownDisk}); err != nil {
 		return nil, err
 	}
-	s.obs.heal()
+	s.Metrics().heal()
 	s.bumpEpoch()
 	return clean, nil
 }
@@ -1182,12 +1243,9 @@ func (s *Store) WriteAtReencode(off int64, data []byte) error {
 		for e := 0; e < dps; e++ {
 			x := stripe*dps + e
 			if x >= startElem && x <= endElem {
-				// Fully overwritten: no read needed. Copy — device cells must
-				// not alias caller-owned bytes.
+				// Fully overwritten: no read needed (backends copy what they keep).
 				i := x - startElem
-				shard := make([]byte, s.elemSize)
-				copy(shard, data[i*s.elemSize:(i+1)*s.elemSize])
-				shards[e] = shard
+				shards[e] = data[i*s.elemSize : (i+1)*s.elemSize]
 				continue
 			}
 			pos := lay.DataPos(e)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -12,8 +14,8 @@ import (
 )
 
 // FuzzWALReplay drives a WAL with a fuzzer-chosen object stream and batch
-// shape, then "crashes" by truncating the log at a fuzzer-chosen point and
-// replays it into a fresh store. The invariants:
+// shape, then "crashes" by truncating the spilled log file at a fuzzer-chosen
+// point and replays it into a fresh store. The invariants:
 //
 //   - replay never errors on any truncation (torn tails end the log cleanly);
 //   - every extent replay reports was committed live at the same offset with
@@ -38,6 +40,7 @@ func FuzzWALReplay(f *testing.F) {
 			// "several stripes per batch".
 			BatchBytes:    1 + rng.Intn(4*s.stripeBytes()),
 			FlushInterval: 0,
+			LogPath:       filepath.Join(t.TempDir(), "wal.log"),
 		})
 
 		var sent [][]byte
@@ -56,12 +59,15 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("close: %v", err)
 		}
 
-		log := w.LogSnapshot()
+		log, err := os.ReadFile(w.Config().LogPath)
+		if err != nil {
+			t.Fatalf("read spilled log: %v", err)
+		}
 		// Crash point: replay an arbitrary prefix of the log. A prefix may
 		// end mid-record (torn write); replay must stop cleanly there.
 		n := int(cut) % (len(log) + 1)
 		replay := MustNew(core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM), 64)
-		extents, err := ReplayWAL(log[:n], replay)
+		extents, _, err := ReplayWAL(log[:n], replay)
 		if err != nil {
 			t.Fatalf("replay of %d/%d log bytes: %v", n, len(log), err)
 		}
@@ -86,12 +92,12 @@ func FuzzWALReplay(f *testing.F) {
 
 		// Full-log replay reproduces the live store exactly.
 		full := MustNew(core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM), 64)
-		extents, err = ReplayWAL(log, full)
+		extents, orphans, err := ReplayWAL(log, full)
 		if err != nil {
 			t.Fatalf("full replay: %v", err)
 		}
-		if len(extents) != len(sent) {
-			t.Fatalf("full replay committed %d objects; want %d", len(extents), len(sent))
+		if len(extents) != len(sent) || orphans != 0 {
+			t.Fatalf("full replay committed %d objects, orphaned %d; want %d and 0", len(extents), orphans, len(sent))
 		}
 		if lw, lr := s.NextOffset(), full.NextOffset(); lw != lr {
 			t.Fatalf("full replay extent %d != live %d", lr, lw)

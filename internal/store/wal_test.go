@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -20,6 +22,29 @@ import (
 func walStore(t testing.TB) *Store {
 	t.Helper()
 	return MustNew(core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM), 64)
+}
+
+// holdGate is a fault injector that parks the first device write gate it is
+// asked about until release is closed — how tests hold a commit in flight now
+// that a lone Put leads its own commit at once. entered closes when the
+// commit has reached the gate (it then holds the store's exclusive lock).
+type holdGate struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func newHoldGate() *holdGate {
+	return &holdGate{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *holdGate) ReadFault(int) Fault { return Fault{} }
+
+func (g *holdGate) WriteFault(int) Fault {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return Fault{}
 }
 
 // TestWALPutAcksWithReadableOffset: every Put's returned offset must read
@@ -128,7 +153,7 @@ func TestWALConcurrentPutsBatch(t *testing.T) {
 func TestWALFaultedCommitRetainsAndRetries(t *testing.T) {
 	s := walStore(t)
 	fastRetries(s)
-	w := NewWAL(s, WALConfig{FlushInterval: time.Hour}) // no timer rescue: explicit Sync drives
+	w := NewWAL(s, WALConfig{FlushInterval: time.Hour}) // no timer rescue of the retained entry: explicit Sync drives
 	var faulting sync.Mutex
 	active := true
 	s.SetFaultInjector(stubInjector{write: func(d int) Fault {
@@ -141,22 +166,19 @@ func TestWALFaultedCommitRetainsAndRetries(t *testing.T) {
 	}})
 
 	data := bytes.Repeat([]byte{0xab}, 3*s.ElementSize())
-	done := make(chan error, 1)
-	go func() {
-		_, err := w.Put(context.Background(), data)
-		done <- err
-	}()
-	// The put queues; force the commit attempt against the faulting plan.
-	waitFor(t, func() bool { n, _ := w.Depth(); return n == 1 })
-	if err := w.Sync(); err == nil {
-		t.Fatal("faulted group commit reported success")
-	}
-	err := <-done
-	if !errors.Is(err, ErrUnavailable) {
+	// The lone put leads its own commit straight into the faulting plan.
+	if _, err := w.Put(context.Background(), data); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("put got %v; want ErrUnavailable", err)
 	}
 	if n, b := w.Depth(); n != 1 || b != len(data) {
 		t.Fatalf("faulted commit dropped the entry: depth %d objects / %d bytes", n, b)
+	}
+	// A forced retry against the same plan faults again and still retains it.
+	if err := w.Sync(); err == nil {
+		t.Fatal("faulted group commit reported success")
+	}
+	if n, b := w.Depth(); n != 1 || b != len(data) {
+		t.Fatalf("faulted retry dropped the entry: depth %d objects / %d bytes", n, b)
 	}
 
 	// Clear the faults; the retained entry must commit on the next attempt.
@@ -210,16 +232,7 @@ func TestWALFaultedCommitNeverDoubleAppends(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	first := make([]byte, 3*s.stripeBytes()+s.ElementSize())
 	rng.Read(first)
-	done := make(chan error, 1)
-	go func() {
-		_, err := w.Put(context.Background(), first)
-		done <- err
-	}()
-	waitFor(t, func() bool { n, _ := w.Depth(); return n == 1 })
-	if err := w.Sync(); err == nil {
-		t.Fatal("partially faulted commit reported success")
-	}
-	if err := <-done; !errors.Is(err, ErrUnavailable) {
+	if _, err := w.Put(context.Background(), first); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("put got %v; want ErrUnavailable", err)
 	}
 
@@ -253,6 +266,48 @@ func TestWALFaultedCommitNeverDoubleAppends(t *testing.T) {
 	}
 }
 
+// TestWALFaultedMultiStripeCommitRetriedBySync: a faulted commit of an object
+// longer than a stripe leaves more than a stripe buffered in the store. A
+// retry with nothing new to hand over (Sync alone) must seal all of it,
+// oldest stripe first — not the first stripe's worth and drop the rest.
+func TestWALFaultedMultiStripeCommitRetriedBySync(t *testing.T) {
+	s := walStore(t)
+	fastRetries(s)
+	w := NewWAL(s, WALConfig{FlushInterval: time.Hour})
+	var mu sync.Mutex
+	failing := true
+	s.SetFaultInjector(stubInjector{write: func(int) Fault {
+		mu.Lock()
+		defer mu.Unlock()
+		if failing {
+			return Fault{Err: errors.New("seal fault")}
+		}
+		return Fault{}
+	}})
+	data := make([]byte, 2*s.stripeBytes()+3*s.ElementSize()+5)
+	rand.New(rand.NewSource(8)).Read(data)
+	if _, err := w.Put(context.Background(), data); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("put got %v; want ErrUnavailable", err)
+	}
+	mu.Lock()
+	failing = false
+	mu.Unlock()
+	if err := w.Sync(); err != nil {
+		t.Fatalf("retry commit: %v", err)
+	}
+	s.SetFaultInjector(nil)
+	if got := s.Stripes(); got != 3 {
+		t.Fatalf("retry sealed %d stripes; want 3", got)
+	}
+	res, err := s.ReadAt(0, len(data))
+	if err != nil || !bytes.Equal(res.Data, data) {
+		t.Fatalf("retried object reads back wrong (err %v)", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+}
+
 // TestWALClosedRejectsPuts: Put after Close fails with ErrWALClosed.
 func TestWALClosedRejectsPuts(t *testing.T) {
 	s := walStore(t)
@@ -266,20 +321,37 @@ func TestWALClosedRejectsPuts(t *testing.T) {
 }
 
 // TestWALPutContextCancel: an abandoned Put returns the context error, and
-// the entry still commits (the bytes were accepted into the log).
+// the entry still commits (the bytes were accepted into the queue). Only a
+// Put waiting behind another commit can be abandoned — a leader is busy
+// committing — so the first put's commit is held at a write gate.
 func TestWALPutContextCancel(t *testing.T) {
 	s := walStore(t)
 	w := NewWAL(s, WALConfig{FlushInterval: time.Hour})
+	gate := newHoldGate()
+	s.SetFaultInjector(gate)
+	first := bytes.Repeat([]byte{3}, 64)
+	led := make(chan error, 1)
+	go func() {
+		_, err := w.Put(context.Background(), first)
+		led <- err
+	}()
+	<-gate.entered
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	data := bytes.Repeat([]byte{7}, 128)
 	if _, err := w.Put(ctx, data); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled put: %v; want context.Canceled", err)
 	}
+	close(gate.release)
+	if err := <-led; err != nil {
+		t.Fatalf("leading put: %v", err)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	res, err := s.ReadAt(0, len(data))
+	// The abandoned put committed in the batch after the leader's own.
+	res, err := s.ReadAt(int64(s.stripeBytes()), len(data))
 	if err != nil {
 		t.Fatalf("read back abandoned put: %v", err)
 	}
@@ -292,7 +364,8 @@ func TestWALPutContextCancel(t *testing.T) {
 // the live store's committed extent byte-for-byte, across multiple batches.
 func TestWALReplayMatchesLive(t *testing.T) {
 	s := walStore(t)
-	w := NewWAL(s, WALConfig{FlushInterval: time.Millisecond})
+	logPath := filepath.Join(t.TempDir(), "wal.log")
+	w := NewWAL(s, WALConfig{FlushInterval: time.Millisecond, LogPath: logPath})
 	rng := rand.New(rand.NewSource(3))
 	var all [][]byte
 	for i := 0; i < 17; i++ {
@@ -307,13 +380,17 @@ func TestWALReplayMatchesLive(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
+	log, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatalf("read spilled log: %v", err)
+	}
 	replay := walStore(t)
-	extents, err := ReplayWAL(w.LogSnapshot(), replay)
+	extents, orphans, err := ReplayWAL(log, replay)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if len(extents) != len(all) {
-		t.Fatalf("replay committed %d objects; want %d", len(extents), len(all))
+	if len(extents) != len(all) || orphans != 0 {
+		t.Fatalf("replay committed %d objects, orphaned %d; want %d and 0", len(extents), orphans, len(all))
 	}
 	if lw, lr := s.NextOffset(), replay.NextOffset(); lw != lr {
 		t.Fatalf("replayed extent %d != live extent %d", lr, lw)
@@ -361,16 +438,19 @@ func TestWALDepthGaugeMoves(t *testing.T) {
 	s.SetMetrics(NewMetrics(reg, s.Scheme().N()))
 	w := NewWAL(s, WALConfig{FlushInterval: time.Hour})
 	gauge := reg.Gauge("ecfrm_wal_queued_objects", "")
+	gate := newHoldGate()
+	s.SetFaultInjector(gate)
 
 	done := make(chan error, 1)
 	go func() {
 		_, err := w.Put(context.Background(), []byte{1, 2, 3})
 		done <- err
 	}()
-	waitFor(t, func() bool { return gauge.Value() == 1 })
-	if err := w.Sync(); err != nil {
-		t.Fatalf("sync: %v", err)
+	<-gate.entered // the put's own commit is in flight: still queued
+	if v := gauge.Value(); v != 1 {
+		t.Fatalf("depth gauge %v with one commit in flight; want 1", v)
 	}
+	close(gate.release)
 	if err := <-done; err != nil {
 		t.Fatalf("put: %v", err)
 	}
