@@ -1,10 +1,12 @@
 # Developer entry points. `make ci` is the gate every change should pass:
-# vet, the full test suite under the race detector, and a short benchmark
-# smoke run proving the kernel and pooled paths still execute.
+# vet, the full test suite under the race detector, a one-iteration pass over
+# the kernel and repair benchmarks, a tenth-size round of the end-to-end
+# benchmark (bench/, the only source of served-path numbers), the scripted
+# daemon smokes, and the seeded chaos suites.
 
 GO ?= go
 
-.PHONY: all build test ci vet race race-io bench-smoke bench-quick bench kernels-json kernels16-json widestripe readpath-smoke readpath-json fanout-json fuzz-smoke fuzz16-smoke chaos obs-smoke fanout-smoke writepath-smoke writepath-json disk-smoke disk-json repair-smoke repair-chaos repair-json cluster-smoke cluster-json
+.PHONY: all build test ci vet race race-io bench-smoke bench-quick bench loc fuzz-smoke fuzz16-smoke chaos obs-smoke fanout-smoke writepath-smoke disk-smoke repair-smoke repair-chaos cluster-smoke
 
 all: build
 
@@ -28,8 +30,10 @@ race-io:
 
 # A fast benchmark pass (one short iteration per benchmark) that catches
 # panics/regressions in the bench harnesses without waiting for full timings.
+# RebuildAtRate is the repair scheduler's MTTR-vs-rate-limit curve (mttr_ms at
+# 4/16/64 MiB/s).
 bench-smoke:
-	$(GO) test -run NONE -bench 'Encode|Reconstruct' -benchtime 1x -benchmem ./...
+	$(GO) test -run NONE -bench 'Encode|Reconstruct|RebuildAtRate' -benchtime 1x -benchmem ./...
 
 # The nested benchmark module (bench/, its own go.mod): root `go vet ./...`
 # and `go test ./...` never reach it, so vet and test it here, then run one
@@ -42,31 +46,10 @@ bench-quick:
 bench:
 	$(GO) test -run NONE -bench 'Encode|Reconstruct' -benchmem .
 
-# Machine-readable kernel throughput report (BENCH_kernels.json).
-kernels-json:
-	$(GO) run ./cmd/ecfrmbench -kernels BENCH_kernels.json
-
-# Machine-readable GF(2^16) kernel throughput report (BENCH_kernels16.json).
-# The ISSUE's acceptance bar is a >=5x SIMD-over-reference speedup on the
-# multiply-accumulate path; the report carries the geometric mean.
-kernels16-json:
-	$(GO) run ./cmd/ecfrmbench -kernels16 BENCH_kernels16.json
-
-# The wide-stripe acceptance sweep: (k=64, m=4) RS/LRC/CRS over GF(2^16)
-# through the full store — seal, clean reads, max-tolerated-failure degraded
-# reads, and whole-disk repair, every read byte-verified.
-widestripe:
-	$(GO) run ./cmd/ecfrmbench -widestripe /tmp/ecfrm-widestripe.json
-
-# A small streaming-vs-buffered read-path run that catches pipeline
-# regressions without the full payload; the JSON goes to a throwaway path.
-readpath-smoke:
-	$(GO) run ./cmd/ecfrmbench -readpath /tmp/ecfrm-readpath-smoke.json -readpath-bytes 16777216
-
-# The committed read-path numbers (BENCH_readpath.json): 1 GiB payload so the
-# buffered baseline pays its real O(file) allocation cost.
-readpath-json:
-	$(GO) run ./cmd/ecfrmbench -readpath BENCH_readpath.json -readpath-bytes 1073741824
+# Non-test Go lines per module: the count ROADMAP aim 2 tracks.
+loc:
+	@printf 'root module: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@printf 'bench/:      '; find bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # End-to-end observability check against a real daemon: start ecfrmd, PUT and
 # GET an object over HTTP, and assert /metrics scrapes cleanly with the
@@ -80,11 +63,6 @@ obs-smoke:
 fanout-smoke:
 	./scripts/fanout-smoke.sh
 
-# The committed fan-out executor numbers (BENCH_fanout.json): sequential vs
-# fan-out vs hedged across the slow-disk and uniform-latency scenarios.
-fanout-json:
-	$(GO) run ./cmd/ecfrmbench -fanout BENCH_fanout.json
-
 # End-to-end write-path check against a real daemon under a jittered fault
 # plan: concurrent small PUTs must pack into fewer stripes than objects, every
 # object must read back byte-identical, scrub must come back clean, and the
@@ -92,23 +70,12 @@ fanout-json:
 writepath-smoke:
 	./scripts/writepath-smoke.sh
 
-# The committed write-path numbers (BENCH_writepath.json): per-object seals vs
-# group-commit WAL packing, and parity-delta vs full-stripe re-encode updates.
-writepath-json:
-	$(GO) run ./cmd/ecfrmbench -writepath BENCH_writepath.json
-
 # End-to-end crash-consistency check of the file backend against a real
 # daemon: concurrent PUTs, SIGKILL, restart on the same data directory —
 # every acked stripe must survive, scrub must come back clean, and the
 # per-device submission-queue metrics must be live.
 disk-smoke:
 	./scripts/disk-smoke.sh
-
-# The committed file-backend numbers (BENCH_disk.json): streaming write
-# throughput under fsync barriers, the disksim calibration fit with its
-# error bound, and sequential vs fan-out vs hedged reads on real files.
-disk-json:
-	$(GO) run ./cmd/ecfrmbench -disk BENCH_disk.json
 
 # End-to-end self-healing check against a real daemon: PUT objects, zero one
 # device's data file under the live process, and require the repair
@@ -127,11 +94,6 @@ repair-chaos:
 	echo "repair-chaos: extra seed $$seed (reproduce with CHAOS_SEED=$$seed make repair-chaos)"; \
 	CHAOS_SEED=$$seed $(GO) test -race -run ChaosKilledDisk ./internal/repair/
 
-# The committed repair scheduler numbers (BENCH_repair.json): MTTR and
-# foreground p99 as a function of the token-bucket rate limit.
-repair-json:
-	$(GO) run ./cmd/ecfrmbench -repair BENCH_repair.json
-
 # End-to-end networked-cluster check: three file-backed data-node processes
 # behind a gateway process on localhost, readiness-gated startup, a concurrent
 # PUT burst, hedge activity under an injected slow device, and a SIGKILLed
@@ -139,12 +101,6 @@ repair-json:
 # degraded reconstruction, replan/degraded/node-down series live on /metrics.
 cluster-smoke:
 	./scripts/cluster-smoke.sh
-
-# The committed cluster numbers (BENCH_cluster.json): local vs networked vs
-# networked+hedged read latency, and degraded-read network amplification with
-# one node down.
-cluster-json:
-	$(GO) run ./cmd/ecfrmbench -cluster BENCH_cluster.json
 
 # A short fuzz run over the GF kernel equivalence target.
 fuzz-smoke:
@@ -163,4 +119,4 @@ chaos:
 	CHAOS_SEED=$$seed $(GO) test -race -count=2 -run 'Chaos|FaultSequence|Replays|FaultStreams|StreamSourceFault|StreamSinkFault' \
 		./internal/faultinject/ ./internal/shardio/
 
-ci: vet race race-io bench-smoke bench-quick widestripe readpath-smoke obs-smoke fanout-smoke writepath-smoke disk-smoke disk-json repair-smoke repair-chaos cluster-smoke cluster-json chaos
+ci: vet race race-io bench-smoke bench-quick obs-smoke fanout-smoke writepath-smoke disk-smoke repair-smoke repair-chaos cluster-smoke chaos

@@ -11,6 +11,7 @@ package ecfrm
 //
 // Run with: go test -bench=Fig -benchmem
 // The full-protocol tables come from: go run ./cmd/ecfrmbench
+// Served-path numbers (ecfrmd PUT/GET, per layer) come from bench/ only.
 
 import (
 	"fmt"
@@ -356,20 +357,5 @@ func BenchmarkAblationHeterogeneity(b *testing.B) {
 			}
 			b.ReportMetric(gain, "gain_pct")
 		})
-	}
-}
-
-// BenchmarkBandwidthSweep regenerates the client-bandwidth sensitivity
-// extension, reporting each form's speed at the fat- and thin-link ends.
-func BenchmarkBandwidthSweep(b *testing.B) {
-	var points []experiment.BandwidthPoint
-	var err error
-	for i := 0; i < b.N; i++ {
-		if points, err = experiment.BandwidthSweep([]float64{1250, 25}, benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range points {
-		b.ReportMetric(p.SpeedMBps, fmt.Sprintf("%s_client%.0f_MBps", p.Form, p.ClientLinkMBps))
 	}
 }

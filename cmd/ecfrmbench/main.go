@@ -36,86 +36,10 @@ func main() {
 		motivation  = flag.Bool("motivation", false, "also print the §III-A vertical-vs-horizontal comparison")
 		recovery    = flag.Bool("recovery", false, "also print the single-disk recovery table")
 		concurrency = flag.Bool("concurrency", false, "also print the open-loop concurrency extension sweep")
-		network     = flag.Bool("network", false, "also print the client-bandwidth sensitivity sweep")
 		csvDir      = flag.String("csv", "", "also write each figure as <dir>/fig<ID>.csv for plotting")
-		kernels     = flag.String("kernels", "", "run the GF kernel microbenchmark and write JSON to this path (e.g. BENCH_kernels.json), then exit")
-		kernels16   = flag.String("kernels16", "", "run the GF(2^16) kernel microbenchmark and write JSON to this path (e.g. BENCH_kernels16.json), then exit")
-		widestripe  = flag.String("widestripe", "", "run the wide-stripe (k=64) end-to-end store sweep and write JSON to this path (e.g. BENCH_widestripe.json), then exit")
-		readpath    = flag.String("readpath", "", "run the streaming-vs-buffered shardio benchmark and write JSON to this path (e.g. BENCH_readpath.json), then exit")
-		readpathMB  = flag.Int64("readpath-bytes", 0, "readpath payload size in bytes (0 = 256 MiB)")
-		fanoutOut   = flag.String("fanout", "", "run the fan-out read executor benchmark and write JSON to this path (e.g. BENCH_fanout.json), then exit")
-		writepath   = flag.String("writepath", "", "run the group-commit write path benchmark and write JSON to this path (e.g. BENCH_writepath.json), then exit")
-		diskOut     = flag.String("disk", "", "run the file-backend disk benchmark and write JSON to this path (e.g. BENCH_disk.json), then exit")
-		repairOut   = flag.String("repair", "", "run the repair scheduler MTTR-vs-rate benchmark and write JSON to this path (e.g. BENCH_repair.json), then exit")
-		clusterOut  = flag.String("cluster", "", "run the local-vs-networked cluster read benchmark and write JSON to this path (e.g. BENCH_cluster.json), then exit")
-		diskDirect  = flag.Bool("disk-direct", false, "request O_DIRECT on the disk benchmark's device files")
 		parallel    = flag.Int("parallel", 0, "measure figure (code, form) cells across this many workers; results are bit-identical to sequential")
 	)
 	flag.Parse()
-
-	if *kernels != "" {
-		if err := runKernelBench(*kernels); err != nil {
-			fmt.Fprintln(os.Stderr, "kernels:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *kernels16 != "" {
-		if err := runKernel16Bench(*kernels16); err != nil {
-			fmt.Fprintln(os.Stderr, "kernels16:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *widestripe != "" {
-		if err := runWideStripeBench(*widestripe); err != nil {
-			fmt.Fprintln(os.Stderr, "widestripe:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *readpath != "" {
-		if err := runReadpathBench(*readpath, *readpathMB); err != nil {
-			fmt.Fprintln(os.Stderr, "readpath:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fanoutOut != "" {
-		if err := runFanoutBench(*fanoutOut); err != nil {
-			fmt.Fprintln(os.Stderr, "fanout:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *writepath != "" {
-		if err := runWritepathBench(*writepath); err != nil {
-			fmt.Fprintln(os.Stderr, "writepath:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *diskOut != "" {
-		if err := runDiskBench(*diskOut, *diskDirect); err != nil {
-			fmt.Fprintln(os.Stderr, "disk:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *repairOut != "" {
-		if err := runRepairBench(*repairOut); err != nil {
-			fmt.Fprintln(os.Stderr, "repair:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *clusterOut != "" {
-		if err := runClusterBench(*clusterOut); err != nil {
-			fmt.Fprintln(os.Stderr, "cluster:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	opt := experiment.Options{
 		ElementBytes:   *elem,
@@ -182,7 +106,10 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			out.Close()
+			if err := out.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
 			fmt.Printf("(wrote %s)\n\n", path)
 		}
 	}
@@ -201,14 +128,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(experiment.RenderRecovery(rows))
-	}
-	if *network {
-		points, err := experiment.BandwidthSweep([]float64{1250, 400, 100, 50, 25}, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bandwidth:", err)
-			os.Exit(1)
-		}
-		fmt.Println(experiment.RenderBandwidth(points))
 	}
 	if *concurrency {
 		points, err := experiment.ConcurrencySweep(

@@ -33,7 +33,6 @@
 package ecfrm
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/codes"
 	"repro/internal/core"
 	"repro/internal/disksim"
@@ -144,23 +143,4 @@ func SpeedMBps(payloadBytes int, t interface{ Seconds() float64 }) float64 {
 // protocol (uniform start, size 1-20 elements, uniform failed disk).
 func NewWorkload(cfg WorkloadConfig) (*WorkloadGenerator, error) {
 	return workload.NewGenerator(cfg)
-}
-
-// Cluster simulates a scheme deployed across single-disk storage nodes with
-// node and client network links (see internal/cluster).
-type Cluster = cluster.Cluster
-
-// ClusterConfig describes the cluster fabric (disk model + link bandwidths).
-type ClusterConfig = cluster.Config
-
-// ClusterResult is one simulated cluster read outcome.
-type ClusterResult = cluster.Result
-
-// DefaultClusterConfig models the paper's inner-enterprise regime: 10 GbE
-// links that comfortably exceed single-disk throughput.
-func DefaultClusterConfig() ClusterConfig { return cluster.DefaultConfig() }
-
-// NewCluster deploys a scheme across simulated storage nodes.
-func NewCluster(scheme *Scheme, cfg ClusterConfig) (*Cluster, error) {
-	return cluster.New(scheme, cfg)
 }

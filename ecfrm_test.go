@@ -125,19 +125,3 @@ func TestPublicWorkload(t *testing.T) {
 		t.Fatalf("bad trial %+v", tr)
 	}
 }
-
-func TestPublicCluster(t *testing.T) {
-	code, _ := NewLRC(6, 2, 2)
-	scheme, _ := NewScheme(code, FormECFRM)
-	cl, err := NewCluster(scheme, DefaultClusterConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cl.Read(0, 8, 1<<20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.DiskBound || res.NetworkBytes != 8<<20 {
-		t.Fatalf("cluster read wrong: %+v", res)
-	}
-}

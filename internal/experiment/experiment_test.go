@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,8 +9,8 @@ import (
 	"repro/internal/layout"
 )
 
-// fastOpts keeps unit tests quick; the full paper protocol runs in the
-// benchmarks and cmd/ecfrmbench.
+// fastOpts keeps unit tests quick; the full paper protocol runs in
+// cmd/ecfrmbench (the root bench_test.go replays a scaled-down one).
 func fastOpts() Options {
 	return Options{NormalTrials: 150, DegradedTrials: 200, TotalElements: 400}
 }
@@ -417,39 +416,6 @@ func TestFigureWriteCSV(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("CSV missing %q", want)
 		}
-	}
-}
-
-func TestBandwidthSweep(t *testing.T) {
-	points, err := BandwidthSweep([]float64{1250, 25}, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 4 {
-		t.Fatalf("%d points, want 4", len(points))
-	}
-	byKey := map[string]BandwidthPoint{}
-	for _, p := range points {
-		byKey[fmt.Sprintf("%s@%.0f", p.Form, p.ClientLinkMBps)] = p
-	}
-	fatStd := byKey["standard@1250"]
-	fatFrm := byKey["ecfrm@1250"]
-	thinStd := byKey["standard@25"]
-	thinFrm := byKey["ecfrm@25"]
-	if fatFrm.SpeedMBps < fatStd.SpeedMBps*1.15 {
-		t.Errorf("fat-link EC-FRM gain too small: %v vs %v", fatFrm.SpeedMBps, fatStd.SpeedMBps)
-	}
-	if fatStd.DiskBoundFrac < 0.99 {
-		t.Errorf("fat links should be disk-bound, got %.2f", fatStd.DiskBoundFrac)
-	}
-	if thinStd.DiskBoundFrac > 0.01 {
-		t.Errorf("thin links should be network-bound, got %.2f disk-bound", thinStd.DiskBoundFrac)
-	}
-	if diff := thinFrm.SpeedMBps/thinStd.SpeedMBps - 1; diff > 0.01 || diff < -0.01 {
-		t.Errorf("thin-link forms did not converge: %.1f%%", 100*diff)
-	}
-	if out := RenderBandwidth(points); !strings.Contains(out, "disk-bound") {
-		t.Fatal("render missing columns")
 	}
 }
 

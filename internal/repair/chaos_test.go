@@ -71,10 +71,17 @@ func TestChaosKilledDiskMTTR(t *testing.T) {
 	}
 }
 
+// chaosStore is the store the chaos suite and BenchmarkRebuildAtRate share:
+// LRC(6,2,2) under EC-FRM on in-memory devices with a short retry policy.
+func chaosStore(elemBytes int) *store.Store {
+	st := store.MustNew(core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM), elemBytes)
+	st.SetRetryPolicy(10*time.Millisecond, 2)
+	return st
+}
+
 func chaosKilledDisk(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	st := store.MustNew(core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM), 1024)
-	st.SetRetryPolicy(10*time.Millisecond, 2)
+	st := chaosStore(1024)
 	reg := obs.NewRegistry()
 	srv := httpd.NewServerWith(st, httpd.Config{Registry: reg})
 	ts := httptest.NewServer(srv)
@@ -274,6 +281,41 @@ func chaosKilledDisk(t *testing.T, seed int64) {
 	}
 	if bad, err := st.Scrub(); err != nil || len(bad) != 0 {
 		t.Fatalf("post-repair scrub: bad=%v err=%v", bad, err)
+	}
+}
+
+// BenchmarkRebuildAtRate is the repair scheduler's MTTR-versus-rate-limit
+// curve: on the chaos suite's store, filled with 64 stripes of 16 KiB elements
+// (5 MiB per disk), fail-stop one disk and time the scheduler's detection plus
+// token-bucket-paced rebuild. The first four of the eight batches ride the
+// bucket's default burst, so mttr_ms is about 2.5 MiB / rate plus detection.
+func BenchmarkRebuildAtRate(b *testing.B) {
+	for _, mib := range []int{4, 16, 64} {
+		b.Run(fmt.Sprintf("%dMiBps", mib), func(b *testing.B) {
+			const elemBytes, stripes, victim = 16 << 10, 64, 3
+			st := chaosStore(elemBytes)
+			defer st.Close()
+			fillStripes(b, st, stripes, 42)
+			sch, err := New(st, Config{
+				Rate:           float64(mib << 20),
+				BatchStripes:   8,
+				DetectInterval: 2 * time.Millisecond,
+				ScrubInterval:  -1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sch.Close()
+			b.SetBytes(int64(stripes * st.Scheme().Layout().Rows() * elemBytes))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.FailDisk(victim)
+				for len(st.FailedDisks()) != 0 || len(st.Rebuilding()) != 0 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/float64(b.N), "mttr_ms")
+		})
 	}
 }
 

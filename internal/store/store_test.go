@@ -13,7 +13,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/lrc"
 	"repro/internal/rs"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func testStore(t testing.TB, form layout.Form) *Store {
@@ -372,42 +372,38 @@ func BenchmarkStoreDegradedRead(b *testing.B) {
 }
 
 func TestZipfTraceReplay(t *testing.T) {
-	// Integration with internal/trace: a Zipf-skewed whole-object workload
-	// replayed against the store, healthy and degraded, byte-verified.
-	objs, err := trace.Catalog(25, 500, 3000, 90)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A Zipf-skewed element-range workload (workload.NewSkewed) replayed
+	// against the store healthy, with disk 6 failed, and after its recovery,
+	// byte-verified each time.
 	s := testStore(t, layout.FormECFRM)
-	payload := make([]byte, trace.TotalBytes(objs))
-	rand.New(rand.NewSource(91)).Read(payload)
-	if err := s.Append(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := trace.Zipf(objs, 400, 1.3, 92)
+	const elements = 600
+	payload := fill(t, s, elements*s.ElementSize(), 91)
+	gen, err := workload.NewSkewed(
+		workload.Config{TotalElements: elements, Disks: s.Scheme().N(), Seed: 92},
+		workload.SkewConfig{Kind: workload.SkewZipf, ZipfS: 1.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() {
-		for _, e := range events {
-			res, err := s.ReadAt(e.Off, e.Size)
+	trials := gen.Series(400)
+	run := func(phase string) {
+		for _, tr := range trials {
+			off, size := tr.Start*s.ElementSize(), tr.Count*s.ElementSize()
+			res, err := s.ReadAt(int64(off), size)
 			if err != nil {
-				t.Fatalf("object %d: %v", e.Object, err)
+				t.Fatalf("%s: elements [%d,+%d): %v", phase, tr.Start, tr.Count, err)
 			}
-			if !bytes.Equal(res.Data, payload[e.Off:e.Off+int64(e.Size)]) {
-				t.Fatalf("object %d bytes wrong", e.Object)
+			if !bytes.Equal(res.Data, payload[off:off+size]) {
+				t.Fatalf("%s: elements [%d,+%d) bytes wrong", phase, tr.Start, tr.Count)
 			}
 		}
 	}
-	run()
+	run("healthy")
 	s.FailDisk(6)
-	run()
+	run("disk 6 failed")
 	if _, err := s.RecoverDisk(6); err != nil {
 		t.Fatal(err)
 	}
+	run("recovered")
 }
 
 func TestWriteAtSmallWritePath(t *testing.T) {

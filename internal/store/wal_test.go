@@ -463,7 +463,7 @@ func TestWALDepthGaugeMoves(t *testing.T) {
 }
 
 // BenchmarkWALSmallPuts measures batched small-object throughput against the
-// per-object Append+Flush path (see also ecfrmbench -writepath).
+// per-object Append+Flush path.
 func BenchmarkWALSmallPuts(b *testing.B) {
 	for _, batched := range []bool{false, true} {
 		name := "per-object"
