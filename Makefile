@@ -42,9 +42,11 @@ bench-smoke:
 bench-quick:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && bash run.sh -quick
 
-# The real kernel/throughput numbers used in acceptance checks.
+# The real kernel/throughput numbers used in acceptance checks, and the
+# degraded planner's time, allocations and max load per plan.
 bench:
 	$(GO) test -run NONE -bench 'Encode|Reconstruct' -benchmem .
+	$(GO) test -run NONE -bench PlanDegraded -benchmem ./internal/core
 
 # Non-test Go lines per module: the count ROADMAP aim 2 tracks.
 loc:

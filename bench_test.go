@@ -157,45 +157,6 @@ func BenchmarkAblationReadSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRecoveryPolicy compares the two degraded-read recovery
-// policies on EC-FRM-LRC(6,2,2): min-cost (paper-faithful) vs load-balance.
-func BenchmarkAblationRecoveryPolicy(b *testing.B) {
-	code, err := NewLRC(6, 2, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scheme, err := NewScheme(code, FormECFRM)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen, err := NewWorkload(WorkloadConfig{TotalElements: 600, Disks: scheme.N(), Seed: 11})
-	if err != nil {
-		b.Fatal(err)
-	}
-	trials := gen.DegradedSeries(400)
-	for _, pol := range []struct {
-		name   string
-		policy RecoveryPolicy
-	}{{"min_cost", PolicyMinCost}, {"balance", PolicyBalance}} {
-		b.Run(pol.name, func(b *testing.B) {
-			var cost, maxLoad float64
-			for i := 0; i < b.N; i++ {
-				cost, maxLoad = 0, 0
-				for _, tr := range trials {
-					p, err := scheme.PlanDegradedReadPolicy(tr.Start, tr.Count, []int{tr.FailedDisk}, pol.policy)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cost += p.Cost()
-					maxLoad += float64(p.MaxLoad())
-				}
-			}
-			b.ReportMetric(cost/float64(len(trials)), "cost")
-			b.ReportMetric(maxLoad/float64(len(trials)), "max_load")
-		})
-	}
-}
-
 // BenchmarkAblationDiskModel varies the positioning/transfer ratio to show
 // the EC-FRM speedup is robust to the disk model: faster positioning makes
 // the max-load term dominate and the gain larger, not smaller.

@@ -17,8 +17,8 @@
 //     FormECFRM, giving the paper's RS, R-RS, EC-FRM-RS, LRC, R-LRC,
 //     EC-FRM-LRC variants;
 //   - stripe operations: EncodeStripe, ReconstructStripe, RebuildData;
-//   - read planning: PlanNormalRead, PlanDegradedRead with per-disk load
-//     accounting;
+//   - read planning: PlanNormalRead, PlanDegradedRead (fewest reads, then
+//     least max disk load) with per-disk load accounting;
 //   - a blob store over simulated devices (NewStore) and a seeded disk-array
 //     timing model (NewDiskArray) for running the paper's experiments.
 //
@@ -69,18 +69,6 @@ type Access = core.Access
 
 // Pos identifies a cell within a stripe (row, column).
 type Pos = layout.Pos
-
-// RecoveryPolicy selects how degraded reads choose recovery sets; see
-// PolicyMinCost and PolicyBalance.
-type RecoveryPolicy = core.RecoveryPolicy
-
-// Recovery policies for degraded-read planning.
-const (
-	// PolicyMinCost fetches the fewest extra elements (paper-faithful).
-	PolicyMinCost = core.PolicyMinCost
-	// PolicyBalance minimizes the most-loaded disk instead.
-	PolicyBalance = core.PolicyBalance
-)
 
 // Store is an append-only erasure-coded blob store over simulated devices.
 type Store = store.Store

@@ -89,12 +89,12 @@ func TestPublicPlanAPIs(t *testing.T) {
 	if pd.Cost() <= 1.0 && pd.Loads[2] != 0 {
 		t.Fatal("degraded plan malformed")
 	}
-	pb, err := scheme.PlanDegradedReadPolicy(0, 8, []int{2}, PolicyBalance)
+	pb, err := scheme.PlanDegradedReadBiased(0, 8, []int{2}, make([]int, scheme.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pb.MaxLoad() > pd.MaxLoad() {
-		t.Fatal("balance policy produced worse max load than min-cost")
+	if pb.TotalReads() != pd.TotalReads() || pb.MaxLoad() != pd.MaxLoad() {
+		t.Fatal("a zero bias changed the degraded plan")
 	}
 }
 

@@ -87,11 +87,16 @@ func FuzzLayoutInversion(f *testing.F) {
 }
 
 // FuzzPlannerNeverTouchesFailedDisks throws arbitrary requests at the
-// degraded planner and asserts its safety properties.
+// degraded planner with two failed disks (LRC(6,2,2) tolerates three) and
+// asserts its safety properties: no read on a failed disk, loads that add up,
+// and a plan that can decode — every lost element's group is read on one of
+// the element's usable recovery sets, or on every survivor when none is
+// usable.
 func FuzzPlannerNeverTouchesFailedDisks(f *testing.F) {
-	f.Add(uint16(0), uint8(8), uint8(0), false)
-	f.Add(uint16(55), uint8(20), uint8(9), true)
-	f.Fuzz(func(t *testing.T, start16 uint16, count8, fail8 uint8, balance bool) {
+	f.Add(uint16(0), uint8(8), uint8(0), uint8(3))
+	f.Add(uint16(55), uint8(20), uint8(9), uint8(0))
+	f.Add(uint16(0), uint8(20), uint8(3), uint8(5))
+	f.Fuzz(func(t *testing.T, start16 uint16, count8, fail8, second8 uint8) {
 		code, err := NewLRC(6, 2, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -100,27 +105,24 @@ func FuzzPlannerNeverTouchesFailedDisks(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		n := scheme.N()
 		start := int(start16) % 200
 		count := int(count8)%40 + 1
-		failed := []int{int(fail8) % scheme.N()}
-		policy := PolicyMinCost
-		if balance {
-			policy = PolicyBalance
-		}
-		plan, err := scheme.PlanDegradedReadPolicy(start, count, failed, policy)
+		failed := []int{int(fail8) % n, (int(fail8) + 1 + int(second8)%(n-1)) % n}
+		plan, err := scheme.PlanDegradedRead(start, count, failed)
 		if errors.Is(err, core.ErrUnrecoverable) {
-			t.Fatalf("single failure must always be plannable: %v", err)
+			t.Fatalf("two failures must always be plannable: %v", err)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		isFailed := map[int]bool{failed[0]: true, failed[1]: true}
+		read := make(map[Access]bool, len(plan.Reads))
 		for _, a := range plan.Reads {
-			if a.Disk == failed[0] {
+			if isFailed[a.Disk] {
 				t.Fatalf("plan touches failed disk: %+v", a)
 			}
-		}
-		if plan.TotalReads() < count-((count/scheme.N())+1)-1 {
-			t.Fatalf("implausibly few reads: %d for %d requested", plan.TotalReads(), count)
+			read[a] = true
 		}
 		// Loads must sum to total reads.
 		sum := 0
@@ -129,6 +131,51 @@ func FuzzPlannerNeverTouchesFailedDisks(f *testing.F) {
 		}
 		if sum != plan.TotalReads() {
 			t.Fatalf("loads sum %d != %d reads", sum, plan.TotalReads())
+		}
+
+		lay := scheme.Layout()
+		dps := scheme.DataPerStripe()
+		for x := start; x < start+count; x++ {
+			stripe, e := x/dps, x%dps
+			pos := lay.DataPos(e)
+			if !isFailed[lay.Disk(stripe, pos.Col)] {
+				if !read[Access{Disk: lay.Disk(stripe, pos.Col), Stripe: stripe, Pos: pos}] {
+					t.Fatalf("element %d on a surviving disk is not read directly", x)
+				}
+				continue
+			}
+			cell := lay.CellAt(pos)
+			// covered reports whether the plan reads set's elements of the
+			// group; usable, whether none of them is on a failed disk.
+			check := func(set []int) (covered, usable bool) {
+				covered, usable = true, true
+				for _, el := range set {
+					p := lay.GroupCell(cell.Group, el)
+					a := Access{Disk: lay.Disk(stripe, p.Col), Stripe: stripe, Pos: p}
+					usable = usable && !isFailed[a.Disk]
+					covered = covered && read[a]
+				}
+				return covered, usable
+			}
+			anyUsable, ok := false, false
+			for _, set := range code.RecoverySets(cell.Element) {
+				covered, usable := check(set)
+				anyUsable = anyUsable || usable
+				ok = ok || usable && covered
+			}
+			if !anyUsable {
+				var survivors []int
+				for el := 0; el < code.N(); el++ {
+					if p := lay.GroupCell(cell.Group, el); !isFailed[lay.Disk(stripe, p.Col)] {
+						survivors = append(survivors, el)
+					}
+				}
+				ok, _ = check(survivors)
+			}
+			if !ok {
+				t.Fatalf("lost element %d (group %d element %d, failed %v): plan reads none of its recovery sets",
+					x, cell.Group, cell.Element, failed)
+			}
 		}
 	})
 }

@@ -23,12 +23,12 @@ func TestPlanDegradedReadBiasedNilMatchesUnbiased(t *testing.T) {
 			start := rng.Intn(2 * s.DataPerStripe())
 			count := 1 + rng.Intn(20)
 			failed := []int{rng.Intn(s.N())}
-			want, err := s.PlanDegradedReadPolicy(start, count, failed, PolicyMinCost)
+			want, err := s.PlanDegradedRead(start, count, failed)
 			if err != nil {
 				t.Fatalf("%s: %v", s.Name(), err)
 			}
 			for _, bias := range [][]int{nil, zero(s.N())} {
-				got, err := s.PlanDegradedReadBiased(start, count, failed, PolicyMinCost, bias)
+				got, err := s.PlanDegradedReadBiased(start, count, failed, bias)
 				if err != nil {
 					t.Fatalf("%s bias=%v: %v", s.Name(), bias, err)
 				}
@@ -64,7 +64,7 @@ func TestPlanDegradedReadBiasedSteersAwayFromBusyDisk(t *testing.T) {
 		}
 		bias := make([]int, s.N())
 		bias[busy] = 1000
-		biased, err := s.PlanDegradedReadBiased(0, 2*s.DataPerStripe(), failed, PolicyMinCost, bias)
+		biased, err := s.PlanDegradedReadBiased(0, 2*s.DataPerStripe(), failed, bias)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestPlanDegradedReadBiasedSteersAwayFromBusyDisk(t *testing.T) {
 // request, not a silent truncation.
 func TestPlanDegradedReadBiasedValidation(t *testing.T) {
 	s := MustScheme(rs.Must(6, 3), layout.FormECFRM)
-	if _, err := s.PlanDegradedReadBiased(0, 1, []int{1}, PolicyMinCost, []int{1, 2}); !errors.Is(err, ErrBadRequest) {
+	if _, err := s.PlanDegradedReadBiased(0, 1, []int{1}, []int{1, 2}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("short bias: err = %v, want ErrBadRequest", err)
 	}
 }

@@ -7,13 +7,13 @@
 // This is the paper's primary contribution (§IV): the framework is the
 // machinery that rewires where a candidate code's elements live — Step-1
 // (identify groups) is the layout, Step-2 (construct over each group) is the
-// per-group application of the candidate code done here.
+// per-group application of the candidate code done here. Read planning lives
+// in plan.go.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/codes"
 	"repro/internal/gf"
@@ -430,299 +430,4 @@ func (s *Scheme) VerifyStripe(cells [][]byte) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// Access is one planned physical element read.
-type Access struct {
-	Disk   int        // physical disk
-	Stripe int        // stripe index
-	Pos    layout.Pos // cell within the stripe
-}
-
-// Plan is the result of read planning: the set of physical element reads
-// (deduplicated — an element read once serves every consumer) and the
-// per-disk load they induce.
-type Plan struct {
-	Requested int // data elements the user asked for
-	Reads     []Access
-	Loads     []int // per-disk element counts, indexed by disk
-	Failed    []int // failed disks the plan avoided (empty for normal reads)
-}
-
-// MaxLoad returns the element count on the most loaded disk — the quantity
-// the paper's whole design minimizes (§III-B).
-func (p *Plan) MaxLoad() int {
-	max := 0
-	for _, l := range p.Loads {
-		if l > max {
-			max = l
-		}
-	}
-	return max
-}
-
-// TotalReads returns the number of distinct physical element reads.
-func (p *Plan) TotalReads() int { return len(p.Reads) }
-
-// Cost returns TotalReads/Requested — the paper's "degraded read cost"
-// metric (network/IO amplification). 1.0 for any normal read.
-func (p *Plan) Cost() float64 {
-	if p.Requested == 0 {
-		return 0
-	}
-	return float64(len(p.Reads)) / float64(p.Requested)
-}
-
-// ContributingDisks returns how many distinct disks serve at least one read.
-func (p *Plan) ContributingDisks() int {
-	c := 0
-	for _, l := range p.Loads {
-		if l > 0 {
-			c++
-		}
-	}
-	return c
-}
-
-// planner accumulates deduplicated accesses.
-type planner struct {
-	s      *Scheme
-	seen   map[Access]bool
-	reads  []Access
-	loads  []int
-	failed map[int]bool
-	// bias, when non-nil, is an external per-disk load offset (e.g. live
-	// queue depth) added to the planned load when recovery-set options are
-	// compared. It shifts which survivors are chosen without ever appearing
-	// in the resulting Plan.Loads.
-	bias []int
-}
-
-func newPlanner(s *Scheme, failed []int) *planner {
-	f := make(map[int]bool, len(failed))
-	for _, d := range failed {
-		f[d] = true
-	}
-	return &planner{
-		s:      s,
-		seen:   make(map[Access]bool),
-		loads:  make([]int, s.N()),
-		failed: f,
-	}
-}
-
-func (pl *planner) add(a Access) {
-	if pl.seen[a] {
-		return
-	}
-	pl.seen[a] = true
-	pl.reads = append(pl.reads, a)
-	pl.loads[a.Disk]++
-}
-
-// access builds the Access for element t of group g in the given stripe.
-func (pl *planner) access(stripe, g, t int) Access {
-	pos := pl.s.lay.GroupCell(g, t)
-	return Access{Disk: pl.s.lay.Disk(stripe, pos.Col), Stripe: stripe, Pos: pos}
-}
-
-// PlanNormalRead plans a read of count sequential data elements starting at
-// global data element index start, with all disks healthy. Only data cells
-// are touched; the plan's Cost is exactly 1.
-func (s *Scheme) PlanNormalRead(start, count int) (*Plan, error) {
-	if start < 0 || count <= 0 {
-		return nil, fmt.Errorf("%w: start=%d count=%d", ErrBadRequest, start, count)
-	}
-	pl := newPlanner(s, nil)
-	dps := s.DataPerStripe()
-	for x := start; x < start+count; x++ {
-		stripe, e := x/dps, x%dps
-		pos := s.lay.DataPos(e)
-		pl.add(Access{Disk: s.lay.Disk(stripe, pos.Col), Stripe: stripe, Pos: pos})
-	}
-	return &Plan{Requested: count, Reads: pl.reads, Loads: pl.loads}, nil
-}
-
-// RecoveryPolicy selects how the degraded-read planner chooses among a lost
-// element's candidate recovery sets.
-type RecoveryPolicy int
-
-const (
-	// PolicyMinCost prefers the set adding the fewest extra reads, with
-	// resulting max load as the tie-breaker. This mirrors the paper's
-	// Jerasure-based implementation, whose decoder always fetches the
-	// canonical minimum-I/O survivors — it is why the paper measures
-	// near-identical degraded read *cost* across layout forms (Figure 9a/9b).
-	PolicyMinCost RecoveryPolicy = iota
-	// PolicyBalance prefers the set minimizing the resulting maximum disk
-	// load (the paper's §III-B objective applied to recovery reads too),
-	// with extra reads as the tie-breaker. Trades some extra I/O for lower
-	// tail latency; kept as an ablation.
-	PolicyBalance
-)
-
-// PlanDegradedRead plans a read of count sequential data elements starting
-// at start while the given disks are failed, using PolicyMinCost. Elements
-// on surviving disks are read directly; elements on failed disks are rebuilt
-// from a recovery set of their group.
-//
-// If none of the candidate code's minimal recovery sets avoids the failed
-// disks, the planner falls back to reading every surviving element of the
-// group, which succeeds whenever the pattern is information-theoretically
-// decodable; otherwise ErrUnrecoverable is returned.
-func (s *Scheme) PlanDegradedRead(start, count int, failed []int) (*Plan, error) {
-	return s.PlanDegradedReadPolicy(start, count, failed, PolicyMinCost)
-}
-
-// PlanDegradedReadPolicy is PlanDegradedRead with an explicit recovery-set
-// selection policy.
-func (s *Scheme) PlanDegradedReadPolicy(start, count int, failed []int, policy RecoveryPolicy) (*Plan, error) {
-	return s.PlanDegradedReadBiased(start, count, failed, policy, nil)
-}
-
-// PlanDegradedReadBiased is PlanDegradedReadPolicy with an external per-disk
-// load bias: bias[d] (typically the disk's live queue depth) is added to
-// disk d's planned load whenever candidate recovery sets are compared, so a
-// momentarily busy disk loses ties it would otherwise win. A nil bias is the
-// unbiased planner; a non-nil bias must have one entry per disk. The bias
-// influences only which survivors are selected — Plan.Loads still reports
-// the plan's own element counts — and any recovery set produces the same
-// decoded bytes, so biased and unbiased plans are byte-equivalent to execute.
-func (s *Scheme) PlanDegradedReadBiased(start, count int, failed []int, policy RecoveryPolicy, bias []int) (*Plan, error) {
-	if start < 0 || count <= 0 {
-		return nil, fmt.Errorf("%w: start=%d count=%d", ErrBadRequest, start, count)
-	}
-	if bias != nil && len(bias) != s.N() {
-		return nil, fmt.Errorf("%w: bias has %d entries for %d disks", ErrBadRequest, len(bias), s.N())
-	}
-	for _, d := range failed {
-		if d < 0 || d >= s.N() {
-			return nil, fmt.Errorf("%w: failed disk %d out of [0,%d)", ErrBadRequest, d, s.N())
-		}
-	}
-	pl := newPlanner(s, failed)
-	pl.bias = bias
-	dps := s.DataPerStripe()
-
-	// Pass 1: direct reads for elements on surviving disks.
-	type lost struct{ stripe, g, t int }
-	var rebuilds []lost
-	for x := start; x < start+count; x++ {
-		stripe, e := x/dps, x%dps
-		pos := s.lay.DataPos(e)
-		disk := s.lay.Disk(stripe, pos.Col)
-		if !pl.failed[disk] {
-			pl.add(Access{Disk: disk, Stripe: stripe, Pos: pos})
-			continue
-		}
-		c := s.lay.CellAt(pos)
-		rebuilds = append(rebuilds, lost{stripe, c.Group, c.Element})
-	}
-
-	// Pass 2: choose a recovery set for each lost element per the policy.
-	for _, lo := range rebuilds {
-		if err := s.planRebuild(pl, lo.stripe, lo.g, lo.t, policy); err != nil {
-			return nil, err
-		}
-	}
-	sort.Slice(pl.reads, func(i, j int) bool {
-		a, b := pl.reads[i], pl.reads[j]
-		if a.Stripe != b.Stripe {
-			return a.Stripe < b.Stripe
-		}
-		if a.Pos.Row != b.Pos.Row {
-			return a.Pos.Row < b.Pos.Row
-		}
-		return a.Pos.Col < b.Pos.Col
-	})
-	fcopy := append([]int(nil), failed...)
-	return &Plan{Requested: count, Reads: pl.reads, Loads: pl.loads, Failed: fcopy}, nil
-}
-
-// planRebuild adds the reads needed to rebuild element t of group g in the
-// given stripe to the plan.
-func (s *Scheme) planRebuild(pl *planner, stripe, g, t int, policy RecoveryPolicy) error {
-	type option struct {
-		accesses []Access
-		maxLoad  int
-		newReads int
-		order    int
-	}
-	var best *option
-	better := func(a, b *option) bool {
-		var ka, kb [3]int
-		if policy == PolicyBalance {
-			ka = [3]int{a.maxLoad, a.newReads, a.order}
-			kb = [3]int{b.maxLoad, b.newReads, b.order}
-		} else {
-			ka = [3]int{a.newReads, a.maxLoad, a.order}
-			kb = [3]int{b.newReads, b.maxLoad, b.order}
-		}
-		for i := range ka {
-			if ka[i] != kb[i] {
-				return ka[i] < kb[i]
-			}
-		}
-		return false
-	}
-	consider := func(set []int, order int) {
-		accesses := make([]Access, 0, len(set))
-		extra := make(map[int]int)
-		newReads := 0
-		for _, tt := range set {
-			a := pl.access(stripe, g, tt)
-			if pl.failed[a.Disk] {
-				return // unusable set
-			}
-			accesses = append(accesses, a)
-			if !pl.seen[a] {
-				extra[a.Disk]++
-				newReads++
-			}
-		}
-		maxLoad := 0
-		for d, l := range pl.loads {
-			load := l + extra[d]
-			if pl.bias != nil {
-				load += pl.bias[d]
-			}
-			if load > maxLoad {
-				maxLoad = load
-			}
-		}
-		cand := &option{accesses, maxLoad, newReads, order}
-		if best == nil || better(cand, best) {
-			best = cand
-		}
-	}
-	for order, set := range s.code.RecoverySets(t) {
-		consider(set, order)
-	}
-	if best == nil {
-		// Fallback: read every surviving element of the group and decode
-		// generally, if the overall pattern allows it.
-		var surviving []int
-		var erased []int
-		for tt := 0; tt < s.code.N(); tt++ {
-			a := pl.access(stripe, g, tt)
-			if pl.failed[a.Disk] {
-				erased = append(erased, tt)
-			} else if tt != t {
-				surviving = append(surviving, tt)
-			}
-		}
-		if !s.code.CanRecover(erased) {
-			return fmt.Errorf("%w: group %d stripe %d, erased elements %v",
-				ErrUnrecoverable, g, stripe, erased)
-		}
-		consider(surviving, 0)
-	}
-	if best == nil {
-		return fmt.Errorf("%w: group %d stripe %d has no usable recovery set",
-			ErrUnrecoverable, g, stripe)
-	}
-	for _, a := range best.accesses {
-		pl.add(a)
-	}
-	return nil
 }

@@ -471,36 +471,6 @@ func TestPlanCostZeroRequested(t *testing.T) {
 	}
 }
 
-func TestPolicyBalanceNeverWorseMaxLoad(t *testing.T) {
-	// Property: for identical requests, the balance policy's max load is
-	// never above the min-cost policy's, and min-cost's total reads are
-	// never above balance's.
-	rng := rand.New(rand.NewSource(50))
-	for _, s := range allSchemes(t) {
-		for trial := 0; trial < 40; trial++ {
-			start := rng.Intn(2 * s.DataPerStripe())
-			count := 1 + rng.Intn(20)
-			failed := []int{rng.Intn(s.N())}
-			pc, err := s.PlanDegradedReadPolicy(start, count, failed, PolicyMinCost)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pb, err := s.PlanDegradedReadPolicy(start, count, failed, PolicyBalance)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pb.MaxLoad() > pc.MaxLoad() {
-				t.Fatalf("%s trial %d: balance max load %d > min-cost %d",
-					s.Name(), trial, pb.MaxLoad(), pc.MaxLoad())
-			}
-			if pc.TotalReads() > pb.TotalReads() {
-				t.Fatalf("%s trial %d: min-cost reads %d > balance %d",
-					s.Name(), trial, pc.TotalReads(), pb.TotalReads())
-			}
-		}
-	}
-}
-
 func TestDegradedPlanDedupesSharedReads(t *testing.T) {
 	// When a requested element also serves as a recovery-set member, it is
 	// read once: the Figure 7(b) scenario where a 14-element read on

@@ -313,19 +313,12 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 
 	unavail := make(map[int]bool)
 	for {
-		failed := s.failedDisksLocked()
-		for d := range unavail {
-			failed = append(failed, d)
+		failed := s.avoidSet(unavail)
+		var bias []int
+		if len(failed) > 0 {
+			bias = s.inflightBias()
 		}
-		sort.Ints(failed)
-		failed = dedupInts(failed)
-
-		var plan *core.Plan
-		if len(failed) == 0 {
-			plan, err = s.scheme.PlanNormalRead(startElem, count)
-		} else {
-			plan, err = s.scheme.PlanDegradedReadBiased(startElem, count, failed, core.PolicyMinCost, s.inflightBias())
-		}
+		plan, err := s.plan(startElem, count, failed, bias)
 		if err != nil {
 			release()
 			if len(unavail) > 0 {

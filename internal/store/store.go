@@ -856,24 +856,35 @@ func (s *Store) ReadAt(off int64, length int) (*ReadResult, error) {
 func (s *Store) PlanRead(off int64, length int) (*core.Plan, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if off < 0 || length < 0 {
-		return nil, fmt.Errorf("%w: off=%d length=%d", ErrRange, off, length)
-	}
-	sealed := int64(s.stripes) * int64(s.stripeBytes())
-	if off+int64(length) > sealed {
-		return nil, fmt.Errorf("%w: [%d,%d) beyond sealed extent %d", ErrRange, off, off+int64(length), sealed)
+	startElem, count, err := s.checkReadRange(off, length)
+	if err != nil {
+		return nil, err
 	}
 	if length == 0 {
 		return &core.Plan{}, nil
 	}
-	startElem := int(off / int64(s.elemSize))
-	endElem := int((off + int64(length) - 1) / int64(s.elemSize))
-	count := endElem - startElem + 1
-	failed := s.failedDisksLocked()
+	return s.plan(startElem, count, s.failedDisksLocked(), nil)
+}
+
+// plan plans count elements from startElem around the failed disks: a
+// normal read when there are none, else the exact degraded planner with
+// the given per-disk bias (nil for none).
+func (s *Store) plan(startElem, count int, failed, bias []int) (*core.Plan, error) {
 	if len(failed) == 0 {
 		return s.scheme.PlanNormalRead(startElem, count)
 	}
-	return s.scheme.PlanDegradedRead(startElem, count, failed)
+	return s.scheme.PlanDegradedReadBiased(startElem, count, failed, bias)
+}
+
+// avoidSet returns the failed devices plus those a read found unavailable,
+// ascending and deduplicated.
+func (s *Store) avoidSet(unavail map[int]bool) []int {
+	failed := s.failedDisksLocked()
+	for d := range unavail {
+		failed = append(failed, d)
+	}
+	sort.Ints(failed)
+	return dedupInts(failed)
 }
 
 // readAt executes one read under whichever lock the caller holds. With
@@ -917,20 +928,8 @@ func (s *Store) readAt(ctx context.Context, off int64, length int, heal bool) (*
 
 replan:
 	for {
-		failed := s.failedDisksLocked()
-		for d := range unavail {
-			failed = append(failed, d)
-		}
-		sort.Ints(failed)
-		failed = dedupInts(failed)
-
-		var plan *core.Plan
-		var err error
-		if len(failed) == 0 {
-			plan, err = s.scheme.PlanNormalRead(startElem, count)
-		} else {
-			plan, err = s.scheme.PlanDegradedRead(startElem, count, failed)
-		}
+		failed := s.avoidSet(unavail)
+		plan, err := s.plan(startElem, count, failed, nil)
 		if err != nil {
 			release()
 			if len(unavail) > 0 {
