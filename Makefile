@@ -1,12 +1,13 @@
 # Developer entry points. `make ci` is the gate every change should pass:
-# vet, the full test suite under the race detector, a one-iteration pass over
-# the kernel and repair benchmarks, a tenth-size round of the end-to-end
-# benchmark (bench/, the only source of served-path numbers), the scripted
-# daemon smokes, and the seeded chaos suites.
+# vet, the full test suite under the race detector, a short fuzz of the GF
+# kernels, a one-iteration pass over the kernel and repair benchmarks, a
+# tenth-size round of the end-to-end benchmark (bench/, the only source of
+# served-path numbers), the scripted daemon smokes, and the seeded chaos
+# suites.
 
 GO ?= go
 
-.PHONY: all build test ci vet race race-io bench-smoke bench-quick bench loc fuzz-smoke fuzz16-smoke chaos obs-smoke fanout-smoke writepath-smoke disk-smoke repair-smoke repair-chaos cluster-smoke
+.PHONY: all build test ci vet race race-io bench-smoke bench-quick bench loc fuzz-smoke chaos obs-smoke fanout-smoke writepath-smoke disk-smoke repair-smoke repair-chaos cluster-smoke
 
 all: build
 
@@ -104,13 +105,10 @@ repair-chaos:
 cluster-smoke:
 	./scripts/cluster-smoke.sh
 
-# A short fuzz run over the GF kernel equivalence target.
+# A short fuzz run over the GF(2^8) kernel equivalence target: the SIMD and
+# word kernels against the reference, for the one field every code uses.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/gf
-
-# A short fuzz run over the GF(2^16) split-table/reference equivalence target.
-fuzz16-smoke:
-	$(GO) test -run NONE -fuzz FuzzGF16Tables -fuzztime 10s ./internal/gf16
 
 # The seeded chaos suite under the race detector: the two fixed seeds plus a
 # time-derived one (echoed here and in the test log — rerun any failure with
@@ -121,4 +119,4 @@ chaos:
 	CHAOS_SEED=$$seed $(GO) test -race -count=2 -run 'Chaos|FaultSequence|Replays|FaultStreams|StreamSourceFault|StreamSinkFault' \
 		./internal/faultinject/ ./internal/shardio/
 
-ci: vet race race-io bench-smoke bench-quick obs-smoke fanout-smoke writepath-smoke disk-smoke repair-smoke repair-chaos cluster-smoke chaos
+ci: vet race race-io fuzz-smoke bench-smoke bench-quick obs-smoke fanout-smoke writepath-smoke disk-smoke repair-smoke repair-chaos cluster-smoke chaos

@@ -17,6 +17,7 @@ package codes
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 
 	"repro/internal/gf"
@@ -38,9 +39,10 @@ type Code interface {
 	N() int
 	// K is the number of data elements per row.
 	K() int
-	// FaultTolerance is the largest f such that EVERY f-element erasure
-	// pattern is decodable. MDS codes have f = N-K; LRC has f < N-K but
-	// recovers many larger patterns too (see CanRecover).
+	// FaultTolerance is the f such that EVERY f-element erasure pattern is
+	// decodable, as the constructor claims it (see NewBase's audit). MDS
+	// codes have f = N-K; LRC has f < N-K but recovers many larger patterns
+	// too (see CanRecover).
 	FaultTolerance() int
 	// Encode computes the n-k parity shards for k equally sized data shards.
 	Encode(data [][]byte) ([][]byte, error)
@@ -95,23 +97,6 @@ type IntoReconstructor interface {
 	ReconstructElementsInto(shards [][]byte, targets []int, alloc Allocator) error
 }
 
-// WideSymbolCode is implemented by codes whose elements are multi-byte
-// field symbols. SymbolBytes is the symbol width in bytes — shard sizes
-// must be a multiple of it. Codes that don't implement it operate
-// byte-wise (width 1).
-type WideSymbolCode interface {
-	SymbolBytes() int
-}
-
-// SymbolBytesOf returns the symbol width of a code: c's SymbolBytes when it
-// implements WideSymbolCode, else 1.
-func SymbolBytesOf(c Code) int {
-	if w, ok := c.(WideSymbolCode); ok {
-		return w.SymbolBytes()
-	}
-	return 1
-}
-
 // PositionalCoder reports whether the code's kernel is byte-positional:
 // parity byte b depends only on the data shards' bytes at offset b, so
 // encoding a byte sub-range of every shard independently yields the same
@@ -153,6 +138,25 @@ func putScratch(s *baseScratch) {
 	scratchPool.Put(s)
 }
 
+// MaxN is the widest code Base supports: GF(2^8) has 256 elements, and the
+// decode cache keys erasure patterns with MaxN-bit masks.
+const MaxN = 256
+
+// maskWords is the number of 64-bit words in one MaxN-bit element mask.
+const maskWords = MaxN / 64
+
+// patternKey identifies one decode: the available-element mask followed by
+// the target-element mask.
+type patternKey [2 * maskWords]uint64
+
+// Budget of the tolerance audit NewBase runs: every pattern is checked when
+// there are at most auditExhaustive of them, else auditSamples patterns
+// drawn with a fixed seed.
+const (
+	auditExhaustive = 20000
+	auditSamples    = 48
+)
+
 // Base implements the generator-matrix-driven parts of Code. Concrete codes
 // embed it and supply Name and RecoverySets.
 type Base struct {
@@ -163,38 +167,98 @@ type Base struct {
 	n         int
 	k         int
 	ft        int
-	// decodeCache memoizes SpanSolve coefficient matrices keyed by the
-	// (available, targets) bitmask pair — a storage system repairs the
-	// same failure pattern for every stripe, so the solve is paid once.
-	// Only used when n ≤ 64 (one word per mask). Guarded by decodeMu rather
-	// than sync.Map: loading a [2]uint64 key through an interface would box
-	// it and allocate, which the zero-alloc decode path cannot afford.
+	// decodeCache memoizes SpanSolve coefficient matrices per erasure
+	// pattern — a storage system repairs the same failure pattern for every
+	// stripe, so the solve is paid once. Guarded by decodeMu rather than
+	// sync.Map: loading an array key through an interface would box it and
+	// allocate, which the zero-alloc decode path cannot afford.
 	decodeMu    sync.RWMutex
-	decodeCache map[[2]uint64]*matrix.Matrix
+	decodeCache map[patternKey]*matrix.Matrix
 }
 
-// NewBase wraps an n×k systematic generator matrix. It panics if the first
-// k rows are not the identity (the codes own their constructors, so a
-// violation is a programming error, not an input error). Fault tolerance is
-// computed by exhaustive search over erasure patterns, which is affordable
-// for the storage-system scale parameters this repo targets (n ≤ ~20).
-func NewBase(gen *matrix.Matrix) *Base {
+// NewBase wraps an n×k systematic generator matrix (n ≤ MaxN) whose
+// constructor claims that every erasure pattern of up to tolerance elements
+// is decodable, and audits the claim. The audit checks every pattern of
+// exactly tolerance elements when there are at most 20,000 of them — a
+// proof, which covers every Table-I and served configuration — and a
+// fixed-seed sample of them otherwise. A claim that fails the audit is
+// refused with an error. NewBase panics on a malformed generator or a claim
+// outside [0, n-k]: the codes own their constructors, so those are
+// programming errors, not input errors.
+func NewBase(gen *matrix.Matrix, tolerance int) (*Base, error) {
 	n, k := gen.Rows(), gen.Cols()
-	if n < k || k < 1 {
+	if n < k || k < 1 || n > MaxN {
 		panic(fmt.Sprintf("codes: invalid generator %d×%d", n, k))
 	}
 	if !gen.SubMatrix(0, k, 0, k).IsIdentity() {
 		panic("codes: generator is not systematic")
+	}
+	if tolerance < 0 || tolerance > n-k {
+		panic(fmt.Sprintf("codes: claimed tolerance %d out of [0,%d]", tolerance, n-k))
 	}
 	b := &Base{
 		gen:         gen,
 		parityMat:   gen.SubMatrix(k, n, 0, k),
 		n:           n,
 		k:           k,
-		decodeCache: make(map[[2]uint64]*matrix.Matrix),
+		ft:          tolerance,
+		decodeCache: make(map[patternKey]*matrix.Matrix),
 	}
-	b.ft = b.computeFaultTolerance()
-	return b
+	if bad := b.audit(); bad != nil {
+		return nil, fmt.Errorf("codes: claimed tolerance %d refused: erasure pattern %v is undecodable", tolerance, bad)
+	}
+	return b, nil
+}
+
+// audit returns an erasure pattern of FaultTolerance() elements that the code
+// cannot decode, or nil when none of the checked patterns fails (see NewBase
+// for which are checked).
+func (b *Base) audit() []int {
+	f := b.ft
+	if f == 0 {
+		return nil
+	}
+	if !AuditEnumerates(b.n, f) {
+		rng := rand.New(rand.NewSource(int64(b.n)<<16 | int64(f)))
+		for s := 0; s < auditSamples; s++ {
+			if p := rng.Perm(b.n)[:f]; !b.CanRecover(p) {
+				return p
+			}
+		}
+		return nil
+	}
+	idx := make([]int, f)
+	for i := range idx {
+		idx[i] = i
+	}
+	for {
+		if !b.CanRecover(idx) {
+			return idx
+		}
+		// Step to the next f-subset in lexicographic order.
+		i := f - 1
+		for i >= 0 && idx[i] == b.n-f+i {
+			i--
+		}
+		if i < 0 {
+			return nil
+		}
+		idx[i]++
+		for j := i + 1; j < f; j++ {
+			idx[j] = idx[j-1] + 1
+		}
+	}
+}
+
+// AuditEnumerates reports whether NewBase audits a claimed tolerance f of
+// an n-element code by checking every erasure pattern — a proof — rather
+// than a sample: true when there are at most 20,000 patterns, C(n,f).
+func AuditEnumerates(n, f int) bool {
+	c := 1 // C(n,i) after step i; stops growing once past the budget
+	for i := 0; i < f && c <= auditExhaustive; i++ {
+		c = c * (n - i) / (i + 1)
+	}
+	return c <= auditExhaustive
 }
 
 // N returns the total number of elements per row.
@@ -203,41 +267,36 @@ func (b *Base) N() int { return b.n }
 // K returns the number of data elements per row.
 func (b *Base) K() int { return b.k }
 
-// FaultTolerance returns the guaranteed erasure tolerance.
+// FaultTolerance returns the erasure tolerance the constructor claimed and
+// NewBase audited.
 func (b *Base) FaultTolerance() int { return b.ft }
 
 // Generator returns the generator matrix. Callers must not modify it.
 func (b *Base) Generator() *matrix.Matrix { return b.gen }
 
 // solveCoefficients returns the SpanSolve coefficient matrix expressing the
-// target rows in terms of the available rows, memoized per pattern when the
-// code is narrow enough to key with single-word bitmasks.
+// target rows in terms of the available rows, memoized per pattern.
 func (b *Base) solveCoefficients(avail, targets []int) (*matrix.Matrix, error) {
-	var key [2]uint64
-	cacheable := b.n <= 64
-	if cacheable {
-		for _, a := range avail {
-			key[0] |= 1 << uint(a)
-		}
-		for _, t := range targets {
-			key[1] |= 1 << uint(t)
-		}
-		b.decodeMu.RLock()
-		coeff, ok := b.decodeCache[key]
-		b.decodeMu.RUnlock()
-		if ok {
-			return coeff, nil
-		}
+	var key patternKey
+	for _, a := range avail {
+		key[a>>6] |= 1 << uint(a&63)
+	}
+	for _, t := range targets {
+		key[maskWords+t>>6] |= 1 << uint(t&63)
+	}
+	b.decodeMu.RLock()
+	coeff, ok := b.decodeCache[key]
+	b.decodeMu.RUnlock()
+	if ok {
+		return coeff, nil
 	}
 	coeff, err := matrix.SpanSolve(b.gen.SelectRows(avail), b.gen.SelectRows(targets))
 	if err != nil {
 		return nil, err
 	}
-	if cacheable {
-		b.decodeMu.Lock()
-		b.decodeCache[key] = coeff
-		b.decodeMu.Unlock()
-	}
+	b.decodeMu.Lock()
+	b.decodeCache[key] = coeff
+	b.decodeMu.Unlock()
 	return coeff, nil
 }
 
@@ -424,11 +483,12 @@ func (b *Base) ApplyDelta(parity [][]byte, elem int, delta []byte) error {
 	return nil
 }
 
-// CanRecover reports whether the erasure pattern is decodable.
+// CanRecover reports whether the erasure pattern is decodable. Every erased
+// row lies in the survivors' span exactly when the survivors have rank k;
+// the surviving data rows are identity rows, so that holds exactly when the
+// surviving parity rows, restricted to the erased data columns, have full
+// column rank — an f-column check instead of a k-column one.
 func (b *Base) CanRecover(erased []int) bool {
-	if len(erased) == 0 {
-		return true
-	}
 	mark := make([]bool, b.n)
 	for _, e := range erased {
 		if e < 0 || e >= b.n {
@@ -436,48 +496,27 @@ func (b *Base) CanRecover(erased []int) bool {
 		}
 		mark[e] = true
 	}
-	avail := make([]int, 0, b.n)
-	for i := 0; i < b.n; i++ {
-		if !mark[i] {
-			avail = append(avail, i)
+	var lost []int
+	for j := 0; j < b.k; j++ {
+		if mark[j] {
+			lost = append(lost, j)
 		}
 	}
-	_, err := matrix.SpanSolve(b.gen.SelectRows(avail), b.gen.SelectRows(erased))
-	return err == nil
-}
-
-// computeFaultTolerance finds the largest f such that every f-subset of
-// elements is recoverable, by exhaustive enumeration.
-func (b *Base) computeFaultTolerance() int {
-	for f := 1; f <= b.n-b.k; f++ {
-		if !b.allPatternsRecoverable(f) {
-			return f - 1
-		}
+	if len(lost) == 0 {
+		return true
 	}
-	return b.n - b.k
-}
-
-func (b *Base) allPatternsRecoverable(f int) bool {
-	idx := make([]int, f)
-	ok := true
-	var rec func(start, depth int)
-	rec = func(start, depth int) {
-		if !ok {
-			return
+	var rows [][]byte
+	for p := b.k; p < b.n; p++ {
+		if mark[p] {
+			continue
 		}
-		if depth == f {
-			if !b.CanRecover(idx) {
-				ok = false
-			}
-			return
+		row := make([]byte, len(lost))
+		for c, j := range lost {
+			row[c] = b.gen.At(p, j)
 		}
-		for i := start; i <= b.n-(f-depth); i++ {
-			idx[depth] = i
-			rec(i+1, depth+1)
-		}
+		rows = append(rows, row)
 	}
-	rec(0, 0)
-	return ok
+	return len(rows) >= len(lost) && matrix.FromRows(rows).Rank() == len(lost)
 }
 
 // VerifySet reports whether the surviving set `set` suffices to rebuild

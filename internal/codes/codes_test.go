@@ -13,7 +13,11 @@ import (
 // testCode builds a small MDS base: identity(k) stacked on Cauchy(m,k).
 func testCode(t *testing.T, k, m int) *Base {
 	t.Helper()
-	return NewBase(matrix.Identity(k).Stack(matrix.Cauchy(m, k)))
+	b, err := NewBase(matrix.Identity(k).Stack(matrix.Cauchy(m, k)), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func randShards(rng *rand.Rand, count, size int) [][]byte {
@@ -26,10 +30,17 @@ func randShards(rng *rand.Rand, count, size int) [][]byte {
 }
 
 func TestNewBaseValidation(t *testing.T) {
-	for name, gen := range map[string]*matrix.Matrix{
-		"nonsystematic": matrix.Cauchy(4, 2),
-		"tooFewRows":    matrix.New(1, 2),
-		"zeroCols":      matrix.New(3, 0),
+	mds := matrix.Identity(2).Stack(matrix.Cauchy(2, 2))
+	for name, tc := range map[string]struct {
+		gen *matrix.Matrix
+		ft  int
+	}{
+		"nonsystematic": {matrix.Cauchy(4, 2), 0},
+		"tooFewRows":    {matrix.New(1, 2), 0},
+		"zeroCols":      {matrix.New(3, 0), 0},
+		"tooWide":       {matrix.Identity(2).Stack(matrix.New(MaxN-1, 2)), 0},
+		"negativeClaim": {mds, -1},
+		"claimPastN-K":  {mds, 3},
 	} {
 		func() {
 			defer func() {
@@ -37,7 +48,7 @@ func TestNewBaseValidation(t *testing.T) {
 					t.Errorf("NewBase(%s) did not panic", name)
 				}
 			}()
-			NewBase(gen)
+			NewBase(tc.gen, tc.ft)
 		}()
 	}
 }
@@ -173,11 +184,17 @@ func TestVerifySet(t *testing.T) {
 }
 
 func TestFaultToleranceNonMDS(t *testing.T) {
-	// A deliberately weak code: second parity duplicates the first, so two
-	// erasures hitting both parities plus... actually any 2 erasures that
-	// include a data element covered only by the duplicated parity fail.
+	// A deliberately weak code: the second parity duplicates the first, so
+	// erasing both data elements leaves one equation for two unknowns. A
+	// claim of 2 must be refused; a claim of 1 holds.
 	gen := matrix.Identity(2).Stack(matrix.FromRows([][]byte{{1, 1}, {1, 1}}))
-	b := NewBase(gen)
+	if _, err := NewBase(gen, 2); err == nil {
+		t.Fatal("duplicated-parity generator accepted at claimed tolerance 2")
+	}
+	b, err := NewBase(gen, 1)
+	if err != nil {
+		t.Fatalf("duplicated-parity generator refused at claimed tolerance 1: %v", err)
+	}
 	if b.FaultTolerance() != 1 {
 		t.Fatalf("duplicated-parity tolerance = %d, want 1", b.FaultTolerance())
 	}
@@ -217,7 +234,10 @@ func TestReconstructElementsPartialPattern(t *testing.T) {
 		{1, 1, 0, 0},
 		{0, 0, 1, 1},
 	}))
-	b := NewBase(gen)
+	b, err := NewBase(gen, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(60))
 	data := randShards(rng, 4, 10)
 	parity, err := b.Encode(data)

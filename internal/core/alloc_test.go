@@ -82,11 +82,18 @@ func TestIntoPathsMatchAllocatingPaths(t *testing.T) {
 // paths allocate nothing once the Buffers arena and scratch pools are warm —
 // the regression gate for the zero-allocation hot path.
 func TestZeroAllocSteadyState(t *testing.T) {
+	checkZeroAllocSteadyState(t, rs.Must(6, 3), lrc.Must(6, 2, 2))
+}
+
+// checkZeroAllocSteadyState warms each code's ECFRM scheme, then asserts its
+// pooled encode, reconstruct, and degraded-rebuild paths allocate nothing.
+func checkZeroAllocSteadyState(t *testing.T, cs ...codes.Code) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector, so allocs/op cannot be 0")
 	}
 	const size = 4096
-	for _, c := range []codes.Code{rs.Must(6, 3), lrc.Must(6, 2, 2)} {
+	for _, c := range cs {
 		s := MustScheme(c, layout.FormECFRM)
 		var bufs Buffers
 		data := makeStripeData(s, size, 7)

@@ -41,7 +41,6 @@ type Scheme struct {
 	intoEnc    codes.IntoEncoder       // nil if the code lacks EncodeInto
 	intoRec    codes.IntoReconstructor // nil if the code lacks the Into decodes
 	positional bool                    // byte-range chunking is valid
-	symBytes   int                     // code symbol width — shard-size granularity
 }
 
 // NewScheme deploys code under the given layout form.
@@ -56,7 +55,6 @@ func NewScheme(code codes.Code, form layout.Form) (*Scheme, error) {
 	if p, ok := code.(codes.PositionalCoder); ok {
 		s.positional = p.PositionalKernel()
 	}
-	s.symBytes = codes.SymbolBytesOf(code)
 	return s, nil
 }
 
@@ -88,13 +86,6 @@ func (s *Scheme) Code() codes.Code { return s.code }
 
 // Layout returns the stripe layout.
 func (s *Scheme) Layout() layout.Layout { return s.lay }
-
-// SymbolBytes returns the candidate code's symbol width in bytes — the
-// granularity shard sizes must respect: 1 for byte-wise codes, 2 for the
-// GF(2^16) generator-matrix codes, 16 for packet-layout CRS16. Callers
-// sizing shards (stores, benchmarks) should round sizes up to a multiple of
-// this.
-func (s *Scheme) SymbolBytes() int { return s.symBytes }
 
 // N returns the number of disks a stripe spans.
 func (s *Scheme) N() int { return s.lay.N() }

@@ -14,9 +14,7 @@ import (
 const DefaultChunkBytes = 64 << 10
 
 // chunkAlign keeps chunk boundaries on multiples of 16 so every word kernel
-// runs its full-speed path on whole chunks. 16 is also a multiple of every
-// positional code's symbol width (2 for the GF(2^16) codes), so chunk
-// boundaries never split a multi-byte symbol.
+// runs its full-speed path on whole chunks.
 const chunkAlign = 16
 
 // ParallelCodec encodes and reconstructs batches of stripes concurrently.

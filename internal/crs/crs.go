@@ -7,9 +7,8 @@
 //
 // CRS(k,m) is the same linear code as the matrix Reed-Solomon in
 // internal/rs built from the same Cauchy block, so it is MDS and slots into
-// EC-FRM as a candidate code; what changes is the encode/decode kernel.
-// CRS16(k,m) is the identical construction over GF(2^16) for wide stripes
-// (see crs16.go); both share the width-generic XOR machinery in xor.go.
+// EC-FRM as a candidate code; what changes is the encode/decode kernel
+// (xor.go).
 package crs
 
 import (
@@ -41,8 +40,12 @@ func New(k, m int) (*Code, error) {
 		return nil, fmt.Errorf("crs: k+m = %d exceeds field size 256", k+m)
 	}
 	gen := matrix.Identity(k).Stack(matrix.Cauchy(m, k))
+	base, err := codes.NewBase(gen, m)
+	if err != nil {
+		return nil, err
+	}
 	return &Code{
-		Base: codes.NewBase(gen),
+		Base: base,
 		k:    k, m: m,
 		xc: newXORCode(expand(gen), W, k, m),
 	}, nil

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/codes"
 	"repro/internal/core"
 	"repro/internal/gf"
 	"repro/internal/layout"
+	"repro/internal/rs"
 )
 
 func randShards(rng *rand.Rand, count, size int) [][]byte {
@@ -392,5 +394,84 @@ func TestApplyDeltaMatchesReencode(t *testing.T) {
 	}
 	if err := c.ApplyDelta([][]byte{make([]byte, 40), make([]byte, 48)}, 0, delta); !errors.Is(err, codes.ErrShardSize) {
 		t.Fatalf("ragged parity: %v", err)
+	}
+}
+
+// TestWideConstructionIsFast builds CRS(64,4) under a generous deadline:
+// construction audits the claimed tolerance rather than searching every
+// erasure pattern, so its cost no longer explodes with the stripe width.
+func TestWideConstructionIsFast(t *testing.T) {
+	start := time.Now()
+	c, err := New(64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("New(64,4) took %v", took)
+	}
+	if c.FaultTolerance() != 4 {
+		t.Fatalf("tolerance = %d, want 4", c.FaultTolerance())
+	}
+}
+
+func TestWideStripeRoundTrip(t *testing.T) {
+	// Stripes far past Table I's widths: encode at k=64, knock out m random
+	// shards, rebuild through the XOR decode.
+	const k, m = 64, 4
+	c := Must(k, m)
+	rng := rand.New(rand.NewSource(9))
+	data := randShards(rng, k, 64)
+	parity, err := c.Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := append(append([][]byte{}, data...), parity...)
+	for trial := 0; trial < 4; trial++ {
+		shards := make([][]byte, k+m)
+		for i := range shards {
+			shards[i] = append([]byte(nil), full[i]...)
+		}
+		for _, e := range rng.Perm(k + m)[:m] {
+			shards[e] = nil
+		}
+		if err := c.Reconstruct(shards); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for i := range shards {
+			if !bytes.Equal(shards[i], full[i]) {
+				t.Fatalf("trial %d shard %d mismatch", trial, i)
+			}
+		}
+	}
+}
+
+func TestCRSSameCodeAsRS(t *testing.T) {
+	// CRS and RS are built from the same Cauchy generator, so the recovered
+	// data must agree even though the shard layouts differ: rebuild the same
+	// erased data element through both kernels.
+	const k, m = 8, 3
+	xc := Must(k, m)
+	fc := rs.Must(k, m)
+	rng := rand.New(rand.NewSource(11))
+	data := randShards(rng, k, 32)
+	px, err := xc.Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := fc.Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx := append(append([][]byte{}, data...), px...)
+	sf := append(append([][]byte{}, data...), pf...)
+	sx[2], sf[2] = nil, nil
+	if err := xc.Reconstruct(sx); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.Reconstruct(sf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sx[2], data[2]) || !bytes.Equal(sf[2], data[2]) {
+		t.Fatal("recovered data element differs from original")
 	}
 }

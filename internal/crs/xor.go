@@ -1,9 +1,7 @@
-// Width-generic XOR machinery shared by the GF(2^8) and GF(2^16) Cauchy
-// Reed-Solomon codes. The CRS construction is the same at any symbol width
-// w: expand the field generator into a binary matrix, split each element
-// into w packets, and encode/decode by XORing packets. Width enters only
-// through packet counts and bit-row ranges, so one body serves Code (w=8)
-// and Code16 (w=16).
+// XOR machinery behind the Cauchy Reed-Solomon code: expand the field
+// generator into a binary matrix, split each element into w packets, and
+// encode/decode by XORing packets. The symbol width w enters only through
+// packet counts and bit-row ranges.
 package crs
 
 import (
@@ -17,10 +15,10 @@ import (
 
 // invKeyWords sizes the survivor-selection bitmap used as the
 // inverse-cache key: enough 64-bit words to cover the widest supported
-// stripe (codes.MaxN16 elements).
-const invKeyWords = codes.MaxN16 / 64
+// stripe (codes.MaxN elements).
+const invKeyWords = codes.MaxN / 64
 
-// xorCode is the width-generic XOR kernel behind Code and Code16.
+// xorCode is the XOR kernel behind Code.
 type xorCode struct {
 	w, k, m int
 	// bitGen is the (n·w)×(k·w) binary generator; rows of element i are
@@ -366,9 +364,8 @@ func selectCols(m *bitmatrix.Matrix, lo, hi int) *bitmatrix.Matrix {
 	return out
 }
 
-// crsRecoverySets is the field-width-independent body of RecoverySets,
-// shared by the GF(2^8) and GF(2^16) codes — the same data-heavy +
-// cyclic-window families as the matrix RS codes.
+// crsRecoverySets is the body of RecoverySets — the same data-heavy +
+// cyclic-window families as the matrix RS code.
 func crsRecoverySets(k, m, idx int) [][]int {
 	n := k + m
 	if idx < 0 || idx >= n {

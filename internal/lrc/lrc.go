@@ -10,10 +10,11 @@
 // Global parity t (t = 0..m-1) assigns data element j the coefficient
 // x_j^(t+1), where the x_j are distinct nonzero field points — exactly the
 // a_i / b_i, a_i² / b_i² structure of the paper's Equations (7) and (8).
-// The constructor searches a small family of point assignments and keeps the
-// one maximizing the guaranteed fault tolerance (m+1 for the paper's
-// configurations), since a careless assignment can make a split erasure
-// pattern such as {d0,d1,d3,d4} singular.
+// The constructor tries a small family of point assignments and keeps the
+// first whose claim of the Azure tolerance m+1 passes codes.NewBase's
+// exhaustive audit, since a careless assignment can make a split erasure
+// pattern such as {d0,d1,d3,d4} singular; if none passes, or the code is too
+// wide for the audit to be exhaustive, it claims m.
 package lrc
 
 import (
@@ -43,9 +44,15 @@ func New(k, l, m int) (*Code, error) {
 	if k+l+m > 256 {
 		return nil, fmt.Errorf("lrc: k+l+m = %d exceeds field size 256", k+l+m)
 	}
-	var best *Code
 	// Try a handful of point assignments: x_j = g^(j·stride + 1). Distinct
-	// strides change which cross-group sums coincide; keep the best.
+	// strides change which cross-group sums coincide; keep the first that
+	// reaches the Azure guarantee m+1 (no assignment does better). Claim m+1
+	// only where NewBase's audit enumerates every pattern: in wide groups
+	// some patterns are singular for every stride (with m ≥ 3, four lost
+	// data elements of one group whose points sum to zero, plus one global),
+	// too few for a sample to find.
+	provable := codes.AuditEnumerates(k+l+m, m+1)
+	var first []byte
 	for _, stride := range []int{1, 2, 3, 5, 7, 11} {
 		if (k*stride)%255 == 0 && k > 1 {
 			continue // points would repeat
@@ -64,21 +71,24 @@ func New(k, l, m int) (*Code, error) {
 		if !ok {
 			continue
 		}
-		c := build(k, l, m, points)
-		if best == nil || c.FaultTolerance() > best.FaultTolerance() {
-			best = c
+		if first == nil {
+			first = points
 		}
-		if best.FaultTolerance() == m+1 {
-			break // the Azure guarantee; no assignment does better for l≥2
+		if !provable {
+			break
+		}
+		if c, err := build(k, l, m, points, m+1); err == nil {
+			return c, nil
 		}
 	}
-	if best == nil {
+	if first == nil {
 		return nil, fmt.Errorf("lrc: no valid point assignment for (%d,%d,%d)", k, l, m)
 	}
-	return best, nil
+	return build(k, l, m, first, m)
 }
 
-func build(k, l, m int, points []byte) *Code {
+// build assembles LRC(k,l,m) over the given points, claiming tolerance ft.
+func build(k, l, m int, points []byte, ft int) (*Code, error) {
 	n := k + l + m
 	gen := matrix.New(n, k)
 	for j := 0; j < k; j++ {
@@ -95,12 +105,16 @@ func build(k, l, m int, points []byte) *Code {
 			gen.Set(k+l+t, j, gf.Exp(points[j], t+1))
 		}
 	}
+	base, err := codes.NewBase(gen, ft)
+	if err != nil {
+		return nil, fmt.Errorf("lrc: (%d,%d,%d): %w", k, l, m, err)
+	}
 	return &Code{
-		Base: codes.NewBase(gen),
+		Base: base,
 		k:    k, l: l, m: m,
 		groupSize: groupSize,
 		points:    points,
-	}
+	}, nil
 }
 
 // Must constructs LRC(k,l,m) and panics on invalid parameters.
@@ -151,15 +165,8 @@ func (c *Code) LocalGroup(idx int) int {
 // The local-first ordering is what gives LRC its degraded-read I/O savings
 // (paper §II-C); the global alternates let the planner dodge hot disks.
 func (c *Code) RecoverySets(idx int) [][]int {
-	return lrcRecoverySets(c.k, c.l, c.m, c.groupSize, idx)
-}
-
-// lrcRecoverySets is the field-width-independent body of RecoverySets,
-// shared by the GF(2^8) and GF(2^16) codes (the set structure depends only
-// on the local-group layout, not the symbol width).
-func lrcRecoverySets(k, l, m, groupSize, idx int) [][]int {
-	n := k + l + m
-	if idx < 0 || idx >= n {
+	k, l, m, groupSize := c.k, c.l, c.m, c.groupSize
+	if n := c.N(); idx < 0 || idx >= n {
 		panic(fmt.Sprintf("lrc: element %d out of [0,%d)", idx, n))
 	}
 	allData := func(except int) []int {

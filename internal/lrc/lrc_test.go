@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/gf"
 )
@@ -431,4 +432,54 @@ func TestMoreLocalGroups(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWideConstructionIsFast builds LRC(128,4,4) under a generous deadline:
+// construction audits the claimed tolerance rather than searching every
+// erasure pattern, so its cost no longer explodes with the stripe width.
+// Too wide for the audit to enumerate C(136,5) patterns, it claims m, not
+// the Azure m+1: four lost data elements of one group whose points sum to
+// zero, plus global m2, are undecodable.
+func TestWideConstructionIsFast(t *testing.T) {
+	start := time.Now()
+	c, err := New(128, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("New(128,4,4) took %v", took)
+	}
+	if c.FaultTolerance() != 4 {
+		t.Fatalf("tolerance = %d, want 4", c.FaultTolerance())
+	}
+}
+
+// TestWideGroupBreaksAzureGuarantee pins why wide LRCs claim only m: in a
+// 32-element group some four data points sum to zero, and losing those four
+// plus global m2 leaves the local parity and m0, m1, m3 — a singular system
+// (its determinant is the points' sum times a Vandermonde factor), so the
+// code does not tolerate every m+1 = 5 erasures.
+func TestWideGroupBreaksAzureGuarantee(t *testing.T) {
+	c := Must(128, 4, 4)
+	gs := c.GroupSize()
+	index := make(map[byte]int, gs)
+	for j := 0; j < gs; j++ {
+		index[c.points[j]] = j
+	}
+	for a := 0; a < gs; a++ {
+		for b := a + 1; b < gs; b++ {
+			for d := b + 1; d < gs; d++ {
+				e, ok := index[c.points[a]^c.points[b]^c.points[d]]
+				if !ok || e <= d {
+					continue
+				}
+				pattern := []int{a, b, d, e, c.K() + c.L() + 2}
+				if c.CanRecover(pattern) {
+					t.Fatalf("pattern %v decodable; want the zero-sum group to be singular", pattern)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no four points of group 0 sum to zero")
 }

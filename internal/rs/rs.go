@@ -5,7 +5,7 @@
 //
 // The generator is built from a Cauchy block, whose every square submatrix
 // is invertible, so the MDS property holds by construction for any (k,m)
-// with k+m ≤ 256.
+// with k+m ≤ 256: New claims tolerance m, and codes.NewBase audits it.
 package rs
 
 import (
@@ -30,8 +30,11 @@ func New(k, m int) (*Code, error) {
 	if k+m > 256 {
 		return nil, fmt.Errorf("rs: k+m = %d exceeds field size 256", k+m)
 	}
-	gen := matrix.Identity(k).Stack(matrix.Cauchy(m, k))
-	return &Code{Base: codes.NewBase(gen), k: k, m: m}, nil
+	base, err := codes.NewBase(matrix.Identity(k).Stack(matrix.Cauchy(m, k)), m)
+	if err != nil {
+		return nil, err
+	}
+	return &Code{Base: base, k: k, m: m}, nil
 }
 
 // Must constructs RS(k,m) and panics on invalid parameters. For tests and
@@ -64,13 +67,7 @@ func (c *Code) M() int { return c.m }
 //     t. These give the planner genuinely different disk footprints to
 //     balance load across.
 func (c *Code) RecoverySets(idx int) [][]int {
-	return recoverySets(c.N(), c.k, idx)
-}
-
-// recoverySets is the field-width-independent body of RecoverySets, shared
-// by the GF(2^8) and GF(2^16) codes (the set structure depends only on the
-// MDS property, not the symbol width).
-func recoverySets(n, k, idx int) [][]int {
+	n, k := c.N(), c.k
 	if idx < 0 || idx >= n {
 		panic(fmt.Sprintf("rs: element %d out of [0,%d)", idx, n))
 	}

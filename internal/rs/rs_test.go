@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -196,5 +197,22 @@ func BenchmarkReconstructRS63(b *testing.B) {
 		if err := c.Reconstruct(shards); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWideConstructionIsFast builds RS(128,8) under a generous deadline:
+// construction audits the claimed tolerance rather than searching every
+// erasure pattern, so its cost no longer explodes with the stripe width.
+func TestWideConstructionIsFast(t *testing.T) {
+	start := time.Now()
+	c, err := New(128, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("New(128,8) took %v", took)
+	}
+	if c.FaultTolerance() != 8 {
+		t.Fatalf("tolerance = %d, want 8", c.FaultTolerance())
 	}
 }

@@ -16,17 +16,15 @@ import (
 	"repro/internal/rs"
 )
 
-// wideGrid is the GF(2^16) wide-stripe sweep the store end-to-end tests
-// cover: stripes of k=32/64 data elements, widths no GF(2^8) code reaches.
-// Element sizes respect each scheme's SymbolBytes (2 for the matrix codes,
-// 16 for packet-layout CRS16).
+// wideGrid is the wide-stripe sweep the store end-to-end tests cover:
+// stripes of k=32/64 data elements, past the paper's Table I widths.
 func wideGrid(t testing.TB) map[string]*core.Scheme {
 	t.Helper()
 	cells := make(map[string]*core.Scheme)
 	for cname, c := range map[string]codes.Code{
-		"rs16-64":  rs.Must16(64, 4),
-		"lrc16-32": lrc.Must16(32, 4, 2),
-		"crs16-32": crs.Must16(32, 3),
+		"rs-64":  rs.Must(64, 4),
+		"lrc-32": lrc.Must(32, 4, 2),
+		"crs-32": crs.Must(32, 3),
 	} {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormECFRM} {
 			cells[fmt.Sprintf("%s-%s", cname, form)] = core.MustScheme(c, form)
@@ -37,13 +35,13 @@ func wideGrid(t testing.TB) map[string]*core.Scheme {
 
 // TestWideStripeStoreEndToEnd proves the wide-stripe hot path through the
 // full store: append, seal, flush, normal reads, in-tolerance disk failures
-// with degraded reads, and the fan-out executor — all at k=32/64 where the
-// GF(2^16) kernels carry every encode and rebuild. Runs under -race via
+// with degraded reads, and the fan-out executor — all at k=32/64, where
+// decodes key the cache with multi-word erasure masks. Runs under -race via
 // `make race-io`.
 func TestWideStripeStoreEndToEnd(t *testing.T) {
 	for name, scheme := range wideGrid(t) {
 		t.Run(name, func(t *testing.T) {
-			const elem = 64 // multiple of every SymbolBytes in the grid
+			const elem = 64 // multiple of crs.W, the packet layout's granularity
 			st := MustNew(scheme, elem)
 			st.SetRetryPolicy(200*time.Microsecond, 2)
 			rng := rand.New(rand.NewSource(int64(len(name))))
