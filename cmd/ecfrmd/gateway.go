@@ -2,9 +2,7 @@ package main
 
 import (
 	"log"
-	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/gateway"
 	"repro/internal/store"
@@ -13,7 +11,7 @@ import (
 // runGateway serves the object API over the data nodes in -nodes: one real
 // store per placement group whose devices are HTTP cell clients, so fan-out,
 // hedging, degraded replanning, and group-commit WAL writes all run across
-// the network unchanged.
+// the network unchanged, behind the same object surface as single mode.
 func runGateway() {
 	var urls []string
 	for _, u := range strings.Split(*nodesFlag, ",") {
@@ -24,25 +22,14 @@ func runGateway() {
 	if len(urls) == 0 {
 		log.Fatal("ecfrmd: -mode=gateway requires -nodes (comma-separated base URLs)")
 	}
-	if *fsync != string(store.FsyncAlways) && *fsync != string(store.FsyncNever) {
-		log.Fatalf("ecfrmd: unknown -fsync mode %q (always or never)", *fsync)
-	}
 	scheme := buildScheme()
 	gw, err := gateway.New(gateway.Config{
-		Nodes:    urls,
-		Groups:   *groups,
-		ElemSize: *elem,
-		Scheme:   scheme,
-		WAL:      store.WALConfig{BatchBytes: *walBatch, FlushInterval: *walEvery},
-		Read: store.ReadOptions{
-			Sequential:  !*fanout,
-			Concurrency: *readConc,
-			Hedge: store.HedgeConfig{
-				Enabled:  *hedge,
-				Quantile: *hedgeQ,
-				Min:      *hedgeMin,
-			},
-		},
+		Nodes:         urls,
+		Groups:        *groups,
+		ElemSize:      *elem,
+		Scheme:        scheme,
+		HTTP:          httpConfig(nil, ""), // the gateway creates the registry
+		Read:          readOptions(),
 		NodeTimeout:   *nodeTimeout,
 		ProbeInterval: *probeEvery,
 		SyncWrites:    *fsync == string(store.FsyncAlways),
@@ -51,13 +38,7 @@ func runGateway() {
 	if err != nil {
 		log.Fatal("ecfrmd: ", err)
 	}
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           gw,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
 	log.Printf("gateway: %s over %d nodes, %d groups, elem %d, tolerates %d disk failures per group, on %s",
 		scheme.Name(), len(urls), *groups, *elem, scheme.FaultTolerance(), *addr)
-	serveUntilSignalled(srv, nil, gw.Close)
+	serveObjects(gw.Server(), gw, gw.Close)
 }

@@ -88,9 +88,10 @@
 // above. -mode=node serves a data node: dumb per-(group,disk) cell extents
 // behind the nodeapi HTTP protocol (mem or file backend, rediscovered from
 // -data-dir on restart), plus /healthz, /readyz, /node/status, and /metrics.
-// -mode=gateway serves the object API by fanning erasure-coded cell I/O out
-// to the nodes listed in -nodes, hashing object names across -groups stripe
-// groups:
+// -mode=gateway serves the same object API — one surface (internal/httpd)
+// for both modes, single mode being its one-group case — by fanning
+// erasure-coded cell I/O out to the nodes listed in -nodes, hashing object
+// names across -groups stripe groups:
 //
 //	ecfrmd -mode=node -addr :9001 -elem 65536 -backend=file -data-dir /var/lib/ecfrm/n1
 //	ecfrmd -mode=node -addr :9002 -elem 65536 -backend=file -data-dir /var/lib/ecfrm/n2
@@ -100,11 +101,12 @@
 //	curl -X PUT --data-binary @song.mp3 localhost:8080/objects/song.mp3
 //	curl localhost:8080/objects/song.mp3 -o out.mp3    # cells fetched node-side
 //
-// The gateway accepts the same scheme, WAL, and read-executor flags as
-// single mode (-code/-k/-l/-m/-form, -wal-batch/-wal-flush-interval,
-// -fanout/-read-concurrency/-hedge*), probes node health every
-// -probe-interval, re-derives sealed extents from the nodes with -recover,
-// and runs the node-side fsync commit barrier unless -fsync=never. Killing a
+// The gateway accepts the same scheme, WAL, read-executor, -faults and -obs
+// flags as single mode (the plan drives every group; the imbalance line sums
+// per-disk reads over every group; /admin/fail and friends take &group=G),
+// probes node health every -probe-interval, re-derives sealed extents from
+// the nodes with -recover, and runs the node-side fsync commit barrier
+// unless -fsync=never. Killing a
 // whole node mid-traffic keeps reads serving degraded through the surviving
 // nodes as long as the placement keeps each group within the scheme's fault
 // tolerance (the gateway refuses to start otherwise; add nodes or lower n).
@@ -184,6 +186,9 @@ var heapFloor = make([]byte, 32<<20)
 
 func main() {
 	flag.Parse()
+	if *fsync != string(store.FsyncAlways) && *fsync != string(store.FsyncNever) {
+		log.Fatalf("ecfrmd: unknown -fsync mode %q (always or never)", *fsync)
+	}
 	switch *mode {
 	case "single":
 		runSingle()
@@ -222,10 +227,106 @@ func buildScheme() *core.Scheme {
 	return scheme
 }
 
-// serveUntilSignalled runs srv until SIGINT/SIGTERM, flips the drain hook (so
-// /readyz starts failing while in-flight requests finish), shuts the listener
-// down with a 10s grace, then runs the closers in order.
-func serveUntilSignalled(srv *http.Server, drain func(), closers ...func() error) {
+// readOptions is the default read-executor configuration both serving modes
+// install, from -fanout, -read-concurrency and -hedge*.
+func readOptions() store.ReadOptions {
+	return store.ReadOptions{
+		Sequential:  !*fanout,
+		Concurrency: *readConc,
+		Hedge:       store.HedgeConfig{Enabled: *hedge, Quantile: *hedgeQ, Min: *hedgeMin},
+	}
+}
+
+// httpConfig is the object-surface configuration both serving modes share.
+func httpConfig(reg *obs.Registry, walLogPath string) httpd.Config {
+	return httpd.Config{
+		Registry:    reg,
+		EnablePprof: *obsOn,
+		WAL:         store.WALConfig{BatchBytes: *walBatch, FlushInterval: *walEvery, LogPath: walLogPath},
+	}
+}
+
+// serveObjects runs the object surface srv, reached through root, the way
+// both serving modes run it: the -faults plan goes in through the same path
+// as PUT /faults (so GET /faults round-trips it), -obs starts the
+// load-imbalance line, and after the drain that line stops before the
+// closers run in order.
+func serveObjects(srv *httpd.Server, root http.Handler, closers ...func() error) {
+	if *faults != "" {
+		blob, err := os.ReadFile(*faults)
+		if err != nil {
+			log.Fatal("ecfrmd: ", err)
+		}
+		plan, err := faultinject.ParsePlan(blob)
+		if err != nil {
+			log.Fatal("ecfrmd: ", err)
+		}
+		srv.SetFaultPlan(plan)
+		log.Printf("fault plan %s installed: seed %d, %d device policies",
+			*faults, plan.Seed, len(plan.Policies))
+	}
+	if *obsOn {
+		closers = append([]func() error{logLoadImbalance(srv.Stores())}, closers...)
+	}
+	serveUntilSignalled(root, nil, closers...)
+}
+
+// logLoadImbalance starts the periodic -obs line: the paper's max-load
+// claim, watchable in the daemon's own log. It reports element reads per
+// disk index, summed over every group, over the interval (deltas, not
+// lifetime totals), so a balanced steady state reads near 1.0 even after an
+// unbalanced past. The returned func stops it and waits for it to exit.
+func logLoadImbalance(stores []*store.Store) func() error {
+	stop, done := make(chan struct{}), make(chan struct{})
+	n := stores[0].Scheme().N()
+	go func() {
+		defer close(done)
+		prev := make([]int, n)
+		tick := time.NewTicker(*obsEvery)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			cur := make([]int, n)
+			total, max := 0, 0
+			for d := range cur {
+				for _, st := range stores {
+					cur[d] += st.Device(d).Reads()
+				}
+				delta := cur[d] - prev[d]
+				total += delta
+				if delta > max {
+					max = delta
+				}
+			}
+			prev = cur
+			if total == 0 {
+				continue
+			}
+			mean := float64(total) / float64(n)
+			log.Printf("load: %d element reads in %v, max/disk=%d mean/disk=%.1f imbalance=%.2f",
+				total, *obsEvery, max, mean, float64(max)/mean)
+		}
+	}()
+	return func() error { close(stop); <-done; return nil }
+}
+
+// serveUntilSignalled serves h on -addr until SIGINT/SIGTERM, flips the
+// drain hook (so /readyz starts failing while in-flight requests finish),
+// shuts the listener down with a 10s grace, then runs the closers in order.
+func serveUntilSignalled(h http.Handler, drain func(), closers ...func() error) {
+	srv := &http.Server{
+		Addr:    *addr,
+		Handler: h,
+		// Bound how long a peer may dribble headers and how long idle
+		// keep-alive connections pin resources; response bodies (large
+		// objects, pprof profiles) stay unbounded.
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -256,7 +357,8 @@ func serveUntilSignalled(srv *http.Server, drain func(), closers ...func() error
 	}
 }
 
-// runSingle is the original everything-in-one-process daemon.
+// runSingle is everything in one process: the object surface over one
+// placement group of local devices.
 func runSingle() {
 	scheme := buildScheme()
 	var err error
@@ -269,9 +371,6 @@ func runSingle() {
 	case "file":
 		if *dataDir == "" {
 			log.Fatal("ecfrmd: -backend=file requires -data-dir")
-		}
-		if *fsync != string(store.FsyncAlways) && *fsync != string(store.FsyncNever) {
-			log.Fatalf("ecfrmd: unknown -fsync mode %q (always or never)", *fsync)
 		}
 		var report *store.RecoveryReport
 		st, report, err = store.OpenFileBacked(scheme, *elem, store.FileConfig{
@@ -302,46 +401,21 @@ func runSingle() {
 	default:
 		log.Fatalf("ecfrmd: unknown backend %q (mem or file)", *backend)
 	}
-	if *faults != "" {
-		blob, err := os.ReadFile(*faults)
-		if err != nil {
-			log.Fatal("ecfrmd: ", err)
-		}
-		plan, err := faultinject.ParsePlan(blob)
-		if err != nil {
-			log.Fatal("ecfrmd: ", err)
-		}
-		st.SetFaultInjector(faultinject.New(plan))
-		log.Printf("fault plan %s installed: seed %d, %d device policies",
-			*faults, plan.Seed, len(plan.Policies))
-	}
-	st.SetReadOptions(store.ReadOptions{
-		Sequential:  !*fanout,
-		Concurrency: *readConc,
-		Hedge: store.HedgeConfig{
-			Enabled:  *hedge,
-			Quantile: *hedgeQ,
-			Min:      *hedgeMin,
-		},
-	})
+	st.SetReadOptions(readOptions())
 	reg := obs.NewRegistry()
-	handler := httpd.NewServerWith(st, httpd.Config{
-		Registry:    reg,
-		EnablePprof: *obsOn,
-		WAL:         store.WALConfig{BatchBytes: *walBatch, FlushInterval: *walEvery, LogPath: *walLog},
-	})
+	srv := httpd.NewServerWith(st, httpConfig(reg, *walLog))
 
 	// The repair scheduler mounts beside the object server, not inside it:
 	// httpd stays ignorant of the repair package and the scheduler's own
 	// handler owns everything under /repair/.
-	var root http.Handler = handler
-	var sch *repair.Scheduler
+	var root http.Handler = srv
+	stopRepair := func() error { return nil }
 	if *repairOn {
 		cursor := ""
 		if *backend == "file" {
 			cursor = filepath.Join(*dataDir, "scrub.cursor")
 		}
-		sch, err = repair.New(st, repair.Config{
+		sch, err := repair.New(st, repair.Config{
 			Rate:          *repairRate * (1 << 20),
 			ScrubInterval: *scrubEvery,
 			CursorPath:    cursor,
@@ -353,99 +427,19 @@ func runSingle() {
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/repair/", http.StripPrefix("/repair", sch.Handler()))
-		mux.Handle("/", handler)
+		mux.Handle("/", srv)
 		root = mux
+		// Stop detection, scrub, and any in-flight rebuild (aborted batches
+		// roll back; the disk stays failed and a restarted daemon's
+		// detector re-queues it) before the store seals.
+		stopRepair = func() error { sch.Close(); return nil }
 		log.Printf("repair scheduler on /repair/: rate %.0f MiB/s, scrub interval %v, cursor %q",
 			*repairRate, *scrubEvery, cursor)
 	}
 
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: root,
-		// Bound how long a peer may dribble headers and how long idle
-		// keep-alive connections pin resources; response bodies (large
-		// objects, pprof profiles) stay unbounded.
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	// Periodic load-imbalance line: the paper's max-load claim, watchable in
-	// the daemon's own log. Reported over the interval (deltas, not
-	// lifetime totals), so a balanced steady state reads near 1.0 even after
-	// an unbalanced past.
-	stopObs := make(chan struct{})
-	if *obsOn {
-		go func() {
-			n := scheme.N()
-			prev := make([]int, n)
-			tick := time.NewTicker(*obsEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopObs:
-					return
-				case <-tick.C:
-					cur := make([]int, n)
-					total, max := 0, 0
-					for d := 0; d < n; d++ {
-						cur[d] = st.Device(d).Reads()
-						delta := cur[d] - prev[d]
-						total += delta
-						if delta > max {
-							max = delta
-						}
-					}
-					if total == 0 {
-						prev = cur
-						continue
-					}
-					mean := float64(total) / float64(n)
-					log.Printf("load: %d element reads in %v, max/disk=%d mean/disk=%.1f imbalance=%.2f",
-						total, *obsEvery, max, mean, float64(max)/mean)
-					prev = cur
-				}
-			}
-		}()
-	}
-
-	// Graceful shutdown: SIGINT/SIGTERM stops the listener and drains
-	// in-flight requests for up to 10s before the process exits.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("serving %s (%d disks, tolerates %d failures, %.2fx overhead) on %s",
 		scheme.Name(), scheme.N(), scheme.FaultTolerance(), scheme.StorageOverhead(), *addr)
-
-	select {
-	case err := <-errc:
-		log.Fatal("ecfrmd: ", err)
-	case <-ctx.Done():
-		stop()
-		close(stopObs)
-		log.Print("signal received, draining (10s grace)")
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutCtx); err != nil {
-			log.Fatal("ecfrmd: shutdown: ", err)
-		}
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal("ecfrmd: ", err)
-		}
-		// The listener is drained; commit any queued PUTs and stop the WAL,
-		// then seal the backend (file: manifest write + final fsync).
-		if sch != nil {
-			// Stop detection, scrub, and any in-flight rebuild (aborted
-			// batches roll back; the disk stays failed and a restarted
-			// daemon's detector re-queues it) before the store seals.
-			sch.Close()
-		}
-		if err := handler.Close(); err != nil {
-			log.Fatal("ecfrmd: wal close: ", err)
-		}
-		if err := st.Close(); err != nil {
-			log.Fatal("ecfrmd: store close: ", err)
-		}
-		log.Print("drained, bye")
-	}
+	// After the drain: commit any queued PUTs and stop the WAL, then seal
+	// the backend (file: manifest write + final fsync).
+	serveObjects(srv, root, stopRepair, srv.Close, st.Close)
 }

@@ -2,8 +2,6 @@ package main
 
 import (
 	"log"
-	"net/http"
-	"time"
 
 	"repro/internal/datanode"
 	"repro/internal/obs"
@@ -25,9 +23,6 @@ func runNode() {
 		if *dataDir == "" {
 			log.Fatal("ecfrmd: -mode=node -backend=file requires -data-dir")
 		}
-		if *fsync != string(store.FsyncAlways) && *fsync != string(store.FsyncNever) {
-			log.Fatalf("ecfrmd: unknown -fsync mode %q (always or never)", *fsync)
-		}
 		cfg.Dir = *dataDir
 		cfg.File = store.FileConfig{Fsync: store.FsyncMode(*fsync), Direct: *direct}
 	default:
@@ -37,14 +32,8 @@ func runNode() {
 	if err != nil {
 		log.Fatal("ecfrmd: ", err)
 	}
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           n,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
 	log.Printf("data node (%s backend, elem %d) on %s", n.Backend(), *elem, *addr)
-	serveUntilSignalled(srv,
+	serveUntilSignalled(n,
 		func() { n.SetDraining(true) },
 		n.Close)
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/crs"
 	"repro/internal/datanode"
+	"repro/internal/httpd"
 	"repro/internal/layout"
 	"repro/internal/lrc"
 	"repro/internal/obs"
@@ -71,13 +72,12 @@ func newTestCluster(t testing.TB, scheme *core.Scheme, elem, groups, nNodes int,
 		Nodes:         urls,
 		Groups:        groups,
 		ElemSize:      elem,
-		Registry:      reg,
+		HTTP:          httpd.Config{Registry: reg, WAL: store.WALConfig{FlushInterval: time.Millisecond}},
 		Scheme:        scheme,
 		Read:          opts,
 		SyncWrites:    true,
 		ProbeInterval: 50 * time.Millisecond,
 		NodeTimeout:   5 * time.Second,
-		WAL:           store.WALConfig{FlushInterval: time.Millisecond},
 	})
 	if err != nil {
 		tc.teardown()
@@ -110,10 +110,12 @@ func (tc *testCluster) put(t testing.TB, name string, body []byte) {
 	}
 }
 
-// get reads an object through the gateway's HTTP surface.
+// get reads an object through the gateway's HTTP surface, always bypassing
+// the decoded-object cache so every read crosses the network (query adds
+// further knobs, e.g. "&hedge=1").
 func (tc *testCluster) get(t testing.TB, name, query string) ([]byte, int) {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, "/objects/"+name+query, nil)
+	req := httptest.NewRequest(http.MethodGet, "/objects/"+name+"?nocache=1"+query, nil)
 	rec := httptest.NewRecorder()
 	tc.gw.ServeHTTP(rec, req)
 	return rec.Body.Bytes(), rec.Code
@@ -172,7 +174,7 @@ func TestGatewayLocalEquivalence(t *testing.T) {
 
 			check := func(stage string) {
 				for _, o := range objs {
-					for _, q := range []string{"", "?sequential=1", "?concurrency=4", "?hedge=1"} {
+					for _, q := range []string{"", "&sequential=1", "&concurrency=4", "&hedge=1"} {
 						got, code := tc.get(t, o.name, q)
 						if code != http.StatusOK {
 							t.Fatalf("%s: GET %s%s: status %d %s", stage, o.name, q, code, got)
@@ -237,7 +239,7 @@ func TestGatewayConcurrentPutGetWithNodeKill(t *testing.T) {
 				name := fmt.Sprintf("pre-%02d", r.Intn(24))
 				q := ""
 				if i%3 == 1 {
-					q = "?hedge=1"
+					q = "&hedge=1"
 				}
 				got, code := tc.get(t, name, q)
 				if code != http.StatusOK {
@@ -293,42 +295,5 @@ func TestGatewayConcurrentPutGetWithNodeKill(t *testing.T) {
 		if !bytes.Equal(got, p) {
 			t.Fatalf("final GET %s: wrong bytes", name)
 		}
-	}
-}
-
-// TestGatewayReadyzLifecycle covers the probe→formed→draining arc.
-func TestGatewayReadyzLifecycle(t *testing.T) {
-	scheme := core.MustScheme(rs.Must(4, 2), layout.FormECFRM)
-	tc := newTestCluster(t, scheme, 512, 2, 3, store.ReadOptions{})
-	defer tc.teardown()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		req := httptest.NewRequest(http.MethodGet, "/readyz", nil)
-		rec := httptest.NewRecorder()
-		tc.gw.ServeHTTP(rec, req)
-		if rec.Code == http.StatusOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("gateway never became ready: %d %s", rec.Code, rec.Body.String())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := tc.gw.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	req := httptest.NewRequest(http.MethodGet, "/readyz", nil)
-	rec := httptest.NewRecorder()
-	tc.gw.ServeHTTP(rec, req)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("readyz after close = %d, want 503", rec.Code)
-	}
-	// healthz stays alive while draining.
-	req = httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	rec = httptest.NewRecorder()
-	tc.gw.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("healthz after close = %d, want 200", rec.Code)
 	}
 }

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,7 +22,6 @@ import (
 // happens in the transport's connection pool, and the signals are observed
 // per node because that is where network contention lives.
 type nodeClient struct {
-	id   int
 	base string // http://host:port, no trailing slash
 	hc   *http.Client
 
@@ -29,9 +29,6 @@ type nodeClient struct {
 	// exponentially weighted moving average (α = 1/8) of request latency.
 	inflight  atomic.Int64
 	ewmaNanos atomic.Int64
-	// up reflects the latest health probe (true until proven otherwise, so
-	// a cluster serves before its first sweep completes).
-	up atomic.Bool
 	// seen flips once the node has answered any probe — readiness gating.
 	seen atomic.Bool
 
@@ -54,29 +51,25 @@ func newNodeClient(id int, base string, timeout time.Duration, reg *obs.Registry
 		IdleConnTimeout:     60 * time.Second,
 	}
 	nc := &nodeClient{
-		id:   id,
 		base: base,
 		hc:   &http.Client{Transport: tr, Timeout: timeout},
 	}
-	nc.up.Store(true)
-	if reg != nil {
-		l := obs.L("node", fmt.Sprint(id))
-		nc.readBytes = reg.Counter("ecfrm_gateway_node_read_bytes_total",
-			"Cell payload bytes fetched per node.", l)
-		nc.writeBytes = reg.Counter("ecfrm_gateway_node_write_bytes_total",
-			"Cell payload bytes shipped per node.", l)
-		nc.errs = reg.Counter("ecfrm_gateway_node_errors_total",
-			"Failed node requests per node.", l)
-		nc.upGauge = reg.Gauge("ecfrm_gateway_node_up",
-			"1 while the node answers health probes.", l)
-		nc.upGauge.Set(1)
-		reg.GaugeFunc("ecfrm_gateway_node_inflight",
-			"Requests currently on the wire per node.",
-			func() float64 { return float64(nc.inflight.Load()) }, l)
-		reg.GaugeFunc("ecfrm_gateway_node_latency_ewma_seconds",
-			"EWMA of node request latency.",
-			func() float64 { return time.Duration(nc.ewmaNanos.Load()).Seconds() }, l)
-	}
+	l := obs.L("node", fmt.Sprint(id))
+	nc.readBytes = reg.Counter("ecfrm_gateway_node_read_bytes_total",
+		"Cell payload bytes fetched per node.", l)
+	nc.writeBytes = reg.Counter("ecfrm_gateway_node_write_bytes_total",
+		"Cell payload bytes shipped per node.", l)
+	nc.errs = reg.Counter("ecfrm_gateway_node_errors_total",
+		"Failed node requests per node.", l)
+	nc.upGauge = reg.Gauge("ecfrm_gateway_node_up",
+		"1 while the node answers health probes.", l)
+	nc.upGauge.Set(1)
+	reg.GaugeFunc("ecfrm_gateway_node_inflight",
+		"Requests currently on the wire per node.",
+		func() float64 { return float64(nc.inflight.Load()) }, l)
+	reg.GaugeFunc("ecfrm_gateway_node_latency_ewma_seconds",
+		"EWMA of node request latency.",
+		func() float64 { return time.Duration(nc.ewmaNanos.Load()).Seconds() }, l)
 	return nc
 }
 
@@ -129,7 +122,7 @@ func (nc *nodeClient) healthz(timeout time.Duration) bool {
 	if err != nil {
 		return false
 	}
-	ctx, cancel := contextWithTimeout(timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	resp, err := nc.hc.Do(req.WithContext(ctx))
 	if err != nil {

@@ -1,4 +1,4 @@
-package httpd
+package httpd_test
 
 import (
 	"bytes"
@@ -7,155 +7,126 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
-	"repro/internal/core"
-	"repro/internal/layout"
-	"repro/internal/lrc"
-	"repro/internal/store"
+	"repro/internal/faultinject"
+	"repro/internal/httpd"
 )
 
-func newTestServer(t *testing.T) (*httptest.Server, *Server) {
-	t.Helper()
-	scheme := core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM)
-	srv := NewServer(store.MustNew(scheme, 256))
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return ts, srv
-}
-
-func doReq(t *testing.T, method, url string, body []byte) (*http.Response, []byte) {
-	t.Helper()
-	var rdr io.Reader
-	if body != nil {
-		rdr = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, url, rdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, out
-}
-
 func TestPutGetRoundTrip(t *testing.T) {
-	ts, _ := newTestServer(t)
-	payload := make([]byte, 10_000)
-	rand.New(rand.NewSource(1)).Read(payload)
+	forEachSurface(t, httpd.Config{}, func(t *testing.T, s *surface) {
+		payload := make([]byte, 10_000)
+		rand.New(rand.NewSource(1)).Read(payload)
 
-	resp, _ := doReq(t, http.MethodPut, ts.URL+"/objects/song.mp3", payload)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("PUT status %d", resp.StatusCode)
-	}
-	resp, body := doReq(t, http.MethodGet, ts.URL+"/objects/song.mp3", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET status %d", resp.StatusCode)
-	}
-	if !bytes.Equal(body, payload) {
-		t.Fatal("payload mismatch")
-	}
-	if resp.Header.Get("X-Read-Cost") != "1.000" {
-		t.Fatalf("read cost header %q, want 1.000", resp.Header.Get("X-Read-Cost"))
-	}
-	if resp.Header.Get("X-Max-Disk-Load") == "" {
-		t.Fatal("missing max-load header")
-	}
+		resp, _ := doReq(t, http.MethodPut, s.url+"/objects/song.mp3", payload)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("PUT status %d", resp.StatusCode)
+		}
+		resp, body := doReq(t, http.MethodGet, s.url+"/objects/song.mp3", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET status %d", resp.StatusCode)
+		}
+		if !bytes.Equal(body, payload) {
+			t.Fatal("payload mismatch")
+		}
+		if resp.Header.Get("X-Read-Cost") != "1.000" {
+			t.Fatalf("read cost header %q, want 1.000", resp.Header.Get("X-Read-Cost"))
+		}
+		if resp.Header.Get("X-Max-Disk-Load") == "" {
+			t.Fatal("missing max-load header")
+		}
+	})
 }
 
 func TestObjectErrors(t *testing.T) {
-	ts, _ := newTestServer(t)
-	if resp, _ := doReq(t, http.MethodGet, ts.URL+"/objects/missing", nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("missing GET status %d", resp.StatusCode)
-	}
-	if resp, _ := doReq(t, http.MethodPut, ts.URL+"/objects/empty", []byte{}); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty PUT status %d", resp.StatusCode)
-	}
-	if resp, _ := doReq(t, http.MethodPut, ts.URL+"/objects/", []byte("x")); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("nameless PUT status %d", resp.StatusCode)
-	}
-	if resp, _ := doReq(t, http.MethodDelete, ts.URL+"/objects/x", nil); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("DELETE status %d", resp.StatusCode)
-	}
-	// Duplicate PUT conflicts (append-only).
-	doReq(t, http.MethodPut, ts.URL+"/objects/dup", []byte("abc"))
-	if resp, _ := doReq(t, http.MethodPut, ts.URL+"/objects/dup", []byte("xyz")); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("duplicate PUT status %d", resp.StatusCode)
-	}
+	forEachSurface(t, httpd.Config{}, func(t *testing.T, s *surface) {
+		if resp, _ := doReq(t, http.MethodGet, s.url+"/objects/missing", nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("missing GET status %d", resp.StatusCode)
+		}
+		if resp, _ := doReq(t, http.MethodPut, s.url+"/objects/empty", []byte{}); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("empty PUT status %d", resp.StatusCode)
+		}
+		if resp, _ := doReq(t, http.MethodPut, s.url+"/objects/", []byte("x")); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("nameless PUT status %d", resp.StatusCode)
+		}
+		if resp, _ := doReq(t, http.MethodDelete, s.url+"/objects/x", nil); resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("DELETE status %d", resp.StatusCode)
+		}
+		// Duplicate PUT conflicts (append-only).
+		doReq(t, http.MethodPut, s.url+"/objects/dup", []byte("abc"))
+		if resp, _ := doReq(t, http.MethodPut, s.url+"/objects/dup", []byte("xyz")); resp.StatusCode != http.StatusConflict {
+			t.Fatalf("duplicate PUT status %d", resp.StatusCode)
+		}
+	})
 }
 
 func TestDegradedReadThroughFailures(t *testing.T) {
-	ts, _ := newTestServer(t)
-	payload := make([]byte, 40_000)
-	rand.New(rand.NewSource(2)).Read(payload)
-	doReq(t, http.MethodPut, ts.URL+"/objects/data", payload)
+	forEachSurface(t, httpd.Config{}, func(t *testing.T, s *surface) {
+		payload := make([]byte, 40_000)
+		rand.New(rand.NewSource(2)).Read(payload)
+		doReq(t, http.MethodPut, s.url+"/objects/data", payload)
+		group := groupOf(t, s.url, "data")
+		n := s.stores[0].Scheme().N()
 
-	// Fail three disks (the LRC(6,2,2) tolerance).
-	for _, d := range []int{0, 4, 9} {
-		resp, body := doReq(t, http.MethodPost, fmt.Sprintf("%s/admin/fail?disk=%d", ts.URL, d), nil)
+		// Fail three disks of the object's group (the tolerance of both
+		// schemes).
+		disks := []int{0, 4, n - 1}
+		for _, d := range disks {
+			resp, body := doReq(t, http.MethodPost, fmt.Sprintf("%s/admin/fail?disk=%d&group=%s", s.url, d, group), nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("fail disk %d: %d %s", d, resp.StatusCode, body)
+			}
+		}
+		// A fourth failure must be refused.
+		if resp, _ := doReq(t, http.MethodPost, s.url+"/admin/fail?disk=5&group="+group, nil); resp.StatusCode != http.StatusConflict {
+			t.Fatalf("over-tolerance fail status %d", resp.StatusCode)
+		}
+		resp, body := doReq(t, http.MethodGet, s.url+"/objects/data", nil)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("fail disk %d: %d %s", d, resp.StatusCode, body)
+			t.Fatalf("degraded GET status %d", resp.StatusCode)
 		}
-	}
-	// A fourth failure must be refused.
-	if resp, _ := doReq(t, http.MethodPost, ts.URL+"/admin/fail?disk=5", nil); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("over-tolerance fail status %d", resp.StatusCode)
-	}
-	resp, body := doReq(t, http.MethodGet, ts.URL+"/objects/data", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded GET status %d", resp.StatusCode)
-	}
-	if !bytes.Equal(body, payload) {
-		t.Fatal("degraded payload mismatch")
-	}
-	if resp.Header.Get("X-Read-Cost") <= "1.000" && resp.Header.Get("X-Read-Cost") != "1.000" {
-		t.Fatalf("degraded read cost header %q", resp.Header.Get("X-Read-Cost"))
-	}
-	// Recover all three and scrub.
-	for _, d := range []int{0, 4, 9} {
-		resp, body := doReq(t, http.MethodPost, fmt.Sprintf("%s/admin/recover?disk=%d", ts.URL, d), nil)
+		if !bytes.Equal(body, payload) {
+			t.Fatal("degraded payload mismatch")
+		}
+		if resp.Header.Get("X-Read-Cost") <= "1.000" && resp.Header.Get("X-Read-Cost") != "1.000" {
+			t.Fatalf("degraded read cost header %q", resp.Header.Get("X-Read-Cost"))
+		}
+		// Recover all three and scrub every group.
+		for _, d := range disks {
+			resp, body := doReq(t, http.MethodPost, fmt.Sprintf("%s/admin/recover?disk=%d&group=%s", s.url, d, group), nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("recover disk %d: %d %s", d, resp.StatusCode, body)
+			}
+			if !strings.Contains(string(body), "elements read") {
+				t.Fatalf("recover body %q", body)
+			}
+		}
+		resp, body = doReq(t, http.MethodPost, s.url+"/admin/scrub", nil)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("recover disk %d: %d %s", d, resp.StatusCode, body)
+			t.Fatalf("scrub status %d", resp.StatusCode)
 		}
-		if !strings.Contains(string(body), "elements read") {
-			t.Fatalf("recover body %q", body)
+		var scrub map[string]json.RawMessage
+		if err := json.Unmarshal(body, &scrub); err != nil {
+			t.Fatal(err)
 		}
-	}
-	resp, body = doReq(t, http.MethodPost, ts.URL+"/admin/scrub", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("scrub status %d", resp.StatusCode)
-	}
-	var scrub map[string][]int
-	if err := json.Unmarshal(body, &scrub); err != nil {
-		t.Fatal(err)
-	}
-	if len(scrub["corrupt_stripes"]) != 0 {
-		t.Fatalf("scrub found %v", scrub["corrupt_stripes"])
-	}
+		var corrupt []int
+		if err := json.Unmarshal(scrub["corrupt_stripes"], &corrupt); err != nil || len(corrupt) != 0 {
+			t.Fatalf("scrub found %s (err %v)", body, err)
+		}
+		if _, perGroup := scrub["corrupt_stripes_by_group"]; perGroup != (len(s.stores) > 1) {
+			t.Fatalf("scrub reply %s: per-group breakdown with %d groups", body, len(s.stores))
+		}
+	})
 }
 
 func TestStatus(t *testing.T) {
 	ts, _ := newTestServer(t)
 	doReq(t, http.MethodPut, ts.URL+"/objects/a", []byte("hello world"))
-	resp, body := doReq(t, http.MethodGet, ts.URL+"/admin/status", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var st Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Scheme != "EC-FRM-LRC(6,2,2)" || st.Disks != 10 || st.FaultTolerance != 3 {
+	st := getStatus(t, ts.URL)
+	if st.Scheme != "EC-FRM-LRC(6,2,2)" || st.Disks != 10 || st.FaultTolerance != 3 || st.Groups != 1 {
 		t.Fatalf("status wrong: %+v", st)
 	}
 	if st.Objects != 1 || st.Stripes < 1 || st.Bytes != 11 {
@@ -167,71 +138,174 @@ func TestStatus(t *testing.T) {
 }
 
 func TestAdminParamValidation(t *testing.T) {
-	ts, _ := newTestServer(t)
-	for _, url := range []string{
-		ts.URL + "/admin/fail",
-		ts.URL + "/admin/fail?disk=abc",
-		ts.URL + "/admin/fail?disk=10",
-		ts.URL + "/admin/recover?disk=-1",
-	} {
-		if resp, _ := doReq(t, http.MethodPost, url, nil); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", url, resp.StatusCode)
+	forEachSurface(t, httpd.Config{}, func(t *testing.T, s *surface) {
+		for _, url := range []string{
+			s.url + "/admin/fail",
+			s.url + "/admin/fail?disk=abc",
+			s.url + "/admin/fail?disk=10",
+			s.url + "/admin/recover?disk=-1",
+			s.url + "/admin/fail?disk=1&group=99",
+			s.url + "/admin/fail?disk=1&group=-1",
+			s.url + "/admin/recover?disk=1&group=x",
+			s.url + "/admin/corrupt?stripe=0&row=0&col=0&group=99",
+		} {
+			if resp, _ := doReq(t, http.MethodPost, url, nil); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: status %d, want 400", url, resp.StatusCode)
+			}
 		}
-	}
-	// Recovering a healthy disk is a 400.
-	if resp, _ := doReq(t, http.MethodPost, ts.URL+"/admin/recover?disk=1", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("healthy recover status %d", resp.StatusCode)
-	}
-	// Wrong methods.
-	if resp, _ := doReq(t, http.MethodGet, ts.URL+"/admin/fail?disk=1", nil); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Error("GET on fail must be 405")
-	}
-	if resp, _ := doReq(t, http.MethodPost, ts.URL+"/admin/status", nil); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Error("POST on status must be 405")
-	}
-	if resp, _ := doReq(t, http.MethodGet, ts.URL+"/admin/scrub", nil); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Error("GET on scrub must be 405")
-	}
+		if resp, _ := doReq(t, http.MethodGet, s.url+"/admin/checksums?group=99", nil); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("checksums?group=99: status %d, want 400", resp.StatusCode)
+		}
+		// Recovering a healthy disk is a 400.
+		if resp, _ := doReq(t, http.MethodPost, s.url+"/admin/recover?disk=1", nil); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("healthy recover status %d", resp.StatusCode)
+		}
+		// Without ?group the disk operations address group 0.
+		if resp, body := doReq(t, http.MethodPost, s.url+"/admin/fail?disk=1", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("fail disk 1: %d %s", resp.StatusCode, body)
+		}
+		if got := s.stores[0].FailedDisks(); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("group 0 failed disks %v, want [1]", got)
+		}
+		wantByGroup := 0 // the per-group breakdown appears only with several groups
+		if len(s.stores) > 1 {
+			wantByGroup = len(s.stores)
+		}
+		if st := getStatus(t, s.url); len(st.FailedDisks) != 1 || st.FailedDisks[0] != 1 || len(st.FailedByGroup) != wantByGroup {
+			t.Fatalf("status after failing disk 1: %+v", st)
+		}
+		if resp, body := doReq(t, http.MethodPost, s.url+"/admin/recover?disk=1", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("recover disk 1: %d %s", resp.StatusCode, body)
+		}
+		// Wrong methods.
+		for _, c := range []struct{ method, path string }{
+			{http.MethodGet, "/admin/fail?disk=1"},
+			{http.MethodPost, "/admin/status"},
+			{http.MethodGet, "/admin/scrub"},
+			{http.MethodPost, "/healthz"},
+			{http.MethodPost, "/readyz"},
+			{http.MethodPost, "/faults"},
+		} {
+			if resp, _ := doReq(t, c.method, s.url+c.path, nil); resp.StatusCode != http.StatusMethodNotAllowed {
+				t.Errorf("%s %s: status %d, want 405", c.method, c.path, resp.StatusCode)
+			}
+		}
+	})
+}
+
+// TestReadyzLifecycle covers ready → draining: /readyz answers 200 once the
+// surface serves (for a gateway, once every node has answered a probe) and
+// 503 from the moment Close starts, while /healthz keeps answering 200.
+func TestReadyzLifecycle(t *testing.T) {
+	forEachSurface(t, httpd.Config{}, func(t *testing.T, s *surface) {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			resp, body := doReq(t, http.MethodGet, s.url+"/readyz", nil)
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("never became ready: %d %s", resp.StatusCode, body)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if err := s.close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if resp, _ := doReq(t, http.MethodGet, s.url+"/readyz", nil); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("readyz after close = %d, want 503", resp.StatusCode)
+		}
+		if resp, _ := doReq(t, http.MethodGet, s.url+"/healthz", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("healthz after close = %d, want 200", resp.StatusCode)
+		}
+	})
 }
 
 func TestConcurrentClients(t *testing.T) {
-	ts, _ := newTestServer(t)
-	payload := make([]byte, 5000)
-	rand.New(rand.NewSource(3)).Read(payload)
-	doReq(t, http.MethodPut, ts.URL+"/objects/shared", payload)
+	forEachSurface(t, httpd.Config{}, func(t *testing.T, s *surface) {
+		payload := make([]byte, 5000)
+		rand.New(rand.NewSource(3)).Read(payload)
+		doReq(t, http.MethodPut, s.url+"/objects/shared", payload)
 
-	var wg sync.WaitGroup
-	errs := make(chan error, 24)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 3; i++ {
-				resp, body := func() (*http.Response, []byte) {
-					resp, err := http.Get(ts.URL + "/objects/shared")
-					if err != nil {
-						errs <- err
-						return nil, nil
+		var wg sync.WaitGroup
+		errs := make(chan error, 24)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 3; i++ {
+					resp, body := func() (*http.Response, []byte) {
+						resp, err := http.Get(s.url + "/objects/shared")
+						if err != nil {
+							errs <- err
+							return nil, nil
+						}
+						defer resp.Body.Close()
+						b, _ := io.ReadAll(resp.Body)
+						return resp, b
+					}()
+					if resp == nil {
+						return
 					}
-					defer resp.Body.Close()
-					b, _ := io.ReadAll(resp.Body)
-					return resp, b
-				}()
-				if resp == nil {
-					return
+					if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
+						errs <- fmt.Errorf("goroutine %d: bad read status=%d", g, resp.StatusCode)
+						return
+					}
 				}
-				if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
-					errs <- fmt.Errorf("goroutine %d: bad read status=%d", g, resp.StatusCode)
-					return
-				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestNocacheGetsOverlap: GETs that bypass the decoded cache never take the
+// per-object mutex, so two concurrent ones of the same object run side by
+// side — under a seeded all-device latency plan, together they take about
+// as long as one, not twice as long. (A plan this small runs its device
+// reads inline, one after another, so one GET costs about n × latency.)
+func TestNocacheGetsOverlap(t *testing.T) {
+	const latency = 10 * time.Millisecond
+	forEachSurface(t, httpd.Config{}, func(t *testing.T, s *surface) {
+		payload := putTestObject(t, s.url, "hot", 4096)
+		plan := faultinject.Plan{Seed: 1}
+		for d := 0; d < s.stores[0].Scheme().N(); d++ {
+			plan.Policies = append(plan.Policies, faultinject.Policy{Device: d, Latency: latency})
+		}
+		blob, _ := json.Marshal(plan)
+		if resp, _ := doReq(t, http.MethodPut, s.url+"/faults", blob); resp.StatusCode != http.StatusOK {
+			t.Fatalf("PUT /faults status %d", resp.StatusCode)
+		}
+		get := func() { // runs on other goroutines too: t.Error, never t.Fatal
+			resp, err := http.Get(s.url + "/objects/hot?nocache=1")
+			if err != nil {
+				t.Error(err)
+				return
 			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
+				t.Errorf("nocache GET: status %d, err %v", resp.StatusCode, err)
+			}
+		}
+		t0 := time.Now()
+		get()
+		one := time.Since(t0)
+
+		var wg sync.WaitGroup
+		t0 = time.Now()
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() { defer wg.Done(); get() }()
+		}
+		wg.Wait()
+		if two := time.Since(t0); two >= one*3/2 {
+			t.Fatalf("two concurrent nocache GETs took %v, one took %v: they serialised", two, one)
+		}
+	})
 }
 
 func TestCorruptionInjectionAndHealing(t *testing.T) {
@@ -287,6 +361,7 @@ func TestCorruptionInjectionAndHealing(t *testing.T) {
 // GET byte-identical to its PUT, and the failed-disk set within tolerance.
 func TestConcurrentChaos(t *testing.T) {
 	ts, srv := newTestServer(t)
+	st := srv.Stores()[0]
 	rng := rand.New(rand.NewSource(11))
 
 	// Seed a set of objects whose contents every reader can verify.
@@ -301,7 +376,7 @@ func TestConcurrentChaos(t *testing.T) {
 		}
 	}
 
-	tol := srv.store.Scheme().FaultTolerance()
+	tol := st.Scheme().FaultTolerance()
 	var wg sync.WaitGroup
 	errCh := make(chan error, 64)
 	report := func(format string, args ...any) {
@@ -369,7 +444,7 @@ func TestConcurrentChaos(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			n := srv.store.Scheme().N()
+			n := st.Scheme().N()
 			for i := 0; i < 20; i++ {
 				d := rng.Intn(n)
 				if rng.Intn(2) == 0 {
@@ -377,7 +452,7 @@ func TestConcurrentChaos(t *testing.T) {
 				} else {
 					doReq(t, http.MethodPost, fmt.Sprintf("%s/admin/recover?disk=%d", ts.URL, d), nil)
 				}
-				if failed := len(srv.store.FailedDisks()); failed > tol {
+				if failed := len(st.FailedDisks()); failed > tol {
 					report("%d disks failed, tolerance %d", failed, tol)
 					return
 				}
@@ -392,7 +467,7 @@ func TestConcurrentChaos(t *testing.T) {
 	}
 
 	// Settle: recover everything and verify all objects come back clean.
-	for _, d := range srv.store.FailedDisks() {
+	for _, d := range st.FailedDisks() {
 		if resp, body := doReq(t, http.MethodPost, fmt.Sprintf("%s/admin/recover?disk=%d", ts.URL, d), nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("settle recover %d: %d %s", d, resp.StatusCode, body)
 		}

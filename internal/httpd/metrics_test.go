@@ -1,4 +1,4 @@
-package httpd
+package httpd_test
 
 import (
 	"fmt"
@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/httpd"
 	"repro/internal/layout"
 	"repro/internal/rs"
 	"repro/internal/store"
@@ -132,54 +133,69 @@ func TestMetricsEndpointCountersMove(t *testing.T) {
 	}
 }
 
-func TestHeadObject(t *testing.T) {
-	ts, _ := newTestServer(t)
-	payload := make([]byte, 12_345)
-	rand.New(rand.NewSource(4)).Read(payload)
-	doReq(t, http.MethodPut, ts.URL+"/objects/h", payload)
-
-	resp, body := doReq(t, http.MethodHead, ts.URL+"/objects/h", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HEAD status %d", resp.StatusCode)
-	}
-	if len(body) != 0 {
-		t.Fatalf("HEAD returned %d body bytes", len(body))
-	}
-	if got := resp.Header.Get("Content-Length"); got != "12345" {
-		t.Fatalf("Content-Length %q, want 12345", got)
-	}
-	if got := resp.Header.Get("X-Read-Cost"); got != "1.000" {
-		t.Fatalf("X-Read-Cost %q, want 1.000", got)
-	}
-	if resp.Header.Get("X-Max-Disk-Load") == "" {
-		t.Fatal("missing X-Max-Disk-Load")
-	}
-	// Metadata only: planning must not have read a single element. Nothing
-	// but the PUT and the HEAD has touched the store, so every per-disk read
-	// counter must still be zero.
-	b := scrape(t, ts.URL)
+// familySum adds up every series of one metric family in a scrape, whatever
+// its labels (a gateway's group stores label theirs with group="G").
+func familySum(body, family string) float64 {
 	var sum float64
-	for d := 0; d < 10; d++ {
-		sum += metricValue(b, fmt.Sprintf(`ecfrm_disk_element_reads_total{disk="%d"}`, d))
+	for _, line := range strings.Split(body, "\n") {
+		rest, ok := strings.CutPrefix(line, family)
+		if !ok || rest == "" || (rest[0] != '{' && rest[0] != ' ') {
+			continue
+		}
+		if v, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64); err == nil {
+			sum += v
+		}
 	}
-	if sum != 0 {
-		t.Fatalf("HEAD read %v elements from disks, want 0", sum)
-	}
+	return sum
+}
 
-	if resp, _ := doReq(t, http.MethodHead, ts.URL+"/objects/nope", nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("missing HEAD status %d", resp.StatusCode)
-	}
+func TestHeadObject(t *testing.T) {
+	forEachSurface(t, httpd.Config{}, func(t *testing.T, s *surface) {
+		payload := make([]byte, 12_345)
+		rand.New(rand.NewSource(4)).Read(payload)
+		doReq(t, http.MethodPut, s.url+"/objects/h", payload)
 
-	// Degraded planning shows up in the headers without any decode.
-	doReq(t, http.MethodPost, ts.URL+"/admin/fail?disk=0", nil)
-	resp, _ = doReq(t, http.MethodHead, ts.URL+"/objects/h", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded HEAD status %d", resp.StatusCode)
-	}
-	cost, err := strconv.ParseFloat(resp.Header.Get("X-Read-Cost"), 64)
-	if err != nil || cost < 1 {
-		t.Fatalf("degraded X-Read-Cost %q", resp.Header.Get("X-Read-Cost"))
-	}
+		resp, body := doReq(t, http.MethodHead, s.url+"/objects/h", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("HEAD status %d", resp.StatusCode)
+		}
+		if len(body) != 0 {
+			t.Fatalf("HEAD returned %d body bytes", len(body))
+		}
+		if got := resp.Header.Get("Content-Length"); got != "12345" {
+			t.Fatalf("Content-Length %q, want 12345", got)
+		}
+		if got := resp.Header.Get("X-Read-Cost"); got != "1.000" {
+			t.Fatalf("X-Read-Cost %q, want 1.000", got)
+		}
+		if resp.Header.Get("X-Max-Disk-Load") == "" {
+			t.Fatal("missing X-Max-Disk-Load")
+		}
+		if got := resp.Header.Get("X-Placement-Group") != ""; got != (len(s.stores) > 1) {
+			t.Fatalf("X-Placement-Group present=%v with %d groups", got, len(s.stores))
+		}
+		// Metadata only: planning must not have read a single element. Nothing
+		// but the PUT and the HEAD has touched the store, so every per-disk read
+		// counter must still be zero.
+		if sum := familySum(scrape(t, s.url), "ecfrm_disk_element_reads_total"); sum != 0 {
+			t.Fatalf("HEAD read %v elements from disks, want 0", sum)
+		}
+
+		if resp, _ := doReq(t, http.MethodHead, s.url+"/objects/nope", nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("missing HEAD status %d", resp.StatusCode)
+		}
+
+		// Degraded planning shows up in the headers without any decode.
+		doReq(t, http.MethodPost, s.url+"/admin/fail?disk=0&group="+groupOf(t, s.url, "h"), nil)
+		resp, _ = doReq(t, http.MethodHead, s.url+"/objects/h", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("degraded HEAD status %d", resp.StatusCode)
+		}
+		cost, err := strconv.ParseFloat(resp.Header.Get("X-Read-Cost"), 64)
+		if err != nil || cost < 1 {
+			t.Fatalf("degraded X-Read-Cost %q", resp.Header.Get("X-Read-Cost"))
+		}
+	})
 }
 
 // TestMaxLoadDistributionECFRMBeatsStandard is the acceptance check for the
@@ -192,7 +208,7 @@ func TestMaxLoadDistributionECFRMBeatsStandard(t *testing.T) {
 	const elemSize = 64
 	run := func(form layout.Form) histSnapshot {
 		scheme := core.MustScheme(rs.Must(6, 2), form)
-		srv := NewServer(store.MustNew(scheme, elemSize))
+		srv := httpd.NewServerWith(store.MustNew(scheme, elemSize), httpd.Config{})
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
 

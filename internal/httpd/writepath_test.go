@@ -1,4 +1,4 @@
-package httpd
+package httpd_test
 
 import (
 	"bytes"
@@ -12,27 +12,17 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpd"
 	"repro/internal/layout"
 	"repro/internal/lrc"
 	"repro/internal/store"
 )
 
-// newWriteTestServer builds a server whose WAL config the test controls.
-func newWriteTestServer(t *testing.T, cfg Config) (*httptest.Server, *Server, *store.Store) {
-	t.Helper()
-	scheme := core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM)
-	st := store.MustNew(scheme, 256)
-	srv := NewServerWith(st, cfg)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() { ts.Close(); srv.Close() })
-	return ts, srv, st
-}
-
 // TestPutPacksConcurrentSmallObjects: concurrent small PUTs through the full
 // HTTP path must share stripes — the store seals far fewer stripes than the
 // old one-object-one-stripe path would — and every object reads back intact.
 func TestPutPacksConcurrentSmallObjects(t *testing.T) {
-	ts, srv, st := newWriteTestServer(t, Config{})
+	ts, srv := newTestServer(t)
 	objects := 48
 	obj := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 200) }
 
@@ -51,7 +41,7 @@ func TestPutPacksConcurrentSmallObjects(t *testing.T) {
 	if err := srv.WAL().Sync(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
-	if got := st.Stripes(); got >= objects {
+	if got := srv.Stores()[0].Stripes(); got >= objects {
 		t.Fatalf("%d objects sealed %d stripes; group commit should pack them into fewer", objects, got)
 	}
 	for i := 0; i < objects; i++ {
@@ -69,58 +59,61 @@ func TestPutPacksConcurrentSmallObjects(t *testing.T) {
 func TestPutFaulted503ThenRetrySucceeds(t *testing.T) {
 	// A short interval lets the WAL's own retry timer drive both the faulted
 	// attempt and the post-clear recovery — no manual flushing.
-	ts, srv, st := newWriteTestServer(t, Config{WAL: store.WALConfig{FlushInterval: time.Millisecond}})
-	st.SetRetryPolicy(200*time.Microsecond, 2)
+	forEachSurface(t, httpd.Config{WAL: store.WALConfig{FlushInterval: time.Millisecond}}, func(t *testing.T, s *surface) {
+		for _, st := range s.stores {
+			st.SetRetryPolicy(200*time.Microsecond, 2)
+		}
 
-	// Deterministic plan: device 3 fails every write. Installed through the
-	// HTTP surface so the whole fault path is end-to-end.
-	plan := `{"seed": 42, "policies": [{"device": 3, "write_err_prob": 1}]}`
-	resp, body := doReq(t, http.MethodPut, ts.URL+"/faults", []byte(plan))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("install plan: %d %s", resp.StatusCode, body)
-	}
+		// Deterministic plan: device 3 fails every write. Installed through
+		// the HTTP surface so the whole fault path is end-to-end.
+		plan := `{"seed": 42, "policies": [{"device": 3, "write_err_prob": 1}]}`
+		resp, body := doReq(t, http.MethodPut, s.url+"/faults", []byte(plan))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("install plan: %d %s", resp.StatusCode, body)
+		}
 
-	payload := bytes.Repeat([]byte{0xcd}, 300)
-	resp, _ = doReq(t, http.MethodPut, ts.URL+"/objects/hot", payload)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("faulted put: %d; want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("faulted put missing Retry-After")
-	}
-	// The reservation is gone (404, not a half-visible object) but the WAL
-	// keeps the bytes queued for the next batch.
-	if r, _ := doReq(t, http.MethodGet, ts.URL+"/objects/hot", nil); r.StatusCode != http.StatusNotFound {
-		t.Fatalf("uncommitted object visible: %d", r.StatusCode)
-	}
-	if n, _ := srv.WAL().Depth(); n != 1 {
-		t.Fatalf("wal retained %d entries; want 1", n)
-	}
+		payload := bytes.Repeat([]byte{0xcd}, 300)
+		resp, _ = doReq(t, http.MethodPut, s.url+"/objects/hot", payload)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("faulted put: %d; want 503", resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatal("faulted put missing Retry-After")
+		}
+		// The reservation is gone (404, not a half-visible object) but the
+		// WAL keeps the bytes queued for the next batch.
+		if r, _ := doReq(t, http.MethodGet, s.url+"/objects/hot", nil); r.StatusCode != http.StatusNotFound {
+			t.Fatalf("uncommitted object visible: %d", r.StatusCode)
+		}
+		if n := getStatus(t, s.url).WALQueued; n != 1 {
+			t.Fatalf("wal retained %d entries; want 1", n)
+		}
 
-	// Clear the plan; the retry claims the freed name and commits — along
-	// with the retained first attempt, which becomes an orphaned extent.
-	if r, _ := doReq(t, http.MethodDelete, ts.URL+"/faults", nil); r.StatusCode != http.StatusOK {
-		t.Fatal("clear plan failed")
-	}
-	resp, body = doReq(t, http.MethodPut, ts.URL+"/objects/hot", payload)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("retry put: %d %s", resp.StatusCode, body)
-	}
-	resp, body = doReq(t, http.MethodGet, ts.URL+"/objects/hot", nil)
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
-		t.Fatalf("get after retry: %d, %d bytes", resp.StatusCode, len(body))
-	}
-	// Parity must be consistent after the fault/retry dance.
-	resp, body = doReq(t, http.MethodPost, ts.URL+"/admin/scrub", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("scrub: %d", resp.StatusCode)
-	}
-	var scrub struct {
-		Corrupt []int `json:"corrupt_stripes"`
-	}
-	if err := json.Unmarshal(body, &scrub); err != nil || len(scrub.Corrupt) != 0 {
-		t.Fatalf("scrub after faulted commit: %s (err %v)", body, err)
-	}
+		// Clear the plan; the retry claims the freed name and commits — along
+		// with the retained first attempt, which becomes an orphaned extent.
+		if r, _ := doReq(t, http.MethodDelete, s.url+"/faults", nil); r.StatusCode != http.StatusOK {
+			t.Fatal("clear plan failed")
+		}
+		resp, body = doReq(t, http.MethodPut, s.url+"/objects/hot", payload)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("retry put: %d %s", resp.StatusCode, body)
+		}
+		resp, body = doReq(t, http.MethodGet, s.url+"/objects/hot", nil)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
+			t.Fatalf("get after retry: %d, %d bytes", resp.StatusCode, len(body))
+		}
+		// Parity must be consistent after the fault/retry dance.
+		resp, body = doReq(t, http.MethodPost, s.url+"/admin/scrub", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("scrub: %d", resp.StatusCode)
+		}
+		var scrub struct {
+			Corrupt []int `json:"corrupt_stripes"`
+		}
+		if err := json.Unmarshal(body, &scrub); err != nil || len(scrub.Corrupt) != 0 {
+			t.Fatalf("scrub after faulted commit: %s (err %v)", body, err)
+		}
+	})
 }
 
 // holdGate is a fault injector that parks the first device write it is asked
@@ -145,66 +138,54 @@ func (g *holdGate) WriteFault(int) store.Fault {
 // the first PUT is still waiting for its group commit, and the pending
 // object stays invisible to GET/HEAD until the ack.
 func TestPutDuplicateConflictsWhilePending(t *testing.T) {
-	ts, _, st := newWriteTestServer(t, Config{})
-	gate := &holdGate{entered: make(chan struct{}), release: make(chan struct{})}
-	st.SetFaultInjector(gate)
-	payload := bytes.Repeat([]byte{7}, 100)
+	forEachSurface(t, httpd.Config{}, func(t *testing.T, s *surface) {
+		gate := &holdGate{entered: make(chan struct{}), release: make(chan struct{})}
+		for _, st := range s.stores {
+			st.SetFaultInjector(gate)
+		}
+		payload := bytes.Repeat([]byte{7}, 100)
 
-	done := make(chan *http.Response, 1)
-	go func() {
-		r, _ := doReq(t, http.MethodPut, ts.URL+"/objects/dup", payload)
-		done <- r
-	}()
-	<-gate.entered
+		done := make(chan *http.Response, 1)
+		go func() {
+			r, _ := doReq(t, http.MethodPut, s.url+"/objects/dup", payload)
+			done <- r
+		}()
+		<-gate.entered
 
-	if r, _ := doReq(t, http.MethodPut, ts.URL+"/objects/dup", payload); r.StatusCode != http.StatusConflict {
-		t.Fatalf("duplicate put while pending: %d; want 409", r.StatusCode)
-	}
-	if r, _ := doReq(t, http.MethodGet, ts.URL+"/objects/dup", nil); r.StatusCode != http.StatusNotFound {
-		t.Fatalf("pending object visible to GET: %d", r.StatusCode)
-	}
-	if r, _ := doReq(t, http.MethodHead, ts.URL+"/objects/dup", nil); r.StatusCode != http.StatusNotFound {
-		t.Fatalf("pending object visible to HEAD: %d", r.StatusCode)
-	}
+		if r, _ := doReq(t, http.MethodPut, s.url+"/objects/dup", payload); r.StatusCode != http.StatusConflict {
+			t.Fatalf("duplicate put while pending: %d; want 409", r.StatusCode)
+		}
+		if r, _ := doReq(t, http.MethodGet, s.url+"/objects/dup", nil); r.StatusCode != http.StatusNotFound {
+			t.Fatalf("pending object visible to GET: %d", r.StatusCode)
+		}
+		if r, _ := doReq(t, http.MethodHead, s.url+"/objects/dup", nil); r.StatusCode != http.StatusNotFound {
+			t.Fatalf("pending object visible to HEAD: %d", r.StatusCode)
+		}
 
-	close(gate.release)
-	if r := <-done; r.StatusCode != http.StatusCreated {
-		t.Fatalf("first put after its commit: %d", r.StatusCode)
-	}
-	if r, body := doReq(t, http.MethodGet, ts.URL+"/objects/dup", nil); r.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
-		t.Fatalf("get after commit: %d", r.StatusCode)
-	}
-	if r, _ := doReq(t, http.MethodPut, ts.URL+"/objects/dup", payload); r.StatusCode != http.StatusConflict {
-		t.Fatalf("duplicate put after commit: %d; want 409", r.StatusCode)
-	}
+		close(gate.release)
+		if r := <-done; r.StatusCode != http.StatusCreated {
+			t.Fatalf("first put after its commit: %d", r.StatusCode)
+		}
+		if r, body := doReq(t, http.MethodGet, s.url+"/objects/dup", nil); r.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
+			t.Fatalf("get after commit: %d", r.StatusCode)
+		}
+		if r, _ := doReq(t, http.MethodPut, s.url+"/objects/dup", payload); r.StatusCode != http.StatusConflict {
+			t.Fatalf("duplicate put after commit: %d; want 409", r.StatusCode)
+		}
+	})
 }
 
 // TestPutAfterCloseUnavailable: a drained server refuses writes with 503.
 func TestPutAfterCloseUnavailable(t *testing.T) {
-	ts, srv, _ := newWriteTestServer(t, Config{})
-	if err := srv.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	resp, _ := doReq(t, http.MethodPut, ts.URL+"/objects/late", []byte("x"))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("put after close: %d; want 503", resp.StatusCode)
-	}
-}
-
-// waitDepth polls until the WAL holds n queued objects.
-func waitDepth(t *testing.T, srv *Server, n int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if got, _ := srv.WAL().Depth(); got == n {
-			return
+	forEachSurface(t, httpd.Config{}, func(t *testing.T, s *surface) {
+		if err := s.close(); err != nil {
+			t.Fatalf("close: %v", err)
 		}
-		if time.Now().After(deadline) {
-			got, _ := srv.WAL().Depth()
-			t.Fatalf("wal depth %d; want %d", got, n)
+		resp, _ := doReq(t, http.MethodPut, s.url+"/objects/late", []byte("x"))
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("put after close: %d; want 503", resp.StatusCode)
 		}
-		time.Sleep(200 * time.Microsecond)
-	}
+	})
 }
 
 // TestPutAllocatesOnceForTheBody: the handler reads the body into one
@@ -219,7 +200,7 @@ func TestPutAllocatesOnceForTheBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	srv := NewServerWith(st, Config{WAL: store.WALConfig{LogPath: dir + "/wal.log"}})
+	srv := httpd.NewServerWith(st, httpd.Config{WAL: store.WALConfig{LogPath: dir + "/wal.log"}})
 	defer srv.Close()
 	payload := bytes.Repeat([]byte{0x5c}, 10*elem)
 	put := func(i int) {
@@ -239,5 +220,17 @@ func TestPutAllocatesOnceForTheBody(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	if per := (m1.TotalAlloc - m0.TotalAlloc) / puts; per > 2*uint64(len(payload)) {
 		t.Fatalf("a PUT of %d bytes allocates %d; want at most twice the object", len(payload), per)
+	}
+}
+
+// TestMultiGroupRefusesWALLog: a spill file serves one group, so a server
+// over several groups refuses one.
+func TestMultiGroupRefusesWALLog(t *testing.T) {
+	scheme := core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM)
+	stores := []*store.Store{store.MustNew(scheme, 256), store.MustNew(scheme, 256)}
+	_, err := httpd.NewGroups(stores, func(string) int { return 0 },
+		httpd.Config{WAL: store.WALConfig{LogPath: t.TempDir() + "/wal.log"}})
+	if err == nil {
+		t.Fatal("two groups sharing one WAL log were accepted")
 	}
 }

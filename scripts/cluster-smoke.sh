@@ -17,6 +17,12 @@
 #      cluster is serving, not down),
 #   5. the gateway and surviving nodes drain gracefully on SIGTERM.
 #
+# Every GET adds ?nocache=1: the gateway serves the same object surface as
+# single mode, decoded-object cache included, and a cache hit would never
+# reach the nodes. The gateway also starts with a benign -faults plan, which
+# must read back from GET /faults, and with -obs, whose pprof endpoints and
+# load-imbalance log line must appear.
+#
 # Exits nonzero (and dumps the process logs) on any miss.
 set -eu
 
@@ -84,15 +90,22 @@ wait_200 "$N3_PORT" /healthz "node 3"
 # RS(6,3) over 3 nodes: each node serves 3 of a group's 9 disks, exactly the
 # scheme's tolerance, so losing one whole node must stay readable.
 echo "cluster-smoke: starting gateway on :$GW_PORT"
+echo '{"seed": 7, "policies": [{"device": 8, "latency": 1000}]}' >"$TMP/start-plan.json"
 "$BIN" -mode=gateway -addr "127.0.0.1:$GW_PORT" -elem 4096 \
     -code rs -k 6 -m 3 -form ecfrm -groups 4 \
     -nodes "http://127.0.0.1:$N1_PORT,http://127.0.0.1:$N2_PORT,http://127.0.0.1:$N3_PORT" \
     -hedge -hedge-quantile 0.5 -probe-interval 200ms -wal-flush-interval 5ms \
+    -faults "$TMP/start-plan.json" -obs -obs-interval 200ms \
     >"$TMP/gateway.log" 2>&1 &
 GW_PID=$!
 PIDS="$PIDS $GW_PID"
 # The gateway's /readyz gates on cluster formation (every node probed up).
 wait_200 "$GW_PORT" /readyz "gateway"
+gw /faults | grep -q '"seed":7' || {
+    echo "cluster-smoke: the -faults plan does not read back from GET /faults" >&2
+    exit 1
+}
+gw /debug/pprof/ -o /dev/null
 
 # --- 1. concurrent PUT burst, then byte-identical GETs -----------------------
 echo "cluster-smoke: concurrent PUT burst of $OBJECTS objects"
@@ -107,10 +120,10 @@ for pid in $PUT_PIDS; do
     wait "$pid" || { echo "cluster-smoke: a PUT failed" >&2; exit 1; }
 done
 
-verify_all() { # verify_all <query> <stage>
+verify_all() { # verify_all <extra query> <stage>
     i=0
     while [ "$i" -lt "$OBJECTS" ]; do
-        gw "/objects/obj-$i$1" -o "$TMP/out.bin"
+        gw "/objects/obj-$i?nocache=1$1" -o "$TMP/out.bin"
         cmp -s "$TMP/obj-$i.bin" "$TMP/out.bin" || {
             echo "cluster-smoke: $2: GET obj-$i returned wrong bytes" >&2
             exit 1
@@ -125,8 +138,8 @@ cat >"$TMP/plan.json" <<'EOF'
 {"seed": 5, "policies": [{"device": 0, "latency": 8000000, "jitter": 4000000}]}
 EOF
 gw /faults -X PUT --data-binary @"$TMP/plan.json" -o /dev/null
-verify_all "?hedge=1" "hedge warmup" # populates the hedge latency rings
-verify_all "?hedge=1" "hedged"
+verify_all "&hedge=1" "hedge warmup" # populates the hedge latency rings
+verify_all "&hedge=1" "hedged"
 gw /metrics >"$TMP/hedge.prom"
 grep -Eq 'ecfrm_store_hedge_total\{[^}]*outcome="fired"\} [1-9]' "$TMP/hedge.prom" || {
     echo "cluster-smoke: hedges never fired under the slow-device plan" >&2
@@ -143,8 +156,8 @@ echo "cluster-smoke: SIGKILL node 3 under live GET traffic"
         i=0
         while [ "$i" -lt "$OBJECTS" ]; do
             q=""
-            [ $((i % 3)) -eq 1 ] && q="?hedge=1"
-            if ! curl -fsS -o "$TMP/bg-out.bin" "http://127.0.0.1:$GW_PORT/objects/obj-$i$q"; then
+            [ $((i % 3)) -eq 1 ] && q="&hedge=1"
+            if ! curl -fsS -o "$TMP/bg-out.bin" "http://127.0.0.1:$GW_PORT/objects/obj-$i?nocache=1$q"; then
                 echo "GET obj-$i$q failed (round $round)" >>"$TMP/readerr"
             elif ! cmp -s "$TMP/obj-$i.bin" "$TMP/bg-out.bin"; then
                 echo "GET obj-$i$q wrong bytes (round $round)" >>"$TMP/readerr"
@@ -179,6 +192,11 @@ want() {
 want 'ecfrm_store_read_replans_total\{[^}]*\} [1-9]'
 want 'ecfrm_store_reads_total\{[^}]*mode="degraded"\} [1-9]'
 want 'ecfrm_gateway_node_up\{[^}]*node="2"\} 0'
+want 'ecfrm_httpd_request_seconds_count\{[^}]*op="get"\} [1-9]'
+grep -q "imbalance=" "$TMP/gateway.log" || {
+    echo "cluster-smoke: -obs logged no load-imbalance line" >&2
+    exit 1
+}
 gw /readyz -o /dev/null || {
     echo "cluster-smoke: gateway not ready while serving degraded" >&2
     exit 1
