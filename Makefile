@@ -49,10 +49,12 @@ bench:
 	$(GO) test -run NONE -bench 'Encode|Reconstruct' -benchmem .
 	$(GO) test -run NONE -bench PlanDegraded -benchmem ./internal/core
 
-# Non-test Go lines per module: the count ROADMAP aim 2 tracks.
+# Non-test Go lines per module: the count ROADMAP aim 2 tracks, and
+# internal/store's share of it (ROADMAP item 5).
 loc:
 	@printf 'root module: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 	@printf 'bench/:      '; find bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'internal/store: '; find internal/store -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # End-to-end observability check against a real daemon: start ecfrmd, PUT and
 # GET an object over HTTP, and assert /metrics scrapes cleanly with the
@@ -76,7 +78,7 @@ writepath-smoke:
 # End-to-end crash-consistency check of the file backend against a real
 # daemon: concurrent PUTs, SIGKILL, restart on the same data directory —
 # every acked stripe must survive, scrub must come back clean, and the
-# per-device submission-queue metrics must be live.
+# per-device I/O metrics must be live.
 disk-smoke:
 	./scripts/disk-smoke.sh
 

@@ -46,7 +46,7 @@
 //
 // Storage backend: by default the store lives in memory and dies with the
 // process. -backend=file puts one data/checksum file pair per device in
-// -data-dir, fronted by per-device async submission queues, and makes
+// -data-dir, read and written with positioned I/O, and makes
 // commits crash-consistent (write, fsync barrier, then publish; tune with
 // -fsync=always|never and -direct). Startup re-derives the sealed extent
 // from the files, heals torn cells, truncates torn tails, and replays the

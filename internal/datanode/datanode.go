@@ -9,9 +9,10 @@
 // off the node means a node cannot mask its own torn writes: checksums are
 // recomputed only where the data is consumed.
 //
-// Extents are store.DiskStore instances — the same mem/file backends and
-// per-disk submission queues a local store uses — created lazily on first
-// write and rediscovered from the data directory on restart.
+// Extents are store.CellBackends — a store.MemDisk, or a file
+// store.DiskStore when the node has a data directory, the same disks a local
+// store runs on — created lazily on first write and rediscovered from the
+// data directory on restart.
 package datanode
 
 import (
@@ -39,8 +40,8 @@ type Config struct {
 	// gNNNN_dNN.data/.crc pair under it, rediscovered on restart. Empty
 	// selects in-memory extents.
 	Dir string
-	// File tunes the file backend (fsync discipline, O_DIRECT, queue
-	// geometry). File.Dir is ignored.
+	// File tunes the file backend: only Direct applies, since the gateway
+	// decides when to sync. File.Dir is ignored.
 	File store.FileConfig
 	// Registry receives the node's metrics; nil disables instrumentation.
 	Registry *obs.Registry
@@ -49,7 +50,7 @@ type Config struct {
 // diskKey identifies one extent.
 type diskKey struct{ group, disk int }
 
-// Server is one data node: a set of DiskStore extents behind the nodeapi
+// Server is one data node: a set of cell extents behind the nodeapi
 // HTTP surface plus health, status, and metrics endpoints.
 type Server struct {
 	cfg      Config
@@ -57,7 +58,7 @@ type Server struct {
 	draining atomic.Bool
 
 	mu    sync.Mutex
-	disks map[diskKey]*store.DiskStore
+	disks map[diskKey]store.CellBackend
 
 	reg        *obs.Registry
 	readCells  *obs.Counter
@@ -77,7 +78,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		mux:   http.NewServeMux(),
-		disks: make(map[diskKey]*store.DiskStore),
+		disks: make(map[diskKey]store.CellBackend),
 		reg:   cfg.Registry,
 	}
 	if s.reg != nil {
@@ -130,7 +131,7 @@ func (s *Server) rediscover() error {
 }
 
 // getDisk returns the extent, creating (or reopening) it when create is set.
-func (s *Server) getDisk(k diskKey, create bool) (*store.DiskStore, error) {
+func (s *Server) getDisk(k diskKey, create bool) (store.CellBackend, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ds, ok := s.disks[k]; ok {
@@ -139,16 +140,14 @@ func (s *Server) getDisk(k diskKey, create bool) (*store.DiskStore, error) {
 	if !create {
 		return nil, nil
 	}
-	var ds *store.DiskStore
-	if s.cfg.Dir == "" {
-		ds = store.NewMemDisk(s.cfg.ElemSize)
-	} else {
+	var ds store.CellBackend = store.NewMemDisk(s.cfg.ElemSize)
+	if s.cfg.Dir != "" {
 		dataPath, crcPath := extentPaths(s.cfg.Dir, k)
-		var err error
-		ds, err = store.OpenFileDisk(dataPath, crcPath, s.cfg.ElemSize, s.cfg.File)
+		fd, err := store.OpenFileDisk(dataPath, crcPath, s.cfg.ElemSize, s.cfg.File)
 		if err != nil {
 			return nil, err
 		}
+		ds = fd
 	}
 	s.disks[k] = ds
 	s.disksGauge.Set(float64(len(s.disks)))
@@ -167,7 +166,7 @@ func (s *Server) Backend() string {
 // /readyz, so gateways stop routing new work while in-flight requests finish.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// Close releases every extent (files and submission queues).
+// Close releases every extent's files.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

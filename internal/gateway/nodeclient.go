@@ -17,10 +17,9 @@ import (
 
 // nodeClient is the gateway's connection to one data node: a pooled HTTP
 // client plus the live load signals (in-flight requests, latency EWMA) the
-// degraded planner and the health prober consume. It replaces the role the
-// per-device submission queues play in a local store — the queueing now
-// happens in the transport's connection pool, and the signals are observed
-// per node because that is where network contention lives.
+// degraded planner and the health prober consume. Requests queue in the
+// transport's connection pool, and the signals are observed per node
+// because that is where network contention lives.
 type nodeClient struct {
 	base string // http://host:port, no trailing slash
 	hc   *http.Client
@@ -170,6 +169,11 @@ func (rc *remoteCell) ReadRun(slot, count int) ([]byte, []uint32, error) {
 		return nil, nil, err
 	}
 	data, crcs, err := nodeapi.DecodeRun(body, rc.elem)
+	if err == nil && (len(data) != count*rc.elem || len(crcs) != count) {
+		// A well-formed frame of the wrong length: the store slices the
+		// buffer count ways, so this is where a node's answer is checked.
+		err = fmt.Errorf("node %s: run [%d,+%d) answered with %d cells", rc.nc.base, slot, count, len(crcs))
+	}
 	if err != nil {
 		rc.nc.errs.Inc()
 		return nil, nil, err

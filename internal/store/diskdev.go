@@ -11,14 +11,15 @@
 // checksum write are independently detectable — a mismatch between the two
 // is exactly how recovery finds cells a crash half-wrote.
 //
-// All data-file I/O goes through the device's submission queue (sq.go):
-// cell reads and coalesced run reads are OpRead SQEs, commits are OpWrite
-// SQEs followed by an OpSync barrier. Durability discipline maps the store's
-// two-phase gated writes onto write-then-fsync-then-publish: a seal gates
-// every cell, submits every write, fsyncs every touched device, and only
-// then advances the sealed-stripe counter; WriteAt, healing, and recovery
-// follow the same order. FsyncNever trades that barrier away for throughput
-// (the recovery scrub still bounds the damage to torn tails).
+// A DiskStore is one such pair as a CellBackend. Every cell run is one
+// positioned pread or pwrite of the data file on the calling goroutine (plus
+// a sidecar write for writes), and Sync fsyncs both files. Durability
+// discipline maps the store's two-phase gated writes onto
+// write-then-fsync-then-publish: a seal gates every cell, writes every
+// device, fsyncs every touched device, and only then advances the
+// sealed-stripe counter; WriteAt, healing, and recovery follow the same
+// order. FsyncNever trades that barrier away for throughput (the recovery
+// scrub still bounds the damage to torn tails).
 //
 // Startup recovery (OpenFileBacked) scrubs the directory before serving:
 // geometry is derived from the files themselves (never trusted from a
@@ -32,118 +33,19 @@ package store
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/layout"
+	"repro/internal/obs"
 )
-
-// errCellMissing reports a read of a slot the backend has never stored.
-var errCellMissing = errors.New("store: cell not present")
-
-// devBackend abstracts where a device keeps its cells: the in-memory map
-// every store starts with, or a file pair driven through a submission queue.
-// Slot indices are stripe*rows + row — dense, device-local, and identical to
-// the on-disk record order persist.go has always used.
-type devBackend interface {
-	// readCell returns slot's payload and its recorded checksum. The caller
-	// verifies the checksum (so transient mis-reads and stored corruption
-	// are distinguished at one place, Device.read).
-	readCell(slot int) (data []byte, crc uint32, err error)
-	// writeRun stores len(crcs) contiguous cells, flattened in flat, and
-	// their checksums starting at slot — one cell or a stripe's worth, as one
-	// operation where storage allows. The backend keeps no reference to
-	// flat: callers may reuse it as soon as the call returns.
-	writeRun(slot int, flat []byte, crcs []uint32) error
-	// corrupt damages slot's stored payload without touching its recorded
-	// checksum — the test hook behind Store.CorruptCell.
-	corrupt(slot int) error
-	// truncate drops every slot at or above the bound (recovery's torn-tail
-	// cut).
-	truncate(slots int) error
-	// slots returns the exclusive upper bound of occupied slot indices.
-	slots() int
-	// elements returns how many slots hold a cell.
-	elements() int
-	// sync flushes everything stored to stable storage (no-op in memory).
-	sync() error
-	// close releases the backend's resources.
-	close() error
-}
-
-// runIO is the optional bulk read interface backends expose when contiguous
-// slots map to contiguous storage: the fan-out executor reads a whole
-// coalesced run as one positioned I/O, count cells back to back.
-type runIO interface {
-	readRun(slot, count int) (data []byte, crcs []uint32, err error)
-}
-
-// ---------------------------------------------------------------------------
-// Memory backend — the simulated device every store starts with.
-
-type memBackend struct {
-	cells map[int][]byte
-	crcs  map[int]uint32
-	bound int // exclusive upper bound of occupied slots
-}
-
-func newMemBackend() *memBackend {
-	return &memBackend{cells: make(map[int][]byte), crcs: make(map[int]uint32)}
-}
-
-func (b *memBackend) readCell(slot int) ([]byte, uint32, error) {
-	data, ok := b.cells[slot]
-	if !ok {
-		return nil, 0, errCellMissing
-	}
-	return data, b.crcs[slot], nil
-}
-
-func (b *memBackend) writeRun(slot int, flat []byte, crcs []uint32) error {
-	elem := len(flat) / len(crcs)
-	for i, crc := range crcs {
-		b.cells[slot+i] = append([]byte(nil), flat[i*elem:(i+1)*elem]...)
-		b.crcs[slot+i] = crc
-	}
-	b.bound = max(b.bound, slot+len(crcs))
-	return nil
-}
-
-func (b *memBackend) corrupt(slot int) error {
-	cell, ok := b.cells[slot]
-	if !ok {
-		return errCellMissing
-	}
-	for i := range cell {
-		cell[i] ^= 0xa5
-	}
-	return nil
-}
-
-func (b *memBackend) truncate(slots int) error {
-	for s := range b.cells {
-		if s >= slots {
-			delete(b.cells, s)
-			delete(b.crcs, s)
-		}
-	}
-	b.bound = min(b.bound, slots)
-	return nil
-}
-
-func (b *memBackend) slots() int    { return b.bound }
-func (b *memBackend) elements() int { return len(b.cells) }
-func (b *memBackend) sync() error   { return nil }
-func (b *memBackend) close() error  { return nil }
-
-// ---------------------------------------------------------------------------
-// File backend.
 
 // FsyncMode selects the durability discipline of a file-backed store.
 type FsyncMode string
@@ -172,10 +74,6 @@ type FileConfig struct {
 	// otherwise the store falls back to buffered I/O (see
 	// RecoveryReport.DirectActive).
 	Direct bool
-	// QueueDepth bounds each device's submission ring (default 64).
-	QueueDepth int
-	// Workers is the executor pool size per device (default 4).
-	Workers int
 	// SkipScrub skips the parity-verification pass of startup recovery.
 	// Checksum validation, torn-cell healing, and tail truncation still
 	// run; only the (read-everything, re-encode-everything) parity check
@@ -213,215 +111,253 @@ func devCRCFile(dir string, d int) string {
 // discarded — the live pair is still authoritative.
 const stagingSuffix = ".new"
 
-type fileBackend struct {
-	elemSize int
-	q        *ioQueue // data file, behind the submission queue
-	crcf     *os.File // checksum sidecar, tiny inline writes
-	crcs     []uint32 // in-memory checksum index, slot-indexed
-	present  []bool
-	count    int
-	direct   bool
+// DiskStore is a file disk: a CellBackend over one data/checksum file pair —
+// a local store's device, or a data node's extent. Checksums are stored
+// verbatim and never verified here; integrity checking stays with the
+// consumer, so a node cannot mask torn writes. Reads share the lock, writes
+// and truncation exclude.
+type DiskStore struct {
+	mu      sync.RWMutex
+	elem    int
+	data    *os.File // cells at elem strides
+	crcf    *os.File // checksum sidecar
+	crcs    []uint32 // in-memory checksum index, slot-indexed
+	present []bool
+	count   int
+	direct  bool
+	obs     atomic.Pointer[diskIO] // set by Store.SetMetrics; nil records nothing
 }
 
-// openFileBackend opens (creating if needed) device d's file pair in dir and
-// loads the checksum index. With trunc the files are emptied first — the
-// fresh-replacement path RecoverDisk uses. Direct I/O is attempted when
-// requested and the element size permits; openErr of the O_DIRECT attempt
-// falls back to buffered.
-func openFileBackend(dir string, d, elemSize int, cfg FileConfig, trunc bool) (*fileBackend, error) {
-	return openFileBackendPaths(devDataFile(dir, d), devCRCFile(dir, d), elemSize, cfg, trunc)
+// ioOp indexes the ecfrm_devq_io_seconds{op} series.
+type ioOp int
+
+const (
+	opRead ioOp = iota
+	opWrite
+	opSync
+)
+
+// diskIO is where a DiskStore reports its data-file syscalls: the in-flight
+// gauge and one service-time histogram per op.
+type diskIO struct {
+	depth *obs.Gauge
+	sec   [3]*obs.Histogram
 }
 
-// openFileBackendPaths is openFileBackend over explicit file paths — the
-// migration staging path opens dev_NN.{data,crc}.new pairs this way.
-func openFileBackendPaths(dataPath, crcPath string, elemSize int, cfg FileConfig, trunc bool) (*fileBackend, error) {
+// start marks one data-file syscall in flight; done ends it, observing its
+// service time under op. Both are no-ops on a nil *diskIO.
+func (o *diskIO) start() time.Time {
+	if o == nil {
+		return time.Time{}
+	}
+	o.depth.Add(1)
+	return time.Now()
+}
+
+func (o *diskIO) done(op ioOp, t time.Time) {
+	if o != nil {
+		o.sec[op].Observe(time.Since(t).Seconds())
+		o.depth.Add(-1)
+	}
+}
+
+// OpenFileDisk creates (or reopens) a DiskStore on the given data/checksum
+// file pair. Only cfg.Direct applies: the paths name the files, and the
+// caller decides when to Sync.
+func OpenFileDisk(dataPath, crcPath string, elemSize int, cfg FileConfig) (*DiskStore, error) {
+	return openFileDisk(dataPath, crcPath, elemSize, cfg, false)
+}
+
+// openFileDisk opens the pair and loads the checksum index. With trunc the
+// files are emptied first — the fresh-replacement path rebuilds use. Direct
+// I/O is attempted when requested and the element size permits; a refused
+// O_DIRECT open falls back to buffered.
+func openFileDisk(dataPath, crcPath string, elemSize int, cfg FileConfig, trunc bool) (*DiskStore, error) {
 	flags := os.O_RDWR | os.O_CREATE
 	if trunc {
 		flags |= os.O_TRUNC
 	}
-	direct := cfg.Direct && oDirectFlag != 0 && elemSize%directAlign == 0
-	var df *os.File
+	ds := &DiskStore{elem: elemSize, direct: cfg.Direct && oDirectFlag != 0 && elemSize%directAlign == 0}
 	var err error
-	if direct {
-		df, err = os.OpenFile(dataPath, flags|oDirectFlag, 0o644)
-		if err != nil {
-			direct = false
+	if ds.direct {
+		if ds.data, err = os.OpenFile(dataPath, flags|oDirectFlag, 0o644); err != nil {
+			ds.direct = false
 		}
 	}
-	if df == nil {
-		df, err = os.OpenFile(dataPath, flags, 0o644)
-		if err != nil {
+	if !ds.direct {
+		if ds.data, err = os.OpenFile(dataPath, flags, 0o644); err != nil {
 			return nil, err
 		}
 	}
-	cf, err := os.OpenFile(crcPath, flags, 0o644)
-	if err != nil {
-		df.Close()
+	if ds.crcf, err = os.OpenFile(crcPath, flags, 0o644); err != nil {
+		ds.data.Close()
 		return nil, err
 	}
-	b := &fileBackend{
-		elemSize: elemSize,
-		q:        newIOQueue(df, cfg.Workers, cfg.QueueDepth),
-		crcf:     cf,
-		direct:   direct,
-	}
-	if err := b.loadIndex(); err != nil {
-		b.close()
+	if err := ds.loadIndex(); err != nil {
+		ds.Close()
 		return nil, err
 	}
-	return b, nil
+	return ds, nil
 }
 
 // loadIndex reads the checksum sidecar and sizes the slot index to the
 // records both files fully cover. Data beyond the sidecar (or vice versa) is
 // a torn tail and simply not indexed; recovery truncates it.
-func (b *fileBackend) loadIndex() error {
-	dInfo, err := b.q.f.Stat()
+func (ds *DiskStore) loadIndex() error {
+	dInfo, err := ds.data.Stat()
 	if err != nil {
 		return err
 	}
-	cInfo, err := b.crcf.Stat()
+	cInfo, err := ds.crcf.Stat()
 	if err != nil {
 		return err
 	}
-	n := int(dInfo.Size() / int64(b.elemSize))
-	if c := int(cInfo.Size() / 4); c < n {
-		n = c
-	}
-	b.crcs = make([]uint32, n)
-	b.present = make([]bool, n)
-	b.count = n
+	n := int(min(dInfo.Size()/int64(ds.elem), cInfo.Size()/4))
+	ds.crcs = make([]uint32, n)
+	ds.present = make([]bool, n)
+	ds.count = n
 	if n == 0 {
 		return nil
 	}
 	raw := make([]byte, 4*n)
-	if _, err := b.crcf.ReadAt(raw, 0); err != nil {
+	if _, err := ds.crcf.ReadAt(raw, 0); err != nil {
 		return err
 	}
-	for slot := 0; slot < n; slot++ {
-		b.crcs[slot] = binary.LittleEndian.Uint32(raw[4*slot:])
-		b.present[slot] = true
+	for slot := range ds.crcs {
+		ds.crcs[slot] = binary.LittleEndian.Uint32(raw[4*slot:])
+		ds.present[slot] = true
 	}
 	return nil
 }
 
-func (b *fileBackend) readCell(slot int) ([]byte, uint32, error) {
-	buf, crcs, err := b.readRun(slot, 1)
-	if err != nil {
-		return nil, 0, err
+// ReadRun reads count contiguous slots as one pread, returning the
+// concatenated payloads alongside copies of their recorded checksums.
+func (ds *DiskStore) ReadRun(slot, count int) ([]byte, []uint32, error) {
+	if err := checkRun(slot, count, 0, nil); err != nil {
+		return nil, nil, err
 	}
-	return buf, crcs[0], nil
-}
-
-// readRun reads count contiguous slots as one positioned I/O, returning the
-// concatenated payloads alongside their recorded checksums.
-func (b *fileBackend) readRun(slot, count int) ([]byte, []uint32, error) {
+	ds.mu.RLock()
+	defer ds.mu.RUnlock()
 	for s := slot; s < slot+count; s++ {
-		if s < 0 || s >= len(b.present) || !b.present[s] {
-			return nil, nil, errCellMissing
+		if s >= len(ds.present) || !ds.present[s] {
+			return nil, nil, fmt.Errorf("%w: slot %d", ErrCellMissing, s)
 		}
 	}
 	var buf []byte
-	if b.direct {
-		buf = alignedBytes(count * b.elemSize)
+	if ds.direct {
+		buf = alignedBytes(count * ds.elem)
 	} else {
-		buf = make([]byte, count*b.elemSize)
+		buf = make([]byte, count*ds.elem)
 	}
-	if _, err := b.q.SubmitWait(OpRead, int64(slot)*int64(b.elemSize), buf); err != nil {
-		return nil, nil, fmt.Errorf("store: device read run [%d,+%d): %w", slot, count, err)
+	o := ds.obs.Load()
+	t := o.start()
+	_, err := ds.data.ReadAt(buf, int64(slot)*int64(ds.elem))
+	o.done(opRead, t)
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: disk read run [%d,+%d): %w", slot, count, err)
 	}
-	return buf, b.crcs[slot : slot+count], nil
+	return buf, append([]uint32(nil), ds.crcs[slot:slot+count]...), nil
 }
 
-func (b *fileBackend) grow(bound int) {
-	for len(b.present) < bound {
-		b.present = append(b.present, false)
-		b.crcs = append(b.crcs, 0)
-	}
-}
-
-// writeRun writes contiguous slots as one data-file I/O plus one sidecar
-// I/O, then publishes them in the index. flat is written from where it lies
-// (O_DIRECT stages an unaligned one through an aligned copy).
-func (b *fileBackend) writeRun(slot int, flat []byte, crcs []uint32) error {
+// WriteRun writes contiguous slots as one data-file pwrite plus one sidecar
+// pwrite, then publishes them in the index. data is written from where it
+// lies (O_DIRECT stages an unaligned one through an aligned copy).
+func (ds *DiskStore) WriteRun(slot int, data []byte, crcs []uint32) error {
 	n := len(crcs)
-	if len(flat) != n*b.elemSize {
-		return fmt.Errorf("store: run of %d bytes for %d cells, device stride %d", len(flat), n, b.elemSize)
+	if err := checkRun(slot, n, ds.elem, data); err != nil {
+		return err
 	}
-	if b.direct && uintptr(unsafe.Pointer(&flat[0]))%directAlign != 0 {
-		aligned := alignedBytes(len(flat))
-		copy(aligned, flat)
-		flat = aligned
-	}
-	if _, err := b.q.SubmitWait(OpWrite, int64(slot)*int64(b.elemSize), flat); err != nil {
-		return fmt.Errorf("store: device write run [%d,+%d): %w", slot, n, err)
+	if ds.direct && uintptr(unsafe.Pointer(&data[0]))%directAlign != 0 {
+		aligned := alignedBytes(len(data))
+		copy(aligned, data)
+		data = aligned
 	}
 	crcRaw := make([]byte, 4*n)
 	for i, crc := range crcs {
 		binary.LittleEndian.PutUint32(crcRaw[4*i:], crc)
 	}
-	if _, err := b.crcf.WriteAt(crcRaw, int64(slot)*4); err != nil {
-		return fmt.Errorf("store: device checksum write [%d,+%d): %w", slot, n, err)
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	o := ds.obs.Load()
+	t := o.start()
+	_, err := ds.data.WriteAt(data, int64(slot)*int64(ds.elem))
+	o.done(opWrite, t)
+	if err != nil {
+		return fmt.Errorf("store: disk write run [%d,+%d): %w", slot, n, err)
 	}
-	b.grow(slot + n)
-	for i := 0; i < n; i++ {
-		if !b.present[slot+i] {
-			b.present[slot+i] = true
-			b.count++
+	if _, err := ds.crcf.WriteAt(crcRaw, int64(slot)*4); err != nil {
+		return fmt.Errorf("store: disk checksum write [%d,+%d): %w", slot, n, err)
+	}
+	for len(ds.present) < slot+n {
+		ds.present = append(ds.present, false)
+		ds.crcs = append(ds.crcs, 0)
+	}
+	for i, crc := range crcs {
+		if !ds.present[slot+i] {
+			ds.present[slot+i] = true
+			ds.count++
 		}
-		b.crcs[slot+i] = crcs[i]
+		ds.crcs[slot+i] = crc
 	}
 	return nil
 }
 
-func (b *fileBackend) corrupt(slot int) error {
-	data, _, err := b.readCell(slot)
+// Sync fsyncs the data file, then the sidecar.
+func (ds *DiskStore) Sync() error {
+	ds.mu.RLock()
+	defer ds.mu.RUnlock()
+	o := ds.obs.Load()
+	t := o.start()
+	err := ds.data.Sync()
+	o.done(opSync, t)
 	if err != nil {
 		return err
 	}
-	for i := range data {
-		data[i] ^= 0xa5
-	}
-	if _, err := b.q.SubmitWait(OpWrite, int64(slot)*int64(b.elemSize), data); err != nil {
-		return err
-	}
-	return nil
+	return ds.crcf.Sync()
 }
 
-func (b *fileBackend) truncate(slots int) error {
-	if slots >= len(b.present) {
+func (ds *DiskStore) Truncate(slots int) error {
+	if slots < 0 {
+		return fmt.Errorf("store: truncate to %d slots", slots)
+	}
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	if slots >= len(ds.present) {
 		return nil
 	}
-	if err := b.q.f.Truncate(int64(slots) * int64(b.elemSize)); err != nil {
+	if err := ds.data.Truncate(int64(slots) * int64(ds.elem)); err != nil {
 		return err
 	}
-	if err := b.crcf.Truncate(int64(slots) * 4); err != nil {
+	if err := ds.crcf.Truncate(int64(slots) * 4); err != nil {
 		return err
 	}
-	b.count = 0
-	b.present = b.present[:slots]
-	b.crcs = b.crcs[:slots]
-	for _, p := range b.present {
+	ds.present, ds.crcs, ds.count = ds.present[:slots], ds.crcs[:slots], 0
+	for _, p := range ds.present {
 		if p {
-			b.count++
+			ds.count++
 		}
 	}
 	return nil
 }
 
-func (b *fileBackend) slots() int    { return len(b.present) }
-func (b *fileBackend) elements() int { return b.count }
-
-func (b *fileBackend) sync() error {
-	if _, err := b.q.SubmitWait(OpSync, 0, nil); err != nil {
-		return err
-	}
-	return b.crcf.Sync()
+func (ds *DiskStore) Slots() int {
+	ds.mu.RLock()
+	defer ds.mu.RUnlock()
+	return len(ds.present)
 }
 
-func (b *fileBackend) close() error {
-	err := b.q.Close()
-	if cerr := b.crcf.Close(); err == nil {
+func (ds *DiskStore) Elements() int {
+	ds.mu.RLock()
+	defer ds.mu.RUnlock()
+	return ds.count
+}
+
+// Close closes both files.
+func (ds *DiskStore) Close() error {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	err := ds.data.Close()
+	if cerr := ds.crcf.Close(); err == nil {
 		err = cerr
 	}
 	return err
@@ -465,12 +401,11 @@ type backendManifest struct {
 
 const backendManifestName = "backend.json"
 
-// OpenFileBacked creates (or reopens) a store whose devices live in
-// cfg.Dir, one data/checksum file pair per device, fronted by per-device
-// submission queues. Reopening runs the recovery scrub described in the
-// package comment; the returned report says what it found. All existing
-// store APIs behave identically to the memory backend — tests and tools
-// select the backend purely by construction.
+// OpenFileBacked creates (or reopens) a store whose devices are DiskStores
+// in cfg.Dir, one data/checksum file pair per device. Reopening runs the
+// recovery scrub described in the package comment; the returned report says
+// what it found. All existing store APIs behave identically to the memory
+// backend — tests and tools select the backend purely by construction.
 func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, *RecoveryReport, error) {
 	if cfg.Dir == "" {
 		return nil, nil, fmt.Errorf("store: file backend needs a data directory")
@@ -490,42 +425,39 @@ func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, 
 			os.Remove(p)
 		}
 	}
+	dir := cfg.Dir
+	open := func(d int, suffix string, trunc bool) (*DiskStore, error) {
+		return openFileDisk(devDataFile(dir, d)+suffix, devCRCFile(dir, d)+suffix, elemSize, cfg, trunc)
+	}
 	report := &RecoveryReport{ScrubSkipped: cfg.SkipScrub}
-	for d := range st.devices {
-		be, err := openFileBackend(cfg.Dir, d, elemSize, cfg, false)
+	for d, dev := range st.devices {
+		ds, err := open(d, "", false)
 		if err != nil {
 			st.closeBackends()
 			return nil, nil, err
 		}
-		st.devices[d].be = be
-		report.DirectActive = be.direct
+		dev.be = ds
+		report.DirectActive = ds.direct
 	}
-	st.dataDir = cfg.Dir
+	st.dataDir = dir
 	st.fsync = cfg.fsyncAlways()
-	fileCfg := cfg
-	st.newBackendFn = func(d int) (devBackend, error) {
-		return openFileBackend(fileCfg.Dir, d, elemSize, fileCfg, true)
-	}
-	st.newStagingBackendFn = func(d int) (devBackend, error) {
-		return openFileBackendPaths(devDataFile(fileCfg.Dir, d)+stagingSuffix,
-			devCRCFile(fileCfg.Dir, d)+stagingSuffix, elemSize, fileCfg, true)
-	}
+	st.newBackendFn = func(d int) (CellBackend, error) { return open(d, "", true) }
+	st.newStagingBackendFn = func(d int) (CellBackend, error) { return open(d, stagingSuffix, true) }
 	st.promoteStagingFn = func(d int) error {
 		// The staging pair is a byte-exact copy of the live pair's cells, so
 		// even a crash between the two renames leaves equivalent content
 		// under both names. Open fds survive the rename.
-		if err := os.Rename(devDataFile(fileCfg.Dir, d)+stagingSuffix, devDataFile(fileCfg.Dir, d)); err != nil {
+		if err := os.Rename(devDataFile(dir, d)+stagingSuffix, devDataFile(dir, d)); err != nil {
 			return err
 		}
-		if err := os.Rename(devCRCFile(fileCfg.Dir, d)+stagingSuffix, devCRCFile(fileCfg.Dir, d)); err != nil {
+		if err := os.Rename(devCRCFile(dir, d)+stagingSuffix, devCRCFile(dir, d)); err != nil {
 			return err
 		}
-		return syncDir(fileCfg.Dir)
+		return syncDir(dir)
 	}
-	st.discardStagingFn = func(d int) error {
-		os.Remove(devDataFile(fileCfg.Dir, d) + stagingSuffix)
-		os.Remove(devCRCFile(fileCfg.Dir, d) + stagingSuffix)
-		return nil
+	st.discardStagingFn = func(d int) {
+		os.Remove(devDataFile(dir, d) + stagingSuffix)
+		os.Remove(devCRCFile(dir, d) + stagingSuffix)
 	}
 	if err := st.recoverFiles(report, cfg.SkipScrub); err != nil {
 		st.closeBackends()
@@ -566,8 +498,8 @@ func (s *Store) gatherStripe(stripe int) (cells [][]byte, missing []missingCell)
 		for col := 0; col < n; col++ {
 			pos := layout.Pos{Row: row, Col: col}
 			disk := lay.Disk(stripe, col)
-			data, crc, err := s.devices[disk].be.readCell(stripe*s.rows + row)
-			if err != nil || crc32.Checksum(data, castagnoli) != crc {
+			data, crcs, err := s.devices[disk].be.ReadRun(stripe*s.rows+row, 1)
+			if err != nil || crc32.Checksum(data, castagnoli) != crcs[0] {
 				missing = append(missing, missingCell{row*n + col, pos, disk})
 				continue
 			}
@@ -590,7 +522,7 @@ func (s *Store) gatherStripe(stripe int) (cells [][]byte, missing []missingCell)
 func (s *Store) recoverFiles(report *RecoveryReport, skipParity bool) error {
 	maxStripes := 0
 	for _, dev := range s.devices {
-		if st := dev.be.slots() / s.rows; st > maxStripes {
+		if st := dev.be.Slots() / s.rows; st > maxStripes {
 			maxStripes = st
 		}
 	}
@@ -632,7 +564,7 @@ scan:
 		}
 		for _, mc := range missing {
 			cell := cells[mc.idx]
-			if err := s.devices[mc.disk].be.writeRun(stripe*s.rows+mc.pos.Row,
+			if err := s.devices[mc.disk].be.WriteRun(stripe*s.rows+mc.pos.Row,
 				cell, []uint32{crc32.Checksum(cell, castagnoli)}); err != nil {
 				return fmt.Errorf("store: recovery: rewrite stripe %d cell (%d,%d): %w",
 					stripe, mc.pos.Row, mc.pos.Col, err)
@@ -643,13 +575,13 @@ scan:
 		stripes++
 	}
 	for _, dev := range s.devices {
-		if err := dev.be.truncate(stripes * s.rows); err != nil {
+		if err := dev.be.Truncate(stripes * s.rows); err != nil {
 			return err
 		}
 	}
 	if report.HealedCells > 0 || report.ReencodedStripes > 0 || report.TruncatedStripes > 0 {
 		for d := range s.devices {
-			if err := s.devices[d].be.sync(); err != nil {
+			if err := s.devices[d].be.Sync(); err != nil {
 				return err
 			}
 		}
@@ -680,7 +612,7 @@ func (s *Store) reencodeStripe(stripe int, cells [][]byte, healedDisks map[int]b
 			continue
 		}
 		disk := lay.Disk(stripe, pos.Col)
-		if err := s.devices[disk].be.writeRun(stripe*s.rows+pos.Row,
+		if err := s.devices[disk].be.WriteRun(stripe*s.rows+pos.Row,
 			cell, []uint32{crc32.Checksum(cell, castagnoli)}); err != nil {
 			return fmt.Errorf("store: recovery: re-encode stripe %d cell (%d,%d): %w",
 				stripe, pos.Row, pos.Col, err)
@@ -763,26 +695,6 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Backend names the device backend in use: "mem", "file", or "remote".
-func (s *Store) Backend() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.remote {
-		return "remote"
-	}
-	if s.dataDir != "" {
-		return "file"
-	}
-	return "mem"
-}
-
-// DataDir returns the file backend's data directory ("" for memory).
-func (s *Store) DataDir() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.dataDir
-}
-
 // syncDevices runs the fsync barrier over the given device IDs (all devices
 // when ids is nil) under the FsyncAlways discipline, every device at once.
 // Memory backends and FsyncNever stores return immediately. Caller holds mu
@@ -797,12 +709,7 @@ func (s *Store) syncDevices(ids []int) error {
 			ids = append(ids, d)
 		}
 	}
-	err := eachDevice(len(ids), func(i int) error {
-		if err := s.devices[ids[i]].be.sync(); err != nil {
-			return fmt.Errorf("store: fsync device %d: %w", ids[i], err)
-		}
-		return nil
-	})
+	err := eachDevice(len(ids), func(i int) error { return s.devices[ids[i]].sync() })
 	if err == nil {
 		s.Metrics().fsyncBarrier(time.Since(start).Seconds())
 	}
@@ -813,17 +720,17 @@ func (s *Store) syncDevices(ids []int) error {
 func (s *Store) closeBackends() error {
 	var err error
 	for _, dev := range s.devices {
-		if cerr := dev.be.close(); err == nil {
+		if cerr := dev.be.Close(); err == nil {
 			err = cerr
 		}
 	}
 	return err
 }
 
-// Close flushes the file backend's manifest and closes every device file
-// and submission queue. Buffered partial-stripe bytes are NOT sealed —
-// Flush first if they should survive (they were never durable). Close on a
-// memory-backed store is a no-op. The store must not be used afterwards.
+// Close writes the file backend's manifest and syncs its files, then closes
+// every device backend. Buffered partial-stripe bytes are NOT sealed — Flush
+// first if they should survive (they were never durable). The store must
+// not be used afterwards; a second Close is a no-op.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -831,18 +738,13 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.dataDir == "" {
-		// Remote-backed stores own no manifest and fsync through the commit
-		// barrier, but their backends hold connections that must be released.
-		if s.remote {
-			return s.closeBackends()
-		}
-		return nil
-	}
-	err := s.writeBackendManifest()
-	for d := range s.devices {
-		if serr := s.devices[d].be.sync(); err == nil {
-			err = serr
+	var err error
+	if s.dataDir != "" {
+		err = s.writeBackendManifest()
+		for _, dev := range s.devices {
+			if serr := dev.be.Sync(); err == nil {
+				err = serr
+			}
 		}
 	}
 	if cerr := s.closeBackends(); err == nil {

@@ -135,9 +135,9 @@ func (s *Store) checkReadRange(off int64, length int) (startElem, count int, err
 }
 
 // stripeCells is one stripe's fetched cell set plus the indices of cells
-// whose buffers this read owns (decoded shards drawn from the arena, or
-// hedge results). Device-read cells alias live device storage and are never
-// recycled. The containers themselves are pooled per store.
+// whose buffers came from the shard arena (decoded shards, or hedge results)
+// and go back to it. Device-read cells are fresh buffers the garbage
+// collector reclaims. The containers themselves are pooled per store.
 type stripeCells struct {
 	cells [][]byte
 	owned []int
@@ -556,10 +556,11 @@ func (p *fanoutPass) serveDevice(q devQueue) {
 
 // execRun performs one coalesced device operation: a single fault decision
 // covers the whole run (one large sequential I/O pays one positioning cost),
-// then every cell is read with per-element accounting. With staged non-nil
-// the results go there (hedged primaries stage privately and commit under
-// the pass lock); otherwise they land directly in the pass's fetched slots,
-// which is safe because distinct devices own distinct slots.
+// then the run is read as one backend operation with per-element
+// accounting. With staged non-nil the results go there (hedged primaries
+// stage privately and commit under the pass lock); otherwise they land
+// directly in the pass's fetched slots, which is safe because distinct
+// devices own distinct slots.
 func (p *fanoutPass) execRun(ctx context.Context, run devRun, staged [][]byte) error {
 	s := p.s
 	d := s.devices[run.dev]
@@ -603,45 +604,27 @@ func (p *fanoutPass) execRun(ctx context.Context, run devRun, staged [][]byte) e
 			s.Metrics().retry(false)
 			continue
 		}
-		var readErr error
-		if _, bulk := d.be.(runIO); bulk && len(run.slots) > 1 {
-			// Bulk backend (file-backed device): the whole coalesced run is
-			// one positioned pread through the submission queue — the modeled
-			// one-positioning-cost-per-run now literally holds on disk.
-			cells, err := d.readRun(run.slots[0].key, len(run.slots))
-			if err != nil {
-				readErr = err
-			} else {
-				for i, sl := range run.slots {
-					if staged != nil {
-						staged[i] = cells[i]
-					} else {
-						p.fetched[sl.stripe-p.startStripe].cells[sl.idx] = cells[i]
-					}
-				}
-			}
-		} else {
-			for i, sl := range run.slots {
-				data, err := d.read(sl.key)
-				if err != nil {
-					readErr = err
-					break
-				}
-				if staged != nil {
-					staged[i] = data
-				} else {
-					p.fetched[sl.stripe-p.startStripe].cells[sl.idx] = data
-				}
-			}
-		}
-		if readErr != nil {
+		// The whole coalesced run is one backend read — one pread on a file
+		// disk, one request to a node — so the modeled one positioning cost
+		// per run literally holds.
+		flat, err := d.readRun(run.slots[0].key, len(run.slots))
+		if err != nil {
 			// A backend I/O error (not an injected fault) is a hard signal
 			// for the failure detector; corruption and fail-stop marks are
 			// accounted elsewhere.
-			if errors.Is(readErr, ErrUnavailable) {
+			if errors.Is(err, ErrUnavailable) {
 				d.noteError()
 			}
-			return readErr
+			return err
+		}
+		es := s.elemSize
+		for i, sl := range run.slots {
+			cell := flat[i*es : (i+1)*es : (i+1)*es]
+			if staged != nil {
+				staged[i] = cell
+			} else {
+				p.fetched[sl.stripe-p.startStripe].cells[sl.idx] = cell
+			}
 		}
 		if f.Corrupt {
 			last = fmt.Errorf("%w: device %d returned bytes failing checksum", ErrUnavailable, run.dev)

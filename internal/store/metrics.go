@@ -64,14 +64,12 @@ type Metrics struct {
 	walCommitsOK     *obs.Counter
 	walCommitsFault  *obs.Counter
 
-	// File-backend instruments: per-device submission-queue depth, per-op
-	// service-time histograms inside the queues, the commit-path fsync
-	// barrier, and the spilled WAL log.
-	devqDepth    []*obs.Gauge
-	devqReadSec  *obs.Histogram
-	devqWriteSec *obs.Histogram
-	devqSyncSec  *obs.Histogram
-	fsyncSec     *obs.Histogram
+	// File-backend instruments: per-disk data-file I/Os in flight, per-op
+	// syscall service time, the commit-path fsync barrier, and the spilled
+	// WAL log.
+	devqDepth []*obs.Gauge
+	devqSec   [3]*obs.Histogram // by ioOp
+	fsyncSec  *obs.Histogram
 
 	walLogBytes   *obs.Gauge
 	walLogSyncSec *obs.Histogram
@@ -157,18 +155,14 @@ func NewMetrics(reg *obs.Registry, disks int) *Metrics {
 		obs.L("outcome", "fault"))
 	for d := 0; d < disks; d++ {
 		m.devqDepth = append(m.devqDepth, reg.Gauge("ecfrm_devq_depth",
-			"Submitted-but-uncompleted SQEs in the device's submission queue (file backend).",
+			"Data-file I/Os (pread, pwrite, fsync) in flight on the disk (file backend).",
 			obs.L("disk", strconv.Itoa(d))))
 	}
-	m.devqReadSec = reg.Histogram("ecfrm_devq_io_seconds",
-		"Per-operation service time inside the device submission queues, by op.",
-		ioSecondsBuckets, obs.L("op", "read"))
-	m.devqWriteSec = reg.Histogram("ecfrm_devq_io_seconds",
-		"Per-operation service time inside the device submission queues, by op.",
-		ioSecondsBuckets, obs.L("op", "write"))
-	m.devqSyncSec = reg.Histogram("ecfrm_devq_io_seconds",
-		"Per-operation service time inside the device submission queues, by op.",
-		ioSecondsBuckets, obs.L("op", "sync"))
+	for op, name := range []string{"read", "write", "sync"} {
+		m.devqSec[op] = reg.Histogram("ecfrm_devq_io_seconds",
+			"Service time of each data-file syscall on a file disk, by op: pread, pwrite, fsync.",
+			ioSecondsBuckets, obs.L("op", name))
+	}
 	m.fsyncSec = reg.Histogram("ecfrm_store_fsync_barrier_seconds",
 		"Duration of the commit-path fsync barrier (all touched devices synced before publish).",
 		ioSecondsBuckets)
@@ -365,39 +359,6 @@ func (m *Metrics) walLogError() {
 	}
 }
 
-// queueObsFor returns the submission-queue metric bundle for device d, nil
-// when the metrics bundle is nil (clearing the queue's sinks).
-func (m *Metrics) queueObsFor(d int) *queueObs {
-	if m == nil || d >= len(m.devqDepth) {
-		return nil
-	}
-	return &queueObs{
-		depth:    m.devqDepth[d],
-		readSec:  m.devqReadSec,
-		writeSec: m.devqWriteSec,
-		syncSec:  m.devqSyncSec,
-	}
-}
-
-// deviceCounters returns the per-disk counters for device d (nil when the
-// bundle is nil or d is out of the registered range), for wiring into the
-// device itself so its read/write methods account without a store hop.
-func (m *Metrics) deviceCounters(d int) (reads, writes *obs.Counter) {
-	if m == nil || d >= len(m.diskReads) {
-		return nil, nil
-	}
-	return m.diskReads[d], m.diskWrites[d]
-}
-
-// deviceInflight returns the per-disk in-flight gauge for device d (nil when
-// the bundle is nil or d is out of range).
-func (m *Metrics) deviceInflight(d int) *obs.Gauge {
-	if m == nil || d >= len(m.diskInflight) {
-		return nil
-	}
-	return m.diskInflight[d]
-}
-
 // SetMetrics installs (or with nil, removes) the store's metrics bundle and
 // wires every device's I/O counters. Call it before serving traffic;
 // installation takes the exclusive lock.
@@ -406,22 +367,24 @@ func (s *Store) SetMetrics(m *Metrics) {
 	defer s.mu.Unlock()
 	s.obs.Store(m)
 	for i, d := range s.devices {
-		d.obsReads, d.obsWrites = m.deviceCounters(i)
-		d.obsInflight = m.deviceInflight(i)
-		d.obsErrors, d.obsLatency = m.deviceHealth(i)
-		if fb, ok := d.be.(*fileBackend); ok {
-			fb.q.setObs(m.queueObsFor(i))
-		}
+		m.wire(i, d)
 	}
 }
 
-// deviceHealth returns the per-disk error counter and latency-EWMA gauge for
-// device d (nil when the bundle is nil or d is out of range).
-func (m *Metrics) deviceHealth(d int) (errs *obs.Counter, lat *obs.Gauge) {
-	if m == nil || d >= len(m.diskErrors) {
-		return nil, nil
+// wire points device d's instruments at disk i's series (detaching them when
+// m is nil or i is out of the registered range), including a file disk's
+// syscall instruments, so the device accounts without a store hop.
+func (m *Metrics) wire(i int, d *Device) {
+	d.obsReads, d.obsWrites, d.obsInflight, d.obsErrors, d.obsLatency = nil, nil, nil, nil, nil
+	var io *diskIO
+	if m != nil && i < len(m.diskReads) {
+		d.obsReads, d.obsWrites, d.obsInflight = m.diskReads[i], m.diskWrites[i], m.diskInflight[i]
+		d.obsErrors, d.obsLatency = m.diskErrors[i], m.diskLatency[i]
+		io = &diskIO{depth: m.devqDepth[i], sec: m.devqSec}
 	}
-	return m.diskErrors[d], m.diskLatency[d]
+	if ds, ok := d.be.(*DiskStore); ok {
+		ds.obs.Store(io)
+	}
 }
 
 // Metrics returns the installed metrics bundle (nil if none). It takes no

@@ -146,30 +146,27 @@ func (s *Store) BeginDiskRebuild(d int) (*DiskRebuild, error) {
 	if s.rebuilding[d] {
 		return nil, fmt.Errorf("store: device %d rebuild already in progress", d)
 	}
-	replacement := newDevice(d, s.rows)
-	// The replacement inherits the failed device's metric series: to the
-	// registry it is the same disk slot.
-	replacement.obsReads, replacement.obsWrites = dev.obsReads, dev.obsWrites
-	replacement.obsInflight = dev.obsInflight
-	replacement.obsErrors, replacement.obsLatency = dev.obsErrors, dev.obsLatency
-	replacement.failed = true // cleared by the final Step
+	var be CellBackend = NewMemDisk(s.elemSize)
 	if s.newBackendFn != nil {
 		// File backend: the replacement writes to the same dev_NN files, so
 		// the failed device's handles must close before the factory reopens
 		// them truncated. The old contents are untrusted anyway — that is
 		// what "failed" means — and the device stays marked failed until the
 		// rebuild completes, so no reader touches the half-built files.
-		if err := dev.be.close(); err != nil {
-			dev.be = newMemBackend() // dead placeholder; keeps later Close safe
+		err := dev.be.Close()
+		dev.be = be // dead placeholder; keeps later Close safe
+		if err != nil {
 			return nil, fmt.Errorf("store: recover device %d: close old backend: %w", d, err)
 		}
-		dev.be = newMemBackend()
-		be, berr := s.newBackendFn(d)
-		if berr != nil {
-			return nil, fmt.Errorf("store: recover device %d: open replacement: %w", d, berr)
+		if be, err = s.newBackendFn(d); err != nil {
+			return nil, fmt.Errorf("store: recover device %d: open replacement: %w", d, err)
 		}
-		replacement.be = be
 	}
+	replacement := newDevice(d, s.rows, be)
+	replacement.failed = true // cleared by the final Step
+	// The replacement reports to the failed device's metric series: to the
+	// registry it is the same disk slot.
+	s.Metrics().wire(d, replacement)
 	s.devices[d] = replacement
 	if s.rebuilding == nil {
 		s.rebuilding = make(map[int]bool)
@@ -209,17 +206,15 @@ func (s *Store) BeginDiskMigration(d int) (*DiskRebuild, error) {
 	if s.rebuilding[d] {
 		return nil, fmt.Errorf("store: device %d rebuild already in progress", d)
 	}
-	replacement := newDevice(d, s.rows)
-	replacement.obsReads, replacement.obsWrites = dev.obsReads, dev.obsWrites
-	replacement.obsInflight = dev.obsInflight
-	replacement.obsErrors, replacement.obsLatency = dev.obsErrors, dev.obsLatency
+	var be CellBackend = NewMemDisk(s.elemSize)
 	if s.newStagingBackendFn != nil {
-		be, err := s.newStagingBackendFn(d)
-		if err != nil {
+		var err error
+		if be, err = s.newStagingBackendFn(d); err != nil {
 			return nil, fmt.Errorf("store: migrate device %d: open staging backend: %w", d, err)
 		}
-		replacement.be = be
 	}
+	replacement := newDevice(d, s.rows, be)
+	s.Metrics().wire(d, replacement)
 	if s.rebuilding == nil {
 		s.rebuilding = make(map[int]bool)
 	}
@@ -383,7 +378,7 @@ func (r *DiskRebuild) finalizeRebuild() error {
 	// Durability before visibility: the rebuilt contents hit stable storage
 	// before the swap clears the failed flag and readers route back here.
 	if s.fsync {
-		if err := r.replacement.be.sync(); err != nil {
+		if err := r.replacement.sync(); err != nil {
 			r.aborted = true
 			delete(s.rebuilding, r.dev)
 			return fmt.Errorf("store: recover device %d: fsync: %w", r.dev, err)
@@ -441,7 +436,7 @@ func (r *DiskRebuild) stepMigrate(batch int) (bool, error) {
 	// Caught up inside this exclusive hold: no seal can slip in before the
 	// swap. Durability, promote (file rename), then install.
 	if s.fsync {
-		if err := r.replacement.be.sync(); err != nil {
+		if err := r.replacement.sync(); err != nil {
 			return false, fmt.Errorf("store: migrate device %d: fsync staging: %w", r.dev, err)
 		}
 	}
@@ -458,7 +453,7 @@ func (r *DiskRebuild) stepMigrate(batch int) (bool, error) {
 	s.Metrics().observeRecover(string(r.kind), r.readCost, time.Since(r.started).Seconds())
 	// The old backend's files were renamed over (file) or are garbage (mem);
 	// a close failure no longer threatens the data.
-	if err := old.be.close(); err != nil {
+	if err := old.be.Close(); err != nil {
 		return true, fmt.Errorf("store: migrate device %d: close old backend: %w", r.dev, err)
 	}
 	return true, nil
@@ -475,7 +470,7 @@ func (s *Store) endRebuild(d int) {
 // discardStaging closes and removes an abandoned migration's staging
 // backend and files.
 func (s *Store) discardStaging(d int, replacement *Device) {
-	replacement.be.close()
+	replacement.be.Close()
 	s.mu.RLock()
 	discard := s.discardStagingFn
 	s.mu.RUnlock()

@@ -92,15 +92,13 @@ type FaultInjector interface {
 	WriteFault(dev int) Fault
 }
 
-// Device is one disk of the array: a cell container with I/O accounting and
-// per-cell CRC32C checksums that detect silent corruption on read. Where the
-// cells actually live is the backend's business (diskdev.go): an in-memory
-// map for simulated devices, or a data/checksum file pair behind an async
-// submission queue for real ones.
+// Device is one disk of the array: I/O accounting and checksum verification
+// over a CellBackend that holds the cells — a MemDisk for simulated devices,
+// a DiskStore file pair for real ones, or an extent on a data node.
 type Device struct {
 	id     int
 	rows   int // cells per stripe on this device; slot = stripe*rows + row
-	be     devBackend
+	be     CellBackend
 	failed bool
 	// reads and writes count element-granularity accesses. They are atomic
 	// because reads are served under the store's shared lock, so many
@@ -134,8 +132,8 @@ type cellKey struct {
 	pos    layout.Pos
 }
 
-func newDevice(id, rows int) *Device {
-	return &Device{id: id, rows: rows, be: newMemBackend()}
+func newDevice(id, rows int, be CellBackend) *Device {
+	return &Device{id: id, rows: rows, be: be}
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -147,7 +145,7 @@ func (d *Device) ID() int { return d.id }
 func (d *Device) Failed() bool { return d.failed }
 
 // Elements returns the number of elements currently stored on the device.
-func (d *Device) Elements() int { return d.be.elements() }
+func (d *Device) Elements() int { return d.be.Elements() }
 
 // Reads returns the element-granularity read count.
 func (d *Device) Reads() int { return int(d.reads.Load()) }
@@ -185,7 +183,7 @@ func (d *Device) observeLatency(sample time.Duration) {
 
 // slot maps a cell to its dense device-local index: within one device a
 // stripe occupies rows consecutive slots, so this is also the cell's on-disk
-// record offset for file backends.
+// record offset on a file disk.
 func (d *Device) slot(k cellKey) int { return k.stripe*d.rows + k.pos.Row }
 
 func (d *Device) write(k cellKey, data []byte) error {
@@ -193,71 +191,56 @@ func (d *Device) write(k cellKey, data []byte) error {
 }
 
 // writeRun writes len(crcs) contiguous cells, flattened into flat — a stripe
-// seals one such run per device — as a single backend operation when the
-// backend supports it (one pwrite instead of rows).
+// seals one such run per device — as one backend operation. A backend that
+// cannot take the write is ErrUnavailable, like one that cannot serve a
+// read: commits surface it as retryable (HTTP 503 + Retry-After).
 func (d *Device) writeRun(k cellKey, flat []byte, crcs []uint32) error {
-	if err := d.be.writeRun(d.slot(k), flat, crcs); err != nil {
-		return err
+	if err := d.be.WriteRun(d.slot(k), flat, crcs); err != nil {
+		return fmt.Errorf("%w: device %d: %v", ErrUnavailable, d.id, err)
 	}
 	d.writes.Add(int64(len(crcs)))
 	d.obsWrites.Add(int64(len(crcs)))
 	return nil
 }
 
-func (d *Device) read(k cellKey) ([]byte, error) {
-	if d.failed {
-		return nil, fmt.Errorf("%w: device %d", ErrFailed, d.id)
+// sync makes the device's writes durable; a failure is ErrUnavailable, as
+// for writes.
+func (d *Device) sync() error {
+	if err := d.be.Sync(); err != nil {
+		return fmt.Errorf("%w: fsync device %d: %v", ErrUnavailable, d.id, err)
 	}
-	data, crc, err := d.be.readCell(d.slot(k))
-	if err != nil {
-		if errors.Is(err, errCellMissing) {
-			return nil, fmt.Errorf("store: device %d has no element %v", d.id, k)
-		}
-		return nil, fmt.Errorf("%w: device %d: %v", ErrUnavailable, d.id, err)
-	}
-	d.reads.Add(1)
-	d.obsReads.Inc()
-	if crc32.Checksum(data, castagnoli) != crc {
-		return nil, fmt.Errorf("%w: device %d stripe %d cell (%d,%d)",
-			ErrCorrupt, d.id, k.stripe, k.pos.Row, k.pos.Col)
-	}
-	return data, nil
+	return nil
 }
 
-// readRun reads count contiguous cells starting at k as one backend I/O when
-// the backend supports bulk reads (the fan-out executor's coalesced runs map
-// to a single pread this way), verifying each cell's checksum. The returned
-// slices subdivide one backend buffer.
-func (d *Device) readRun(k cellKey, count int) ([][]byte, error) {
+func (d *Device) read(k cellKey) ([]byte, error) { return d.readRun(k, 1) }
+
+// readRun reads count contiguous cells starting at k as one backend
+// operation — a coalesced fan-out run is one pread or one node request — and
+// verifies each cell's checksum. The returned buffer is the caller's; cell i
+// is its i-th elemSize slice.
+func (d *Device) readRun(k cellKey, count int) ([]byte, error) {
 	if d.failed {
 		return nil, fmt.Errorf("%w: device %d", ErrFailed, d.id)
 	}
-	r, ok := d.be.(runIO)
-	if !ok {
-		return nil, errCellMissing // caller falls back to per-cell reads
-	}
 	slot := d.slot(k)
-	raw, crcs, err := r.readRun(slot, count)
+	flat, crcs, err := d.be.ReadRun(slot, count)
 	if err != nil {
-		if errors.Is(err, errCellMissing) {
-			return nil, fmt.Errorf("store: device %d missing elements in run at %v", d.id, k)
+		if errors.Is(err, ErrCellMissing) {
+			return nil, fmt.Errorf("store: device %d run at %v: %w", d.id, k, err)
 		}
 		return nil, fmt.Errorf("%w: device %d: %v", ErrUnavailable, d.id, err)
 	}
 	d.reads.Add(int64(count))
 	d.obsReads.Add(int64(count))
-	elem := len(raw) / count
-	out := make([][]byte, count)
-	for i := range out {
-		cell := raw[i*elem : (i+1)*elem : (i+1)*elem]
-		if crc32.Checksum(cell, castagnoli) != crcs[i] {
+	elem := len(flat) / count
+	for i, crc := range crcs {
+		if crc32.Checksum(flat[i*elem:(i+1)*elem], castagnoli) != crc {
 			s := slot + i
 			return nil, fmt.Errorf("%w: device %d stripe %d row %d",
 				ErrCorrupt, d.id, s/d.rows, s%d.rows)
 		}
-		out[i] = cell
 	}
-	return out, nil
+	return flat, nil
 }
 
 // Store is an erasure-coded append-only blob store.
@@ -266,30 +249,26 @@ type Store struct {
 	elemSize int
 	rows     int // scheme.Layout().Rows(), cached: slot math sits on hot paths
 
-	// File-backend state (zero for memory-backed stores): the data
-	// directory, whether commits run the fsync barrier before publishing,
-	// and the factory RecoverDisk uses to open a fresh truncated backend for
-	// a replacement device. closed poisons use-after-Close.
+	// Backend state: the file backend's data directory ("" otherwise),
+	// whether commits run the fsync barrier before publishing, and the
+	// factory RecoverDisk uses to open a fresh truncated backend for a
+	// replacement device (nil: a new MemDisk). closed poisons use-after-Close.
 	dataDir      string
 	fsync        bool
-	newBackendFn func(d int) (devBackend, error)
+	newBackendFn func(d int) (CellBackend, error)
 	closed       bool
 
-	// remote marks a store whose devices delegate to CellBackends (see
-	// remote.go): Backend() reports it, Close() closes the backends even
-	// though there is no data directory. nodeOf, when set, maps each device
-	// to its placement node so inflightBias aggregates per node (guarded by
-	// mu like readOpts).
-	remote bool
+	// nodeOf, when set, maps each device to its placement node so
+	// inflightBias aggregates per node (guarded by mu like readOpts).
 	nodeOf []int
 
 	// Migration staging hooks (file backends; nil means in-memory staging):
 	// newStagingBackendFn opens device d's dev_NN.{data,crc}.new staging
 	// pair, promoteStagingFn renames it over the live pair, and
 	// discardStagingFn removes an abandoned one. See repair.go.
-	newStagingBackendFn func(d int) (devBackend, error)
+	newStagingBackendFn func(d int) (CellBackend, error)
 	promoteStagingFn    func(d int) error
-	discardStagingFn    func(d int) error
+	discardStagingFn    func(d int)
 
 	// rebuilding marks devices with an incremental rebuild or migration in
 	// progress (guarded by mu), so two repairs cannot race on one device and
@@ -357,7 +336,7 @@ func New(scheme *core.Scheme, elemSize int) (*Store, error) {
 	rows := scheme.Layout().Rows()
 	devs := make([]*Device, scheme.N())
 	for i := range devs {
-		devs[i] = newDevice(i, rows)
+		devs[i] = newDevice(i, rows, NewMemDisk(elemSize))
 	}
 	return &Store{
 		scheme:    scheme,
@@ -1141,8 +1120,8 @@ func (s *Store) WriteAt(off int64, data []byte) error {
 			if err != nil {
 				return err
 			}
-			// Copy: UpdateData mutates parity in place and we re-write it.
-			cells[p.Row*n+p.Col] = append([]byte(nil), data...)
+			// The read's buffer is ours: UpdateData mutates parity in place.
+			cells[p.Row*n+p.Col] = data
 			return nil
 		}
 		if err := load(pos); err != nil {
@@ -1287,20 +1266,45 @@ func (s *Store) WriteAtReencode(off int64, data []byte) error {
 	return nil
 }
 
-// CorruptCell overwrites one stored cell with garbage — a test hook for
-// scrub and failure-injection scenarios.
+// CorruptCell flips every bit of one stored cell while keeping its recorded
+// checksum — silent bit rot, a test hook for scrub and failure-injection
+// scenarios.
 func (s *Store) CorruptCell(stripe int, pos layout.Pos) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	disk := s.scheme.Layout().Disk(stripe, pos.Col)
-	k := cellKey{stripe, pos}
 	dev := s.devices[disk]
-	if err := dev.be.corrupt(dev.slot(k)); err != nil {
-		if errors.Is(err, errCellMissing) {
-			return fmt.Errorf("store: no cell %v on device %d", k, disk)
-		}
+	slot := dev.slot(cellKey{stripe, pos})
+	data, crcs, err := dev.be.ReadRun(slot, 1)
+	if err != nil {
+		return fmt.Errorf("store: corrupt stripe %d cell (%d,%d) on device %d: %w", stripe, pos.Row, pos.Col, disk, err)
+	}
+	for i := range data {
+		data[i] ^= 0xff
+	}
+	if err := dev.be.WriteRun(slot, data, crcs); err != nil {
 		return err
 	}
 	s.bumpEpoch()
 	return nil
+}
+
+// VerifyChecksums re-checks every stored cell against its recorded CRC32C
+// without counting I/O, returning the locations that fail.
+func (s *Store) VerifyChecksums() []core.Access {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	lay := s.scheme.Layout()
+	var bad []core.Access
+	for d, dev := range s.devices {
+		for slot, n := 0, dev.be.Slots(); slot < n; slot++ {
+			cell, crcs, err := dev.be.ReadRun(slot, 1)
+			if err == nil && crc32.Checksum(cell, castagnoli) != crcs[0] {
+				stripe := slot / s.rows
+				bad = append(bad, core.Access{Disk: d, Stripe: stripe,
+					Pos: layout.Pos{Row: slot % s.rows, Col: lay.Col(stripe, d)}})
+			}
+		}
+	}
+	return bad
 }

@@ -727,3 +727,35 @@ func TestNextOffsetAccountsForPadding(t *testing.T) {
 		t.Fatal("first object damaged by second append")
 	}
 }
+
+func TestVerifyChecksumsClean(t *testing.T) {
+	s := testStore(t, layout.FormECFRM)
+	fill(t, s, 1000, 123)
+	if bad := s.VerifyChecksums(); bad != nil {
+		t.Fatalf("clean store reports %v", bad)
+	}
+}
+
+// TestVerifyChecksumsLocatesCorruption: VerifyChecksums names exactly the
+// corrupted cell, and the read that heals it leaves none.
+func TestVerifyChecksumsLocatesCorruption(t *testing.T) {
+	s := testStore(t, layout.FormECFRM)
+	data := fill(t, s, 3000, 122)
+	if err := s.CorruptCell(0, layout.Pos{Row: 0, Col: 1}); err != nil {
+		t.Fatal(err)
+	}
+	bad := s.VerifyChecksums()
+	if len(bad) != 1 || bad[0].Stripe != 0 || bad[0].Pos != (layout.Pos{Row: 0, Col: 1}) {
+		t.Fatalf("VerifyChecksums = %+v, want the one corrupted cell", bad)
+	}
+	res, err := s.ReadAt(64, 64)
+	if err != nil || res.Healed != 1 {
+		t.Fatalf("healing read: healed=%d err=%v", res.Healed, err)
+	}
+	if !bytes.Equal(res.Data, data[64:128]) {
+		t.Fatal("healed bytes wrong")
+	}
+	if got := s.VerifyChecksums(); got != nil {
+		t.Fatalf("checksums still bad after heal: %v", got)
+	}
+}

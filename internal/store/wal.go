@@ -79,11 +79,9 @@ type WALConfig struct {
 	// running one ends even if BatchBytes never accumulates. A lone Put
 	// never waits it. Zero or negative means DefaultFlushInterval.
 	FlushInterval time.Duration
-	// LogPath, when non-empty, spills the log to this file through a
-	// single-worker submission queue (the same executor the file backend's
-	// devices use): every successful group commit appends the batch's put
-	// records and its commit record and fsyncs them before any waiter is
-	// acked. RecoverWALFile replays such a file at startup. The file is
+	// LogPath, when non-empty, spills the log to this file: every
+	// successful group commit appends the batch's put records and its
+	// commit record and fsyncs them before any waiter is acked. RecoverWALFile replays such a file at startup. The file is
 	// truncated when the WAL attaches: recover first.
 	//
 	// A spill failure after the store commit succeeded never fails the
@@ -122,11 +120,11 @@ type WAL struct {
 	timerSet    bool        // a FlushInterval timer is pending
 	closed      bool
 
-	// Spill state (LogPath configured): the log file behind a one-worker
-	// submission queue, the first spill failure (which disables spilling),
-	// and — the commit leader's alone, so unguarded — the bytes spilled so
-	// far and the buffer records are serialized through.
-	logQ     *ioQueue
+	// Spill state (LogPath configured): the log file, the first spill
+	// failure (which disables spilling), and — the commit leader's alone,
+	// so unguarded — the bytes spilled so far and the buffer records are
+	// serialized through.
+	logFile  *os.File
 	spillErr error
 	logBytes int64
 	logBuf   *bufio.Writer
@@ -152,7 +150,7 @@ func NewWAL(st *Store, cfg WALConfig) *WAL {
 			w.spillErr = fmt.Errorf("store: wal: open log %s: %w", cfg.LogPath, err)
 			st.Metrics().walLogError()
 		} else {
-			w.logQ = newIOQueue(f, 1, defaultQueueDepth)
+			w.logFile = f
 			w.logBuf = bufio.NewWriterSize(nil, walSpillBuffer)
 		}
 	}
@@ -302,11 +300,11 @@ func (w *WAL) Close() error {
 	err := w.Sync()
 	w.mu.Lock()
 	w.closed = true
-	q := w.logQ
-	w.logQ = nil
+	f := w.logFile
+	w.logFile = nil
 	w.mu.Unlock()
-	if q != nil {
-		if cerr := q.Close(); err == nil {
+	if f != nil {
+		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 	}
@@ -387,15 +385,15 @@ func (w *WAL) flushOnce() error {
 		w.mu.Unlock()
 		return cerr
 	}
-	lq, spillOK := w.logQ, w.spillErr == nil
+	lf, spillOK := w.logFile, w.spillErr == nil
 	w.mu.Unlock()
 
 	// Durability before ack: the batch's records are spilled and fsynced
 	// before any waiter hears success, outside the WAL lock (an fsync on
 	// rotational media is milliseconds).
-	if lq != nil && spillOK {
+	if lf != nil && spillOK {
 		start := time.Now()
-		if serr := w.spill(lq, batch, base); serr == nil {
+		if serr := w.spill(lf, batch, base); serr == nil {
 			m.walLogSync(time.Since(start).Seconds())
 			m.walLog(w.logBytes)
 		} else {
@@ -461,23 +459,11 @@ const (
 	walSpillBuffer = 64 << 10
 )
 
-// logAppender writes sequentially into the log file through its queue.
-type logAppender struct {
-	q   *ioQueue
-	off int64
-}
-
-func (a *logAppender) Write(p []byte) (int, error) {
-	n, err := a.q.SubmitWait(OpWrite, a.off, p)
-	a.off += int64(n)
-	return n, err
-}
-
 // spill appends the batch's records — a put record per entry, then the
-// commit record — to the log file and fsyncs it, through the log's queue
-// (passed in: Close may nil w.logQ concurrently). Commit leaders only.
-func (w *WAL) spill(lq *ioQueue, batch []*walEntry, base int64) error {
-	out := &logAppender{q: lq, off: w.logBytes}
+// commit record — to the log file and fsyncs it (f is passed in: Close may
+// nil w.logFile concurrently). Commit leaders only.
+func (w *WAL) spill(f *os.File, batch []*walEntry, base int64) error {
+	out := io.NewOffsetWriter(f, w.logBytes)
 	w.logBuf.Reset(out)
 	var rec [walCommitLen]byte
 	for _, e := range batch {
@@ -495,12 +481,13 @@ func (w *WAL) spill(lq *ioQueue, batch []*walEntry, base int64) error {
 	w.logBuf.Write(rec[:])
 	// The writer's error is sticky: one check covers every Write.
 	if err := w.logBuf.Flush(); err != nil {
-		return fmt.Errorf("store: wal: spill log at %d: %w", out.off, err)
+		return fmt.Errorf("store: wal: spill log at %d: %w", w.logBytes, err)
 	}
-	if _, err := lq.SubmitWait(OpSync, 0, nil); err != nil {
+	if err := f.Sync(); err != nil {
 		return fmt.Errorf("store: wal: fsync log: %w", err)
 	}
-	w.logBytes = out.off
+	n, _ := out.Seek(0, io.SeekCurrent)
+	w.logBytes += n
 	return nil
 }
 

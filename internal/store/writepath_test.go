@@ -82,7 +82,7 @@ func TestSealKeepsNoAlias(t *testing.T) {
 
 // failingDisk is a CellBackend whose writes fail while broken is set.
 type failingDisk struct {
-	*DiskStore
+	*MemDisk
 	broken *bool
 }
 
@@ -90,7 +90,7 @@ func (d failingDisk) WriteRun(slot int, data []byte, crcs []uint32) error {
 	if *d.broken {
 		return errors.New("disk write failed")
 	}
-	return d.DiskStore.WriteRun(slot, data, crcs)
+	return d.MemDisk.WriteRun(slot, data, crcs)
 }
 
 // TestSealDeviceWriteFailureMidFanOut: the per-device writes of a seal run

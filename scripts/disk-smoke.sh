@@ -10,7 +10,7 @@
 #   1. startup recovery reports the sealed extent (the log line and
 #      /admin/status agree on a nonzero stripe count),
 #   2. /admin/scrub finds every recovered stripe parity-consistent,
-#   3. the per-device submission-queue metric families are live,
+#   3. the per-device I/O metric families (ecfrm_devq_*) are live,
 #   4. the store still accepts writes after recovery (a post-restart PUT
 #      acks and reads back),
 #   5. the daemon drains gracefully on SIGTERM (manifest sealed for the
