@@ -50,11 +50,13 @@ bench:
 	$(GO) test -run NONE -bench PlanDegraded -benchmem ./internal/core
 
 # Non-test Go lines per module: the count ROADMAP aim 2 tracks, and
-# internal/store's share of it (ROADMAP item 5).
+# internal/store's share of it (ROADMAP item 5); and the number of flags
+# ecfrmd defines (ROADMAP item 11).
 loc:
 	@printf 'root module: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 	@printf 'bench/:      '; find bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf 'internal/store: '; find internal/store -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'ecfrmd flags: '; cat cmd/ecfrmd/*.go | grep -c 'flag\.[A-Z][A-Za-z0-9]*("'
 
 # End-to-end observability check against a real daemon: start ecfrmd, PUT and
 # GET an object over HTTP, and assert /metrics scrapes cleanly with the

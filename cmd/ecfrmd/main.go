@@ -29,13 +29,12 @@
 //	curl localhost:8080/metrics
 //	go tool pprof http://localhost:8080/debug/pprof/profile?seconds=5
 //
-// Read execution: by default GETs run through the parallel fan-out executor
-// (per-device coalesced runs, bounded worker pool). -fanout=false restores
-// the sequential executor; -read-concurrency bounds the per-read worker
-// count; -hedge enables speculative re-reads of straggling devices after a
-// -hedge-quantile latency delay (clamped below by -hedge-min). Individual
-// GETs can override with ?sequential=, ?concurrency=, ?hedge= and bypass the
-// cache with ?nocache=1.
+// Read execution: a GET's plan is served as per-device coalesced runs, one
+// worker per device (inline below 64 KiB planned). -hedge enables
+// speculative re-reads of straggling devices after a -hedge-quantile latency
+// delay (clamped below by -hedge-min). Individual GETs can serve every run
+// inline and unhedged with ?sequential=1, toggle hedging with ?hedge=, and
+// bypass the cache with ?nocache=1.
 //
 // Write execution: PUTs queue into a group-commit WAL and ack once their
 // batch seals, so concurrent small objects pack into shared stripes instead
@@ -163,8 +162,6 @@ var (
 	repairRate = flag.Float64("repair-rate", 32, "repair bandwidth budget in MiB/s of rebuilt data (0 pauses rebuilds)")
 	scrubEvery = flag.Duration("scrub-interval", time.Minute, "pause between incremental scrub batches (negative disables scrub; needs -repair)")
 
-	fanout   = flag.Bool("fanout", true, "serve reads through the parallel fan-out executor (false = sequential)")
-	readConc = flag.Int("read-concurrency", 0, "max devices served concurrently per read (0 = one worker per device)")
 	hedge    = flag.Bool("hedge", false, "hedge straggling device reads from parity-equivalent sources")
 	hedgeQ   = flag.Float64("hedge-quantile", 0.9, "latency quantile after which a straggler is hedged")
 	hedgeMin = flag.Duration("hedge-min", time.Millisecond, "lower clamp on the hedge delay")
@@ -228,13 +225,9 @@ func buildScheme() *core.Scheme {
 }
 
 // readOptions is the default read-executor configuration both serving modes
-// install, from -fanout, -read-concurrency and -hedge*.
+// install, from -hedge*.
 func readOptions() store.ReadOptions {
-	return store.ReadOptions{
-		Sequential:  !*fanout,
-		Concurrency: *readConc,
-		Hedge:       store.HedgeConfig{Enabled: *hedge, Quantile: *hedgeQ, Min: *hedgeMin},
-	}
+	return store.ReadOptions{Hedge: store.HedgeConfig{Enabled: *hedge, Quantile: *hedgeQ, Min: *hedgeMin}}
 }
 
 // httpConfig is the object-surface configuration both serving modes share.

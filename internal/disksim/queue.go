@@ -79,124 +79,6 @@ func (a *Array) SimulateQueued(requests []Request, elemBytes int) ([]Completion,
 	return out, nil
 }
 
-// MeanDiskTime is the deterministic expectation of DiskTime: per access,
-// the mean positioning cost plus the mean transfer time at the disk's rated
-// (speed-scaled) bandwidth. It never consumes the array's jitter RNGs, so
-// planners can predict with it mid-simulation without perturbing the
-// schedule a seeded run would otherwise produce.
-func (a *Array) MeanDiskTime(d, load, elemBytes int) time.Duration {
-	if d < 0 || d >= len(a.rngs) {
-		panic(fmt.Sprintf("disksim: disk %d out of [0,%d)", d, len(a.rngs)))
-	}
-	if load < 0 || elemBytes < 0 {
-		panic(fmt.Sprintf("disksim: negative load %d or size %d", load, elemBytes))
-	}
-	factor := 1.0
-	if a.speed != nil {
-		factor = a.speed[d]
-	}
-	bw := a.cfg.BandwidthMBps * 1e6 * factor // bytes/s
-	xfer := time.Duration(float64(elemBytes) / bw * float64(time.Second))
-	return time.Duration(load) * (a.cfg.Positioning + xfer)
-}
-
-// Queue tracks live per-disk busy horizons over an array — the queue-depth
-// feedback signal the fan-out read path's load-aware planner models. Offer
-// admits a request's disk loads at the current time and returns its
-// simulated completion; Depths exposes each disk's outstanding work; Pick
-// scores alternative load vectors (e.g. candidate degraded recovery sets)
-// against the current depths using the deterministic mean cost model, so
-// source selection avoids momentarily deep queues without consuming any
-// jitter randomness.
-type Queue struct {
-	a    *Array
-	free []time.Duration // when each disk drains its queued work
-	now  time.Duration
-}
-
-// NewQueue returns an empty queue over the array starting at time zero.
-func NewQueue(a *Array) *Queue {
-	return &Queue{a: a, free: make([]time.Duration, a.Disks())}
-}
-
-// Advance moves the clock to now (monotonic; earlier values are ignored).
-func (q *Queue) Advance(now time.Duration) {
-	if now > q.now {
-		q.now = now
-	}
-}
-
-// Now returns the queue's current clock.
-func (q *Queue) Now() time.Duration { return q.now }
-
-// Depths returns each disk's outstanding queued service time at the current
-// clock — zero for an idle disk.
-func (q *Queue) Depths() []time.Duration {
-	out := make([]time.Duration, len(q.free))
-	for d, f := range q.free {
-		if f > q.now {
-			out[d] = f - q.now
-		}
-	}
-	return out
-}
-
-// Offer admits one request placing loads[d] element accesses on each disk d
-// at the current clock, charging each disk's queue with its (jittered)
-// service time. It returns the request's completion time: when the last of
-// its disks drains.
-func (q *Queue) Offer(loads []int, elemBytes int) Completion {
-	if len(loads) != len(q.free) {
-		panic(fmt.Sprintf("disksim: got %d loads for %d disks", len(loads), len(q.free)))
-	}
-	finish := q.now
-	for d, l := range loads {
-		if l == 0 {
-			continue
-		}
-		start := q.now
-		if q.free[d] > start {
-			start = q.free[d]
-		}
-		end := start + q.a.DiskTime(d, l, elemBytes)
-		q.free[d] = end
-		if end > finish {
-			finish = end
-		}
-	}
-	return Completion{Start: q.now, Finish: finish}
-}
-
-// Pick returns the index of the load vector predicted to complete first
-// given the current queue depths, breaking ties toward the lower index. The
-// prediction uses MeanDiskTime, so calling Pick never changes what a seeded
-// simulation subsequently serves.
-func (q *Queue) Pick(options [][]int, elemBytes int) int {
-	best, bestT := -1, time.Duration(0)
-	for i, loads := range options {
-		if len(loads) != len(q.free) {
-			panic(fmt.Sprintf("disksim: option %d has %d loads for %d disks", i, len(loads), len(q.free)))
-		}
-		var finish time.Duration
-		for d, l := range loads {
-			if l == 0 {
-				continue
-			}
-			start := q.now
-			if q.free[d] > start {
-				start = q.free[d]
-			}
-			if end := start + q.a.MeanDiskTime(d, l, elemBytes); end > finish {
-				finish = end
-			}
-		}
-		if best < 0 || finish < bestT {
-			best, bestT = i, finish
-		}
-	}
-	return best
-}
-
 // QueueStats aggregates a simulation run.
 type QueueStats struct {
 	Requests      int

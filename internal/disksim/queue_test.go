@@ -169,142 +169,6 @@ func TestQueueingAmplifiesImbalance(t *testing.T) {
 	}
 }
 
-func TestQueueOfferMatchesSimulateQueued(t *testing.T) {
-	// Feeding the same arrival schedule through the live Queue must produce
-	// exactly the completions the batch simulator computes.
-	reqs := []Request{
-		{ID: 0, Arrival: 0, Loads: []int{1, 1, 0}},
-		{ID: 1, Arrival: time.Millisecond, Loads: []int{2, 0, 1}},
-		{ID: 2, Arrival: 2 * time.Millisecond, Loads: []int{0, 1, 1}},
-	}
-	batch, err := MustArray(3, noJitter(), 8).SimulateQueued(reqs, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := NewQueue(MustArray(3, noJitter(), 8))
-	for i, r := range reqs {
-		q.Advance(r.Arrival)
-		c := q.Offer(r.Loads, 1e6)
-		if c.Start != batch[i].Start || c.Finish != batch[i].Finish {
-			t.Fatalf("request %d: live queue %+v, batch %+v", r.ID, c, batch[i])
-		}
-	}
-}
-
-func TestQueueDepths(t *testing.T) {
-	a := MustArray(2, noJitter(), 9)
-	q := NewQueue(a)
-	for _, d := range q.Depths() {
-		if d != 0 {
-			t.Fatal("fresh queue must be idle")
-		}
-	}
-	per := a.MeanDiskTime(0, 1, 1e6)
-	q.Offer([]int{1, 0}, 1e6)
-	depths := q.Depths()
-	if depths[0] != per || depths[1] != 0 {
-		t.Fatalf("depths = %v, want [%v 0]", depths, per)
-	}
-	q.Advance(per / 2)
-	if got := q.Depths()[0]; got != per-per/2 {
-		t.Fatalf("half-drained depth = %v, want %v", got, per-per/2)
-	}
-	q.Advance(10 * per)
-	if got := q.Depths()[0]; got != 0 {
-		t.Fatalf("drained depth = %v, want 0", got)
-	}
-	// Advance never rewinds.
-	q.Advance(0)
-	if q.Now() != 10*per {
-		t.Fatal("Advance rewound the clock")
-	}
-}
-
-func TestQueuePickAvoidsDeepQueue(t *testing.T) {
-	a := MustArray(3, noJitter(), 10)
-	q := NewQueue(a)
-	// Pile work on disk 0, then offer two equivalent recovery options.
-	q.Offer([]int{8, 0, 0}, 1e6)
-	options := [][]int{
-		{1, 0, 0}, // lands behind the pile
-		{0, 1, 0}, // idle disk
-	}
-	if got := q.Pick(options, 1e6); got != 1 {
-		t.Fatalf("Pick = %d, want 1 (idle disk)", got)
-	}
-	// With no queued work the tie breaks toward the lower index.
-	if got := NewQueue(a).Pick(options, 1e6); got != 0 {
-		t.Fatalf("idle Pick = %d, want 0 (tie to lower index)", got)
-	}
-}
-
-// TestQueuePickIsPredictionOnly: Pick and MeanDiskTime must not consume the
-// array's jitter RNGs — a seeded simulation serves identical times whether
-// or not a planner consulted them in between.
-func TestQueuePickIsPredictionOnly(t *testing.T) {
-	cfg := DefaultConfig() // jitter on: RNG consumption would diverge
-	plain := MustArray(4, cfg, 11)
-	probed := MustArray(4, cfg, 11)
-	qp := NewQueue(probed)
-	options := [][]int{{1, 0, 0, 0}, {0, 1, 1, 0}}
-	for i := 0; i < 50; i++ {
-		qp.Pick(options, 1e6)
-		probed.MeanDiskTime(i%4, 3, 1e6)
-		a := plain.DiskTime(i%4, 2, 1e6)
-		b := probed.DiskTime(i%4, 2, 1e6)
-		if a != b {
-			t.Fatalf("access %d: %v vs %v — prediction consumed jitter randomness", i, a, b)
-		}
-	}
-}
-
-// TestQueuePickLowersTailLatency: replaying an open-loop workload where each
-// request may choose between two recovery options, picking by live queue
-// depth must beat blindly taking option 0 on P99 — the load-aware planner's
-// reason to exist.
-func TestQueuePickLowersTailLatency(t *testing.T) {
-	const n, disks = 300, 6
-	mkOptions := func(i int) [][]int {
-		// Every request could read from disk 0 (option 0, the "default"
-		// survivor) or from a rotating alternative — mimicking degraded
-		// reads with a recovery-set choice.
-		alt := make([]int, disks)
-		alt[1+i%(disks-1)] = 1
-		first := make([]int, disks)
-		first[0] = 1
-		return [][]int{first, alt}
-	}
-	run := func(pick bool) QueueStats {
-		q := NewQueue(MustArray(disks, DefaultConfig(), 12))
-		comps := make([]Completion, n)
-		payloads := make([]int, n)
-		for i := 0; i < n; i++ {
-			q.Advance(time.Duration(i) * 3 * time.Millisecond)
-			opts := mkOptions(i)
-			choice := 0
-			if pick {
-				choice = q.Pick(opts, 1e6)
-			}
-			comps[i] = q.Offer(opts[choice], 1e6)
-			comps[i].ID = i
-			payloads[i] = 1e6
-		}
-		stats, err := Summarize(comps, payloads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
-	}
-	blind := run(false)
-	aware := run(true)
-	if aware.P99Latency >= blind.P99Latency {
-		t.Fatalf("load-aware P99 %v not below blind %v", aware.P99Latency, blind.P99Latency)
-	}
-	if aware.MeanLatency >= blind.MeanLatency {
-		t.Fatalf("load-aware mean %v not below blind %v", aware.MeanLatency, blind.MeanLatency)
-	}
-}
-
 func BenchmarkSimulateQueued(b *testing.B) {
 	a := MustArray(10, DefaultConfig(), 7)
 	reqs := make([]Request, 1000)

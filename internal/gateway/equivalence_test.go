@@ -135,7 +135,7 @@ func nodesNeeded(scheme *core.Scheme) int {
 // TestGatewayLocalEquivalence is the acceptance property: the same objects
 // PUT through a gateway over in-process networked nodes and into a single
 // local store must read back byte-identical — across every code × layout
-// cell, through the plain, forced-fanout, and hedged executors, and still
+// cell, through the default, sequential and hedged read options, and still
 // after one whole node is killed (degraded reads reconstruct over the
 // network). Runs under -race via `make race-io`.
 func TestGatewayLocalEquivalence(t *testing.T) {
@@ -174,7 +174,7 @@ func TestGatewayLocalEquivalence(t *testing.T) {
 
 			check := func(stage string) {
 				for _, o := range objs {
-					for _, q := range []string{"", "&sequential=1", "&concurrency=4", "&hedge=1"} {
+					for _, q := range []string{"", "&sequential=1", "&hedge=1"} {
 						got, code := tc.get(t, o.name, q)
 						if code != http.StatusOK {
 							t.Fatalf("%s: GET %s%s: status %d %s", stage, o.name, q, code, got)

@@ -13,10 +13,11 @@
 //	                             concurrent small PUTs pack into shared
 //	                             stripes instead of sealing one each
 //	GET  /objects/{name}         read it back (degraded reads transparent)
-//	                             ?sequential=1     use the sequential executor
-//	                             ?concurrency=N    bound fan-out worker count
+//	                             ?sequential=1     serve every device run on
+//	                                               one goroutine, unhedged
 //	                             ?hedge=1|0        enable/disable hedged reads
 //	                             ?nocache=1        bypass the decoded cache
+//	                             (a non-boolean knob value is a 400)
 //	HEAD /objects/{name}         metadata only: Content-Length, X-Read-Cost,
 //	                             X-Max-Disk-Load from the plan — no decode
 //	GET  /metrics                Prometheus text exposition (see internal/obs)
@@ -405,31 +406,28 @@ func (s *Server) lookup(name string) (*object, bool) {
 // parseReadOptions derives per-request executor options from query
 // parameters, starting from the group store's installed defaults. It
 // reports whether the request also asked to bypass the decoded-payload
-// cache.
-func (s *Server) parseReadOptions(r *http.Request, grp int) (opts store.ReadOptions, nocache bool) {
+// cache. A read knob whose value is not a boolean is an error naming it;
+// unknown parameters are ignored.
+func (s *Server) parseReadOptions(r *http.Request, grp int) (opts store.ReadOptions, nocache bool, err error) {
 	opts = s.stores[grp].ReadDefaults()
 	q := r.URL.Query()
-	if v := q.Get("sequential"); v != "" {
-		if b, err := strconv.ParseBool(v); err == nil {
-			opts.Sequential = b
+	for _, knob := range []struct {
+		name string
+		dst  *bool
+	}{
+		{"sequential", &opts.Sequential},
+		{"hedge", &opts.Hedge.Enabled},
+		{"nocache", &nocache},
+	} {
+		if v := q.Get(knob.name); v != "" {
+			b, perr := strconv.ParseBool(v)
+			if perr != nil {
+				return opts, false, fmt.Errorf("bad %s parameter %q: want a boolean", knob.name, v)
+			}
+			*knob.dst = b
 		}
 	}
-	if v := q.Get("concurrency"); v != "" {
-		if c, err := strconv.Atoi(v); err == nil && c > 0 {
-			opts.Concurrency = c
-		}
-	}
-	if v := q.Get("hedge"); v != "" {
-		if b, err := strconv.ParseBool(v); err == nil {
-			opts.Hedge.Enabled = b
-		}
-	}
-	if v := q.Get("nocache"); v != "" {
-		if b, err := strconv.ParseBool(v); err == nil {
-			nocache = b
-		}
-	}
-	return opts, nocache
+	return opts, nocache, nil
 }
 
 // setReadHeaders writes the headers GET and HEAD share.
@@ -448,7 +446,11 @@ func (s *Server) getObject(w http.ResponseWriter, r *http.Request, name string) 
 		http.Error(w, "no such object", http.StatusNotFound)
 		return
 	}
-	opts, nocache := s.parseReadOptions(r, obj.group)
+	opts, nocache, err := s.parseReadOptions(r, obj.group)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	data, cost, maxLoad, err := s.readObject(r.Context(), obj, opts, nocache)
 	if err != nil {
 		// Both flavors of degradation are availability failures, but

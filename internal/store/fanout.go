@@ -1,14 +1,14 @@
-// Fan-out read executor: the parallel counterpart of the sequential readAt.
+// Read executor: the one way the store serves a read plan.
 //
-// The sequential executor walks a plan one cell at a time, so a read's
-// wall-clock latency is the *sum* of per-device service times and the
-// layout's load-balancing win (PAPER.md §III, Lemma 1) never reaches the
-// client. This executor regroups the plan by device, coalesces cells at
-// adjacent on-disk offsets into single runs (one positioning cost instead of
-// one per element — the fault injector charges per run, exactly like a real
-// disk charges per seek), and issues the per-device queues concurrently
-// through a bounded worker pool, so latency approaches the *max* of
-// per-device times.
+// A plan lists cells. The executor regroups them by device, coalesces cells
+// at adjacent on-disk offsets into single runs (one positioning cost instead
+// of one per element — the fault injector charges per run, exactly like a
+// real disk charges per seek), and serves each device's queue on its own
+// worker, so a read's latency approaches the *max* of per-device service
+// times rather than their sum and the layout's load-balancing win
+// (PAPER.md §III, Lemma 1) reaches the client. Small plans,
+// ReadOptions.Sequential and the heal retry after corruption serve the same
+// runs inline on the calling goroutine.
 //
 // Determinism with the seeded fault injector is preserved by construction:
 // every device's runs execute in ascending offset order on exactly one
@@ -45,8 +45,8 @@ import (
 	"repro/internal/core"
 )
 
-// HedgeConfig controls hedged (speculative duplicate) reads on the fan-out
-// path. The zero value disables hedging.
+// HedgeConfig controls hedged (speculative duplicate) reads. The zero value
+// disables hedging.
 type HedgeConfig struct {
 	// Enabled turns hedging on.
 	Enabled bool
@@ -62,18 +62,17 @@ type HedgeConfig struct {
 
 // ReadOptions selects the execution strategy for one read.
 type ReadOptions struct {
-	// Sequential selects the original one-cell-at-a-time executor instead of
-	// the fan-out one. The two return byte-identical results.
+	// Sequential serves every run on the calling goroutine, unhedged: the
+	// same coalesced pass with one worker and no speculation. Results are
+	// byte-identical either way.
 	Sequential bool
-	// Concurrency bounds how many devices are served at once by the fan-out
-	// executor. Zero or negative means one worker per participating device.
-	Concurrency int
 	// Hedge configures speculative re-reads of straggling runs.
 	Hedge HedgeConfig
 }
 
 // SetReadOptions installs the default options ReadAt uses. The zero value
-// (fan-out, per-device concurrency, no hedging) is the initial default.
+// (one worker per device queue, inline below 64 KiB planned, no hedging) is
+// the initial default.
 func (s *Store) SetReadOptions(o ReadOptions) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -88,20 +87,13 @@ func (s *Store) ReadDefaults() ReadOptions {
 }
 
 // ReadAtCtx is ReadAt with an explicit context and per-call options. The
-// context cancels device waits (including injected stuck-op sleeps) on the
-// fan-out path.
+// context cancels device waits, including injected stuck-op sleeps.
 func (s *Store) ReadAtCtx(ctx context.Context, off int64, length int, opts ReadOptions) (*ReadResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	s.mu.RLock()
-	var res *ReadResult
-	var err error
-	if opts.Sequential {
-		res, err = s.readAt(ctx, off, length, false)
-	} else {
-		res, err = s.fanoutRead(ctx, off, length, opts)
-	}
+	res, err := s.fanoutRead(ctx, off, length, opts, false)
 	s.mu.RUnlock()
 	if !errors.Is(err, errNeedsHeal) {
 		return res, err
@@ -109,11 +101,12 @@ func (s *Store) ReadAtCtx(ctx context.Context, off int64, length int, opts ReadO
 	if s.testBeforeHeal != nil {
 		s.testBeforeHeal()
 	}
-	// Corruption found: retry sequentially under the exclusive lock so
-	// healCell may rewrite devices. Healing never runs on worker goroutines.
+	// Corruption found: rerun the pass inline and unhedged under the
+	// exclusive lock so healCell may rewrite devices. Healing never runs on
+	// worker goroutines.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.readAt(ctx, off, length, true)
+	return s.fanoutRead(ctx, off, length, ReadOptions{Sequential: true}, true)
 }
 
 // checkReadRange validates [off, off+length) against the sealed extent and
@@ -184,7 +177,7 @@ type devRun struct {
 // buildRuns groups the plan's reads by device and coalesces each device's
 // cells into offset-ordered runs. Runs cross stripe boundaries: with the
 // standard layout (one row per stripe) a multi-stripe read of one device
-// collapses into a single run, exactly like one large sequential ReadAt.
+// collapses into a single run: one large sequential read.
 //
 // The construction is allocation-frugal (it sits on every read): slots are
 // counting-sorted by device into one flat array, runs subslice that array,
@@ -287,10 +280,17 @@ func (s *Store) inflightBias() []int {
 	return bias
 }
 
-// fanoutRead executes one read through the fan-out executor. Caller holds
-// mu shared; every goroutine spawned here is joined before return, so no
-// device access escapes the lock.
-func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts ReadOptions) (*ReadResult, error) {
+// fanoutRead executes one read: plan, serve the plan's coalesced runs, and
+// replan around devices a pass found unavailable. Caller holds mu shared —
+// a corrupt cell then aborts with errNeedsHeal — or, with heal, exclusively:
+// corrupt cells are rebuilt and rewritten in place (healRun). Every
+// goroutine spawned here is joined before return, so no device access
+// escapes the lock.
+//
+// The replan loop terminates: each iteration either returns or grows the
+// unavailable set, and planning fails with ErrUnrecoverable once too much of
+// the array is out of service.
+func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts ReadOptions, heal bool) (*ReadResult, error) {
 	startElem, count, err := s.checkReadRange(off, length)
 	if err != nil {
 		return nil, err
@@ -301,6 +301,10 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 	dps := s.scheme.DataPerStripe()
 	endElem := startElem + count - 1
 	startStripe := startElem / dps
+	// Per-stripe cell containers come from the store's pool and decoded
+	// shards from the arena; release recycles them on every exit path and
+	// before each replan, so steady-state reads generate no per-stripe
+	// garbage and no pooled buffer is ever dropped or recycled twice.
 	fetched := make([]*stripeCells, endElem/dps-startStripe+1)
 	release := func() {
 		for i, sc := range fetched {
@@ -311,7 +315,8 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 		}
 	}
 
-	unavail := make(map[int]bool)
+	unavail := make(map[int]bool) // devices that proved slow-or-erroring
+	healed := 0
 	for {
 		failed := s.avoidSet(unavail)
 		var bias []int
@@ -322,6 +327,9 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 		if err != nil {
 			release()
 			if len(unavail) > 0 {
+				// The plan only became impossible because of devices that
+				// are transiently out: surface that, so callers can retry
+				// later rather than treat the data as lost.
 				return nil, fmt.Errorf("%w: degraded fallback exhausted (unavailable %v): %w",
 					ErrUnavailable, keysSorted(unavail), err)
 			}
@@ -339,26 +347,20 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 			ctx:         ctx,
 			startStripe: startStripe,
 			fetched:     fetched,
+			heal:        heal,
 			newUnavail:  make(map[int]bool),
 			errs:        make(map[int]error),
 		}
-		if opts.Hedge.Enabled {
+		if opts.Hedge.Enabled && !opts.Sequential {
 			p.hedge = true
 			p.hedgeDelay = s.hedgeDelay(opts.Hedge)
 		}
 		// Small plans run the same coalesced pass inline: below the
 		// threshold, goroutine dispatch costs more than the per-device
-		// overlap could save. An explicit Concurrency or hedging opts into
-		// threads regardless.
-		conc := opts.Concurrency
-		if conc <= 0 {
-			if !opts.Hedge.Enabled && len(plan.Reads)*s.elemSize < fanoutInlineBytes {
-				conc = 1
-			} else {
-				conc = len(plan.Reads)
-			}
-		}
-		p.runQueues(buildRuns(s.scheme, plan.Reads), conc)
+		// overlap could save. Hedging needs a worker per queue.
+		inline := opts.Sequential || !p.hedge && len(plan.Reads)*s.elemSize < fanoutInlineBytes
+		p.runQueues(buildRuns(s.scheme, plan.Reads), inline)
+		healed += p.healed
 
 		switch {
 		case len(p.newUnavail) > 0:
@@ -370,12 +372,7 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 				unavail[d] = true
 			}
 			s.Metrics().replan()
-			for i, sc := range fetched {
-				if sc != nil {
-					s.putStripeCells(sc)
-					fetched[i] = nil
-				}
-			}
+			release()
 			continue
 		case p.corrupt:
 			// Persistent corruption needs the exclusive lock to heal.
@@ -396,7 +393,7 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 			return nil, err
 		}
 		s.Metrics().observeRead(len(failed) > 0, plan.MaxLoad())
-		return &ReadResult{Data: data, Plan: plan}, nil
+		return &ReadResult{Data: data, Plan: plan, Healed: healed}, nil
 	}
 }
 
@@ -445,6 +442,8 @@ type fanoutPass struct {
 	fetched     []*stripeCells
 	hedge       bool
 	hedgeDelay  time.Duration
+	heal        bool // exclusive lock held, pass inline: heal corrupt cells
+	healed      int  // cells healRun rewrote (heal passes only: one goroutine)
 
 	mu         sync.Mutex
 	newUnavail map[int]bool
@@ -478,42 +477,32 @@ func (p *fanoutPass) fail(dev int, err error) {
 
 // fanoutInlineBytes is the planned-read size below which the executor skips
 // worker goroutines and serves the queues inline: on tiny reads the dispatch
-// cost exceeds anything per-device overlap could recover. Explicit
-// Concurrency or hedging overrides the heuristic.
+// cost exceeds anything per-device overlap could recover. Hedging overrides
+// the heuristic.
 const fanoutInlineBytes = 64 << 10
 
-// runQueues serves every device queue through at most conc workers and
-// joins them all (including hedged stragglers) before returning. With conc 1
-// the queues are served inline on the calling goroutine — same coalescing,
-// same device order, zero dispatch overhead. With more, queues are sharded
-// round-robin across conc workers (the caller is worker 0), so each device
-// still lands on exactly one goroutine and its runs stay offset-ordered.
-func (p *fanoutPass) runQueues(queues []devQueue, conc int) {
-	if len(queues) == 0 {
-		return
-	}
-	if conc <= 0 || conc > len(queues) {
-		conc = len(queues)
-	}
-	if conc > 1 {
-		var wg sync.WaitGroup
-		for w := 1; w < conc; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(queues); i += conc {
-					p.serveDevice(queues[i])
-				}
-			}(w)
-		}
-		for i := 0; i < len(queues); i += conc {
-			p.serveDevice(queues[i])
-		}
-		wg.Wait()
-	} else {
+// runQueues serves every device queue and joins them all (including hedged
+// stragglers) before returning. Inline, the queues are served one after
+// another on the calling goroutine — same coalescing, same device order,
+// zero dispatch overhead. Otherwise each queue gets its own worker (the
+// caller serves the first), so a device's runs stay on one goroutine, in
+// offset order.
+func (p *fanoutPass) runQueues(queues []devQueue, inline bool) {
+	if inline || len(queues) < 2 {
 		for _, q := range queues {
 			p.serveDevice(q)
 		}
+	} else {
+		var wg sync.WaitGroup
+		for _, q := range queues[1:] {
+			wg.Add(1)
+			go func(q devQueue) {
+				defer wg.Done()
+				p.serveDevice(q)
+			}(q)
+		}
+		p.serveDevice(queues[0])
+		wg.Wait()
 	}
 	p.stragglers.Wait()
 }
@@ -535,10 +524,11 @@ func (p *fanoutPass) serveDevice(q devQueue) {
 		} else {
 			err = p.execRun(p.ctx, run, nil)
 		}
-		if err == nil {
-			continue
+		if p.heal && errors.Is(err, ErrCorrupt) {
+			err = p.healRun(run)
 		}
 		switch {
+		case err == nil:
 		case errors.Is(err, ErrUnavailable) || errors.Is(err, ErrFailed):
 			p.mu.Lock()
 			p.newUnavail[q.dev] = true
@@ -554,13 +544,11 @@ func (p *fanoutPass) serveDevice(q devQueue) {
 	}
 }
 
-// execRun performs one coalesced device operation: a single fault decision
-// covers the whole run (one large sequential I/O pays one positioning cost),
-// then the run is read as one backend operation with per-element
-// accounting. With staged non-nil the results go there (hedged primaries
-// stage privately and commit under the pass lock); otherwise they land
-// directly in the pass's fetched slots, which is safe because distinct
-// devices own distinct slots.
+// execRun performs one coalesced device operation (readRunCtx) with
+// in-flight accounting, feeding the hedge latency ring. With staged non-nil
+// the cells go there (hedged primaries stage privately and commit under the
+// pass lock); otherwise they land directly in the pass's fetched slots,
+// which is safe because distinct devices own distinct slots.
 func (p *fanoutPass) execRun(ctx context.Context, run devRun, staged [][]byte) error {
 	s := p.s
 	d := s.devices[run.dev]
@@ -572,75 +560,41 @@ func (p *fanoutPass) execRun(ctx context.Context, run devRun, staged [][]byte) e
 	}()
 	s.Metrics().observeRun(len(run.slots) * s.elemSize)
 	start := time.Now()
-	var last error
-	for attempt := 0; attempt <= s.retries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
+	flat, err := s.readRunCtx(ctx, run.dev, run.slots[0].key, len(run.slots))
+	if err != nil {
+		return err
+	}
+	s.hedgeLat.observe(time.Since(start))
+	es := s.elemSize
+	for i, sl := range run.slots {
+		cell := flat[i*es : (i+1)*es : (i+1)*es]
+		if staged != nil {
+			staged[i] = cell
+		} else {
+			p.fetched[sl.stripe-p.startStripe].cells[sl.idx] = cell
 		}
-		var f Fault
-		if s.inject != nil {
-			f = s.inject.ReadFault(run.dev)
-		}
-		if f.Failed {
-			d.noteError()
-			return fmt.Errorf("%w: device %d fail-stopped by fault plan", ErrFailed, run.dev)
-		}
-		if f.Stuck || f.Delay > s.opTimeout {
-			if err := sleepCtx(ctx, s.opTimeout); err != nil {
-				return err
+	}
+	return nil
+}
+
+// healRun re-reads a run whose stored bytes failed their checksum one cell
+// at a time, rebuilds and rewrites each corrupt cell from its group
+// (healCell), and places every cell in the pass's fetched slots. Only heal
+// passes call it: inline, under the exclusive lock.
+func (p *fanoutPass) healRun(run devRun) error {
+	for _, sl := range run.slots {
+		cell, err := p.s.readRunCtx(p.ctx, run.dev, sl.key, 1)
+		if errors.Is(err, ErrCorrupt) {
+			if cell, err = p.s.healCell(sl.key.stripe, sl.key.pos); err == nil {
+				p.healed++
 			}
-			last = fmt.Errorf("%w: device %d read timed out after %v", ErrUnavailable, run.dev, s.opTimeout)
-			s.Metrics().retry(false)
-			d.observeLatency(s.opTimeout)
-			continue
 		}
-		if f.Delay > 0 {
-			if err := sleepCtx(ctx, f.Delay); err != nil {
-				return err
-			}
-		}
-		if f.Err != nil {
-			last = fmt.Errorf("%w: device %d: %v", ErrUnavailable, run.dev, f.Err)
-			s.Metrics().retry(false)
-			continue
-		}
-		// The whole coalesced run is one backend read — one pread on a file
-		// disk, one request to a node — so the modeled one positioning cost
-		// per run literally holds.
-		flat, err := d.readRun(run.slots[0].key, len(run.slots))
 		if err != nil {
-			// A backend I/O error (not an injected fault) is a hard signal
-			// for the failure detector; corruption and fail-stop marks are
-			// accounted elsewhere.
-			if errors.Is(err, ErrUnavailable) {
-				d.noteError()
-			}
 			return err
 		}
-		es := s.elemSize
-		for i, sl := range run.slots {
-			cell := flat[i*es : (i+1)*es : (i+1)*es]
-			if staged != nil {
-				staged[i] = cell
-			} else {
-				p.fetched[sl.stripe-p.startStripe].cells[sl.idx] = cell
-			}
-		}
-		if f.Corrupt {
-			last = fmt.Errorf("%w: device %d returned bytes failing checksum", ErrUnavailable, run.dev)
-			s.Metrics().retry(false)
-			continue
-		}
-		elapsed := time.Since(start)
-		s.hedgeLat.observe(elapsed)
-		d.observeLatency(elapsed)
-		return nil
+		p.fetched[sl.stripe-p.startStripe].cells[sl.idx] = cell
 	}
-	if last != nil {
-		// Retry budget exhausted: the device is limping hard enough to count.
-		d.noteError()
-	}
-	return last
+	return nil
 }
 
 // commit publishes a completed run's cell buffers into the fetched slots.
@@ -716,57 +670,38 @@ func (p *fanoutPass) execHedged(run devRun) error {
 	return err
 }
 
-// hedgeFetch rebuilds every cell of a straggling run from a recovery set of
-// its code group that avoids the straggler itself and every failed device.
-// Returned buffers are arena-owned copies. On any failure it recycles what
-// it built and reports the error; the caller falls back to the primary.
+// hedgeFetch rebuilds every cell of a straggling run from its code group
+// (rebuildCell), reading neither the straggler itself nor any failed
+// device. Returned buffers are arena-owned copies. On any failure it
+// recycles what it built and reports the error; the caller falls back to
+// the primary.
 func (p *fanoutPass) hedgeFetch(ctx context.Context, run devRun) ([][]byte, error) {
 	s := p.s
 	lay := s.scheme.Layout()
-	code := s.scheme.Code()
 	out := make([][]byte, len(run.slots))
-	fail := func(err error) ([][]byte, error) {
-		for _, b := range out {
-			if b != nil {
+	for i, sl := range run.slots {
+		cell := lay.CellAt(sl.key.pos)
+		rebuilt, err := rebuildCell(s.scheme.Code(), cell.Element, func(t int) []byte {
+			pos := lay.GroupCell(cell.Group, t)
+			disk := lay.Disk(sl.key.stripe, pos.Col)
+			if disk == run.dev || s.devices[disk].failed {
+				return nil
+			}
+			data, err := s.readRunCtx(ctx, disk, cellKey{sl.key.stripe, pos}, 1)
+			if err != nil {
+				return nil
+			}
+			return data
+		})
+		if err != nil {
+			for _, b := range out[:i] {
 				s.bufs.PutShard(b)
 			}
+			return nil, fmt.Errorf("store: hedge stripe %d cell (%d,%d) avoiding device %d: %w",
+				sl.key.stripe, sl.key.pos.Row, sl.key.pos.Col, run.dev, err)
 		}
-		return nil, err
-	}
-	for i, sl := range run.slots {
-		if err := ctx.Err(); err != nil {
-			return fail(err)
-		}
-		cell := lay.CellAt(sl.key.pos)
-		rebuilt := false
-	sets:
-		for _, set := range code.RecoverySets(cell.Element) {
-			group := make([][]byte, code.N())
-			for _, t := range set {
-				pos := lay.GroupCell(cell.Group, t)
-				disk := lay.Disk(sl.key.stripe, pos.Col)
-				if disk == run.dev || s.devices[disk].failed {
-					continue sets
-				}
-				data, err := s.readCellCtx(ctx, disk, cellKey{sl.key.stripe, pos})
-				if err != nil {
-					continue sets
-				}
-				group[t] = data
-			}
-			if err := code.ReconstructElements(group, []int{cell.Element}); err != nil {
-				continue
-			}
-			buf := s.bufs.GetShard(s.elemSize)
-			copy(buf, group[cell.Element])
-			out[i] = buf
-			rebuilt = true
-			break
-		}
-		if !rebuilt {
-			return fail(fmt.Errorf("store: hedge: no usable recovery set for stripe %d cell (%d,%d) avoiding device %d",
-				sl.key.stripe, sl.key.pos.Row, sl.key.pos.Col, run.dev))
-		}
+		out[i] = s.bufs.GetShard(s.elemSize)
+		copy(out[i], rebuilt)
 	}
 	return out, nil
 }

@@ -53,21 +53,21 @@ func fanoutLeakCheck(t *testing.T) {
 	})
 }
 
-// TestFanoutMatchesSequentialProperty is the satellite byte-identity
-// property: across every code×layout cell, with random in-tolerance disk
-// failures or random corrupt cells, the fan-out executor (inline heuristic,
-// forced threading, and hedged) returns exactly the bytes the sequential
-// executor returns — which are exactly the payload's. Runs under -race via
-// `make race-io`.
+// readOptionsGrid is every way a read can be served: the default (inline
+// below fanoutInlineBytes, a worker per device queue above), sequential
+// (always inline, unhedged) and hedged (always threaded).
+var readOptionsGrid = []ReadOptions{
+	{},
+	{Sequential: true},
+	{Hedge: HedgeConfig{Enabled: true, Quantile: 0.9, Min: 5 * time.Millisecond}},
+}
+
+// TestFanoutMatchesSequentialProperty is the byte-identity property: across
+// every code×layout cell, with random in-tolerance disk failures or random
+// corrupt cells, every read option returns exactly the written payload's
+// bytes. Runs under -race via `make race-io`.
 func TestFanoutMatchesSequentialProperty(t *testing.T) {
 	fanoutLeakCheck(t)
-	optsList := []ReadOptions{
-		{Sequential: true},
-		{}, // fan-out defaults: inline heuristic decides
-		{Concurrency: 2},
-		{Concurrency: 8},
-		{Concurrency: 8, Hedge: HedgeConfig{Enabled: true, Quantile: 0.9, Min: 5 * time.Millisecond}},
-	}
 	for name, scheme := range fanoutGrid(t) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(500))
@@ -96,7 +96,7 @@ func TestFanoutMatchesSequentialProperty(t *testing.T) {
 				for r := 0; r < 8; r++ {
 					off := rng.Intn(len(payload) - 1)
 					ln := 1 + rng.Intn(len(payload)-off)
-					opts := optsList[r%len(optsList)]
+					opts := readOptionsGrid[r%len(readOptionsGrid)]
 					res, err := st.ReadAtCtx(context.Background(), int64(off), ln, opts)
 					if err != nil {
 						t.Fatalf("trial %d read %d opts %+v: %v", trial, r, opts, err)
@@ -112,15 +112,18 @@ func TestFanoutMatchesSequentialProperty(t *testing.T) {
 }
 
 // TestFanoutConcurrentSharedStore hammers one store from many goroutines
-// mixing executors while a device persistently errors (forcing replans and
-// degraded decodes on the shared buffer arena). Any double-recycled buffer
-// would alias two readers' shards and surface as wrong bytes or a race.
+// mixing read options — reads span the inline threshold, so the default
+// serves some inline and some on workers — while a device persistently
+// errors (forcing replans and degraded decodes on the shared buffer arena).
+// Any double-recycled buffer would alias two readers' shards and surface as
+// wrong bytes or a race.
 func TestFanoutConcurrentSharedStore(t *testing.T) {
 	fanoutLeakCheck(t)
+	const elem = 4096
 	sch := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
-	st := MustNew(sch, 256)
+	st := MustNew(sch, elem)
 	st.SetRetryPolicy(200*time.Microsecond, 1)
-	payload := make([]byte, 6*sch.DataPerStripe()*256)
+	payload := make([]byte, 6*sch.DataPerStripe()*elem)
 	rand.New(rand.NewSource(501)).Read(payload)
 	if err := st.Append(payload); err != nil {
 		t.Fatal(err)
@@ -131,13 +134,10 @@ func TestFanoutConcurrentSharedStore(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			rng := rand.New(rand.NewSource(int64(600 + g)))
-			opts := ReadOptions{Concurrency: 4}
-			if g%2 == 0 {
-				opts = ReadOptions{Sequential: true}
-			}
+			opts := readOptionsGrid[g%len(readOptionsGrid)]
 			for i := 0; i < 40; i++ {
 				off := rng.Intn(len(payload) - 1)
-				ln := 1 + rng.Intn(2048)
+				ln := 1 + rng.Intn(2*fanoutInlineBytes)
 				if off+ln > len(payload) {
 					ln = len(payload) - off
 				}
@@ -204,15 +204,14 @@ func TestFanoutBoundedAllocs(t *testing.T) {
 	}
 
 	// Degraded reads decode lost shards; those buffers must come from (and
-	// return to) the arena, so the fan-out executor adds only a small
-	// constant over the sequential one on the identical workload (the
-	// planner's own allocations dominate both and are out of scope here).
+	// return to) the arena, so a degraded read adds only a small constant
+	// over the healthy read of the same size (mostly the degraded planner's
+	// own allocations).
 	st.FailDiskWithinTolerance(0)
-	degSeq := measure("degraded-seq", 4*sch.DataPerStripe()*st.ElementSize(), ReadOptions{Sequential: true})
-	degFan := measure("degraded-fanout", 4*sch.DataPerStripe()*st.ElementSize(), ReadOptions{})
-	if degFan > degSeq+60 {
-		t.Errorf("degraded fan-out read: %v allocs/op vs %v sequential — decoded shards are not pooled",
-			degFan, degSeq)
+	degraded := measure("degraded", 4*sch.DataPerStripe()*st.ElementSize(), ReadOptions{})
+	if degraded > large+60 {
+		t.Errorf("degraded 24-element read: %v allocs/op vs %v healthy — decoded shards are not pooled",
+			degraded, large)
 	}
 }
 
@@ -235,7 +234,7 @@ func TestFanoutReplanRecyclesBuffers(t *testing.T) {
 	// degraded around it — exercising the recycle-before-continue path.
 	st.SetFaultInjector(stubInjector{read: onlyDev(1, Fault{Err: errors.New("io error")})})
 	for i := 0; i < 30; i++ {
-		res, err := st.ReadAtCtx(context.Background(), 0, len(payload), ReadOptions{Concurrency: 4})
+		res, err := st.ReadAtCtx(context.Background(), 0, len(payload), ReadOptions{})
 		if err != nil {
 			t.Fatalf("replanning read %d: %v", i, err)
 		}
@@ -270,7 +269,7 @@ func TestFanoutStuckOpCancellable(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := st.ReadAtCtx(ctx, 0, len(payload), ReadOptions{Concurrency: 4})
+	_, err := st.ReadAtCtx(ctx, 0, len(payload), ReadOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -300,8 +299,7 @@ func TestHedgeBeatsStuckDevice(t *testing.T) {
 	st.SetFaultInjector(stubInjector{read: onlyDev(0, Fault{Delay: 400 * time.Millisecond})})
 
 	opts := ReadOptions{
-		Concurrency: 8,
-		Hedge:       HedgeConfig{Enabled: true, Quantile: 0.5, Min: time.Millisecond, Max: 20 * time.Millisecond},
+		Hedge: HedgeConfig{Enabled: true, Quantile: 0.5, Min: time.Millisecond, Max: 20 * time.Millisecond},
 	}
 	start := time.Now()
 	res, err := st.ReadAtCtx(context.Background(), 0, len(payload), opts)
@@ -339,8 +337,7 @@ func TestHedgeStragglersJoinBeforeReturn(t *testing.T) {
 	st.SetFaultInjector(stubInjector{read: onlyDev(3, Fault{Stuck: true})})
 
 	opts := ReadOptions{
-		Concurrency: 8,
-		Hedge:       HedgeConfig{Enabled: true, Min: time.Millisecond, Max: 10 * time.Millisecond},
+		Hedge: HedgeConfig{Enabled: true, Min: time.Millisecond, Max: 10 * time.Millisecond},
 	}
 	start := time.Now()
 	res, err := st.ReadAtCtx(context.Background(), 0, len(payload), opts)
@@ -403,8 +400,8 @@ func TestFanoutCoalescing(t *testing.T) {
 	}
 }
 
-// TestReadAtCtxRespectsSealedExtent: the fan-out range validation matches
-// the sequential executor's contract.
+// TestReadAtCtxRespectsSealedExtent: reads past the sealed extent or at a
+// negative offset are ErrRange; a zero-length read is an empty success.
 func TestReadAtCtxRespectsSealedExtent(t *testing.T) {
 	st := testStore(t, layout.FormECFRM)
 	fill(t, st, 1000, 508)

@@ -303,63 +303,36 @@ func (r *DiskRebuild) rebuildStripe(stripe int, failedSet map[int]bool) error {
 	// Per-stripe read cache: an element fetched for one group's repair is
 	// free for the next (same physical element).
 	fetched := make(map[layout.Pos][]byte)
-	fetch := func(pos layout.Pos) ([]byte, bool) {
+	fetch := func(pos layout.Pos) []byte {
 		if data, ok := fetched[pos]; ok {
-			return data, true
+			return data
 		}
 		disk := lay.Disk(stripe, pos.Col)
 		if failedSet[disk] {
-			return nil, false
+			return nil
 		}
 		data, err := s.readCell(disk, cellKey{stripe, pos})
 		if err != nil {
 			// Failed, unavailable, or silently corrupt: treat as erased.
-			return nil, false
+			return nil
 		}
 		fetched[pos] = data
 		r.readCost++
-		return data, true
+		return data
 	}
 
 	col := lay.Col(stripe, r.dev)
 	for row := 0; row < lay.Rows(); row++ {
 		pos := layout.Pos{Row: row, Col: col}
 		cell := lay.CellAt(pos)
-		group := make([][]byte, code.N())
-		ok := false
-		// Try the cheapest surviving recovery set first.
-		for _, set := range code.RecoverySets(cell.Element) {
-			usable := true
-			for _, t := range set {
-				if _, have := fetch(lay.GroupCell(cell.Group, t)); !have {
-					usable = false
-					break
-				}
-			}
-			if usable {
-				for _, t := range set {
-					group[t] = fetched[lay.GroupCell(cell.Group, t)]
-				}
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			// Fallback: every surviving element of the group.
-			for t := 0; t < code.N(); t++ {
-				if t == cell.Element {
-					continue
-				}
-				if data, have := fetch(lay.GroupCell(cell.Group, t)); have {
-					group[t] = data
-				}
-			}
-		}
-		if err := code.ReconstructElements(group, []int{cell.Element}); err != nil {
+		data, err := rebuildCell(code, cell.Element, func(t int) []byte {
+			return fetch(lay.GroupCell(cell.Group, t))
+		})
+		if err != nil {
 			return fmt.Errorf("store: rebuild stripe %d cell (%d,%d): %w",
 				stripe, pos.Row, pos.Col, err)
 		}
-		if err := r.replacement.write(cellKey{stripe, pos}, group[cell.Element]); err != nil {
+		if err := r.replacement.write(cellKey{stripe, pos}, data); err != nil {
 			return fmt.Errorf("store: rebuild stripe %d cell (%d,%d): %w",
 				stripe, pos.Row, pos.Col, err)
 		}

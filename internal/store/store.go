@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/codes"
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/obs"
@@ -316,7 +317,7 @@ type Store struct {
 
 	// bufs is the shard arena decoded cells are drawn from; cellsPool
 	// recycles per-stripe cell containers. Together they keep the read
-	// executors from allocating per-stripe garbage on every request.
+	// executor from allocating per-stripe garbage on every request.
 	bufs      core.Buffers
 	cellsPool sync.Pool // *stripeCells
 
@@ -452,23 +453,26 @@ func (s *Store) ResetCounters() {
 // stripeBytes is the user-data capacity of one stripe.
 func (s *Store) stripeBytes() int { return s.scheme.DataPerStripe() * s.elemSize }
 
-// readCell reads one cell from device dev through the fault injector.
-// Injected latency is served (capped at the per-op timeout), transient
-// faults — errors, timed-out/stuck operations, checksum-failing mis-reads —
-// are retried up to the retry budget, and a device that exhausts the budget
-// is reported ErrUnavailable so read paths can route around it. Checksum
-// failures of the stored bytes themselves surface as ErrCorrupt (persistent
-// corruption: retrying cannot help, healing can). Caller holds mu in either
-// mode.
+// readCell reads one cell from device dev: readRunCtx's one-cell case,
+// without cancellation. Caller holds mu in either mode.
 func (s *Store) readCell(dev int, k cellKey) ([]byte, error) {
-	return s.readCellCtx(context.Background(), dev, k)
+	return s.readRunCtx(context.Background(), dev, k, 1)
 }
 
-// readCellCtx is readCell with cancellable fault waits: injected delays and
-// stuck-op timeouts return early when ctx is done, so hedged and fanned-out
-// reads can abandon a straggling device without leaking a sleeping
-// goroutine. Caller holds mu in either mode.
-func (s *Store) readCellCtx(ctx context.Context, dev int, k cellKey) ([]byte, error) {
+// readRunCtx reads count contiguous cells of device dev starting at k
+// through the fault injector. Each attempt draws one fault and issues one
+// backend read — one pread on a file disk, one request to a node — so a
+// coalesced run pays one positioning cost, as on a real disk. Injected
+// latency is served (capped at the per-op timeout), transient faults —
+// errors, timed-out/stuck operations, checksum-failing mis-reads — are
+// retried up to the retry budget, and a device that exhausts the budget is
+// reported ErrUnavailable so read paths can route around it. Checksum
+// failures of the stored bytes themselves surface as ErrCorrupt (persistent
+// corruption: retrying cannot help, healing can). Waits return early when
+// ctx is done, so hedged and fanned-out reads can abandon a straggling
+// device without leaking a sleeping goroutine. Caller holds mu in either
+// mode.
+func (s *Store) readRunCtx(ctx context.Context, dev int, k cellKey, count int) ([]byte, error) {
 	d := s.devices[dev]
 	start := time.Now()
 	var last error
@@ -503,7 +507,7 @@ func (s *Store) readCellCtx(ctx context.Context, dev int, k cellKey) ([]byte, er
 			s.Metrics().retry(false)
 			continue
 		}
-		data, err := d.read(k)
+		data, err := d.readRun(k, count)
 		if err != nil {
 			// Failed flag, missing cell, or stored-bytes checksum failure:
 			// none of these are transient, so no retry. A backend I/O error
@@ -533,7 +537,7 @@ func (s *Store) readCellCtx(ctx context.Context, dev int, k cellKey) ([]byte, er
 
 // writeGate runs the write-side fault decision for one cell write on device
 // dev: latency is served and transient faults retried, exactly like
-// readCell. Actual cell commits are pure memory mutations that cannot fail,
+// readRunCtx. Actual cell commits are pure memory mutations that cannot fail,
 // so multi-cell updates gate every write first and only then mutate — a
 // faulted update aborts with no partial state, keeping stripes
 // parity-consistent under any fault schedule. Caller holds mu exclusively.
@@ -820,10 +824,9 @@ type ReadResult struct {
 // one exception is a read that trips over silent corruption: healing
 // rewrites the cell, so the read retries under the exclusive lock.
 //
-// Plans execute through the fan-out executor by default (per-device
-// coalesced runs issued concurrently — see fanout.go); SetReadOptions or
-// ReadAtCtx select the sequential executor, a concurrency bound, or hedged
-// reads per call.
+// Plans execute as per-device coalesced runs (see fanout.go), concurrently
+// by default; SetReadOptions or ReadAtCtx serve them inline or hedged per
+// call.
 func (s *Store) ReadAt(off int64, length int) (*ReadResult, error) {
 	return s.ReadAtCtx(context.Background(), off, length, s.ReadDefaults())
 }
@@ -866,107 +869,6 @@ func (s *Store) avoidSet(unavail map[int]bool) []int {
 	return dedupInts(failed)
 }
 
-// readAt executes one read under whichever lock the caller holds. With
-// heal=false a corrupt cell aborts with errNeedsHeal (the caller escalates
-// to the exclusive lock); with heal=true (exclusive lock held) corrupt cells
-// are rebuilt and rewritten in place.
-//
-// Devices that exhaust their retry budget mid-plan are collected and the
-// read re-plans with them treated as failed (degraded fallback). The loop
-// terminates: each iteration either returns or grows the unavailable set,
-// and planning fails with ErrUnrecoverable once too much of the array is
-// out of service.
-func (s *Store) readAt(ctx context.Context, off int64, length int, heal bool) (*ReadResult, error) {
-	startElem, count, err := s.checkReadRange(off, length)
-	if err != nil {
-		return nil, err
-	}
-	if length == 0 {
-		return &ReadResult{Data: []byte{}, Plan: &core.Plan{}}, nil
-	}
-	dps := s.scheme.DataPerStripe()
-	endElem := startElem + count - 1
-	startStripe := startElem / dps
-
-	// Per-stripe cell containers come from the store's pool and decoded
-	// shards from the arena; release recycles them on every exit path —
-	// including each replan, whose pass may refill the same slots from
-	// different sources — so steady-state reads generate no per-stripe
-	// garbage and no pooled buffer is ever dropped or recycled twice.
-	fetched := make([]*stripeCells, endElem/dps-startStripe+1)
-	release := func() {
-		for i, sc := range fetched {
-			if sc != nil {
-				s.putStripeCells(sc)
-				fetched[i] = nil
-			}
-		}
-	}
-
-	unavail := make(map[int]bool) // devices that proved slow-or-erroring
-
-replan:
-	for {
-		failed := s.avoidSet(unavail)
-		plan, err := s.plan(startElem, count, failed, nil)
-		if err != nil {
-			release()
-			if len(unavail) > 0 {
-				// The plan only became impossible because of devices that
-				// are transiently out: surface that, so callers can retry
-				// later rather than treat the data as lost.
-				return nil, fmt.Errorf("%w: degraded fallback exhausted (unavailable %v): %w",
-					ErrUnavailable, keysSorted(unavail), err)
-			}
-			return nil, err
-		}
-
-		// Execute the plan: fetch each planned cell into per-stripe buffers.
-		// Checksum failures are healed on the fly from the cell's group;
-		// unavailable devices send the read back around for a new plan.
-		healed := 0
-		for _, a := range plan.Reads {
-			sc := fetched[a.Stripe-startStripe]
-			if sc == nil {
-				sc = s.getStripeCells()
-				fetched[a.Stripe-startStripe] = sc
-			}
-			data, err := s.readCellCtx(ctx, a.Disk, cellKey{a.Stripe, a.Pos})
-			if errors.Is(err, ErrCorrupt) {
-				if !heal {
-					release()
-					return nil, errNeedsHeal
-				}
-				data, err = s.healCell(a.Stripe, a.Pos)
-				if err != nil {
-					release()
-					return nil, err
-				}
-				healed++
-			} else if errors.Is(err, ErrUnavailable) || errors.Is(err, ErrFailed) {
-				unavail[a.Disk] = true
-				s.Metrics().replan()
-				release()
-				continue replan
-			}
-			if err != nil {
-				release()
-				return nil, err
-			}
-			sc.cells[a.Pos.Row*s.scheme.N()+a.Pos.Col] = data
-		}
-
-		// Assemble the requested elements, decoding lost ones on the fly.
-		data, err := s.assemble(fetched, startStripe, startElem, endElem, off, length)
-		release()
-		if err != nil {
-			return nil, err
-		}
-		s.Metrics().observeRead(len(failed) > 0, plan.MaxLoad())
-		return &ReadResult{Data: data, Plan: plan, Healed: healed}, nil
-	}
-}
-
 // dedupInts removes adjacent duplicates from a sorted slice, in place.
 func dedupInts(xs []int) []int {
 	out := xs[:0]
@@ -1000,7 +902,6 @@ func keysSorted(m map[int]bool) []int {
 // from an over-erased group.
 func (s *Store) healCell(stripe int, pos layout.Pos) ([]byte, error) {
 	lay := s.scheme.Layout()
-	code := s.scheme.Code()
 	target := lay.CellAt(pos)
 	ownDisk := lay.Disk(stripe, pos.Col)
 	if s.devices[ownDisk].failed {
@@ -1009,32 +910,19 @@ func (s *Store) healCell(stripe int, pos layout.Pos) ([]byte, error) {
 		return nil, fmt.Errorf("%w: cannot heal stripe %d cell (%d,%d): device %d failed mid-heal",
 			core.ErrUnrecoverable, stripe, pos.Row, pos.Col, ownDisk)
 	}
-	group := make([][]byte, code.N())
-	erased := []int{target.Element}
-	for t := 0; t < code.N(); t++ {
+	clean, err := rebuildCell(s.scheme.Code(), target.Element, func(t int) []byte {
 		p := lay.GroupCell(target.Group, t)
-		if p == pos {
-			continue // the corrupt cell itself
-		}
-		disk := lay.Disk(stripe, p.Col)
-		data, err := s.readCell(disk, cellKey{stripe, p})
+		// A failed or unavailable disk, or a second corrupt cell, is an
+		// erasure; rebuildCell decides recoverability.
+		data, err := s.readCell(lay.Disk(stripe, p.Col), cellKey{stripe, p})
 		if err != nil {
-			// Failed or unavailable disk, or a second corrupt cell: leave
-			// as erasure and let the decoder decide recoverability.
-			erased = append(erased, t)
-			continue
+			return nil
 		}
-		group[t] = data
+		return data
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: cannot heal stripe %d cell (%d,%d): %w", stripe, pos.Row, pos.Col, err)
 	}
-	if !code.CanRecover(erased) {
-		return nil, fmt.Errorf("%w: cannot heal stripe %d cell (%d,%d): erased elements %v exceed what %s decodes",
-			core.ErrUnrecoverable, stripe, pos.Row, pos.Col, erased, code.Name())
-	}
-	if err := code.ReconstructElements(group, []int{target.Element}); err != nil {
-		return nil, fmt.Errorf("%w: cannot heal stripe %d cell (%d,%d): %v",
-			ErrCorrupt, stripe, pos.Row, pos.Col, err)
-	}
-	clean := group[target.Element]
 	if err := s.writeGate(ownDisk); err != nil {
 		return nil, fmt.Errorf("store: heal stripe %d cell (%d,%d) rewrite: %w",
 			stripe, pos.Row, pos.Col, err)
@@ -1049,6 +937,59 @@ func (s *Store) healCell(stripe int, pos layout.Pos) ([]byte, error) {
 	s.Metrics().heal()
 	s.bumpEpoch()
 	return clean, nil
+}
+
+// rebuildCell reconstructs element target of one code group from the
+// group's other elements, which fetch supplies (nil for an erasure: a
+// failed, unavailable or corrupt cell). It decodes from the cheapest
+// recovery set whose elements all arrive; failing that, from every survivor
+// if the code can recover what is missing (ErrUnrecoverable otherwise).
+// Each element is fetched at most once. Healing, hedging and disk rebuild
+// all rebuild cells through it.
+func rebuildCell(code codes.Code, target int, fetch func(t int) []byte) ([]byte, error) {
+	n := code.N()
+	group := make([][]byte, n)
+	tried := make([]bool, n)
+	have := func(t int) bool {
+		if !tried[t] {
+			tried[t] = true
+			group[t] = fetch(t)
+		}
+		return group[t] != nil
+	}
+	var shards [][]byte
+	for _, set := range code.RecoverySets(target) {
+		usable := true
+		for _, t := range set {
+			if usable = have(t); !usable {
+				break
+			}
+		}
+		if usable {
+			shards = make([][]byte, n)
+			for _, t := range set {
+				shards[t] = group[t]
+			}
+			break
+		}
+	}
+	if shards == nil {
+		erased := []int{target}
+		for t := 0; t < n; t++ {
+			if t != target && !have(t) {
+				erased = append(erased, t)
+			}
+		}
+		if !code.CanRecover(erased) {
+			return nil, fmt.Errorf("%w: erased elements %v exceed what %s decodes",
+				core.ErrUnrecoverable, erased, code.Name())
+		}
+		shards = group
+	}
+	if err := code.ReconstructElements(shards, []int{target}); err != nil {
+		return nil, err
+	}
+	return shards[target], nil
 }
 
 // Heal checks the cell at (stripe, pos) and, if its stored bytes fail their

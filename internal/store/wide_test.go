@@ -35,7 +35,7 @@ func wideGrid(t testing.TB) map[string]*core.Scheme {
 
 // TestWideStripeStoreEndToEnd proves the wide-stripe hot path through the
 // full store: append, seal, flush, normal reads, in-tolerance disk failures
-// with degraded reads, and the fan-out executor — all at k=32/64, where
+// with degraded reads, and every read option — all at k=32/64, where
 // decodes key the cache with multi-word erasure masks. Runs under -race via
 // `make race-io`.
 func TestWideStripeStoreEndToEnd(t *testing.T) {
@@ -68,20 +68,14 @@ func TestWideStripeStoreEndToEnd(t *testing.T) {
 			}
 
 			// Fail FaultTolerance() disks; every read must still return the
-			// exact payload, via sequential and fan-out executors alike.
+			// exact payload, under every read option.
 			for i := 0; i < scheme.FaultTolerance(); i++ {
 				st.FailDiskWithinTolerance(rng.Intn(scheme.N()))
-			}
-			optsList := []ReadOptions{
-				{Sequential: true},
-				{},
-				{Concurrency: 4},
-				{Concurrency: 8, Hedge: HedgeConfig{Enabled: true, Quantile: 0.9, Min: 5 * time.Millisecond}},
 			}
 			for trial := 0; trial < 12; trial++ {
 				off := rng.Intn(len(payload) - 1)
 				ln := 1 + rng.Intn(len(payload)-off)
-				opts := optsList[trial%len(optsList)]
+				opts := readOptionsGrid[trial%len(readOptionsGrid)]
 				res, err := st.ReadAtCtx(context.Background(), int64(off), ln, opts)
 				if err != nil {
 					t.Fatalf("degraded read [%d,%d) opts %+v: %v", off, off+ln, opts, err)

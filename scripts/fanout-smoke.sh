@@ -4,8 +4,9 @@
 #
 # Builds the daemon, starts it with hedging enabled and a fault plan that
 # slows device 0 by 8ms±4ms per operation, PUTs one object, then times a
-# batch of uncached GETs through the sequential executor (?sequential=1)
-# against the same batch through the fan-out executor. Asserts that:
+# batch of uncached GETs with ?sequential=1 — the same coalesced runs served
+# one after another on one goroutine, unhedged — against the same batch
+# served by the default hedged fan-out (a worker per device). Asserts that:
 #
 #   1. every GET body matches the PUT payload,
 #   2. the fan-out batch beats the sequential batch on both total and
