@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/crs"
 	"repro/internal/layout"
 	"repro/internal/lrc"
 	"repro/internal/rs"
@@ -30,14 +29,8 @@ func buildScheme(code string, k, l, m int, form string) (*core.Scheme, error) {
 			return nil, err
 		}
 		return core.NewScheme(lc, layout.Form(form))
-	case "crs":
-		cc, err := crs.New(k, m)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewScheme(cc, layout.Form(form))
 	default:
-		return nil, fmt.Errorf("unknown code %q (want rs, lrc, or crs)", code)
+		return nil, fmt.Errorf("unknown code %q (want rs or lrc)", code)
 	}
 }
 

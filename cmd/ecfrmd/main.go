@@ -163,8 +163,8 @@ var (
 	scrubEvery = flag.Duration("scrub-interval", time.Minute, "pause between incremental scrub batches (negative disables scrub; needs -repair)")
 
 	hedge    = flag.Bool("hedge", false, "hedge straggling device reads from parity-equivalent sources")
-	hedgeQ   = flag.Float64("hedge-quantile", 0.9, "latency quantile after which a straggler is hedged")
-	hedgeMin = flag.Duration("hedge-min", time.Millisecond, "lower clamp on the hedge delay")
+	hedgeQ   = flag.Float64("hedge-quantile", 0.9, "latency quantile in (0,1) after which a straggler is hedged")
+	hedgeMin = flag.Duration("hedge-min", time.Millisecond, "lower clamp on the hedge delay (> 0)")
 
 	nodesFlag   = flag.String("nodes", "", "comma-separated data-node base URLs (gateway mode, required)")
 	groups      = flag.Int("groups", 4, "stripe groups object names hash across (gateway mode)")
@@ -183,8 +183,8 @@ var heapFloor = make([]byte, 32<<20)
 
 func main() {
 	flag.Parse()
-	if *fsync != string(store.FsyncAlways) && *fsync != string(store.FsyncNever) {
-		log.Fatalf("ecfrmd: unknown -fsync mode %q (always or never)", *fsync)
+	if err := checkFlags(*fsync, *hedgeQ, *hedgeMin); err != nil {
+		log.Fatal("ecfrmd: ", err)
 	}
 	switch *mode {
 	case "single":
@@ -196,6 +196,22 @@ func main() {
 	default:
 		log.Fatalf("ecfrmd: unknown -mode %q (single, node, or gateway)", *mode)
 	}
+}
+
+// checkFlags refuses, at startup, flag values that would otherwise be
+// silently replaced: an unknown -fsync mode, a -hedge-quantile outside (0,1)
+// (the store would hedge at p90) or a non-positive -hedge-min (1 ms).
+func checkFlags(fsyncMode string, hedgeQuantile float64, hedgeMinDelay time.Duration) error {
+	if fsyncMode != string(store.FsyncAlways) && fsyncMode != string(store.FsyncNever) {
+		return fmt.Errorf("unknown -fsync mode %q (always or never)", fsyncMode)
+	}
+	if !(hedgeQuantile > 0 && hedgeQuantile < 1) {
+		return fmt.Errorf("-hedge-quantile %v outside (0,1)", hedgeQuantile)
+	}
+	if hedgeMinDelay <= 0 {
+		return fmt.Errorf("-hedge-min %v must be positive", hedgeMinDelay)
+	}
+	return nil
 }
 
 // buildScheme constructs the erasure-coding scheme from the code flags.

@@ -11,11 +11,12 @@ import (
 
 // TestDocsNameOnlyExistingThings keeps the prose honest: every cmd/<x>,
 // internal/<x>, scripts/<x>.sh, BENCH_*.json and `make <target>` that
-// README.md, DESIGN.md, EXPERIMENTS.md or the Makefile names must exist, and
-// every Test…/Benchmark…/Fuzz… identifier the three documents name must be
-// a function defined somewhere in the module (a name written with a trailing
-// "…" only as a prefix), so a deletion or rename cannot land without the
-// documentation that pointed at it.
+// README.md, DESIGN.md, EXPERIMENTS.md, the verify skill's SKILL.md or the
+// Makefile names must exist, and every Test…/Benchmark…/Fuzz… identifier
+// the four documents name must be a function defined somewhere in the
+// module (a name written with a trailing "…" only as a prefix), so a
+// deletion or rename cannot land without the documentation that pointed at
+// it.
 func TestDocsNameOnlyExistingThings(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -29,7 +30,7 @@ func TestDocsNameOnlyExistingThings(t *testing.T) {
 	paths := regexp.MustCompile(`\b(?:cmd|internal)/[a-z0-9_]+|\bscripts/[a-z0-9_-]+\.sh|\bBENCH_\w+\.json`)
 	makes := regexp.MustCompile("`make ([a-z][a-z0-9-]*)")
 	tests := regexp.MustCompile(`\b((?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*)(…)?`)
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "Makefile"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "Makefile"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -1,10 +1,11 @@
 // Package bitmatrix implements dense matrices over GF(2) with rows packed
-// into 64-bit words — the representation Jerasure uses for Cauchy
-// Reed-Solomon coding, where a GF(2^w) generator matrix is expanded into a
-// w-times-larger bit matrix so that encoding becomes pure XOR of packets.
+// into 64-bit words. The XOR array codes (internal/xorcode) decode with its
+// rank and SolveVec; the rest of the algebra (product, inverse, packet
+// multiply, weights) is the matrix arithmetic those operations are checked
+// against in the package's tests.
 //
-// The packing makes row operations (the inner loop of Gaussian elimination
-// and of XOR scheduling) word-parallel.
+// The packing makes row operations (the inner loop of Gaussian elimination)
+// word-parallel.
 package bitmatrix
 
 import (
@@ -120,7 +121,7 @@ func (m *Matrix) Equal(o *Matrix) bool {
 }
 
 // RowWeight returns the number of set bits in row i — the XOR count the row
-// costs during encoding, the quantity CRS constructions minimize.
+// costs when applied to packets.
 func (m *Matrix) RowWeight(i int) int {
 	w := 0
 	for _, word := range m.row(i) {
@@ -161,7 +162,7 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 
 // MulVec applies the matrix to packet slices: out[i] = XOR of packets[j] for
 // every set bit (i,j). All packets and outputs must share one length; out is
-// overwritten. This is the CRS encode/decode kernel.
+// overwritten.
 func (m *Matrix) MulVec(out, packets [][]byte) {
 	if len(packets) != m.cols {
 		panic(fmt.Sprintf("bitmatrix: MulVec got %d packets, want %d", len(packets), m.cols))

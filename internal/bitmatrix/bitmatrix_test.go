@@ -248,7 +248,7 @@ func TestPropertyInverseSolvesSystems(t *testing.T) {
 
 func BenchmarkMulVec(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
-	m := randMatrix(rng, 24, 48) // CRS-scale: (k=6,m=3,w=8)
+	m := randMatrix(rng, 24, 48)
 	packets := make([][]byte, 48)
 	for i := range packets {
 		packets[i] = make([]byte, 8192)

@@ -68,6 +68,14 @@ type Code interface {
 	// read-modify-write small-write path: the data disks other than elem
 	// are never touched.
 	ApplyDelta(parity [][]byte, elem int, delta []byte) error
+	// EncodeInto is Encode writing the parity into caller-provided cells —
+	// the zero-allocation encode path.
+	EncodeInto(parity, data [][]byte) error
+	// ReconstructInto is Reconstruct drawing output buffers from alloc.
+	ReconstructInto(shards [][]byte, alloc Allocator) error
+	// ReconstructElementsInto is ReconstructElements drawing output buffers
+	// from alloc.
+	ReconstructElementsInto(shards [][]byte, targets []int, alloc Allocator) error
 }
 
 // Allocator hands out shard buffers for decode outputs. Implementations must
@@ -83,33 +91,6 @@ type Allocator interface {
 type heapAlloc struct{}
 
 func (heapAlloc) GetShard(size int) []byte { return make([]byte, size) }
-
-// IntoEncoder is implemented by codes whose encode can write parity into
-// caller-provided cells without allocating.
-type IntoEncoder interface {
-	EncodeInto(parity, data [][]byte) error
-}
-
-// IntoReconstructor is implemented by codes whose decode can draw output
-// buffers from an Allocator instead of the heap.
-type IntoReconstructor interface {
-	ReconstructInto(shards [][]byte, alloc Allocator) error
-	ReconstructElementsInto(shards [][]byte, targets []int, alloc Allocator) error
-}
-
-// PositionalCoder reports whether the code's kernel is byte-positional:
-// parity byte b depends only on the data shards' bytes at offset b, so
-// encoding a byte sub-range of every shard independently yields the same
-// result as encoding whole shards. Generator-matrix codes are positional;
-// CRS is not (its packet layout mixes offsets). Intra-stripe chunking is
-// only valid for positional codes.
-type PositionalCoder interface {
-	PositionalKernel() bool
-}
-
-// PositionalKernel reports true: Base codes apply the generator matrix
-// byte-position by byte-position.
-func (b *Base) PositionalKernel() bool { return true }
 
 // baseScratch holds the index and shard-pointer slices a decode needs,
 // recycled through a pool so steady-state reconstruct allocates nothing.
@@ -525,8 +506,3 @@ func (b *Base) VerifySet(idx int, set []int) bool {
 	_, err := matrix.SpanSolve(b.gen.SelectRows(set), b.gen.SelectRows([]int{idx}))
 	return err == nil
 }
-
-var (
-	_ IntoEncoder       = (*Base)(nil)
-	_ IntoReconstructor = (*Base)(nil)
-)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/codes"
-	"repro/internal/crs"
 	"repro/internal/layout"
 	"repro/internal/lrc"
 	"repro/internal/rs"
@@ -24,11 +23,11 @@ func makeStripeData(s *Scheme, size int, seed int64) [][]byte {
 }
 
 // TestIntoPathsMatchAllocatingPaths checks the pooled ...Into variants
-// produce bit-identical stripes to the legacy allocating paths, across
-// codes (including packet-layout CRS via its EncodeInto) and layouts.
+// produce bit-identical stripes to the allocating paths, across codes and
+// layouts.
 func TestIntoPathsMatchAllocatingPaths(t *testing.T) {
-	const size = 96 // multiple of crs.W
-	codesUnder := []codes.Code{rs.Must(6, 3), lrc.Must(6, 2, 2), crs.Must(4, 2)}
+	const size = 96
+	codesUnder := []codes.Code{rs.Must(6, 3), lrc.Must(6, 2, 2)}
 	for _, c := range codesUnder {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormECFRM} {
 			s := MustScheme(c, form)

@@ -36,11 +36,6 @@ var ErrUnrecoverable = errors.New("core: unrecoverable failure pattern")
 type Scheme struct {
 	code codes.Code
 	lay  layout.Layout
-	// Capability views of code, resolved once at construction so the hot
-	// paths pay no per-call type assertions.
-	intoEnc    codes.IntoEncoder       // nil if the code lacks EncodeInto
-	intoRec    codes.IntoReconstructor // nil if the code lacks the Into decodes
-	positional bool                    // byte-range chunking is valid
 }
 
 // NewScheme deploys code under the given layout form.
@@ -49,13 +44,7 @@ func NewScheme(code codes.Code, form layout.Form) (*Scheme, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Scheme{code: code, lay: lay}
-	s.intoEnc, _ = code.(codes.IntoEncoder)
-	s.intoRec, _ = code.(codes.IntoReconstructor)
-	if p, ok := code.(codes.PositionalCoder); ok {
-		s.positional = p.PositionalKernel()
-	}
-	return s, nil
+	return &Scheme{code: code, lay: lay}, nil
 }
 
 // MustScheme is NewScheme for known-good forms; it panics on error.
@@ -176,43 +165,11 @@ func (s *Scheme) EncodeStripeInto(bufs *Buffers, cells [][]byte, data [][]byte) 
 			}
 			sc.parity[t-k] = cells[idx]
 		}
-		if err := s.encodeGroup(sc.parity, sc.groupData); err != nil {
+		if err := s.code.EncodeInto(sc.parity, sc.groupData); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// encodeGroup encodes one group's parity into the given cells, using the
-// code's allocation-free EncodeInto when available.
-func (s *Scheme) encodeGroup(parity, groupData [][]byte) error {
-	if s.intoEnc != nil {
-		return s.intoEnc.EncodeInto(parity, groupData)
-	}
-	fresh, err := s.code.Encode(groupData)
-	if err != nil {
-		return err
-	}
-	for i := range parity {
-		copy(parity[i], fresh[i])
-	}
-	return nil
-}
-
-// encodeGroupRange encodes byte range [lo,hi) of one group's cells. Only
-// valid for positional codes (see codes.PositionalCoder); the ParallelCodec
-// guards that. cells is the full stripe.
-func (s *Scheme) encodeGroupRange(cells [][]byte, g, lo, hi int) error {
-	k, n := s.code.K(), s.code.N()
-	sc := getStripeScratch(n, k)
-	defer putStripeScratch(sc)
-	for t := 0; t < k; t++ {
-		sc.groupData[t] = cells[s.cellIndex(s.lay.GroupCell(g, t))][lo:hi]
-	}
-	for t := k; t < n; t++ {
-		sc.parity[t-k] = cells[s.cellIndex(s.lay.GroupCell(g, t))][lo:hi]
-	}
-	return s.encodeGroup(sc.parity, sc.groupData)
 }
 
 // ReconstructStripe rebuilds every nil cell of a stripe in place, group by
@@ -269,7 +226,7 @@ func (s *Scheme) ReconstructStripeInto(bufs *Buffers, cells [][]byte) error {
 		if !missing {
 			continue
 		}
-		if err := s.reconstructGroup(bufs, group); err != nil {
+		if err := s.code.ReconstructInto(group, bufs); err != nil {
 			return fmt.Errorf("%w: group %d: %v", ErrUnrecoverable, g, err)
 		}
 		for t := 0; t < n; t++ {
@@ -282,17 +239,13 @@ func (s *Scheme) ReconstructStripeInto(bufs *Buffers, cells [][]byte) error {
 	return nil
 }
 
-// reconstructGroup decodes one group in place, using the code's
-// allocation-free ReconstructInto when available.
-func (s *Scheme) reconstructGroup(bufs *Buffers, group [][]byte) error {
-	if s.intoRec != nil {
-		return s.intoRec.ReconstructInto(group, bufs)
-	}
-	return s.code.Reconstruct(group)
-}
-
-// RebuildDataInto is RebuildData drawing the decode buffer from bufs and
-// pooling its scratch — the zero-allocation degraded-read decode.
+// RebuildDataInto rebuilds the in-stripe data element e from whatever cells
+// of its group are present (non-nil) in cells, stores it into cells, and
+// returns it. Cells outside e's group are ignored, and other erased cells of
+// the group are left nil — this is the targeted decode a degraded read
+// performs after fetching only a minimal recovery set. The decode buffer
+// comes from bufs and the scratch is pooled, so it allocates nothing in
+// steady state.
 func (s *Scheme) RebuildDataInto(bufs *Buffers, cells [][]byte, e int) ([]byte, error) {
 	if len(cells) != s.CellsPerStripe() {
 		return nil, fmt.Errorf("%w: got %d cells, want %d", ErrBadRequest, len(cells), s.CellsPerStripe())
@@ -311,40 +264,7 @@ func (s *Scheme) RebuildDataInto(bufs *Buffers, cells [][]byte, e int) ([]byte, 
 		group[t] = cells[s.cellIndex(s.lay.GroupCell(c.Group, t))]
 	}
 	sc.target[0] = c.Element
-	var err error
-	if s.intoRec != nil {
-		err = s.intoRec.ReconstructElementsInto(group, sc.target[:], bufs)
-	} else {
-		err = s.code.ReconstructElements(group, sc.target[:])
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: element %d: %v", ErrUnrecoverable, e, err)
-	}
-	cells[idx] = group[c.Element]
-	return cells[idx], nil
-}
-
-// RebuildData rebuilds the in-stripe data element e from whatever cells of
-// its group are present (non-nil) in cells, stores it into cells, and
-// returns it. Cells outside e's group are ignored, and other erased cells
-// of the group are left nil — this is the targeted decode a degraded read
-// performs after fetching only a minimal recovery set.
-func (s *Scheme) RebuildData(cells [][]byte, e int) ([]byte, error) {
-	if len(cells) != s.CellsPerStripe() {
-		return nil, fmt.Errorf("%w: got %d cells, want %d", ErrBadRequest, len(cells), s.CellsPerStripe())
-	}
-	pos := s.lay.DataPos(e)
-	idx := s.cellIndex(pos)
-	if cells[idx] != nil {
-		return cells[idx], nil
-	}
-	c := s.lay.CellAt(pos)
-	n := s.code.N()
-	group := make([][]byte, n)
-	for t := 0; t < n; t++ {
-		group[t] = cells[s.cellIndex(s.lay.GroupCell(c.Group, t))]
-	}
-	if err := s.code.ReconstructElements(group, []int{c.Element}); err != nil {
+	if err := s.code.ReconstructElementsInto(group, sc.target[:], bufs); err != nil {
 		return nil, fmt.Errorf("%w: element %d: %v", ErrUnrecoverable, e, err)
 	}
 	cells[idx] = group[c.Element]

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/codes"
-	"repro/internal/crs"
 	"repro/internal/layout"
 	"repro/internal/lrc"
 	"repro/internal/rs"
@@ -30,7 +29,6 @@ func TestWideStripeSchemes(t *testing.T) {
 		{rs.Must(128, 8), []int{0, 17, 63, 64, 100, 127, 128, 135}},
 		{lrc.Must(64, 8, 2), []int{5, 40}},
 		{lrc.Must(128, 4, 4), []int{2, 31, 131, 135}},
-		{crs.Must(64, 4), []int{1, 30, 50, 67}},
 	}
 	for _, c := range cfgs {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormECFRM} {
@@ -86,7 +84,7 @@ func TestWideStripeSchemes(t *testing.T) {
 					}
 				}
 				for e := 0; e < s.DataPerStripe(); e++ {
-					got, err := s.RebuildData(degraded, e)
+					got, err := s.RebuildDataInto(new(Buffers), degraded, e)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -95,31 +93,6 @@ func TestWideStripeSchemes(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestWideStripeChunkedEncode checks byte-range chunking of a wide
-// positional code: chunk boundaries land on multiples of chunkAlign (16),
-// and the chunked encode must be bit-identical to the whole-shard encode.
-func TestWideStripeChunkedEncode(t *testing.T) {
-	s := MustScheme(rs.Must(32, 4), layout.FormECFRM)
-	pc := s.NewParallelCodec(4)
-	pc.SetChunkBytes(48) // force many chunks; rounds to chunkAlign
-	const size = 4096 + 32
-	var bufs Buffers
-	data := makeStripeData(s, size, 99)
-	want, err := s.EncodeStripe(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := make([][]byte, s.CellsPerStripe())
-	if err := pc.EncodeStripeChunked(&bufs, cells, data); err != nil {
-		t.Fatal(err)
-	}
-	for i := range cells {
-		if !bytes.Equal(cells[i], want[i]) {
-			t.Fatalf("cell %d differs between chunked and whole-shard encode", i)
 		}
 	}
 }

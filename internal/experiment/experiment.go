@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/codes"
 	"repro/internal/core"
-	"repro/internal/crs"
 	"repro/internal/disksim"
 	"repro/internal/layout"
 	"repro/internal/lrc"
@@ -48,17 +47,13 @@ func (cs CodeSpec) Label() string {
 	return fmt.Sprintf("(%d,%d)", cs.K, cs.M)
 }
 
-// Build constructs the candidate code. Families: "RS", "LRC", and "CRS"
-// (Cauchy Reed-Solomon, an extension family showing the framework accepts
-// any one-row candidate).
+// Build constructs the candidate code of family "RS" or "LRC".
 func (cs CodeSpec) Build() (codes.Code, error) {
 	switch cs.Family {
 	case "RS":
 		return rs.New(cs.K, cs.M)
 	case "LRC":
 		return lrc.New(cs.K, cs.L, cs.M)
-	case "CRS":
-		return crs.New(cs.K, cs.M)
 	default:
 		return nil, fmt.Errorf("experiment: unknown family %q", cs.Family)
 	}

@@ -364,37 +364,6 @@ func TestRecoverySweep(t *testing.T) {
 	}
 }
 
-func TestCRSFamilyWorksInHarness(t *testing.T) {
-	// Framework generality: the harness runs EC-FRM over Cauchy RS with the
-	// same machinery, and the layout effect matches plain RS (identical
-	// geometry, identical plans — only the encode kernel differs).
-	spec := CodeSpec{Family: "CRS", K: 6, M: 3}
-	c, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Name() != "CRS(6,3)" || c.FaultTolerance() != 3 {
-		t.Fatalf("built %s tolerance %d", c.Name(), c.FaultTolerance())
-	}
-	fig := Figure{ID: "x-crs", Title: "CRS extension", Metric: MetricNormalSpeed,
-		Specs: []CodeSpec{spec}, Unit: "MB/s"}
-	res, err := Run(fig, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsRes, err := Run(Figure{ID: "x-rs", Title: "", Metric: MetricNormalSpeed,
-		Specs: []CodeSpec{{Family: "RS", K: 6, M: 3}}, Unit: "MB/s"}, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, form := range Forms {
-		if res.Value(form, 0) != rsRes.Value(form, 0) {
-			t.Fatalf("%s: CRS speed %v != RS speed %v (same geometry must plan identically)",
-				form, res.Value(form, 0), rsRes.Value(form, 0))
-		}
-	}
-}
-
 func TestFigureWriteCSV(t *testing.T) {
 	fig, _ := FigureByID("8a")
 	res, err := Run(fig, fastOpts())

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/codes"
 	"repro/internal/core"
-	"repro/internal/crs"
 	"repro/internal/layout"
 	"repro/internal/lrc"
 	"repro/internal/rs"
@@ -36,7 +35,7 @@ func chaosSeeds(t *testing.T) []int64 {
 	return seeds
 }
 
-// chaosCells is the {RS, LRC, CRS} × {standard, rotated, ecfrm} grid the
+// chaosCells is the {RS, LRC} × {standard, rotated, ecfrm} grid the
 // chaos suite sweeps.
 func chaosCells(t testing.TB) map[string]*core.Scheme {
 	t.Helper()
@@ -44,7 +43,6 @@ func chaosCells(t testing.TB) map[string]*core.Scheme {
 	codesList := map[string]codes.Code{
 		"rs":  rs.Must(6, 3),
 		"lrc": lrc.Must(6, 2, 2),
-		"crs": crs.Must(6, 3),
 	}
 	for cname, c := range codesList {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormRotated, layout.FormECFRM} {
@@ -219,7 +217,7 @@ func windDown(t *testing.T, st *store.Store, corrupted map[int]layout.Pos) {
 // no-silent-wrong-bytes contract (content never changes in this variant).
 func TestChaosConcurrentReaders(t *testing.T) {
 	cells := chaosCells(t)
-	for _, name := range []string{"rs-ecfrm", "lrc-ecfrm", "crs-rotated"} {
+	for _, name := range []string{"rs-ecfrm", "lrc-ecfrm", "rs-rotated"} {
 		scheme := cells[name]
 		for _, seed := range chaosSeeds(t) {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {

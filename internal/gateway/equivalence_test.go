@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/codes"
 	"repro/internal/core"
-	"repro/internal/crs"
 	"repro/internal/datanode"
 	"repro/internal/httpd"
 	"repro/internal/layout"
@@ -22,7 +21,7 @@ import (
 	"repro/internal/store"
 )
 
-// schemeGrid is the {RS, LRC, CRS} × {standard, rotated, ecfrm} sweep the
+// schemeGrid is the {RS, LRC} × {standard, rotated, ecfrm} sweep the
 // equivalence property covers — the same grid the single-process fan-out
 // tests use, now re-proven across a process boundary.
 func schemeGrid(t testing.TB) map[string]*core.Scheme {
@@ -31,7 +30,6 @@ func schemeGrid(t testing.TB) map[string]*core.Scheme {
 	for cname, c := range map[string]codes.Code{
 		"rs":  rs.Must(6, 3),
 		"lrc": lrc.Must(6, 2, 2),
-		"crs": crs.Must(6, 3),
 	} {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormRotated, layout.FormECFRM} {
 			cells[fmt.Sprintf("%s-%s", cname, form)] = core.MustScheme(c, form)

@@ -206,8 +206,4 @@ func (c *Code) RecoverySets(idx int) [][]int {
 	return sets
 }
 
-var (
-	_ codes.Code              = (*Code)(nil)
-	_ codes.IntoEncoder       = (*Code)(nil)
-	_ codes.IntoReconstructor = (*Code)(nil)
-)
+var _ codes.Code = (*Code)(nil)

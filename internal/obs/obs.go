@@ -195,15 +195,6 @@ func (sp Span) End() {
 	}
 }
 
-// LinearBuckets returns count upper bounds start, start+width, ...
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExpBuckets returns count upper bounds start, start*factor, ...
 func ExpBuckets(start, factor float64, count int) []float64 {
 	out := make([]float64, count)

@@ -100,12 +100,6 @@ func TestHistogramUnsortedBuckets(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(1, 2, 4)
-	for i, want := range []float64{1, 3, 5, 7} {
-		if lin[i] != want {
-			t.Fatalf("LinearBuckets[%d] = %v, want %v", i, lin[i], want)
-		}
-	}
 	exp := ExpBuckets(1, 4, 3)
 	for i, want := range []float64{1, 4, 16} {
 		if exp[i] != want {

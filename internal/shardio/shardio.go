@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"repro/internal/core"
 )
@@ -30,7 +29,7 @@ var ErrCorrupt = errors.New("shardio: parity verification failed")
 // construction parameters are stored so callers can rebuild the scheme; the
 // decode functions take the scheme explicitly and validate against Name.
 type Manifest struct {
-	Code     string `json:"code"` // "rs", "lrc", "crs", ...
+	Code     string `json:"code"` // "rs" or "lrc"
 	K        int    `json:"k"`
 	L        int    `json:"l,omitempty"`
 	M        int    `json:"m"`
@@ -208,12 +207,4 @@ func Decode(scheme *core.Scheme, dir string) ([]byte, int, error) {
 		return nil, missing, fmt.Errorf("shardio: decoded %d bytes, manifest says %d", len(payload), man.Length)
 	}
 	return payload[:man.Length], missing, nil
-}
-
-// Verify parity-checks every stripe of a complete shard directory and
-// returns the corrupt stripe indices inside ErrCorrupt (nil error if clean).
-// All disk files must be present. It streams the directory through
-// VerifyStream with one worker per CPU.
-func Verify(scheme *core.Scheme, dir string) error {
-	return VerifyStream(scheme, dir, runtime.GOMAXPROCS(0))
 }

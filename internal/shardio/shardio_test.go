@@ -73,7 +73,7 @@ func TestDecodeWithMissingDisks(t *testing.T) {
 func TestVerifyCleanAndCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	encodeSample(t, dir, 40_000, 3)
-	if err := Verify(scheme622(t), dir); err != nil {
+	if err := VerifyStream(scheme622(t), dir, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Flip one byte in a shard file.
@@ -83,14 +83,14 @@ func TestVerifyCleanAndCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(scheme622(t), dir); !errors.Is(err, ErrCorrupt) {
+	if err := VerifyStream(scheme622(t), dir, 1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corruption not flagged: %v", err)
 	}
 	// Verify with a missing disk refuses.
 	if err := os.Remove(DiskFile(dir, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(scheme622(t), dir); err == nil || errors.Is(err, ErrCorrupt) {
+	if err := VerifyStream(scheme622(t), dir, 1); err == nil || errors.Is(err, ErrCorrupt) {
 		t.Fatalf("verify with missing disk: %v", err)
 	}
 }

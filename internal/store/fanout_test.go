@@ -12,14 +12,13 @@ import (
 
 	"repro/internal/codes"
 	"repro/internal/core"
-	"repro/internal/crs"
 	"repro/internal/layout"
 	"repro/internal/lrc"
 	"repro/internal/obs"
 	"repro/internal/rs"
 )
 
-// fanoutGrid is the {RS, LRC, CRS} × {standard, rotated, ecfrm} sweep the
+// fanoutGrid is the {RS, LRC} × {standard, rotated, ecfrm} sweep the
 // fan-out property tests cover.
 func fanoutGrid(t testing.TB) map[string]*core.Scheme {
 	t.Helper()
@@ -27,7 +26,6 @@ func fanoutGrid(t testing.TB) map[string]*core.Scheme {
 	for cname, c := range map[string]codes.Code{
 		"rs":  rs.Must(6, 3),
 		"lrc": lrc.Must(6, 2, 2),
-		"crs": crs.Must(6, 3),
 	} {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormRotated, layout.FormECFRM} {
 			cells[fmt.Sprintf("%s-%s", cname, form)] = core.MustScheme(c, form)

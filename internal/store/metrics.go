@@ -224,14 +224,6 @@ func (m *Metrics) RecoverCount(kind string) int64 {
 	return m.recoverSecRebuild.Count()
 }
 
-// DiskErrors returns the exported hard-error count for disk d.
-func (m *Metrics) DiskErrors(d int) int64 {
-	if m == nil || d >= len(m.diskErrors) {
-		return 0
-	}
-	return m.diskErrors[d].Value()
-}
-
 // observeRead records one completed read: its mode and its plan's max load.
 func (m *Metrics) observeRead(degraded bool, maxLoad int) {
 	if m == nil {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/crs"
 	"repro/internal/layout"
 	"repro/internal/lrc"
 	"repro/internal/rs"
@@ -372,28 +371,29 @@ func BenchmarkStoreDegradedRead(b *testing.B) {
 }
 
 func TestZipfTraceReplay(t *testing.T) {
-	// A Zipf-skewed element-range workload (workload.NewSkewed) replayed
-	// against the store healthy, with disk 6 failed, and after its recovery,
-	// byte-verified each time.
+	// A Zipf(1.3)-skewed element-range workload (element 0 hottest, 1-20
+	// elements per read) replayed against the store healthy, with disk 6
+	// failed, and after its recovery, byte-verified each time.
 	s := testStore(t, layout.FormECFRM)
 	const elements = 600
 	payload := fill(t, s, elements*s.ElementSize(), 91)
-	gen, err := workload.NewSkewed(
-		workload.Config{TotalElements: elements, Disks: s.Scheme().N(), Seed: 92},
-		workload.SkewConfig{Kind: workload.SkewZipf, ZipfS: 1.3})
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(92))
+	zipf := rand.NewZipf(rng, 1.3, 1, elements-1)
+	type trial struct{ start, count int }
+	trials := make([]trial, 400)
+	for i := range trials {
+		count := 1 + rng.Intn(workload.MaxReadElements)
+		trials[i] = trial{min(int(zipf.Uint64()), elements-count), count}
 	}
-	trials := gen.Series(400)
 	run := func(phase string) {
 		for _, tr := range trials {
-			off, size := tr.Start*s.ElementSize(), tr.Count*s.ElementSize()
+			off, size := tr.start*s.ElementSize(), tr.count*s.ElementSize()
 			res, err := s.ReadAt(int64(off), size)
 			if err != nil {
-				t.Fatalf("%s: elements [%d,+%d): %v", phase, tr.Start, tr.Count, err)
+				t.Fatalf("%s: elements [%d,+%d): %v", phase, tr.start, tr.count, err)
 			}
 			if !bytes.Equal(res.Data, payload[off:off+size]) {
-				t.Fatalf("%s: elements [%d,+%d) bytes wrong", phase, tr.Start, tr.Count)
+				t.Fatalf("%s: elements [%d,+%d) bytes wrong", phase, tr.start, tr.count)
 			}
 		}
 	}
@@ -546,39 +546,6 @@ func TestRecoverDiskSkipsCorruptCells(t *testing.T) {
 	}
 	if !bytes.Equal(res.Data, data) {
 		t.Fatal("data wrong after recovery with corruption present")
-	}
-}
-
-func TestStoreWithCRSScheme(t *testing.T) {
-	// CRS requires element sizes divisible by its packet width (8); with an
-	// aligned element size the whole store pipeline works unchanged —
-	// including the XOR decode path on degraded reads.
-	s := MustNew(core.MustScheme(crs.Must(6, 3), layout.FormECFRM), 64)
-	data := fill(t, s, 6000, 110)
-	s.FailDisk(4)
-	res, err := s.ReadAt(100, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Data, data[100:3100]) {
-		t.Fatal("CRS degraded read wrong")
-	}
-	if _, err := s.RecoverDisk(4); err != nil {
-		t.Fatal(err)
-	}
-	if bad, _ := s.Scrub(); bad != nil {
-		t.Fatalf("CRS scrub found %v", bad)
-	}
-	// Small writes use CRS's bit-matrix delta path.
-	upd := make([]byte, 2*64)
-	rand.New(rand.NewSource(111)).Read(upd)
-	if err := s.WriteAt(int64(5*64), upd); err != nil {
-		t.Fatal(err)
-	}
-	copy(data[5*64:], upd)
-	res, err = s.ReadAt(0, len(data))
-	if err != nil || !bytes.Equal(res.Data, data) {
-		t.Fatalf("CRS after WriteAt: err=%v match=%v", err, bytes.Equal(res.Data, data))
 	}
 }
 

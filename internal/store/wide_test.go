@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/codes"
 	"repro/internal/core"
-	"repro/internal/crs"
 	"repro/internal/layout"
 	"repro/internal/lrc"
 	"repro/internal/rs"
@@ -24,7 +23,6 @@ func wideGrid(t testing.TB) map[string]*core.Scheme {
 	for cname, c := range map[string]codes.Code{
 		"rs-64":  rs.Must(64, 4),
 		"lrc-32": lrc.Must(32, 4, 2),
-		"crs-32": crs.Must(32, 3),
 	} {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormECFRM} {
 			cells[fmt.Sprintf("%s-%s", cname, form)] = core.MustScheme(c, form)
@@ -41,7 +39,7 @@ func wideGrid(t testing.TB) map[string]*core.Scheme {
 func TestWideStripeStoreEndToEnd(t *testing.T) {
 	for name, scheme := range wideGrid(t) {
 		t.Run(name, func(t *testing.T) {
-			const elem = 64 // multiple of crs.W, the packet layout's granularity
+			const elem = 64
 			st := MustNew(scheme, elem)
 			st.SetRetryPolicy(200*time.Microsecond, 2)
 			rng := rand.New(rand.NewSource(int64(len(name))))

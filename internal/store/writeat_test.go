@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/codes"
 	"repro/internal/core"
-	"repro/internal/crs"
 	"repro/internal/layout"
 	"repro/internal/lrc"
 	"repro/internal/rs"
@@ -33,7 +32,6 @@ func TestWriteAtDeltaEquivalentToReencode(t *testing.T) {
 	codeSet := map[string]codes.Code{
 		"rs":  rs.Must(6, 3),
 		"lrc": lrc.Must(6, 2, 2),
-		"crs": crs.Must(6, 3),
 	}
 	forms := []layout.Form{layout.FormStandard, layout.FormRotated, layout.FormECFRM}
 	for name, code := range codeSet {
