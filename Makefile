@@ -112,10 +112,14 @@ repair-chaos:
 cluster-smoke:
 	./scripts/cluster-smoke.sh
 
-# A short fuzz run over the GF(2^8) kernel equivalence target: the SIMD and
-# word kernels against the reference, for the one field every code uses.
+# Short fuzz runs: the GF(2^8) kernel equivalence target (the SIMD and word
+# kernels against the reference, for the one field every code uses), the
+# exact planner's safety on every target shape the store plans (GET ranges,
+# disk rebuilds, hedged runs), and the scrub cursor under crash schedules.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/gf
+	$(GO) test -run NONE -fuzz FuzzPlannerNeverTouchesFailedDisks -fuzztime 10s .
+	$(GO) test -run NONE -fuzz FuzzScrubCursor -fuzztime 10s ./internal/repair
 
 # The seeded chaos suite under the race detector: the two fixed seeds plus a
 # time-derived one (echoed here and in the test log — rerun any failure with

@@ -16,7 +16,7 @@
 //   - schemes (code × layout): NewScheme with FormStandard / FormRotated /
 //     FormECFRM, giving the paper's RS, R-RS, EC-FRM-RS, LRC, R-LRC,
 //     EC-FRM-LRC variants;
-//   - stripe operations: EncodeStripe, ReconstructStripe, RebuildDataInto;
+//   - stripe operations: EncodeStripe, ReconstructStripe, RebuildCellInto;
 //   - read planning: PlanNormalRead, PlanDegradedRead (fewest reads, then
 //     least max disk load) with per-disk load accounting;
 //   - a blob store over simulated devices (NewStore) and a seeded disk-array

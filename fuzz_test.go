@@ -87,11 +87,14 @@ func FuzzLayoutInversion(f *testing.F) {
 }
 
 // FuzzPlannerNeverTouchesFailedDisks throws arbitrary requests at the
-// degraded planner with two failed disks (LRC(6,2,2) tolerates three) and
-// asserts its safety properties: no read on a failed disk, loads that add up,
-// and a plan that can decode — every lost element's group is read on one of
-// the element's usable recovery sets, or on every survivor when none is
-// usable.
+// degraded planner with two failed disks (LRC(6,2,2) tolerates three), in
+// the three shapes the store plans: a range of data elements (a GET), every
+// cell of one failed disk in a stripe (a disk rebuild), and a run of one
+// device's cells at consecutive on-disk offsets with that device avoided too
+// (a hedge). It asserts the planner's safety properties: no read on an
+// avoided disk, loads that add up, and a plan that can decode — every target
+// on an avoided disk has its group read on one of its usable recovery sets,
+// or on every survivor when none is usable.
 func FuzzPlannerNeverTouchesFailedDisks(f *testing.F) {
 	f.Add(uint16(0), uint8(8), uint8(0), uint8(3))
 	f.Add(uint16(55), uint8(20), uint8(9), uint8(0))
@@ -105,79 +108,111 @@ func FuzzPlannerNeverTouchesFailedDisks(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := scheme.N()
+		lay := scheme.Layout()
+		n, rows, dps := scheme.N(), lay.Rows(), scheme.DataPerStripe()
 		start := int(start16) % 200
 		count := int(count8)%40 + 1
 		failed := []int{int(fail8) % n, (int(fail8) + 1 + int(second8)%(n-1)) % n}
-		plan, err := scheme.PlanDegradedRead(start, count, failed)
-		if errors.Is(err, core.ErrUnrecoverable) {
-			t.Fatalf("two failures must always be plannable: %v", err)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		isFailed := map[int]bool{failed[0]: true, failed[1]: true}
-		read := make(map[Access]bool, len(plan.Reads))
-		for _, a := range plan.Reads {
-			if isFailed[a.Disk] {
-				t.Fatalf("plan touches failed disk: %+v", a)
-			}
-			read[a] = true
-		}
-		// Loads must sum to total reads.
-		sum := 0
-		for _, l := range plan.Loads {
-			sum += l
-		}
-		if sum != plan.TotalReads() {
-			t.Fatalf("loads sum %d != %d reads", sum, plan.TotalReads())
-		}
 
-		lay := scheme.Layout()
-		dps := scheme.DataPerStripe()
+		var rangeCells, diskCells, runCells []Access
 		for x := start; x < start+count; x++ {
-			stripe, e := x/dps, x%dps
-			pos := lay.DataPos(e)
-			if !isFailed[lay.Disk(stripe, pos.Col)] {
-				if !read[Access{Disk: lay.Disk(stripe, pos.Col), Stripe: stripe, Pos: pos}] {
-					t.Fatalf("element %d on a surviving disk is not read directly", x)
-				}
-				continue
-			}
-			cell := lay.CellAt(pos)
-			// covered reports whether the plan reads set's elements of the
-			// group; usable, whether none of them is on a failed disk.
-			check := func(set []int) (covered, usable bool) {
-				covered, usable = true, true
-				for _, el := range set {
-					p := lay.GroupCell(cell.Group, el)
-					a := Access{Disk: lay.Disk(stripe, p.Col), Stripe: stripe, Pos: p}
-					usable = usable && !isFailed[a.Disk]
-					covered = covered && read[a]
-				}
-				return covered, usable
-			}
-			anyUsable, ok := false, false
-			for _, set := range code.RecoverySets(cell.Element) {
-				covered, usable := check(set)
-				anyUsable = anyUsable || usable
-				ok = ok || usable && covered
-			}
-			if !anyUsable {
-				var survivors []int
-				for el := 0; el < code.N(); el++ {
-					if p := lay.GroupCell(cell.Group, el); !isFailed[lay.Disk(stripe, p.Col)] {
-						survivors = append(survivors, el)
-					}
-				}
-				ok, _ = check(survivors)
-			}
-			if !ok {
-				t.Fatalf("lost element %d (group %d element %d, failed %v): plan reads none of its recovery sets",
-					x, cell.Group, cell.Element, failed)
-			}
+			rangeCells = append(rangeCells, Access{Stripe: x / dps, Pos: lay.DataPos(x % dps)})
 		}
+		plan, err := scheme.PlanDegradedRead(start, count, failed)
+		checkPlan(t, scheme, rangeCells, failed, plan, err)
+
+		stripe := start / dps
+		for row := 0; row < rows; row++ {
+			diskCells = append(diskCells, Access{Stripe: stripe, Pos: Pos{Row: row, Col: lay.Col(stripe, failed[0])}})
+		}
+		plan, err = scheme.PlanCells(diskCells, failed, nil)
+		checkPlan(t, scheme, diskCells, failed, plan, err)
+
+		dev := (failed[1] + 1) % n
+		if dev == failed[0] {
+			dev = (dev + 1) % n
+		}
+		for slot := start; slot < start+count%(3*rows)+1; slot++ {
+			runCells = append(runCells, Access{Stripe: slot / rows, Pos: Pos{Row: slot % rows, Col: lay.Col(slot/rows, dev)}})
+		}
+		avoid := append([]int{dev}, failed...)
+		plan, err = scheme.PlanCells(runCells, avoid, nil)
+		checkPlan(t, scheme, runCells, avoid, plan, err)
 	})
+}
+
+// checkPlan asserts a plan of targets around the avoided disks is safe: it
+// was plannable (within LRC(6,2,2)'s tolerance), reads no avoided disk,
+// reads every target on a surviving disk directly, and reads, for every
+// other target, a usable recovery set of its group or every survivor.
+func checkPlan(t *testing.T, scheme *Scheme, targets []Access, avoid []int, plan *Plan, err error) {
+	t.Helper()
+	if errors.Is(err, core.ErrUnrecoverable) {
+		t.Fatalf("%d avoided disks must always be plannable: %v", len(avoid), err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, lay := scheme.Code(), scheme.Layout()
+	isAvoided := make(map[int]bool)
+	for _, d := range avoid {
+		isAvoided[d] = true
+	}
+	read := make(map[Access]bool, len(plan.Reads))
+	sum := 0
+	for _, a := range plan.Reads {
+		if isAvoided[a.Disk] {
+			t.Fatalf("plan touches avoided disk: %+v (avoid %v)", a, avoid)
+		}
+		read[a] = true
+	}
+	for _, l := range plan.Loads {
+		sum += l
+	}
+	if sum != plan.TotalReads() {
+		t.Fatalf("loads sum %d != %d reads", sum, plan.TotalReads())
+	}
+	for _, tg := range targets {
+		stripe, pos := tg.Stripe, tg.Pos
+		if d := lay.Disk(stripe, pos.Col); !isAvoided[d] {
+			if !read[Access{Disk: d, Stripe: stripe, Pos: pos}] {
+				t.Fatalf("target %+v on a surviving disk is not read directly", tg)
+			}
+			continue
+		}
+		cell := lay.CellAt(pos)
+		// covered reports whether the plan reads set's elements of the
+		// group; usable, whether none of them is on an avoided disk.
+		check := func(set []int) (covered, usable bool) {
+			covered, usable = true, true
+			for _, el := range set {
+				p := lay.GroupCell(cell.Group, el)
+				a := Access{Disk: lay.Disk(stripe, p.Col), Stripe: stripe, Pos: p}
+				usable = usable && !isAvoided[a.Disk]
+				covered = covered && read[a]
+			}
+			return covered, usable
+		}
+		anyUsable, ok := false, false
+		for _, set := range code.RecoverySets(cell.Element) {
+			covered, usable := check(set)
+			anyUsable = anyUsable || usable
+			ok = ok || usable && covered
+		}
+		if !anyUsable {
+			var survivors []int
+			for el := 0; el < code.N(); el++ {
+				if p := lay.GroupCell(cell.Group, el); !isAvoided[lay.Disk(stripe, p.Col)] {
+					survivors = append(survivors, el)
+				}
+			}
+			ok, _ = check(survivors)
+		}
+		if !ok {
+			t.Fatalf("lost target %+v (group %d element %d, avoid %v): plan reads none of its recovery sets",
+				tg, cell.Group, cell.Element, avoid)
+		}
+	}
 }
 
 // FuzzStoreWriteAt exercises the small-write path against a shadow copy.

@@ -50,10 +50,6 @@ type Code interface {
 	// given the non-nil survivors. Returns ErrUnrecoverable if the pattern
 	// is information-theoretically lost.
 	Reconstruct(shards [][]byte) error
-	// ReconstructElements rebuilds only the listed target elements in
-	// place, succeeding whenever those targets (not necessarily every
-	// erased shard) are decodable from the survivors.
-	ReconstructElements(shards [][]byte, targets []int) error
 	// CanRecover reports whether the given erased element indices are
 	// jointly decodable from the survivors.
 	CanRecover(erased []int) bool
@@ -73,8 +69,10 @@ type Code interface {
 	EncodeInto(parity, data [][]byte) error
 	// ReconstructInto is Reconstruct drawing output buffers from alloc.
 	ReconstructInto(shards [][]byte, alloc Allocator) error
-	// ReconstructElementsInto is ReconstructElements drawing output buffers
-	// from alloc.
+	// ReconstructElementsInto rebuilds only the listed target elements in
+	// place, drawing output buffers from alloc, and succeeds whenever those
+	// targets (not necessarily every erased shard) are decodable from the
+	// survivors.
 	ReconstructElementsInto(shards [][]byte, targets []int, alloc Allocator) error
 }
 
@@ -383,17 +381,12 @@ func (b *Base) ReconstructInto(shards [][]byte, alloc Allocator) error {
 	return nil
 }
 
-// ReconstructElements rebuilds only the listed target elements from the
-// non-nil shards, writing the results into shards. Unlike Reconstruct it
-// succeeds as long as the *targets* are in the span of the survivors, even
-// when other erased elements are unrecoverable — exactly the degraded-read
-// situation, where a minimal recovery set was read and nothing else.
-func (b *Base) ReconstructElements(shards [][]byte, targets []int) error {
-	return b.ReconstructElementsInto(shards, targets, heapAlloc{})
-}
-
-// ReconstructElementsInto is ReconstructElements drawing output buffers from
-// alloc — the zero-allocation degraded-read path when alloc recycles memory.
+// ReconstructElementsInto rebuilds only the listed target elements from the
+// non-nil shards, writing the results — buffers drawn from alloc — into
+// shards. Unlike Reconstruct it succeeds as long as the *targets* are in the
+// span of the survivors, even when other erased elements are unrecoverable —
+// exactly the degraded-read situation, where a recovery set was read and
+// nothing else.
 func (b *Base) ReconstructElementsInto(shards [][]byte, targets []int, alloc Allocator) error {
 	if len(shards) != b.n {
 		return fmt.Errorf("%w: got %d shards, want %d", ErrShardSize, len(shards), b.n)

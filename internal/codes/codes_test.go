@@ -251,7 +251,7 @@ func TestReconstructElementsPartialPattern(t *testing.T) {
 	}
 	// Targeted reconstruct of d0 alone succeeds via d1 + p0.
 	work := append([][]byte{}, shards...)
-	if err := b.ReconstructElements(work, []int{0}); err != nil {
+	if err := b.ReconstructElementsInto(work, []int{0}, heapAlloc{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(work[0], data[0]) {
@@ -262,29 +262,29 @@ func TestReconstructElementsPartialPattern(t *testing.T) {
 		t.Fatal("non-targets were touched")
 	}
 	// Asking for the impossible target fails.
-	if err := b.ReconstructElements(append([][]byte{}, shards...), []int{2}); !errors.Is(err, ErrUnrecoverable) {
+	if err := b.ReconstructElementsInto(append([][]byte{}, shards...), []int{2}, heapAlloc{}); !errors.Is(err, ErrUnrecoverable) {
 		t.Fatalf("impossible target err = %v", err)
 	}
 }
 
 func TestReconstructElementsValidation(t *testing.T) {
 	b := testCode(t, 3, 2)
-	if err := b.ReconstructElements(make([][]byte, 2), []int{0}); !errors.Is(err, ErrShardSize) {
+	if err := b.ReconstructElementsInto(make([][]byte, 2), []int{0}, heapAlloc{}); !errors.Is(err, ErrShardSize) {
 		t.Fatalf("short shards: %v", err)
 	}
-	if err := b.ReconstructElements(make([][]byte, 5), []int{7}); !errors.Is(err, ErrShardSize) {
+	if err := b.ReconstructElementsInto(make([][]byte, 5), []int{7}, heapAlloc{}); !errors.Is(err, ErrShardSize) {
 		t.Fatalf("bad target: %v", err)
 	}
-	if err := b.ReconstructElements(make([][]byte, 5), []int{0}); !errors.Is(err, ErrShardSize) {
+	if err := b.ReconstructElementsInto(make([][]byte, 5), []int{0}, heapAlloc{}); !errors.Is(err, ErrShardSize) {
 		t.Fatalf("all nil: %v", err)
 	}
 	// Present targets are a no-op.
 	shards := [][]byte{{1}, {2}, {3}, nil, nil}
-	if err := b.ReconstructElements(shards, []int{0}); err != nil {
+	if err := b.ReconstructElementsInto(shards, []int{0}, heapAlloc{}); err != nil {
 		t.Fatal(err)
 	}
 	ragged := [][]byte{{1, 2}, {3}, nil, nil, nil}
-	if err := b.ReconstructElements(ragged, []int{2}); !errors.Is(err, ErrShardSize) {
+	if err := b.ReconstructElementsInto(ragged, []int{2}, heapAlloc{}); !errors.Is(err, ErrShardSize) {
 		t.Fatalf("ragged: %v", err)
 	}
 }

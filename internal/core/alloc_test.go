@@ -65,12 +65,12 @@ func TestIntoPathsMatchAllocatingPaths(t *testing.T) {
 				// Degraded single-element rebuild via the pooled path.
 				idx := s.cellIndex(s.lay.DataPos(0))
 				cells[idx] = nil
-				got, err := s.RebuildDataInto(&bufs, cells, 0)
+				got, err := s.RebuildCellInto(&bufs, cells, s.Layout().DataPos(0))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, data[0]) {
-					t.Fatal("RebuildDataInto returned wrong data")
+					t.Fatal("RebuildCellInto returned wrong data")
 				}
 			})
 		}
@@ -125,10 +125,10 @@ func checkZeroAllocSteadyState(t *testing.T, cs ...codes.Code) {
 				t.Fatal(err)
 			}
 		})
-		check("RebuildDataInto", func() {
+		check("RebuildCellInto", func() {
 			bufs.PutShard(cells[idx0])
 			cells[idx0] = nil
-			if _, err := s.RebuildDataInto(&bufs, cells, 0); err != nil {
+			if _, err := s.RebuildCellInto(&bufs, cells, s.Layout().DataPos(0)); err != nil {
 				t.Fatal(err)
 			}
 		})

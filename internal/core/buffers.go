@@ -8,7 +8,7 @@ import (
 
 // Buffers is a reusable shard arena backed by sync.Pool. The steady-state
 // encode/reconstruct paths (EncodeStripeInto, ReconstructStripeInto,
-// RebuildDataInto) draw every parity and decode-output buffer from it, so a
+// RebuildCellInto) draw every parity and decode-output buffer from it, so a
 // long-running server performs zero heap allocations per stripe once the
 // pools are warm.
 //
@@ -77,7 +77,7 @@ type stripeScratch struct {
 	group     [][]byte // one code group's cells, length n
 	groupData [][]byte // one group's data cells, length k
 	parity    [][]byte // one group's parity cells, length n-k
-	target    [1]int   // single-element target list for RebuildDataInto
+	target    [1]int   // single-element target list for RebuildCellInto
 }
 
 var stripeScratchPool = sync.Pool{New: func() any { return new(stripeScratch) }}

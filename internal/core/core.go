@@ -239,18 +239,17 @@ func (s *Scheme) ReconstructStripeInto(bufs *Buffers, cells [][]byte) error {
 	return nil
 }
 
-// RebuildDataInto rebuilds the in-stripe data element e from whatever cells
-// of its group are present (non-nil) in cells, stores it into cells, and
-// returns it. Cells outside e's group are ignored, and other erased cells of
-// the group are left nil — this is the targeted decode a degraded read
-// performs after fetching only a minimal recovery set. The decode buffer
-// comes from bufs and the scratch is pooled, so it allocates nothing in
-// steady state.
-func (s *Scheme) RebuildDataInto(bufs *Buffers, cells [][]byte, e int) ([]byte, error) {
+// RebuildCellInto rebuilds the cell at pos — data or parity — from whatever
+// cells of its group are present (non-nil) in cells, stores it into cells,
+// and returns it. Cells outside pos's group are ignored, and other erased
+// cells of the group are left nil — this is the targeted decode a degraded
+// read, a disk rebuild, a heal or a hedge performs after fetching only a
+// recovery set. The decode buffer comes from bufs and the scratch is pooled,
+// so it allocates nothing in steady state.
+func (s *Scheme) RebuildCellInto(bufs *Buffers, cells [][]byte, pos layout.Pos) ([]byte, error) {
 	if len(cells) != s.CellsPerStripe() {
 		return nil, fmt.Errorf("%w: got %d cells, want %d", ErrBadRequest, len(cells), s.CellsPerStripe())
 	}
-	pos := s.lay.DataPos(e)
 	idx := s.cellIndex(pos)
 	if cells[idx] != nil {
 		return cells[idx], nil
@@ -265,7 +264,7 @@ func (s *Scheme) RebuildDataInto(bufs *Buffers, cells [][]byte, e int) ([]byte, 
 	}
 	sc.target[0] = c.Element
 	if err := s.code.ReconstructElementsInto(group, sc.target[:], bufs); err != nil {
-		return nil, fmt.Errorf("%w: element %d: %v", ErrUnrecoverable, e, err)
+		return nil, fmt.Errorf("%w: cell (%d,%d): %v", ErrUnrecoverable, pos.Row, pos.Col, err)
 	}
 	cells[idx] = group[c.Element]
 	return cells[idx], nil

@@ -436,7 +436,7 @@ func TestDegradedPlanRecoverySetsAreSufficient(t *testing.T) {
 			// Rebuild each requested element from the planned reads only.
 			for x := start; x < start+count; x++ {
 				st, e := x/s.DataPerStripe(), x%s.DataPerStripe()
-				got, err := s.RebuildDataInto(new(Buffers), avail[st], e)
+				got, err := s.RebuildCellInto(new(Buffers), avail[st], s.Layout().DataPos(e))
 				if err != nil {
 					t.Fatalf("%s: rebuild element %d from planned reads: %v", s.Name(), x, err)
 				}

@@ -79,9 +79,10 @@ func (s *Scheme) PlanNormalRead(start, count int) (*Plan, error) {
 }
 
 // PlanDegradedRead plans a read of count sequential data elements starting
-// at start while the given disks are failed. Elements on surviving disks are
-// read directly; each element on a failed disk is rebuilt from one recovery
-// set of its group. The sets are chosen jointly for the whole request and
+// at start while the given disks are failed: PlanCells with the requested
+// data cells as its targets. Elements on surviving disks are read directly;
+// each element on a failed disk is rebuilt from one recovery set of its
+// group. The sets are chosen jointly for the whole request and
 // exactly: the plan reads the fewest cells any choice of sets can (the cost
 // the paper's Jerasure decoder pays, which keeps Figure 9 faithful), and
 // among those choices it has the least max disk load. A request too large
@@ -145,15 +146,44 @@ type search struct {
 	done               bool
 }
 
-// planDegraded is the exact planner behind PlanDegradedReadBiased: a
-// depth-first branch-and-bound over the lost elements in request order,
-// minimizing (reads, max level) lexicographically. Children are tried in
-// greedy order — fewest new reads, then lowest max, then candidate order —
-// so the first leaf is the greedy plan and ties keep the earliest leaf.
+// PlanCells plans reading the target cells — data or parity, in any
+// stripes — while the given disks are failed, with an optional per-disk load
+// bias as in PlanDegradedReadBiased. A target on a surviving disk is read
+// directly; every other target is rebuilt from one recovery set of its group
+// (every survivor of the group when no set avoids the failed disks), the
+// sets chosen jointly and exactly as PlanDegradedRead chooses them. The
+// layout places each target, so its Disk field is not consulted. This is
+// the one recovery-set chooser: degraded reads, disk rebuild, healing and
+// hedging all plan through it. Plan.Requested is len(targets).
+func (s *Scheme) PlanCells(targets []Access, failed, bias []int) (*Plan, error) {
+	p, _, err := s.planCells(targets, failed, bias)
+	return p, err
+}
+
+// planDegraded is the degraded read of count data elements from start: the
+// exact planner with the requested range as its targets.
 func (s *Scheme) planDegraded(start, count int, failed, bias []int) (*Plan, searchStats, error) {
-	n := s.N()
 	if start < 0 || count <= 0 {
 		return nil, searchStats{}, fmt.Errorf("%w: start=%d count=%d", ErrBadRequest, start, count)
+	}
+	dps := s.DataPerStripe()
+	targets := make([]Access, count)
+	for i := range targets {
+		x := start + i
+		targets[i] = Access{Stripe: x / dps, Pos: s.lay.DataPos(x % dps)}
+	}
+	return s.planCells(targets, failed, bias)
+}
+
+// planCells is the exact planner behind PlanCells: a depth-first
+// branch-and-bound over the lost targets in request order, minimizing
+// (reads, max level) lexicographically. Children are tried in greedy order
+// — fewest new reads, then lowest max, then candidate order — so the first
+// leaf is the greedy plan and ties keep the earliest leaf.
+func (s *Scheme) planCells(targets []Access, failed, bias []int) (*Plan, searchStats, error) {
+	n := s.N()
+	if len(targets) == 0 {
+		return nil, searchStats{}, fmt.Errorf("%w: no target cells", ErrBadRequest)
 	}
 	if bias != nil && len(bias) != n {
 		return nil, searchStats{}, fmt.Errorf("%w: bias has %d entries for %d disks", ErrBadRequest, len(bias), n)
@@ -165,23 +195,30 @@ func (s *Scheme) planDegraded(start, count int, failed, bias []int) (*Plan, sear
 		}
 		isFailed[d] = true
 	}
-	dps, cps, groups := s.DataPerStripe(), s.CellsPerStripe(), s.lay.Groups()
-	first := start / dps
-	stripes := (start+count-1)/dps - first + 1
+	first, last := targets[0].Stripe, targets[0].Stripe
+	for _, tg := range targets {
+		if tg.Stripe < 0 || tg.Pos.Row < 0 || tg.Pos.Row >= s.lay.Rows() || tg.Pos.Col < 0 || tg.Pos.Col >= n {
+			return nil, searchStats{}, fmt.Errorf("%w: target cell %+v", ErrBadRequest, tg)
+		}
+		first, last = min(first, tg.Stripe), max(last, tg.Stripe)
+	}
+	cps, groups := s.CellsPerStripe(), s.lay.Groups()
+	stripes := last - first + 1
 	sr := &search{first: first, refs: make([]int32, stripes*cps), level: make([]int, n),
 		lost: []int{0}, bestReads: math.MaxInt}
 	copy(sr.level, bias)
 
 	// Direct reads first, so that recovery sets are scored against them.
 	sets := make([][][]int, s.code.N()) // RecoverySets memo
-	var groupOf []int                   // per lost element: its group in the request
-	for x := start; x < start+count; x++ {
-		stripe, e := x/dps, x%dps
-		pos := s.lay.DataPos(e)
+	var groupOf []int                   // per lost target: its group in the request
+	for _, tg := range targets {
+		stripe, pos := tg.Stripe, tg.Pos
 		if disk := s.lay.Disk(stripe, pos.Col); !isFailed[disk] {
-			sr.refs[(stripe-first)*cps+s.cellIndex(pos)] = 1
-			sr.level[disk]++
-			sr.reads++
+			if idx := (stripe-first)*cps + s.cellIndex(pos); sr.refs[idx] == 0 {
+				sr.refs[idx] = 1
+				sr.level[disk]++
+				sr.reads++
+			}
 			continue
 		}
 		c := s.lay.CellAt(pos)
@@ -212,7 +249,7 @@ func (s *Scheme) planDegraded(start, count int, failed, bias []int) (*Plan, sear
 	}
 
 	// Lower bounds. Groups own disjoint cells, so each adds at least the
-	// reads of its costliest lost element's cheapest set. The max level is
+	// reads of its costliest lost target's cheapest set. The max level is
 	// at least the direct reads' and the survivors' rounded-up average.
 	cheapest := make([]int, stripes*groups)
 	for i, g := range groupOf {
@@ -252,7 +289,7 @@ func (s *Scheme) planDegraded(start, count int, failed, bias []int) (*Plan, sear
 	for _, o := range sr.best {
 		sr.take(o)
 	}
-	p := &Plan{Requested: count, Reads: make([]Access, 0, sr.reads), Loads: make([]int, n),
+	p := &Plan{Requested: len(targets), Reads: make([]Access, 0, sr.reads), Loads: make([]int, n),
 		Failed: append([]int(nil), failed...)}
 	for idx, r := range sr.refs {
 		if r > 0 {

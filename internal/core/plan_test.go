@@ -30,7 +30,17 @@ type oracleOutcome struct {
 // dropped only when another of its outcomes adds no more load on any disk,
 // which can never score worse on either order.
 func oracle(s *Scheme, start, count int, failed []int) (readsFirst, loadFirst score, err error) {
-	n, lay, code, dps := s.N(), s.Layout(), s.Code(), s.DataPerStripe()
+	dps := s.DataPerStripe()
+	var targets []Access
+	for x := start; x < start+count; x++ {
+		targets = append(targets, Access{Stripe: x / dps, Pos: s.Layout().DataPos(x % dps)})
+	}
+	return oracleCells(s, targets, failed)
+}
+
+// oracleCells is oracle for any target cells, data or parity.
+func oracleCells(s *Scheme, targets []Access, failed []int) (readsFirst, loadFirst score, err error) {
+	n, lay, code := s.N(), s.Layout(), s.Code()
 	isFailed := make(map[int]bool)
 	for _, d := range failed {
 		isFailed[d] = true
@@ -42,10 +52,9 @@ func oracle(s *Scheme, start, count int, failed []int) (readsFirst, loadFirst sc
 	loads := make([]int, n)
 	reads := 0
 	diskOf := func(k groupKey, t int) int { return lay.Disk(k.stripe, lay.GroupCell(k.group, t).Col) }
-	for x := start; x < start+count; x++ {
-		stripe, e := x/dps, x%dps
-		cell := lay.CellAt(lay.DataPos(e))
-		k := groupKey{stripe, cell.Group}
+	for _, tg := range targets {
+		cell := lay.CellAt(tg.Pos)
+		k := groupKey{tg.Stripe, cell.Group}
 		if d := diskOf(k, cell.Element); !isFailed[d] {
 			direct[k] |= 1 << cell.Element
 			loads[d]++
@@ -271,6 +280,54 @@ func TestDegradedPlanIsExact(t *testing.T) {
 						s.Name(), f, r.requests, 100*float64(r.suboptimal)/q,
 						float64(r.greedyMax)/q, float64(r.exactMax)/q, float64(r.loadFirstMax)/q,
 						100*float64(r.gainRows)/q, 100*(float64(r.loadFirstReads)/float64(r.exactReads)-1), r.maxNodes)
+				}
+			})
+		}
+	}
+}
+
+// TestRebuildPlanIsExact audits the planner on disk-rebuild targets
+// against the same oracle: every cell of one disk in a stripe, with that
+// disk failed alone or beside each other disk, on every Table-I
+// configuration × layout form, in the first two stripes.
+func TestRebuildPlanIsExact(t *testing.T) {
+	for _, code := range tableI() {
+		for _, form := range []layout.Form{layout.FormStandard, layout.FormRotated, layout.FormECFRM} {
+			s := MustScheme(code, form)
+			t.Run(s.Name(), func(t *testing.T) {
+				t.Parallel()
+				lay := s.Layout()
+				for d := 0; d < s.N(); d++ {
+					for other := -1; other < s.N(); other++ {
+						if other == d {
+							continue
+						}
+						failed := []int{d}
+						if other >= 0 {
+							failed = append(failed, other)
+						}
+						for stripe := 0; stripe < 2; stripe++ {
+							var targets []Access
+							for row := 0; row < lay.Rows(); row++ {
+								targets = append(targets, Access{Stripe: stripe, Pos: layout.Pos{Row: row, Col: lay.Col(stripe, d)}})
+							}
+							p, err := s.PlanCells(targets, failed, nil)
+							if err != nil {
+								t.Fatalf("disk %d failed %v stripe %d: %v", d, failed, stripe, err)
+							}
+							want, _, err := oracleCells(s, targets, failed)
+							if err != nil {
+								t.Fatalf("oracle: disk %d failed %v stripe %d: %v", d, failed, stripe, err)
+							}
+							if got := (score{p.TotalReads(), p.MaxLoad()}); got != want {
+								t.Fatalf("disk %d failed %v stripe %d: plan (reads, max) = %v, optimum %v",
+									d, failed, stripe, got, want)
+							}
+							if p.Loads[d] != 0 || other >= 0 && p.Loads[other] != 0 {
+								t.Fatalf("disk %d failed %v stripe %d: plan reads a failed disk", d, failed, stripe)
+							}
+						}
+					}
 				}
 			})
 		}

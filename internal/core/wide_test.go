@@ -84,7 +84,7 @@ func TestWideStripeSchemes(t *testing.T) {
 					}
 				}
 				for e := 0; e < s.DataPerStripe(); e++ {
-					got, err := s.RebuildDataInto(new(Buffers), degraded, e)
+					got, err := s.RebuildCellInto(new(Buffers), degraded, s.Layout().DataPos(e))
 					if err != nil {
 						t.Fatal(err)
 					}

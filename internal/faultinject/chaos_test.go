@@ -200,7 +200,7 @@ func windDown(t *testing.T, st *store.Store, corrupted map[int]layout.Pos) {
 		if failed[lay.Disk(stripe, pos.Col)] {
 			continue
 		}
-		if _, err := st.Heal(stripe, pos); err != nil {
+		if _, err := st.HealStripe(stripe); err != nil {
 			t.Fatalf("final heal of stripe %d cell (%d,%d): %v", stripe, pos.Row, pos.Col, err)
 		}
 	}

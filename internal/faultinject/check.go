@@ -57,15 +57,22 @@ func CheckStore(st *store.Store, want []byte) error {
 
 	// 2. Heal whatever checksum damage remains, then everything must
 	// verify clean and scrub parity-consistent.
+	flagged := make(map[int]int) // per stripe: cells failing their checksum
+	var stripes []int
 	for _, bad := range st.VerifyChecksums() {
-		healed, err := st.Heal(bad.Stripe, bad.Pos)
-		if err != nil {
-			return fmt.Errorf("faultinject: heal stripe %d cell (%d,%d): %w",
-				bad.Stripe, bad.Pos.Row, bad.Pos.Col, err)
+		if flagged[bad.Stripe] == 0 {
+			stripes = append(stripes, bad.Stripe)
 		}
-		if !healed {
-			return fmt.Errorf("faultinject: stripe %d cell (%d,%d) flagged corrupt but not healed",
-				bad.Stripe, bad.Pos.Row, bad.Pos.Col)
+		flagged[bad.Stripe]++
+	}
+	for _, stripe := range stripes {
+		want := flagged[stripe]
+		healed, err := st.HealStripe(stripe)
+		if err != nil {
+			return fmt.Errorf("faultinject: heal stripe %d: %w", stripe, err)
+		}
+		if healed != want {
+			return fmt.Errorf("faultinject: stripe %d healed %d cells, %d flagged corrupt", stripe, healed, want)
 		}
 	}
 	if bad := st.VerifyChecksums(); len(bad) > 0 {

@@ -1,4 +1,6 @@
-// Read executor: the one way the store serves a read plan.
+// Read executor: the one way the store reads cells. GETs, hedges, heals,
+// disk rebuild, migration, scrub and overwrites each hand it a plan and a
+// rule for corrupt runs (execute).
 //
 // A plan lists cells. The executor regroups them by device, coalesces cells
 // at adjacent on-disk offsets into single runs (one positioning cost instead
@@ -7,8 +9,8 @@
 // worker, so a read's latency approaches the *max* of per-device service
 // times rather than their sum and the layout's load-balancing win
 // (PAPER.md §III, Lemma 1) reaches the client. Small plans,
-// ReadOptions.Sequential and the heal retry after corruption serve the same
-// runs inline on the calling goroutine.
+// ReadOptions.Sequential, heal passes and the nested recovery passes of
+// heals and hedges serve the same runs inline on the calling goroutine.
 //
 // Determinism with the seeded fault injector is preserved by construction:
 // every device's runs execute in ascending offset order on exactly one
@@ -28,21 +30,23 @@
 //
 //   - Load-aware degraded planning: when a degraded plan must choose among
 //     survivor subsets, live per-device in-flight run counts are fed into
-//     core.PlanDegradedReadBiased so the choice avoids momentarily busy
-//     disks. With no concurrent load the bias is nil and plans are exactly
-//     the unbiased planner's.
+//     core's exact planner so the choice avoids momentarily busy disks.
+//     With no concurrent load the bias is nil and plans are exactly the
+//     unbiased planner's.
 package store
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/layout"
 )
 
 // HedgeConfig controls hedged (speculative duplicate) reads. The zero value
@@ -93,9 +97,9 @@ func (s *Store) ReadAtCtx(ctx context.Context, off int64, length int, opts ReadO
 		ctx = context.Background()
 	}
 	s.mu.RLock()
-	res, err := s.fanoutRead(ctx, off, length, opts, false)
+	res, err := s.fanoutRead(ctx, off, length, opts, corruptStops)
 	s.mu.RUnlock()
-	if !errors.Is(err, errNeedsHeal) {
+	if !errors.Is(err, ErrCorrupt) {
 		return res, err
 	}
 	if s.testBeforeHeal != nil {
@@ -106,7 +110,7 @@ func (s *Store) ReadAtCtx(ctx context.Context, off int64, length int, opts ReadO
 	// worker goroutines.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.fanoutRead(ctx, off, length, ReadOptions{Sequential: true}, true)
+	return s.fanoutRead(ctx, off, length, ReadOptions{Sequential: true}, corruptHeals)
 }
 
 // checkReadRange validates [off, off+length) against the sealed extent and
@@ -280,77 +284,98 @@ func (s *Store) inflightBias() []int {
 	return bias
 }
 
-// fanoutRead executes one read: plan, serve the plan's coalesced runs, and
-// replan around devices a pass found unavailable. Caller holds mu shared —
-// a corrupt cell then aborts with errNeedsHeal — or, with heal, exclusively:
-// corrupt cells are rebuilt and rewritten in place (healRun). Every
-// goroutine spawned here is joined before return, so no device access
-// escapes the lock.
-//
-// The replan loop terminates: each iteration either returns or grows the
-// unavailable set, and planning fails with ErrUnrecoverable once too much of
-// the array is out of service.
-func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts ReadOptions, heal bool) (*ReadResult, error) {
-	startElem, count, err := s.checkReadRange(off, length)
-	if err != nil {
-		return nil, err
-	}
-	if length == 0 {
-		return &ReadResult{Data: []byte{}, Plan: &core.Plan{}}, nil
-	}
-	dps := s.scheme.DataPerStripe()
-	endElem := startElem + count - 1
-	startStripe := startElem / dps
-	// Per-stripe cell containers come from the store's pool and decoded
-	// shards from the arena; release recycles them on every exit path and
-	// before each replan, so steady-state reads generate no per-stripe
-	// garbage and no pooled buffer is ever dropped or recycled twice.
-	fetched := make([]*stripeCells, endElem/dps-startStripe+1)
-	release := func() {
-		for i, sc := range fetched {
-			if sc != nil {
-				s.putStripeCells(sc)
-				fetched[i] = nil
-			}
-		}
-	}
+// corruptRule is what a run whose stored bytes fail their checksum means:
+// the one thing, besides its plan, in which the executor's callers differ.
+type corruptRule int
 
-	unavail := make(map[int]bool) // devices that proved slow-or-erroring
+const (
+	// corruptStops fails the job with the run's ErrCorrupt: a shared-lock
+	// GET escalates to a heal, a scrub marks the stripe bad, a migration or
+	// an overwrite gives up.
+	corruptStops corruptRule = iota
+	// corruptHeals heals the run's corrupt cells in place (healRun): inline
+	// jobs under the exclusive lock only.
+	corruptHeals
+	// corruptAvoids replans around the device, as if unavailable. By Lemma 1
+	// it holds one element of each group, so this erases the corrupt cell:
+	// how rebuild, heal and hedge plans read.
+	corruptAvoids
+)
+
+// planFunc plans a job's cells around the devices to avoid — failed, or
+// taken out by an earlier pass — given the live load bias (nil when none is
+// avoided or every device is idle).
+type planFunc func(avoid, bias []int) (*core.Plan, error)
+
+// served is what an executed job leaves: the plan its last pass served,
+// per-stripe containers for the stripes that plan reads, and the cells heal
+// passes rewrote. Its owner reads cells out, then releases it once.
+type served struct {
+	s       *Store
+	plan    *core.Plan
+	first   int
+	stripes []*stripeCells
+	healed  int
+}
+
+// cell returns the cell at pos of a stripe the plan covers, decoding it
+// from its group's fetched cells when the plan read around it. Decoded cells
+// come from the shard arena and go back to it on release.
+func (r *served) cell(stripe int, pos layout.Pos) ([]byte, error) {
+	sc := r.stripes[stripe-r.first]
+	idx := pos.Row*r.s.scheme.N() + pos.Col
+	if c := sc.cells[idx]; c != nil {
+		return c, nil
+	}
+	c, err := r.s.scheme.RebuildCellInto(&r.s.bufs, sc.cells, pos)
+	if err == nil {
+		sc.owned = append(sc.owned, idx)
+	}
+	return c, err
+}
+
+// release recycles every container, and the arena buffers they own.
+func (r *served) release() {
+	for _, sc := range r.stripes {
+		r.s.putStripeCells(sc)
+	}
+}
+
+// execute is the store's one way to read cells: plan, serve the plan's
+// coalesced runs, and replan around every device a pass took out, until a
+// pass completes. GETs, hedges, heals, rebuild, migration, scrub and
+// overwrites all read through it. The caller holds mu shared, or
+// exclusively for corruptHeals. Every goroutine spawned here is joined
+// before return, so no device access escapes the lock. The loop ends: each
+// replan takes a device out, and planning fails once too many are.
+func (s *Store) execute(ctx context.Context, plan planFunc, rule corruptRule, opts ReadOptions) (*served, error) {
+	out := make(map[int]error) // devices passes took out, and why
 	healed := 0
 	for {
-		failed := s.avoidSet(unavail)
+		avoid := s.avoidSet(out)
 		var bias []int
-		if len(failed) > 0 {
+		if len(avoid) > 0 {
 			bias = s.inflightBias()
 		}
-		plan, err := s.plan(startElem, count, failed, bias)
+		pl, err := plan(avoid, bias)
 		if err != nil {
-			release()
-			if len(unavail) > 0 {
-				// The plan only became impossible because of devices that
-				// are transiently out: surface that, so callers can retry
-				// later rather than treat the data as lost.
-				return nil, fmt.Errorf("%w: degraded fallback exhausted (unavailable %v): %w",
-					ErrUnavailable, keysSorted(unavail), err)
+			for _, d := range keysSorted(out) {
+				if cause := out[d]; !errors.Is(cause, ErrCorrupt) {
+					// Transiently out devices made the plan impossible: the
+					// data is not lost, so callers may retry later.
+					return nil, fmt.Errorf("%w: no plan around devices %v (%v): %w",
+						ErrUnavailable, keysSorted(out), cause, err)
+				}
 			}
 			return nil, err
 		}
-
-		for i := range fetched {
-			if fetched[i] == nil {
-				fetched[i] = s.getStripeCells()
-			}
+		// Plans list their reads in stripe order.
+		first := pl.Reads[0].Stripe
+		r := &served{s: s, plan: pl, first: first, stripes: make([]*stripeCells, pl.Reads[len(pl.Reads)-1].Stripe-first+1)}
+		for i := range r.stripes {
+			r.stripes[i] = s.getStripeCells()
 		}
-
-		p := &fanoutPass{
-			s:           s,
-			ctx:         ctx,
-			startStripe: startStripe,
-			fetched:     fetched,
-			heal:        heal,
-			newUnavail:  make(map[int]bool),
-			errs:        make(map[int]error),
-		}
+		p := &fanoutPass{s: s, ctx: ctx, into: r, rule: rule, out: make(map[int]error), errs: make(map[int]error)}
 		if opts.Hedge.Enabled && !opts.Sequential {
 			p.hedge = true
 			p.hedgeDelay = s.hedgeDelay(opts.Hedge)
@@ -358,68 +383,124 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 		// Small plans run the same coalesced pass inline: below the
 		// threshold, goroutine dispatch costs more than the per-device
 		// overlap could save. Hedging needs a worker per queue.
-		inline := opts.Sequential || !p.hedge && len(plan.Reads)*s.elemSize < fanoutInlineBytes
-		p.runQueues(buildRuns(s.scheme, plan.Reads), inline)
+		inline := opts.Sequential || !p.hedge && len(pl.Reads)*s.elemSize < fanoutInlineBytes
+		p.runQueues(buildRuns(s.scheme, pl.Reads), inline)
 		healed += p.healed
 
-		switch {
-		case len(p.newUnavail) > 0:
-			// Drain-then-replan: every newly unavailable device joins the
-			// avoid set and the whole pass's buffers are recycled exactly
-			// once before the retry (no buffer is carried across plans — a
-			// new plan may fill the same slots from different sources).
-			for d := range p.newUnavail {
-				unavail[d] = true
+		if len(p.out) > 0 {
+			// Drain-then-replan: every device the pass took out joins the
+			// avoid set and the pass's buffers are recycled exactly once
+			// before the retry (a new plan may fill the same slots from
+			// different sources).
+			for d, err := range p.out {
+				out[d] = err
 			}
 			s.Metrics().replan()
-			release()
+			r.release()
 			continue
-		case p.corrupt:
-			// Persistent corruption needs the exclusive lock to heal.
-			release()
-			return nil, errNeedsHeal
-		case len(p.errs) > 0:
-			release()
-			return nil, p.firstErr()
 		}
-		if err := ctx.Err(); err != nil {
-			release()
-			return nil, err
+		err = p.corrupt
+		if len(p.errs) > 0 && err == nil {
+			err = p.firstErr()
 		}
-
-		data, err := s.assemble(fetched, startStripe, startElem, endElem, off, length)
-		release()
+		if err == nil {
+			err = ctx.Err()
+		}
 		if err != nil {
+			r.release()
 			return nil, err
 		}
-		s.Metrics().observeRead(len(failed) > 0, plan.MaxLoad())
-		return &ReadResult{Data: data, Plan: plan, Healed: healed}, nil
+		r.healed = healed
+		return r, nil
 	}
 }
 
-// assemble decodes the requested elements out of the fetched cells into a
-// fresh exactly-sized buffer. Shards decoded here (lost elements) draw their
-// buffers from the arena and are registered as owned, so the caller's
-// release recycles them.
-func (s *Store) assemble(fetched []*stripeCells, startStripe, startElem, endElem int, off int64, length int) ([]byte, error) {
+// around plans targets, cells of device dev, from the rest of the array:
+// dev joins the avoid set, so every target is rebuilt from a recovery set
+// chosen by core's exact planner. Disk rebuild, healing and hedging plan
+// this way.
+func (s *Store) around(targets []core.Access, dev int) planFunc {
+	return func(avoid, bias []int) (*core.Plan, error) {
+		if !slices.Contains(avoid, dev) {
+			avoid = append(avoid, dev)
+		}
+		return s.scheme.PlanCells(targets, avoid, bias)
+	}
+}
+
+// exactly plans reading the targets themselves, for callers that need the
+// stored bytes — scrub, migration, overwrites: a target on a device to avoid
+// is an error, not a reason to reconstruct.
+func (s *Store) exactly(targets []core.Access) planFunc {
+	return func(avoid, _ []int) (*core.Plan, error) {
+		for _, t := range targets {
+			if slices.Contains(avoid, t.Disk) {
+				return nil, fmt.Errorf("%w: device %d holds stripe %d cell (%d,%d)",
+					ErrFailed, t.Disk, t.Stripe, t.Pos.Row, t.Pos.Col)
+			}
+		}
+		return s.scheme.PlanCells(targets, nil, nil)
+	}
+}
+
+// deviceCells lists device dev's cells of one stripe, row by row.
+func (s *Store) deviceCells(stripe, dev int) []core.Access {
+	col := s.scheme.Layout().Col(stripe, dev)
+	out := make([]core.Access, s.rows)
+	for row := range out {
+		out[row] = core.Access{Disk: dev, Stripe: stripe, Pos: layout.Pos{Row: row, Col: col}}
+	}
+	return out
+}
+
+// allCells lists every cell of one stripe, row by row.
+func (s *Store) allCells(stripe int) []core.Access {
+	lay := s.scheme.Layout()
+	out := make([]core.Access, 0, s.scheme.CellsPerStripe())
+	for row := 0; row < s.rows; row++ {
+		for col := 0; col < s.scheme.N(); col++ {
+			out = append(out, core.Access{Disk: lay.Disk(stripe, col), Stripe: stripe, Pos: layout.Pos{Row: row, Col: col}})
+		}
+	}
+	return out
+}
+
+// fanoutRead executes one GET: the requested range's plan — normal, or
+// degraded around the avoided devices — served by execute, then decoded.
+// With corruptStops (mu shared) a corrupt run fails it with ErrCorrupt; with
+// corruptHeals (mu exclusive, inline) corrupt cells are healed in place.
+func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts ReadOptions, rule corruptRule) (*ReadResult, error) {
+	startElem, count, err := s.checkReadRange(off, length)
+	if err != nil {
+		return nil, err
+	}
+	if length == 0 {
+		return &ReadResult{Data: []byte{}, Plan: &core.Plan{}}, nil
+	}
+	plan := func(avoid, bias []int) (*core.Plan, error) { return s.plan(startElem, count, avoid, bias) }
+	r, err := s.execute(ctx, plan, rule, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer r.release()
+	data, err := s.assemble(r, startElem, startElem+count-1, off, length)
+	if err != nil {
+		return nil, err
+	}
+	s.Metrics().observeRead(len(r.plan.Failed) > 0, r.plan.MaxLoad())
+	return &ReadResult{Data: data, Plan: r.plan, Healed: r.healed}, nil
+}
+
+// assemble copies the requested bytes out of the served cells into a fresh
+// exactly-sized buffer, decoding the elements the plan read around.
+func (s *Store) assemble(r *served, startElem, endElem int, off int64, length int) ([]byte, error) {
 	dps := s.scheme.DataPerStripe()
 	data := make([]byte, length)
 	written := 0
 	for x := startElem; x <= endElem; x++ {
-		stripe, e := x/dps, x%dps
-		sc := fetched[stripe-startStripe]
-		if sc == nil {
-			return nil, fmt.Errorf("store: plan missed stripe %d", stripe)
-		}
-		idx := s.scheme.Layout().DataPos(e)
-		cellIdx := idx.Row*s.scheme.N() + idx.Col
-		wasNil := sc.cells[cellIdx] == nil
-		shard, err := s.scheme.RebuildDataInto(&s.bufs, sc.cells, e)
+		shard, err := r.cell(x/dps, s.scheme.Layout().DataPos(x%dps))
 		if err != nil {
 			return nil, err
-		}
-		if wasNil {
-			sc.owned = append(sc.owned, cellIdx)
 		}
 		lo := 0
 		if x == startElem {
@@ -436,20 +517,24 @@ func (s *Store) assemble(fetched []*stripeCells, startStripe, startElem, endElem
 
 // fanoutPass is the shared state of one drain-to-completion execution pass.
 type fanoutPass struct {
-	s           *Store
-	ctx         context.Context
-	startStripe int
-	fetched     []*stripeCells
-	hedge       bool
-	hedgeDelay  time.Duration
-	heal        bool // exclusive lock held, pass inline: heal corrupt cells
-	healed      int  // cells healRun rewrote (heal passes only: one goroutine)
+	s          *Store
+	ctx        context.Context
+	into       *served
+	rule       corruptRule
+	hedge      bool
+	hedgeDelay time.Duration
+	healed     int // cells healRun rewrote (corruptHeals passes only: one goroutine)
 
 	mu         sync.Mutex
-	newUnavail map[int]bool
-	corrupt    bool
+	out        map[int]error // devices taken out of the job, and why
+	corrupt    error         // first corrupt run (corruptStops)
 	errs       map[int]error // first internal error per device
 	stragglers sync.WaitGroup
+}
+
+// slot returns the container a run slot's cell lands in.
+func (p *fanoutPass) slot(sl runSlot) *stripeCells {
+	return p.into.stripes[sl.stripe-p.into.first]
 }
 
 // firstErr returns the recorded error of the lowest-numbered device, so the
@@ -508,10 +593,10 @@ func (p *fanoutPass) runQueues(queues []devQueue, inline bool) {
 }
 
 // serveDevice executes one device's runs sequentially in offset order. A
-// device that proves unavailable has its remaining runs skipped — the
-// replan routes around the whole device anyway — while other devices keep
-// draining (no cross-device cancellation, which keeps per-device fault
-// streams deterministic).
+// device taken out has its remaining runs skipped — the replan routes around
+// the whole device anyway — while other devices keep draining (no
+// cross-device cancellation, which keeps per-device fault streams
+// deterministic).
 func (p *fanoutPass) serveDevice(q devQueue) {
 	for _, run := range q.runs {
 		if err := p.ctx.Err(); err != nil {
@@ -524,19 +609,22 @@ func (p *fanoutPass) serveDevice(q devQueue) {
 		} else {
 			err = p.execRun(p.ctx, run, nil)
 		}
-		if p.heal && errors.Is(err, ErrCorrupt) {
+		if p.rule == corruptHeals && errors.Is(err, ErrCorrupt) {
 			err = p.healRun(run)
 		}
 		switch {
 		case err == nil:
-		case errors.Is(err, ErrUnavailable) || errors.Is(err, ErrFailed):
+		case errors.Is(err, ErrUnavailable) || errors.Is(err, ErrFailed) ||
+			p.rule == corruptAvoids && errors.Is(err, ErrCorrupt):
 			p.mu.Lock()
-			p.newUnavail[q.dev] = true
+			p.out[q.dev] = err
 			p.mu.Unlock()
 			return
 		case errors.Is(err, ErrCorrupt):
 			p.mu.Lock()
-			p.corrupt = true
+			if p.corrupt == nil {
+				p.corrupt = err
+			}
 			p.mu.Unlock()
 		default:
 			p.fail(q.dev, err)
@@ -544,34 +632,45 @@ func (p *fanoutPass) serveDevice(q devQueue) {
 	}
 }
 
-// execRun performs one coalesced device operation (readRunCtx) with
-// in-flight accounting, feeding the hedge latency ring. With staged non-nil
-// the cells go there (hedged primaries stage privately and commit under the
-// pass lock); otherwise they land directly in the pass's fetched slots,
-// which is safe because distinct devices own distinct slots.
-func (p *fanoutPass) execRun(ctx context.Context, run devRun, staged [][]byte) error {
+// readRun performs one device operation of count cells from k through the
+// retry loop (readRunCtx). The rule for accounting is the same for every
+// pass — GET, hedge, heal re-read, rebuild, migration, scrub: the run counts
+// in the device's in-flight gauge while it is served, and a completed run's
+// latency feeds the hedge ring. Both describe the device, not the caller.
+func (p *fanoutPass) readRun(ctx context.Context, dev int, k cellKey, count int) ([]byte, error) {
 	s := p.s
-	d := s.devices[run.dev]
+	d := s.devices[dev]
 	d.inflight.Add(1)
 	d.obsInflight.Add(1)
 	defer func() {
 		d.inflight.Add(-1)
 		d.obsInflight.Add(-1)
 	}()
-	s.Metrics().observeRun(len(run.slots) * s.elemSize)
+	s.Metrics().observeRun(count * s.elemSize)
 	start := time.Now()
-	flat, err := s.readRunCtx(ctx, run.dev, run.slots[0].key, len(run.slots))
+	flat, err := s.readRunCtx(ctx, dev, k, count)
+	if err == nil {
+		s.hedgeLat.observe(time.Since(start))
+	}
+	return flat, err
+}
+
+// execRun serves one coalesced run (readRun). With staged non-nil the cells
+// go there (hedged primaries stage privately and commit under the pass
+// lock); otherwise they land directly in the job's containers, which is
+// safe because distinct devices own distinct slots.
+func (p *fanoutPass) execRun(ctx context.Context, run devRun, staged [][]byte) error {
+	flat, err := p.readRun(ctx, run.dev, run.slots[0].key, len(run.slots))
 	if err != nil {
 		return err
 	}
-	s.hedgeLat.observe(time.Since(start))
-	es := s.elemSize
+	es := p.s.elemSize
 	for i, sl := range run.slots {
 		cell := flat[i*es : (i+1)*es : (i+1)*es]
 		if staged != nil {
 			staged[i] = cell
 		} else {
-			p.fetched[sl.stripe-p.startStripe].cells[sl.idx] = cell
+			p.slot(sl).cells[sl.idx] = cell
 		}
 	}
 	return nil
@@ -579,31 +678,31 @@ func (p *fanoutPass) execRun(ctx context.Context, run devRun, staged [][]byte) e
 
 // healRun re-reads a run whose stored bytes failed their checksum one cell
 // at a time, rebuilds and rewrites each corrupt cell from its group
-// (healCell), and places every cell in the pass's fetched slots. Only heal
-// passes call it: inline, under the exclusive lock.
+// (healCell), and places every cell in the job's containers. Only
+// corruptHeals passes call it: inline, under the exclusive lock.
 func (p *fanoutPass) healRun(run devRun) error {
 	for _, sl := range run.slots {
-		cell, err := p.s.readRunCtx(p.ctx, run.dev, sl.key, 1)
+		cell, err := p.readRun(p.ctx, run.dev, sl.key, 1)
 		if errors.Is(err, ErrCorrupt) {
-			if cell, err = p.s.healCell(sl.key.stripe, sl.key.pos); err == nil {
+			if cell, err = p.s.healCell(p.ctx, sl.key.stripe, sl.key.pos); err == nil {
 				p.healed++
 			}
 		}
 		if err != nil {
 			return err
 		}
-		p.fetched[sl.stripe-p.startStripe].cells[sl.idx] = cell
+		p.slot(sl).cells[sl.idx] = cell
 	}
 	return nil
 }
 
-// commit publishes a completed run's cell buffers into the fetched slots.
-// owned marks arena/decoded buffers (hedge results) for recycling.
+// commit publishes a completed run's cell buffers into the job's
+// containers. owned marks arena buffers (hedge results) for recycling.
 func (p *fanoutPass) commit(run devRun, vals [][]byte, owned bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i, sl := range run.slots {
-		sc := p.fetched[sl.stripe-p.startStripe]
+		sc := p.slot(sl)
 		sc.cells[sl.idx] = vals[i]
 		if owned {
 			sc.owned = append(sc.owned, sl.idx)
@@ -670,38 +769,32 @@ func (p *fanoutPass) execHedged(run devRun) error {
 	return err
 }
 
-// hedgeFetch rebuilds every cell of a straggling run from its code group
-// (rebuildCell), reading neither the straggler itself nor any failed
-// device. Returned buffers are arena-owned copies. On any failure it
-// recycles what it built and reports the error; the caller falls back to
-// the primary.
+// hedgeFetch rebuilds every cell of a straggling run without reading the
+// straggler: a nested inline, unhedged job plans the run's cells around its
+// device (and every failed one). Returned buffers are arena-owned copies. On
+// any failure it reports the error and the caller falls back to the primary.
 func (p *fanoutPass) hedgeFetch(ctx context.Context, run devRun) ([][]byte, error) {
 	s := p.s
-	lay := s.scheme.Layout()
-	out := make([][]byte, len(run.slots))
+	targets := make([]core.Access, len(run.slots))
 	for i, sl := range run.slots {
-		cell := lay.CellAt(sl.key.pos)
-		rebuilt, err := rebuildCell(s.scheme.Code(), cell.Element, func(t int) []byte {
-			pos := lay.GroupCell(cell.Group, t)
-			disk := lay.Disk(sl.key.stripe, pos.Col)
-			if disk == run.dev || s.devices[disk].failed {
-				return nil
-			}
-			data, err := s.readRunCtx(ctx, disk, cellKey{sl.key.stripe, pos}, 1)
-			if err != nil {
-				return nil
-			}
-			return data
-		})
+		targets[i] = core.Access{Disk: run.dev, Stripe: sl.stripe, Pos: sl.key.pos}
+	}
+	r, err := s.execute(ctx, s.around(targets, run.dev), corruptAvoids, ReadOptions{Sequential: true})
+	if err != nil {
+		return nil, fmt.Errorf("store: hedge device %d run at stripe %d: %w", run.dev, targets[0].Stripe, err)
+	}
+	defer r.release()
+	out := make([][]byte, len(targets))
+	for i, t := range targets {
+		cell, err := r.cell(t.Stripe, t.Pos)
 		if err != nil {
 			for _, b := range out[:i] {
 				s.bufs.PutShard(b)
 			}
-			return nil, fmt.Errorf("store: hedge stripe %d cell (%d,%d) avoiding device %d: %w",
-				sl.key.stripe, sl.key.pos.Row, sl.key.pos.Col, run.dev, err)
+			return nil, err
 		}
 		out[i] = s.bufs.GetShard(s.elemSize)
-		copy(out[i], rebuilt)
+		copy(out[i], cell)
 	}
 	return out, nil
 }

@@ -316,26 +316,26 @@ func TestHealInsideCoalescedRun(t *testing.T) {
 	}
 }
 
-// TestHealExported: Heal repairs exactly the corrupt cell and reports it.
+// TestHealExported: HealStripe repairs exactly the corrupt cell and
+// reports it — nothing on a clean stripe, one cell after one corruption.
 func TestHealExported(t *testing.T) {
 	s := testStore(t, layout.FormECFRM)
 	want := fill(t, s, s.stripeBytes(), 19)
-	pos := layout.Pos{Row: 0, Col: 4}
-	if healed, err := s.Heal(0, pos); err != nil || healed {
-		t.Fatalf("Heal on clean cell = (%v, %v), want (false, nil)", healed, err)
+	if healed, err := s.HealStripe(0); err != nil || healed != 0 {
+		t.Fatalf("HealStripe on a clean stripe = (%d, %v), want (0, nil)", healed, err)
 	}
-	if err := s.CorruptCell(0, pos); err != nil {
+	if err := s.CorruptCell(0, layout.Pos{Row: 0, Col: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if healed, err := s.Heal(0, pos); err != nil || !healed {
-		t.Fatalf("Heal on corrupt cell = (%v, %v), want (true, nil)", healed, err)
+	if healed, err := s.HealStripe(0); err != nil || healed != 1 {
+		t.Fatalf("HealStripe after one corruption = (%d, %v), want (1, nil)", healed, err)
 	}
 	if got := s.VerifyChecksums(); got != nil {
-		t.Fatalf("checksums after Heal: %+v", got)
+		t.Fatalf("checksums after HealStripe: %+v", got)
 	}
 	res, err := s.ReadAt(0, len(want))
 	if err != nil || !bytes.Equal(res.Data, want) {
-		t.Fatalf("read after Heal: %v", err)
+		t.Fatalf("read after HealStripe: %v", err)
 	}
 }
 

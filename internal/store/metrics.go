@@ -26,7 +26,7 @@ var maxLoadBuckets = []float64{1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32}
 //	ecfrm_store_reads_total{mode}            completed reads, normal|degraded
 //	ecfrm_store_read_max_disk_load{mode}     histogram of Plan.MaxLoad per read
 //	ecfrm_store_op_retries_total{op}         transient-fault retries, read|write
-//	ecfrm_store_read_replans_total           reads re-planned around unavailable disks
+//	ecfrm_store_read_replans_total           read jobs re-planned around devices a pass took out
 //	ecfrm_store_heals_total                  corrupt cells rebuilt and rewritten
 //	ecfrm_store_epoch_invalidations_total    mutation-epoch bumps (cache invalidations)
 type Metrics struct {
@@ -117,7 +117,7 @@ func NewMetrics(reg *obs.Registry, disks int) *Metrics {
 	m.writeRetries = reg.Counter("ecfrm_store_op_retries_total",
 		"Transient-fault retries by operation.", obs.L("op", "write"))
 	m.replans = reg.Counter("ecfrm_store_read_replans_total",
-		"Reads re-planned degraded around unavailable devices.")
+		"Read jobs re-planned around devices a pass took out (unavailable, or corrupt in a recovery read).")
 	m.heals = reg.Counter("ecfrm_store_heals_total",
 		"Corrupt cells rebuilt from their group and rewritten in place.")
 	m.epochInval = reg.Counter("ecfrm_store_epoch_invalidations_total",

@@ -1,21 +1,17 @@
 // Incremental disk repair: batched rebuild and migration that interleave
-// with foreground traffic.
+// with foreground traffic, and the batched scrub.
 //
-// The original RecoverDisk held the exclusive lock for the whole rebuild, so
-// a failing disk froze every reader for the duration — exactly the regime
-// the Facebook warehouse study warns about, where repair traffic dominates
-// after failures. The machinery here splits recovery into bounded stripe
-// batches:
+// Recovery is split into bounded stripe batches:
 //
 //   - BeginDiskRebuild installs the (still-failed) replacement device
 //     immediately, so stripes sealed during the rebuild are written straight
 //     into it by the normal seal path and only the stripes sealed before
 //     Begin need reconstruction.
 //   - Step reconstructs one batch of stripes under the *shared* lock:
-//     survivors are read through the normal fault-gated read path and the
-//     rebuilt cells written directly to the replacement backend, which no
-//     reader touches while the device is marked failed. Foreground reads
-//     proceed concurrently with every batch.
+//     survivors are read through the read executor and the rebuilt cells
+//     written directly to the replacement backend, which no reader touches
+//     while the device is marked failed. Foreground reads proceed
+//     concurrently with every batch.
 //   - The final Step takes the exclusive lock briefly to fsync the
 //     replacement, clear the failed flag, and bump the epoch.
 //
@@ -27,6 +23,10 @@
 // byte-identical to the source, so even a crash between the two renames
 // leaves equivalent content behind.
 //
+// Every stripe a rebuild, migration, scrub or heal touches is one executor
+// job (fanout.go) over that stripe's cells: the device's share of it is one
+// coalesced run, and the replacement takes one write per stripe.
+//
 // Scrub is batched the same way: ScrubRange verifies one section per shared
 // lock hold, Scrub stitches sections together releasing the lock between
 // them, and HealStripe repairs what a scrub flagged under a short exclusive
@@ -34,13 +34,16 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/layout"
+	"repro/internal/core"
 )
 
 // DefaultRebuildBatch is the stripes one rebuild Step covers when the caller
@@ -275,12 +278,8 @@ func (r *DiskRebuild) stepRebuild(batch int) (bool, error) {
 	if end > r.total {
 		end = r.total
 	}
-	failedSet := make(map[int]bool)
-	for _, f := range s.failedDisksLocked() {
-		failedSet[f] = true
-	}
 	for stripe := r.next; stripe < end; stripe++ {
-		if err := r.rebuildStripe(stripe, failedSet); err != nil {
+		if err := r.fillStripe(stripe); err != nil {
 			s.mu.RUnlock()
 			return false, err
 		}
@@ -293,51 +292,39 @@ func (r *DiskRebuild) stepRebuild(batch int) (bool, error) {
 	return true, r.finalizeRebuild()
 }
 
-// rebuildStripe reconstructs every cell device r.dev holds in one stripe
-// from the cheapest surviving recovery set and writes them to the
-// replacement. Caller holds r.mu and the store's shared lock.
-func (r *DiskRebuild) rebuildStripe(stripe int, failedSet map[int]bool) error {
+// fillStripe writes device r.dev's share of one stripe to the replacement
+// as one run. A rebuild plans the cells around the failed device — one
+// pass over the survivors, then one targeted decode per cell, routing around
+// corrupt survivors; a migration reads them from the live source as stored,
+// and a corrupt source cell aborts it (heal first, then retry). Caller
+// holds r.mu and the store's lock.
+func (r *DiskRebuild) fillStripe(stripe int) error {
 	s := r.s
-	lay := s.scheme.Layout()
-	code := s.scheme.Code()
-	// Per-stripe read cache: an element fetched for one group's repair is
-	// free for the next (same physical element).
-	fetched := make(map[layout.Pos][]byte)
-	fetch := func(pos layout.Pos) []byte {
-		if data, ok := fetched[pos]; ok {
-			return data
-		}
-		disk := lay.Disk(stripe, pos.Col)
-		if failedSet[disk] {
-			return nil
-		}
-		data, err := s.readCell(disk, cellKey{stripe, pos})
-		if err != nil {
-			// Failed, unavailable, or silently corrupt: treat as erased.
-			return nil
-		}
-		fetched[pos] = data
-		r.readCost++
-		return data
+	targets := s.deviceCells(stripe, r.dev)
+	plan, rule := s.around(targets, r.dev), corruptAvoids
+	if r.kind == RebuildMigrate {
+		plan, rule = s.exactly(targets), corruptStops
 	}
-
-	col := lay.Col(stripe, r.dev)
-	for row := 0; row < lay.Rows(); row++ {
-		pos := layout.Pos{Row: row, Col: col}
-		cell := lay.CellAt(pos)
-		data, err := rebuildCell(code, cell.Element, func(t int) []byte {
-			return fetch(lay.GroupCell(cell.Group, t))
-		})
-		if err != nil {
-			return fmt.Errorf("store: rebuild stripe %d cell (%d,%d): %w",
-				stripe, pos.Row, pos.Col, err)
-		}
-		if err := r.replacement.write(cellKey{stripe, pos}, data); err != nil {
-			return fmt.Errorf("store: rebuild stripe %d cell (%d,%d): %w",
-				stripe, pos.Row, pos.Col, err)
-		}
-		r.written++
+	res, err := s.execute(context.TODO(), plan, rule, ReadOptions{})
+	if err != nil {
+		return fmt.Errorf("store: %s device %d stripe %d: %w", r.kind, r.dev, stripe, err)
 	}
+	defer res.release()
+	es := s.elemSize
+	flat, crcs := make([]byte, len(targets)*es), make([]uint32, len(targets))
+	for i, t := range targets {
+		cell, err := res.cell(stripe, t.Pos)
+		if err != nil {
+			return fmt.Errorf("store: %s device %d stripe %d: %w", r.kind, r.dev, stripe, err)
+		}
+		copy(flat[i*es:], cell)
+		crcs[i] = crc32.Checksum(cell, castagnoli)
+	}
+	if err := r.replacement.writeRun(cellKey{stripe, targets[0].Pos}, flat, crcs); err != nil {
+		return fmt.Errorf("store: %s device %d stripe %d: %w", r.kind, r.dev, stripe, err)
+	}
+	r.readCost += res.plan.TotalReads()
+	r.written += len(targets)
 	return nil
 }
 
@@ -386,20 +373,8 @@ func (r *DiskRebuild) stepMigrate(batch int) (bool, error) {
 		end = r.total
 	}
 	for stripe := r.next; stripe < end; stripe++ {
-		col := s.scheme.Layout().Col(stripe, r.dev)
-		for row := 0; row < s.rows; row++ {
-			k := cellKey{stripe, layout.Pos{Row: row, Col: col}}
-			data, err := s.readCell(r.dev, k)
-			if err != nil {
-				// Corrupt or unavailable source cell: scrub/heal first, then
-				// retry the migration.
-				return false, fmt.Errorf("store: migrate device %d stripe %d: %w", r.dev, stripe, err)
-			}
-			if err := r.replacement.write(k, data); err != nil {
-				return false, fmt.Errorf("store: migrate device %d stripe %d: %w", r.dev, stripe, err)
-			}
-			r.readCost++
-			r.written++
+		if err := r.fillStripe(stripe); err != nil {
+			return false, err
 		}
 	}
 	r.next = end
@@ -521,29 +496,8 @@ func (s *Store) ScrubRange(start, count int) (bad []int, next int, err error) {
 	if count > 0 && start+count < end {
 		end = start + count
 	}
-	lay := s.scheme.Layout()
-	n := s.scheme.N()
 	for stripe := start; stripe < end; stripe++ {
-		cells := make([][]byte, s.scheme.CellsPerStripe())
-		corrupt := false
-		for row := 0; row < lay.Rows() && !corrupt; row++ {
-			for col := 0; col < n; col++ {
-				data, err := s.readCell(lay.Disk(stripe, col), cellKey{stripe, layout.Pos{Row: row, Col: col}})
-				if errors.Is(err, ErrCorrupt) {
-					corrupt = true
-					break
-				}
-				if err != nil {
-					return nil, stripe, err
-				}
-				cells[row*n+col] = data
-			}
-		}
-		if corrupt {
-			bad = append(bad, stripe)
-			continue
-		}
-		ok, err := s.scheme.VerifyStripe(cells)
+		ok, err := s.verifyStripe(stripe)
 		if err != nil {
 			return nil, stripe, err
 		}
@@ -552,6 +506,21 @@ func (s *Store) ScrubRange(start, count int) (bad []int, next int, err error) {
 		}
 	}
 	return bad, end, nil
+}
+
+// verifyStripe reads every cell of one stripe as stored — one job, one run
+// per device — and checks parity consistency. A corrupt run fails the
+// stripe; a failed or unavailable device is an error, since scrub must read
+// every cell. Caller holds mu.
+func (s *Store) verifyStripe(stripe int) (bool, error) {
+	cells, err := s.readExactly(s.allCells(stripe))
+	if errors.Is(err, ErrCorrupt) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	return s.scheme.VerifyStripe(cells)
 }
 
 // Scrub verifies parity consistency of every sealed stripe, returning the
@@ -581,42 +550,35 @@ func (s *Store) Scrub() ([]int, error) {
 
 // HealStripe re-checks every cell of one sealed stripe and heals the
 // checksum-corrupt ones from their groups under the exclusive lock,
-// returning how many cells were rewritten. Cells on failed or unavailable
-// devices are skipped — device loss is the rebuild machinery's job, not the
-// scrub's. An unrecoverable corrupt cell aborts with the heal error.
+// returning how many cells were rewritten. It is one inline heal job over
+// the stripe's cells, the same pass a healing GET runs. Cells on failed or
+// unavailable devices are skipped — device loss is the rebuild machinery's
+// job, not the scrub's. An unrecoverable corrupt cell aborts with the heal
+// error.
 func (s *Store) HealStripe(stripe int) (healed int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if stripe < 0 || stripe >= s.stripes {
 		return 0, fmt.Errorf("%w: stripe %d of %d", ErrRange, stripe, s.stripes)
 	}
-	lay := s.scheme.Layout()
-	for row := 0; row < s.rows; row++ {
-		for col := 0; col < s.scheme.N(); col++ {
-			pos := layout.Pos{Row: row, Col: col}
-			disk := lay.Disk(stripe, col)
-			_, rerr := s.devices[disk].read(cellKey{stripe, pos})
-			switch {
-			case rerr == nil:
-				continue
-			case errors.Is(rerr, ErrCorrupt):
-				if _, herr := s.healCell(stripe, pos); herr != nil {
-					return healed, herr
-				}
-				healed++
-			case errors.Is(rerr, ErrFailed) || errors.Is(rerr, ErrUnavailable):
-				continue
-			default:
-				return healed, rerr
-			}
-		}
+	cells := s.allCells(stripe)
+	live := func(avoid, _ []int) (*core.Plan, error) {
+		return s.scheme.PlanCells(slices.DeleteFunc(slices.Clone(cells), func(c core.Access) bool {
+			return slices.Contains(avoid, c.Disk)
+		}), nil, nil)
 	}
-	return healed, nil
+	r, err := s.execute(context.TODO(), live, corruptHeals, ReadOptions{Sequential: true})
+	if err != nil {
+		return 0, err
+	}
+	r.release()
+	return r.healed, nil
 }
 
-// InflightRuns snapshots every device's in-flight fan-out run count — the
-// live foreground-pressure signal the load-aware degraded planner biases on
-// and the repair scheduler's token bucket shrinks on.
+// InflightRuns snapshots every device's in-flight executor run count — the
+// live pressure signal the load-aware degraded planner biases on and the
+// repair scheduler's token bucket shrinks on. A repair samples it between
+// its Steps, when none of its own runs is in flight.
 func (s *Store) InflightRuns() []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

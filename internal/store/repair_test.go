@@ -5,11 +5,16 @@ import (
 	"errors"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/codes"
+	"repro/internal/core"
 	"repro/internal/layout"
+	"repro/internal/lrc"
 	"repro/internal/obs"
+	"repro/internal/rs"
 )
 
 // TestScrubBatchedConcurrentRead proves the scrub's lock is released between
@@ -444,4 +449,193 @@ func TestDeviceHealthSignals(t *testing.T) {
 	if errsAfter[0] <= errsBefore[0] {
 		t.Fatalf("disk 0 error count did not rise: %d -> %d", errsBefore[0], errsAfter[0])
 	}
+}
+
+// countingDisk is a MemDisk that counts backend calls: one ReadRun or
+// WriteRun is one pread or pwrite on a file disk, one request to a node.
+type countingDisk struct {
+	*MemDisk
+	reads, writes atomic.Int64
+}
+
+func (c *countingDisk) ReadRun(slot, count int) ([]byte, []uint32, error) {
+	c.reads.Add(1)
+	return c.MemDisk.ReadRun(slot, count)
+}
+
+func (c *countingDisk) WriteRun(slot int, data []byte, crcs []uint32) error {
+	c.writes.Add(1)
+	return c.MemDisk.WriteRun(slot, data, crcs)
+}
+
+// countingStore fills a store over counting disks with stripes full stripes.
+func countingStore(t *testing.T, sch *core.Scheme, stripes int) *Store {
+	t.Helper()
+	s, _, err := NewWithCellBackends(sch, 64, CellStoreConfig{}, func(int) (CellBackend, error) {
+		return &countingDisk{MemDisk: NewMemDisk(64)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, s, stripes*s.stripeBytes(), 9)
+	return s
+}
+
+// takeCalls returns each device's backend read and write calls since the
+// last take, and resets them.
+func takeCalls(s *Store) (reads, writes []int64) {
+	for _, d := range s.devices {
+		c := d.be.(*countingDisk)
+		reads = append(reads, c.reads.Swap(0))
+		writes = append(writes, c.writes.Swap(0))
+	}
+	return reads, writes
+}
+
+func sum(xs []int64) (n int64) {
+	for _, x := range xs {
+		n += x
+	}
+	return n
+}
+
+// TestRepairBackendCallsPerStripe counts backend calls per stripe for scrub,
+// migration and rebuild, each of which reads a stripe as one executor job:
+// scrub issues one read per device, a migration one read of the source and
+// one write, a rebuild one write and fewer reads than cells read. With one
+// row per stripe (standard, rotated) every device holds one cell of a
+// stripe, so the counts equal the cell counts. It logs rebuild read calls
+// per stripe, averaged over every failed disk.
+func TestRepairBackendCallsPerStripe(t *testing.T) {
+	const stripes = 6
+	for _, code := range []codes.Code{lrc.Must(6, 2, 2), rs.Must(6, 3)} {
+		for _, form := range []layout.Form{layout.FormStandard, layout.FormRotated, layout.FormECFRM} {
+			sch := core.MustScheme(code, form)
+			t.Run(sch.Name(), func(t *testing.T) {
+				s := countingStore(t, sch, stripes)
+				n, rows := sch.N(), sch.Layout().Rows()
+				takeCalls(s)
+				if bad, err := s.Scrub(); err != nil || bad != nil {
+					t.Fatalf("scrub: %v %v", bad, err)
+				}
+				if reads, _ := takeCalls(s); sum(reads) != int64(n*stripes) {
+					t.Fatalf("scrub read calls = %d, want one per device per stripe (%d)", sum(reads), n*stripes)
+				}
+
+				var rebuildCalls, rebuildCells int64
+				for d := 0; d < n; d++ {
+					s.FailDisk(d)
+					takeCalls(s)
+					cells, err := s.RecoverDisk(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reads, writes := takeCalls(s)
+					if sum(writes) != stripes || writes[d] != stripes {
+						t.Fatalf("rebuild of disk %d: write calls %v, want one per stripe on the replacement", d, writes)
+					}
+					if reads[d] != 0 {
+						t.Fatalf("rebuild of disk %d read the replacement", d)
+					}
+					if got := sum(reads); rows > 1 && got >= int64(cells) || rows == 1 && got != int64(cells) {
+						t.Fatalf("rebuild of disk %d: %d read calls for %d cells read", d, got, cells)
+					}
+					rebuildCalls += sum(reads)
+					rebuildCells += int64(cells)
+				}
+				t.Logf("%s: rebuild reads %.2f cells in %.2f calls per stripe (averaged over every disk)",
+					sch.Name(), float64(rebuildCells)/float64(n*stripes), float64(rebuildCalls)/float64(n*stripes))
+
+				src := s.devices[1].be.(*countingDisk)
+				s.newStagingBackendFn = func(int) (CellBackend, error) {
+					return &countingDisk{MemDisk: NewMemDisk(64)}, nil
+				}
+				r, err := s.BeginDiskMigration(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for done := false; !done; {
+					if done, err = r.Step(2); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Device 1 is the staging disk now.
+				reads, writes := takeCalls(s)
+				if src.reads.Load() != stripes || sum(reads) != 0 {
+					t.Fatalf("migration read calls: %d on the source, %v elsewhere; want one per stripe on the source",
+						src.reads.Load(), reads)
+				}
+				if sum(writes) != stripes || writes[1] != stripes {
+					t.Fatalf("migration write calls %v, want one per stripe on the staging disk", writes)
+				}
+			})
+		}
+	}
+}
+
+// TestRecoverDiskReadCostAndBalance rebuilds every disk of every Table-I
+// configuration × layout form and compares the survivor reads with the
+// choice of each lost cell's first recovery set, which one failure never
+// blocks: the exact planner must read no more cells, and spread them no
+// worse — the max over the mean survivor load, averaged over every failed
+// disk. It logs both balances.
+func TestRecoverDiskReadCostAndBalance(t *testing.T) {
+	const stripes = 4
+	for _, code := range []codes.Code{rs.Must(6, 3), rs.Must(8, 4), rs.Must(10, 5),
+		lrc.Must(6, 2, 2), lrc.Must(8, 2, 3), lrc.Must(10, 2, 4)} {
+		for _, form := range []layout.Form{layout.FormStandard, layout.FormRotated, layout.FormECFRM} {
+			sch := core.MustScheme(code, form)
+			s := MustNew(sch, 64)
+			fill(t, s, stripes*s.stripeBytes(), 13)
+			n, lay := sch.N(), sch.Layout()
+			var got, want float64
+			for d := 0; d < n; d++ {
+				firstSet := make([]int, n)
+				cells := 0
+				for stripe := 0; stripe < stripes; stripe++ {
+					col := lay.Col(stripe, d)
+					for row := 0; row < lay.Rows(); row++ {
+						c := lay.CellAt(layout.Pos{Row: row, Col: col})
+						for _, el := range code.RecoverySets(c.Element)[0] {
+							firstSet[lay.Disk(stripe, lay.GroupCell(c.Group, el).Col)]++
+							cells++
+						}
+					}
+				}
+				s.ResetCounters()
+				s.FailDisk(d)
+				cost, err := s.RecoverDisk(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cost != cells {
+					t.Fatalf("%s disk %d: rebuild read %d cells, the first recovery sets %d", sch.Name(), d, cost, cells)
+				}
+				loads := make([]int, n)
+				for i := range loads {
+					loads[i] = s.Device(i).Reads()
+				}
+				got += maxOverMean(loads, d)
+				want += maxOverMean(firstSet, d)
+			}
+			got, want = got/float64(n), want/float64(n)
+			t.Logf("%s: survivor reads max/mean %.3f (first recovery sets %.3f)", sch.Name(), got, want)
+			if got > want+1e-9 {
+				t.Errorf("%s: rebuild spreads survivor reads worse than the first recovery sets: %.3f > %.3f",
+					sch.Name(), got, want)
+			}
+		}
+	}
+}
+
+// maxOverMean is the largest load over the mean load of every disk but
+// skip.
+func maxOverMean(loads []int, skip int) float64 {
+	most, total := 0, 0
+	for i, l := range loads {
+		if i != skip {
+			most, total = max(most, l), total+l
+		}
+	}
+	return float64(most) * float64(len(loads)-1) / float64(total)
 }

@@ -19,12 +19,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/codes"
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/obs"
@@ -47,10 +47,6 @@ var ErrCorrupt = errors.New("store: corrupt cell")
 // marked failed, but the current operation could not complete through it,
 // and reads fall back to a degraded plan that routes around it.
 var ErrUnavailable = errors.New("store: device unavailable")
-
-// errNeedsHeal is the internal signal that a shared-lock read hit a corrupt
-// cell and must retry exclusively so it may rewrite the healed bytes.
-var errNeedsHeal = errors.New("store: read needs exclusive heal")
 
 // Default per-operation retry policy: how long one device operation may
 // take before it counts as timed out, and how many times a transient fault
@@ -112,7 +108,7 @@ type Device struct {
 	// writes of the pointers; the counters themselves are atomic.
 	obsReads  *obs.Counter
 	obsWrites *obs.Counter
-	// inflight counts fan-out runs currently being served by this device.
+	// inflight counts executor runs currently being served by this device.
 	// The load-aware degraded planner reads it as a live queue-depth signal;
 	// obsInflight mirrors it into the metrics registry.
 	inflight    atomic.Int64
@@ -212,8 +208,6 @@ func (d *Device) sync() error {
 	}
 	return nil
 }
-
-func (d *Device) read(k cellKey) ([]byte, error) { return d.readRun(k, 1) }
 
 // readRun reads count contiguous cells starting at k as one backend
 // operation — a coalesced fan-out run is one pread or one node request — and
@@ -452,12 +446,6 @@ func (s *Store) ResetCounters() {
 
 // stripeBytes is the user-data capacity of one stripe.
 func (s *Store) stripeBytes() int { return s.scheme.DataPerStripe() * s.elemSize }
-
-// readCell reads one cell from device dev: readRunCtx's one-cell case,
-// without cancellation. Caller holds mu in either mode.
-func (s *Store) readCell(dev int, k cellKey) ([]byte, error) {
-	return s.readRunCtx(context.Background(), dev, k, 1)
-}
 
 // readRunCtx reads count contiguous cells of device dev starting at k
 // through the fault injector. Each attempt draws one fault and issues one
@@ -858,30 +846,19 @@ func (s *Store) plan(startElem, count int, failed, bias []int) (*core.Plan, erro
 	return s.scheme.PlanDegradedReadBiased(startElem, count, failed, bias)
 }
 
-// avoidSet returns the failed devices plus those a read found unavailable,
-// ascending and deduplicated.
-func (s *Store) avoidSet(unavail map[int]bool) []int {
-	failed := s.failedDisksLocked()
-	for d := range unavail {
-		failed = append(failed, d)
-	}
-	sort.Ints(failed)
-	return dedupInts(failed)
-}
-
-// dedupInts removes adjacent duplicates from a sorted slice, in place.
-func dedupInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
+// avoidSet returns the failed devices plus those a job took out, ascending.
+func (s *Store) avoidSet(out map[int]error) []int {
+	var avoid []int
+	for i, d := range s.devices {
+		if _, taken := out[i]; d.failed || taken {
+			avoid = append(avoid, i)
 		}
 	}
-	return out
+	return avoid
 }
 
 // keysSorted returns the map's keys ascending, for stable error text.
-func keysSorted(m map[int]bool) []int {
+func keysSorted[V any](m map[int]V) []int {
 	out := make([]int, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -892,34 +869,31 @@ func keysSorted(m map[int]bool) []int {
 
 // healCell rebuilds a corrupt (checksum-failing) cell from the surviving
 // cells of its code group, rewrites it to its device, and returns the clean
-// bytes. The corrupt cell and any failed disks count as erasures. Caller
-// holds mu exclusively.
+// bytes. A nested inline job plans the cell around its own device and every
+// failed one; a second corrupt cell met on the way is routed around too.
+// Caller holds mu exclusively.
 //
 // Recoverability is re-validated here, under the exclusive lock: the
 // corruption was detected under the shared lock, and a concurrent FailDisk
 // in the lock gap can push the group past what the code decodes. The heal
 // refuses loudly (ErrUnrecoverable) rather than rewrite anything derived
 // from an over-erased group.
-func (s *Store) healCell(stripe int, pos layout.Pos) ([]byte, error) {
-	lay := s.scheme.Layout()
-	target := lay.CellAt(pos)
-	ownDisk := lay.Disk(stripe, pos.Col)
+func (s *Store) healCell(ctx context.Context, stripe int, pos layout.Pos) ([]byte, error) {
+	ownDisk := s.scheme.Layout().Disk(stripe, pos.Col)
 	if s.devices[ownDisk].failed {
 		// The corrupt cell's own disk failed in the lock gap: there is
 		// nothing to rewrite — the whole device needs recovery.
 		return nil, fmt.Errorf("%w: cannot heal stripe %d cell (%d,%d): device %d failed mid-heal",
 			core.ErrUnrecoverable, stripe, pos.Row, pos.Col, ownDisk)
 	}
-	clean, err := rebuildCell(s.scheme.Code(), target.Element, func(t int) []byte {
-		p := lay.GroupCell(target.Group, t)
-		// A failed or unavailable disk, or a second corrupt cell, is an
-		// erasure; rebuildCell decides recoverability.
-		data, err := s.readCell(lay.Disk(stripe, p.Col), cellKey{stripe, p})
-		if err != nil {
-			return nil
-		}
-		return data
-	})
+	target := []core.Access{{Disk: ownDisk, Stripe: stripe, Pos: pos}}
+	r, err := s.execute(ctx, s.around(target, ownDisk), corruptAvoids, ReadOptions{Sequential: true})
+	var clean []byte
+	if err == nil {
+		clean, err = r.cell(stripe, pos)
+		clean = append([]byte(nil), clean...) // the arena buffer goes back on release
+		r.release()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("store: cannot heal stripe %d cell (%d,%d): %w", stripe, pos.Row, pos.Col, err)
 	}
@@ -939,78 +913,17 @@ func (s *Store) healCell(stripe int, pos layout.Pos) ([]byte, error) {
 	return clean, nil
 }
 
-// rebuildCell reconstructs element target of one code group from the
-// group's other elements, which fetch supplies (nil for an erasure: a
-// failed, unavailable or corrupt cell). It decodes from the cheapest
-// recovery set whose elements all arrive; failing that, from every survivor
-// if the code can recover what is missing (ErrUnrecoverable otherwise).
-// Each element is fetched at most once. Healing, hedging and disk rebuild
-// all rebuild cells through it.
-func rebuildCell(code codes.Code, target int, fetch func(t int) []byte) ([]byte, error) {
-	n := code.N()
-	group := make([][]byte, n)
-	tried := make([]bool, n)
-	have := func(t int) bool {
-		if !tried[t] {
-			tried[t] = true
-			group[t] = fetch(t)
-		}
-		return group[t] != nil
-	}
-	var shards [][]byte
-	for _, set := range code.RecoverySets(target) {
-		usable := true
-		for _, t := range set {
-			if usable = have(t); !usable {
-				break
-			}
-		}
-		if usable {
-			shards = make([][]byte, n)
-			for _, t := range set {
-				shards[t] = group[t]
-			}
-			break
-		}
-	}
-	if shards == nil {
-		erased := []int{target}
-		for t := 0; t < n; t++ {
-			if t != target && !have(t) {
-				erased = append(erased, t)
-			}
-		}
-		if !code.CanRecover(erased) {
-			return nil, fmt.Errorf("%w: erased elements %v exceed what %s decodes",
-				core.ErrUnrecoverable, erased, code.Name())
-		}
-		shards = group
-	}
-	if err := code.ReconstructElements(shards, []int{target}); err != nil {
+// readExactly reads the targets, cells of one stripe that must all be
+// readable as stored, and returns the stripe's cells (nil where not
+// targeted). The buffers are fresh device reads, the caller's to keep and
+// mutate.
+func (s *Store) readExactly(targets []core.Access) ([][]byte, error) {
+	r, err := s.execute(context.TODO(), s.exactly(targets), corruptStops, ReadOptions{})
+	if err != nil {
 		return nil, err
 	}
-	return shards[target], nil
-}
-
-// Heal checks the cell at (stripe, pos) and, if its stored bytes fail their
-// checksum, rebuilds and rewrites it from its group. It reports whether a
-// heal happened. Clean cells are a no-op; unrecoverable cells return an
-// error wrapping core.ErrUnrecoverable.
-func (s *Store) Heal(stripe int, pos layout.Pos) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	disk := s.scheme.Layout().Disk(stripe, pos.Col)
-	_, err := s.devices[disk].read(cellKey{stripe, pos})
-	if err == nil {
-		return false, nil
-	}
-	if !errors.Is(err, ErrCorrupt) {
-		return false, err
-	}
-	if _, err := s.healCell(stripe, pos); err != nil {
-		return false, err
-	}
-	return true, nil
+	defer r.release()
+	return slices.Clone(r.stripes[0].cells), nil
 }
 
 // WriteAt overwrites length-len(data) bytes at offset off within the sealed
@@ -1033,57 +946,54 @@ func (s *Store) WriteAt(off int64, data []byte) error {
 	startElem := int(off / int64(s.elemSize))
 
 	// Stage every cell update first, then fault-gate every write, then
-	// commit. Loads of cells an earlier element already updated read from
-	// the staging overlay, so parity deltas compose; nothing touches a
-	// device until every read succeeded and every write cleared its gate —
-	// a faulted update aborts whole, never leaving parity inconsistent.
+	// commit. Each touched stripe's cells — the elements and their groups'
+	// parity — are read in one pass and UpdateData folds every element's
+	// delta into them in place, so deltas within a group compose; nothing
+	// touches a device until every read succeeded and every write cleared
+	// its gate — a faulted update aborts whole, never leaving parity
+	// inconsistent.
 	type stagedWrite struct {
 		disk int
 		k    cellKey
+		data []byte
 	}
-	overlay := make(map[cellKey][]byte)
 	var order []stagedWrite
-	for i := 0; i < count; i++ {
-		x := startElem + i
-		stripe, e := x/dps, x%dps
-		// Materialize the element's cell and its group's parity cells.
-		cells := make([][]byte, s.scheme.CellsPerStripe())
-		pos := lay.DataPos(e)
-		cell := lay.CellAt(pos)
-		load := func(p layout.Pos) error {
-			k := cellKey{stripe, p}
-			if staged, ok := overlay[k]; ok {
-				cells[p.Row*n+p.Col] = staged
-				return nil
-			}
-			disk := lay.Disk(stripe, p.Col)
-			data, err := s.readCell(disk, k)
-			if err != nil {
-				return err
-			}
-			// The read's buffer is ours: UpdateData mutates parity in place.
-			cells[p.Row*n+p.Col] = data
-			return nil
-		}
-		if err := load(pos); err != nil {
-			return err
-		}
-		for t := s.scheme.Code().K(); t < s.scheme.Code().N(); t++ {
-			if err := load(lay.GroupCell(cell.Group, t)); err != nil {
-				return err
+	endElem := startElem + count - 1
+	for stripe := startElem / dps; stripe <= endElem/dps; stripe++ {
+		lo, hi := max(startElem, stripe*dps), min(endElem, stripe*dps+dps-1)
+		var targets []core.Access
+		listed := make([]bool, s.scheme.CellsPerStripe())
+		need := func(p layout.Pos) {
+			if !listed[p.Row*n+p.Col] {
+				listed[p.Row*n+p.Col] = true
+				targets = append(targets, core.Access{Disk: lay.Disk(stripe, p.Col), Stripe: stripe, Pos: p})
 			}
 		}
-		touched, err := s.scheme.UpdateData(cells, e, data[i*s.elemSize:(i+1)*s.elemSize])
+		for x := lo; x <= hi; x++ {
+			pos := lay.DataPos(x % dps)
+			need(pos)
+			for t := s.scheme.Code().K(); t < s.scheme.Code().N(); t++ {
+				need(lay.GroupCell(lay.CellAt(pos).Group, t))
+			}
+		}
+		cells, err := s.readExactly(targets)
 		if err != nil {
 			return err
 		}
-		for _, idx := range touched {
-			p := layout.Pos{Row: idx / n, Col: idx % n}
-			k := cellKey{stripe, p}
-			if _, ok := overlay[k]; !ok {
-				order = append(order, stagedWrite{lay.Disk(stripe, p.Col), k})
+		staged := make([]bool, len(cells))
+		for x := lo; x <= hi; x++ {
+			i := x - startElem
+			touched, err := s.scheme.UpdateData(cells, x%dps, data[i*s.elemSize:(i+1)*s.elemSize])
+			if err != nil {
+				return err
 			}
-			overlay[k] = cells[idx]
+			for _, idx := range touched {
+				if !staged[idx] {
+					staged[idx] = true
+					p := layout.Pos{Row: idx / n, Col: idx % n}
+					order = append(order, stagedWrite{lay.Disk(stripe, p.Col), cellKey{stripe, p}, cells[idx]})
+				}
+			}
 		}
 	}
 	for _, sw := range order {
@@ -1093,7 +1003,7 @@ func (s *Store) WriteAt(off int64, data []byte) error {
 	}
 	touched := make(map[int]bool)
 	for _, sw := range order {
-		if err := s.devices[sw.disk].write(sw.k, overlay[sw.k]); err != nil {
+		if err := s.devices[sw.disk].write(sw.k, sw.data); err != nil {
 			return fmt.Errorf("store: write [%d,+%d): %w", off, len(data), err)
 		}
 		touched[sw.disk] = true
@@ -1159,20 +1069,28 @@ func (s *Store) WriteAtReencode(off int64, data []byte) error {
 	var staged []stagedStripe
 	for stripe := startElem / dps; stripe <= endElem/dps; stripe++ {
 		shards := make([][]byte, dps)
+		var targets []core.Access
 		for e := 0; e < dps; e++ {
-			x := stripe*dps + e
-			if x >= startElem && x <= endElem {
+			if x := stripe*dps + e; x >= startElem && x <= endElem {
 				// Fully overwritten: no read needed (backends copy what they keep).
 				i := x - startElem
 				shards[e] = data[i*s.elemSize : (i+1)*s.elemSize]
 				continue
 			}
 			pos := lay.DataPos(e)
-			cell, err := s.readCell(lay.Disk(stripe, pos.Col), cellKey{stripe, pos})
+			targets = append(targets, core.Access{Disk: lay.Disk(stripe, pos.Col), Stripe: stripe, Pos: pos})
+		}
+		if len(targets) > 0 {
+			cells, err := s.readExactly(targets)
 			if err != nil {
 				return err
 			}
-			shards[e] = cell
+			for e, shard := range shards {
+				if shard == nil {
+					pos := lay.DataPos(e)
+					shards[e] = cells[pos.Row*n+pos.Col]
+				}
+			}
 		}
 		cells, err := s.scheme.EncodeStripe(shards)
 		if err != nil {

@@ -9,7 +9,8 @@
 #
 #   1. startup recovery reports the sealed extent (the log line and
 #      /admin/status agree on a nonzero stripe count),
-#   2. /admin/scrub finds every recovered stripe parity-consistent,
+#   2. /admin/scrub finds every recovered stripe parity-consistent, reading
+#      each stripe as one pread per device (10 for the default LRC(6,2,2)),
 #   3. the per-device I/O metric families (ecfrm_devq_*) are live,
 #   4. the store still accepts writes after recovery (a post-restart PUT
 #      acks and reads back),
@@ -140,7 +141,15 @@ if [ -z "$STRIPES_AFTER" ] || [ "$STRIPES_AFTER" -ne "$STRIPES_BEFORE" ]; then
     exit 1
 fi
 
+# Device read calls: one pread per coalesced run, on every disk.
+preads() { fetch /metrics | sed -n 's/^ecfrm_devq_io_seconds_count{op="read"} \([0-9]*\)$/\1/p'; }
+PREADS_BEFORE=$(preads)
 SCRUB=$(fetch /admin/scrub -X POST)
+PREADS=$(($(preads) - PREADS_BEFORE))
+if [ "$PREADS" -ne $((10 * STRIPES_AFTER)) ]; then
+    echo "disk-smoke: scrub of $STRIPES_AFTER stripes issued $PREADS preads, want one per device per stripe ($((10 * STRIPES_AFTER)))" >&2
+    exit 1
+fi
 case "$SCRUB" in
 *'"corrupt_stripes":[]'* | *'"corrupt_stripes":null'*) ;;
 *)
