@@ -60,10 +60,10 @@
 //
 // Self-healing: -repair starts the background repair scheduler
 // (internal/repair). It watches per-device error counts and latency
-// quantiles, fail-stops disks that exceed the error burst or limp far
-// behind their peers, and rebuilds them incrementally under a token-bucket
-// rate limit (-repair-rate MiB/s) that backs off further whenever
-// foreground reads are in flight. It also runs a continuous incremental
+// quantiles, fail-stops disks that exceed the error burst (a disk limping
+// far behind its peers is reported, not stopped), and rebuilds them
+// incrementally under a token-bucket rate limit (-repair-rate MiB/s) that
+// backs off further whenever foreground reads are in flight. It also runs a continuous incremental
 // checksum scrub (-scrub-interval between batches) whose cursor persists
 // in <data-dir>/scrub.cursor with -backend=file, so a restarted daemon
 // resumes scrubbing where it left off. Operator surface under /repair/:

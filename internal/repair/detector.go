@@ -66,7 +66,7 @@ type Verdict struct {
 	// threshold since their baseline — candidates for fail-stop.
 	Errored []int
 	// Limping: disks consistently serving far slower than their peers —
-	// candidates for proactive migration.
+	// reported, and left in service.
 	Limping []int
 }
 

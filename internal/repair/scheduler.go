@@ -1,9 +1,9 @@
 package repair
 
 import (
+	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,8 +16,11 @@ const (
 	DefaultBatchStripes   = 16
 	DefaultDetectInterval = 50 * time.Millisecond
 	DefaultScrubInterval  = time.Second
-	DefaultWorkers        = 2
 )
+
+// DefaultWorkers sizes the rebuild goroutine pool: how many disks repair
+// concurrently.
+const DefaultWorkers = 2
 
 // Config tunes the background repair scheduler.
 type Config struct {
@@ -33,12 +36,9 @@ type Config struct {
 	BatchStripes int
 	// DetectInterval is the health-sampling period. <= 0 uses 50ms.
 	DetectInterval time.Duration
-	// Detector tunes failure/limping detection thresholds.
+	// Detector tunes failure/limping detection thresholds. Limping disks
+	// are reported in Status and counted, but left in service.
 	Detector DetectorConfig
-	// FailLimping, when true, fail-stops disks the latency detector flags
-	// (within the code's tolerance) so they rebuild proactively. Off by
-	// default: limping disks are reported in Status but left in service.
-	FailLimping bool
 	// ScrubInterval is the pause between incremental scrub batches.
 	// 0 uses DefaultScrubInterval; negative disables scrubbing.
 	ScrubInterval time.Duration
@@ -48,9 +48,6 @@ type Config struct {
 	// CursorPath persists the scrub cursor (atomic write per batch) so a
 	// restart resumes mid-pass. Empty keeps the cursor in memory only.
 	CursorPath string
-	// Workers sizes the rebuild goroutine pool — how many disks repair
-	// concurrently. <= 0 uses DefaultWorkers.
-	Workers int
 	// Registry receives the scheduler's metrics; nil disables them.
 	Registry *obs.Registry
 	// Logf receives operational log lines (detections, rebuild outcomes,
@@ -70,9 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ScrubBatch <= 0 {
 		c.ScrubBatch = store.DefaultScrubBatch
-	}
-	if c.Workers <= 0 {
-		c.Workers = DefaultWorkers
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -109,7 +103,6 @@ type Scheduler struct {
 	active  map[int]*store.DiskRebuild
 	cursor  Cursor
 	limping []int
-	scrubOK bool // at least one batch since the last heal-relevant event
 	lastRep ScrubReport
 
 	tasks     chan task
@@ -151,7 +144,7 @@ func New(st *store.Store, cfg Config) (*Scheduler, error) {
 
 	s.wg.Add(1)
 	go s.detectLoop()
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < DefaultWorkers; i++ {
 		s.wg.Add(1)
 		go s.workerLoop()
 	}
@@ -287,15 +280,6 @@ func (s *Scheduler) detectOnce() {
 			continue
 		}
 		s.m.observeDetection("limping")
-		if !s.cfg.FailLimping {
-			continue
-		}
-		if !s.st.FailDiskWithinTolerance(d) {
-			s.cfg.Logf("repair: disk %d limping, but failing it would exceed tolerance; leaving in service", d)
-			continue
-		}
-		s.cfg.Logf("repair: disk %d limping, fail-stopped for proactive rebuild", d)
-		s.enqueueLocked(d, store.RebuildFailed)
 	}
 }
 
@@ -339,7 +323,7 @@ func (s *Scheduler) runRepair(t task) {
 		s.mu.Unlock()
 		// A disk that healed (or was migrated) between detection and here
 		// is not an error worth counting.
-		if !strings.Contains(err.Error(), "is not failed") {
+		if !errors.Is(err, store.ErrNotFailed) {
 			s.cfg.Logf("repair: begin %s of disk %d: %v", t.kind, t.disk, err)
 			s.m.observeRebuildDone(false)
 		}
@@ -480,7 +464,6 @@ func (s *Scheduler) scrubOnce() {
 	s.mu.Lock()
 	s.cursor = next
 	s.lastRep = rep
-	s.scrubOK = true
 	s.mu.Unlock()
 }
 

@@ -2,6 +2,7 @@ package repair
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -108,6 +109,43 @@ func TestSchedulerRebuildsFailedDisk(t *testing.T) {
 	}
 	if v := metricValue(t, reg, "ecfrm_repair_mttr_seconds_count"); v != 1 {
 		t.Fatalf("MTTR observations = %v, want 1", v)
+	}
+}
+
+// TestSchedulerSkipsDiskRecoveredBeforeBegin: a disk detected failed but
+// recovered before its queued rebuild begins is refused with
+// store.ErrNotFailed, which does not count as a failed rebuild; a Begin
+// refused for any other reason does.
+func TestSchedulerSkipsDiskRecoveredBeforeBegin(t *testing.T) {
+	s := testStore(t)
+	fillStripes(t, s, 2, 22)
+	reg := obs.NewRegistry()
+	sch, err := New(s, fastConfig(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch.Close() // no loop runs: the test plays detector and worker
+
+	s.FailDisk(3)
+	sch.mu.Lock()
+	sch.pending[3] = pendingRepair{since: time.Now(), kind: store.RebuildFailed}
+	sch.mu.Unlock()
+	if _, err := s.RecoverDisk(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.BeginDiskRebuild(3); !errors.Is(err, store.ErrNotFailed) {
+		t.Fatalf("BeginDiskRebuild of a healthy disk: %v, want ErrNotFailed", err)
+	}
+	sch.runRepair(task{disk: 3, kind: store.RebuildFailed})
+	if v := metricValue(t, reg, `ecfrm_repair_rebuilds_total{outcome="error"}`); v != 0 {
+		t.Fatalf("failed rebuilds = %v after a disk recovered before Begin, want 0", v)
+	}
+	if _, queued := sch.pending[3]; queued {
+		t.Fatal("disk 3 still pending")
+	}
+	sch.runRepair(task{disk: 99, kind: store.RebuildFailed})
+	if v := metricValue(t, reg, `ecfrm_repair_rebuilds_total{outcome="error"}`); v != 1 {
+		t.Fatalf("failed rebuilds = %v after a refused Begin of no disk, want 1", v)
 	}
 }
 

@@ -162,13 +162,10 @@ type CellStoreConfig struct {
 	// is published — the node-side fsync of the two-phase gate.
 	Sync bool
 	// Recover re-derives the sealed extent from the backends at open (the
-	// gateway-restart path): torn cells healed from their group, write-hole
-	// stripes re-encoded, torn tails truncated — the same scrub
-	// OpenFileBacked runs over local files.
+	// gateway-restart path): each stripe is healed, verified and, on a
+	// write hole, re-sealed through the read executor, and a torn tail is
+	// truncated — the same recovery OpenFileBacked runs over local files.
 	Recover bool
-	// SkipScrub elides Recover's parity verification pass over clean-looking
-	// stripes.
-	SkipScrub bool
 }
 
 // NewWithCellBackends creates a store whose devices are the CellBackends
@@ -200,9 +197,9 @@ func NewWithCellBackends(scheme *core.Scheme, elemSize int, cfg CellStoreConfig,
 		}
 		return cb, nil
 	}
-	report := &RecoveryReport{ScrubSkipped: cfg.SkipScrub}
+	report := &RecoveryReport{}
 	if cfg.Recover {
-		if err := st.recoverFiles(report, cfg.SkipScrub); err != nil {
+		if err := st.recoverExtent(report); err != nil {
 			st.closeBackends()
 			return nil, nil, err
 		}

@@ -23,27 +23,29 @@
 //
 // Startup recovery (OpenFileBacked) scrubs the directory before serving:
 // geometry is derived from the files themselves (never trusted from a
-// manifest), every cell is checksum-verified, torn or missing cells are
-// rebuilt from their group when the code allows, a parity-inconsistent
-// stripe with clean checksums (the WriteAt write-hole) is re-encoded from
-// its data cells, and an unrecoverable torn tail is truncated. The store
-// that comes back is always decode-clean.
+// manifest), and each stripe goes through the read executor's heal job —
+// torn or missing cells are rebuilt from their group when the code allows —
+// then a parity check, which re-seals a stripe with clean checksums but
+// inconsistent parity (the WriteAt write hole) from its data cells; an
+// unrecoverable torn tail is truncated. The store that comes back is always
+// decode-clean.
 package store
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
 
 	"repro/internal/core"
-	"repro/internal/layout"
 	"repro/internal/obs"
 )
 
@@ -74,11 +76,6 @@ type FileConfig struct {
 	// otherwise the store falls back to buffered I/O (see
 	// RecoveryReport.DirectActive).
 	Direct bool
-	// SkipScrub skips the parity-verification pass of startup recovery.
-	// Checksum validation, torn-cell healing, and tail truncation still
-	// run; only the (read-everything, re-encode-everything) parity check
-	// is elided. For large stores whose workload never uses WriteAt.
-	SkipScrub bool
 }
 
 func (c *FileConfig) fsyncAlways() bool { return c.Fsync != FsyncNever }
@@ -370,21 +367,20 @@ func (ds *DiskStore) Close() error {
 type RecoveryReport struct {
 	// Stripes is the sealed-stripe count the store serves after recovery.
 	Stripes int
-	// HealedCells counts torn or checksum-failing cells rebuilt from their
-	// group and rewritten.
+	// HealedCells counts cells the heal job rebuilt from their group and
+	// rewrote: torn (payload and recorded checksum disagree) or missing from
+	// their device.
 	HealedCells int
-	// ReencodedStripes counts parity-inconsistent stripes with clean
-	// checksums (the WriteAt write-hole) whose parity was re-encoded from
-	// their data cells.
+	// ReencodedStripes counts stripes that healed clean but whose parity
+	// disagreed with their data (the WriteAt write hole): each was re-sealed
+	// from its data cells, which are taken as truth.
 	ReencodedStripes int
-	// TruncatedStripes counts unrecoverable torn tail stripes dropped.
+	// TruncatedStripes counts the unrecoverable torn tail stripes dropped.
 	TruncatedStripes int
 	// DirectActive reports whether the data files actually opened with
 	// O_DIRECT (the request downgrades on unaligned element sizes and
-	// filesystems that refuse the flag).
+	// filesystems that refuse the flag). File-backed stores only.
 	DirectActive bool
-	// ScrubSkipped reports that the parity pass was elided (SkipScrub).
-	ScrubSkipped bool
 }
 
 // backendManifest is the file backend's best-effort metadata: geometry for
@@ -402,17 +398,15 @@ type backendManifest struct {
 const backendManifestName = "backend.json"
 
 // OpenFileBacked creates (or reopens) a store whose devices are DiskStores
-// in cfg.Dir, one data/checksum file pair per device. Reopening runs the
-// recovery scrub described in the package comment; the returned report says
-// what it found. All existing store APIs behave identically to the memory
-// backend — tests and tools select the backend purely by construction.
+// in cfg.Dir, one data/checksum file pair per device. It is
+// NewWithCellBackends with Recover over those disks, plus what only files
+// have: the migration staging hooks, the manifest's user-byte length and a
+// directory fsync. The returned report says what recovery found. All
+// existing store APIs behave identically to the memory backend — tests and
+// tools select the backend purely by construction.
 func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, *RecoveryReport, error) {
 	if cfg.Dir == "" {
 		return nil, nil, fmt.Errorf("store: file backend needs a data directory")
-	}
-	st, err := New(scheme, elemSize)
-	if err != nil {
-		return nil, nil, err
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, nil, err
@@ -429,18 +423,21 @@ func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, 
 	open := func(d int, suffix string, trunc bool) (*DiskStore, error) {
 		return openFileDisk(devDataFile(dir, d)+suffix, devCRCFile(dir, d)+suffix, elemSize, cfg, trunc)
 	}
-	report := &RecoveryReport{ScrubSkipped: cfg.SkipScrub}
-	for d, dev := range st.devices {
-		ds, err := open(d, "", false)
-		if err != nil {
-			st.closeBackends()
-			return nil, nil, err
-		}
-		dev.be = ds
-		report.DirectActive = ds.direct
+	direct := false
+	st, report, err := NewWithCellBackends(scheme, elemSize, CellStoreConfig{Sync: cfg.fsyncAlways(), Recover: true},
+		func(d int) (CellBackend, error) {
+			ds, err := open(d, "", false)
+			if err != nil {
+				return nil, err
+			}
+			direct = ds.direct
+			return ds, nil
+		})
+	if err != nil {
+		return nil, nil, err
 	}
+	report.DirectActive = direct
 	st.dataDir = dir
-	st.fsync = cfg.fsyncAlways()
 	st.newBackendFn = func(d int) (CellBackend, error) { return open(d, "", true) }
 	st.newStagingBackendFn = func(d int) (CellBackend, error) { return open(d, stagingSuffix, true) }
 	st.promoteStagingFn = func(d int) error {
@@ -459,165 +456,83 @@ func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, 
 		os.Remove(devDataFile(dir, d) + stagingSuffix)
 		os.Remove(devCRCFile(dir, d) + stagingSuffix)
 	}
-	if err := st.recoverFiles(report, cfg.SkipScrub); err != nil {
-		st.closeBackends()
-		return nil, nil, err
-	}
 	// Length: the manifest is trusted only when it agrees with the
 	// recovered geometry; otherwise the sealed extent is all we know.
-	st.length = int64(st.stripes) * int64(st.stripeBytes())
-	if man, err := readBackendManifest(cfg.Dir); err == nil {
+	if man, err := readBackendManifest(dir); err == nil {
 		if man.Scheme == scheme.Name() && man.Stripes == st.stripes &&
 			man.ElemSize == elemSize && man.Length >= 0 && man.Length <= st.length {
 			st.length = man.Length
 		}
 	}
-	if err := syncDir(cfg.Dir); err != nil {
+	if err := syncDir(dir); err != nil {
 		st.closeBackends()
 		return nil, nil, err
 	}
-	report.Stripes = st.stripes
 	return st, report, nil
 }
 
-// missingCell locates one cell the recovery scrub counts as erased: absent
-// from its device, or failing its recorded checksum.
-type missingCell struct {
-	idx  int // row*n+col within the stripe's cell slice
-	pos  layout.Pos
-	disk int
-}
-
-// gatherStripe reads every checksum-valid cell of a stripe from the backends
-// and lists the rest as missing.
-func (s *Store) gatherStripe(stripe int) (cells [][]byte, missing []missingCell) {
-	lay := s.scheme.Layout()
-	n := s.scheme.N()
-	cells = make([][]byte, s.scheme.CellsPerStripe())
-	for row := 0; row < s.rows; row++ {
-		for col := 0; col < n; col++ {
-			pos := layout.Pos{Row: row, Col: col}
-			disk := lay.Disk(stripe, col)
-			data, crcs, err := s.devices[disk].be.ReadRun(stripe*s.rows+row, 1)
-			if err != nil || crc32.Checksum(data, castagnoli) != crcs[0] {
-				missing = append(missing, missingCell{row*n + col, pos, disk})
-				continue
-			}
-			cells[row*n+col] = data
-		}
-	}
-	return cells, missing
-}
-
-// recoverFiles derives the sealed extent from the device files and makes it
-// decode-clean: cells whose payload and recorded checksum disagree (torn
-// data or torn checksum write) and cells one device lost entirely count as
-// erasures and are rebuilt from their group; a stripe every group decodes is
-// kept, healed cells rewritten and fsynced. Unrecoverable stripes are legal
-// only as the torn tail — possibly several of them, since one crashed commit
-// can seal a multi-stripe batch — and are truncated there. An unrecoverable
-// stripe *followed by recoverable data* is no crash artifact (seals are
-// ordered), so recovery refuses loudly rather than silently drop sealed
-// stripes.
-func (s *Store) recoverFiles(report *RecoveryReport, skipParity bool) error {
+// recoverExtent derives the sealed extent from the backends and makes it
+// decode-clean, one executor job per stripe: HealStripe's job, reading every
+// cell as one run per device, except that no cell may be skipped — a device
+// out of reach fails recovery. An erased cell — torn (payload and recorded
+// checksum disagree) or missing from its device — is rebuilt from its group
+// and rewritten (healCell). The healed stripe is then verified against
+// parity, and one that disagrees with clean checksums (the WriteAt write
+// hole) is re-sealed at its index from its data cells, which are truth. A
+// stripe whose erasures exceed its groups is legal only as the torn tail —
+// possibly several stripes, since one crashed commit can seal a multi-stripe
+// batch — and is truncated there. One *followed by* a stripe that still
+// heals is no crash artifact (seals are ordered), so recovery refuses loudly
+// rather than silently drop sealed stripes (healing that later stripe on the
+// way). The store is not shared yet, so no lock is held.
+func (s *Store) recoverExtent(report *RecoveryReport) error {
 	maxStripes := 0
 	for _, dev := range s.devices {
-		if st := dev.be.Slots() / s.rows; st > maxStripes {
-			maxStripes = st
-		}
+		maxStripes = max(maxStripes, dev.be.Slots()/s.rows)
 	}
-	stripes := 0
-	healedDisks := make(map[int]bool)
-scan:
-	for stripe := 0; stripe < maxStripes; stripe++ {
-		cells, missing := s.gatherStripe(stripe)
-		if len(missing) == 0 {
-			if !skipParity {
-				ok, err := s.scheme.VerifyStripe(cells)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					if err := s.reencodeStripe(stripe, cells, healedDisks); err != nil {
-						return err
-					}
-					report.ReencodedStripes++
-				}
-			}
-			stripes++
-			continue
-		}
-		if err := s.scheme.ReconstructStripe(cells); err != nil {
-			// A torn tail may span several stripes (one crashed commit seals a
-			// whole batch), but it is always a suffix: if any LATER stripe
-			// still decodes, this hole sits in the middle of sealed data and
-			// truncating would discard it.
+	heal := func(stripe int) (*served, error) {
+		return s.execute(context.TODO(), s.exactly(s.allCells(stripe)), corruptHeals, ReadOptions{Sequential: true})
+	}
+	for s.stripes = 0; s.stripes < maxStripes; {
+		stripe := s.stripes
+		r, err := heal(stripe)
+		// A group that does not decode around an unreachable device is not
+		// a torn tail: that error fails recovery below instead.
+		if errors.Is(err, core.ErrUnrecoverable) && !errors.Is(err, ErrUnavailable) {
 			for later := stripe + 1; later < maxStripes; later++ {
-				lcells, _ := s.gatherStripe(later)
-				if s.scheme.ReconstructStripe(lcells) == nil {
+				if lr, lerr := heal(later); lerr == nil {
+					lr.release()
 					return fmt.Errorf("store: recovery: stripe %d unrecoverable but stripe %d still decodes (not a torn tail): %w",
 						stripe, later, err)
 				}
 			}
 			report.TruncatedStripes = maxStripes - stripe
-			break scan
+			break
 		}
-		for _, mc := range missing {
-			cell := cells[mc.idx]
-			if err := s.devices[mc.disk].be.WriteRun(stripe*s.rows+mc.pos.Row,
-				cell, []uint32{crc32.Checksum(cell, castagnoli)}); err != nil {
-				return fmt.Errorf("store: recovery: rewrite stripe %d cell (%d,%d): %w",
-					stripe, mc.pos.Row, mc.pos.Col, err)
-			}
-			healedDisks[mc.disk] = true
-			report.HealedCells++
+		if err != nil {
+			return fmt.Errorf("store: recovery: stripe %d: %w", stripe, err)
 		}
-		stripes++
+		report.HealedCells += r.healed
+		cells := r.stripes[0].cells
+		ok, err := s.scheme.VerifyStripe(cells)
+		if err == nil && !ok {
+			err = s.seal(slices.Concat(s.scheme.DataShards(cells)...)) // advances s.stripes
+			report.ReencodedStripes++
+		} else if ok {
+			s.stripes++
+		}
+		r.release()
+		if err != nil {
+			return fmt.Errorf("store: recovery: stripe %d: %w", stripe, err)
+		}
 	}
 	for _, dev := range s.devices {
-		if err := dev.be.Truncate(stripes * s.rows); err != nil {
+		if err := dev.be.Truncate(s.stripes * s.rows); err != nil {
 			return err
 		}
 	}
 	if report.HealedCells > 0 || report.ReencodedStripes > 0 || report.TruncatedStripes > 0 {
-		for d := range s.devices {
-			if err := s.devices[d].be.Sync(); err != nil {
-				return err
-			}
-		}
-	}
-	s.stripes = stripes
-	return nil
-}
-
-// reencodeStripe repairs a write-hole stripe: checksums are clean but parity
-// disagrees with data, so the data cells are taken as truth and every parity
-// cell re-encoded and rewritten.
-func (s *Store) reencodeStripe(stripe int, cells [][]byte, healedDisks map[int]bool) error {
-	lay := s.scheme.Layout()
-	n := s.scheme.N()
-	shards := make([][]byte, s.scheme.DataPerStripe())
-	for e := range shards {
-		pos := lay.DataPos(e)
-		shards[e] = cells[pos.Row*n+pos.Col]
-	}
-	enc, err := s.scheme.EncodeStripe(shards)
-	if err != nil {
-		return err
-	}
-	for idx, cell := range enc {
-		pos := layout.Pos{Row: idx / n, Col: idx % n}
-		cur := cells[idx]
-		if cur != nil && string(cur) == string(cell) {
-			continue
-		}
-		disk := lay.Disk(stripe, pos.Col)
-		if err := s.devices[disk].be.WriteRun(stripe*s.rows+pos.Row,
-			cell, []uint32{crc32.Checksum(cell, castagnoli)}); err != nil {
-			return fmt.Errorf("store: recovery: re-encode stripe %d cell (%d,%d): %w",
-				stripe, pos.Row, pos.Col, err)
-		}
-		healedDisks[disk] = true
+		return eachDevice(len(s.devices), func(d int) error { return s.devices[d].sync() })
 	}
 	return nil
 }

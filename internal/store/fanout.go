@@ -1,6 +1,6 @@
 // Read executor: the one way the store reads cells. GETs, hedges, heals,
-// disk rebuild, migration, scrub and overwrites each hand it a plan and a
-// rule for corrupt runs (execute).
+// disk rebuild, migration, scrub, startup recovery and overwrites each hand
+// it a plan and a rule for corrupt runs (execute).
 //
 // A plan lists cells. The executor regroups them by device, coalesces cells
 // at adjacent on-disk offsets into single runs (one positioning cost instead
@@ -343,9 +343,10 @@ func (r *served) release() {
 
 // execute is the store's one way to read cells: plan, serve the plan's
 // coalesced runs, and replan around every device a pass took out, until a
-// pass completes. GETs, hedges, heals, rebuild, migration, scrub and
-// overwrites all read through it. The caller holds mu shared, or
-// exclusively for corruptHeals. Every goroutine spawned here is joined
+// pass completes. GETs, hedges, heals, rebuild, migration, scrub, recovery
+// and overwrites all read through it. The caller holds mu shared, or
+// exclusively for corruptHeals (recovery holds no lock: its store is not
+// shared yet). Every goroutine spawned here is joined
 // before return, so no device access escapes the lock. The loop ends: each
 // replan takes a device out, and planning fails once too many are.
 func (s *Store) execute(ctx context.Context, plan planFunc, rule corruptRule, opts ReadOptions) (*served, error) {
@@ -429,8 +430,8 @@ func (s *Store) around(targets []core.Access, dev int) planFunc {
 }
 
 // exactly plans reading the targets themselves, for callers that need the
-// stored bytes — scrub, migration, overwrites: a target on a device to avoid
-// is an error, not a reason to reconstruct.
+// stored bytes — scrub, migration, recovery, overwrites: a target on a
+// device to avoid is an error, not a reason to reconstruct.
 func (s *Store) exactly(targets []core.Access) planFunc {
 	return func(avoid, _ []int) (*core.Plan, error) {
 		for _, t := range targets {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -144,6 +145,135 @@ func TestRemoteStoreRecoverExtent(t *testing.T) {
 	}
 	if !bytes.Equal(got.Data, payload) {
 		t.Fatal("recovered store returned different bytes")
+	}
+}
+
+// TestRemoteStoreRecoverTornTail is FuzzDiskRecovery's crash model over
+// NewWithCellBackends, the gateway-restart path: every node keeps the
+// stripes up to a barrier and an arbitrary, uneven share of the rest. The
+// reopen with Recover must keep the barrier stripes and serve a byte-identical
+// prefix, and a second reopen must find nothing to do. A GET that then meets
+// a cell its backend lacks heals it from its group like a corrupt one and
+// serves the right bytes.
+func TestRemoteStoreRecoverTornTail(t *testing.T) {
+	scheme := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	const elem, stripes = 32, 5
+	rows := scheme.Layout().Rows()
+	var healed, truncated int
+	for seed := int64(1); seed <= 12; seed++ {
+		st, disks := newRemoteOverDisks(t, scheme, elem, CellStoreConfig{Sync: true})
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, stripes*scheme.DataPerStripe()*elem)
+		rng.Read(data)
+		if err := st.Append(data); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+
+		barrier := rng.Intn(stripes + 1)
+		for _, d := range disks {
+			if err := d.Truncate(barrier*rows + rng.Intn((stripes-barrier)*rows+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		open := func(d int) (CellBackend, error) { return disks[d], nil }
+		cfg := CellStoreConfig{Sync: true, Recover: true}
+		st2, rep, err := NewWithCellBackends(scheme, elem, cfg, open)
+		if err != nil {
+			t.Fatalf("seed %d: recovery failed (barrier %d of %d): %v", seed, barrier, stripes, err)
+		}
+		if rep.Stripes < barrier {
+			t.Fatalf("seed %d: recovered %d stripes, barrier guaranteed %d", seed, rep.Stripes, barrier)
+		}
+		healed += rep.HealedCells
+		truncated += rep.TruncatedStripes
+		if n := int(st2.Len()); n > 0 {
+			res, err := st2.ReadAt(0, n)
+			if err != nil || !bytes.Equal(res.Data, data[:n]) {
+				t.Fatalf("seed %d: recovered extent diverges from written data (%v)", seed, err)
+			}
+		}
+		st2.Close()
+		st3, rep3, err := NewWithCellBackends(scheme, elem, cfg, open)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *rep3 != (RecoveryReport{Stripes: rep.Stripes}) {
+			t.Fatalf("seed %d: recovery not idempotent: second open found %+v after %+v", seed, rep3, rep)
+		}
+		if rep.Stripes == 0 {
+			continue
+		}
+
+		// The node holding the last stripe's first data element loses its
+		// share of that stripe.
+		last := rep.Stripes - 1
+		disk := scheme.Layout().Disk(last, scheme.Layout().DataPos(0).Col)
+		if err := disks[disk].Truncate(last * rows); err != nil {
+			t.Fatal(err)
+		}
+		off, n := last*scheme.DataPerStripe()*elem, scheme.DataPerStripe()*elem
+		for pass, wantHealed := range []bool{true, false} {
+			res, err := st3.ReadAt(int64(off), n)
+			if err != nil {
+				t.Fatalf("seed %d pass %d: GET over a missing cell: %v", seed, pass, err)
+			}
+			if !bytes.Equal(res.Data, data[off:off+n]) {
+				t.Fatalf("seed %d pass %d: GET over a missing cell returned wrong bytes", seed, pass)
+			}
+			lost := 0
+			for _, a := range res.Plan.Reads {
+				if a.Disk == disk {
+					lost++
+					if _, _, err := disks[disk].ReadRun(a.Stripe*rows+a.Pos.Row, 1); err != nil {
+						t.Fatalf("seed %d pass %d: cell %+v not rewritten: %v", seed, pass, a, err)
+					}
+				}
+			}
+			if !wantHealed {
+				lost = 0
+			}
+			if res.Healed != lost {
+				t.Fatalf("seed %d pass %d: healed %d cells, want %d", seed, pass, res.Healed, lost)
+			}
+		}
+		st3.Close()
+	}
+	if healed == 0 || truncated == 0 {
+		t.Fatalf("the seeds healed %d cells and truncated %d stripes: both paths must run", healed, truncated)
+	}
+}
+
+// downDisk is a node that does not answer.
+type downDisk struct{ *MemDisk }
+
+func (downDisk) ReadRun(int, int) ([]byte, []uint32, error) {
+	return nil, nil, errors.New("connection refused")
+}
+func (downDisk) WriteRun(int, []byte, []uint32) error { return errors.New("connection refused") }
+
+// TestRemoteStoreRecoverRefusesUnreachableDisk: a device out of reach is not
+// an erasure to heal or a torn tail to cut. Recovery fails with
+// ErrUnavailable and truncates nothing.
+func TestRemoteStoreRecoverRefusesUnreachableDisk(t *testing.T) {
+	scheme := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	const elem = 32
+	st, disks := newRemoteOverDisks(t, scheme, elem, CellStoreConfig{Sync: true})
+	fill(t, st, 3*scheme.DataPerStripe()*elem, 5)
+	st.Close()
+	_, _, err := NewWithCellBackends(scheme, elem, CellStoreConfig{Recover: true}, func(d int) (CellBackend, error) {
+		if d == 2 {
+			return downDisk{disks[d]}, nil
+		}
+		return disks[d], nil
+	})
+	if !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("recovery with disk 2 down: %v, want ErrUnavailable", err)
+	}
+	for d, disk := range disks {
+		if disk.Slots() != 3*scheme.Layout().Rows() {
+			t.Fatalf("disk %d holds %d slots after the refused recovery", d, disk.Slots())
+		}
 	}
 }
 

@@ -23,9 +23,10 @@
 // byte-identical to the source, so even a crash between the two renames
 // leaves equivalent content behind.
 //
-// Every stripe a rebuild, migration, scrub or heal touches is one executor
-// job (fanout.go) over that stripe's cells: the device's share of it is one
-// coalesced run, and the replacement takes one write per stripe.
+// Every stripe a rebuild, migration, scrub, heal or startup recovery
+// (diskdev.go) touches is one executor job (fanout.go) over that stripe's
+// cells: the device's share of it is one coalesced run, and the replacement
+// takes one write per stripe.
 //
 // Scrub is batched the same way: ScrubRange verifies one section per shared
 // lock hold, Scrub stitches sections together releasing the lock between
@@ -53,6 +54,10 @@ const DefaultRebuildBatch = 64
 // DefaultScrubBatch is the stripes one shared-lock hold verifies when Scrub
 // batches its full-store walk.
 const DefaultScrubBatch = 32
+
+// ErrNotFailed is BeginDiskRebuild's answer for a device that is not failed
+// — one that came back between a failure detector's verdict and the rebuild.
+var ErrNotFailed = errors.New("store: device not failed")
 
 // RebuildKind distinguishes the two incremental repair flavours.
 type RebuildKind string
@@ -144,7 +149,7 @@ func (s *Store) BeginDiskRebuild(d int) (*DiskRebuild, error) {
 	}
 	dev := s.devices[d]
 	if !dev.failed {
-		return nil, fmt.Errorf("store: device %d is not failed", d)
+		return nil, fmt.Errorf("%w: device %d", ErrNotFailed, d)
 	}
 	if s.rebuilding[d] {
 		return nil, fmt.Errorf("store: device %d rebuild already in progress", d)

@@ -499,13 +499,14 @@ func sum(xs []int64) (n int64) {
 	return n
 }
 
-// TestRepairBackendCallsPerStripe counts backend calls per stripe for scrub,
-// migration and rebuild, each of which reads a stripe as one executor job:
-// scrub issues one read per device, a migration one read of the source and
-// one write, a rebuild one write and fewer reads than cells read. With one
-// row per stripe (standard, rotated) every device holds one cell of a
-// stripe, so the counts equal the cell counts. It logs rebuild read calls
-// per stripe, averaged over every failed disk.
+// TestRepairBackendCallsPerStripe counts backend calls per stripe for
+// recovery, scrub, migration and rebuild, each of which reads a stripe as one
+// executor job: recovering a clean store and scrub issue one read per device
+// (and recovery no write), a migration one read of the source and one write,
+// a rebuild one write and fewer reads than cells read. With one row per
+// stripe (standard, rotated) every device holds one cell of a stripe, so the
+// counts equal the cell counts. It logs rebuild read calls per stripe,
+// averaged over every failed disk.
 func TestRepairBackendCallsPerStripe(t *testing.T) {
 	const stripes = 6
 	for _, code := range []codes.Code{lrc.Must(6, 2, 2), rs.Must(6, 3)} {
@@ -515,6 +516,25 @@ func TestRepairBackendCallsPerStripe(t *testing.T) {
 				s := countingStore(t, sch, stripes)
 				n, rows := sch.N(), sch.Layout().Rows()
 				takeCalls(s)
+				// Reopen over the same disks, as a gateway restart does.
+				rec, rep, err := NewWithCellBackends(sch, 64, CellStoreConfig{Recover: true}, func(d int) (CellBackend, error) {
+					return s.devices[d].be, nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *rep != (RecoveryReport{Stripes: stripes}) {
+					t.Fatalf("recovery of a clean store: %+v", rep)
+				}
+				recReads, recWrites := takeCalls(rec)
+				for d := range recReads {
+					if recReads[d] != stripes {
+						t.Fatalf("recovery read calls %v, want one per device per stripe (%d each)", recReads, stripes)
+					}
+				}
+				if sum(recWrites) != 0 {
+					t.Fatalf("recovery of a clean store wrote: %v", recWrites)
+				}
 				if bad, err := s.Scrub(); err != nil || bad != nil {
 					t.Fatalf("scrub: %v %v", bad, err)
 				}

@@ -38,8 +38,9 @@ var ErrRange = errors.New("store: read out of range")
 var ErrFailed = errors.New("store: device failed")
 
 // ErrCorrupt is returned when a cell's content no longer matches the
-// checksum recorded at write time (silent bit rot). Reads heal such cells
-// automatically when the group has enough redundancy.
+// checksum recorded at write time (silent bit rot), or its device no longer
+// holds it (ErrCellMissing). Reads heal such cells automatically when the
+// group has enough redundancy.
 var ErrCorrupt = errors.New("store: corrupt cell")
 
 // ErrUnavailable is returned when a device exhausted its retry budget on
@@ -212,7 +213,9 @@ func (d *Device) sync() error {
 // readRun reads count contiguous cells starting at k as one backend
 // operation — a coalesced fan-out run is one pread or one node request — and
 // verifies each cell's checksum. The returned buffer is the caller's; cell i
-// is its i-th elemSize slice.
+// is its i-th elemSize slice. A cell the backend lacks is an erasure like a
+// checksum-failing one: the error wraps both ErrCorrupt and ErrCellMissing,
+// so every corruptRule treats the two alike.
 func (d *Device) readRun(k cellKey, count int) ([]byte, error) {
 	if d.failed {
 		return nil, fmt.Errorf("%w: device %d", ErrFailed, d.id)
@@ -221,7 +224,7 @@ func (d *Device) readRun(k cellKey, count int) ([]byte, error) {
 	flat, crcs, err := d.be.ReadRun(slot, count)
 	if err != nil {
 		if errors.Is(err, ErrCellMissing) {
-			return nil, fmt.Errorf("store: device %d run at %v: %w", d.id, k, err)
+			return nil, fmt.Errorf("%w: device %d run at %v: %w", ErrCorrupt, d.id, k, err)
 		}
 		return nil, fmt.Errorf("%w: device %d: %v", ErrUnavailable, d.id, err)
 	}
