@@ -30,7 +30,8 @@
 //	go tool pprof http://localhost:8080/debug/pprof/profile?seconds=5
 //
 // Read execution: a GET's plan is served as per-device coalesced runs, one
-// worker per device (inline below 64 KiB planned). -hedge enables
+// worker per device — per data node in gateway mode, which gets all its
+// runs in one request — inline below 64 KiB planned. -hedge enables
 // speculative re-reads of straggling devices after a -hedge-quantile latency
 // delay (clamped below by -hedge-min). Individual GETs can serve every run
 // inline and unhedged with ?sequential=1, toggle hedging with ?hedge=, and

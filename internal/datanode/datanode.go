@@ -28,10 +28,6 @@ import (
 	"repro/internal/store"
 )
 
-// maxRunBytes bounds one cell-run request body (64 MiB) so a bad client
-// cannot balloon node memory.
-const maxRunBytes = 64 << 20
-
 // Config configures a data node.
 type Config struct {
 	// ElemSize is the cell size in bytes; every extent on the node uses it.
@@ -86,7 +82,7 @@ func New(cfg Config) (*Server, error) {
 		s.writeCells = s.reg.Counter("ecfrm_node_write_cells_total", "Cells stored by this node.")
 		s.readBytes = s.reg.Counter("ecfrm_node_read_bytes_total", "Cell payload bytes served.")
 		s.writeBytes = s.reg.Counter("ecfrm_node_write_bytes_total", "Cell payload bytes stored.")
-		s.syncs = s.reg.Counter("ecfrm_node_syncs_total", "Durability barriers executed.")
+		s.syncs = s.reg.Counter("ecfrm_node_syncs_total", "Extents fsynced by synced write batches.")
 		s.reqLat = s.reg.Histogram("ecfrm_node_request_seconds",
 			"Node request latency.", obs.ExpBuckets(1e-5, 4, 10))
 		s.disksGauge = s.reg.Gauge("ecfrm_node_disks", "Extents this node serves.")

@@ -15,10 +15,9 @@ import (
 )
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("GET /cells/{group}/{disk}", s.timed(s.handleReadRun))
-	s.mux.HandleFunc("PUT /cells/{group}/{disk}", s.timed(s.handleWriteRun))
+	s.mux.HandleFunc("GET /cells/runs", s.timed(s.handleReadRuns))
+	s.mux.HandleFunc("PUT /cells/runs", s.timed(s.handleWriteRuns))
 	s.mux.HandleFunc("GET /cells/{group}/{disk}/meta", s.timed(s.handleMeta))
-	s.mux.HandleFunc("POST /sync/{group}/{disk}", s.timed(s.handleSync))
 	s.mux.HandleFunc("POST /truncate/{group}/{disk}", s.timed(s.handleTruncate))
 	s.mux.HandleFunc("GET "+nodeapi.StatusPath, s.timed(s.handleStatus))
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -59,85 +58,140 @@ func pathKey(r *http.Request) (diskKey, error) {
 	return diskKey{g, d}, nil
 }
 
-// missing answers a read of cells the node never stored: 404 plus the marker
-// header the gateway maps to store.ErrCellMissing.
-func missing(w http.ResponseWriter) {
-	w.Header().Set(nodeapi.MissingHeader, "1")
-	http.Error(w, "cell not present", http.StatusNotFound)
-}
-
-func (s *Server) handleReadRun(w http.ResponseWriter, r *http.Request) {
-	k, err := pathKey(r)
+// handleReadRuns serves a batch read: every listed run's cells in one frame,
+// in list order, sent from where each run's read left them. Runs the node
+// never stored are named in the missing header instead; a batch of which no
+// run is present answers 404.
+func (s *Server) handleReadRuns(w http.ResponseWriter, r *http.Request) {
+	refs, err := nodeapi.ParseRuns(r.URL.Query().Get("runs"), s.cfg.ElemSize)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	slot, err1 := strconv.Atoi(r.URL.Query().Get("slot"))
-	count, err2 := strconv.Atoi(r.URL.Query().Get("count"))
-	if err1 != nil || err2 != nil || slot < 0 || count < 1 {
-		http.Error(w, "bad slot/count", http.StatusBadRequest)
+	runs := make([]store.Run, len(refs))
+	crcs := make([][]uint32, 0, len(refs))
+	var missing []int
+	cells := 0
+	for i, ref := range refs {
+		if ref.Count < 1 {
+			http.Error(w, fmt.Sprintf("run %d reads no cells", i), http.StatusBadRequest)
+			return
+		}
+		runs[i] = store.Run{Disk: ref.Disk, Slot: ref.Slot, Count: ref.Count, Err: store.ErrCellMissing}
+		if ds, _ := s.getDisk(diskKey{ref.Group, ref.Disk}, false); ds != nil {
+			ds.ReadRuns(runs[i : i+1])
+		}
+		switch err := runs[i].Err; {
+		case errors.Is(err, store.ErrCellMissing):
+			missing = append(missing, i)
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		default:
+			crcs = append(crcs, runs[i].CRCs)
+			cells += ref.Count
+		}
+	}
+	if len(missing) > 0 {
+		w.Header().Set(nodeapi.MissingHeader, nodeapi.FormatMissing(missing))
+	}
+	if cells == 0 {
+		http.Error(w, "cells not present", http.StatusNotFound)
 		return
 	}
-	ds, _ := s.getDisk(k, false)
-	if ds == nil {
-		missing(w)
-		return
-	}
-	data, crcs, err := ds.ReadRun(slot, count)
-	switch {
-	case errors.Is(err, store.ErrCellMissing):
-		missing(w)
-		return
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.readCells.Add(int64(count))
-	s.readBytes.Add(int64(len(data)))
+	// No Content-Length: the run list and the missing header tell the
+	// client the frame's size, and the reply ends only once the handler has
+	// returned — after whatever wraps it (the request-latency histogram)
+	// has recorded the request.
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(nodeapi.EncodeRun(s.cfg.ElemSize, data, crcs))
+	w.Write(nodeapi.FrameHead(s.cfg.ElemSize, crcs))
+	for _, run := range runs {
+		if run.Err == nil {
+			w.Write(run.Data)
+		}
+	}
+	s.readCells.Add(int64(cells))
+	s.readBytes.Add(int64(cells * s.cfg.ElemSize))
 }
 
-func (s *Server) handleWriteRun(w http.ResponseWriter, r *http.Request) {
-	k, err := pathKey(r)
+// handleWriteRuns serves a batch write: the frame's cells, in list order,
+// go to the extents the runs name, and with ?sync=1 every named extent is
+// fsynced before the answer. A run of no cells writes nothing and never
+// creates an extent; its barrier on an extent never stored is a durable
+// no-op.
+func (s *Server) handleWriteRuns(w http.ResponseWriter, r *http.Request) {
+	refs, err := nodeapi.ParseRuns(r.URL.Query().Get("runs"), s.cfg.ElemSize)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	slot, err := strconv.Atoi(r.URL.Query().Get("slot"))
-	if err != nil || slot < 0 {
-		http.Error(w, "bad slot", http.StatusBadRequest)
+	if r.ContentLength > nodeapi.MaxBatchBytes {
+		http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
 		return
 	}
-	if r.ContentLength > maxRunBytes {
-		http.Error(w, "run too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-	body, err := store.ReadBody(io.LimitReader(r.Body, maxRunBytes+1), r.ContentLength)
+	body, err := store.ReadBody(io.LimitReader(r.Body, nodeapi.MaxBatchBytes+1), r.ContentLength)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(body) > maxRunBytes {
-		http.Error(w, "run too large", http.StatusRequestEntityTooLarge)
+	if len(body) > nodeapi.MaxBatchBytes {
+		http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
 		return
 	}
-	data, crcs, err := nodeapi.DecodeRun(body, s.cfg.ElemSize)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	cells := 0
+	for _, ref := range refs {
+		cells += ref.Count
 	}
-	ds, err := s.getDisk(k, true)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	var data []byte
+	var crcs []uint32
+	if cells > 0 || len(body) > 0 {
+		if data, crcs, err = nodeapi.DecodeRun(body, s.cfg.ElemSize); err == nil && len(crcs) != cells {
+			err = fmt.Errorf("frame carries %d cells for runs of %d", len(crcs), cells)
+		}
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 	}
-	if err := ds.WriteRun(slot, data, crcs); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	// Each extent's runs, extents in order of first appearance.
+	var order []diskKey
+	byExtent := make(map[diskKey][]store.Run)
+	es := s.cfg.ElemSize
+	for _, ref := range refs {
+		k := diskKey{ref.Group, ref.Disk}
+		if _, seen := byExtent[k]; !seen {
+			order = append(order, k)
+		}
+		run := store.Run{Disk: ref.Disk, Slot: ref.Slot, Count: ref.Count,
+			Data: data[: ref.Count*es : ref.Count*es], CRCs: crcs[:ref.Count:ref.Count]}
+		data, crcs = data[ref.Count*es:], crcs[ref.Count:]
+		byExtent[k] = append(byExtent[k], run)
 	}
-	s.writeCells.Add(int64(len(crcs)))
-	s.writeBytes.Add(int64(len(data)))
+	sync := r.URL.Query().Get("sync") == "1"
+	for _, k := range order {
+		runs := byExtent[k]
+		written := 0
+		for _, run := range runs {
+			written += len(run.CRCs)
+		}
+		ds, err := s.getDisk(k, written > 0)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if ds == nil {
+			continue
+		}
+		if err := ds.WriteRuns(runs, sync); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if sync {
+			s.syncs.Inc()
+		}
+		s.writeCells.Add(int64(written))
+		s.writeBytes.Add(int64(written * es))
+	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -155,23 +209,6 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, meta)
 }
 
-func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
-	k, err := pathKey(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Syncing an extent that was never written is a durable no-op.
-	if ds, _ := s.getDisk(k, false); ds != nil {
-		if err := ds.Sync(); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		s.syncs.Inc()
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 func (s *Server) handleTruncate(w http.ResponseWriter, r *http.Request) {
 	k, err := pathKey(r)
 	if err != nil {
@@ -183,14 +220,13 @@ func (s *Server) handleTruncate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad slots", http.StatusBadRequest)
 		return
 	}
-	ds, err := s.getDisk(k, true)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if err := ds.Truncate(slots); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	// Truncating an extent that was never written is a no-op: it must not
+	// create one.
+	if ds, _ := s.getDisk(k, false); ds != nil {
+		if err := ds.Truncate(slots); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 	}
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -6,12 +6,13 @@
 // whose devices are HTTP clients (remoteCell) against the nodes the
 // placement map assigns. That one decision buys the whole single-process
 // feature set across the process boundary unchanged — the fan-out executor
-// coalesces cell runs into single node requests, hedged reads race parity
-// reconstruction against slow nodes, degraded replanning routes around dead
-// ones (a refused connection surfaces as ErrUnavailable exactly like a
-// failed local disk), group-commit WAL writes seal through the two-phase
-// gate with the fsync barrier forwarded node-side, and startup recovery can
-// re-derive the sealed extents from whatever the nodes kept.
+// sends each node its coalesced cell runs as one request, hedged reads race
+// parity reconstruction against slow nodes, degraded replanning routes
+// around dead ones (a refused connection surfaces as ErrUnavailable exactly
+// like a failed local disk), group-commit WAL writes seal through the
+// two-phase gate with the fsync barrier riding on each node's last write,
+// and startup recovery can re-derive the sealed extents from whatever the
+// nodes kept.
 //
 // Object names hash across Groups independent stripe groups
 // (placement.Map), so capacity and traffic scale horizontally with nodes ×
@@ -58,8 +59,9 @@ type Config struct {
 	HTTP httpd.Config
 	// Read sets the default read-executor options for every group store.
 	Read store.ReadOptions
-	// NodeTimeout bounds one node request (default 5s); a hung node turns
-	// into ErrUnavailable and a replan once it expires.
+	// NodeTimeout bounds one node request — one batch: every run a read
+	// pass or a seal sends that node (default 5s); a hung node turns into
+	// ErrUnavailable and a replan once it expires.
 	NodeTimeout time.Duration
 	// ProbeInterval is the health-probe cadence (default 1s, <0 disables).
 	ProbeInterval time.Duration
@@ -195,8 +197,9 @@ func (g *Gateway) closeStores() error {
 	return err
 }
 
-// Close drains the write path and stops probing. /readyz fails immediately;
-// queued PUTs commit before their WALs shut down.
+// Close drains the write path, stops probing and closes the node clients'
+// idle connections. /readyz fails immediately; queued PUTs commit before
+// their WALs shut down.
 func (g *Gateway) Close() error {
 	if g.closed.Swap(true) {
 		return nil
@@ -206,6 +209,9 @@ func (g *Gateway) Close() error {
 	<-g.probeDone
 	if cerr := g.closeStores(); err == nil {
 		err = cerr
+	}
+	for _, nc := range g.nodes {
+		nc.hc.CloseIdleConnections()
 	}
 	return err
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -134,7 +135,8 @@ func (nc *nodeClient) healthz(timeout time.Duration) bool {
 // remoteCell is one (group, disk) extent on one node, as a store.CellBackend.
 // The whole single-process store machinery — fan-out runs, hedged reads,
 // degraded replanning, the two-phase commit barrier — drives the cluster
-// through this type.
+// through this type. A batch may hold runs of every disk of the group the
+// node serves (store.SetDeviceNodes), and goes out as one request.
 type remoteCell struct {
 	nc    *nodeClient
 	group int
@@ -144,86 +146,215 @@ type remoteCell struct {
 
 func (rc *remoteCell) url(path string) string { return rc.nc.base + path }
 
-func (rc *remoteCell) ReadRun(slot, count int) ([]byte, []uint32, error) {
-	u := fmt.Sprintf("%s?slot=%d&count=%d", rc.url(nodeapi.CellsPath(rc.group, rc.disk)), slot, count)
-	req, err := http.NewRequest(http.MethodGet, u, nil)
-	if err != nil {
-		return nil, nil, err
+// piece is the part of a batch's run one request carries: n cells from the
+// run's from-th.
+type piece struct{ run, from, n int }
+
+// requests cuts a batch into the requests the node accepts — at most
+// nodeapi.MaxBatchRuns runs and nodeapi.MaxCells cells each, a longer run
+// split across requests — given each run's cell count. A batch that fits,
+// as every seal and every read pass below 64 MiB per node does, is one
+// request.
+func (rc *remoteCell) requests(cells []int) [][]piece {
+	limit := nodeapi.MaxCells(rc.elem)
+	var reqs [][]piece
+	var cur []piece
+	room := limit
+	for i, left := range cells {
+		from := 0
+		for first := true; first || left > 0; first = false {
+			if len(cur) == nodeapi.MaxBatchRuns || room == 0 && left > 0 {
+				reqs, cur, room = append(reqs, cur), nil, limit
+			}
+			n := min(left, room)
+			cur = append(cur, piece{i, from, n})
+			from, left, room = from+n, left-n, room-n
+		}
 	}
-	resp, err := rc.nc.do(req)
-	if err != nil {
-		return nil, nil, err
+	return append(reqs, cur)
+}
+
+// path is a request's URL: its pieces as the run list.
+func (rc *remoteCell) path(runs []store.Run, req []piece, sync bool) string {
+	refs := make([]nodeapi.RunRef, len(req))
+	for j, p := range req {
+		refs[j] = nodeapi.RunRef{Group: rc.group, Disk: runs[p.run].Disk, Slot: runs[p.run].Slot + p.from, Count: p.n}
 	}
-	if resp.StatusCode == http.StatusNotFound && resp.Header.Get(nodeapi.MissingHeader) != "" {
+	return rc.url(nodeapi.RunsPath(refs, sync))
+}
+
+// ReadRuns reads the batch, one request per cut (requests). A run's cells
+// alias the reply buffer when one reply carries them all. A request that
+// fails — transport, status, a short or malformed frame — fails its runs.
+func (rc *remoteCell) ReadRuns(runs []store.Run) {
+	cells := make([]int, len(runs))
+	for i := range runs {
+		runs[i].Data, runs[i].CRCs, runs[i].Err = nil, nil, nil
+		cells[i] = runs[i].Count
+	}
+	for _, req := range rc.requests(cells) {
+		if err := rc.readRequest(runs, req); err != nil {
+			rc.nc.errs.Inc()
+			for _, p := range req {
+				if runs[p.run].Err == nil {
+					runs[p.run].Err = err
+				}
+			}
+		}
+	}
+	for i := range runs {
+		if runs[i].Err != nil {
+			runs[i].Data, runs[i].CRCs = nil, nil
+		}
+	}
+}
+
+// readRequest issues one batch read and settles its pieces: a piece the
+// node names missing fails its run with store.ErrCellMissing (reconstruct
+// from the group, not replan); the rest take their cells from the frame, in
+// list order.
+func (rc *remoteCell) readRequest(runs []store.Run, req []piece) error {
+	hreq, err := http.NewRequest(http.MethodGet, rc.path(runs, req, false), nil)
+	if err != nil {
+		return err
+	}
+	resp, err := rc.nc.do(hreq)
+	if err != nil {
+		return err
+	}
+	missing := make([]bool, len(req))
+	nMissing := 0
+	if v := resp.Header.Get(nodeapi.MissingHeader); v != "" {
+		idx, err := nodeapi.ParseMissing(v, len(req))
+		if err != nil {
+			drainClose(resp)
+			return fmt.Errorf("node %s: %w", rc.nc.base, err)
+		}
+		for _, x := range idx {
+			missing[x] = true
+		}
+		nMissing = len(idx)
+	}
+	var data []byte
+	var crcs []uint32
+	switch {
+	case resp.StatusCode == http.StatusNotFound && nMissing == len(req):
 		drainClose(resp)
-		return nil, nil, fmt.Errorf("%w: node %s group %d disk %d slot %d",
-			store.ErrCellMissing, rc.nc.base, rc.group, rc.disk, slot)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil, errBody(rc.nc, resp)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		rc.nc.errs.Inc()
-		return nil, nil, err
-	}
-	data, crcs, err := nodeapi.DecodeRun(body, rc.elem)
-	if err == nil && (len(data) != count*rc.elem || len(crcs) != count) {
-		// A well-formed frame of the wrong length: the store slices the
-		// buffer count ways, so this is where a node's answer is checked.
-		err = fmt.Errorf("node %s: run [%d,+%d) answered with %d cells", rc.nc.base, slot, count, len(crcs))
-	}
-	if err != nil {
-		rc.nc.errs.Inc()
-		return nil, nil, err
-	}
-	rc.nc.readBytes.Add(int64(len(data)))
-	return data, crcs, nil
-}
-
-func (rc *remoteCell) WriteRun(slot int, data []byte, crcs []uint32) error {
-	u := fmt.Sprintf("%s?slot=%d", rc.url(nodeapi.CellsPath(rc.group, rc.disk)), slot)
-	frame := nodeapi.EncodeRun(rc.elem, data, crcs)
-	req, err := http.NewRequest(http.MethodPut, u, bytes.NewReader(frame))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := rc.nc.do(req)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusNoContent {
+	case resp.StatusCode != http.StatusOK:
 		return errBody(rc.nc, resp)
+	default:
+		// The run list and the missing header fix the frame's size: read it
+		// into a buffer of exactly that many bytes, then require the end of
+		// the body. A short or long answer fails the request — the store
+		// slices each run's buffer count ways, so this is where a node's
+		// answer is checked.
+		want := 0
+		for j, p := range req {
+			if !missing[j] {
+				want += p.n
+			}
+		}
+		body, err := store.ReadBody(resp.Body, int64(nodeapi.FrameLen(rc.elem, want)))
+		if err == nil {
+			if _, end := io.ReadFull(resp.Body, make([]byte, 1)); end != io.EOF {
+				err = fmt.Errorf("reply is not a %d-cell frame", want)
+			}
+		}
+		resp.Body.Close()
+		if err == nil {
+			data, crcs, err = nodeapi.DecodeRun(body, rc.elem)
+		}
+		if err != nil {
+			return fmt.Errorf("node %s: batch of %d cells: %w", rc.nc.base, want, err)
+		}
+		rc.nc.readBytes.Add(int64(len(data)))
 	}
-	drainClose(resp)
-	rc.nc.writeBytes.Add(int64(len(data)))
+	es := rc.elem
+	for j, p := range req {
+		r := &runs[p.run]
+		switch {
+		case missing[j]:
+			if r.Err == nil {
+				r.Err = fmt.Errorf("%w: node %s group %d disk %d slot %d",
+					store.ErrCellMissing, rc.nc.base, rc.group, r.Disk, r.Slot+p.from)
+			}
+			continue
+		case p.n == r.Count:
+			r.Data, r.CRCs = data[:p.n*es:p.n*es], crcs[:p.n:p.n]
+		case r.Err == nil:
+			if r.Data == nil {
+				r.Data, r.CRCs = make([]byte, r.Count*es), make([]uint32, r.Count)
+			}
+			copy(r.Data[p.from*es:], data[:p.n*es])
+			copy(r.CRCs[p.from:], crcs[:p.n])
+		}
+		data, crcs = data[p.n*es:], crcs[p.n:]
+	}
 	return nil
 }
 
-func (rc *remoteCell) post(path string) error {
-	req, err := http.NewRequest(http.MethodPost, rc.url(path), nil)
-	if err != nil {
-		return err
+// WriteRuns writes the batch, one request per cut (requests), each frame
+// sent from where the cells lie. With sync every request carries the
+// barrier, so the node fsyncs every extent it names before answering.
+func (rc *remoteCell) WriteRuns(runs []store.Run, sync bool) error {
+	es := rc.elem
+	cells := make([]int, len(runs))
+	for i := range runs {
+		cells[i] = len(runs[i].CRCs)
 	}
-	resp, err := rc.nc.do(req)
-	if err != nil {
-		return err
+	for _, req := range rc.requests(cells) {
+		crcs := make([][]uint32, len(req))
+		body := make(net.Buffers, 1, len(req)+1)
+		size := 0
+		for j, p := range req {
+			r := runs[p.run]
+			crcs[j] = r.CRCs[p.from : p.from+p.n]
+			if p.n > 0 {
+				body = append(body, r.Data[p.from*es:(p.from+p.n)*es])
+				size += p.n * es
+			}
+		}
+		var rd io.Reader
+		payload := size
+		if size > 0 {
+			body[0] = nodeapi.FrameHead(es, crcs)
+			size += len(body[0])
+			rd = &body
+		}
+		hreq, err := http.NewRequest(http.MethodPut, rc.path(runs, req, sync), rd)
+		if err != nil {
+			return err
+		}
+		hreq.ContentLength = int64(size)
+		hreq.Header.Set("Content-Type", "application/octet-stream")
+		resp, err := rc.nc.do(hreq)
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusNoContent {
+			return errBody(rc.nc, resp)
+		}
+		drainClose(resp)
+		rc.nc.writeBytes.Add(int64(payload))
 	}
-	if resp.StatusCode != http.StatusNoContent {
-		return errBody(rc.nc, resp)
-	}
-	drainClose(resp)
 	return nil
-}
-
-func (rc *remoteCell) Sync() error {
-	return rc.post(nodeapi.SyncPath(rc.group, rc.disk))
 }
 
 func (rc *remoteCell) Truncate(slots int) error {
-	return rc.post(fmt.Sprintf("%s?slots=%d", nodeapi.TruncatePath(rc.group, rc.disk), slots))
+	u := fmt.Sprintf("%s?slots=%d", rc.url(nodeapi.TruncatePath(rc.group, rc.disk)), slots)
+	req, err := http.NewRequest(http.MethodPost, u, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := rc.nc.do(req)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusNoContent {
+		return errBody(rc.nc, resp)
+	}
+	drainClose(resp)
+	return nil
 }
 
 // meta fetches the extent's geometry; errors degrade to the zero value so
@@ -248,6 +379,6 @@ func (rc *remoteCell) meta() nodeapi.DiskMeta {
 func (rc *remoteCell) Slots() int    { return rc.meta().Slots }
 func (rc *remoteCell) Elements() int { return rc.meta().Elements }
 
-// Close is a no-op: the transport belongs to the nodeClient, which the
-// gateway closes once for all extents.
+// Close is a no-op: the transport belongs to the nodeClient, whose idle
+// connections Gateway.Close closes once for all extents.
 func (rc *remoteCell) Close() error { return nil }

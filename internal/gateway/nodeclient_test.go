@@ -2,9 +2,12 @@ package gateway
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -52,16 +55,22 @@ func TestRemoteCellContract(t *testing.T) {
 	})
 }
 
-// TestRemoteCellShortFrame: a node that answers a run of count cells with a
-// well-formed frame of fewer is a faulty device, not a short slice — the
-// client errors, and a store over it replans the read around that disk.
+// TestRemoteCellShortFrame: a node that answers a batch with a well-formed
+// frame of fewer cells than its runs asked for is a faulty device, not a
+// short slice — the client fails every run of the batch, and a store over
+// it replans the read around that disk.
 func TestRemoteCellShortFrame(t *testing.T) {
 	const elem, liar = 64, 0
 	nc := startNode(t, elem, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodGet && r.URL.Path == nodeapi.CellsPath(0, liar) {
-				q := r.URL.Query()
-				q.Set("count", "1")
+			q := r.URL.Query()
+			if refs, err := nodeapi.ParseRuns(q.Get("runs"), elem); r.Method == http.MethodGet && err == nil {
+				for i := range refs {
+					if refs[i].Disk == liar {
+						refs[i].Count = 1
+					}
+				}
+				q.Set("runs", string(nodeapi.AppendRuns(nil, refs)))
 				r.URL.RawQuery = q.Encode()
 			}
 			next.ServeHTTP(w, r)
@@ -83,9 +92,13 @@ func TestRemoteCellShortFrame(t *testing.T) {
 	}
 
 	rc := &remoteCell{nc: nc, group: 0, disk: liar, elem: elem}
-	if data, crcs, err := rc.ReadRun(0, 2); err == nil || data != nil || crcs != nil {
-		t.Fatalf("1-cell answer to a 2-cell run: %d bytes, %d checksums, err %v; want an error and nothing else",
-			len(data), len(crcs), err)
+	runs := []store.Run{{Disk: liar, Slot: 0, Count: 2}, {Disk: 1, Slot: 0, Count: 1}}
+	rc.ReadRuns(runs)
+	for _, r := range runs {
+		if r.Err == nil || r.Data != nil || r.CRCs != nil {
+			t.Fatalf("disk %d of a batch answered 1 cell short: %d bytes, %d checksums, err %v; want an error and nothing else",
+				r.Disk, len(r.Data), len(r.CRCs), r.Err)
+		}
 	}
 	// Disk 0 holds data element 0 of every stripe: three consecutive
 	// stripes are one 3-cell run on it, which the node answers short.
@@ -99,6 +112,76 @@ func TestRemoteCellShortFrame(t *testing.T) {
 	for _, a := range res.Plan.Reads {
 		if a.Disk == liar {
 			t.Fatalf("the served plan still reads disk %d: %+v", liar, a)
+		}
+	}
+}
+
+// TestGatewayCloseClosesNodeConnections: a closed gateway leaves no
+// keep-alive connection to any node behind — every connection the nodes
+// saw open is closed once Close returns.
+func TestGatewayCloseClosesNodeConnections(t *testing.T) {
+	const elem = 64
+	var mu sync.Mutex
+	open := make(map[net.Conn]bool)
+	var urls []string
+	for i := 0; i < 3; i++ {
+		node, err := datanode.New(datanode.Config{ElemSize: elem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewUnstartedServer(node)
+		srv.Config.ConnState = func(c net.Conn, s http.ConnState) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch s {
+			case http.StateNew:
+				open[c] = true
+			case http.StateClosed, http.StateHijacked:
+				delete(open, c)
+			}
+		}
+		srv.Start()
+		t.Cleanup(func() { srv.Close(); node.Close() })
+		urls = append(urls, srv.URL)
+	}
+	gw, err := New(Config{Nodes: urls, Groups: 2, ElemSize: elem, SyncWrites: true,
+		Scheme: core.MustScheme(rs.Must(6, 3), layout.FormECFRM), ProbeInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		body := bytes.Repeat([]byte{byte(i)}, 1+i*elem)
+		name := fmt.Sprintf("o%d", i)
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/objects/"+name, bytes.NewReader(body)))
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("PUT %s: %d %s", name, rec.Code, rec.Body.String())
+		}
+		rec = httptest.NewRecorder()
+		gw.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/objects/"+name+"?nocache=1", nil))
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), body) {
+			t.Fatalf("GET %s: %d", name, rec.Code)
+		}
+	}
+	mu.Lock()
+	used := len(open)
+	mu.Unlock()
+	if used == 0 {
+		t.Fatal("the gateway opened no node connection")
+	}
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The nodes see the close asynchronously.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		mu.Lock()
+		left := len(open)
+		mu.Unlock()
+		if left == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the gateway's node connections still open after Close", left)
 		}
 	}
 }

@@ -3,9 +3,12 @@
 // status types. Both internal/datanode (server) and internal/gateway
 // (client) import it, so the two sides cannot drift.
 //
-// Cell payloads travel in a fixed little-endian binary frame rather than
-// JSON — a run is raw device bytes plus checksums, and base64ing megabytes
-// of cells through a JSON encoder would dominate the read path:
+// Cells travel in batches, one request per node per read pass or seal: the
+// run list — (group, disk, slot, count) per run — goes in the URL, and the
+// cells of every run travel in one fixed little-endian binary frame, in list
+// order, rather than JSON — a run is raw device bytes plus checksums, and
+// base64ing megabytes of cells through a JSON encoder would dominate the
+// read path:
 //
 //	offset  size          field
 //	0       4             magic "ECRN"
@@ -23,6 +26,8 @@ package nodeapi
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // Magic starts every cell-run frame.
@@ -31,42 +36,71 @@ const Magic = "ECRN"
 // runHeaderLen is the fixed prefix before the CRC array.
 const runHeaderLen = 12
 
-// MissingHeader marks a 404 that means "slot never stored" — as opposed to
-// a 404 from a wrong URL — so the client can map it to store.ErrCellMissing
-// (reconstruct from the group) instead of ErrUnavailable (replan around the
-// node).
+// MaxBatchBytes bounds one batch's frame (64 MiB), header included: a node
+// refuses a run list or body that would exceed it, so a bad client cannot
+// balloon node memory, and the gateway cuts its batches to fit.
+const MaxBatchBytes = 64 << 20
+
+// MaxBatchRuns bounds the run list of one batch.
+const MaxBatchRuns = 1024
+
+// MissingHeader names the runs of a batch read the node never stored — as
+// opposed to a failed request — by their indices in the run list, comma
+// separated and ascending, so the client can map them to
+// store.ErrCellMissing (reconstruct from the group) instead of
+// ErrUnavailable (replan around the node). Their cells are absent from the
+// frame; a read of which no run is present answers 404.
 const MissingHeader = "X-Ecfrm-Missing"
 
-// EncodeRun frames count cells (flattened into data, count == len(crcs))
-// with their checksums.
-func EncodeRun(elem int, data []byte, crcs []uint32) []byte {
-	out := make([]byte, runHeaderLen+4*len(crcs)+len(data))
+// FrameLen is the size of a frame of cells cells of elem bytes.
+func FrameLen(elem, cells int) int { return runHeaderLen + (4+elem)*cells }
+
+// MaxCells is the most cells of elem bytes one batch frame may carry.
+func MaxCells(elem int) int { return (MaxBatchBytes - runHeaderLen) / (elem + 4) }
+
+// FrameHead returns a frame's header and checksum array for the cells whose
+// checksums crcs lists, run by run; the cells' payloads follow it on the
+// wire in the same order, sent from wherever they lie.
+func FrameHead(elem int, crcs [][]uint32) []byte {
+	count := 0
+	for _, c := range crcs {
+		count += len(c)
+	}
+	out := make([]byte, runHeaderLen, runHeaderLen+4*count)
 	copy(out, Magic)
 	binary.LittleEndian.PutUint32(out[4:], uint32(elem))
-	binary.LittleEndian.PutUint32(out[8:], uint32(len(crcs)))
-	for i, c := range crcs {
-		binary.LittleEndian.PutUint32(out[runHeaderLen+4*i:], c)
+	binary.LittleEndian.PutUint32(out[8:], uint32(count))
+	for _, run := range crcs {
+		for _, c := range run {
+			out = binary.LittleEndian.AppendUint32(out, c)
+		}
 	}
-	copy(out[runHeaderLen+4*len(crcs):], data)
 	return out
 }
 
+// EncodeRun frames count cells (flattened into data, count == len(crcs))
+// with their checksums, as one buffer.
+func EncodeRun(elem int, data []byte, crcs []uint32) []byte {
+	head := FrameHead(elem, [][]uint32{crcs})
+	return append(append(make([]byte, 0, len(head)+len(data)), head...), data...)
+}
+
 // DecodeRun parses a cell-run frame, validating the framing invariants
-// (magic, element size agreement, exact length).
+// (magic, element size agreement, a count within MaxBatchBytes, exact
+// length). The slices it returns alias body.
 func DecodeRun(body []byte, wantElem int) (data []byte, crcs []uint32, err error) {
 	if len(body) < runHeaderLen || string(body[:4]) != Magic {
 		return nil, nil, fmt.Errorf("nodeapi: bad cell-run frame (%d bytes)", len(body))
 	}
 	elem := int(binary.LittleEndian.Uint32(body[4:]))
 	count := int(binary.LittleEndian.Uint32(body[8:]))
-	if elem != wantElem {
+	if elem != wantElem || elem < 1 {
 		return nil, nil, fmt.Errorf("nodeapi: element size %d, want %d", elem, wantElem)
 	}
-	if count < 1 || count > (1<<22) {
+	if count < 1 || count > MaxCells(elem) {
 		return nil, nil, fmt.Errorf("nodeapi: cell count %d out of range", count)
 	}
-	want := runHeaderLen + 4*count + elem*count
-	if len(body) != want {
+	if want := FrameLen(elem, count); len(body) != want {
 		return nil, nil, fmt.Errorf("nodeapi: frame is %d bytes, want %d for %d cells of %d",
 			len(body), want, count, elem)
 	}
@@ -77,15 +111,98 @@ func DecodeRun(body []byte, wantElem int) (data []byte, crcs []uint32, err error
 	return body[runHeaderLen+4*count:], crcs, nil
 }
 
-// CellsPath is the cell-run endpoint for one (group, disk) extent:
-// GET ?slot=&count= reads a run, PUT ?slot= writes the framed body.
-func CellsPath(group, disk int) string {
-	return fmt.Sprintf("/cells/%d/%d", group, disk)
+// RunRef names one run of a batch: Count cells of the (Group, Disk) extent
+// from Slot. A write may name a run of no cells: it writes nothing, and puts
+// its extent under the batch's barrier.
+type RunRef struct{ Group, Disk, Slot, Count int }
+
+// RunsPath is the batch endpoint for a run list: GET reads the runs, PUT
+// writes them from the framed body, and with sync the node fsyncs every
+// extent the list names before it answers.
+func RunsPath(refs []RunRef, sync bool) string {
+	b := append([]byte(nil), "/cells/runs?runs="...)
+	b = AppendRuns(b, refs)
+	if sync {
+		b = append(b, "&sync=1"...)
+	}
+	return string(b)
 }
 
-// SyncPath is the durability barrier endpoint (POST).
-func SyncPath(group, disk int) string {
-	return fmt.Sprintf("/sync/%d/%d", group, disk)
+// AppendRuns appends the run list as it travels in the URL:
+// group.disk.slot.count per run, comma separated.
+func AppendRuns(b []byte, refs []RunRef) []byte {
+	for i, r := range refs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendUints(b, '.', r.Group, r.Disk, r.Slot, r.Count)
+	}
+	return b
+}
+
+// ParseRuns parses a run list, rejecting any spelling AppendRuns would not
+// produce (so what it accepts re-encodes byte-identically), more than
+// MaxBatchRuns runs, and more cells of elem bytes than one frame may carry.
+func ParseRuns(list string, elem int) ([]RunRef, error) {
+	fields := strings.Split(list, ",")
+	if len(fields) > MaxBatchRuns {
+		return nil, fmt.Errorf("nodeapi: %d runs, at most %d", len(fields), MaxBatchRuns)
+	}
+	refs := make([]RunRef, len(fields))
+	cells := 0
+	for i, f := range fields {
+		v, ok := uints(f, ".")
+		if !ok || len(v) != 4 {
+			return nil, fmt.Errorf("nodeapi: bad run %q", f)
+		}
+		refs[i] = RunRef{Group: v[0], Disk: v[1], Slot: v[2], Count: v[3]}
+		if cells += v[3]; elem < 1 || cells > MaxCells(elem) {
+			return nil, fmt.Errorf("nodeapi: batch of %d+ cells of %d bytes exceeds %d bytes", cells, elem, MaxBatchBytes)
+		}
+	}
+	return refs, nil
+}
+
+// FormatMissing spells the MissingHeader value for the given run indices.
+func FormatMissing(idx []int) string { return string(appendUints(nil, ',', idx...)) }
+
+// ParseMissing parses a MissingHeader value naming runs of a runs-long
+// batch: indices strictly ascending and in range.
+func ParseMissing(v string, runs int) ([]int, error) {
+	idx, ok := uints(v, ",")
+	for i, x := range idx {
+		ok = ok && x < runs && (i == 0 || x > idx[i-1])
+	}
+	if !ok {
+		return nil, fmt.Errorf("nodeapi: bad %s %q for %d runs", MissingHeader, v, runs)
+	}
+	return idx, nil
+}
+
+// appendUints appends xs in decimal, sep separated.
+func appendUints(b []byte, sep byte, xs ...int) []byte {
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, sep)
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return b
+}
+
+// uints parses a sep-separated list of decimals below 2^31 spelled as
+// appendUints spells them: no sign, no leading zero.
+func uints(s, sep string) ([]int, bool) {
+	fields := strings.Split(s, sep)
+	out := make([]int, len(fields))
+	for i, f := range fields {
+		n, err := strconv.Atoi(f)
+		if err != nil || n < 0 || n >= 1<<31 || strconv.Itoa(n) != f {
+			return nil, false
+		}
+		out[i] = n
+	}
+	return out, true
 }
 
 // TruncatePath is the truncation endpoint (POST ?slots=).

@@ -55,3 +55,45 @@ func TestDecodeRunRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeRun feeds the two things a node parses from the network — a
+// cell-run frame and a batch's run list — arbitrary bytes: neither parser
+// panics, whatever one accepts re-encodes byte-identically, and nothing
+// past the node's bounds is accepted.
+func FuzzDecodeRun(f *testing.F) {
+	f.Add(goldenRun, "0.1.0.3,0.4.0.3", uint16(3))
+	for _, frame := range [][]byte{
+		goldenRun[:8],
+		append([]byte("ECRX"), goldenRun[4:]...),
+		goldenRun[:len(goldenRun)-1],
+		append(append([]byte(nil), goldenRun...), 0),
+		{'E', 'C', 'R', 'N', 3, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		f.Add(frame, "2.1.4.3", uint16(3))
+	}
+	f.Add(goldenRun, "01.1.1.1,+1.1.1.1", uint16(4))
+	f.Add([]byte{'E', 'C', 'R', 'N', 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}, "0.0.0.4294967295", uint16(1))
+	f.Fuzz(func(t *testing.T, body []byte, list string, elem uint16) {
+		e := int(elem)
+		if data, crcs, err := DecodeRun(body, e); err == nil {
+			if len(crcs) < 1 || len(crcs) > MaxCells(e) {
+				t.Fatalf("accepted a frame of %d cells of %d bytes", len(crcs), e)
+			}
+			if again := EncodeRun(e, data, crcs); !bytes.Equal(again, body) {
+				t.Fatalf("frame re-encodes as % x, was % x", again, body)
+			}
+		}
+		if refs, err := ParseRuns(list, e); err == nil {
+			cells := 0
+			for _, r := range refs {
+				cells += r.Count
+			}
+			if len(refs) > MaxBatchRuns || cells > MaxCells(e) {
+				t.Fatalf("accepted %d runs of %d cells of %d bytes", len(refs), cells, e)
+			}
+			if again := string(AppendRuns(nil, refs)); again != list {
+				t.Fatalf("run list re-encodes as %q, was %q", again, list)
+			}
+		}
+	})
+}

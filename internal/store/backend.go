@@ -27,25 +27,42 @@ import (
 // error means "this device is unavailable, replan".
 var ErrCellMissing = errors.New("store: cell not present")
 
+// Run is one entry of a batch: Count contiguous cells of device Disk from
+// Slot, flattened into Data (Count*elemSize bytes), with their checksums. A
+// read fills Data and CRCs, or Err; a write hands Data and CRCs (its cell
+// count is len(CRCs)), and may carry no cells at all, to put Disk under the
+// batch's barrier only.
+type Run struct {
+	Disk, Slot, Count int
+	Data              []byte
+	CRCs              []uint32
+	Err               error
+}
+
 // CellBackend is one disk: cells at the dense slot = stripe*rows + row index,
-// each with the checksum recorded when it was written. Data buffers are count
-// contiguous elemSize cells. Every slice a CellBackend returns belongs to the
-// caller, and every slice it is handed stays the caller's: a backend keeps
-// no reference either way. Implementations must be safe for concurrent use —
-// the fan-out executor issues reads from many goroutines.
+// each with the checksum recorded when it was written. The store hands it
+// its runs in batches, one call per node per read pass or seal: the runs of
+// every device SetDeviceNodes maps to the node of the batch's first device
+// (with no map, of that device alone), so a backend reached over a network
+// serves a batch in one request. A backend holding one extent — MemDisk,
+// DiskStore — is only ever handed its own device's runs. Every slice a
+// CellBackend returns belongs to the caller, and every slice it is handed
+// stays the caller's: a backend keeps no reference either way.
+// Implementations must be safe for concurrent use — the fan-out executor
+// issues batches from many goroutines.
 type CellBackend interface {
-	// ReadRun returns count cells starting at slot as one contiguous buffer
-	// of count*elemSize bytes plus each cell's recorded checksum. A slot the
-	// backend never stored fails the whole run with an error wrapping
-	// ErrCellMissing.
-	ReadRun(slot, count int) (data []byte, crcs []uint32, err error)
-	// WriteRun stores count contiguous cells (flattened into data) and their
-	// checksums starting at slot. Checksums are stored verbatim, never
-	// recomputed — the store side owns integrity.
-	WriteRun(slot int, data []byte, crcs []uint32) error
-	// Sync makes everything written so far durable (the commit barrier of
-	// the two-phase gate; a no-op in memory).
-	Sync() error
+	// ReadRuns reads every run of the batch into its Data and CRCs — the
+	// checksums recorded at write time — or sets its Err: one wrapping
+	// ErrCellMissing when the backend never stored some cell of the run,
+	// any other error when the run, or the whole batch (a node that does
+	// not answer), failed.
+	ReadRuns(runs []Run)
+	// WriteRuns stores each run's cells and checksums verbatim — never
+	// recomputed, the store side owns integrity. With sync, every device a
+	// run names is made durable before it returns: the commit barrier of
+	// the two-phase gate, riding on the commit's last write (a no-op in
+	// memory).
+	WriteRuns(runs []Run, sync bool) error
 	// Truncate drops every slot at or above the bound (recovery's torn-tail
 	// cut, and rebuilds clearing a replacement device).
 	Truncate(slots int) error
@@ -86,7 +103,14 @@ func NewMemDisk(elemSize int) *MemDisk {
 	return &MemDisk{elem: elemSize, cells: make(map[int]memCell)}
 }
 
-func (m *MemDisk) ReadRun(slot, count int) ([]byte, []uint32, error) {
+func (m *MemDisk) ReadRuns(runs []Run) {
+	for i := range runs {
+		r := &runs[i]
+		r.Data, r.CRCs, r.Err = m.readRun(r.Slot, r.Count)
+	}
+}
+
+func (m *MemDisk) readRun(slot, count int) ([]byte, []uint32, error) {
 	if err := checkRun(slot, count, 0, nil); err != nil {
 		return nil, nil, err
 	}
@@ -108,17 +132,23 @@ func (m *MemDisk) ReadRun(slot, count int) ([]byte, []uint32, error) {
 	return data, crcs, nil
 }
 
-func (m *MemDisk) WriteRun(slot int, data []byte, crcs []uint32) error {
-	if err := checkRun(slot, len(crcs), m.elem, data); err != nil {
-		return err
+// WriteRuns stores each run; memory has nothing to sync.
+func (m *MemDisk) WriteRuns(runs []Run, _ bool) error {
+	for _, r := range runs {
+		if len(r.CRCs) == 0 && len(r.Data) == 0 {
+			continue
+		}
+		if err := checkRun(r.Slot, len(r.CRCs), m.elem, r.Data); err != nil {
+			return err
+		}
+		own := append([]byte(nil), r.Data...)
+		m.mu.Lock()
+		for i, crc := range r.CRCs {
+			m.cells[r.Slot+i] = memCell{own[i*m.elem : (i+1)*m.elem : (i+1)*m.elem], crc}
+		}
+		m.bound = max(m.bound, r.Slot+len(r.CRCs))
+		m.mu.Unlock()
 	}
-	own := append([]byte(nil), data...)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, crc := range crcs {
-		m.cells[slot+i] = memCell{own[i*m.elem : (i+1)*m.elem : (i+1)*m.elem], crc}
-	}
-	m.bound = max(m.bound, slot+len(crcs))
 	return nil
 }
 
@@ -149,17 +179,15 @@ func (m *MemDisk) Elements() int {
 	return len(m.cells)
 }
 
-func (m *MemDisk) Sync() error { return nil }
-
 // Close is a no-op: the cells stay, so a store reopened over the same
 // MemDisks (a gateway restart over live nodes) finds them.
 func (m *MemDisk) Close() error { return nil }
 
 // CellStoreConfig configures a store over caller-supplied backends.
 type CellStoreConfig struct {
-	// Sync runs the commit-path durability barrier: after a seal's writes,
-	// CellBackend.Sync is called on every touched device before the stripe
-	// is published — the node-side fsync of the two-phase gate.
+	// Sync runs the commit-path durability barrier: a commit's last seal
+	// writes with sync set, so every device is durable before the stripe is
+	// published — the node-side fsync of the two-phase gate.
 	Sync bool
 	// Recover re-derives the sealed extent from the backends at open (the
 	// gateway-restart path): each stripe is healed, verified and, on a
@@ -209,11 +237,14 @@ func NewWithCellBackends(scheme *core.Scheme, elemSize int, cfg CellStoreConfig,
 	return st, report, nil
 }
 
-// SetDeviceNodes tells the degraded-read planner which placement node serves
-// each device. When set, the inflight bias fed to PlanDegradedReadBiased is
-// aggregated per node — every disk of a busy or slow node carries that
+// SetDeviceNodes tells the store which placement node serves each device.
+// The executor then hands each node's runs to its backend as one batch — a
+// read pass's, a seal's — and the inflight bias fed to the degraded planner
+// is aggregated per node — every disk of a busy or slow node carries that
 // node's whole queue depth — because in the networked regime contention
-// lives at the node (its NIC, its process), not the individual disk.
+// lives at the node (its NIC, its process), not the individual disk. Every
+// backend must then serve the runs of every device on its node, as the
+// gateway's node clients do; with no map each device is its own node.
 func (s *Store) SetDeviceNodes(nodeOf []int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

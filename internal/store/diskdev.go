@@ -227,6 +227,14 @@ func (ds *DiskStore) loadIndex() error {
 	return nil
 }
 
+// ReadRuns reads each run as one pread.
+func (ds *DiskStore) ReadRuns(runs []Run) {
+	for i := range runs {
+		r := &runs[i]
+		r.Data, r.CRCs, r.Err = ds.ReadRun(r.Slot, r.Count)
+	}
+}
+
 // ReadRun reads count contiguous slots as one pread, returning the
 // concatenated payloads alongside copies of their recorded checksums.
 func (ds *DiskStore) ReadRun(slot, count int) ([]byte, []uint32, error) {
@@ -254,6 +262,23 @@ func (ds *DiskStore) ReadRun(slot, count int) ([]byte, []uint32, error) {
 		return nil, nil, fmt.Errorf("store: disk read run [%d,+%d): %w", slot, count, err)
 	}
 	return buf, append([]uint32(nil), ds.crcs[slot:slot+count]...), nil
+}
+
+// WriteRuns writes each run that carries cells, then with sync fsyncs the
+// pair.
+func (ds *DiskStore) WriteRuns(runs []Run, sync bool) error {
+	for _, r := range runs {
+		if len(r.CRCs) == 0 && len(r.Data) == 0 {
+			continue
+		}
+		if err := ds.WriteRun(r.Slot, r.Data, r.CRCs); err != nil {
+			return err
+		}
+	}
+	if sync {
+		return ds.Sync()
+	}
+	return nil
 }
 
 // WriteRun writes contiguous slots as one data-file pwrite plus one sidecar
@@ -493,6 +518,7 @@ func (s *Store) recoverExtent(report *RecoveryReport) error {
 	heal := func(stripe int) (*served, error) {
 		return s.execute(context.TODO(), s.exactly(s.allCells(stripe)), corruptHeals, ReadOptions{Sequential: true})
 	}
+	s.syncAt = -1 // one barrier at the end covers every re-seal
 	for s.stripes = 0; s.stripes < maxStripes; {
 		stripe := s.stripes
 		r, err := heal(stripe)
@@ -532,7 +558,7 @@ func (s *Store) recoverExtent(report *RecoveryReport) error {
 		}
 	}
 	if report.HealedCells > 0 || report.ReencodedStripes > 0 || report.TruncatedStripes > 0 {
-		return eachDevice(len(s.devices), func(d int) error { return s.devices[d].sync() })
+		return s.writeRuns(barrier(s.deviceIDs()), true)
 	}
 	return nil
 }
@@ -610,25 +636,13 @@ func syncDir(dir string) error {
 	return err
 }
 
-// syncDevices runs the fsync barrier over the given device IDs (all devices
-// when ids is nil) under the FsyncAlways discipline, every device at once.
-// Memory backends and FsyncNever stores return immediately. Caller holds mu
-// exclusively.
-func (s *Store) syncDevices(ids []int) error {
-	if !s.fsync {
-		return nil
+// deviceIDs lists every device index, ascending.
+func (s *Store) deviceIDs() []int {
+	ids := make([]int, len(s.devices))
+	for d := range ids {
+		ids[d] = d
 	}
-	start := time.Now()
-	if ids == nil {
-		for d := range s.devices {
-			ids = append(ids, d)
-		}
-	}
-	err := eachDevice(len(ids), func(i int) error { return s.devices[ids[i]].sync() })
-	if err == nil {
-		s.Metrics().fsyncBarrier(time.Since(start).Seconds())
-	}
-	return err
+	return ids
 }
 
 // closeBackends closes every device backend, keeping the first error.
@@ -656,10 +670,8 @@ func (s *Store) Close() error {
 	var err error
 	if s.dataDir != "" {
 		err = s.writeBackendManifest()
-		for _, dev := range s.devices {
-			if serr := dev.be.Sync(); err == nil {
-				err = serr
-			}
+		if serr := s.writeRuns(barrier(s.deviceIDs()), true); err == nil {
+			err = serr
 		}
 	}
 	if cerr := s.closeBackends(); err == nil {

@@ -5,19 +5,22 @@
 // A plan lists cells. The executor regroups them by device, coalesces cells
 // at adjacent on-disk offsets into single runs (one positioning cost instead
 // of one per element — the fault injector charges per run, exactly like a
-// real disk charges per seek), and serves each device's queue on its own
-// worker, so a read's latency approaches the *max* of per-device service
-// times rather than their sum and the layout's load-balancing win
-// (PAPER.md §III, Lemma 1) reaches the client. Small plans,
-// ReadOptions.Sequential, heal passes and the nested recovery passes of
-// heals and hedges serve the same runs inline on the calling goroutine.
+// real disk charges per seek), and serves each node's device queues — each
+// device is its own node unless SetDeviceNodes maps them — on its own
+// worker as one backend call, so a read's latency approaches the *max* of
+// per-node service times rather than their sum, the layout's
+// load-balancing win (PAPER.md §III, Lemma 1) reaches the client, and a
+// data node is asked once per pass. Small plans, ReadOptions.Sequential,
+// heal passes and the nested recovery passes of heals and hedges serve the
+// same batches inline on the calling goroutine.
 //
 // Determinism with the seeded fault injector is preserved by construction:
-// every device's runs execute in ascending offset order on exactly one
-// worker, a pass always drains (devices that turn out unavailable are
-// collected, never raced against with cancellation), and the hedging and
-// load-bias features below are either opt-in or quiescent when the store is
-// idle, so single-threaded replays draw identical per-device fault streams.
+// every device's runs draw their faults in ascending offset order on
+// exactly one worker, a pass always drains (devices that turn out
+// unavailable are collected, never raced against with cancellation), and
+// the hedging and load-bias features below are either opt-in or quiescent
+// when the store is idle, so single-threaded replays draw identical
+// per-device fault streams.
 //
 // Two tail-latency features ride on top:
 //
@@ -75,7 +78,7 @@ type ReadOptions struct {
 }
 
 // SetReadOptions installs the default options ReadAt uses. The zero value
-// (one worker per device queue, inline below 64 KiB planned, no hedging) is
+// (one worker per node's queues, inline below 64 KiB planned, no hedging) is
 // the initial default.
 func (s *Store) SetReadOptions(o ReadOptions) {
 	s.mu.Lock()
@@ -568,59 +571,104 @@ func (p *fanoutPass) fail(dev int, err error) {
 const fanoutInlineBytes = 64 << 10
 
 // runQueues serves every device queue and joins them all (including hedged
-// stragglers) before returning. Inline, the queues are served one after
-// another on the calling goroutine — same coalescing, same device order,
-// zero dispatch overhead. Otherwise each queue gets its own worker (the
+// stragglers) before returning. The queues are grouped by node — the map
+// SetDeviceNodes installs; with none, each device is its own node — and one
+// worker serves each node's as one backend call: one request to a data
+// node, one pread per run on a local disk. Inline, the nodes are served one
+// after another on the calling goroutine — same coalescing, same order,
+// zero dispatch overhead. Otherwise each node gets its own worker (the
 // caller serves the first), so a device's runs stay on one goroutine, in
 // offset order.
 func (p *fanoutPass) runQueues(queues []devQueue, inline bool) {
-	if inline || len(queues) < 2 {
-		for _, q := range queues {
-			p.serveDevice(q)
+	nodes := p.s.nodeQueues(queues)
+	if inline || len(nodes) < 2 {
+		for _, q := range nodes {
+			p.serveNode(q)
 		}
 	} else {
 		var wg sync.WaitGroup
-		for _, q := range queues[1:] {
+		for _, q := range nodes[1:] {
 			wg.Add(1)
-			go func(q devQueue) {
+			go func(q nodeQueue) {
 				defer wg.Done()
-				p.serveDevice(q)
+				p.serveNode(q)
 			}(q)
 		}
-		p.serveDevice(queues[0])
+		p.serveNode(nodes[0])
 		wg.Wait()
 	}
 	p.stragglers.Wait()
 }
 
-// serveDevice executes one device's runs sequentially in offset order. A
-// device taken out has its remaining runs skipped — the replan routes around
-// the whole device anyway — while other devices keep draining (no
+// nodeQueue is one node's runs — its devices' queues in ascending device
+// order — and the batch entries they are read into.
+type nodeQueue struct {
+	runs  []devRun
+	batch []Run
+}
+
+// nodeQueues groups the device queues by node, nodes in order of their
+// first device; one allocation backs every node's batch entries.
+func (s *Store) nodeQueues(queues []devQueue) []nodeQueue {
+	nodes := make([]nodeQueue, 0, len(queues))
+	at := make(map[int]int)
+	total := 0
+	for _, q := range queues {
+		total += len(q.runs)
+		if s.nodeOf == nil {
+			nodes = append(nodes, nodeQueue{runs: q.runs})
+			continue
+		}
+		i, ok := at[s.nodeOf[q.dev]]
+		if !ok {
+			i = len(nodes)
+			at[s.nodeOf[q.dev]] = i
+			nodes = append(nodes, nodeQueue{})
+		}
+		nodes[i].runs = append(nodes[i].runs, q.runs...)
+	}
+	batch := make([]Run, total)
+	for i := range nodes {
+		nodes[i].batch, batch = batch[:len(nodes[i].runs):len(nodes[i].runs)], batch[len(nodes[i].runs):]
+	}
+	return nodes
+}
+
+// serveNode executes one node's runs. Unhedged they go to the node as one
+// batch (execRuns); hedged, each races its own rebuild (execHedged), one
+// after another. Either way the outcomes settle in order, device by device:
+// a device taken out has its remaining runs skipped — the replan routes
+// around the whole device anyway — while other devices keep draining (no
 // cross-device cancellation, which keeps per-device fault streams
 // deterministic).
-func (p *fanoutPass) serveDevice(q devQueue) {
-	for _, run := range q.runs {
-		if err := p.ctx.Err(); err != nil {
-			p.fail(q.dev, err)
-			return
+func (p *fanoutPass) serveNode(q nodeQueue) {
+	runs, batch := q.runs, q.batch
+	if !p.hedge && p.ctx.Err() == nil {
+		p.execRuns(p.ctx, runs, batch, nil)
+	}
+	out := -1 // the device taken out, skipped until its runs end
+	for i, run := range runs {
+		if run.dev == out {
+			continue
 		}
-		var err error
-		if p.hedge {
+		err := p.ctx.Err()
+		switch {
+		case err != nil:
+		case p.hedge:
 			err = p.execHedged(run)
-		} else {
-			err = p.execRun(p.ctx, run, nil)
+		default:
+			err = batch[i].Err
 		}
 		if p.rule == corruptHeals && errors.Is(err, ErrCorrupt) {
 			err = p.healRun(run)
 		}
 		switch {
 		case err == nil:
-		case errors.Is(err, ErrUnavailable) || errors.Is(err, ErrFailed) ||
-			p.rule == corruptAvoids && errors.Is(err, ErrCorrupt):
+		case takesOut(err) || p.rule == corruptAvoids && errors.Is(err, ErrCorrupt):
 			p.mu.Lock()
-			p.out[q.dev] = err
+			p.out[run.dev] = err
 			p.mu.Unlock()
-			return
+			out = run.dev
 		case errors.Is(err, ErrCorrupt):
 			p.mu.Lock()
 			if p.corrupt == nil {
@@ -628,53 +676,61 @@ func (p *fanoutPass) serveDevice(q devQueue) {
 			}
 			p.mu.Unlock()
 		default:
-			p.fail(q.dev, err)
+			p.fail(run.dev, err)
+			out = run.dev
 		}
 	}
 }
 
-// readRun performs one device operation of count cells from k through the
-// retry loop (readRunCtx). The rule for accounting is the same for every
-// pass — GET, hedge, heal re-read, rebuild, migration, scrub: the run counts
-// in the device's in-flight gauge while it is served, and a completed run's
-// latency feeds the hedge ring. Both describe the device, not the caller.
-func (p *fanoutPass) readRun(ctx context.Context, dev int, k cellKey, count int) ([]byte, error) {
+// readRuns reads one node's runs as one batch (readRunsCtx). The rule for
+// accounting is the same for every pass — GET, hedge, heal re-read,
+// rebuild, migration, scrub: each run counts in its device's in-flight
+// gauge while the batch is served, and a batch that completes whole feeds
+// its latency to the hedge ring. Both describe the devices, not the caller.
+func (p *fanoutPass) readRuns(ctx context.Context, runs []devRun, batch []Run) {
 	s := p.s
-	d := s.devices[dev]
-	d.inflight.Add(1)
-	d.obsInflight.Add(1)
-	defer func() {
+	for _, run := range runs {
+		d := s.devices[run.dev]
+		d.inflight.Add(1)
+		d.obsInflight.Add(1)
+		s.Metrics().observeRun(len(run.slots) * s.elemSize)
+	}
+	start := time.Now()
+	s.readRunsCtx(ctx, runs, batch)
+	whole := true
+	for i, run := range runs {
+		d := s.devices[run.dev]
 		d.inflight.Add(-1)
 		d.obsInflight.Add(-1)
-	}()
-	s.Metrics().observeRun(count * s.elemSize)
-	start := time.Now()
-	flat, err := s.readRunCtx(ctx, dev, k, count)
-	if err == nil {
+		whole = whole && batch[i].Err == nil
+	}
+	if whole {
 		s.hedgeLat.observe(time.Since(start))
 	}
-	return flat, err
 }
 
-// execRun serves one coalesced run (readRun). With staged non-nil the cells
-// go there (hedged primaries stage privately and commit under the pass
-// lock); otherwise they land directly in the job's containers, which is
-// safe because distinct devices own distinct slots.
-func (p *fanoutPass) execRun(ctx context.Context, run devRun, staged [][]byte) error {
-	flat, err := p.readRun(ctx, run.dev, run.slots[0].key, len(run.slots))
-	if err != nil {
-		return err
-	}
+// execRuns serves coalesced runs of one node (readRuns) into batch, one
+// entry per run. With staged non-nil — a hedged primary's lone run — the
+// cells go there and commit under the pass lock; otherwise they land
+// directly in the job's containers, which is safe because distinct devices
+// own distinct slots.
+func (p *fanoutPass) execRuns(ctx context.Context, runs []devRun, batch []Run, staged [][]byte) {
+	p.readRuns(ctx, runs, batch)
 	es := p.s.elemSize
-	for i, sl := range run.slots {
-		cell := flat[i*es : (i+1)*es : (i+1)*es]
-		if staged != nil {
-			staged[i] = cell
-		} else {
-			p.slot(sl).cells[sl.idx] = cell
+	for i, run := range runs {
+		if batch[i].Err != nil {
+			continue
+		}
+		flat := batch[i].Data
+		for c, sl := range run.slots {
+			cell := flat[c*es : (c+1)*es : (c+1)*es]
+			if staged != nil {
+				staged[c] = cell
+			} else {
+				p.slot(sl).cells[sl.idx] = cell
+			}
 		}
 	}
-	return nil
 }
 
 // healRun re-reads a run whose stored bytes failed their checksum one cell
@@ -682,8 +738,10 @@ func (p *fanoutPass) execRun(ctx context.Context, run devRun, staged [][]byte) e
 // (healCell), and places every cell in the job's containers. Only
 // corruptHeals passes call it: inline, under the exclusive lock.
 func (p *fanoutPass) healRun(run devRun) error {
-	for _, sl := range run.slots {
-		cell, err := p.readRun(p.ctx, run.dev, sl.key, 1)
+	for i, sl := range run.slots {
+		one := make([]Run, 1)
+		p.readRuns(p.ctx, []devRun{{dev: run.dev, slots: run.slots[i : i+1]}}, one)
+		cell, err := one[0].Data, one[0].Err
 		if errors.Is(err, ErrCorrupt) {
 			if cell, err = p.s.healCell(p.ctx, sl.key.stripe, sl.key.pos); err == nil {
 				p.healed++
@@ -735,7 +793,9 @@ func (p *fanoutPass) execHedged(run devRun) error {
 	p.stragglers.Add(1)
 	go func() {
 		defer p.stragglers.Done()
-		err := p.execRun(runCtx, run, primStaged)
+		prim := make([]Run, 1)
+		p.execRuns(runCtx, []devRun{run}, prim, primStaged)
+		err := prim[0].Err
 		if err == nil && winner.CompareAndSwap(0, 1) {
 			p.commit(run, primStaged, false)
 			hedgeCancel()

@@ -225,8 +225,9 @@ func TestRemoteStoreRecoverTornTail(t *testing.T) {
 			for _, a := range res.Plan.Reads {
 				if a.Disk == disk {
 					lost++
-					if _, _, err := disks[disk].ReadRun(a.Stripe*rows+a.Pos.Row, 1); err != nil {
-						t.Fatalf("seed %d pass %d: cell %+v not rewritten: %v", seed, pass, a, err)
+					run := []Run{{Disk: disk, Slot: a.Stripe*rows + a.Pos.Row, Count: 1}}
+					if disks[disk].ReadRuns(run); run[0].Err != nil {
+						t.Fatalf("seed %d pass %d: cell %+v not rewritten: %v", seed, pass, a, run[0].Err)
 					}
 				}
 			}
@@ -247,10 +248,12 @@ func TestRemoteStoreRecoverTornTail(t *testing.T) {
 // downDisk is a node that does not answer.
 type downDisk struct{ *MemDisk }
 
-func (downDisk) ReadRun(int, int) ([]byte, []uint32, error) {
-	return nil, nil, errors.New("connection refused")
+func (downDisk) ReadRuns(runs []Run) {
+	for i := range runs {
+		runs[i].Err = errors.New("connection refused")
+	}
 }
-func (downDisk) WriteRun(int, []byte, []uint32) error { return errors.New("connection refused") }
+func (downDisk) WriteRuns([]Run, bool) error { return errors.New("connection refused") }
 
 // TestRemoteStoreRecoverRefusesUnreachableDisk: a device out of reach is not
 // an erasure to heal or a torn tail to cut. Recovery fails with

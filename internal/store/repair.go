@@ -325,7 +325,7 @@ func (r *DiskRebuild) fillStripe(stripe int) error {
 		copy(flat[i*es:], cell)
 		crcs[i] = crc32.Checksum(cell, castagnoli)
 	}
-	if err := r.replacement.writeRun(cellKey{stripe, targets[0].Pos}, flat, crcs); err != nil {
+	if err := s.writeBatch(r.replacement, []Run{s.cellRun(r.dev, cellKey{stripe, targets[0].Pos}, flat, crcs)}, false); err != nil {
 		return fmt.Errorf("store: %s device %d stripe %d: %w", r.kind, r.dev, stripe, err)
 	}
 	r.readCost += res.plan.TotalReads()
@@ -343,7 +343,7 @@ func (r *DiskRebuild) finalizeRebuild() error {
 	// Durability before visibility: the rebuilt contents hit stable storage
 	// before the swap clears the failed flag and readers route back here.
 	if s.fsync {
-		if err := r.replacement.sync(); err != nil {
+		if err := s.writeBatch(r.replacement, barrier([]int{r.dev}), true); err != nil {
 			r.aborted = true
 			delete(s.rebuilding, r.dev)
 			return fmt.Errorf("store: recover device %d: fsync: %w", r.dev, err)
@@ -389,7 +389,7 @@ func (r *DiskRebuild) stepMigrate(batch int) (bool, error) {
 	// Caught up inside this exclusive hold: no seal can slip in before the
 	// swap. Durability, promote (file rename), then install.
 	if s.fsync {
-		if err := r.replacement.sync(); err != nil {
+		if err := s.writeBatch(r.replacement, barrier([]int{r.dev}), true); err != nil {
 			return false, fmt.Errorf("store: migrate device %d: fsync staging: %w", r.dev, err)
 		}
 	}

@@ -451,21 +451,25 @@ func TestDeviceHealthSignals(t *testing.T) {
 	}
 }
 
-// countingDisk is a MemDisk that counts backend calls: one ReadRun or
-// WriteRun is one pread or pwrite on a file disk, one request to a node.
+// countingDisk is a MemDisk that counts the runs it is handed: one run
+// read or written is one pread or pwrite on a file disk.
 type countingDisk struct {
 	*MemDisk
 	reads, writes atomic.Int64
 }
 
-func (c *countingDisk) ReadRun(slot, count int) ([]byte, []uint32, error) {
-	c.reads.Add(1)
-	return c.MemDisk.ReadRun(slot, count)
+func (c *countingDisk) ReadRuns(runs []Run) {
+	c.reads.Add(int64(len(runs)))
+	c.MemDisk.ReadRuns(runs)
 }
 
-func (c *countingDisk) WriteRun(slot int, data []byte, crcs []uint32) error {
-	c.writes.Add(1)
-	return c.MemDisk.WriteRun(slot, data, crcs)
+func (c *countingDisk) WriteRuns(runs []Run, sync bool) error {
+	for _, r := range runs {
+		if len(r.CRCs) > 0 {
+			c.writes.Add(1)
+		}
+	}
+	return c.MemDisk.WriteRuns(runs, sync)
 }
 
 // countingStore fills a store over counting disks with stripes full stripes.

@@ -184,61 +184,120 @@ func (d *Device) observeLatency(sample time.Duration) {
 // record offset on a file disk.
 func (d *Device) slot(k cellKey) int { return k.stripe*d.rows + k.pos.Row }
 
-func (d *Device) write(k cellKey, data []byte) error {
-	return d.writeRun(k, data, []uint32{crc32.Checksum(data, castagnoli)})
+// cellRun is the batch entry writing flat — len(crcs) contiguous cells of
+// device disk from k's slot — or, with no cells, putting disk under the
+// batch's barrier.
+func (s *Store) cellRun(disk int, k cellKey, flat []byte, crcs []uint32) Run {
+	return Run{Disk: disk, Slot: k.stripe*s.rows + k.pos.Row, Count: len(crcs), Data: flat, CRCs: crcs}
 }
 
-// writeRun writes len(crcs) contiguous cells, flattened into flat — a stripe
-// seals one such run per device — as one backend operation. A backend that
-// cannot take the write is ErrUnavailable, like one that cannot serve a
+// oneCell is the batch entry writing one cell, checksummed here.
+func (s *Store) oneCell(disk int, k cellKey, data []byte) Run {
+	return s.cellRun(disk, k, data, []uint32{crc32.Checksum(data, castagnoli)})
+}
+
+// barrier lists a run of no cells per device: a batch that only syncs them.
+func barrier(disks []int) []Run {
+	runs := make([]Run, len(disks))
+	for i, d := range disks {
+		runs[i] = Run{Disk: d}
+	}
+	return runs
+}
+
+// byNode groups a batch's runs by the node SetDeviceNodes maps their
+// devices to (each device its own node when no map is set), nodes in order
+// of first appearance and runs in batch order within each.
+func (s *Store) byNode(runs []Run) [][]Run {
+	var groups [][]Run
+	at := make(map[int]int)
+	for _, r := range runs {
+		node := r.Disk
+		if s.nodeOf != nil {
+			node = s.nodeOf[r.Disk]
+		}
+		i, ok := at[node]
+		if !ok {
+			i = len(groups)
+			at[node] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], r)
+	}
+	return groups
+}
+
+// writeRuns writes a batch — a seal's stripe, a heal's cell, an
+// overwrite's cells, a barrier — with one backend call per node, the nodes
+// at once; with sync the durability barrier rides on the writes. A backend
+// that cannot take a write is ErrUnavailable, like one that cannot serve a
 // read: commits surface it as retryable (HTTP 503 + Retry-After).
-func (d *Device) writeRun(k cellKey, flat []byte, crcs []uint32) error {
-	if err := d.be.WriteRun(d.slot(k), flat, crcs); err != nil {
-		return fmt.Errorf("%w: device %d: %v", ErrUnavailable, d.id, err)
+func (s *Store) writeRuns(runs []Run, sync bool) error {
+	groups := s.byNode(runs)
+	return eachDevice(len(groups), func(i int) error {
+		return s.writeBatch(s.devices[groups[i][0].Disk], groups[i], sync)
+	})
+}
+
+// writeBatch writes one node's batch through d's backend and counts each
+// run's cells on its device: the store's device at the run's disk, or d
+// itself for its own disk — a migration's replacement is not installed yet.
+func (s *Store) writeBatch(d *Device, runs []Run, sync bool) error {
+	if err := d.be.WriteRuns(runs, sync); err != nil {
+		disks := make([]int, len(runs))
+		for i, r := range runs {
+			disks[i] = r.Disk
+		}
+		return fmt.Errorf("%w: devices %v: %v", ErrUnavailable, disks, err)
 	}
-	d.writes.Add(int64(len(crcs)))
-	d.obsWrites.Add(int64(len(crcs)))
+	for _, r := range runs {
+		w := s.devices[r.Disk]
+		if r.Disk == d.id {
+			w = d
+		}
+		w.writes.Add(int64(len(r.CRCs)))
+		w.obsWrites.Add(int64(len(r.CRCs)))
+	}
 	return nil
 }
 
-// sync makes the device's writes durable; a failure is ErrUnavailable, as
-// for writes.
-func (d *Device) sync() error {
-	if err := d.be.Sync(); err != nil {
-		return fmt.Errorf("%w: fsync device %d: %v", ErrUnavailable, d.id, err)
-	}
-	return nil
-}
-
-// readRun reads count contiguous cells starting at k as one backend
-// operation — a coalesced fan-out run is one pread or one node request — and
-// verifies each cell's checksum. The returned buffer is the caller's; cell i
-// is its i-th elemSize slice. A cell the backend lacks is an erasure like a
-// checksum-failing one: the error wraps both ErrCorrupt and ErrCellMissing,
-// so every corruptRule treats the two alike.
-func (d *Device) readRun(k cellKey, count int) ([]byte, error) {
-	if d.failed {
-		return nil, fmt.Errorf("%w: device %d", ErrFailed, d.id)
-	}
-	slot := d.slot(k)
-	flat, crcs, err := d.be.ReadRun(slot, count)
-	if err != nil {
-		if errors.Is(err, ErrCellMissing) {
-			return nil, fmt.Errorf("%w: device %d run at %v: %w", ErrCorrupt, d.id, k, err)
+// readBatch hands one node's runs to the backend of the first run's device
+// in one call, and settles each as its device sees it: a cell the backend
+// lacks is an erasure like a checksum-failing one (ErrCorrupt wrapping
+// ErrCellMissing, so every corruptRule treats the two alike), any other
+// failure makes the device ErrUnavailable, and a run that checks out counts
+// as device reads and keeps its verified cells in Data.
+func (s *Store) readBatch(runs []Run) {
+	s.devices[runs[0].Disk].be.ReadRuns(runs)
+	for i := range runs {
+		r := &runs[i]
+		d := s.devices[r.Disk]
+		if r.Err == nil && (len(r.Data) != r.Count*s.elemSize || len(r.CRCs) != r.Count) {
+			// The executor slices the buffer Count ways: a short answer is a
+			// faulty device, not a short slice.
+			r.Err = fmt.Errorf("run [%d,+%d) answered with %d bytes, %d checksums", r.Slot, r.Count, len(r.Data), len(r.CRCs))
 		}
-		return nil, fmt.Errorf("%w: device %d: %v", ErrUnavailable, d.id, err)
-	}
-	d.reads.Add(int64(count))
-	d.obsReads.Add(int64(count))
-	elem := len(flat) / count
-	for i, crc := range crcs {
-		if crc32.Checksum(flat[i*elem:(i+1)*elem], castagnoli) != crc {
-			s := slot + i
-			return nil, fmt.Errorf("%w: device %d stripe %d row %d",
-				ErrCorrupt, d.id, s/d.rows, s%d.rows)
+		switch {
+		case errors.Is(r.Err, ErrCellMissing):
+			r.Err = fmt.Errorf("%w: device %d run at slot %d: %w", ErrCorrupt, d.id, r.Slot, r.Err)
+		case r.Err != nil:
+			d.noteError()
+			r.Err = fmt.Errorf("%w: device %d: %v", ErrUnavailable, d.id, r.Err)
+		default:
+			d.reads.Add(int64(r.Count))
+			d.obsReads.Add(int64(r.Count))
+			for c, crc := range r.CRCs {
+				if crc32.Checksum(r.Data[c*s.elemSize:(c+1)*s.elemSize], castagnoli) != crc {
+					slot := r.Slot + c
+					r.Err = fmt.Errorf("%w: device %d stripe %d row %d", ErrCorrupt, d.id, slot/d.rows, slot%d.rows)
+					break
+				}
+			}
+		}
+		if r.Err != nil {
+			r.Data, r.CRCs = nil, nil
 		}
 	}
-	return flat, nil
 }
 
 // Store is an erasure-coded append-only blob store.
@@ -286,6 +345,7 @@ type Store struct {
 	stripes int       // full stripes sealed so far
 	pending []byte    // buffered bytes not yet forming a full stripe; one reused stripe-sized buffer
 	sealing *sealBufs // what every seal reuses, built by the first
+	syncAt  int       // the stripe whose seal carries the commit's barrier
 	length  int64     // total bytes appended
 
 	// epoch increments on every mutation that can change the bytes a read
@@ -450,26 +510,69 @@ func (s *Store) ResetCounters() {
 // stripeBytes is the user-data capacity of one stripe.
 func (s *Store) stripeBytes() int { return s.scheme.DataPerStripe() * s.elemSize }
 
-// readRunCtx reads count contiguous cells of device dev starting at k
-// through the fault injector. Each attempt draws one fault and issues one
-// backend read — one pread on a file disk, one request to a node — so a
-// coalesced run pays one positioning cost, as on a real disk. Injected
-// latency is served (capped at the per-op timeout), transient faults —
-// errors, timed-out/stuck operations, checksum-failing mis-reads — are
-// retried up to the retry budget, and a device that exhausts the budget is
-// reported ErrUnavailable so read paths can route around it. Checksum
-// failures of the stored bytes themselves surface as ErrCorrupt (persistent
-// corruption: retrying cannot help, healing can). Waits return early when
-// ctx is done, so hedged and fanned-out reads can abandon a straggling
-// device without leaking a sleeping goroutine. Caller holds mu in either
+// readRunsCtx reads the runs of one node — its devices in ascending order,
+// each device's runs in offset order — as one backend call (readBatch), and
+// settles each in its entry of out: the run's cells, flattened, in Data, or
+// its Err. Every run first draws its faults from its own device's stream,
+// in that order (readGate), so a seeded plan replays whatever the node
+// grouping. A device taken out by its faults draws no more: its later runs
+// share the error, as the executor skips them. Caller holds mu in either
 // mode.
-func (s *Store) readRunCtx(ctx context.Context, dev int, k cellKey, count int) ([]byte, error) {
-	d := s.devices[dev]
+func (s *Store) readRunsCtx(ctx context.Context, runs []devRun, out []Run) {
 	start := time.Now()
+	ready := 0
+	for i, run := range runs {
+		out[i] = Run{Disk: run.dev, Slot: s.devices[run.dev].slot(run.slots[0].key), Count: len(run.slots)}
+		if i > 0 && run.dev == runs[i-1].dev && takesOut(out[i-1].Err) {
+			out[i].Err = out[i-1].Err
+		} else if out[i].Err = s.readGate(ctx, out[i]); out[i].Err == nil {
+			ready++
+		}
+	}
+	switch {
+	case ready == len(out):
+		s.readBatch(out)
+	case ready > 0:
+		batch := make([]Run, 0, ready)
+		for _, r := range out {
+			if r.Err == nil {
+				batch = append(batch, r)
+			}
+		}
+		s.readBatch(batch)
+		for i := range out {
+			if out[i].Err == nil {
+				out[i], batch = batch[0], batch[1:]
+			}
+		}
+	}
+	for _, r := range out {
+		if r.Err == nil {
+			s.devices[r.Disk].observeLatency(time.Since(start))
+		}
+	}
+}
+
+// takesOut reports whether a run's error takes its device out of the pass.
+func takesOut(err error) bool { return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrFailed) }
+
+// readGate runs the read-side fault decisions for one run before the batch
+// reads it. Each attempt draws one fault: injected latency is served
+// (capped at the per-op timeout), and transient faults — errors,
+// timed-out/stuck operations, checksum-failing mis-reads (the run is read
+// alone and discarded) — are retried up to the retry budget; a device that
+// exhausts it is ErrUnavailable, so read paths route around it. Waits
+// return early when ctx is done, so hedged and fanned-out reads can abandon
+// a straggling device without leaking a sleeping goroutine. Checksum
+// failures of the stored bytes themselves surface from the read as
+// ErrCorrupt (persistent corruption: retrying cannot help, healing can).
+func (s *Store) readGate(ctx context.Context, r Run) error {
+	dev := r.Disk
+	d := s.devices[dev]
 	var last error
 	for attempt := 0; attempt <= s.retries; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		var f Fault
 		if s.inject != nil {
@@ -477,11 +580,11 @@ func (s *Store) readRunCtx(ctx context.Context, dev int, k cellKey, count int) (
 		}
 		if f.Failed {
 			d.noteError()
-			return nil, fmt.Errorf("%w: device %d fail-stopped by fault plan", ErrFailed, dev)
+			return fmt.Errorf("%w: device %d fail-stopped by fault plan", ErrFailed, dev)
 		}
 		if f.Stuck || f.Delay > s.opTimeout {
 			if err := sleepCtx(ctx, s.opTimeout); err != nil {
-				return nil, err
+				return err
 			}
 			last = fmt.Errorf("%w: device %d read timed out after %v", ErrUnavailable, dev, s.opTimeout)
 			s.Metrics().retry(false)
@@ -490,7 +593,7 @@ func (s *Store) readRunCtx(ctx context.Context, dev int, k cellKey, count int) (
 		}
 		if f.Delay > 0 {
 			if err := sleepCtx(ctx, f.Delay); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if f.Err != nil {
@@ -498,32 +601,27 @@ func (s *Store) readRunCtx(ctx context.Context, dev int, k cellKey, count int) (
 			s.Metrics().retry(false)
 			continue
 		}
-		data, err := d.readRun(k, count)
-		if err != nil {
-			// Failed flag, missing cell, or stored-bytes checksum failure:
-			// none of these are transient, so no retry. A backend I/O error
-			// (ErrUnavailable from the device itself, not an injected fault)
-			// is a hard signal for the failure detector.
-			if errors.Is(err, ErrUnavailable) {
-				d.noteError()
-			}
-			return nil, err
+		if d.failed {
+			return fmt.Errorf("%w: device %d", ErrFailed, dev)
 		}
-		if f.Corrupt {
-			// The device returned bits failing the checksum — a transient
-			// medium mis-read (the stored cell is clean). Retry.
-			last = fmt.Errorf("%w: device %d returned bytes failing checksum", ErrUnavailable, dev)
-			s.Metrics().retry(false)
-			continue
+		if !f.Corrupt {
+			return nil
 		}
-		d.observeLatency(time.Since(start))
-		return data, nil
+		// The device returned bits failing the checksum — a transient
+		// medium mis-read (the stored cells are clean). Retry; a missing or
+		// corrupt stored cell, or a backend failure, is no transient.
+		one := []Run{r}
+		if s.readBatch(one); one[0].Err != nil {
+			return one[0].Err
+		}
+		last = fmt.Errorf("%w: device %d returned bytes failing checksum", ErrUnavailable, dev)
+		s.Metrics().retry(false)
 	}
 	if last != nil {
 		// Retry budget exhausted: the device is limping hard enough to count.
 		d.noteError()
 	}
-	return nil, last
+	return last
 }
 
 // writeGate runs the write-side fault decision for one cell write on device
@@ -591,7 +689,17 @@ func (s *Store) Flush() error { return s.commit(true) }
 func (s *Store) commit(flush bool, objs ...[]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	before := s.stripes
+	// The barrier rides on the commit's last seal: every seal writes every
+	// device, so its fsync covers the seals before it.
+	total, sb := len(s.pending), s.stripeBytes()
+	for _, data := range objs {
+		total += len(data)
+	}
+	seals := total / sb
+	if flush && total%sb > 0 {
+		seals++
+	}
+	s.syncAt = s.stripes + seals - 1
 	err := s.buffer(nil) // first, whatever an earlier faulted seal left
 	for _, data := range objs {
 		s.length += int64(len(data))
@@ -610,10 +718,7 @@ func (s *Store) commit(flush bool, objs ...[]byte) error {
 			s.pending = s.pending[:0]
 		}
 	}
-	if err != nil || s.stripes == before {
-		return err
-	}
-	return s.syncDevices(nil)
+	return err
 }
 
 // buffer appends data to the pending buffer, sealing and recycling it each
@@ -669,8 +774,9 @@ func (s *Store) newSealBufs() *sealBufs {
 
 // seal encodes one stripe from buf — whole elements, at most a stripe's
 // worth; the elements buf lacks are zero — and writes every cell to its
-// device. Data shards alias buf only while seal runs; devices are handed the
-// store's own runs. Caller holds mu exclusively.
+// device, carrying the fsync barrier when it seals stripe syncAt (the
+// commit's last). Data shards alias buf only while seal runs; devices are
+// handed the store's own runs. Caller holds mu exclusively.
 func (s *Store) seal(buf []byte) error {
 	if s.sealing == nil {
 		s.sealing = s.newSealBufs()
@@ -709,25 +815,30 @@ func (s *Store) seal(buf []byte) error {
 		}
 	}
 	// Each device's share of the stripe is rows contiguous slots: one run
-	// (a single pwrite on file backends), all devices at once. The stripe
-	// counter advances only if every write succeeded; commit runs the barrier.
-	err := eachDevice(n, func(col int) error {
-		disk := lay.Disk(s.stripes, col)
-		k := cellKey{s.stripes, layout.Pos{Row: 0, Col: col}}
-		if err := s.devices[disk].writeRun(k, sl.runs[col], sl.crcs[col]); err != nil {
-			return fmt.Errorf("store: seal stripe %d device %d: %w", s.stripes, disk, err)
-		}
-		return nil
-	})
-	if err == nil {
-		s.stripes++
+	// (a single pwrite on file backends), one batch per node, all nodes at
+	// once. The stripe counter advances only if every write succeeded.
+	runs := make([]Run, n)
+	for col := range runs {
+		runs[col] = s.cellRun(lay.Disk(s.stripes, col), cellKey{s.stripes, layout.Pos{Row: 0, Col: col}}, sl.runs[col], sl.crcs[col])
 	}
-	return err
+	sync := s.fsync && s.stripes == s.syncAt
+	start := time.Now()
+	if err := s.writeRuns(runs, sync); err != nil {
+		return fmt.Errorf("store: seal stripe %d: %w", s.stripes, err)
+	}
+	if sync {
+		s.Metrics().fsyncBarrier(time.Since(start).Seconds())
+	}
+	s.stripes++
+	return nil
 }
 
-// eachDevice runs fn(0..n-1) concurrently — one device operation each — and
-// returns their failures, joined.
+// eachDevice runs fn(0..n-1) concurrently — one backend call each — and
+// returns their failures, joined. A lone call runs inline.
 func eachDevice(n int, fn func(i int) error) error {
+	if n == 1 {
+		return fn(0)
+	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -904,12 +1015,9 @@ func (s *Store) healCell(ctx context.Context, stripe int, pos layout.Pos) ([]byt
 		return nil, fmt.Errorf("store: heal stripe %d cell (%d,%d) rewrite: %w",
 			stripe, pos.Row, pos.Col, err)
 	}
-	if err := s.devices[ownDisk].write(cellKey{stripe, pos}, clean); err != nil {
+	if err := s.writeRuns([]Run{s.oneCell(ownDisk, cellKey{stripe, pos}, clean)}, s.fsync); err != nil {
 		return nil, fmt.Errorf("store: heal stripe %d cell (%d,%d) rewrite: %w",
 			stripe, pos.Row, pos.Col, err)
-	}
-	if err := s.syncDevices([]int{ownDisk}); err != nil {
-		return nil, err
 	}
 	s.Metrics().heal()
 	s.bumpEpoch()
@@ -1004,15 +1112,12 @@ func (s *Store) WriteAt(off int64, data []byte) error {
 			return fmt.Errorf("store: write [%d,+%d): %w", off, len(data), err)
 		}
 	}
-	touched := make(map[int]bool)
-	for _, sw := range order {
-		if err := s.devices[sw.disk].write(sw.k, sw.data); err != nil {
-			return fmt.Errorf("store: write [%d,+%d): %w", off, len(data), err)
-		}
-		touched[sw.disk] = true
+	runs := make([]Run, len(order))
+	for i, sw := range order {
+		runs[i] = s.oneCell(sw.disk, sw.k, sw.data)
 	}
-	if err := s.syncDevices(keysSorted(touched)); err != nil {
-		return err
+	if err := s.writeRuns(runs, s.fsync); err != nil {
+		return fmt.Errorf("store: write [%d,+%d): %w", off, len(data), err)
 	}
 	s.bumpEpoch()
 	return nil
@@ -1111,18 +1216,17 @@ func (s *Store) WriteAtReencode(off int64, data []byte) error {
 			}
 		}
 	}
+	var runs []Run
 	for _, st := range staged {
 		for row := 0; row < lay.Rows(); row++ {
 			for col := 0; col < n; col++ {
-				pos := layout.Pos{Row: row, Col: col}
-				if err := s.devices[lay.Disk(st.stripe, col)].write(cellKey{st.stripe, pos}, st.cells[row*n+col]); err != nil {
-					return fmt.Errorf("store: reencode write [%d,+%d): %w", off, len(data), err)
-				}
+				k := cellKey{st.stripe, layout.Pos{Row: row, Col: col}}
+				runs = append(runs, s.oneCell(lay.Disk(st.stripe, col), k, st.cells[row*n+col]))
 			}
 		}
 	}
-	if err := s.syncDevices(nil); err != nil {
-		return err
+	if err := s.writeRuns(runs, s.fsync); err != nil {
+		return fmt.Errorf("store: reencode write [%d,+%d): %w", off, len(data), err)
 	}
 	s.bumpEpoch()
 	return nil
@@ -1136,15 +1240,14 @@ func (s *Store) CorruptCell(stripe int, pos layout.Pos) error {
 	defer s.mu.Unlock()
 	disk := s.scheme.Layout().Disk(stripe, pos.Col)
 	dev := s.devices[disk]
-	slot := dev.slot(cellKey{stripe, pos})
-	data, crcs, err := dev.be.ReadRun(slot, 1)
-	if err != nil {
-		return fmt.Errorf("store: corrupt stripe %d cell (%d,%d) on device %d: %w", stripe, pos.Row, pos.Col, disk, err)
+	run := []Run{{Disk: disk, Slot: dev.slot(cellKey{stripe, pos}), Count: 1}}
+	if dev.be.ReadRuns(run); run[0].Err != nil {
+		return fmt.Errorf("store: corrupt stripe %d cell (%d,%d) on device %d: %w", stripe, pos.Row, pos.Col, disk, run[0].Err)
 	}
-	for i := range data {
-		data[i] ^= 0xff
+	for i := range run[0].Data {
+		run[0].Data[i] ^= 0xff
 	}
-	if err := dev.be.WriteRun(slot, data, crcs); err != nil {
+	if err := dev.be.WriteRuns(run, false); err != nil {
 		return err
 	}
 	s.bumpEpoch()
@@ -1160,8 +1263,8 @@ func (s *Store) VerifyChecksums() []core.Access {
 	var bad []core.Access
 	for d, dev := range s.devices {
 		for slot, n := 0, dev.be.Slots(); slot < n; slot++ {
-			cell, crcs, err := dev.be.ReadRun(slot, 1)
-			if err == nil && crc32.Checksum(cell, castagnoli) != crcs[0] {
+			run := []Run{{Disk: d, Slot: slot, Count: 1}}
+			if dev.be.ReadRuns(run); run[0].Err == nil && crc32.Checksum(run[0].Data, castagnoli) != run[0].CRCs[0] {
 				stripe := slot / s.rows
 				bad = append(bad, core.Access{Disk: d, Stripe: stripe,
 					Pos: layout.Pos{Row: slot % s.rows, Col: lay.Col(stripe, d)}})

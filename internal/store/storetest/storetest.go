@@ -18,24 +18,35 @@ import (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // TestCellBackend runs the contract cases against fresh empty backends of
-// elem-byte cells, one per case, from open.
+// elem-byte cells, one per case, from open. Every batch names device 0: the
+// backend open returns holds that device's extent.
 func TestCellBackend(t *testing.T, elem int, open func(t *testing.T) store.CellBackend) {
 	cell := func(b byte) []byte { return bytes.Repeat([]byte{b}, elem) }
 	sum := func(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
+	runOf := func(slot int, data []byte, crcs ...uint32) store.Run {
+		return store.Run{Slot: slot, Count: len(crcs), Data: data, CRCs: crcs}
+	}
 	write := func(t *testing.T, cb store.CellBackend, slot int, data []byte, crcs ...uint32) {
 		t.Helper()
-		if err := cb.WriteRun(slot, data, crcs); err != nil {
-			t.Fatalf("WriteRun(%d, %d cells): %v", slot, len(crcs), err)
+		if err := cb.WriteRuns([]store.Run{runOf(slot, data, crcs...)}, false); err != nil {
+			t.Fatalf("WriteRuns(%d, %d cells): %v", slot, len(crcs), err)
 		}
+	}
+	readErr := func(cb store.CellBackend, slot, count int) error {
+		runs := []store.Run{{Slot: slot, Count: count}}
+		cb.ReadRuns(runs)
+		return runs[0].Err
 	}
 	read := func(t *testing.T, cb store.CellBackend, slot, count int) ([]byte, []uint32) {
 		t.Helper()
-		data, crcs, err := cb.ReadRun(slot, count)
+		runs := []store.Run{{Slot: slot, Count: count}}
+		cb.ReadRuns(runs)
+		data, crcs, err := runs[0].Data, runs[0].CRCs, runs[0].Err
 		if err != nil {
-			t.Fatalf("ReadRun(%d, %d): %v", slot, count, err)
+			t.Fatalf("ReadRuns(%d, %d): %v", slot, count, err)
 		}
 		if len(data) != count*elem || len(crcs) != count {
-			t.Fatalf("ReadRun(%d, %d) = %d bytes, %d checksums", slot, count, len(data), len(crcs))
+			t.Fatalf("ReadRuns(%d, %d) = %d bytes, %d checksums", slot, count, len(data), len(crcs))
 		}
 		return data, crcs
 	}
@@ -48,11 +59,11 @@ func TestCellBackend(t *testing.T, elem int, open func(t *testing.T) store.CellB
 	}
 
 	run("never-written slot is ErrCellMissing", func(t *testing.T, cb store.CellBackend) {
-		if _, _, err := cb.ReadRun(3, 1); !errors.Is(err, store.ErrCellMissing) {
+		if err := readErr(cb, 3, 1); !errors.Is(err, store.ErrCellMissing) {
 			t.Fatalf("read of an empty disk: %v, want ErrCellMissing", err)
 		}
 		write(t, cb, 0, cell(1), sum(cell(1)))
-		if _, _, err := cb.ReadRun(0, 2); !errors.Is(err, store.ErrCellMissing) {
+		if err := readErr(cb, 0, 2); !errors.Is(err, store.ErrCellMissing) {
 			t.Fatalf("run past the last written slot: %v, want ErrCellMissing", err)
 		}
 	})
@@ -104,12 +115,44 @@ func TestCellBackend(t *testing.T, elem int, open func(t *testing.T) store.CellB
 		if s, e := cb.Slots(), cb.Elements(); s != 1 || e != 1 {
 			t.Fatalf("after Truncate(1): Slots %d, Elements %d; want 1 and 1", s, e)
 		}
-		if _, _, err := cb.ReadRun(1, 1); !errors.Is(err, store.ErrCellMissing) {
+		if err := readErr(cb, 1, 1); !errors.Is(err, store.ErrCellMissing) {
 			t.Fatalf("truncated slot: %v, want ErrCellMissing", err)
 		}
 		read(t, cb, 0, 1)
-		if err := cb.Sync(); err != nil {
-			t.Fatal(err)
+		if err := cb.WriteRuns([]store.Run{{}}, true); err != nil {
+			t.Fatalf("a barrier-only batch: %v", err)
+		}
+	})
+
+	run("a batch settles run by run, in list order", func(t *testing.T, cb store.CellBackend) {
+		// One write batch of two runs and a barrier-only entry, synced.
+		if err := cb.WriteRuns([]store.Run{
+			runOf(0, append(cell(1), cell(2)...), sum(cell(1)), sum(cell(2))),
+			{},
+			runOf(6, cell(3), sum(cell(3))),
+		}, true); err != nil {
+			t.Fatalf("WriteRuns(two runs and a barrier, sync): %v", err)
+		}
+		runs := []store.Run{{Slot: 6, Count: 1}, {Slot: 2, Count: 1}, {Slot: 0, Count: 2}, {Slot: 5, Count: 2}}
+		cb.ReadRuns(runs)
+		want := [][]byte{cell(3), nil, append(cell(1), cell(2)...), nil}
+		for i, r := range runs {
+			if want[i] == nil {
+				if !errors.Is(r.Err, store.ErrCellMissing) || r.Data != nil || r.CRCs != nil {
+					t.Fatalf("run %d (slot %d): err %v, %d bytes; want ErrCellMissing and nothing else", i, r.Slot, r.Err, len(r.Data))
+				}
+				continue
+			}
+			if r.Err != nil || !bytes.Equal(r.Data, want[i]) || len(r.CRCs) != r.Count || r.CRCs[0] != sum(want[i][:elem]) {
+				t.Fatalf("run %d (slot %d): err %v; wrong cells or checksums", i, r.Slot, r.Err)
+			}
+		}
+		// The runs' buffers are distinct: scribbling one leaves the other.
+		for i := range runs[0].Data {
+			runs[0].Data[i] = 0xee
+		}
+		if !bytes.Equal(runs[2].Data, append(cell(1), cell(2)...)) {
+			t.Fatal("scribbling one run's cells changed another's")
 		}
 	})
 
@@ -123,11 +166,13 @@ func TestCellBackend(t *testing.T, elem int, open func(t *testing.T) store.CellB
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
 					c := cell(byte(slot*rounds + r))
-					if err := cb.WriteRun(slot, c, []uint32{sum(c)}); err != nil {
+					if err := cb.WriteRuns([]store.Run{runOf(slot, c, sum(c))}, false); err != nil {
 						errs <- err
 						return
 					}
-					data, crcs, err := cb.ReadRun(slot, 1)
+					runs := []store.Run{{Slot: slot, Count: 1}}
+					cb.ReadRuns(runs)
+					data, crcs, err := runs[0].Data, runs[0].CRCs, runs[0].Err
 					if err == nil && (!bytes.Equal(data, c) || crcs[0] != sum(c)) {
 						err = fmt.Errorf("slot %d round %d read back another write", slot, r)
 					}

@@ -86,11 +86,11 @@ type failingDisk struct {
 	broken *bool
 }
 
-func (d failingDisk) WriteRun(slot int, data []byte, crcs []uint32) error {
+func (d failingDisk) WriteRuns(runs []Run, sync bool) error {
 	if *d.broken {
 		return errors.New("disk write failed")
 	}
-	return d.MemDisk.WriteRun(slot, data, crcs)
+	return d.MemDisk.WriteRuns(runs, sync)
 }
 
 // TestSealDeviceWriteFailureMidFanOut: the per-device writes of a seal run

@@ -7,6 +7,9 @@
 # then asserts:
 #
 #   1. a concurrent PUT burst lands and every object GETs back byte-identical,
+#   1b. in a quiet phase the wire count holds, from the nodes' own metrics:
+#      one request per node per single-stripe PUT (write and fsync ride
+#      together, 9 fsyncs each) and per GET,
 #   2. hedged GETs under an injected slow-device fault plan fire the hedge
 #      counters (ecfrm_store_hedge_total{...outcome="fired"}),
 #   3. SIGKILLing one node mid-traffic loses ZERO reads: every in-flight and
@@ -132,6 +135,47 @@ verify_all() { # verify_all <extra query> <stage>
     done
 }
 verify_all "" "healthy"
+
+# --- 1b. wire count: one request per node per PUT and per GET ---------------
+node_sum() { # node_sum <family> — its samples summed over the three nodes
+    for port in "$N1_PORT" "$N2_PORT" "$N3_PORT"; do
+        curl -fsS "http://127.0.0.1:$port/metrics"
+    done | awk -v f="$1" '$1 == f || index($1, f "{") == 1 { s += $NF } END { printf "%d\n", s }'
+}
+wire_check() { # wire_check <what> <got> <op> <want>
+    [ "$2" "$3" "$4" ] || {
+        echo "cluster-smoke: $1: $2, want $3 $4" >&2
+        exit 1
+    }
+}
+echo "cluster-smoke: quiet phase — node requests per PUT and per GET"
+QUIET=5
+reqs0=$(node_sum ecfrm_node_request_seconds_count)
+syncs0=$(node_sum ecfrm_node_syncs_total)
+i=0
+while [ "$i" -lt "$QUIET" ]; do
+    head -c 60000 /dev/urandom >"$TMP/quiet-$i.bin" # 15 of a stripe's 6 × 3 elements
+    gw "/objects/quiet-$i" -X PUT --data-binary @"$TMP/quiet-$i.bin" -o /dev/null
+    i=$((i + 1))
+done
+reqs1=$(node_sum ecfrm_node_request_seconds_count)
+syncs1=$(node_sum ecfrm_node_syncs_total)
+# Hedged reads send each run on its own (a run races its own rebuild), so the
+# count is taken unhedged.
+i=0
+while [ "$i" -lt "$QUIET" ]; do
+    gw "/objects/quiet-$i?nocache=1&hedge=0" -o "$TMP/out.bin"
+    cmp -s "$TMP/quiet-$i.bin" "$TMP/out.bin" || {
+        echo "cluster-smoke: quiet phase: GET quiet-$i returned wrong bytes" >&2
+        exit 1
+    }
+    i=$((i + 1))
+done
+reqs2=$(node_sum ecfrm_node_request_seconds_count)
+wire_check "node requests for $QUIET PUTs" $((reqs1 - reqs0)) -le $((3 * QUIET))
+wire_check "fsyncs for $QUIET PUTs" $((syncs1 - syncs0)) -eq $((9 * QUIET))
+wire_check "node requests for $QUIET GETs" $((reqs2 - reqs1)) -le $((3 * QUIET))
+echo "cluster-smoke: $QUIET PUTs took $((reqs1 - reqs0)) node requests and $((syncs1 - syncs0)) fsyncs, $QUIET GETs $((reqs2 - reqs1)) requests"
 
 # --- 2. hedge activity under an injected slow device -------------------------
 cat >"$TMP/plan.json" <<'EOF'
