@@ -50,6 +50,10 @@ type Code interface {
 	// given the non-nil survivors. Returns ErrUnrecoverable if the pattern
 	// is information-theoretically lost.
 	Reconstruct(shards [][]byte) error
+	// Generator returns the n×k generator matrix (first k rows identity):
+	// element i of a row is Generator().Row(i)·data. Callers must not modify
+	// it.
+	Generator() *matrix.Matrix
 	// CanRecover reports whether the given erased element indices are
 	// jointly decodable from the survivors.
 	CanRecover(erased []int) bool

@@ -36,6 +36,9 @@ var ErrUnrecoverable = errors.New("core: unrecoverable failure pattern")
 type Scheme struct {
 	code codes.Code
 	lay  layout.Layout
+	// firstData is, per group, the lowest sequential index of its data
+	// elements: a stripe filled below it leaves the group all padding.
+	firstData []int
 }
 
 // NewScheme deploys code under the given layout form.
@@ -44,7 +47,15 @@ func NewScheme(code codes.Code, form layout.Form) (*Scheme, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Scheme{code: code, lay: lay}, nil
+	first := make([]int, lay.Groups())
+	for g := range first {
+		first[g] = lay.DataPerStripe()
+	}
+	for e := 0; e < lay.DataPerStripe(); e++ {
+		g := lay.CellAt(lay.DataPos(e)).Group
+		first[g] = min(first[g], e)
+	}
+	return &Scheme{code: code, lay: lay, firstData: first}, nil
 }
 
 // MustScheme is NewScheme for known-good forms; it panics on error.
@@ -137,6 +148,14 @@ func (s *Scheme) EncodeStripe(data [][]byte) ([][]byte, error) {
 // drawn from bufs. Together with a warm Buffers arena this performs no heap
 // allocations in steady state.
 func (s *Scheme) EncodeStripeInto(bufs *Buffers, cells [][]byte, data [][]byte) error {
+	return s.EncodeFilledInto(bufs, cells, data, s.DataPerStripe())
+}
+
+// EncodeFilledInto is EncodeStripeInto for a stripe whose data elements from
+// fill on are zero padding: a group holding none of the first fill elements
+// is not encoded — its parity is zero (ZeroCells) — and its parity cells are
+// left as they were.
+func (s *Scheme) EncodeFilledInto(bufs *Buffers, cells [][]byte, data [][]byte, fill int) error {
 	dps := s.DataPerStripe()
 	if len(data) != dps {
 		return fmt.Errorf("%w: got %d data shards, want %d", ErrBadRequest, len(data), dps)
@@ -155,6 +174,9 @@ func (s *Scheme) EncodeStripeInto(bufs *Buffers, cells [][]byte, data [][]byte) 
 	sc := getStripeScratch(n, k)
 	defer putStripeScratch(sc)
 	for g := 0; g < s.lay.Groups(); g++ {
+		if s.firstData[g] >= fill {
+			continue
+		}
 		for t := 0; t < k; t++ {
 			sc.groupData[t] = cells[s.cellIndex(s.lay.GroupCell(g, t))]
 		}
@@ -170,6 +192,31 @@ func (s *Scheme) EncodeStripeInto(bufs *Buffers, cells [][]byte, data [][]byte) 
 		}
 	}
 	return nil
+}
+
+// ZeroCells reports which cells of a stripe whose data elements from fill on
+// are zero padding are zero by construction, indexed like EncodeStripe's
+// cells: the padding data cells, and every parity cell whose generator row
+// reads only padding — each parity of a group holding no user data, and an
+// LRC local parity over an all-padding local group. It is read from the
+// generator, never from bytes.
+func (s *Scheme) ZeroCells(fill int) []bool {
+	zero := make([]bool, s.CellsPerStripe())
+	for e := max(fill, 0); e < s.DataPerStripe(); e++ {
+		zero[s.cellIndex(s.lay.DataPos(e))] = true
+	}
+	gen := s.code.Generator()
+	k, n := s.code.K(), s.code.N()
+	for g := 0; g < s.lay.Groups(); g++ {
+		for t := k; t < n; t++ {
+			z := true
+			for j := 0; j < k && z; j++ {
+				z = gen.At(t, j) == 0 || zero[s.cellIndex(s.lay.GroupCell(g, j))]
+			}
+			zero[s.cellIndex(s.lay.GroupCell(g, t))] = z
+		}
+	}
+	return zero
 }
 
 // ReconstructStripe rebuilds every nil cell of a stripe in place, group by

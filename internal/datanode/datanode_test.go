@@ -200,6 +200,15 @@ func TestNodeBatchBounds(t *testing.T) {
 	if rec := do(t, s, http.MethodGet, runs(false, many...), nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("read of %d runs: %d, want 400", len(many), rec.Code)
 	}
+	// Zero runs ship no frame bytes, so only payload cells count against
+	// the cap; a read cannot name one.
+	zero := nodeapi.RunRef{Slot: 1, Count: nodeapi.MaxCells(elem) + 1, Zero: true}
+	if rec := do(t, s, http.MethodPut, runs(true, nodeapi.RunRef{Count: 1}, zero), frame(elem, make([]byte, elem))); rec.Code != http.StatusNoContent {
+		t.Fatalf("write of one cell and a zero run of %d: %d, want 204", zero.Count, rec.Code)
+	}
+	if rec := do(t, s, http.MethodGet, runs(false, zero), nil); rec.Code != http.StatusBadRequest {
+		t.Fatalf("read naming a zero run: %d, want 400", rec.Code)
+	}
 	// A body declared past the cap is refused before it is read.
 	r := httptest.NewRequest(http.MethodPut, runs(false, nodeapi.RunRef{Count: 1}), bytes.NewReader(frame(elem, make([]byte, elem))))
 	r.ContentLength = nodeapi.MaxBatchBytes + 1

@@ -63,7 +63,8 @@ func pathKey(r *http.Request) (diskKey, error) {
 // never stored are named in the missing header instead; a batch of which no
 // run is present answers 404.
 func (s *Server) handleReadRuns(w http.ResponseWriter, r *http.Request) {
-	refs, err := nodeapi.ParseRuns(r.URL.Query().Get("runs"), s.cfg.ElemSize)
+	q := r.URL.Query()
+	refs, err := nodeapi.ParseRuns(q.Get("runs"), q.Get("zero"), s.cfg.ElemSize)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -73,7 +74,7 @@ func (s *Server) handleReadRuns(w http.ResponseWriter, r *http.Request) {
 	var missing []int
 	cells := 0
 	for i, ref := range refs {
-		if ref.Count < 1 {
+		if ref.Count < 1 || ref.Zero {
 			http.Error(w, fmt.Sprintf("run %d reads no cells", i), http.StatusBadRequest)
 			return
 		}
@@ -115,12 +116,14 @@ func (s *Server) handleReadRuns(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWriteRuns serves a batch write: the frame's cells, in list order,
-// go to the extents the runs name, and with ?sync=1 every named extent is
+// go to the extents the runs name, each zero run records its cells as zeros
+// with nothing from the frame, and with ?sync=1 every named extent is
 // fsynced before the answer. A run of no cells writes nothing and never
 // creates an extent; its barrier on an extent never stored is a durable
 // no-op.
 func (s *Server) handleWriteRuns(w http.ResponseWriter, r *http.Request) {
-	refs, err := nodeapi.ParseRuns(r.URL.Query().Get("runs"), s.cfg.ElemSize)
+	q := r.URL.Query()
+	refs, err := nodeapi.ParseRuns(q.Get("runs"), q.Get("zero"), s.cfg.ElemSize)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -140,7 +143,9 @@ func (s *Server) handleWriteRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	cells := 0
 	for _, ref := range refs {
-		cells += ref.Count
+		if !ref.Zero {
+			cells += ref.Count
+		}
 	}
 	var data []byte
 	var crcs []uint32
@@ -162,19 +167,22 @@ func (s *Server) handleWriteRuns(w http.ResponseWriter, r *http.Request) {
 		if _, seen := byExtent[k]; !seen {
 			order = append(order, k)
 		}
-		run := store.Run{Disk: ref.Disk, Slot: ref.Slot, Count: ref.Count,
-			Data: data[: ref.Count*es : ref.Count*es], CRCs: crcs[:ref.Count:ref.Count]}
-		data, crcs = data[ref.Count*es:], crcs[ref.Count:]
+		run := store.Run{Disk: ref.Disk, Slot: ref.Slot, Count: ref.Count}
+		if !ref.Zero {
+			run.Data, run.CRCs = data[:ref.Count*es:ref.Count*es], crcs[:ref.Count:ref.Count]
+			data, crcs = data[ref.Count*es:], crcs[ref.Count:]
+		}
 		byExtent[k] = append(byExtent[k], run)
 	}
 	sync := r.URL.Query().Get("sync") == "1"
 	for _, k := range order {
 		runs := byExtent[k]
-		written := 0
+		written, recorded := 0, 0
 		for _, run := range runs {
 			written += len(run.CRCs)
+			recorded += run.Count
 		}
-		ds, err := s.getDisk(k, written > 0)
+		ds, err := s.getDisk(k, recorded > 0)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

@@ -139,7 +139,7 @@ func New(cfg Config) (*Gateway, error) {
 	for grp := 0; grp < cfg.Groups; grp++ {
 		grp := grp
 		st, _, err := store.NewWithCellBackends(cfg.Scheme, cfg.ElemSize,
-			store.CellStoreConfig{Sync: cfg.SyncWrites, Recover: cfg.Recover},
+			store.CellStoreConfig{Sync: cfg.SyncWrites, Recover: cfg.Recover, NodeOf: pm.NodeOf(grp)},
 			func(disk int) (store.CellBackend, error) {
 				return &remoteCell{
 					nc:    g.nodes[pm.Node(grp, disk)],
@@ -157,10 +157,6 @@ func New(cfg Config) (*Gateway, error) {
 		// identical family names, disjoint series (the obs.With contract).
 		st.SetMetrics(store.NewMetrics(reg.With(obs.L("group", strconv.Itoa(grp))), cfg.Scheme.N()))
 		st.SetReadOptions(cfg.Read)
-		if err := st.SetDeviceNodes(pm.NodeOf(grp)); err != nil {
-			g.closeStores()
-			return nil, err
-		}
 	}
 	if g.srv, err = httpd.NewGroups(g.stores, pm.GroupOf, cfg.HTTP); err != nil {
 		g.closeStores()

@@ -136,7 +136,7 @@ func (nc *nodeClient) healthz(timeout time.Duration) bool {
 // The whole single-process store machinery — fan-out runs, hedged reads,
 // degraded replanning, the two-phase commit barrier — drives the cluster
 // through this type. A batch may hold runs of every disk of the group the
-// node serves (store.SetDeviceNodes), and goes out as one request.
+// node serves (store.CellStoreConfig.NodeOf), and goes out as one request.
 type remoteCell struct {
 	nc    *nodeClient
 	group int
@@ -147,27 +147,40 @@ type remoteCell struct {
 func (rc *remoteCell) url(path string) string { return rc.nc.base + path }
 
 // piece is the part of a batch's run one request carries: n cells from the
-// run's from-th.
-type piece struct{ run, from, n int }
+// run's from-th, or a whole zero run of n cells.
+type piece struct {
+	run, from, n int
+	zero         bool
+}
 
 // requests cuts a batch into the requests the node accepts — at most
-// nodeapi.MaxBatchRuns runs and nodeapi.MaxCells cells each, a longer run
-// split across requests — given each run's cell count. A batch that fits,
-// as every seal and every read pass below 64 MiB per node does, is one
-// request.
-func (rc *remoteCell) requests(cells []int) [][]piece {
+// nodeapi.MaxBatchRuns runs and nodeapi.MaxCells payload cells each, a
+// longer run split across requests; a write's zero run ships no cells, so
+// it is never split and fills no room. A batch that fits, as every seal and
+// every read pass below 64 MiB per node does, is one request.
+func (rc *remoteCell) requests(runs []store.Run, write bool) [][]piece {
 	limit := nodeapi.MaxCells(rc.elem)
 	var reqs [][]piece
 	var cur []piece
 	room := limit
-	for i, left := range cells {
-		from := 0
+	for i, r := range runs {
+		if write && r.Zeros() {
+			if len(cur) == nodeapi.MaxBatchRuns {
+				reqs, cur = append(reqs, cur), nil
+			}
+			cur = append(cur, piece{run: i, n: r.Count, zero: true})
+			continue
+		}
+		left, from := r.Count, 0
+		if write {
+			left = len(r.CRCs)
+		}
 		for first := true; first || left > 0; first = false {
 			if len(cur) == nodeapi.MaxBatchRuns || room == 0 && left > 0 {
 				reqs, cur, room = append(reqs, cur), nil, limit
 			}
 			n := min(left, room)
-			cur = append(cur, piece{i, from, n})
+			cur = append(cur, piece{run: i, from: from, n: n})
 			from, left, room = from+n, left-n, room-n
 		}
 	}
@@ -178,7 +191,7 @@ func (rc *remoteCell) requests(cells []int) [][]piece {
 func (rc *remoteCell) path(runs []store.Run, req []piece, sync bool) string {
 	refs := make([]nodeapi.RunRef, len(req))
 	for j, p := range req {
-		refs[j] = nodeapi.RunRef{Group: rc.group, Disk: runs[p.run].Disk, Slot: runs[p.run].Slot + p.from, Count: p.n}
+		refs[j] = nodeapi.RunRef{Group: rc.group, Disk: runs[p.run].Disk, Slot: runs[p.run].Slot + p.from, Count: p.n, Zero: p.zero}
 	}
 	return rc.url(nodeapi.RunsPath(refs, sync))
 }
@@ -187,12 +200,10 @@ func (rc *remoteCell) path(runs []store.Run, req []piece, sync bool) string {
 // alias the reply buffer when one reply carries them all. A request that
 // fails — transport, status, a short or malformed frame — fails its runs.
 func (rc *remoteCell) ReadRuns(runs []store.Run) {
-	cells := make([]int, len(runs))
 	for i := range runs {
 		runs[i].Data, runs[i].CRCs, runs[i].Err = nil, nil, nil
-		cells[i] = runs[i].Count
 	}
-	for _, req := range rc.requests(cells) {
+	for _, req := range rc.requests(runs, false) {
 		if err := rc.readRequest(runs, req); err != nil {
 			rc.nc.errs.Inc()
 			for _, p := range req {
@@ -294,20 +305,20 @@ func (rc *remoteCell) readRequest(runs []store.Run, req []piece) error {
 }
 
 // WriteRuns writes the batch, one request per cut (requests), each frame
-// sent from where the cells lie. With sync every request carries the
-// barrier, so the node fsyncs every extent it names before answering.
+// sent from where the cells lie; zero runs travel in the URL alone. With
+// sync every request carries the barrier, so the node fsyncs every extent it
+// names before answering.
 func (rc *remoteCell) WriteRuns(runs []store.Run, sync bool) error {
 	es := rc.elem
-	cells := make([]int, len(runs))
-	for i := range runs {
-		cells[i] = len(runs[i].CRCs)
-	}
-	for _, req := range rc.requests(cells) {
+	for _, req := range rc.requests(runs, true) {
 		crcs := make([][]uint32, len(req))
 		body := make(net.Buffers, 1, len(req)+1)
 		size := 0
 		for j, p := range req {
 			r := runs[p.run]
+			if p.zero {
+				continue
+			}
 			crcs[j] = r.CRCs[p.from : p.from+p.n]
 			if p.n > 0 {
 				body = append(body, r.Data[p.from*es:(p.from+p.n)*es])

@@ -49,9 +49,11 @@ func TestRemoteCellContract(t *testing.T) {
 	const elem = 64
 	nc := startNode(t, elem, nil)
 	group := 0
-	storetest.TestCellBackend(t, elem, func(t *testing.T) store.CellBackend {
+	storetest.TestCellBackend(t, elem, func(t *testing.T) (store.CellBackend, func() store.CellBackend) {
 		group++
-		return &remoteCell{nc: nc, group: group, disk: 0, elem: elem}
+		g := group
+		open := func() store.CellBackend { return &remoteCell{nc: nc, group: g, disk: 0, elem: elem} }
+		return open(), open
 	})
 }
 
@@ -64,7 +66,7 @@ func TestRemoteCellShortFrame(t *testing.T) {
 	nc := startNode(t, elem, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			q := r.URL.Query()
-			if refs, err := nodeapi.ParseRuns(q.Get("runs"), elem); r.Method == http.MethodGet && err == nil {
+			if refs, err := nodeapi.ParseRuns(q.Get("runs"), q.Get("zero"), elem); r.Method == http.MethodGet && err == nil {
 				for i := range refs {
 					if refs[i].Disk == liar {
 						refs[i].Count = 1
@@ -183,5 +185,26 @@ func TestGatewayCloseClosesNodeConnections(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d of the gateway's node connections still open after Close", left)
 		}
+	}
+}
+
+// TestRemoteCellCutCountsPayloadOnly: a write batch is cut by the payload
+// cells its frames carry. A zero run ships none, so it fills no room and is
+// never split, however many cells it records.
+func TestRemoteCellCutCountsPayloadOnly(t *testing.T) {
+	const elem = 4096
+	limit := nodeapi.MaxCells(elem)
+	rc := &remoteCell{elem: elem}
+	runs := []store.Run{
+		{Count: limit - 1, CRCs: make([]uint32, limit-1)},
+		{Slot: limit - 1, Count: 2 * limit},
+		{Slot: 3*limit - 1, Count: 2, CRCs: make([]uint32, 2)},
+	}
+	want := [][]piece{
+		{{run: 0, n: limit - 1}, {run: 1, n: 2 * limit, zero: true}, {run: 2, n: 1}},
+		{{run: 2, from: 1, n: 1}},
+	}
+	if got := rc.requests(runs, true); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("cut %v, want %v", got, want)
 	}
 }

@@ -17,6 +17,11 @@
 //	12      4*count       per-cell CRC32-C (uint32 LE each)
 //	12+4c   elem*count    cell payloads, concatenated in slot order
 //
+// A write's zero runs — cells zero by construction, which the node records
+// as the all-zero element under its checksum — are named by their indices
+// in a second URL list (&zero=1,4, spelled like MissingHeader) and carry
+// nothing in the frame: neither payload nor checksums.
+//
 // Checksums ride beside the data end to end: the node stores them verbatim
 // and the gateway verifies them, so a torn write on a node disk or a flipped
 // bit on the wire both surface as ErrCorrupt at the store layer, never as
@@ -38,7 +43,8 @@ const runHeaderLen = 12
 
 // MaxBatchBytes bounds one batch's frame (64 MiB), header included: a node
 // refuses a run list or body that would exceed it, so a bad client cannot
-// balloon node memory, and the gateway cuts its batches to fit.
+// balloon node memory, and the gateway cuts its batches to fit. Zero runs
+// ship no frame bytes, so they do not count against it.
 const MaxBatchBytes = 64 << 20
 
 // MaxBatchRuns bounds the run list of one batch.
@@ -113,8 +119,12 @@ func DecodeRun(body []byte, wantElem int) (data []byte, crcs []uint32, err error
 
 // RunRef names one run of a batch: Count cells of the (Group, Disk) extent
 // from Slot. A write may name a run of no cells: it writes nothing, and puts
-// its extent under the batch's barrier.
-type RunRef struct{ Group, Disk, Slot, Count int }
+// its extent under the batch's barrier. A write's Zero run records its Count
+// cells as zeros and carries nothing in the frame.
+type RunRef struct {
+	Group, Disk, Slot, Count int
+	Zero                     bool
+}
 
 // RunsPath is the batch endpoint for a run list: GET reads the runs, PUT
 // writes them from the framed body, and with sync the node fsyncs every
@@ -122,6 +132,9 @@ type RunRef struct{ Group, Disk, Slot, Count int }
 func RunsPath(refs []RunRef, sync bool) string {
 	b := append([]byte(nil), "/cells/runs?runs="...)
 	b = AppendRuns(b, refs)
+	if z := AppendZeros(nil, refs); len(z) > 0 {
+		b = append(append(b, "&zero="...), z...)
+	}
 	if sync {
 		b = append(b, "&sync=1"...)
 	}
@@ -140,23 +153,57 @@ func AppendRuns(b []byte, refs []RunRef) []byte {
 	return b
 }
 
-// ParseRuns parses a run list, rejecting any spelling AppendRuns would not
-// produce (so what it accepts re-encodes byte-identically), more than
-// MaxBatchRuns runs, and more cells of elem bytes than one frame may carry.
-func ParseRuns(list string, elem int) ([]RunRef, error) {
+// AppendZeros appends the indices of refs' zero runs as they travel in the
+// URL: ascending, comma separated; nothing when there are none.
+func AppendZeros(b []byte, refs []RunRef) []byte {
+	var idx []int
+	for i, r := range refs {
+		if r.Zero {
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) == 0 {
+		return b
+	}
+	return appendUints(b, ',', idx...)
+}
+
+// ParseRuns parses a run list and its zero-run list (empty for none),
+// rejecting any spelling AppendRuns and AppendZeros would not produce (so
+// what it accepts re-encodes byte-identically) — a zero list must be
+// strictly ascending, in range, and name no run of no cells — more than
+// MaxBatchRuns runs, and more payload cells of elem bytes than one frame
+// may carry.
+func ParseRuns(list, zero string, elem int) ([]RunRef, error) {
 	fields := strings.Split(list, ",")
 	if len(fields) > MaxBatchRuns {
 		return nil, fmt.Errorf("nodeapi: %d runs, at most %d", len(fields), MaxBatchRuns)
 	}
 	refs := make([]RunRef, len(fields))
-	cells := 0
 	for i, f := range fields {
 		v, ok := uints(f, ".")
 		if !ok || len(v) != 4 {
 			return nil, fmt.Errorf("nodeapi: bad run %q", f)
 		}
 		refs[i] = RunRef{Group: v[0], Disk: v[1], Slot: v[2], Count: v[3]}
-		if cells += v[3]; elem < 1 || cells > MaxCells(elem) {
+	}
+	if zero != "" {
+		idx, ok := uints(zero, ",")
+		for i, x := range idx {
+			if ok = ok && x < len(refs) && (i == 0 || x > idx[i-1]) && refs[x].Count > 0; ok {
+				refs[x].Zero = true
+			}
+		}
+		if !ok {
+			return nil, fmt.Errorf("nodeapi: bad zero-run list %q for %d runs", zero, len(refs))
+		}
+	}
+	cells := 0
+	for _, r := range refs {
+		if r.Zero {
+			continue
+		}
+		if cells += r.Count; elem < 1 || cells > MaxCells(elem) {
 			return nil, fmt.Errorf("nodeapi: batch of %d+ cells of %d bytes exceeds %d bytes", cells, elem, MaxBatchBytes)
 		}
 	}

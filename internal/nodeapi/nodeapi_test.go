@@ -56,12 +56,13 @@ func TestDecodeRunRejectsMalformed(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRun feeds the two things a node parses from the network — a
-// cell-run frame and a batch's run list — arbitrary bytes: neither parser
-// panics, whatever one accepts re-encodes byte-identically, and nothing
-// past the node's bounds is accepted.
+// FuzzDecodeRun feeds the three things a node parses from the network — a
+// cell-run frame, a batch's run list and its zero-run list — arbitrary
+// bytes: no parser panics, whatever one accepts re-encodes byte-identically,
+// and nothing past the node's bounds is accepted: a zero list names only
+// runs of cells, and the frame bound counts payload cells alone.
 func FuzzDecodeRun(f *testing.F) {
-	f.Add(goldenRun, "0.1.0.3,0.4.0.3", uint16(3))
+	f.Add(goldenRun, "0.1.0.3,0.4.0.3", "", uint16(3))
 	for _, frame := range [][]byte{
 		goldenRun[:8],
 		append([]byte("ECRX"), goldenRun[4:]...),
@@ -69,11 +70,16 @@ func FuzzDecodeRun(f *testing.F) {
 		append(append([]byte(nil), goldenRun...), 0),
 		{'E', 'C', 'R', 'N', 3, 0, 0, 0, 0, 0, 0, 0},
 	} {
-		f.Add(frame, "2.1.4.3", uint16(3))
+		f.Add(frame, "2.1.4.3", "", uint16(3))
 	}
-	f.Add(goldenRun, "01.1.1.1,+1.1.1.1", uint16(4))
-	f.Add([]byte{'E', 'C', 'R', 'N', 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}, "0.0.0.4294967295", uint16(1))
-	f.Fuzz(func(t *testing.T, body []byte, list string, elem uint16) {
+	f.Add(goldenRun, "01.1.1.1,+1.1.1.1", "", uint16(4))
+	f.Add([]byte{'E', 'C', 'R', 'N', 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}, "0.0.0.4294967295", "", uint16(1))
+	f.Add(goldenRun, "0.1.0.2,0.1.2.3,0.4.0.0", "1", uint16(3))
+	for _, zero := range []string{"1,1", "1,0", "2", "3", "01", "-1", ",1", "0,"} {
+		f.Add(goldenRun, "0.1.0.2,0.1.2.3,0.4.0.0", zero, uint16(3))
+	}
+	f.Add([]byte(nil), "0.0.0.1000000000,0.0.0.1", "0", uint16(4096))
+	f.Fuzz(func(t *testing.T, body []byte, list, zero string, elem uint16) {
 		e := int(elem)
 		if data, crcs, err := DecodeRun(body, e); err == nil {
 			if len(crcs) < 1 || len(crcs) > MaxCells(e) {
@@ -83,16 +89,24 @@ func FuzzDecodeRun(f *testing.F) {
 				t.Fatalf("frame re-encodes as % x, was % x", again, body)
 			}
 		}
-		if refs, err := ParseRuns(list, e); err == nil {
+		if refs, err := ParseRuns(list, zero, e); err == nil {
 			cells := 0
 			for _, r := range refs {
-				cells += r.Count
+				if r.Zero && r.Count < 1 {
+					t.Fatalf("zero list %q names a run of no cells in %q", zero, list)
+				}
+				if !r.Zero {
+					cells += r.Count
+				}
 			}
 			if len(refs) > MaxBatchRuns || cells > MaxCells(e) {
-				t.Fatalf("accepted %d runs of %d cells of %d bytes", len(refs), cells, e)
+				t.Fatalf("accepted %d runs of %d payload cells of %d bytes", len(refs), cells, e)
 			}
 			if again := string(AppendRuns(nil, refs)); again != list {
 				t.Fatalf("run list re-encodes as %q, was %q", again, list)
+			}
+			if again := string(AppendZeros(nil, refs)); again != zero {
+				t.Fatalf("zero list re-encodes as %q, was %q", again, zero)
 			}
 		}
 	})

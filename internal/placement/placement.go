@@ -64,7 +64,7 @@ func (m *Map) Node(group, disk int) int {
 }
 
 // NodeOf maps every disk of a group to its node index, in disk order — the
-// vector Store.SetDeviceNodes wants.
+// vector store.CellStoreConfig.NodeOf wants.
 func (m *Map) NodeOf(group int) []int {
 	out := make([]int, m.Disks)
 	for d := range out {

@@ -15,6 +15,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"unsafe"
 
@@ -29,9 +30,11 @@ var ErrCellMissing = errors.New("store: cell not present")
 
 // Run is one entry of a batch: Count contiguous cells of device Disk from
 // Slot, flattened into Data (Count*elemSize bytes), with their checksums. A
-// read fills Data and CRCs, or Err; a write hands Data and CRCs (its cell
-// count is len(CRCs)), and may carry no cells at all, to put Disk under the
-// batch's barrier only.
+// read fills Data and CRCs, or Err. A write hands Data and CRCs (its cell
+// count is len(CRCs)); or, as a zero run, only Count: cells that are zero by
+// construction, which the backend records as the all-zero element under its
+// checksum without being handed their bytes; or no cells at all, to put Disk
+// under the batch's barrier only.
 type Run struct {
 	Disk, Slot, Count int
 	Data              []byte
@@ -39,10 +42,18 @@ type Run struct {
 	Err               error
 }
 
+// Zeros reports whether a write run is a zero run: Count cells to record,
+// no payload.
+func (r Run) Zeros() bool { return r.Count > 0 && len(r.CRCs) == 0 && len(r.Data) == 0 }
+
+// zeroChecksum is the checksum every zero-run cell is recorded under: the
+// CRC32-C of elem zero bytes.
+func zeroChecksum(elem int) uint32 { return crc32.Checksum(make([]byte, elem), castagnoli) }
+
 // CellBackend is one disk: cells at the dense slot = stripe*rows + row index,
 // each with the checksum recorded when it was written. The store hands it
 // its runs in batches, one call per node per read pass or seal: the runs of
-// every device SetDeviceNodes maps to the node of the batch's first device
+// every device CellStoreConfig.NodeOf maps to the node of the batch's first device
 // (with no map, of that device alone), so a backend reached over a network
 // serves a batch in one request. A backend holding one extent — MemDisk,
 // DiskStore — is only ever handed its own device's runs. Every slice a
@@ -58,9 +69,11 @@ type CellBackend interface {
 	// not answer), failed.
 	ReadRuns(runs []Run)
 	// WriteRuns stores each run's cells and checksums verbatim — never
-	// recomputed, the store side owns integrity. With sync, every device a
-	// run names is made durable before it returns: the commit barrier of
-	// the two-phase gate, riding on the commit's last write (a no-op in
+	// recomputed, the store side owns integrity — and records each zero
+	// run's cells as the all-zero element under its checksum, which then
+	// read back like any written cell. With sync, every device a run names
+	// is made durable before it returns: the commit barrier of the
+	// two-phase gate, riding on the commit's last write (a no-op in
 	// memory).
 	WriteRuns(runs []Run, sync bool) error
 	// Truncate drops every slot at or above the bound (recovery's torn-tail
@@ -68,7 +81,7 @@ type CellBackend interface {
 	Truncate(slots int) error
 	// Slots returns the exclusive upper bound of occupied slot indices.
 	Slots() int
-	// Elements returns how many slots hold a cell.
+	// Elements returns how many slots hold a cell, zero-run cells included.
 	Elements() int
 	// Close releases the backend's resources (connections, files).
 	Close() error
@@ -90,7 +103,8 @@ type MemDisk struct {
 	mu    sync.RWMutex
 	elem  int
 	cells map[int]memCell
-	bound int // exclusive upper bound of occupied slots
+	bound int     // exclusive upper bound of occupied slots
+	zero  memCell // the one cell every zero-run slot points at
 }
 
 type memCell struct {
@@ -100,7 +114,8 @@ type memCell struct {
 
 // NewMemDisk creates an empty in-memory disk of elemSize-byte cells.
 func NewMemDisk(elemSize int) *MemDisk {
-	return &MemDisk{elem: elemSize, cells: make(map[int]memCell)}
+	return &MemDisk{elem: elemSize, cells: make(map[int]memCell),
+		zero: memCell{make([]byte, elemSize), zeroChecksum(elemSize)}}
 }
 
 func (m *MemDisk) ReadRuns(runs []Run) {
@@ -132,21 +147,34 @@ func (m *MemDisk) readRun(slot, count int) ([]byte, []uint32, error) {
 	return data, crcs, nil
 }
 
-// WriteRuns stores each run; memory has nothing to sync.
+// WriteRuns stores each run, pointing a zero run's slots at the one shared
+// zero cell; memory has nothing to sync.
 func (m *MemDisk) WriteRuns(runs []Run, _ bool) error {
 	for _, r := range runs {
-		if len(r.CRCs) == 0 && len(r.Data) == 0 {
+		cells, own := len(r.CRCs), []byte(nil)
+		switch {
+		case r.Zeros():
+			cells = r.Count
+			if err := checkRun(r.Slot, cells, 0, nil); err != nil {
+				return err
+			}
+		case cells == 0 && len(r.Data) == 0:
 			continue
+		default:
+			if err := checkRun(r.Slot, cells, m.elem, r.Data); err != nil {
+				return err
+			}
+			own = append([]byte(nil), r.Data...)
 		}
-		if err := checkRun(r.Slot, len(r.CRCs), m.elem, r.Data); err != nil {
-			return err
-		}
-		own := append([]byte(nil), r.Data...)
 		m.mu.Lock()
-		for i, crc := range r.CRCs {
-			m.cells[r.Slot+i] = memCell{own[i*m.elem : (i+1)*m.elem : (i+1)*m.elem], crc}
+		for i := 0; i < cells; i++ {
+			c := m.zero
+			if own != nil {
+				c = memCell{own[i*m.elem : (i+1)*m.elem : (i+1)*m.elem], r.CRCs[i]}
+			}
+			m.cells[r.Slot+i] = c
 		}
-		m.bound = max(m.bound, r.Slot+len(r.CRCs))
+		m.bound = max(m.bound, r.Slot+cells)
 		m.mu.Unlock()
 	}
 	return nil
@@ -194,6 +222,17 @@ type CellStoreConfig struct {
 	// write hole, re-sealed through the read executor, and a torn tail is
 	// truncated — the same recovery OpenFileBacked runs over local files.
 	Recover bool
+	// NodeOf, when set, names the placement node that serves each device
+	// (one entry per device), from the first batch on — recovery's
+	// included. The executor then hands each node's runs to its backend as
+	// one batch — a read pass's, a seal's — and the inflight bias fed to
+	// the degraded planner is aggregated per node — every disk of a busy or
+	// slow node carries that node's whole queue depth — because in the
+	// networked regime contention lives at the node (its NIC, its process),
+	// not the individual disk. Every backend must then serve the runs of
+	// every device on its node, as the gateway's node clients do; with no
+	// map each device is its own node.
+	NodeOf []int
 }
 
 // NewWithCellBackends creates a store whose devices are the CellBackends
@@ -204,6 +243,12 @@ func NewWithCellBackends(scheme *core.Scheme, elemSize int, cfg CellStoreConfig,
 	st, err := New(scheme, elemSize)
 	if err != nil {
 		return nil, nil, err
+	}
+	if cfg.NodeOf != nil {
+		if len(cfg.NodeOf) != len(st.devices) {
+			return nil, nil, fmt.Errorf("store: device-node map has %d entries for %d devices", len(cfg.NodeOf), len(st.devices))
+		}
+		st.nodeOf = append([]int(nil), cfg.NodeOf...)
 	}
 	for d, dev := range st.devices {
 		cb, err := open(d)
@@ -235,26 +280,4 @@ func NewWithCellBackends(scheme *core.Scheme, elemSize int, cfg CellStoreConfig,
 	}
 	report.Stripes = st.stripes
 	return st, report, nil
-}
-
-// SetDeviceNodes tells the store which placement node serves each device.
-// The executor then hands each node's runs to its backend as one batch — a
-// read pass's, a seal's — and the inflight bias fed to the degraded planner
-// is aggregated per node — every disk of a busy or slow node carries that
-// node's whole queue depth — because in the networked regime contention
-// lives at the node (its NIC, its process), not the individual disk. Every
-// backend must then serve the runs of every device on its node, as the
-// gateway's node clients do; with no map each device is its own node.
-func (s *Store) SetDeviceNodes(nodeOf []int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if nodeOf == nil {
-		s.nodeOf = nil
-		return nil
-	}
-	if len(nodeOf) != len(s.devices) {
-		return fmt.Errorf("store: device-node map has %d entries for %d devices", len(nodeOf), len(s.devices))
-	}
-	s.nodeOf = append([]int(nil), nodeOf...)
-	return nil
 }

@@ -13,16 +13,22 @@ import (
 func TestCellBackendContract(t *testing.T) {
 	const elem = 64
 	t.Run("mem", func(t *testing.T) {
-		storetest.TestCellBackend(t, elem, func(t *testing.T) store.CellBackend { return store.NewMemDisk(elem) })
+		storetest.TestCellBackend(t, elem, func(t *testing.T) (store.CellBackend, func() store.CellBackend) {
+			md := store.NewMemDisk(elem)
+			return md, func() store.CellBackend { return md }
+		})
 	})
 	t.Run("file", func(t *testing.T) {
-		storetest.TestCellBackend(t, elem, func(t *testing.T) store.CellBackend {
+		storetest.TestCellBackend(t, elem, func(t *testing.T) (store.CellBackend, func() store.CellBackend) {
 			dir := t.TempDir()
-			ds, err := store.OpenFileDisk(filepath.Join(dir, "d.data"), filepath.Join(dir, "d.crc"), elem, store.FileConfig{})
-			if err != nil {
-				t.Fatal(err)
+			open := func() store.CellBackend {
+				ds, err := store.OpenFileDisk(filepath.Join(dir, "d.data"), filepath.Join(dir, "d.crc"), elem, store.FileConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ds
 			}
-			return ds
+			return open(), open
 		})
 	})
 }

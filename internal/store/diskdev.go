@@ -13,7 +13,11 @@
 //
 // A DiskStore is one such pair as a CellBackend. Every cell run is one
 // positioned pread or pwrite of the data file on the calling goroutine (plus
-// a sidecar write for writes), and Sync fsyncs both files. Durability
+// a sidecar write for writes), and Sync fsyncs both files. A zero run — cells
+// zero by construction, the padding of a stripe — writes its sidecar records
+// but leaves a hole in the data file: past the file's end it only extends
+// the file, and only slots below the end are written, with zeros, so the
+// file reads back exactly as if the zeros had been written. Durability
 // discipline maps the store's two-phase gated writes onto
 // write-then-fsync-then-publish: a seal gates every cell, writes every
 // device, fsyncs every touched device, and only then advances the
@@ -121,6 +125,8 @@ type DiskStore struct {
 	crcs    []uint32 // in-memory checksum index, slot-indexed
 	present []bool
 	count   int
+	size    int64  // the data file's actual size, which may pass the index
+	zeroCRC uint32 // the checksum zero-run cells are recorded under
 	direct  bool
 	obs     atomic.Pointer[diskIO] // set by Store.SetMetrics; nil records nothing
 }
@@ -174,7 +180,8 @@ func openFileDisk(dataPath, crcPath string, elemSize int, cfg FileConfig, trunc 
 	if trunc {
 		flags |= os.O_TRUNC
 	}
-	ds := &DiskStore{elem: elemSize, direct: cfg.Direct && oDirectFlag != 0 && elemSize%directAlign == 0}
+	ds := &DiskStore{elem: elemSize, zeroCRC: zeroChecksum(elemSize),
+		direct: cfg.Direct && oDirectFlag != 0 && elemSize%directAlign == 0}
 	var err error
 	if ds.direct {
 		if ds.data, err = os.OpenFile(dataPath, flags|oDirectFlag, 0o644); err != nil {
@@ -209,6 +216,7 @@ func (ds *DiskStore) loadIndex() error {
 	if err != nil {
 		return err
 	}
+	ds.size = dInfo.Size()
 	n := int(min(dInfo.Size()/int64(ds.elem), cInfo.Size()/4))
 	ds.crcs = make([]uint32, n)
 	ds.present = make([]bool, n)
@@ -264,14 +272,18 @@ func (ds *DiskStore) ReadRun(slot, count int) ([]byte, []uint32, error) {
 	return buf, append([]uint32(nil), ds.crcs[slot:slot+count]...), nil
 }
 
-// WriteRuns writes each run that carries cells, then with sync fsyncs the
-// pair.
+// WriteRuns writes each run that carries cells, records each zero run
+// (writeZeros), then with sync fsyncs the pair.
 func (ds *DiskStore) WriteRuns(runs []Run, sync bool) error {
 	for _, r := range runs {
-		if len(r.CRCs) == 0 && len(r.Data) == 0 {
-			continue
+		var err error
+		switch {
+		case r.Zeros():
+			err = ds.writeZeros(r.Slot, r.Count)
+		case len(r.CRCs) > 0 || len(r.Data) > 0:
+			err = ds.WriteRun(r.Slot, r.Data, r.CRCs)
 		}
-		if err := ds.WriteRun(r.Slot, r.Data, r.CRCs); err != nil {
+		if err != nil {
 			return err
 		}
 	}
@@ -279,6 +291,39 @@ func (ds *DiskStore) WriteRuns(runs []Run, sync bool) error {
 		return ds.Sync()
 	}
 	return nil
+}
+
+// writeZeros records count all-zero cells from slot. Slots at or past the
+// data file's end only extend it, leaving a hole; slots below it are
+// overwritten with zeros, so no stale byte survives. The sidecar records the
+// zero checksum for each, as WriteRun records any cell's.
+func (ds *DiskStore) writeZeros(slot, count int) error {
+	if err := checkRun(slot, count, 0, nil); err != nil {
+		return err
+	}
+	crcs := make([]uint32, count)
+	for i := range crcs {
+		crcs[i] = ds.zeroCRC
+	}
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	lo, hi := int64(slot)*int64(ds.elem), int64(slot+count)*int64(ds.elem)
+	if lo < ds.size {
+		o := ds.obs.Load()
+		t := o.start()
+		_, err := ds.data.WriteAt(alignedBytes(int(min(hi, ds.size)-lo)), lo)
+		o.done(opWrite, t)
+		if err != nil {
+			return fmt.Errorf("store: disk zero run [%d,+%d): %w", slot, count, err)
+		}
+	}
+	if hi > ds.size {
+		if err := ds.data.Truncate(hi); err != nil {
+			return fmt.Errorf("store: disk zero run [%d,+%d): %w", slot, count, err)
+		}
+		ds.size = hi
+	}
+	return ds.record(slot, crcs)
 }
 
 // WriteRun writes contiguous slots as one data-file pwrite plus one sidecar
@@ -294,10 +339,6 @@ func (ds *DiskStore) WriteRun(slot int, data []byte, crcs []uint32) error {
 		copy(aligned, data)
 		data = aligned
 	}
-	crcRaw := make([]byte, 4*n)
-	for i, crc := range crcs {
-		binary.LittleEndian.PutUint32(crcRaw[4*i:], crc)
-	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	o := ds.obs.Load()
@@ -306,6 +347,18 @@ func (ds *DiskStore) WriteRun(slot int, data []byte, crcs []uint32) error {
 	o.done(opWrite, t)
 	if err != nil {
 		return fmt.Errorf("store: disk write run [%d,+%d): %w", slot, n, err)
+	}
+	ds.size = max(ds.size, int64(slot+n)*int64(ds.elem))
+	return ds.record(slot, crcs)
+}
+
+// record writes the checksums of the cells from slot to the sidecar and
+// publishes them in the index. Caller holds mu exclusively.
+func (ds *DiskStore) record(slot int, crcs []uint32) error {
+	n := len(crcs)
+	crcRaw := make([]byte, 4*n)
+	for i, crc := range crcs {
+		binary.LittleEndian.PutUint32(crcRaw[4*i:], crc)
 	}
 	if _, err := ds.crcf.WriteAt(crcRaw, int64(slot)*4); err != nil {
 		return fmt.Errorf("store: disk checksum write [%d,+%d): %w", slot, n, err)
@@ -350,6 +403,7 @@ func (ds *DiskStore) Truncate(slots int) error {
 	if err := ds.data.Truncate(int64(slots) * int64(ds.elem)); err != nil {
 		return err
 	}
+	ds.size = int64(slots) * int64(ds.elem)
 	if err := ds.crcf.Truncate(int64(slots) * 4); err != nil {
 		return err
 	}

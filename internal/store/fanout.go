@@ -6,7 +6,7 @@
 // at adjacent on-disk offsets into single runs (one positioning cost instead
 // of one per element — the fault injector charges per run, exactly like a
 // real disk charges per seek), and serves each node's device queues — each
-// device is its own node unless SetDeviceNodes maps them — on its own
+// device is its own node unless CellStoreConfig.NodeOf maps them — on its own
 // worker as one backend call, so a read's latency approaches the *max* of
 // per-node service times rather than their sum, the layout's
 // load-balancing win (PAPER.md §III, Lemma 1) reaches the client, and a
@@ -262,7 +262,7 @@ type devQueue struct {
 // inflightBias snapshots live per-device in-flight run counts for the
 // load-aware planner. It returns nil when every device is idle, so
 // single-threaded callers always get the unbiased (deterministic) planner.
-// When SetDeviceNodes has mapped devices onto placement nodes, counts are
+// When CellStoreConfig.NodeOf maps devices onto placement nodes, counts are
 // aggregated per node: in the networked regime queueing happens at the node,
 // so every disk a busy node serves inherits its whole depth.
 func (s *Store) inflightBias() []int {
@@ -572,7 +572,7 @@ const fanoutInlineBytes = 64 << 10
 
 // runQueues serves every device queue and joins them all (including hedged
 // stragglers) before returning. The queues are grouped by node — the map
-// SetDeviceNodes installs; with none, each device is its own node — and one
+// CellStoreConfig.NodeOf sets; with none, each device is its own node — and one
 // worker serves each node's as one backend call: one request to a data
 // node, one pread per run on a local disk. Inline, the nodes are served one
 // after another on the calling goroutine — same coalescing, same order,

@@ -23,6 +23,7 @@ var maxLoadBuckets = []float64{1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32}
 //
 //	ecfrm_disk_element_reads_total{disk}     element reads served per disk
 //	ecfrm_disk_element_writes_total{disk}    element writes per disk
+//	ecfrm_store_zero_cells_total             zero cells seals recorded without writing
 //	ecfrm_store_reads_total{mode}            completed reads, normal|degraded
 //	ecfrm_store_read_max_disk_load{mode}     histogram of Plan.MaxLoad per read
 //	ecfrm_store_op_retries_total{op}         transient-fault retries, read|write
@@ -50,6 +51,7 @@ type Metrics struct {
 	replans      *obs.Counter
 	heals        *obs.Counter
 	epochInval   *obs.Counter
+	zeros        *obs.Counter
 
 	hedgeFired     *obs.Counter
 	hedgeWon       *obs.Counter
@@ -122,6 +124,8 @@ func NewMetrics(reg *obs.Registry, disks int) *Metrics {
 		"Corrupt cells rebuilt from their group and rewritten in place.")
 	m.epochInval = reg.Counter("ecfrm_store_epoch_invalidations_total",
 		"Mutation-epoch bumps; each invalidates decoded-read caches.")
+	m.zeros = reg.Counter("ecfrm_store_zero_cells_total",
+		"Cells zero by construction (padding, and parity reading only padding) that seals recorded as zero runs instead of writing.")
 	m.hedgeFired = reg.Counter("ecfrm_store_hedge_total",
 		"Hedged-read outcomes: fired (speculation launched), won (hedge beat the primary), cancelled (primary finished first).",
 		obs.L("outcome", "fired"))
@@ -261,6 +265,13 @@ func (m *Metrics) replan() {
 func (m *Metrics) heal() {
 	if m != nil {
 		m.heals.Inc()
+	}
+}
+
+// zeroCells records n cells written as zero runs.
+func (m *Metrics) zeroCells(n int) {
+	if m != nil && n > 0 {
+		m.zeros.Add(int64(n))
 	}
 }
 

@@ -8,14 +8,17 @@ import (
 )
 
 // FuzzDiskRecovery crash-tests the file backend the way FuzzWALReplay
-// crash-tests the log: fill a file-backed store, then model a crash by
+// crash-tests the log: fill a file-backed store — whole stripes, then a
+// padded last stripe of 1..DataPerStripe elements, whose zero cells are
+// holes in the data files — then model a crash by
 // truncating every device's data and checksum files to arbitrary lengths no
 // shorter than a chosen barrier stripe T (the last fsync barrier the crash
 // provably survived — writes before a barrier are durable, writes after may
 // be torn to any extent, including unevenly across devices and between a
 // cell and its sidecar checksum). Reopening must always succeed, keep at
 // least the T durable stripes, serve a byte-identical prefix of the original
-// data, and leave a store a second reopen finds nothing wrong with.
+// data (its padding reading as zeros), and leave a store a second reopen
+// finds nothing wrong with.
 func FuzzDiskRecovery(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint16(0))
 	f.Add(int64(2), uint8(1), uint16(9999))
@@ -33,9 +36,15 @@ func FuzzDiskRecovery(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// data is the sealed extent as reads serve it: the last stripe's
+		// user bytes end at a random element, partly filled, and zeros
+		// follow.
 		data := make([]byte, stripes*stripeBytes)
-		rand.New(rand.NewSource(seed)).Read(data)
-		if err := st.Append(data); err != nil {
+		rng := rand.New(rand.NewSource(seed))
+		rng.Read(data)
+		tail := (stripes-1)*stripeBytes + rng.Intn(sch.DataPerStripe())*testElemSize + 1 + rng.Intn(testElemSize)
+		clear(data[tail:])
+		if err := st.Append(data[:tail]); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Flush(); err != nil {
@@ -47,7 +56,7 @@ func FuzzDiskRecovery(f *testing.F) {
 
 		// Crash: everything up to barrier stripe T is durable; each device's
 		// files independently keep an arbitrary amount of the rest.
-		rng := rand.New(rand.NewSource(seed ^ int64(cutSeed)<<17))
+		rng = rand.New(rand.NewSource(seed ^ int64(cutSeed)<<17))
 		barrier := rng.Intn(stripes + 1)
 		for d := 0; d < sch.N(); d++ {
 			durableData := int64(barrier * rows * testElemSize)

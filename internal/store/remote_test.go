@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -280,22 +281,25 @@ func TestRemoteStoreRecoverRefusesUnreachableDisk(t *testing.T) {
 	}
 }
 
-// TestSetDeviceNodesBias: with a device→node map installed, a busy device
-// inflates the bias of every device on its node.
-func TestSetDeviceNodesBias(t *testing.T) {
+// TestNodeOfBias: with a device→node map configured, a busy device
+// inflates the bias of every device on its node, and a map of the wrong
+// length is refused at construction.
+func TestNodeOfBias(t *testing.T) {
 	scheme := core.MustScheme(rs.Must(4, 2), layout.FormStandard)
-	st := MustNew(scheme, 32)
 	n := scheme.N()
 	nodeOf := make([]int, n)
 	for d := range nodeOf {
 		nodeOf[d] = d % 3 // 3 nodes
 	}
-	if err := st.SetDeviceNodes(nodeOf); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetDeviceNodes(make([]int, n+1)); err == nil {
+	open := func(int) (CellBackend, error) { return NewMemDisk(32), nil }
+	if _, _, err := NewWithCellBackends(scheme, 32, CellStoreConfig{NodeOf: make([]int, n+1)}, open); err == nil {
 		t.Fatal("wrong-length map accepted")
 	}
+	st, _, err := NewWithCellBackends(scheme, 32, CellStoreConfig{NodeOf: nodeOf}, open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 
 	// Simulate inflight load on device 0 (node 0); every node-0 device must
 	// inherit it, others stay zero.
@@ -313,5 +317,60 @@ func TestSetDeviceNodesBias(t *testing.T) {
 		if bias[d] != want {
 			t.Fatalf("bias[%d] = %d, want %d (node %d)", d, bias[d], want, nodeOf[d])
 		}
+	}
+}
+
+// nodeDisk is one device's extent on a node that serves any of the group's
+// devices' runs, and counts each batch it is handed — one request to a data
+// node.
+type nodeDisk struct {
+	*MemDisk // Slots, Elements, Truncate and Close of its own extent
+	disks    []*MemDisk
+	calls    *atomic.Int64
+}
+
+func (nd nodeDisk) ReadRuns(runs []Run) {
+	nd.calls.Add(1)
+	for i := range runs {
+		nd.disks[runs[i].Disk].ReadRuns(runs[i : i+1])
+	}
+}
+
+func (nd nodeDisk) WriteRuns(runs []Run, sync bool) error {
+	nd.calls.Add(1)
+	for i := range runs {
+		if err := nd.disks[runs[i].Disk].WriteRuns(runs[i:i+1], sync); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestRecoverBatchesByNode: the device→node map is in force while recovery
+// runs, so a gateway restart over RS(6,3)/ecfrm on 3 nodes reads each
+// recovered stripe with one request per node — 3, not one per disk (9).
+func TestRecoverBatchesByNode(t *testing.T) {
+	scheme := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	const elem, stripes, nodes = 32, 4, 3
+	nodeOf := make([]int, scheme.N())
+	for d := range nodeOf {
+		nodeOf[d] = d % nodes
+	}
+	st, disks := newRemoteOverDisks(t, scheme, elem, CellStoreConfig{Sync: true})
+	fill(t, st, stripes*scheme.DataPerStripe()*elem, 13)
+	st.Close()
+
+	var calls atomic.Int64
+	st2, rep, err := NewWithCellBackends(scheme, elem, CellStoreConfig{Recover: true, NodeOf: nodeOf},
+		func(d int) (CellBackend, error) { return nodeDisk{disks[d], disks, &calls}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if rep.Stripes != stripes {
+		t.Fatalf("recovered %d stripes, want %d", rep.Stripes, stripes)
+	}
+	if got := calls.Load(); got > nodes*stripes {
+		t.Fatalf("recovering %d stripes over %d nodes took %d backend calls, want at most %d", stripes, nodes, got, nodes*stripes)
 	}
 }

@@ -205,8 +205,8 @@ func barrier(disks []int) []Run {
 	return runs
 }
 
-// byNode groups a batch's runs by the node SetDeviceNodes maps their
-// devices to (each device its own node when no map is set), nodes in order
+// byNode groups a batch's runs by the node CellStoreConfig.NodeOf maps
+// their devices to (each device its own node when no map is set), nodes in order
 // of first appearance and runs in batch order within each.
 func (s *Store) byNode(runs []Run) [][]Run {
 	var groups [][]Run
@@ -240,8 +240,9 @@ func (s *Store) writeRuns(runs []Run, sync bool) error {
 }
 
 // writeBatch writes one node's batch through d's backend and counts each
-// run's cells on its device: the store's device at the run's disk, or d
-// itself for its own disk — a migration's replacement is not installed yet.
+// run's payload cells on its device: the store's device at the run's disk,
+// or d itself for its own disk — a migration's replacement is not installed
+// yet. The cells zero runs record count apart, never as device writes.
 func (s *Store) writeBatch(d *Device, runs []Run, sync bool) error {
 	if err := d.be.WriteRuns(runs, sync); err != nil {
 		disks := make([]int, len(runs))
@@ -250,6 +251,7 @@ func (s *Store) writeBatch(d *Device, runs []Run, sync bool) error {
 		}
 		return fmt.Errorf("%w: devices %v: %v", ErrUnavailable, disks, err)
 	}
+	zeros := 0
 	for _, r := range runs {
 		w := s.devices[r.Disk]
 		if r.Disk == d.id {
@@ -257,7 +259,11 @@ func (s *Store) writeBatch(d *Device, runs []Run, sync bool) error {
 		}
 		w.writes.Add(int64(len(r.CRCs)))
 		w.obsWrites.Add(int64(len(r.CRCs)))
+		if r.Zeros() {
+			zeros += r.Count
+		}
 	}
+	s.Metrics().zeroCells(zeros)
 	return nil
 }
 
@@ -315,8 +321,9 @@ type Store struct {
 	newBackendFn func(d int) (CellBackend, error)
 	closed       bool
 
-	// nodeOf, when set, maps each device to its placement node so
-	// inflightBias aggregates per node (guarded by mu like readOpts).
+	// nodeOf, when set, maps each device to its placement node
+	// (CellStoreConfig.NodeOf): batches go one per node and inflightBias
+	// aggregates per node. Fixed at construction.
 	nodeOf []int
 
 	// Migration staging hooks (file backends; nil means in-memory staging):
@@ -689,7 +696,7 @@ func (s *Store) Flush() error { return s.commit(true) }
 func (s *Store) commit(flush bool, objs ...[]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The barrier rides on the commit's last seal: every seal writes every
+	// The barrier rides on the commit's last seal: every seal names every
 	// device, so its fsync covers the seals before it.
 	total, sb := len(s.pending), s.stripeBytes()
 	for _, data := range objs {
@@ -756,12 +763,17 @@ type sealBufs struct {
 	data, cells, runs [][]byte
 	crcs              [][]uint32
 	zero              []byte // the shared element behind every padding shard
+	// zeroCells holds, per fill (data elements carrying user bytes),
+	// Scheme.ZeroCells(fill): the cells a seal records without writing,
+	// computed by the first seal of that fill.
+	zeroCells [][]bool
 }
 
 func (s *Store) newSealBufs() *sealBufs {
 	n, rows, es := s.scheme.N(), s.rows, s.elemSize
 	sl := &sealBufs{data: make([][]byte, s.scheme.DataPerStripe()), cells: make([][]byte, rows*n),
-		runs: make([][]byte, n), crcs: make([][]uint32, n), zero: make([]byte, es)}
+		runs: make([][]byte, n), crcs: make([][]uint32, n), zero: make([]byte, es),
+		zeroCells: make([][]bool, s.scheme.DataPerStripe()+1)}
 	for col := range sl.runs {
 		sl.runs[col] = alignedBytes(rows * es)
 		sl.crcs[col] = make([]uint32, rows)
@@ -773,10 +785,13 @@ func (s *Store) newSealBufs() *sealBufs {
 }
 
 // seal encodes one stripe from buf — whole elements, at most a stripe's
-// worth; the elements buf lacks are zero — and writes every cell to its
-// device, carrying the fsync barrier when it seals stripe syncAt (the
-// commit's last). Data shards alias buf only while seal runs; devices are
-// handed the store's own runs. Caller holds mu exclusively.
+// worth; the elements buf lacks are zero — and writes every cell that user
+// bytes reach to its device, carrying the fsync barrier when it seals stripe
+// syncAt (the commit's last). The cells that are zero by construction
+// (Scheme.ZeroCells: the padding, and parity reading only padding) are
+// neither encoded, checksummed nor written: each device records them as
+// zero runs. Data shards alias buf only while seal runs; devices are handed
+// the store's own runs. Caller holds mu exclusively.
 func (s *Store) seal(buf []byte) error {
 	if s.sealing == nil {
 		s.sealing = s.newSealBufs()
@@ -784,28 +799,36 @@ func (s *Store) seal(buf []byte) error {
 	sl, es := s.sealing, s.elemSize
 	lay := s.scheme.Layout()
 	n := s.scheme.N()
+	fill := len(buf) / es
+	if sl.zeroCells[fill] == nil {
+		sl.zeroCells[fill] = s.scheme.ZeroCells(fill)
+	}
+	zero := sl.zeroCells[fill]
 	for e := range sl.data {
-		if lo := e * es; lo < len(buf) {
-			sl.data[e] = buf[lo : lo+es]
+		if e < fill {
+			sl.data[e] = buf[e*es : (e+1)*es]
 		} else {
 			sl.data[e] = sl.zero
 		}
 	}
-	if err := s.scheme.EncodeStripeInto(&s.bufs, sl.cells, sl.data); err != nil {
+	if err := s.scheme.EncodeFilledInto(&s.bufs, sl.cells, sl.data, fill); err != nil {
 		return err
 	}
-	for e, shard := range sl.data {
+	for e := 0; e < fill; e++ {
 		pos := lay.DataPos(e)
-		copy(sl.runs[pos.Col][pos.Row*es:], shard)
+		copy(sl.runs[pos.Col][pos.Row*es:], sl.data[e])
 	}
 	for col, run := range sl.runs {
 		for row := range sl.crcs[col] {
-			sl.crcs[col][row] = crc32.Checksum(run[row*es:(row+1)*es], castagnoli)
+			if !zero[row*n+col] {
+				sl.crcs[col][row] = crc32.Checksum(run[row*es:(row+1)*es], castagnoli)
+			}
 		}
 	}
-	// Fault gate every cell write before touching any device: a faulted
-	// seal aborts whole, leaving the pending buffer for a retry instead of a
-	// half-written stripe. Serial, in this order: seeded plans replay.
+	// Fault gate every cell before touching any device, zero cells too: a
+	// faulted seal aborts whole, leaving the pending buffer for a retry
+	// instead of a half-written stripe. Serial, in this order: seeded plans
+	// replay.
 	for col := 0; col < n; col++ {
 		disk := lay.Disk(s.stripes, col)
 		for row := 0; row < s.rows; row++ {
@@ -814,12 +837,25 @@ func (s *Store) seal(buf []byte) error {
 			}
 		}
 	}
-	// Each device's share of the stripe is rows contiguous slots: one run
-	// (a single pwrite on file backends), one batch per node, all nodes at
-	// once. The stripe counter advances only if every write succeeded.
-	runs := make([]Run, n)
-	for col := range runs {
-		runs[col] = s.cellRun(lay.Disk(s.stripes, col), cellKey{s.stripes, layout.Pos{Row: 0, Col: col}}, sl.runs[col], sl.crcs[col])
+	// Each device's share of the stripe is rows contiguous slots, cut into
+	// alternating payload runs (a single pwrite each on file backends) and
+	// zero runs; one batch per node, all nodes at once. The stripe counter
+	// advances only if every write succeeded.
+	runs := make([]Run, 0, 2*n)
+	for col := 0; col < n; col++ {
+		disk := lay.Disk(s.stripes, col)
+		for row := 0; row < s.rows; {
+			end := row + 1
+			for end < s.rows && zero[end*n+col] == zero[row*n+col] {
+				end++
+			}
+			r := Run{Disk: disk, Slot: s.stripes*s.rows + row, Count: end - row}
+			if !zero[row*n+col] {
+				r.Data, r.CRCs = sl.runs[col][row*es:end*es], sl.crcs[col][row:end]
+			}
+			runs = append(runs, r)
+			row = end
+		}
 	}
 	sync := s.fsync && s.stripes == s.syncAt
 	start := time.Now()

@@ -19,12 +19,22 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // TestCellBackend runs the contract cases against fresh empty backends of
 // elem-byte cells, one per case, from open. Every batch names device 0: the
-// backend open returns holds that device's extent.
-func TestCellBackend(t *testing.T, elem int, open func(t *testing.T) store.CellBackend) {
+// backend open returns holds that device's extent. Its reopen, called once
+// that backend is closed, returns a backend over the same stored extent —
+// what a restarted process finds.
+func TestCellBackend(t *testing.T, elem int, open func(t *testing.T) (cb store.CellBackend, reopen func() store.CellBackend)) {
 	cell := func(b byte) []byte { return bytes.Repeat([]byte{b}, elem) }
 	sum := func(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 	runOf := func(slot int, data []byte, crcs ...uint32) store.Run {
 		return store.Run{Slot: slot, Count: len(crcs), Data: data, CRCs: crcs}
+	}
+	zeroRun := func(slot, count int) store.Run { return store.Run{Slot: slot, Count: count} }
+	zeroSum := sum(cell(0))
+	batch := func(t *testing.T, cb store.CellBackend, sync bool, runs ...store.Run) {
+		t.Helper()
+		if err := cb.WriteRuns(runs, sync); err != nil {
+			t.Fatalf("WriteRuns(%d runs): %v", len(runs), err)
+		}
 	}
 	write := func(t *testing.T, cb store.CellBackend, slot int, data []byte, crcs ...uint32) {
 		t.Helper()
@@ -50,9 +60,26 @@ func TestCellBackend(t *testing.T, elem int, open func(t *testing.T) store.CellB
 		}
 		return data, crcs
 	}
+	// holds checks what slots [slot, slot+len(want)) read back: each cell's
+	// bytes and the checksum recorded for them.
+	holds := func(t *testing.T, cb store.CellBackend, slot int, want ...[]byte) {
+		t.Helper()
+		data, crcs := read(t, cb, slot, len(want))
+		for i, w := range want {
+			if !bytes.Equal(data[i*elem:(i+1)*elem], w) || crcs[i] != sum(w) {
+				t.Fatalf("slot %d holds the wrong cell or checksum (%#x)", slot+i, crcs[i])
+			}
+		}
+	}
+	geometry := func(t *testing.T, cb store.CellBackend, slots, elements int) {
+		t.Helper()
+		if s, e := cb.Slots(), cb.Elements(); s != slots || e != elements {
+			t.Fatalf("Slots %d, Elements %d; want %d and %d", s, e, slots, elements)
+		}
+	}
 	run := func(name string, body func(t *testing.T, cb store.CellBackend)) {
 		t.Run(name, func(t *testing.T) {
-			cb := open(t)
+			cb, _ := open(t)
 			defer cb.Close()
 			body(t, cb)
 		})
@@ -154,6 +181,49 @@ func TestCellBackend(t *testing.T, elem int, open func(t *testing.T) store.CellB
 		if !bytes.Equal(runs[2].Data, append(cell(1), cell(2)...)) {
 			t.Fatal("scribbling one run's cells changed another's")
 		}
+	})
+
+	run("a zero run reads back as zeros under the zero checksum", func(t *testing.T, cb store.CellBackend) {
+		batch(t, cb, false, zeroRun(2, 3))
+		holds(t, cb, 2, cell(0), cell(0), cell(0))
+		if _, crcs := read(t, cb, 3, 1); crcs[0] != zeroSum {
+			t.Fatalf("zero cell recorded under %#x, want %#x", crcs[0], zeroSum)
+		}
+		geometry(t, cb, 5, 3) // Elements counts zero cells
+		if err := readErr(cb, 1, 2); !errors.Is(err, store.ErrCellMissing) {
+			t.Fatalf("slot below a zero run: %v, want ErrCellMissing", err)
+		}
+	})
+
+	run("a zero run over a written slot reads zeros, not the stale cell", func(t *testing.T, cb store.CellBackend) {
+		write(t, cb, 0, bytes.Join([][]byte{cell(1), cell(2), cell(3)}, nil), sum(cell(1)), sum(cell(2)), sum(cell(3)))
+		batch(t, cb, true, zeroRun(1, 1))
+		holds(t, cb, 0, cell(1), cell(0), cell(3))
+		geometry(t, cb, 3, 3)
+	})
+
+	t.Run("a trailing zero run past the end survives reopen", func(t *testing.T) {
+		cb, reopen := open(t)
+		write(t, cb, 0, cell(4), sum(cell(4)))
+		batch(t, cb, true, zeroRun(1, 3))
+		if err := cb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cb = reopen()
+		defer cb.Close()
+		geometry(t, cb, 4, 4)
+		holds(t, cb, 0, cell(4), cell(0), cell(0), cell(0))
+	})
+
+	run("one batch mixes payload, zero and barrier-only runs", func(t *testing.T, cb store.CellBackend) {
+		batch(t, cb, true,
+			runOf(0, cell(1), sum(cell(1))),
+			zeroRun(1, 2),
+			store.Run{},
+			runOf(3, append(cell(2), cell(3)...), sum(cell(2)), sum(cell(3))),
+			zeroRun(5, 1))
+		geometry(t, cb, 6, 6)
+		holds(t, cb, 0, cell(1), cell(0), cell(0), cell(2), cell(3), cell(0))
 	})
 
 	run("concurrent runs on distinct slots", func(t *testing.T, cb store.CellBackend) {

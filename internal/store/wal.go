@@ -2,10 +2,13 @@
 // many small synchronous appends into few full-stripe seals.
 //
 // The store's Append/Flush path is correct but brutal for small objects: each
-// object pays a whole-stripe encode and a whole-group device write (every
-// cell of every row), so a 4 KiB object on an RS(6,3) ecfrm layout writes 27
-// cells where packing would amortize it to ~1.5. The WAL fixes the write
-// amplification and the serialization at once:
+// object seals a stripe of its own and pays its own fsync barrier. A seal
+// writes only the cells user bytes reach — a 4 KiB object on an RS(6,3)
+// ecfrm layout writes 4 of the stripe's 27 cells, its element and its
+// group's three parities, and records the other 23 as zero runs — but the
+// whole stripe's space is spent, where packing would amortize the object to
+// ~1.5 cells. The WAL fixes the space amplification and the serialization at
+// once:
 //
 //   - Put queues the object — the caller's buffer itself, borrowed, not a
 //     copy — and blocks on a per-object ack. Many goroutines enqueue

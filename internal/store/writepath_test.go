@@ -9,6 +9,13 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/codes"
+	"repro/internal/core"
+	"repro/internal/layout"
+	"repro/internal/lrc"
+	"repro/internal/obs"
+	"repro/internal/rs"
 )
 
 // scribble overwrites b with a pattern no test payload contains.
@@ -240,5 +247,58 @@ func TestWALPutAllocatesLessThanObject(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	if per := (m1.TotalAlloc - m0.TotalAlloc) / puts; per > uint64(len(obj)) {
 		t.Fatalf("a put of %d bytes allocates %d; want at most the object's size", len(obj), per)
+	}
+}
+
+// TestSealElidesZeroCells pins what a lone object of s = 1..20 elements —
+// the benchmark's object set — costs its devices, per set: LRC(6,2,2) and
+// RS(6,3) under ecfrm write 375 and 342 cells of the 1,000 and 594 their
+// stripes hold. Every cell is still recorded — element writes plus zero
+// cells make up the full stripes — and each object reads back, healthy and
+// degraded around a device that wrote nothing, from stripes that scrub
+// clean.
+func TestSealElidesZeroCells(t *testing.T) {
+	const elem = 64
+	for _, tc := range []struct {
+		code            codes.Code
+		writes, records int
+	}{
+		{lrc.Must(6, 2, 2), 375, 1000},
+		{rs.Must(6, 3), 342, 594},
+	} {
+		scheme := core.MustScheme(tc.code, layout.FormECFRM)
+		writes, records, zeros := 0, 0, int64(0)
+		for size := 1; size <= 20; size++ {
+			st := MustNew(scheme, elem)
+			m := NewMetrics(obs.NewRegistry(), scheme.N())
+			st.SetMetrics(m)
+			obj := fill(t, st, size*elem, int64(size))
+			if err := st.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			idle := -1
+			for d := 0; d < scheme.N(); d++ {
+				dev := st.Device(d)
+				writes += dev.Writes()
+				records += dev.Elements()
+				if dev.Writes() == 0 && idle < 0 {
+					idle = d
+				}
+			}
+			zeros += m.zeros.Value()
+			if bad, err := st.Scrub(); err != nil || len(bad) > 0 {
+				t.Fatalf("%s, %d elements: scrub found %v (%v)", scheme.Name(), size, bad, err)
+			}
+			if idle >= 0 {
+				st.FailDisk(idle)
+			}
+			if res, err := st.ReadAt(0, len(obj)); err != nil || !bytes.Equal(res.Data, obj) {
+				t.Fatalf("%s, %d elements: read back with disk %d failed: %v", scheme.Name(), size, idle, err)
+			}
+		}
+		if writes != tc.writes || records != tc.records || int64(records-writes) != zeros {
+			t.Fatalf("%s: the set wrote %d cells and recorded %d (%d counted zero); want %d and %d",
+				scheme.Name(), writes, records, zeros, tc.writes, tc.records)
+		}
 	}
 }

@@ -9,7 +9,9 @@
 #   1. a concurrent PUT burst lands and every object GETs back byte-identical,
 #   1b. in a quiet phase the wire count holds, from the nodes' own metrics:
 #      one request per node per single-stripe PUT (write and fsync ride
-#      together, 9 fsyncs each) and per GET,
+#      together, 9 fsyncs each) and per GET; and from the gateway's, each
+#      60,000-byte PUT ships its 24 cells that user bytes reach (15 data, 9
+#      parity: 98,304 bytes) and none of the stripe's 3 padding cells,
 #   2. hedged GETs under an injected slow-device fault plan fire the hedge
 #      counters (ecfrm_store_hedge_total{...outcome="fired"}),
 #   3. SIGKILLing one node mid-traffic loses ZERO reads: every in-flight and
@@ -142,6 +144,9 @@ node_sum() { # node_sum <family> — its samples summed over the three nodes
         curl -fsS "http://127.0.0.1:$port/metrics"
     done | awk -v f="$1" '$1 == f || index($1, f "{") == 1 { s += $NF } END { printf "%d\n", s }'
 }
+gw_sum() { # gw_sum <family> — its samples summed over the gateway's series
+    gw /metrics | awk -v f="$1" '$1 == f || index($1, f "{") == 1 { s += $NF } END { printf "%d\n", s }'
+}
 wire_check() { # wire_check <what> <got> <op> <want>
     [ "$2" "$3" "$4" ] || {
         echo "cluster-smoke: $1: $2, want $3 $4" >&2
@@ -152,6 +157,7 @@ echo "cluster-smoke: quiet phase — node requests per PUT and per GET"
 QUIET=5
 reqs0=$(node_sum ecfrm_node_request_seconds_count)
 syncs0=$(node_sum ecfrm_node_syncs_total)
+shipped0=$(gw_sum ecfrm_gateway_node_write_bytes_total)
 i=0
 while [ "$i" -lt "$QUIET" ]; do
     head -c 60000 /dev/urandom >"$TMP/quiet-$i.bin" # 15 of a stripe's 6 × 3 elements
@@ -160,6 +166,7 @@ while [ "$i" -lt "$QUIET" ]; do
 done
 reqs1=$(node_sum ecfrm_node_request_seconds_count)
 syncs1=$(node_sum ecfrm_node_syncs_total)
+shipped1=$(gw_sum ecfrm_gateway_node_write_bytes_total)
 # Hedged reads send each run on its own (a run races its own rebuild), so the
 # count is taken unhedged.
 i=0
@@ -174,8 +181,9 @@ done
 reqs2=$(node_sum ecfrm_node_request_seconds_count)
 wire_check "node requests for $QUIET PUTs" $((reqs1 - reqs0)) -le $((3 * QUIET))
 wire_check "fsyncs for $QUIET PUTs" $((syncs1 - syncs0)) -eq $((9 * QUIET))
+wire_check "cell bytes shipped for $QUIET PUTs" $((shipped1 - shipped0)) -eq $((24 * 4096 * QUIET))
 wire_check "node requests for $QUIET GETs" $((reqs2 - reqs1)) -le $((3 * QUIET))
-echo "cluster-smoke: $QUIET PUTs took $((reqs1 - reqs0)) node requests and $((syncs1 - syncs0)) fsyncs, $QUIET GETs $((reqs2 - reqs1)) requests"
+echo "cluster-smoke: $QUIET PUTs took $((reqs1 - reqs0)) node requests, $((syncs1 - syncs0)) fsyncs and $((shipped1 - shipped0)) cell bytes, $QUIET GETs $((reqs2 - reqs1)) requests"
 
 # --- 2. hedge activity under an injected slow device -------------------------
 cat >"$TMP/plan.json" <<'EOF'

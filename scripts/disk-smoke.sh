@@ -7,6 +7,10 @@
 # reads back byte-identical, then SIGKILLs the daemon mid-life (no drain, no
 # manifest write) and restarts it on the same directory, asserting that:
 #
+#   0. before the crash, every cell of every sealed stripe was recorded —
+#      50 per stripe for the default LRC(6,2,2), counted as element writes
+#      plus zero cells — and the padding was never written: element writes
+#      alone fall short of it,
 #   1. startup recovery reports the sealed extent (the log line and
 #      /admin/status agree on a nonzero stripe count),
 #   2. /admin/scrub finds every recovered stripe parity-consistent, reading
@@ -75,6 +79,12 @@ echo "disk-smoke: starting on :$PORT (-backend=file, $DATA)"
 PID=$!
 wait_up
 
+metric_sum() { # metric_sum <family> — its samples summed over every series
+    fetch /metrics | awk -v f="$1" '$1 == f || index($1, f "{") == 1 { s += $NF } END { printf "%d\n", s }'
+}
+WRITES0=$(metric_sum ecfrm_disk_element_writes_total)
+ZEROS0=$(metric_sum ecfrm_store_zero_cells_total)
+
 # Concurrent burst of small PUTs, each 2000 bytes of deterministic junk.
 echo "disk-smoke: $PUTS concurrent small PUTs"
 i=0
@@ -111,6 +121,18 @@ done
 STRIPES_BEFORE=$(fetch /admin/status | sed -n 's/.*"stripes":\([0-9]*\).*/\1/p')
 if [ -z "$STRIPES_BEFORE" ] || [ "$STRIPES_BEFORE" -eq 0 ]; then
     echo "disk-smoke: no stripes sealed before crash" >&2
+    exit 1
+fi
+
+WRITES=$(($(metric_sum ecfrm_disk_element_writes_total) - WRITES0))
+ZEROS=$(($(metric_sum ecfrm_store_zero_cells_total) - ZEROS0))
+echo "disk-smoke: $STRIPES_BEFORE stripes sealed: $WRITES element writes, $ZEROS zero cells"
+if [ $((WRITES + ZEROS)) -ne $((50 * STRIPES_BEFORE)) ]; then
+    echo "disk-smoke: element writes + zero cells = $((WRITES + ZEROS)), want 50 per stripe ($((50 * STRIPES_BEFORE)))" >&2
+    exit 1
+fi
+if [ "$WRITES" -ge $((50 * STRIPES_BEFORE)) ]; then
+    echo "disk-smoke: $WRITES element writes for $STRIPES_BEFORE stripes: padding was written" >&2
     exit 1
 fi
 
