@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/layout"
-	"repro/internal/store"
 )
 
 // FuzzStoreRoundTrip drives the full write → fail → degraded-read path with
@@ -119,14 +118,14 @@ func FuzzPlannerNeverTouchesFailedDisks(f *testing.F) {
 			rangeCells = append(rangeCells, Access{Stripe: x / dps, Pos: lay.DataPos(x % dps)})
 		}
 		plan, err := scheme.PlanDegradedRead(start, count, failed)
-		checkPlan(t, scheme, rangeCells, failed, plan, err)
+		checkPlan(t, code, scheme, rangeCells, failed, plan, err)
 
 		stripe := start / dps
 		for row := 0; row < rows; row++ {
 			diskCells = append(diskCells, Access{Stripe: stripe, Pos: Pos{Row: row, Col: lay.Col(stripe, failed[0])}})
 		}
 		plan, err = scheme.PlanCells(diskCells, failed, nil)
-		checkPlan(t, scheme, diskCells, failed, plan, err)
+		checkPlan(t, code, scheme, diskCells, failed, plan, err)
 
 		dev := (failed[1] + 1) % n
 		if dev == failed[0] {
@@ -137,7 +136,7 @@ func FuzzPlannerNeverTouchesFailedDisks(f *testing.F) {
 		}
 		avoid := append([]int{dev}, failed...)
 		plan, err = scheme.PlanCells(runCells, avoid, nil)
-		checkPlan(t, scheme, runCells, avoid, plan, err)
+		checkPlan(t, code, scheme, runCells, avoid, plan, err)
 	})
 }
 
@@ -145,7 +144,7 @@ func FuzzPlannerNeverTouchesFailedDisks(f *testing.F) {
 // was plannable (within LRC(6,2,2)'s tolerance), reads no avoided disk,
 // reads every target on a surviving disk directly, and reads, for every
 // other target, a usable recovery set of its group or every survivor.
-func checkPlan(t *testing.T, scheme *Scheme, targets []Access, avoid []int, plan *Plan, err error) {
+func checkPlan(t *testing.T, code Code, scheme *Scheme, targets []Access, avoid []int, plan *Plan, err error) {
 	t.Helper()
 	if errors.Is(err, core.ErrUnrecoverable) {
 		t.Fatalf("%d avoided disks must always be plannable: %v", len(avoid), err)
@@ -153,7 +152,7 @@ func checkPlan(t *testing.T, scheme *Scheme, targets []Access, avoid []int, plan
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, lay := scheme.Code(), scheme.Layout()
+	lay := scheme.Layout()
 	isAvoided := make(map[int]bool)
 	for _, d := range avoid {
 		isAvoided[d] = true
@@ -213,55 +212,4 @@ func checkPlan(t *testing.T, scheme *Scheme, targets []Access, avoid []int, plan
 				tg, cell.Group, cell.Element, avoid)
 		}
 	}
-}
-
-// FuzzStoreWriteAt exercises the small-write path against a shadow copy.
-func FuzzStoreWriteAt(f *testing.F) {
-	f.Add(uint16(0), []byte("0123456789abcdef0123456789abcdef"))
-	f.Add(uint16(3), bytes.Repeat([]byte{7}, 64))
-	f.Fuzz(func(t *testing.T, elem16 uint16, upd []byte) {
-		const elemSize = 32
-		if len(upd) == 0 || len(upd)%elemSize != 0 || len(upd) > 8*elemSize {
-			return
-		}
-		code, err := NewRS(6, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scheme, err := NewScheme(code, FormECFRM)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := NewStore(scheme, elemSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 3 * scheme.DataPerStripe() * elemSize
-		shadow := make([]byte, total)
-		for i := range shadow {
-			shadow[i] = byte(i * 31)
-		}
-		if err := st.Append(shadow); err != nil {
-			t.Fatal(err)
-		}
-		maxStart := total/elemSize - len(upd)/elemSize
-		off := int64(int(elem16)%(maxStart+1)) * elemSize
-		if err := st.WriteAt(off, upd); err != nil {
-			if errors.Is(err, store.ErrRange) {
-				return
-			}
-			t.Fatal(err)
-		}
-		copy(shadow[off:], upd)
-		res, err := st.ReadAt(0, total)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(res.Data, shadow) {
-			t.Fatal("store diverged from shadow after WriteAt")
-		}
-		if bad, err := st.Scrub(); err != nil || bad != nil {
-			t.Fatalf("scrub after WriteAt: %v %v", bad, err)
-		}
-	})
 }

@@ -20,7 +20,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"repro/internal/gf"
 	"repro/internal/matrix"
 )
 
@@ -62,12 +61,6 @@ type Code interface {
 	// consists of surviving element indices that suffice to rebuild idx.
 	// At least one set is always returned for a valid code.
 	RecoverySets(idx int) [][]int
-	// ApplyDelta folds an in-place update of data element elem into the
-	// parity shards: given delta = newData XOR oldData, each parity shard
-	// p becomes p + coeff(p, elem)·delta. This is the classic
-	// read-modify-write small-write path: the data disks other than elem
-	// are never touched.
-	ApplyDelta(parity [][]byte, elem int, delta []byte) error
 	// EncodeInto is Encode writing the parity into caller-provided cells —
 	// the zero-allocation encode path.
 	EncodeInto(parity, data [][]byte) error
@@ -437,26 +430,6 @@ func (b *Base) ReconstructElementsInto(shards [][]byte, targets []int, alloc All
 	coeff.MulVec(sc.out, sc.availShards)
 	for i, t := range missing {
 		shards[t] = sc.out[i]
-	}
-	return nil
-}
-
-// ApplyDelta updates the n-k parity shards for an in-place change of data
-// element elem, where delta is newData XOR oldData.
-func (b *Base) ApplyDelta(parity [][]byte, elem int, delta []byte) error {
-	if len(parity) != b.n-b.k {
-		return fmt.Errorf("%w: got %d parity shards, want %d", ErrShardSize, len(parity), b.n-b.k)
-	}
-	if elem < 0 || elem >= b.k {
-		return fmt.Errorf("%w: data element %d out of [0,%d)", ErrShardSize, elem, b.k)
-	}
-	for t, p := range parity {
-		if len(p) != len(delta) {
-			return fmt.Errorf("%w: parity %d has %d bytes, delta %d", ErrShardSize, t, len(p), len(delta))
-		}
-	}
-	for t, p := range parity {
-		gf.MulAddSlice(b.gen.At(b.k+t, elem), p, delta)
 	}
 	return nil
 }

@@ -129,7 +129,7 @@ func TestDeclaredToleranceMatchesOracle(t *testing.T) {
 		cs = append(cs, c.(generatorCode))
 	}
 	for _, p := range [][2]int{{6, 3}, {8, 4}, {10, 5}, {3, 1}, {2, 2}, {5, 4}, {4, 2}} {
-		cs = append(cs, rs.Must(p[0], p[1]))
+		cs = append(cs, mustRS(p[0], p[1]))
 	}
 	for _, p := range [][3]int{{6, 2, 2}, {8, 2, 3}, {10, 2, 4}, {4, 2, 2}, {9, 3, 2}, {12, 3, 3}, {8, 4, 2}, {12, 4, 3}} {
 		c := lrc.Must(p[0], p[1], p[2])
@@ -161,7 +161,7 @@ func TestCanRecoverMatchesSpanSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []generatorCode{rs.Must(6, 3), lrc.Must(6, 2, 2), lrc.Must(8, 4, 2)} {
+	for _, c := range []generatorCode{mustRS(6, 3), lrc.Must(6, 2, 2), lrc.Must(8, 4, 2)} {
 		checkCanRecover(t, c.Name(), c.Generator(), c)
 	}
 	checkCanRecover(t, "duplicated-parity", dup, dupCode)
@@ -181,4 +181,13 @@ func checkCanRecover(t *testing.T, name string, gen *matrix.Matrix, c interface{
 			t.Fatalf("%s: CanRecover(%v) = %v, want %v", name, erased, got, want)
 		}
 	}
+}
+
+// mustRS is rs.New for parameters the test knows are valid.
+func mustRS(k, m int) *rs.Code {
+	c, err := rs.New(k, m)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

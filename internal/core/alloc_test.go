@@ -27,7 +27,7 @@ func makeStripeData(s *Scheme, size int, seed int64) [][]byte {
 // layouts.
 func TestIntoPathsMatchAllocatingPaths(t *testing.T) {
 	const size = 96
-	codesUnder := []codes.Code{rs.Must(6, 3), lrc.Must(6, 2, 2)}
+	codesUnder := []codes.Code{mustRS(6, 3), lrc.Must(6, 2, 2)}
 	for _, c := range codesUnder {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormECFRM} {
 			s := MustScheme(c, form)
@@ -81,7 +81,7 @@ func TestIntoPathsMatchAllocatingPaths(t *testing.T) {
 // paths allocate nothing once the Buffers arena and scratch pools are warm —
 // the regression gate for the zero-allocation hot path.
 func TestZeroAllocSteadyState(t *testing.T) {
-	checkZeroAllocSteadyState(t, rs.Must(6, 3), lrc.Must(6, 2, 2))
+	checkZeroAllocSteadyState(t, mustRS(6, 3), lrc.Must(6, 2, 2))
 }
 
 // checkZeroAllocSteadyState warms each code's ECFRM scheme, then asserts its
@@ -164,7 +164,7 @@ func TestBuffersRecycle(t *testing.T) {
 
 func BenchmarkEncodeStripePooled(b *testing.B) {
 	const size = 64 << 10
-	s := MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	s := MustScheme(mustRS(6, 3), layout.FormECFRM)
 	var bufs Buffers
 	data := makeStripeData(s, size, 1)
 	cells := make([][]byte, s.CellsPerStripe())
@@ -183,7 +183,7 @@ func BenchmarkEncodeStripePooled(b *testing.B) {
 
 func BenchmarkReconstructStripePooled(b *testing.B) {
 	const size = 64 << 10
-	s := MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	s := MustScheme(mustRS(6, 3), layout.FormECFRM)
 	var bufs Buffers
 	data := makeStripeData(s, size, 2)
 	cells := make([][]byte, s.CellsPerStripe())
@@ -203,4 +203,13 @@ func BenchmarkReconstructStripePooled(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// mustRS is rs.New for parameters the test knows are valid.
+func mustRS(k, m int) *rs.Code {
+	c, err := rs.New(k, m)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/lrc"
-	"repro/internal/rs"
 
 	"repro/internal/layout"
 )
@@ -47,7 +46,7 @@ func TestPlanDegradedReadBiasedNilMatchesUnbiased(t *testing.T) {
 // failed disks and reads the same number of elements per rebuilt target.
 func TestPlanDegradedReadBiasedSteersAwayFromBusyDisk(t *testing.T) {
 	for _, s := range []*Scheme{
-		MustScheme(rs.Must(6, 3), layout.FormECFRM),
+		MustScheme(mustRS(6, 3), layout.FormECFRM),
 		MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM),
 	} {
 		failed := []int{0}
@@ -86,7 +85,7 @@ func TestPlanDegradedReadBiasedSteersAwayFromBusyDisk(t *testing.T) {
 // TestPlanDegradedReadBiasedValidation: a bias of the wrong length is a bad
 // request, not a silent truncation.
 func TestPlanDegradedReadBiasedValidation(t *testing.T) {
-	s := MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	s := MustScheme(mustRS(6, 3), layout.FormECFRM)
 	if _, err := s.PlanDegradedReadBiased(0, 1, []int{1}, []int{1, 2}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("short bias: err = %v, want ErrBadRequest", err)
 	}

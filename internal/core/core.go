@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/codes"
-	"repro/internal/gf"
 	"repro/internal/layout"
 )
 
@@ -80,9 +79,6 @@ func (s *Scheme) Name() string {
 		return s.lay.Name() + "-" + s.code.Name()
 	}
 }
-
-// Code returns the candidate code.
-func (s *Scheme) Code() codes.Code { return s.code }
 
 // Layout returns the stripe layout.
 func (s *Scheme) Layout() layout.Layout { return s.lay }
@@ -315,46 +311,6 @@ func (s *Scheme) RebuildCellInto(bufs *Buffers, cells [][]byte, pos layout.Pos) 
 	}
 	cells[idx] = group[c.Element]
 	return cells[idx], nil
-}
-
-// UpdateData overwrites the in-stripe data element e with newData and folds
-// the change into the group's parity cells via the candidate code's delta
-// path (read-modify-write small write). Only e's cell and its group's n-k
-// parity cells change; the updated cell indices are returned so callers can
-// account the write I/O. The old cell and every parity cell of the group
-// must be present (non-nil).
-func (s *Scheme) UpdateData(cells [][]byte, e int, newData []byte) ([]int, error) {
-	if len(cells) != s.CellsPerStripe() {
-		return nil, fmt.Errorf("%w: got %d cells, want %d", ErrBadRequest, len(cells), s.CellsPerStripe())
-	}
-	pos := s.lay.DataPos(e)
-	idx := s.cellIndex(pos)
-	old := cells[idx]
-	if old == nil {
-		return nil, fmt.Errorf("%w: element %d not present for update", ErrBadRequest, e)
-	}
-	if len(newData) != len(old) {
-		return nil, fmt.Errorf("%w: new data %d bytes, cell holds %d", ErrBadRequest, len(newData), len(old))
-	}
-	delta := make([]byte, len(old))
-	gf.XorSlice(delta, old, newData)
-	c := s.lay.CellAt(pos)
-	k, n := s.code.K(), s.code.N()
-	parity := make([][]byte, n-k)
-	touched := []int{idx}
-	for t := k; t < n; t++ {
-		pIdx := s.cellIndex(s.lay.GroupCell(c.Group, t))
-		if cells[pIdx] == nil {
-			return nil, fmt.Errorf("%w: parity cell of group %d missing for update", ErrBadRequest, c.Group)
-		}
-		parity[t-k] = cells[pIdx]
-		touched = append(touched, pIdx)
-	}
-	if err := s.code.ApplyDelta(parity, c.Element, delta); err != nil {
-		return nil, err
-	}
-	copy(cells[idx], newData)
-	return touched, nil
 }
 
 // DataShards extracts the stripe's data shards in sequential order.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/codes"
 	"repro/internal/layout"
 	"repro/internal/lrc"
-	"repro/internal/rs"
 )
 
 // allSchemes builds every (code × form) combination the paper evaluates,
@@ -18,9 +17,9 @@ func allSchemes(t testing.TB) []*Scheme {
 	t.Helper()
 	var schemes []*Scheme
 	codesList := []codes.Code{
-		rs.Must(6, 3), rs.Must(8, 4), rs.Must(10, 5),
+		mustRS(6, 3), mustRS(8, 4), mustRS(10, 5),
 		lrc.Must(6, 2, 2), lrc.Must(8, 2, 3), lrc.Must(10, 2, 4),
-		rs.Must(4, 3), // coprime shape: r = 1
+		mustRS(4, 3), // coprime shape: r = 1
 	}
 	for _, c := range codesList {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormRotated, layout.FormECFRM} {
@@ -40,7 +39,7 @@ func randData(rng *rand.Rand, count, size int) [][]byte {
 }
 
 func TestSchemeNames(t *testing.T) {
-	c := rs.Must(6, 3)
+	c := mustRS(6, 3)
 	cases := map[layout.Form]string{
 		layout.FormStandard: "RS(6,3)",
 		layout.FormRotated:  "R-RS(6,3)",
@@ -60,7 +59,7 @@ func TestSchemeNames(t *testing.T) {
 func TestPropertiesInherited(t *testing.T) {
 	// §IV-C and §V-B: EC-FRM keeps the candidate's fault tolerance and
 	// storage overhead exactly.
-	for _, c := range []codes.Code{rs.Must(6, 3), lrc.Must(6, 2, 2)} {
+	for _, c := range []codes.Code{mustRS(6, 3), lrc.Must(6, 2, 2)} {
 		std := MustScheme(c, layout.FormStandard)
 		frm := MustScheme(c, layout.FormECFRM)
 		if std.FaultTolerance() != frm.FaultTolerance() {
@@ -104,7 +103,7 @@ func TestEncodeStripeShapes(t *testing.T) {
 }
 
 func TestEncodeStripeBadInput(t *testing.T) {
-	s := MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	s := MustScheme(mustRS(6, 3), layout.FormECFRM)
 	if _, err := s.EncodeStripe(make([][]byte, 3)); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("err = %v, want ErrBadRequest", err)
 	}
@@ -174,7 +173,7 @@ func TestReconstructStripeMaxTolerance(t *testing.T) {
 
 func TestReconstructStripeBeyondToleranceFails(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	s := MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	s := MustScheme(mustRS(6, 3), layout.FormECFRM)
 	cells, _ := s.EncodeStripe(randData(rng, s.DataPerStripe(), 8))
 	n := s.N()
 	broken := make([][]byte, len(cells))
@@ -255,7 +254,7 @@ func TestPlanNormalReadNeverTouchesParity(t *testing.T) {
 func TestPlanNormalReadECFRMOptimallyBalanced(t *testing.T) {
 	// EC-FRM places sequential data round-robin across all n disks, so a
 	// count-element read has max load exactly ⌈count/n⌉.
-	for _, c := range []codes.Code{rs.Must(6, 3), lrc.Must(8, 2, 3)} {
+	for _, c := range []codes.Code{mustRS(6, 3), lrc.Must(8, 2, 3)} {
 		s := MustScheme(c, layout.FormECFRM)
 		n := s.N()
 		for count := 1; count <= 3*n; count++ {
@@ -275,7 +274,7 @@ func TestPlanNormalReadECFRMOptimallyBalanced(t *testing.T) {
 }
 
 func TestPlanNormalReadBadInput(t *testing.T) {
-	s := MustScheme(rs.Must(6, 3), layout.FormStandard)
+	s := MustScheme(mustRS(6, 3), layout.FormStandard)
 	for _, args := range [][2]int{{-1, 5}, {0, 0}, {3, -2}} {
 		if _, err := s.PlanNormalRead(args[0], args[1]); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("PlanNormalRead(%d,%d) err = %v, want ErrBadRequest", args[0], args[1], err)
@@ -312,7 +311,7 @@ func TestPlanDegradedReadAvoidsFailedDisks(t *testing.T) {
 func TestPlanDegradedReadCostLRCBelowRS(t *testing.T) {
 	// LRC's reason to exist: repairing one data element costs k/l reads
 	// instead of k. Compare average degraded cost on identical workloads.
-	rsS := MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	rsS := MustScheme(mustRS(6, 3), layout.FormECFRM)
 	lrcS := MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM)
 	rng := rand.New(rand.NewSource(47))
 	var rsCost, lrcCost float64
@@ -379,7 +378,7 @@ func TestPlanDegradedReadMultiFailure(t *testing.T) {
 }
 
 func TestPlanDegradedReadBeyondToleranceFails(t *testing.T) {
-	s := MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	s := MustScheme(mustRS(6, 3), layout.FormECFRM)
 	// 4 failures beat RS(6,3); a full-stripe read must hit an
 	// unrecoverable group.
 	_, err := s.PlanDegradedRead(0, s.DataPerStripe(), []int{0, 1, 2, 3})
@@ -389,7 +388,7 @@ func TestPlanDegradedReadBeyondToleranceFails(t *testing.T) {
 }
 
 func TestPlanDegradedReadBadInput(t *testing.T) {
-	s := MustScheme(rs.Must(6, 3), layout.FormStandard)
+	s := MustScheme(mustRS(6, 3), layout.FormStandard)
 	if _, err := s.PlanDegradedRead(0, 1, []int{9}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("out-of-range disk: err = %v", err)
 	}
@@ -496,60 +495,10 @@ func TestDegradedPlanDedupesSharedReads(t *testing.T) {
 func TestSchemeWithVerticalShapeParams(t *testing.T) {
 	// Coprime (n,k) degenerates EC-FRM to a single-group-per-... actually
 	// r=1 gives n rows and n groups; check geometry consistency anyway.
-	s := MustScheme(rs.Must(4, 3), layout.FormECFRM)
+	s := MustScheme(mustRS(4, 3), layout.FormECFRM)
 	lay := s.Layout()
 	if lay.Rows() != 7 || lay.Groups() != 7 || s.DataPerStripe() != 28 {
 		t.Fatalf("coprime geometry wrong: rows=%d groups=%d dps=%d",
 			lay.Rows(), lay.Groups(), s.DataPerStripe())
-	}
-}
-
-func TestUpdateDataConsistency(t *testing.T) {
-	// After an in-place update via the delta path, the stripe must verify
-	// against a full re-encode, for every scheme and every element.
-	rng := rand.New(rand.NewSource(51))
-	for _, s := range allSchemes(t) {
-		data := randData(rng, s.DataPerStripe(), 24)
-		cells, err := s.EncodeStripe(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for e := 0; e < s.DataPerStripe(); e += 5 {
-			newData := make([]byte, 24)
-			rng.Read(newData)
-			touched, err := s.UpdateData(cells, e, newData)
-			if err != nil {
-				t.Fatalf("%s element %d: %v", s.Name(), e, err)
-			}
-			// Exactly 1 data + n-k parity cells touched.
-			if len(touched) != 1+s.Code().N()-s.Code().K() {
-				t.Fatalf("%s: %d cells touched", s.Name(), len(touched))
-			}
-			if ok, err := s.VerifyStripe(cells); err != nil || !ok {
-				t.Fatalf("%s element %d: stripe inconsistent after update (ok=%v err=%v)",
-					s.Name(), e, ok, err)
-			}
-			if !bytes.Equal(s.DataShards(cells)[e], newData) {
-				t.Fatalf("%s element %d: data not updated", s.Name(), e)
-			}
-		}
-	}
-}
-
-func TestUpdateDataErrors(t *testing.T) {
-	s := MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM)
-	rng := rand.New(rand.NewSource(52))
-	data := randData(rng, s.DataPerStripe(), 16)
-	cells, _ := s.EncodeStripe(data)
-	if _, err := s.UpdateData(make([][]byte, 3), 0, make([]byte, 16)); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("short cells: %v", err)
-	}
-	if _, err := s.UpdateData(cells, 0, make([]byte, 5)); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("size mismatch: %v", err)
-	}
-	broken := append([][]byte{}, cells...)
-	broken[0] = nil
-	if _, err := s.UpdateData(broken, 0, make([]byte, 16)); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("missing cell: %v", err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/codes"
 	"repro/internal/layout"
 	"repro/internal/lrc"
-	"repro/internal/rs"
 )
 
 // score is a degraded plan's cost: distinct cells read and the max load.
@@ -40,7 +39,7 @@ func oracle(s *Scheme, start, count int, failed []int) (readsFirst, loadFirst sc
 
 // oracleCells is oracle for any target cells, data or parity.
 func oracleCells(s *Scheme, targets []Access, failed []int) (readsFirst, loadFirst score, err error) {
-	n, lay, code := s.N(), s.Layout(), s.Code()
+	n, lay, code := s.N(), s.Layout(), s.code
 	isFailed := make(map[int]bool)
 	for _, d := range failed {
 		isFailed[d] = true
@@ -194,7 +193,7 @@ func paretoOutcomes(outs []oracleOutcome) []oracleOutcome {
 // tableI is every Table-I configuration.
 func tableI() []codes.Code {
 	return []codes.Code{
-		rs.Must(6, 3), rs.Must(8, 4), rs.Must(10, 5),
+		mustRS(6, 3), mustRS(8, 4), mustRS(10, 5),
 		lrc.Must(6, 2, 2), lrc.Must(8, 2, 3), lrc.Must(10, 2, 4),
 	}
 }

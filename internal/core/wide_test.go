@@ -7,7 +7,6 @@ import (
 	"repro/internal/codes"
 	"repro/internal/layout"
 	"repro/internal/lrc"
-	"repro/internal/rs"
 )
 
 // TestWideStripeSchemes drives codes at production stripe widths (k =
@@ -23,10 +22,10 @@ func TestWideStripeSchemes(t *testing.T) {
 		fail []int
 	}
 	cfgs := []cfg{
-		{rs.Must(32, 4), []int{0, 7, 18, 33}},
-		{rs.Must(64, 4), []int{3, 20, 41, 66}},
-		{rs.Must(128, 4), []int{0, 64, 100, 131}},
-		{rs.Must(128, 8), []int{0, 17, 63, 64, 100, 127, 128, 135}},
+		{mustRS(32, 4), []int{0, 7, 18, 33}},
+		{mustRS(64, 4), []int{3, 20, 41, 66}},
+		{mustRS(128, 4), []int{0, 64, 100, 131}},
+		{mustRS(128, 8), []int{0, 17, 63, 64, 100, 127, 128, 135}},
 		{lrc.Must(64, 8, 2), []int{5, 40}},
 		{lrc.Must(128, 4, 4), []int{2, 31, 131, 135}},
 	}
@@ -103,12 +102,12 @@ func TestWideStripeSchemes(t *testing.T) {
 // the warm pooled encode, reconstruct, and degraded-rebuild paths must
 // still allocate nothing.
 func TestZeroAllocSteadyState16(t *testing.T) {
-	checkZeroAllocSteadyState(t, rs.Must(128, 8), lrc.Must(128, 4, 4))
+	checkZeroAllocSteadyState(t, mustRS(128, 8), lrc.Must(128, 4, 4))
 }
 
 func BenchmarkEncodeStripeWide(b *testing.B) {
 	const size = 64 << 10
-	s := MustScheme(rs.Must(64, 4), layout.FormECFRM)
+	s := MustScheme(mustRS(64, 4), layout.FormECFRM)
 	var bufs Buffers
 	data := makeStripeData(s, size, 1)
 	cells := make([][]byte, s.CellsPerStripe())

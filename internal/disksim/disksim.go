@@ -130,12 +130,6 @@ func MustArray(n int, cfg Config, seed int64) *Array {
 	return a
 }
 
-// Disks returns the number of disks in the array.
-func (a *Array) Disks() int { return len(a.rngs) }
-
-// Config returns the disk model in use.
-func (a *Array) Config() Config { return a.cfg }
-
 func (a *Array) jitter(d int, half float64) float64 {
 	if half == 0 {
 		return 1

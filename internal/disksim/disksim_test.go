@@ -30,8 +30,8 @@ func TestNewArrayValidation(t *testing.T) {
 		t.Fatal("bad config must fail")
 	}
 	a := MustArray(16, DefaultConfig(), 1)
-	if a.Disks() != 16 {
-		t.Fatalf("Disks = %d", a.Disks())
+	if len(a.rngs) != 16 {
+		t.Fatalf("disks = %d", len(a.rngs))
 	}
 }
 

@@ -169,12 +169,6 @@ func deviceSeed(seed int64, dev int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Plan returns a copy of the compiled plan (for /faults GET round-trips).
-func (in *Injector) Plan() Plan {
-	out := Plan{Seed: in.plan.Seed, Policies: append([]Policy(nil), in.plan.Policies...)}
-	return out
-}
-
 // Ops returns the number of operations device dev has drawn so far.
 func (in *Injector) Ops(dev int) int {
 	ds := in.devs[dev]

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/layout"
-	"repro/internal/rs"
 	"repro/internal/store"
 )
 
@@ -103,7 +102,7 @@ func TestFailAfterOps(t *testing.T) {
 }
 
 // TestPlanJSONRoundTrip: marshal → ParsePlan is the identity, and the
-// injector's Plan() getter returns what was compiled.
+// injector keeps the plan it was compiled from.
 func TestPlanJSONRoundTrip(t *testing.T) {
 	p := spicyPlan(4242)
 	blob, err := json.Marshal(p)
@@ -117,8 +116,8 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", p) {
 		t.Fatalf("round-trip changed the plan:\n%+v\n%+v", got, p)
 	}
-	if inPlan := New(p).Plan(); fmt.Sprintf("%+v", inPlan) != fmt.Sprintf("%+v", p) {
-		t.Fatalf("Injector.Plan() = %+v, want %+v", inPlan, p)
+	if inPlan := New(p).plan; fmt.Sprintf("%+v", inPlan) != fmt.Sprintf("%+v", p) {
+		t.Fatalf("Injector.plan = %+v, want %+v", inPlan, p)
 	}
 }
 
@@ -147,7 +146,7 @@ func TestParsePlanRejectsInvalid(t *testing.T) {
 // observable outcome log, byte for byte.
 func TestScheduleReplaysIdentically(t *testing.T) {
 	run := func() string {
-		scheme := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+		scheme := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 		st := store.MustNew(scheme, 64)
 		st.SetRetryPolicy(200*time.Microsecond, 2)
 		payload := make([]byte, 3*scheme.DataPerStripe()*64)
@@ -186,7 +185,7 @@ func TestScheduleReplaysIdentically(t *testing.T) {
 // TestCheckStoreCatchesViolations: the checker must actually detect wrong
 // bytes and parity damage, not just bless everything.
 func TestCheckStoreCatchesViolations(t *testing.T) {
-	scheme := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	scheme := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	st := store.MustNew(scheme, 64)
 	payload := make([]byte, 2*scheme.DataPerStripe()*64)
 	rand.New(rand.NewSource(6)).Read(payload)
@@ -217,7 +216,7 @@ func TestCheckStoreCatchesViolations(t *testing.T) {
 // TestCheckStoreSuspendsInjection: the checker's own reads must not be
 // sabotaged by the plan under test, and the plan must be restored after.
 func TestCheckStoreSuspendsInjection(t *testing.T) {
-	scheme := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	scheme := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	st := store.MustNew(scheme, 64)
 	st.SetRetryPolicy(200*time.Microsecond, 1)
 	payload := make([]byte, scheme.DataPerStripe()*64)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/layout"
-	"repro/internal/rs"
 	"repro/internal/store"
 )
 
@@ -54,7 +53,7 @@ func FuzzFaultPlan(f *testing.F) {
 // the invariant-checker verdict — into one string for comparison.
 func replayVerdict(t *testing.T, plan Plan) string {
 	t.Helper()
-	scheme := core.MustScheme(rs.Must(4, 2), layout.FormECFRM)
+	scheme := core.MustScheme(mustRS(4, 2), layout.FormECFRM)
 	st := store.MustNew(scheme, 64)
 	st.SetRetryPolicy(200*time.Microsecond, 1)
 	payload := make([]byte, 2*scheme.DataPerStripe()*64)

@@ -28,7 +28,7 @@ func schemeGrid(t testing.TB) map[string]*core.Scheme {
 	t.Helper()
 	cells := make(map[string]*core.Scheme)
 	for cname, c := range map[string]codes.Code{
-		"rs":  rs.Must(6, 3),
+		"rs":  mustRS(6, 3),
 		"lrc": lrc.Must(6, 2, 2),
 	} {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormRotated, layout.FormECFRM} {
@@ -207,7 +207,7 @@ func TestGatewayLocalEquivalence(t *testing.T) {
 // bytes; PUTs may 503 during the outage (writes need every disk) but must
 // not corrupt anything.
 func TestGatewayConcurrentPutGetWithNodeKill(t *testing.T) {
-	scheme := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	scheme := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	const elem = 512
 	tc := newTestCluster(t, scheme, elem, 4, nodesNeeded(scheme), store.ReadOptions{})
 	defer tc.teardown()
@@ -294,4 +294,13 @@ func TestGatewayConcurrentPutGetWithNodeKill(t *testing.T) {
 			t.Fatalf("final GET %s: wrong bytes", name)
 		}
 	}
+}
+
+// mustRS is rs.New for parameters the test knows are valid.
+func mustRS(k, m int) *rs.Code {
+	c, err := rs.New(k, m)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/nodeapi"
 	"repro/internal/obs"
-	"repro/internal/rs"
 	"repro/internal/store"
 	"repro/internal/store/storetest"
 )
@@ -78,7 +77,7 @@ func TestRemoteCellShortFrame(t *testing.T) {
 			next.ServeHTTP(w, r)
 		})
 	})
-	scheme := core.MustScheme(rs.Must(4, 2), layout.FormStandard)
+	scheme := core.MustScheme(mustRS(4, 2), layout.FormStandard)
 	st, _, err := store.NewWithCellBackends(scheme, elem, store.CellStoreConfig{Sync: true},
 		func(d int) (store.CellBackend, error) {
 			return &remoteCell{nc: nc, group: 0, disk: d, elem: elem}, nil
@@ -147,7 +146,7 @@ func TestGatewayCloseClosesNodeConnections(t *testing.T) {
 		urls = append(urls, srv.URL)
 	}
 	gw, err := New(Config{Nodes: urls, Groups: 2, ElemSize: elem, SyncWrites: true,
-		Scheme: core.MustScheme(rs.Must(6, 3), layout.FormECFRM), ProbeInterval: 10 * time.Millisecond})
+		Scheme: core.MustScheme(mustRS(6, 3), layout.FormECFRM), ProbeInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

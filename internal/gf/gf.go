@@ -56,12 +56,6 @@ func init() {
 	}
 }
 
-// Add returns a+b in GF(2^8). Addition and subtraction coincide (XOR).
-func Add(a, b byte) byte { return a ^ b }
-
-// Sub returns a-b in GF(2^8); identical to Add.
-func Sub(a, b byte) byte { return a ^ b }
-
 // Mul returns a*b in GF(2^8).
 func Mul(a, b byte) byte { return mulTable[a][b] }
 

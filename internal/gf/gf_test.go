@@ -7,12 +7,18 @@ import (
 	"testing/quick"
 )
 
+// TestAddIsXOR: field addition is XOR, so adding a slice with coefficient 1
+// XORs it in, and adding it twice cancels (subtraction equals addition in
+// characteristic 2).
 func TestAddIsXOR(t *testing.T) {
-	if Add(0x53, 0xCA) != 0x53^0xCA {
-		t.Fatalf("Add(0x53,0xCA) = %#x, want %#x", Add(0x53, 0xCA), 0x53^0xCA)
+	dst, src := []byte{0x53}, []byte{0xCA}
+	MulAddSlice(1, dst, src)
+	if dst[0] != 0x53^0xCA {
+		t.Fatalf("0x53 + 0xCA = %#x, want %#x", dst[0], 0x53^0xCA)
 	}
-	if Sub(0x53, 0xCA) != Add(0x53, 0xCA) {
-		t.Fatal("Sub must equal Add in characteristic 2")
+	MulAddSlice(1, dst, src)
+	if dst[0] != 0x53 {
+		t.Fatalf("0x53 + 0xCA - 0xCA = %#x, want 0x53", dst[0])
 	}
 }
 
@@ -89,7 +95,7 @@ func TestAssociativityAndDistributivity(t *testing.T) {
 		t.Errorf("associativity: %v", err)
 	}
 	distrib := func(a, b, c byte) bool {
-		return Mul(a, Add(b, c)) == Add(Mul(a, b), Mul(a, c))
+		return Mul(a, b^c) == Mul(a, b)^Mul(a, c)
 	}
 	if err := quick.Check(distrib, cfg); err != nil {
 		t.Errorf("distributivity: %v", err)
@@ -199,7 +205,7 @@ func TestPolyEval(t *testing.T) {
 		t.Fatalf("p(0) = %#x, want 3", got)
 	}
 	for _, x := range []byte{1, 2, 7, 0xfe} {
-		want := Add(Add(3, Mul(2, x)), Mul(x, x))
+		want := 3 ^ Mul(2, x) ^ Mul(x, x)
 		if got := PolyEval(p, x); got != want {
 			t.Fatalf("p(%#x) = %#x, want %#x", x, got, want)
 		}

@@ -117,21 +117,6 @@ func AddSliceRef(dst, src []byte) {
 	}
 }
 
-// XorSlice sets dst[i] = a[i] ^ b[i]. All three slices must share one length.
-// dst may alias a or b.
-func XorSlice(dst, a, b []byte) {
-	if len(dst) != len(a) || len(dst) != len(b) {
-		panic(fmt.Sprintf("gf: XorSlice length mismatch %d/%d/%d", len(dst), len(a), len(b)))
-	}
-	n := len(dst) &^ 7
-	for i := 0; i+8 <= n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(a[i:])^binary.LittleEndian.Uint64(b[i:]))
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] = a[i] ^ b[i]
-	}
-}
-
 // MulSlice sets dst[i] = c * src[i]. dst and src must have equal length.
 // c == 0 zeroes dst; c == 1 copies. dst may alias src.
 func MulSlice(c byte, dst, src []byte) {

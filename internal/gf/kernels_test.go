@@ -35,32 +35,6 @@ func TestAddSliceMatchesRef(t *testing.T) {
 	}
 }
 
-func TestXorSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range testLengths {
-		for off := 0; off < 8; off++ {
-			a := unaligned(rng, n, off)
-			b := unaligned(rng, n, (off+5)%8)
-			dst := make([]byte, n)
-			XorSlice(dst, a, b)
-			for i := range dst {
-				if dst[i] != a[i]^b[i] {
-					t.Fatalf("XorSlice n=%d off=%d i=%d: %#x != %#x", n, off, i, dst[i], a[i]^b[i])
-				}
-			}
-			// Aliased destination.
-			want := append([]byte(nil), dst...)
-			XorSlice(a, a, b)
-			if !bytes.Equal(a, want) {
-				t.Fatalf("XorSlice aliased n=%d off=%d: mismatch", n, off)
-			}
-		}
-	}
-}
-
-// TestMulKernelsAllCoefficientsMatchRef sweeps every field element as the
-// coefficient against the byte-wise reference, over odd lengths and
-// unaligned offsets.
 func TestMulKernelsAllCoefficientsMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	lengths := []int{0, 1, 7, 15, 16, 17, 31, 33, 63, 64, 65, 100, 512, 1023}
@@ -203,7 +177,6 @@ func TestKernelLengthMismatchPanics(t *testing.T) {
 	}
 	a, b := make([]byte, 4), make([]byte, 5)
 	expectPanic("AddSlice", func() { AddSlice(a, b) })
-	expectPanic("XorSlice", func() { XorSlice(a, a, b) })
 	expectPanic("MulSlice", func() { MulSlice(3, a, b) })
 	expectPanic("MulAddSlice", func() { MulAddSlice(3, a, b) })
 	expectPanic("DotSlice arity", func() { DotSlice(a, []byte{1, 2}, [][]byte{a}) })

@@ -207,7 +207,7 @@ func TestHeadObject(t *testing.T) {
 func TestMaxLoadDistributionECFRMBeatsStandard(t *testing.T) {
 	const elemSize = 64
 	run := func(form layout.Form) histSnapshot {
-		scheme := core.MustScheme(rs.Must(6, 2), form)
+		scheme := core.MustScheme(mustRS(6, 2), form)
 		srv := httpd.NewServerWith(store.MustNew(scheme, elemSize), httpd.Config{})
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
@@ -264,4 +264,13 @@ func TestMaxLoadDistributionECFRMBeatsStandard(t *testing.T) {
 	if ec.sum >= std.sum {
 		t.Fatalf("ecfrm total max-load %v not strictly below standard %v", ec.sum, std.sum)
 	}
+}
+
+// mustRS is rs.New for parameters the test knows are valid.
+func mustRS(k, m int) *rs.Code {
+	c, err := rs.New(k, m)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

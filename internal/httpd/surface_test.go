@@ -16,7 +16,6 @@ import (
 	"repro/internal/httpd"
 	"repro/internal/layout"
 	"repro/internal/lrc"
-	"repro/internal/rs"
 	"repro/internal/store"
 )
 
@@ -70,7 +69,7 @@ func openGateway(t *testing.T, cfg httpd.Config) *surface {
 		Nodes:         urls,
 		Groups:        2,
 		ElemSize:      256,
-		Scheme:        core.MustScheme(rs.Must(6, 3), layout.FormECFRM),
+		Scheme:        core.MustScheme(mustRS(6, 3), layout.FormECFRM),
 		HTTP:          cfg,
 		SyncWrites:    true,
 		ProbeInterval: 10 * time.Millisecond,

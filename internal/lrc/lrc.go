@@ -129,12 +129,6 @@ func Must(k, l, m int) *Code {
 // Name returns "LRC(k,l,m)".
 func (c *Code) Name() string { return fmt.Sprintf("LRC(%d,%d,%d)", c.k, c.l, c.m) }
 
-// L returns the number of local parity elements per row.
-func (c *Code) L() int { return c.l }
-
-// M returns the number of global parity elements per row.
-func (c *Code) M() int { return c.m }
-
 // GroupSize returns k/l, the number of data elements per local group.
 func (c *Code) GroupSize() int { return c.groupSize }
 

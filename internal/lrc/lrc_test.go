@@ -31,9 +31,9 @@ func TestNameAndParams(t *testing.T) {
 	if c.Name() != "LRC(6,2,2)" {
 		t.Fatalf("Name = %q", c.Name())
 	}
-	if c.K() != 6 || c.L() != 2 || c.M() != 2 || c.N() != 10 || c.GroupSize() != 3 {
+	if c.K() != 6 || c.l != 2 || c.m != 2 || c.N() != 10 || c.GroupSize() != 3 {
 		t.Fatalf("params wrong: %s k=%d l=%d m=%d n=%d gs=%d",
-			c.Name(), c.K(), c.L(), c.M(), c.N(), c.GroupSize())
+			c.Name(), c.K(), c.l, c.m, c.N(), c.GroupSize())
 	}
 }
 
@@ -473,7 +473,7 @@ func TestWideGroupBreaksAzureGuarantee(t *testing.T) {
 				if !ok || e <= d {
 					continue
 				}
-				pattern := []int{a, b, d, e, c.K() + c.L() + 2}
+				pattern := []int{a, b, d, e, c.K() + c.l + 2}
 				if c.CanRecover(pattern) {
 					t.Fatalf("pattern %v decodable; want the zero-sum group to be singular", pattern)
 				}

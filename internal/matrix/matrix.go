@@ -155,22 +155,6 @@ func (m *Matrix) Equal(o *Matrix) bool {
 	return true
 }
 
-// Mul returns the product m·o. It panics on a dimension mismatch.
-func (m *Matrix) Mul(o *Matrix) *Matrix {
-	if m.cols != o.rows {
-		panic(fmt.Sprintf("matrix: Mul dimension mismatch %d×%d · %d×%d", m.rows, m.cols, o.rows, o.cols))
-	}
-	p := New(m.rows, o.cols)
-	for i := 0; i < m.rows; i++ {
-		mr := m.Row(i)
-		pr := p.Row(i)
-		for t := 0; t < m.cols; t++ {
-			gf.MulAddSlice(mr[t], pr, o.Row(t))
-		}
-	}
-	return p
-}
-
 // MulVec applies the matrix to a vector of data shards: out[i] is the GF
 // linear combination of shards with coefficients from row i. All shards must
 // share one length; out must have m.Rows() slices of that length.

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -407,4 +408,21 @@ func BenchmarkMulVecEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.MulVec(out, shards)
 	}
+}
+
+// Mul returns the product m·o, the oracle the algebra tests multiply with.
+// It panics on a dimension mismatch.
+func (m *Matrix) Mul(o *Matrix) *Matrix {
+	if m.cols != o.rows {
+		panic(fmt.Sprintf("matrix: Mul dimension mismatch %d×%d · %d×%d", m.rows, m.cols, o.rows, o.cols))
+	}
+	p := New(m.rows, o.cols)
+	for i := 0; i < m.rows; i++ {
+		mr := m.Row(i)
+		pr := p.Row(i)
+		for t := 0; t < m.cols; t++ {
+			gf.MulAddSlice(mr[t], pr, o.Row(t))
+		}
+	}
+	return p
 }

@@ -175,9 +175,6 @@ func (s *Scheduler) batchBytes() int {
 // SetRate retunes the repair bandwidth budget at runtime; <= 0 pauses.
 func (s *Scheduler) SetRate(rate float64) { s.bucket.SetRate(rate) }
 
-// Rate returns the configured zero-pressure repair rate in bytes/second.
-func (s *Scheduler) Rate() float64 { return s.bucket.Rate() }
-
 // TriggerRebuild queues failed disk d for rebuild without waiting for the
 // next detect tick.
 func (s *Scheduler) TriggerRebuild(d int) error {

@@ -341,8 +341,8 @@ func TestSchedulerHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent || sch.Rate() != 1<<20 {
-		t.Fatalf("POST /rate = %d, rate now %v", resp.StatusCode, sch.Rate())
+	if resp.StatusCode != http.StatusNoContent || sch.bucket.Rate() != 1<<20 {
+		t.Fatalf("POST /rate = %d, rate now %v", resp.StatusCode, sch.bucket.Rate())
 	}
 
 	// Migrate via HTTP and watch it finish.

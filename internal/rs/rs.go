@@ -37,16 +37,6 @@ func New(k, m int) (*Code, error) {
 	return &Code{Base: base, k: k, m: m}, nil
 }
 
-// Must constructs RS(k,m) and panics on invalid parameters. For tests and
-// tables of known-good configurations.
-func Must(k, m int) *Code {
-	c, err := New(k, m)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Name returns "RS(k,m)".
 func (c *Code) Name() string { return fmt.Sprintf("RS(%d,%d)", c.k, c.m) }
 

@@ -22,14 +22,14 @@ func TestNewValidation(t *testing.T) {
 func TestMustPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Must(0,0) did not panic")
+			t.Fatal("mustRS(0,0) did not panic")
 		}
 	}()
-	Must(0, 0)
+	mustRS(0, 0)
 }
 
 func TestNameAndParams(t *testing.T) {
-	c := Must(8, 4)
+	c := mustRS(8, 4)
 	if c.Name() != "RS(8,4)" {
 		t.Fatalf("Name = %q", c.Name())
 	}
@@ -41,7 +41,7 @@ func TestNameAndParams(t *testing.T) {
 func TestMDSPropertyPaperConfigs(t *testing.T) {
 	// Table I configurations: fault tolerance must equal m (MDS).
 	for _, p := range [][2]int{{6, 3}, {8, 4}, {10, 5}} {
-		c := Must(p[0], p[1])
+		c := mustRS(p[0], p[1])
 		if got := c.FaultTolerance(); got != p[1] {
 			t.Errorf("%s tolerance = %d, want %d (not MDS)", c.Name(), got, p[1])
 		}
@@ -51,7 +51,7 @@ func TestMDSPropertyPaperConfigs(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, p := range [][2]int{{6, 3}, {8, 4}, {10, 5}, {3, 1}, {2, 2}} {
-		c := Must(p[0], p[1])
+		c := mustRS(p[0], p[1])
 		data := make([][]byte, c.K())
 		for i := range data {
 			data[i] = make([]byte, 97)
@@ -85,7 +85,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestRecoverySetsValid(t *testing.T) {
-	c := Must(6, 3)
+	c := mustRS(6, 3)
 	for idx := 0; idx < c.N(); idx++ {
 		sets := c.RecoverySets(idx)
 		wantSets := c.N() - c.K() + 1 // data-heavy sets for parity + windows
@@ -114,7 +114,7 @@ func TestRecoverySetsValid(t *testing.T) {
 }
 
 func TestRecoverySetsOutOfRangePanics(t *testing.T) {
-	c := Must(4, 2)
+	c := mustRS(4, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range did not panic")
@@ -126,7 +126,7 @@ func TestRecoverySetsOutOfRangePanics(t *testing.T) {
 func TestPropertyAnyKSubsetDecodes(t *testing.T) {
 	// MDS: any k available elements determine all data. Sample random
 	// k-subsets and reconstruct everything else.
-	c := Must(5, 4)
+	c := mustRS(5, 4)
 	rng := rand.New(rand.NewSource(21))
 	data := make([][]byte, 5)
 	for i := range data {
@@ -160,14 +160,14 @@ func TestPropertyAnyKSubsetDecodes(t *testing.T) {
 
 func TestStorageOverhead(t *testing.T) {
 	// Storage overhead is n/k; sanity-check the Google config (6,3) = 1.5×.
-	c := Must(6, 3)
+	c := mustRS(6, 3)
 	if got := float64(c.N()) / float64(c.K()); got != 1.5 {
 		t.Fatalf("overhead = %v, want 1.5", got)
 	}
 }
 
 func BenchmarkEncodeRS63(b *testing.B) {
-	c := Must(6, 3)
+	c := mustRS(6, 3)
 	data := make([][]byte, 6)
 	for i := range data {
 		data[i] = make([]byte, 1<<20)
@@ -182,7 +182,7 @@ func BenchmarkEncodeRS63(b *testing.B) {
 }
 
 func BenchmarkReconstructRS63(b *testing.B) {
-	c := Must(6, 3)
+	c := mustRS(6, 3)
 	data := make([][]byte, 6)
 	for i := range data {
 		data[i] = make([]byte, 1<<20)
@@ -215,4 +215,13 @@ func TestWideConstructionIsFast(t *testing.T) {
 	if c.FaultTolerance() != 8 {
 		t.Fatalf("tolerance = %d, want 8", c.FaultTolerance())
 	}
+}
+
+// mustRS is New for parameters the test knows are valid.
+func mustRS(k, m int) *Code {
+	c, err := New(k, m)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

@@ -21,7 +21,7 @@ func TestStreamStageMetrics(t *testing.T) {
 	EnableMetrics(reg)
 	defer EnableMetrics(nil)
 
-	scheme := core.MustScheme(rs.Must(4, 2), layout.FormECFRM)
+	scheme := core.MustScheme(mustRS(4, 2), layout.FormECFRM)
 	elem := 512
 	stripes := 5
 	payload := make([]byte, stripes*scheme.DataPerStripe()*elem)
@@ -69,4 +69,13 @@ func TestStreamStageMetrics(t *testing.T) {
 		t.Fatalf("disabled metrics still observed: count %d, want %d", got, int64(stripes))
 	}
 	_ = os.RemoveAll(dir)
+}
+
+// mustRS is rs.New for parameters the test knows are valid.
+func mustRS(k, m int) *rs.Code {
+	c, err := rs.New(k, m)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/lrc"
-	"repro/internal/rs"
 )
 
 func scheme622(t testing.TB) *core.Scheme {
@@ -98,7 +97,7 @@ func TestVerifyCleanAndCorrupt(t *testing.T) {
 func TestDecodeRejectsWrongScheme(t *testing.T) {
 	dir := t.TempDir()
 	encodeSample(t, dir, 10_000, 4)
-	wrong := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	wrong := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	if _, _, err := Decode(wrong, dir); !errors.Is(err, ErrManifest) {
 		t.Fatalf("wrong scheme: %v", err)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/layout"
-	"repro/internal/rs"
 )
 
 // Fault-propagation tests for the streaming pipeline: an erroring or
@@ -95,7 +94,7 @@ func (f *faultyWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func faultScheme() *core.Scheme { return core.MustScheme(rs.Must(4, 2), layout.FormECFRM) }
+func faultScheme() *core.Scheme { return core.MustScheme(mustRS(4, 2), layout.FormECFRM) }
 
 // encodeDir encodes a payload into a fresh shard directory for the
 // decode/verify fault tests.

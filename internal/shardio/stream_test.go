@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/lrc"
-	"repro/internal/rs"
 )
 
 // readDir reads every disk file and the manifest of a shard directory for
@@ -46,7 +45,7 @@ func TestStreamMatchesBufferedProperty(t *testing.T) {
 		"lrc-standard": core.MustScheme(lrc.Must(6, 2, 2), layout.FormStandard),
 		"lrc-rotated":  core.MustScheme(lrc.Must(6, 2, 2), layout.FormRotated),
 		"lrc-ecfrm":    core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM),
-		"rs-ecfrm":     core.MustScheme(rs.Must(6, 3), layout.FormECFRM),
+		"rs-ecfrm":     core.MustScheme(mustRS(6, 3), layout.FormECFRM),
 	}
 	rng := rand.New(rand.NewSource(99))
 	for name, scheme := range schemes {

@@ -21,18 +21,19 @@
 // discipline maps the store's two-phase gated writes onto
 // write-then-fsync-then-publish: a seal gates every cell, writes every
 // device, fsyncs every touched device, and only then advances the
-// sealed-stripe counter; WriteAt, healing, and recovery follow the same
-// order. FsyncNever trades that barrier away for throughput (the recovery
-// scrub still bounds the damage to torn tails).
+// sealed-stripe counter; healing and recovery follow the same order.
+// FsyncNever trades that barrier away for throughput (the recovery scrub
+// still bounds the damage to torn tails).
 //
-// Startup recovery (OpenFileBacked) scrubs the directory before serving:
-// geometry is derived from the files themselves (never trusted from a
+// Startup recovery (OpenFileBacked) scrubs the directory before serving, once
+// the manifest's recorded geometry matches the requested one: the stripe
+// count is derived from the files themselves (never trusted from the
 // manifest), and each stripe goes through the read executor's heal job —
 // torn or missing cells are rebuilt from their group when the code allows —
 // then a parity check, which re-seals a stripe with clean checksums but
-// inconsistent parity (the WriteAt write hole) from its data cells; an
-// unrecoverable torn tail is truncated. The store that comes back is always
-// decode-clean.
+// inconsistent parity (a cell rewritten, checksum and all, outside a seal)
+// from its data cells; an unrecoverable torn tail is truncated. The store
+// that comes back is always decode-clean.
 package store
 
 import (
@@ -451,8 +452,9 @@ type RecoveryReport struct {
 	// their device.
 	HealedCells int
 	// ReencodedStripes counts stripes that healed clean but whose parity
-	// disagreed with their data (the WriteAt write hole): each was re-sealed
-	// from its data cells, which are taken as truth.
+	// disagreed with their data (a cell rewritten, checksum and all, outside
+	// a seal): each was re-sealed from its data cells, which are taken as
+	// truth.
 	ReencodedStripes int
 	// TruncatedStripes counts the unrecoverable torn tail stripes dropped.
 	TruncatedStripes int
@@ -462,9 +464,10 @@ type RecoveryReport struct {
 	DirectActive bool
 }
 
-// backendManifest is the file backend's best-effort metadata: geometry for
-// sanity checks and the user-byte length (recovery re-derives the stripe
-// count from the files themselves and never trusts this for it).
+// backendManifest is the file backend's metadata: the geometry the
+// directory was written under, which a reopen must match, and the user-byte
+// length (recovery re-derives the stripe count from the files themselves
+// and never trusts this for it).
 type backendManifest struct {
 	Scheme   string `json:"scheme"`
 	Disks    int    `json:"disks"`
@@ -476,29 +479,49 @@ type backendManifest struct {
 
 const backendManifestName = "backend.json"
 
+// geometry names what a directory's cells mean: a reopen under another
+// scheme, disk count, row count or element size would misread every cell.
+func (m backendManifest) geometry() string {
+	return fmt.Sprintf("%s over %d disks, %d rows, %d-byte elements", m.Scheme, m.Disks, m.Rows, m.ElemSize)
+}
+
 // OpenFileBacked creates (or reopens) a store whose devices are DiskStores
 // in cfg.Dir, one data/checksum file pair per device. It is
 // NewWithCellBackends with Recover over those disks, plus what only files
-// have: the migration staging hooks, the manifest's user-byte length and a
-// directory fsync. The returned report says what recovery found. All
-// existing store APIs behave identically to the memory backend — tests and
-// tools select the backend purely by construction.
+// have: the migration staging hooks and the manifest. A directory whose
+// manifest records another geometry is refused before recovery touches it
+// (recovery would re-seal every stripe under the wrong code); one with no
+// manifest (a store killed before any open wrote it) is accepted. The
+// manifest is written at open, so a killed store leaves one behind. The
+// returned report says what recovery found. All existing store APIs behave
+// identically to the memory backend — tests and tools select the backend
+// purely by construction.
 func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, *RecoveryReport, error) {
 	if cfg.Dir == "" {
 		return nil, nil, fmt.Errorf("store: file backend needs a data directory")
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	dir := cfg.Dir
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
+	}
+	man, err := readBackendManifest(dir)
+	found := err == nil
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, nil, fmt.Errorf("store: %s: %w", backendManifestName, err)
+	}
+	want := backendManifest{Scheme: scheme.Name(), Disks: scheme.N(), Rows: scheme.Layout().Rows(), ElemSize: elemSize}
+	if found && man.geometry() != want.geometry() {
+		return nil, nil, fmt.Errorf("store: data dir %s was written as %s; refusing to open it as %s",
+			dir, man.geometry(), want.geometry())
 	}
 	// A *.new pair is a migration that crashed before its promote renames:
 	// the live dev_NN pair is still authoritative, so the stale staging copy
 	// is simply dropped.
-	if stray, err := filepath.Glob(filepath.Join(cfg.Dir, "dev_*"+stagingSuffix)); err == nil {
+	if stray, err := filepath.Glob(filepath.Join(dir, "dev_*"+stagingSuffix)); err == nil {
 		for _, p := range stray {
 			os.Remove(p)
 		}
 	}
-	dir := cfg.Dir
 	open := func(d int, suffix string, trunc bool) (*DiskStore, error) {
 		return openFileDisk(devDataFile(dir, d)+suffix, devCRCFile(dir, d)+suffix, elemSize, cfg, trunc)
 	}
@@ -536,14 +559,11 @@ func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, 
 		os.Remove(devCRCFile(dir, d) + stagingSuffix)
 	}
 	// Length: the manifest is trusted only when it agrees with the
-	// recovered geometry; otherwise the sealed extent is all we know.
-	if man, err := readBackendManifest(dir); err == nil {
-		if man.Scheme == scheme.Name() && man.Stripes == st.stripes &&
-			man.ElemSize == elemSize && man.Length >= 0 && man.Length <= st.length {
-			st.length = man.Length
-		}
+	// recovered extent; otherwise the sealed extent is all we know.
+	if found && man.Stripes == st.stripes && man.Length >= 0 && man.Length <= st.length {
+		st.length = man.Length
 	}
-	if err := syncDir(dir); err != nil {
+	if err := st.writeBackendManifest(); err != nil {
 		st.closeBackends()
 		return nil, nil, err
 	}
@@ -556,8 +576,9 @@ func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, 
 // out of reach fails recovery. An erased cell — torn (payload and recorded
 // checksum disagree) or missing from its device — is rebuilt from its group
 // and rewritten (healCell). The healed stripe is then verified against
-// parity, and one that disagrees with clean checksums (the WriteAt write
-// hole) is re-sealed at its index from its data cells, which are truth. A
+// parity, and one that disagrees with clean checksums (a cell rewritten,
+// checksum and all, outside a seal) is re-sealed at its index from its data
+// cells, which are truth. A
 // stripe whose erasures exceed its groups is legal only as the torn tail —
 // possibly several stripes, since one crashed commit can seal a multi-stripe
 // batch — and is truncated there. One *followed by* a stripe that still

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -322,32 +323,6 @@ func TestFileBackendWriteHoleReencoded(t *testing.T) {
 	}
 }
 
-func TestFileBackendWriteAtDurable(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openFileStore(t, dir)
-	data := fill(t, s, 5000, 80)
-	patch := make([]byte, 5*testElemSize)
-	rand.New(rand.NewSource(81)).Read(patch)
-	if err := s.WriteAt(16*testElemSize, patch); err != nil {
-		t.Fatal(err)
-	}
-	copy(data[16*testElemSize:], patch)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The parity-delta partial write must be durable AND parity-consistent
-	// on disk: reopening runs the full parity scrub.
-	s2, rep := openFileStore(t, dir)
-	defer s2.Close()
-	if rep.HealedCells != 0 || rep.ReencodedStripes != 0 || rep.TruncatedStripes != 0 {
-		t.Fatalf("WriteAt left inconsistent state: %+v", rep)
-	}
-	if !bytes.Equal(readAll(t, s2), data) {
-		t.Fatal("payload mismatch after WriteAt + reopen")
-	}
-}
-
 func TestFileBackendFailRecoverDisk(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openFileStore(t, dir)
@@ -540,4 +515,86 @@ func TestWALSpillTornCommitDropsPending(t *testing.T) {
 	if len(extents) != 2 || dropped != 1 {
 		t.Fatalf("extents=%d dropped=%d, want 2/1", len(extents), dropped)
 	}
+}
+
+// TestReopenRefusesOtherGeometry: a data dir written as RS(6,3)/ecfrm must
+// not reopen under another code, layout or element size — recovery would
+// re-seal every stripe under the wrong geometry and the acked bytes would be
+// gone. The manifest is written at open, so a store killed before Close is
+// guarded too; a dir with no manifest is accepted and gets one; after every
+// refusal the original geometry reads back the same bytes.
+func TestReopenRefusesOtherGeometry(t *testing.T) {
+	written := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
+	others := []struct {
+		scheme *core.Scheme
+		elem   int
+	}{
+		{core.MustScheme(lrc.Must(6, 2, 1), layout.FormECFRM), testElemSize},
+		{core.MustScheme(mustRS(6, 3), layout.FormStandard), testElemSize},
+		{written, 2 * testElemSize},
+	}
+	refuses := func(t *testing.T, dir string) {
+		t.Helper()
+		for _, o := range others {
+			_, _, err := OpenFileBacked(o.scheme, o.elem, FileConfig{Dir: dir})
+			if err == nil {
+				t.Fatalf("%s with %d-byte elements opened a dir written as %s", o.scheme.Name(), o.elem, written.Name())
+			}
+			for _, name := range []string{written.Name(), o.scheme.Name(), fmt.Sprintf("%d-byte", testElemSize), fmt.Sprintf("%d-byte", o.elem)} {
+				if !strings.Contains(err.Error(), name) {
+					t.Fatalf("refusal %q does not name %q", err, name)
+				}
+			}
+		}
+	}
+	reopen := func(t *testing.T, dir string, want []byte) {
+		t.Helper()
+		s, rep, err := OpenFileBacked(written, testElemSize, FileConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if rep.ReencodedStripes != 0 || rep.TruncatedStripes != 0 {
+			t.Fatalf("reopen under the written geometry rewrote stripes: %+v", rep)
+		}
+		if !bytes.Equal(readAll(t, s), want) {
+			t.Fatal("bytes changed across the refused opens")
+		}
+	}
+	for _, closed := range []bool{true, false} {
+		t.Run(fmt.Sprintf("closed=%v", closed), func(t *testing.T) {
+			dir := t.TempDir()
+			s, _, err := OpenFileBacked(written, testElemSize, FileConfig{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := fill(t, s, 3*s.stripeBytes(), 90)
+			if closed {
+				err = s.Close()
+			} else {
+				err = s.closeBackends() // killed: Close never runs
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			refuses(t, dir)
+			reopen(t, dir, data)
+		})
+	}
+	t.Run("no manifest", func(t *testing.T) {
+		dir := t.TempDir()
+		s, _, err := OpenFileBacked(written, testElemSize, FileConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := fill(t, s, 3*s.stripeBytes(), 91)
+		if err := s.closeBackends(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(dir, backendManifestName)); err != nil {
+			t.Fatal(err)
+		}
+		reopen(t, dir, data)
+		refuses(t, dir)
+	})
 }

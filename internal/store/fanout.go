@@ -1,6 +1,6 @@
 // Read executor: the one way the store reads cells. GETs, hedges, heals,
-// disk rebuild, migration, scrub, startup recovery and overwrites each hand
-// it a plan and a rule for corrupt runs (execute).
+// disk rebuild, migration, scrub and startup recovery each hand it a plan
+// and a rule for corrupt runs (execute).
 //
 // A plan lists cells. The executor regroups them by device, coalesces cells
 // at adjacent on-disk offsets into single runs (one positioning cost instead
@@ -293,8 +293,8 @@ type corruptRule int
 
 const (
 	// corruptStops fails the job with the run's ErrCorrupt: a shared-lock
-	// GET escalates to a heal, a scrub marks the stripe bad, a migration or
-	// an overwrite gives up.
+	// GET escalates to a heal, a scrub marks the stripe bad, a migration
+	// gives up.
 	corruptStops corruptRule = iota
 	// corruptHeals heals the run's corrupt cells in place (healRun): inline
 	// jobs under the exclusive lock only.
@@ -346,8 +346,8 @@ func (r *served) release() {
 
 // execute is the store's one way to read cells: plan, serve the plan's
 // coalesced runs, and replan around every device a pass took out, until a
-// pass completes. GETs, hedges, heals, rebuild, migration, scrub, recovery
-// and overwrites all read through it. The caller holds mu shared, or
+// pass completes. GETs, hedges, heals, rebuild, migration, scrub and
+// recovery all read through it. The caller holds mu shared, or
 // exclusively for corruptHeals (recovery holds no lock: its store is not
 // shared yet). Every goroutine spawned here is joined
 // before return, so no device access escapes the lock. The loop ends: each

@@ -24,7 +24,7 @@ func fanoutGrid(t testing.TB) map[string]*core.Scheme {
 	t.Helper()
 	cells := make(map[string]*core.Scheme)
 	for cname, c := range map[string]codes.Code{
-		"rs":  rs.Must(6, 3),
+		"rs":  mustRS(6, 3),
 		"lrc": lrc.Must(6, 2, 2),
 	} {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormRotated, layout.FormECFRM} {
@@ -118,7 +118,7 @@ func TestFanoutMatchesSequentialProperty(t *testing.T) {
 func TestFanoutConcurrentSharedStore(t *testing.T) {
 	fanoutLeakCheck(t)
 	const elem = 4096
-	sch := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	sch := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	st := MustNew(sch, elem)
 	st.SetRetryPolicy(200*time.Microsecond, 1)
 	payload := make([]byte, 6*sch.DataPerStripe()*elem)
@@ -168,7 +168,7 @@ func TestFanoutBoundedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector, so alloc counts are meaningless")
 	}
-	sch := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	sch := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	st := MustNew(sch, 4096)
 	payload := make([]byte, 4*sch.DataPerStripe()*4096)
 	rand.New(rand.NewSource(502)).Read(payload)
@@ -220,7 +220,7 @@ func TestFanoutBoundedAllocs(t *testing.T) {
 // and surface as wrong bytes in the property tests. Here we count container
 // pool traffic directly via a replan-heavy workload.
 func TestFanoutReplanRecyclesBuffers(t *testing.T) {
-	sch := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	sch := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	st := MustNew(sch, 64)
 	st.SetRetryPolicy(200*time.Microsecond, 1)
 	payload := make([]byte, 4*sch.DataPerStripe()*64)
@@ -251,7 +251,7 @@ func TestFanoutReplanRecyclesBuffers(t *testing.T) {
 // error — no goroutine parked in a sleep it cannot leave.
 func TestFanoutStuckOpCancellable(t *testing.T) {
 	fanoutLeakCheck(t)
-	sch := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	sch := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	st := MustNew(sch, 64)
 	st.SetRetryPolicy(5*time.Second, 0) // stuck op would sleep 5s uncancelled
 	payload := make([]byte, sch.DataPerStripe()*64)
@@ -283,7 +283,7 @@ func TestFanoutStuckOpCancellable(t *testing.T) {
 // cancelled primary joined before return.
 func TestHedgeBeatsStuckDevice(t *testing.T) {
 	fanoutLeakCheck(t)
-	sch := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	sch := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	st := MustNew(sch, 4096)
 	st.SetRetryPolicy(2*time.Second, 0)
 	reg := obs.NewRegistry()
@@ -324,7 +324,7 @@ func TestHedgeBeatsStuckDevice(t *testing.T) {
 // the loser is cancelled and joined, so the leak check sees a quiet world.
 func TestHedgeStragglersJoinBeforeReturn(t *testing.T) {
 	fanoutLeakCheck(t)
-	sch := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	sch := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	st := MustNew(sch, 4096)
 	st.SetRetryPolicy(10*time.Second, 0) // an unjoined stuck primary would outlive the test
 	payload := make([]byte, sch.DataPerStripe()*4096)
@@ -355,7 +355,7 @@ func TestHedgeStragglersJoinBeforeReturn(t *testing.T) {
 // multi-stripe read collapses to exactly one run per device; with EC-FRM's
 // rotated multi-row stripes, runs never span an offset gap.
 func TestFanoutCoalescing(t *testing.T) {
-	sch := core.MustScheme(rs.Must(6, 3), layout.FormStandard)
+	sch := core.MustScheme(mustRS(6, 3), layout.FormStandard)
 	st := MustNew(sch, 64)
 	payload := make([]byte, 5*sch.DataPerStripe()*64)
 	rand.New(rand.NewSource(507)).Read(payload)
@@ -381,7 +381,7 @@ func TestFanoutCoalescing(t *testing.T) {
 		}
 	}
 
-	ecfrm := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	ecfrm := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	plan, err = ecfrm.PlanNormalRead(0, 2*ecfrm.DataPerStripe())
 	if err != nil {
 		t.Fatal(err)
@@ -414,4 +414,13 @@ func TestReadAtCtxRespectsSealedExtent(t *testing.T) {
 	if err != nil || len(res.Data) != 0 {
 		t.Fatalf("zero-length read = (%v, %v), want empty success", res, err)
 	}
+}
+
+// mustRS is rs.New for parameters the test knows are valid.
+func mustRS(k, m int) *rs.Code {
+	c, err := rs.New(k, m)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

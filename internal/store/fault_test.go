@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/layout"
-	"repro/internal/rs"
 )
 
 // stubInjector adapts plain funcs to the FaultInjector interface so tests
@@ -181,31 +180,6 @@ func TestWriteFaultAbortsSealCleanly(t *testing.T) {
 	}
 }
 
-// TestWriteFaultAbortsWriteAtAtomically: a faulted read-modify-write
-// changes nothing — parity stays consistent and old bytes remain readable.
-func TestWriteFaultAbortsWriteAtAtomically(t *testing.T) {
-	s := testStore(t, layout.FormECFRM)
-	fastRetries(s)
-	want := fill(t, s, 2*s.stripeBytes(), 16)
-	s.SetFaultInjector(stubInjector{write: onlyDev(1, Fault{Err: errors.New("io error")})})
-
-	upd := make([]byte, 3*s.ElementSize())
-	for i := range upd {
-		upd[i] = 0xee
-	}
-	if err := s.WriteAt(0, upd); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("WriteAt through write fault: err = %v, want ErrUnavailable", err)
-	}
-	s.SetFaultInjector(nil)
-	res, err := s.ReadAt(0, len(want))
-	if err != nil || !bytes.Equal(res.Data, want) {
-		t.Fatal("aborted WriteAt mutated data")
-	}
-	if bad, err := s.Scrub(); err != nil || bad != nil {
-		t.Fatalf("aborted WriteAt left parity inconsistent: stripes %v err %v", bad, err)
-	}
-}
-
 // TestHealRevalidatesToleranceUnderWriteLock is the regression test for the
 // shared→exclusive heal escalation: a concurrent FailDisk in the lock gap
 // can push the corrupt cell's group past tolerance mid-heal. The heal must
@@ -213,7 +187,7 @@ func TestWriteFaultAbortsWriteAtAtomically(t *testing.T) {
 // never rewrite from an over-erased group, never return wrong bytes.
 func TestHealRevalidatesToleranceUnderWriteLock(t *testing.T) {
 	// RS(6,3) EC-FRM: every group has one element per disk, tolerance 3.
-	sch := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	sch := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	s := MustNew(sch, 64)
 	fill(t, s, s.stripeBytes(), 17)
 	if err := s.CorruptCell(0, layout.Pos{Row: 0, Col: 0}); err != nil {
@@ -239,7 +213,7 @@ func TestHealRevalidatesToleranceUnderWriteLock(t *testing.T) {
 // TestHealSurvivesInterleavedFailureWithinTolerance: the same interleaving
 // with the group still within tolerance must heal and return clean bytes.
 func TestHealSurvivesInterleavedFailureWithinTolerance(t *testing.T) {
-	sch := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	sch := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	s := MustNew(sch, 64)
 	want := fill(t, s, s.stripeBytes(), 18)
 	if err := s.CorruptCell(0, layout.Pos{Row: 0, Col: 0}); err != nil {
@@ -272,7 +246,7 @@ func TestHealSurvivesInterleavedFailureWithinTolerance(t *testing.T) {
 func TestHealInsideCoalescedRun(t *testing.T) {
 	for _, hedge := range []bool{false, true} {
 		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
-			sch := core.MustScheme(rs.Must(6, 3), layout.FormStandard)
+			sch := core.MustScheme(mustRS(6, 3), layout.FormStandard)
 			s := MustNew(sch, 64)
 			s.SetRetryPolicy(time.Second, 0)
 			if hedge {

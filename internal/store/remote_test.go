@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/layout"
-	"repro/internal/rs"
 )
 
 // newRemoteOverDisks builds a store over caller-supplied CellBackends that
@@ -30,10 +29,10 @@ func newRemoteOverDisks(t *testing.T, scheme *core.Scheme, elem int, cfg CellSto
 }
 
 // TestRemoteStoreMatchesLocal: a store over cell backends behaves byte-for-
-// byte like a plain mem store across append, read, partial overwrite,
-// corruption heal, and disk recovery through the remote replacement factory.
+// byte like a plain mem store across append, read, corruption heal, and
+// disk recovery through the remote replacement factory.
 func TestRemoteStoreMatchesLocal(t *testing.T) {
-	scheme := core.MustScheme(rs.Must(4, 2), layout.FormECFRM)
+	scheme := core.MustScheme(mustRS(4, 2), layout.FormECFRM)
 	const elem = 64
 	remote, _ := newRemoteOverDisks(t, scheme, elem, CellStoreConfig{Sync: true})
 	defer remote.Close()
@@ -71,17 +70,6 @@ func TestRemoteStoreMatchesLocal(t *testing.T) {
 	}
 	check("sealed")
 
-	// Partial overwrite (parity-delta path) through both.
-	over := make([]byte, 3*elem)
-	rng.Read(over)
-	for _, s := range []*Store{remote, local} {
-		if err := s.WriteAt(int64(elem), over); err != nil {
-			t.Fatal(err)
-		}
-	}
-	copy(payload[elem:], over)
-	check("overwritten")
-
 	// Silent corruption heals on read.
 	if err := remote.CorruptCell(2, layout.Pos{Row: 0, Col: 1}); err != nil {
 		t.Fatal(err)
@@ -106,7 +94,7 @@ func TestRemoteStoreMatchesLocal(t *testing.T) {
 // backends with Recover re-derives the sealed extent — the gateway-restart
 // path — and serves identical bytes.
 func TestRemoteStoreRecoverExtent(t *testing.T) {
-	scheme := core.MustScheme(rs.Must(4, 2), layout.FormRotated)
+	scheme := core.MustScheme(mustRS(4, 2), layout.FormRotated)
 	const elem = 32
 	disks := make([]*MemDisk, scheme.N())
 	for i := range disks {
@@ -157,7 +145,7 @@ func TestRemoteStoreRecoverExtent(t *testing.T) {
 // a cell its backend lacks heals it from its group like a corrupt one and
 // serves the right bytes.
 func TestRemoteStoreRecoverTornTail(t *testing.T) {
-	scheme := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	scheme := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	const elem, stripes = 32, 5
 	rows := scheme.Layout().Rows()
 	var healed, truncated int
@@ -260,7 +248,7 @@ func (downDisk) WriteRuns([]Run, bool) error { return errors.New("connection ref
 // an erasure to heal or a torn tail to cut. Recovery fails with
 // ErrUnavailable and truncates nothing.
 func TestRemoteStoreRecoverRefusesUnreachableDisk(t *testing.T) {
-	scheme := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	scheme := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	const elem = 32
 	st, disks := newRemoteOverDisks(t, scheme, elem, CellStoreConfig{Sync: true})
 	fill(t, st, 3*scheme.DataPerStripe()*elem, 5)
@@ -285,7 +273,7 @@ func TestRemoteStoreRecoverRefusesUnreachableDisk(t *testing.T) {
 // inflates the bias of every device on its node, and a map of the wrong
 // length is refused at construction.
 func TestNodeOfBias(t *testing.T) {
-	scheme := core.MustScheme(rs.Must(4, 2), layout.FormStandard)
+	scheme := core.MustScheme(mustRS(4, 2), layout.FormStandard)
 	n := scheme.N()
 	nodeOf := make([]int, n)
 	for d := range nodeOf {
@@ -350,7 +338,7 @@ func (nd nodeDisk) WriteRuns(runs []Run, sync bool) error {
 // runs, so a gateway restart over RS(6,3)/ecfrm on 3 nodes reads each
 // recovered stripe with one request per node — 3, not one per disk (9).
 func TestRecoverBatchesByNode(t *testing.T) {
-	scheme := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	scheme := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	const elem, stripes, nodes = 32, 4, 3
 	nodeOf := make([]int, scheme.N())
 	for d := range nodeOf {

@@ -109,13 +109,6 @@ func (r *DiskRebuild) Progress() (next, total, readCost int) {
 	return r.next, r.total, r.readCost
 }
 
-// Done reports whether the rebuild has completed and the device is healthy.
-func (r *DiskRebuild) Done() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.done
-}
-
 // Abort abandons an unfinished rebuild so a later BeginDiskRebuild (or
 // RecoverDisk) can start over. A rebuilt-but-unfinalized device stays failed
 // with the replacement backend installed, exactly like a mid-rebuild error.
@@ -518,14 +511,15 @@ func (s *Store) ScrubRange(start, count int) (bad []int, next int, err error) {
 // stripe; a failed or unavailable device is an error, since scrub must read
 // every cell. Caller holds mu.
 func (s *Store) verifyStripe(stripe int) (bool, error) {
-	cells, err := s.readExactly(s.allCells(stripe))
+	r, err := s.execute(context.TODO(), s.exactly(s.allCells(stripe)), corruptStops, ReadOptions{})
 	if errors.Is(err, ErrCorrupt) {
 		return false, nil
 	}
 	if err != nil {
 		return false, err
 	}
-	return s.scheme.VerifyStripe(cells)
+	defer r.release()
+	return s.scheme.VerifyStripe(r.stripes[0].cells)
 }
 
 // Scrub verifies parity consistency of every sealed stripe, returning the

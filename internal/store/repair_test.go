@@ -14,7 +14,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/lrc"
 	"repro/internal/obs"
-	"repro/internal/rs"
 )
 
 // TestScrubBatchedConcurrentRead proves the scrub's lock is released between
@@ -40,7 +39,7 @@ func TestScrubBatchedConcurrentRead(t *testing.T) {
 		go func() {
 			// Exclusive-lock op: blocked for the whole scrub if the
 			// scrub held its lock across batches.
-			done <- s.WriteAt(0, data[:s.ElementSize()])
+			done <- s.Append(data[:s.ElementSize()])
 		}()
 		for i := 0; i < 2; i++ {
 			select {
@@ -234,11 +233,6 @@ func TestMigrationMem(t *testing.T) {
 	if got := s.Rebuilding(); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("Rebuilding = %v, want [5]", got)
 	}
-	// Writes are fenced off while a migration may have already copied the
-	// cells a write would touch.
-	if err := s.WriteAt(0, make([]byte, s.ElementSize())); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("WriteAt during migration = %v, want ErrUnavailable", err)
-	}
 	for {
 		done, err := r.Step(3)
 		if err != nil {
@@ -257,10 +251,6 @@ func TestMigrationMem(t *testing.T) {
 	}
 	if bad, err := s.Scrub(); err != nil || len(bad) != 0 {
 		t.Fatalf("post-migration scrub: bad=%v err=%v", bad, err)
-	}
-	// The fence lifts once the migration is done.
-	if err := s.WriteAt(0, data[:s.ElementSize()]); err != nil {
-		t.Fatalf("WriteAt after migration: %v", err)
 	}
 }
 
@@ -344,9 +334,6 @@ func TestMigrationAbortDiscardsStaging(t *testing.T) {
 	}
 	if got := readAll(t, s); !bytes.Equal(got, data) {
 		t.Fatal("aborted migration changed data")
-	}
-	if err := s.WriteAt(0, data[:s.ElementSize()]); err != nil {
-		t.Fatalf("WriteAt after aborted migration: %v", err)
 	}
 }
 
@@ -513,7 +500,7 @@ func sum(xs []int64) (n int64) {
 // averaged over every failed disk.
 func TestRepairBackendCallsPerStripe(t *testing.T) {
 	const stripes = 6
-	for _, code := range []codes.Code{lrc.Must(6, 2, 2), rs.Must(6, 3)} {
+	for _, code := range []codes.Code{lrc.Must(6, 2, 2), mustRS(6, 3)} {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormRotated, layout.FormECFRM} {
 			sch := core.MustScheme(code, form)
 			t.Run(sch.Name(), func(t *testing.T) {
@@ -605,7 +592,7 @@ func TestRepairBackendCallsPerStripe(t *testing.T) {
 // disk. It logs both balances.
 func TestRecoverDiskReadCostAndBalance(t *testing.T) {
 	const stripes = 4
-	for _, code := range []codes.Code{rs.Must(6, 3), rs.Must(8, 4), rs.Must(10, 5),
+	for _, code := range []codes.Code{mustRS(6, 3), mustRS(8, 4), mustRS(10, 5),
 		lrc.Must(6, 2, 2), lrc.Must(8, 2, 3), lrc.Must(10, 2, 4)} {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormRotated, layout.FormECFRM} {
 			sch := core.MustScheme(code, form)

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -136,12 +135,6 @@ func newDevice(id, rows int, be CellBackend) *Device {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ID returns the device's index in the array.
-func (d *Device) ID() int { return d.id }
-
-// Failed reports whether the device is marked failed.
-func (d *Device) Failed() bool { return d.failed }
-
 // Elements returns the number of elements currently stored on the device.
 func (d *Device) Elements() int { return d.be.Elements() }
 
@@ -150,10 +143,6 @@ func (d *Device) Reads() int { return int(d.reads.Load()) }
 
 // Writes returns the element-granularity write count.
 func (d *Device) Writes() int { return int(d.writes.Load()) }
-
-// Errors returns the hard-error count (fail-stops, exhausted retry budgets,
-// backend I/O failures) since construction.
-func (d *Device) Errors() int64 { return d.errs.Load() }
 
 // noteError counts one hard device error for the failure detectors.
 func (d *Device) noteError() {
@@ -227,11 +216,11 @@ func (s *Store) byNode(runs []Run) [][]Run {
 	return groups
 }
 
-// writeRuns writes a batch — a seal's stripe, a heal's cell, an
-// overwrite's cells, a barrier — with one backend call per node, the nodes
-// at once; with sync the durability barrier rides on the writes. A backend
-// that cannot take a write is ErrUnavailable, like one that cannot serve a
-// read: commits surface it as retryable (HTTP 503 + Retry-After).
+// writeRuns writes a batch — a seal's stripe, a heal's cell, a barrier —
+// with one backend call per node, the nodes at once; with sync the
+// durability barrier rides on the writes. A backend that cannot take a
+// write is ErrUnavailable, like one that cannot serve a read: commits
+// surface it as retryable (HTTP 503 + Retry-After).
 func (s *Store) writeRuns(runs []Run, sync bool) error {
 	groups := s.byNode(runs)
 	return eachDevice(len(groups), func(i int) error {
@@ -335,8 +324,7 @@ type Store struct {
 	discardStagingFn    func(d int)
 
 	// rebuilding marks devices with an incremental rebuild or migration in
-	// progress (guarded by mu), so two repairs cannot race on one device and
-	// WriteAt refuses while staged copies could go stale.
+	// progress (guarded by mu), so two repairs cannot race on one device.
 	rebuilding map[int]bool
 
 	// testScrubYield, when set by a test, runs between Scrub batches while
@@ -357,8 +345,8 @@ type Store struct {
 
 	// epoch increments on every mutation that can change the bytes a read
 	// returns or the plan it follows (failure, recovery, corruption, heal,
-	// overwrite, fault-plan change). Callers caching decoded reads key them
-	// by this value.
+	// fault-plan change). Callers caching decoded reads key them by this
+	// value.
 	epoch atomic.Int64
 
 	// obs, when non-nil, is the metrics bundle every interesting event feeds
@@ -1058,214 +1046,6 @@ func (s *Store) healCell(ctx context.Context, stripe int, pos layout.Pos) ([]byt
 	s.Metrics().heal()
 	s.bumpEpoch()
 	return clean, nil
-}
-
-// readExactly reads the targets, cells of one stripe that must all be
-// readable as stored, and returns the stripe's cells (nil where not
-// targeted). The buffers are fresh device reads, the caller's to keep and
-// mutate.
-func (s *Store) readExactly(targets []core.Access) ([][]byte, error) {
-	r, err := s.execute(context.TODO(), s.exactly(targets), corruptStops, ReadOptions{})
-	if err != nil {
-		return nil, err
-	}
-	defer r.release()
-	return slices.Clone(r.stripes[0].cells), nil
-}
-
-// WriteAt overwrites length-len(data) bytes at offset off within the sealed
-// extent, using the read-modify-write small-write path: for each touched
-// element, the old cell is read, the delta folded into the group's parity
-// cells, and only those cells rewritten. Writes must be element-aligned and
-// a whole number of elements (partial-element updates would need a
-// read-merge step the paper's append-only model never exercises). All disks
-// must be healthy.
-func (s *Store) WriteAt(off int64, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkWriteArgs(off, data); err != nil {
-		return err
-	}
-	lay := s.scheme.Layout()
-	n := s.scheme.N()
-	dps := s.scheme.DataPerStripe()
-	count := len(data) / s.elemSize
-	startElem := int(off / int64(s.elemSize))
-
-	// Stage every cell update first, then fault-gate every write, then
-	// commit. Each touched stripe's cells — the elements and their groups'
-	// parity — are read in one pass and UpdateData folds every element's
-	// delta into them in place, so deltas within a group compose; nothing
-	// touches a device until every read succeeded and every write cleared
-	// its gate — a faulted update aborts whole, never leaving parity
-	// inconsistent.
-	type stagedWrite struct {
-		disk int
-		k    cellKey
-		data []byte
-	}
-	var order []stagedWrite
-	endElem := startElem + count - 1
-	for stripe := startElem / dps; stripe <= endElem/dps; stripe++ {
-		lo, hi := max(startElem, stripe*dps), min(endElem, stripe*dps+dps-1)
-		var targets []core.Access
-		listed := make([]bool, s.scheme.CellsPerStripe())
-		need := func(p layout.Pos) {
-			if !listed[p.Row*n+p.Col] {
-				listed[p.Row*n+p.Col] = true
-				targets = append(targets, core.Access{Disk: lay.Disk(stripe, p.Col), Stripe: stripe, Pos: p})
-			}
-		}
-		for x := lo; x <= hi; x++ {
-			pos := lay.DataPos(x % dps)
-			need(pos)
-			for t := s.scheme.Code().K(); t < s.scheme.Code().N(); t++ {
-				need(lay.GroupCell(lay.CellAt(pos).Group, t))
-			}
-		}
-		cells, err := s.readExactly(targets)
-		if err != nil {
-			return err
-		}
-		staged := make([]bool, len(cells))
-		for x := lo; x <= hi; x++ {
-			i := x - startElem
-			touched, err := s.scheme.UpdateData(cells, x%dps, data[i*s.elemSize:(i+1)*s.elemSize])
-			if err != nil {
-				return err
-			}
-			for _, idx := range touched {
-				if !staged[idx] {
-					staged[idx] = true
-					p := layout.Pos{Row: idx / n, Col: idx % n}
-					order = append(order, stagedWrite{lay.Disk(stripe, p.Col), cellKey{stripe, p}, cells[idx]})
-				}
-			}
-		}
-	}
-	for _, sw := range order {
-		if err := s.writeGate(sw.disk); err != nil {
-			return fmt.Errorf("store: write [%d,+%d): %w", off, len(data), err)
-		}
-	}
-	runs := make([]Run, len(order))
-	for i, sw := range order {
-		runs[i] = s.oneCell(sw.disk, sw.k, sw.data)
-	}
-	if err := s.writeRuns(runs, s.fsync); err != nil {
-		return fmt.Errorf("store: write [%d,+%d): %w", off, len(data), err)
-	}
-	s.bumpEpoch()
-	return nil
-}
-
-// checkWriteArgs validates an in-place overwrite request: element-aligned,
-// within the sealed extent, no failed disks. Caller holds mu exclusively.
-func (s *Store) checkWriteArgs(off int64, data []byte) error {
-	if off < 0 || off%int64(s.elemSize) != 0 || len(data)%s.elemSize != 0 {
-		return fmt.Errorf("%w: write [%d,+%d) not element-aligned (element %d)",
-			ErrRange, off, len(data), s.elemSize)
-	}
-	sealed := int64(s.stripes) * int64(s.stripeBytes())
-	if off+int64(len(data)) > sealed {
-		return fmt.Errorf("%w: write [%d,+%d) beyond sealed extent %d", ErrRange, off, len(data), sealed)
-	}
-	if failed := s.failedDisksLocked(); len(failed) > 0 {
-		return fmt.Errorf("%w: cannot update with failed disks %v (recover first)", ErrFailed, failed)
-	}
-	if len(s.rebuilding) > 0 {
-		// A migration's staged copy would go stale under an in-place update
-		// (its already-copied stripes are not re-read). Transient: retry
-		// after the repair finishes.
-		return fmt.Errorf("%w: cannot update while devices %v are being rebuilt or migrated",
-			ErrUnavailable, keysSorted(s.rebuilding))
-	}
-	return nil
-}
-
-// WriteAtReencode performs the same overwrite as WriteAt through the naive
-// full-stripe path: every touched stripe's data elements are read back, the
-// new bytes merged in, the whole stripe re-encoded, and every cell of the
-// stripe rewritten. It exists as the measurable baseline the parity-delta
-// path is judged against — identical bytes, strictly more device I/O — and
-// shares WriteAt's atomicity: every write is fault-gated before any device
-// mutates, so a faulted update aborts whole.
-func (s *Store) WriteAtReencode(off int64, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkWriteArgs(off, data); err != nil {
-		return err
-	}
-	lay := s.scheme.Layout()
-	n := s.scheme.N()
-	dps := s.scheme.DataPerStripe()
-	count := len(data) / s.elemSize
-	startElem := int(off / int64(s.elemSize))
-	endElem := startElem + count - 1
-
-	// Stage every touched stripe's full cell set first, then gate every
-	// write, then commit — nothing touches a device until every read
-	// succeeded and every write cleared its gate.
-	type stagedStripe struct {
-		stripe int
-		cells  [][]byte
-	}
-	var staged []stagedStripe
-	for stripe := startElem / dps; stripe <= endElem/dps; stripe++ {
-		shards := make([][]byte, dps)
-		var targets []core.Access
-		for e := 0; e < dps; e++ {
-			if x := stripe*dps + e; x >= startElem && x <= endElem {
-				// Fully overwritten: no read needed (backends copy what they keep).
-				i := x - startElem
-				shards[e] = data[i*s.elemSize : (i+1)*s.elemSize]
-				continue
-			}
-			pos := lay.DataPos(e)
-			targets = append(targets, core.Access{Disk: lay.Disk(stripe, pos.Col), Stripe: stripe, Pos: pos})
-		}
-		if len(targets) > 0 {
-			cells, err := s.readExactly(targets)
-			if err != nil {
-				return err
-			}
-			for e, shard := range shards {
-				if shard == nil {
-					pos := lay.DataPos(e)
-					shards[e] = cells[pos.Row*n+pos.Col]
-				}
-			}
-		}
-		cells, err := s.scheme.EncodeStripe(shards)
-		if err != nil {
-			return err
-		}
-		staged = append(staged, stagedStripe{stripe, cells})
-	}
-	for _, st := range staged {
-		for col := 0; col < n; col++ {
-			disk := lay.Disk(st.stripe, col)
-			for row := 0; row < lay.Rows(); row++ {
-				if err := s.writeGate(disk); err != nil {
-					return fmt.Errorf("store: reencode write [%d,+%d): %w", off, len(data), err)
-				}
-			}
-		}
-	}
-	var runs []Run
-	for _, st := range staged {
-		for row := 0; row < lay.Rows(); row++ {
-			for col := 0; col < n; col++ {
-				k := cellKey{st.stripe, layout.Pos{Row: row, Col: col}}
-				runs = append(runs, s.oneCell(lay.Disk(st.stripe, col), k, st.cells[row*n+col]))
-			}
-		}
-	}
-	if err := s.writeRuns(runs, s.fsync); err != nil {
-		return fmt.Errorf("store: reencode write [%d,+%d): %w", off, len(data), err)
-	}
-	s.bumpEpoch()
-	return nil
 }
 
 // CorruptCell flips every bit of one stored cell while keeping its recorded

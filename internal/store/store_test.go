@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/lrc"
-	"repro/internal/rs"
 	"repro/internal/workload"
 )
 
@@ -34,7 +33,7 @@ func fill(t testing.TB, s *Store, nBytes int, seed int64) []byte {
 }
 
 func TestNewValidation(t *testing.T) {
-	sch := core.MustScheme(rs.Must(6, 3), layout.FormECFRM)
+	sch := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	if _, err := New(sch, 0); err == nil {
 		t.Fatal("zero element size must fail")
 	}
@@ -210,7 +209,7 @@ func TestRecoverDiskRestoresContent(t *testing.T) {
 	if got := s.Device(3).Elements(); got != before {
 		t.Fatalf("replacement has %d elements, want %d", got, before)
 	}
-	if s.Device(3).Failed() {
+	if s.Device(3).failed {
 		t.Fatal("device still marked failed")
 	}
 	// All data must read back clean with zero failures.
@@ -264,7 +263,7 @@ func TestMultiFailureWithinTolerance(t *testing.T) {
 }
 
 func TestBeyondToleranceReadFails(t *testing.T) {
-	s := MustNew(core.MustScheme(rs.Must(6, 3), layout.FormECFRM), 64)
+	s := MustNew(core.MustScheme(mustRS(6, 3), layout.FormECFRM), 64)
 	fill(t, s, 4000, 70)
 	for _, d := range []int{0, 1, 2, 3} {
 		s.FailDisk(d)
@@ -312,7 +311,7 @@ func TestFailedDisksSorted(t *testing.T) {
 func TestRotatedLayoutBalancesDevices(t *testing.T) {
 	// With many stripes, rotation must distribute stored elements evenly
 	// across devices (each device gets the same cell count).
-	s := MustNew(core.MustScheme(rs.Must(6, 3), layout.FormRotated), 16)
+	s := MustNew(core.MustScheme(mustRS(6, 3), layout.FormRotated), 16)
 	fill(t, s, 16*6*9*3, 72) // 27 stripes
 	want := s.Device(0).Elements()
 	for d := 1; d < 9; d++ {
@@ -404,65 +403,6 @@ func TestZipfTraceReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	run("recovered")
-}
-
-func TestWriteAtSmallWritePath(t *testing.T) {
-	s := testStore(t, layout.FormECFRM)
-	data := fill(t, s, 8000, 95)
-	rng := rand.New(rand.NewSource(96))
-	// Overwrite several aligned element runs and verify reads + scrub.
-	for trial := 0; trial < 20; trial++ {
-		elem := rng.Intn(100)
-		count := 1 + rng.Intn(3)
-		off := int64(elem * s.ElementSize())
-		if off+int64(count*s.ElementSize()) > int64(len(data)) {
-			continue
-		}
-		upd := make([]byte, count*s.ElementSize())
-		rng.Read(upd)
-		if err := s.WriteAt(off, upd); err != nil {
-			t.Fatal(err)
-		}
-		copy(data[off:], upd)
-	}
-	res, err := s.ReadAt(0, len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Data, data) {
-		t.Fatal("data wrong after in-place updates")
-	}
-	if bad, err := s.Scrub(); err != nil || bad != nil {
-		t.Fatalf("scrub after updates: %v %v", bad, err)
-	}
-	// Degraded read still works after updates.
-	s.FailDisk(4)
-	res, err = s.ReadAt(100, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Data, data[100:3100]) {
-		t.Fatal("degraded read wrong after updates")
-	}
-}
-
-func TestWriteAtValidation(t *testing.T) {
-	s := testStore(t, layout.FormECFRM)
-	fill(t, s, 4000, 97)
-	es := s.ElementSize()
-	if err := s.WriteAt(1, make([]byte, es)); !errors.Is(err, ErrRange) {
-		t.Fatalf("unaligned offset: %v", err)
-	}
-	if err := s.WriteAt(0, make([]byte, es-1)); !errors.Is(err, ErrRange) {
-		t.Fatalf("unaligned length: %v", err)
-	}
-	if err := s.WriteAt(1<<40, make([]byte, es)); !errors.Is(err, ErrRange) {
-		t.Fatalf("beyond extent: %v", err)
-	}
-	s.FailDisk(0)
-	if err := s.WriteAt(0, make([]byte, es)); !errors.Is(err, ErrFailed) {
-		t.Fatalf("failed disk: %v", err)
-	}
 }
 
 func TestSelfHealingRead(t *testing.T) {

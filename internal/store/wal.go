@@ -45,8 +45,8 @@
 //
 // While a WAL is attached to a store, all appends must go through it: the
 // offset bookkeeping assumes no other writer advances NextOffset between
-// hand-over and commit. (Reads, WriteAt updates, healing, and recovery touch
-// sealed stripes only and compose freely.)
+// hand-over and commit. (Reads, healing, and recovery touch sealed stripes
+// only and compose freely.)
 package store
 
 import (
@@ -167,9 +167,6 @@ func (w *WAL) SpillErr() error {
 	defer w.mu.Unlock()
 	return w.spillErr
 }
-
-// Config returns the resolved thresholds in effect.
-func (w *WAL) Config() WALConfig { return w.cfg }
 
 // Depth returns the number of objects and user bytes queued but not yet
 // committed — the WAL depth gauge's source of truth.

@@ -59,7 +59,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("close: %v", err)
 		}
 
-		log, err := os.ReadFile(w.Config().LogPath)
+		log, err := os.ReadFile(w.cfg.LogPath)
 		if err != nil {
 			t.Fatalf("read spilled log: %v", err)
 		}

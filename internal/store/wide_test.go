@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/lrc"
-	"repro/internal/rs"
 )
 
 // wideGrid is the wide-stripe sweep the store end-to-end tests cover:
@@ -21,7 +20,7 @@ func wideGrid(t testing.TB) map[string]*core.Scheme {
 	t.Helper()
 	cells := make(map[string]*core.Scheme)
 	for cname, c := range map[string]codes.Code{
-		"rs-64":  rs.Must(64, 4),
+		"rs-64":  mustRS(64, 4),
 		"lrc-32": lrc.Must(32, 4, 2),
 	} {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormECFRM} {

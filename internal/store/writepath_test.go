@@ -15,7 +15,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/lrc"
 	"repro/internal/obs"
-	"repro/internal/rs"
 )
 
 // scribble overwrites b with a pattern no test payload contains.
@@ -264,7 +263,7 @@ func TestSealElidesZeroCells(t *testing.T) {
 		writes, records int
 	}{
 		{lrc.Must(6, 2, 2), 375, 1000},
-		{rs.Must(6, 3), 342, 594},
+		{mustRS(6, 3), 342, 594},
 	} {
 		scheme := core.MustScheme(tc.code, layout.FormECFRM)
 		writes, records, zeros := 0, 0, int64(0)

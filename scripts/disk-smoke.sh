@@ -4,21 +4,25 @@
 #
 # Builds the daemon, starts it with -backend=file on a throwaway data
 # directory, fires a burst of concurrent small PUTs, verifies every object
-# reads back byte-identical, then SIGKILLs the daemon mid-life (no drain, no
-# manifest write) and restarts it on the same directory, asserting that:
+# reads back byte-identical, then SIGKILLs the daemon mid-life (no drain) and
+# restarts it on the same directory, asserting that:
 #
 #   0. before the crash, every cell of every sealed stripe was recorded —
 #      50 per stripe for the default LRC(6,2,2), counted as element writes
 #      plus zero cells — and the padding was never written: element writes
 #      alone fall short of it,
-#   1. startup recovery reports the sealed extent (the log line and
+#   1. a restart under another geometry (-code rs -m 3) exits nonzero
+#      before touching the directory, naming the scheme the directory was
+#      written as and the one requested (the manifest written at open
+#      survives the SIGKILL),
+#   2. startup recovery with the original flags reports the sealed extent (the log line and
 #      /admin/status agree on a nonzero stripe count),
-#   2. /admin/scrub finds every recovered stripe parity-consistent, reading
+#   3. /admin/scrub finds every recovered stripe parity-consistent, reading
 #      each stripe as one pread per device (10 for the default LRC(6,2,2)),
-#   3. the per-device I/O metric families (ecfrm_devq_*) are live,
-#   4. the store still accepts writes after recovery (a post-restart PUT
+#   4. the per-device I/O metric families (ecfrm_devq_*) are live,
+#   5. the store still accepts writes after recovery (a post-restart PUT
 #      acks and reads back),
-#   5. the daemon drains gracefully on SIGTERM (manifest sealed for the
+#   6. the daemon drains gracefully on SIGTERM (manifest sealed for the
 #      next open).
 #
 # Exits nonzero (and dumps the daemon logs) on any miss.
@@ -31,6 +35,7 @@ BIN="$TMP/ecfrmd"
 DATA="$TMP/data"
 LOG1="$TMP/ecfrmd.1.log"
 LOG2="$TMP/ecfrmd.2.log"
+LOGRS="$TMP/ecfrmd.rs.log"
 PID=""
 
 cleanup() {
@@ -40,7 +45,7 @@ cleanup() {
         wait "$PID" 2>/dev/null || true
     fi
     if [ "$status" -ne 0 ]; then
-        for f in "$LOG1" "$LOG2"; do
+        for f in "$LOG1" "$LOGRS" "$LOG2"; do
             if [ -f "$f" ]; then
                 echo "disk-smoke: FAILED — $f:" >&2
                 cat "$f" >&2
@@ -136,12 +141,39 @@ if [ "$WRITES" -ge $((50 * STRIPES_BEFORE)) ]; then
     exit 1
 fi
 
-# Crash: no drain, no manifest write — recovery must re-derive everything
-# from the device files and the spilled WAL.
+# Crash: no drain — recovery must re-derive the extent from the device files
+# and the spilled WAL.
 echo "disk-smoke: SIGKILL mid-life ($STRIPES_BEFORE stripes on disk)"
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
+
+echo "disk-smoke: restarting as RS(6,3) on the same data directory (must refuse)"
+"$BIN" -addr "127.0.0.1:$PORT" -elem 4096 -backend file -data-dir "$DATA" \
+    -code rs -m 3 -wal-flush-interval 3ms >"$LOGRS" 2>&1 &
+PID=$!
+i=0
+while kill -0 "$PID" 2>/dev/null; do
+    i=$((i + 1))
+    if [ "$i" -ge 100 ]; then
+        echo "disk-smoke: ecfrmd -code rs -m 3 is still running on a directory written as LRC(6,2,2)" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+if wait "$PID"; then
+    PID=""
+    echo "disk-smoke: ecfrmd -code rs -m 3 exited 0 on a directory written as LRC(6,2,2)" >&2
+    exit 1
+fi
+PID=""
+for scheme in 'EC-FRM-LRC(6,2,2)' 'EC-FRM-RS(6,3)'; do
+    grep -qF "$scheme" "$LOGRS" || {
+        echo "disk-smoke: the refusal does not name $scheme" >&2
+        cat "$LOGRS" >&2
+        exit 1
+    }
+done
 
 echo "disk-smoke: restarting on the same data directory"
 "$BIN" -addr "127.0.0.1:$PORT" -elem 4096 -backend file -data-dir "$DATA" \
