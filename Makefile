@@ -132,7 +132,7 @@ fuzz-smoke:
 chaos:
 	@seed=$${CHAOS_SEED:-$$(date +%s)}; \
 	echo "chaos: extra seed $$seed (reproduce with CHAOS_SEED=$$seed make chaos)"; \
-	CHAOS_SEED=$$seed $(GO) test -race -count=2 -run 'Chaos|FaultSequence|Replays|FaultStreams|StreamSourceFault|StreamSinkFault' \
+	CHAOS_SEED=$$seed $(GO) test -race -count=2 -run 'Chaos|FaultSequence|Replays|FaultStreams|StreamSourceFault' \
 		./internal/faultinject/ ./internal/shardio/
 
 ci: vet race race-io fuzz-smoke bench-smoke bench-quick obs-smoke fanout-smoke writepath-smoke disk-smoke repair-smoke repair-chaos cluster-smoke chaos

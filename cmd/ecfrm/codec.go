@@ -3,197 +3,157 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"strconv"
-	"strings"
 
-	"repro/internal/core"
-	"repro/internal/layout"
-	"repro/internal/lrc"
-	"repro/internal/rs"
-	"repro/internal/shardio"
+	"repro/internal/store"
 )
 
-func buildScheme(code string, k, l, m int, form string) (*core.Scheme, error) {
-	switch strings.ToLower(code) {
-	case "rs":
-		rc, err := rs.New(k, m)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewScheme(rc, layout.Form(form))
-	case "lrc":
-		lc, err := lrc.New(k, l, m)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewScheme(lc, layout.Form(form))
-	default:
-		return nil, fmt.Errorf("unknown code %q (want rs or lrc)", code)
-	}
+// encodeStripes is how many stripes of the input encode hands the store per
+// Append: what bounds its memory, with the store's one pending stripe.
+const encodeStripes = 4
+
+// dirFlags are the flags every data-directory command takes: the scheme
+// flags and -elem, with ecfrmd's defaults, since together they are the
+// geometry the directory is checked against.
+type dirFlags struct {
+	schemeFlags
+	elem *int
 }
 
-// schemeFromManifest rebuilds the scheme a shard directory was written with.
-func schemeFromManifest(dir string) (*core.Scheme, shardio.Manifest, error) {
-	man, err := shardio.ReadManifest(dir)
+func newDirFlags(fs *flag.FlagSet) dirFlags {
+	return dirFlags{newSchemeFlags(fs), fs.Int("elem", 64<<10, "element size in bytes")}
+}
+
+// open opens data directory dir exactly as ecfrmd -backend=file opens its
+// -data-dir: a geometry other than the flags' is refused before anything is
+// touched, then startup recovery heals lost or torn devices in place.
+func (df dirFlags) open(dir string) (*store.Store, *store.RecoveryReport, error) {
+	scheme, err := df.build()
 	if err != nil {
-		return nil, man, err
+		return nil, nil, err
 	}
-	scheme, err := buildScheme(man.Code, man.K, man.L, man.M, man.Form)
-	return scheme, man, err
+	return store.OpenFileBacked(scheme, *df.elem, store.FileConfig{Dir: dir})
 }
 
-func flagSet(name string) *flag.FlagSet {
-	return flag.NewFlagSet(name, flag.ExitOnError)
-}
-
-func parseInts(csv string) ([]int, error) {
-	if csv == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(csv, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad disk list %q: %v", csv, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parallelFlag registers the shared worker-count flag; 0 means one worker
-// per CPU.
-func parallelFlag(fs *flag.FlagSet) *int {
-	return fs.Int("parallel", 0, "pipeline workers (0 = one per CPU)")
-}
-
-func workersOf(parallel int) int {
-	if parallel > 0 {
-		return parallel
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func cmdEncode(args []string) error {
-	fs := flagSet("encode")
-	sf := newSchemeFlags(fs)
+func cmdEncode(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("encode", flag.ExitOnError)
+	df := newDirFlags(fs)
 	in := fs.String("in", "", "input file")
-	out := fs.String("out", "", "output shard directory")
-	elem := fs.Int("elem", 64<<10, "element size in bytes")
-	parallel := parallelFlag(fs)
-	buffered := fs.Bool("buffered", false, "buffer the whole payload in memory instead of streaming")
-	fsync := fs.Bool("fsync", false, "fsync shard files, manifest, and directory after encoding")
+	out := fs.String("out", "", "output data directory (absent or empty)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *in == "" || *out == "" {
 		return fmt.Errorf("encode requires -in and -out")
 	}
-	scheme, err := sf.build()
+	f, err := os.Open(*in)
 	if err != nil {
 		return err
 	}
-	base := shardio.Manifest{
-		Code: strings.ToLower(*sf.code), K: *sf.k, L: *sf.l, M: *sf.m, Form: *sf.form,
+	defer f.Close()
+	st, _, err := df.open(*out)
+	if err != nil {
+		return err
 	}
-	var man shardio.Manifest
-	if *buffered {
-		payload, err := os.ReadFile(*in)
-		if err != nil {
-			return err
-		}
-		man, err = shardio.Encode(scheme, payload, *out, *elem, base)
-		if err != nil {
-			return err
-		}
-	} else {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		man, err = shardio.EncodeStream(scheme, f, *out, *elem, base, workersOf(*parallel))
-		if err != nil {
-			return err
+	if n := st.Stripes(); n > 0 {
+		st.Close()
+		return fmt.Errorf("%s already holds %d stripes; encode writes a fresh directory", *out, n)
+	}
+	scheme := st.Scheme()
+	buf := make([]byte, encodeStripes*scheme.DataPerStripe()*st.ElementSize())
+	for err == nil {
+		var n int
+		n, err = io.ReadFull(f, buf)
+		if n > 0 {
+			if aerr := st.Append(buf[:n]); aerr != nil {
+				err = aerr
+			}
 		}
 	}
-	if *fsync {
-		if err := shardio.Sync(scheme, *out); err != nil {
-			return err
-		}
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = st.Flush()
 	}
-	fmt.Printf("encoded %d bytes as %s into %d stripes across %d disk files in %s\n",
-		man.Length, scheme.Name(), man.Stripes, scheme.N(), *out)
+	stripes, length := st.Stripes(), st.Len()
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "encoded %d bytes as %s into %d stripes across %d devices in %s\n",
+		length, scheme.Name(), stripes, scheme.N(), *out)
 	return nil
 }
 
-func cmdDecode(args []string) error {
-	fs := flagSet("decode")
-	in := fs.String("in", "", "input shard directory")
+func cmdDecode(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("decode", flag.ExitOnError)
+	df := newDirFlags(fs)
+	in := fs.String("in", "", "input data directory")
 	out := fs.String("out", "", "output file")
-	parallel := parallelFlag(fs)
-	buffered := fs.Bool("buffered", false, "buffer the whole payload in memory instead of streaming")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *in == "" || *out == "" {
 		return fmt.Errorf("decode requires -in and -out")
 	}
-	scheme, man, err := schemeFromManifest(*in)
+	st, rep, err := df.open(*in)
 	if err != nil {
 		return err
 	}
-	var missing int
-	if *buffered {
-		payload, bufMissing, err := shardio.Decode(scheme, *in)
-		if err != nil {
-			return err
-		}
-		missing = bufMissing
-		if err := os.WriteFile(*out, payload, 0o644); err != nil {
-			return err
-		}
-	} else {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		missing, err = shardio.DecodeStream(scheme, *in, f, workersOf(*parallel))
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	err = writeExtent(st, *out)
+	if cerr := st.Close(); err == nil {
+		err = cerr
 	}
-	if missing > 0 {
-		fmt.Printf("decoded through %d missing disk file(s) (tolerance: %d)\n",
-			missing, scheme.FaultTolerance())
+	if err != nil {
+		return err
 	}
-	fmt.Printf("decoded %d bytes from %s (%s) into %s\n", man.Length, *in, scheme.Name(), *out)
+	printReport(w, *in, st, rep)
+	fmt.Fprintf(w, "decoded %d bytes from %s (%s) into %s\n", st.Len(), *in, st.Scheme().Name(), *out)
 	return nil
 }
 
-func cmdVerify(args []string) error {
-	fs := flagSet("verify")
-	in := fs.String("in", "", "shard directory")
-	parallel := parallelFlag(fs)
+// writeExtent writes the store's bytes [0, Len()) to the file at path, one
+// stripe window per read.
+func writeExtent(st *store.Store, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	window := int64(st.Scheme().DataPerStripe() * st.ElementSize())
+	for off := int64(0); off < st.Len() && err == nil; off += window {
+		var res *store.ReadResult
+		if res, err = st.ReadAt(off, int(min(window, st.Len()-off))); err == nil {
+			_, err = f.Write(res.Data)
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func cmdVerify(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("verify", flag.ExitOnError)
+	df := newDirFlags(fs)
+	in := fs.String("in", "", "data directory")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *in == "" {
 		return fmt.Errorf("verify requires -in")
 	}
-	scheme, man, err := schemeFromManifest(*in)
+	st, rep, err := df.open(*in)
 	if err != nil {
 		return err
 	}
-	if err := shardio.VerifyStream(scheme, *in, workersOf(*parallel)); err != nil {
-		return err
-	}
-	fmt.Printf("all %d stripes verify clean (%s)\n", man.Stripes, scheme.Name())
-	return nil
+	printReport(w, *in, st, rep)
+	return st.Close()
+}
+
+// printReport prints what opening dir found and fixed: the recovery report
+// ecfrmd logs at startup.
+func printReport(w io.Writer, dir string, st *store.Store, rep *store.RecoveryReport) {
+	fmt.Fprintf(w, "%s: %d stripes of %s verify clean (healed %d cells, re-encoded %d stripes, truncated %d torn stripes)\n",
+		dir, rep.Stripes, st.Scheme().Name(), rep.HealedCells, rep.ReencodedStripes, rep.TruncatedStripes)
 }

@@ -1,12 +1,15 @@
-// Command ecfrm encodes files into per-disk shard directories with any of
-// the paper's six scheme variants, decodes them back (tolerating up to the
-// scheme's fault tolerance in missing disk files), and inspects layouts and
-// read plans.
+// Command ecfrm encodes files into erasure-coded data directories with any
+// of the paper's six scheme variants, decodes them back (healing up to the
+// scheme's fault tolerance in lost or torn devices), and inspects layouts
+// and read plans. A data directory is the store's file backend — one
+// dev_NN.data/dev_NN.crc pair per device plus backend.json — so ecfrmd
+// -backend=file serves what encode writes, under the same scheme flags.
 //
 // Usage:
 //
-//	ecfrm encode -in data.bin -out shards/ -code lrc -k 6 -l 2 -m 2 -form ecfrm
-//	ecfrm decode -in shards/ -out restored.bin        # works with lost disks
+//	ecfrm encode -in data.bin -out data/ -code lrc -k 6 -l 2 -m 2 -form ecfrm
+//	ecfrm verify -in data/
+//	ecfrm decode -in data/ -out restored.bin          # heals lost devices
 //	ecfrm info   -code rs -k 6 -m 3 -form ecfrm
 //	ecfrm plan   -code lrc -k 6 -l 2 -m 2 -form ecfrm -start 0 -count 8 -failed 2
 package main
@@ -15,6 +18,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 )
@@ -27,11 +32,11 @@ func main() {
 	var err error
 	switch os.Args[1] {
 	case "encode":
-		err = cmdEncode(os.Args[2:])
+		err = cmdEncode(os.Args[2:], os.Stdout)
 	case "decode":
-		err = cmdDecode(os.Args[2:])
+		err = cmdDecode(os.Args[2:], os.Stdout)
 	case "verify":
-		err = cmdVerify(os.Args[2:])
+		err = cmdVerify(os.Args[2:], os.Stdout)
 	case "info":
 		err = cmdInfo(os.Args[2:])
 	case "plan":
@@ -48,15 +53,16 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: ecfrm <encode|decode|verify|info|plan> [flags]
-  encode -in FILE -out DIR  [-code rs|lrc -k K -l L -m M -form F -elem N -parallel W -buffered]
-  decode -in DIR  -out FILE [-parallel W -buffered]
-  verify -in DIR            [-parallel W]  # parity-check every stripe
+  encode -in FILE -out DIR  [-code rs|lrc -k K -l L -m M -form F -elem N]
+  decode -in DIR  -out FILE [scheme flags as encode]  # heals lost devices in place
+  verify -in DIR            [scheme flags as encode]  # heal, verify, report
   info   -code rs|lrc -k K [-l L] -m M -form F
   plan   -code rs|lrc -k K [-l L] -m M -form F -start S -count C [-failed D,D,...]
 
-encode/decode stream stripe-at-a-time through a W-worker pipeline, so memory
-stays O(W × stripe) however large the file; -buffered selects the legacy
-whole-payload path.`)
+DIR is a store data directory, the one ecfrmd -backend=file -data-dir serves;
+the scheme flags and their defaults are ecfrmd's, and a directory written
+under another geometry is refused. Memory stays a few stripes however large
+the file.`)
 }
 
 // schemeFlags registers the shared scheme-selection flags on fs.
@@ -79,7 +85,7 @@ func newSchemeFlags(fs *flag.FlagSet) schemeFlags {
 }
 
 func (sf schemeFlags) build() (*core.Scheme, error) {
-	return buildScheme(*sf.code, *sf.k, *sf.l, *sf.m, *sf.form)
+	return core.SchemeFor(*sf.code, *sf.k, *sf.l, *sf.m, *sf.form)
 }
 
 func cmdInfo(args []string) error {
@@ -146,4 +152,19 @@ func cmdPlan(args []string) error {
 		fmt.Printf("  disk %2d  stripe %3d  cell (%d,%d)\n", a.Disk, a.Stripe, a.Pos.Row, a.Pos.Col)
 	}
 	return nil
+}
+
+func parseInts(csv string) ([]int, error) {
+	if csv == "" {
+		return nil, nil
+	}
+	var out []int
+	for _, part := range strings.Split(csv, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, fmt.Errorf("bad disk list %q: %v", csv, err)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }

@@ -122,18 +122,14 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/httpd"
-	"repro/internal/layout"
-	"repro/internal/lrc"
 	"repro/internal/obs"
 	"repro/internal/repair"
-	"repro/internal/rs"
 	"repro/internal/store"
 )
 
@@ -217,24 +213,7 @@ func checkFlags(fsyncMode string, hedgeQuantile float64, hedgeMinDelay time.Dura
 
 // buildScheme constructs the erasure-coding scheme from the code flags.
 func buildScheme() *core.Scheme {
-	var (
-		scheme *core.Scheme
-		err    error
-	)
-	switch strings.ToLower(*code) {
-	case "rs":
-		var c *rs.Code
-		if c, err = rs.New(*k, *m); err == nil {
-			scheme, err = core.NewScheme(c, layout.Form(*form))
-		}
-	case "lrc":
-		var c *lrc.Code
-		if c, err = lrc.New(*k, *l, *m); err == nil {
-			scheme, err = core.NewScheme(c, layout.Form(*form))
-		}
-	default:
-		err = fmt.Errorf("unknown code %q", *code)
-	}
+	scheme, err := core.SchemeFor(*code, *k, *l, *m, *form)
 	if err != nil {
 		log.Fatal("ecfrmd: ", err)
 	}

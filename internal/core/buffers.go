@@ -58,17 +58,6 @@ func (b *Buffers) PutShard(buf []byte) {
 	b.shards.Put(p)
 }
 
-// PutShards returns every non-nil buffer in bufs to the arena and nils the
-// slots, a convenience for recycling a whole stripe of cells at once.
-func (b *Buffers) PutShards(bufs [][]byte) {
-	for i, s := range bufs {
-		if s != nil {
-			b.PutShard(s)
-			bufs[i] = nil
-		}
-	}
-}
-
 // stripeScratch holds the per-call shard-pointer slices the stripe
 // operations need, recycled through a pool so the hot paths allocate
 // nothing. The slices are sized for the scheme on first use and keep their

@@ -14,9 +14,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/codes"
 	"repro/internal/layout"
+	"repro/internal/lrc"
+	"repro/internal/rs"
 )
 
 // ErrBadRequest flags an invalid read request or stripe input.
@@ -64,6 +67,27 @@ func MustScheme(code codes.Code, form layout.Form) *Scheme {
 		panic(err)
 	}
 	return s
+}
+
+// SchemeFor builds the scheme the command-line flags name: code "rs" (k
+// data, m parity elements per row) or "lrc" (k data, l local and m global
+// parities), deployed under form. ecfrm and ecfrmd both build through it, so
+// a data directory either writes the other opens under the same geometry.
+func SchemeFor(code string, k, l, m int, form string) (*Scheme, error) {
+	var c codes.Code
+	var err error
+	switch strings.ToLower(code) {
+	case "rs":
+		c, err = rs.New(k, m)
+	case "lrc":
+		c, err = lrc.New(k, l, m)
+	default:
+		return nil, fmt.Errorf("unknown code %q (want rs or lrc)", code)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return NewScheme(c, layout.Form(form))
 }
 
 // Name combines layout form and code name, e.g. "EC-FRM-RS(6,3)".

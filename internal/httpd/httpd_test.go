@@ -291,18 +291,30 @@ func TestNocacheGetsOverlap(t *testing.T) {
 				t.Errorf("nocache GET: status %d, err %v", resp.StatusCode, err)
 			}
 		}
-		t0 := time.Now()
-		get()
-		one := time.Since(t0)
-
-		var wg sync.WaitGroup
-		t0 = time.Now()
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func() { defer wg.Done(); get() }()
+		// Each cost is the best of three samples: scheduler noise only ever
+		// adds time, while two serialised GETs cost at least twice one in
+		// every sample.
+		best := func(run func()) time.Duration {
+			var d time.Duration
+			for i := 0; i < 3; i++ {
+				t0 := time.Now()
+				run()
+				if el := time.Since(t0); i == 0 || el < d {
+					d = el
+				}
+			}
+			return d
 		}
-		wg.Wait()
-		if two := time.Since(t0); two >= one*3/2 {
+		one := best(get)
+		two := best(func() {
+			var wg sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func() { defer wg.Done(); get() }()
+			}
+			wg.Wait()
+		})
+		if two >= one*3/2 {
 			t.Fatalf("two concurrent nocache GETs took %v, one took %v: they serialised", two, one)
 		}
 	})

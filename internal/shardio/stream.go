@@ -2,26 +2,18 @@ package shardio
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 )
 
-// Streaming I/O: EncodeStream, DecodeStream, and VerifyStream process a
-// shard directory one stripe at a time through a bounded worker pipeline, so
-// peak memory is O(workers × stripe) instead of O(payload). The pipeline
-// preserves stripe order end to end — bytes leave in exactly the order the
-// buffered paths produce them, which the property tests pin down.
-
 // streamBufSize is the bufio buffer per disk file, large enough that the OS
-// sees sequential megabyte-sized requests (read-ahead on decode,
-// write-behind on encode) even with small elements.
+// sees sequential megabyte-sized write-behind requests even with small
+// elements.
 const streamBufSize = 1 << 20
 
 // pipeJob pairs a job value with the channel its worker reports on.
@@ -103,19 +95,10 @@ func pipeline[J any](workers int, produce func(emit func(J) bool) error,
 	return prodErr
 }
 
-// writeManifest finalizes and writes a shard directory's manifest.
-func writeManifest(dir string, man Manifest) error {
-	mb, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, manifestFile), mb, 0o644)
-}
-
-// stripeJob is one stripe moving through a streaming pipeline. The producer
+// stripeJob is one stripe moving through the pipeline. The producer
 // allocates the cells header before emitting, so the worker's in-place
-// writes are visible to the consumer; payload is the encode-side chunk the
-// data cells alias into (nil on decode/verify).
+// writes are visible to the consumer; payload is the chunk the data cells
+// alias into.
 type stripeJob struct {
 	st      int
 	payload []byte
@@ -125,8 +108,9 @@ type stripeJob struct {
 // EncodeStream encodes r into dir as a shard directory, one stripe at a
 // time: a bounded pool of workers runs the zero-allocation EncodeStripeInto
 // over recycled buffers while the finished cells stream to buffered per-disk
-// writers in stripe order. Output is byte-identical to Encode, with peak
-// memory O(workers × stripe) regardless of payload size.
+// writers in stripe order, with peak memory O(workers × stripe) regardless
+// of payload size. A short final chunk is zero-padded to a full stripe, and
+// an empty payload is one zero stripe.
 func EncodeStream(scheme *core.Scheme, r io.Reader, dir string, elemSize int, man Manifest, workers int) (Manifest, error) {
 	if elemSize < 1 {
 		return man, fmt.Errorf("shardio: element size %d must be positive", elemSize)
@@ -173,37 +157,28 @@ func EncodeStream(scheme *core.Scheme, r io.Reader, dir string, elemSize int, ma
 	err := pipeline(workers,
 		func(emit func(stripeJob) bool) error {
 			for st := 0; ; st++ {
-				// The produce span covers the source read only, not the emit:
-				// blocking in emit is pipeline backpressure, and folding it in
-				// would blame the source for a slow encoder or sink.
-				sp := stageSpan("encode", "produce")
 				buf := payloadBufs.GetShard(stripeBytes)
 				nr, err := io.ReadFull(r, buf)
 				if err == io.EOF && st > 0 {
 					payloadBufs.PutShard(buf)
-					sp.End()
 					return nil
 				}
 				if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 					payloadBufs.PutShard(buf)
-					sp.End()
 					return err
 				}
 				// Zero the padding: a short (or empty) final chunk still
-				// encodes as a full stripe, like the buffered path. An empty
-				// payload yields exactly one zero stripe.
+				// encodes as a full stripe.
 				clear(buf[nr:])
 				length += int64(nr)
 				stripes++
 				last := err != nil
-				sp.End()
 				if !emit(stripeJob{st: st, payload: buf, cells: make([][]byte, scheme.CellsPerStripe())}) || last {
 					return nil
 				}
 			}
 		},
 		func(j stripeJob) error {
-			defer stageSpan("encode", "work").End()
 			data := make([][]byte, dps)
 			for e := range data {
 				data[e] = j.payload[e*elemSize : (e+1)*elemSize]
@@ -211,7 +186,6 @@ func EncodeStream(scheme *core.Scheme, r io.Reader, dir string, elemSize int, ma
 			return scheme.EncodeStripeInto(&cellBufs, j.cells, data)
 		},
 		func(j stripeJob) error {
-			defer stageSpan("encode", "commit").End()
 			for row := 0; row < lay.Rows(); row++ {
 				for col := 0; col < n; col++ {
 					d := lay.Disk(j.st, col)
@@ -261,244 +235,4 @@ func EncodeStream(scheme *core.Scheme, r io.Reader, dir string, elemSize int, ma
 	man.Stripes = stripes
 	man.Length = length
 	return man, writeManifest(dir, man)
-}
-
-// DecodeStream reconstructs the payload of dir onto w one stripe at a time,
-// tolerating missing disk files up to the scheme's fault tolerance. Workers
-// run the reconstruction; the producer reads ahead through buffered per-disk
-// readers; output bytes stream to w in order, byte-identical to Decode. It
-// returns the number of missing disks it decoded through.
-func DecodeStream(scheme *core.Scheme, dir string, w io.Writer, workers int) (int, error) {
-	man, err := ReadManifest(dir)
-	if err != nil {
-		return 0, err
-	}
-	if man.Scheme != "" && man.Scheme != scheme.Name() {
-		return 0, fmt.Errorf("%w: directory encoded as %s, scheme is %s",
-			ErrManifest, man.Scheme, scheme.Name())
-	}
-	readers, missing, closeAll, err := openDisks(scheme, dir, man)
-	if err != nil {
-		return 0, err
-	}
-	defer closeAll()
-
-	var cellBufs core.Buffers
-	remaining := man.Length
-	err = pipeline(workers,
-		func(emit func(stripeJob) bool) error {
-			for st := 0; st < man.Stripes; st++ {
-				sp := stageSpan("decode", "produce")
-				cells, err := readStripe(scheme, readers, man, st, &cellBufs)
-				sp.End()
-				if err != nil {
-					return err
-				}
-				if !emit(stripeJob{st: st, cells: cells}) {
-					cellBufs.PutShards(cells)
-					return nil
-				}
-			}
-			return nil
-		},
-		func(j stripeJob) error {
-			defer stageSpan("decode", "work").End()
-			if missing == 0 {
-				return nil
-			}
-			if err := scheme.ReconstructStripeInto(&cellBufs, j.cells); err != nil {
-				return fmt.Errorf("stripe %d: %w", j.st, err)
-			}
-			return nil
-		},
-		func(j stripeJob) error {
-			defer stageSpan("decode", "commit").End()
-			for _, shard := range scheme.DataShards(j.cells) {
-				if remaining <= 0 {
-					break
-				}
-				m := int64(len(shard))
-				if m > remaining {
-					m = remaining
-				}
-				if _, err := w.Write(shard[:m]); err != nil {
-					return err
-				}
-				remaining -= m
-			}
-			cellBufs.PutShards(j.cells)
-			return nil
-		},
-		func(j stripeJob) { cellBufs.PutShards(j.cells) },
-	)
-	if err != nil {
-		return missing, err
-	}
-	if remaining > 0 {
-		return missing, fmt.Errorf("shardio: decoded %d bytes short of manifest length %d", remaining, man.Length)
-	}
-	return missing, nil
-}
-
-// VerifyStream parity-checks every stripe of a complete shard directory
-// across a worker pool, returning the corrupt stripe indices inside
-// ErrCorrupt (nil error if clean). All disk files must be present.
-func VerifyStream(scheme *core.Scheme, dir string, workers int) error {
-	man, err := ReadManifest(dir)
-	if err != nil {
-		return err
-	}
-	if man.Scheme != "" && man.Scheme != scheme.Name() {
-		return fmt.Errorf("%w: directory encoded as %s, scheme is %s",
-			ErrManifest, man.Scheme, scheme.Name())
-	}
-	readers, missing, closeAll, err := openDisks(scheme, dir, man)
-	if err != nil {
-		return err
-	}
-	defer closeAll()
-	if missing > 0 {
-		return fmt.Errorf("shardio: verify needs every disk file (%d missing)", missing)
-	}
-
-	var cellBufs core.Buffers
-	// Workers flag corrupt stripes here rather than failing the pipeline: a
-	// parity mismatch is a sweep result, not an abort. Each worker writes
-	// only its own stripe's slot, and the pipeline's shutdown orders those
-	// writes before the collection loop below.
-	corrupt := make([]bool, man.Stripes)
-	err = pipeline(workers,
-		func(emit func(stripeJob) bool) error {
-			for st := 0; st < man.Stripes; st++ {
-				sp := stageSpan("verify", "produce")
-				cells, err := readStripe(scheme, readers, man, st, &cellBufs)
-				sp.End()
-				if err != nil {
-					return err
-				}
-				if !emit(stripeJob{st: st, cells: cells}) {
-					cellBufs.PutShards(cells)
-					return nil
-				}
-			}
-			return nil
-		},
-		func(j stripeJob) error {
-			defer stageSpan("verify", "work").End()
-			ok, err := scheme.VerifyStripe(j.cells)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				corrupt[j.st] = true
-			}
-			return nil
-		},
-		func(j stripeJob) error {
-			defer stageSpan("verify", "commit").End()
-			cellBufs.PutShards(j.cells)
-			return nil
-		},
-		func(j stripeJob) { cellBufs.PutShards(j.cells) },
-	)
-	if err != nil {
-		return err
-	}
-	var bad []int
-	for st, c := range corrupt {
-		if c {
-			bad = append(bad, st)
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("%w: stripes %v", ErrCorrupt, bad)
-	}
-	return nil
-}
-
-// readStripe reads stripe st's cells from the per-disk readers into buffers
-// drawn from bufs, leaving nil cells for missing disks. Disk files store
-// cells in stripe/row order, so consuming them stripe by stripe keeps every
-// reader sequential.
-//
-// Devices are read concurrently — the fan-out counterpart of the store's
-// read executor: each device's rows land in distinct cell slots and each
-// reader is touched only by its own goroutine (readStripe has a single
-// caller at a time, so per-reader consumption stays sequential). On failure
-// the lowest-numbered device's error is reported and every drawn buffer is
-// recycled.
-func readStripe(scheme *core.Scheme, readers []*bufio.Reader, man Manifest, st int, bufs *core.Buffers) ([][]byte, error) {
-	lay := scheme.Layout()
-	n := scheme.N()
-	cells := make([][]byte, scheme.CellsPerStripe())
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for d := 0; d < n; d++ {
-		if readers[d] == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			col := lay.Col(st, d)
-			for row := 0; row < lay.Rows(); row++ {
-				cell := bufs.GetShard(man.ElemSize)
-				if _, err := io.ReadFull(readers[d], cell); err != nil {
-					bufs.PutShard(cell)
-					errs[d] = err
-					return
-				}
-				cells[row*n+col] = cell
-			}
-		}(d)
-	}
-	wg.Wait()
-	for d, err := range errs {
-		if err != nil {
-			bufs.PutShards(cells)
-			return nil, fmt.Errorf("shardio: disk %d stripe %d: %w", d, st, err)
-		}
-	}
-	return cells, nil
-}
-
-// openDisks opens every present disk file behind a large buffered reader,
-// validating sizes, and returns the readers (nil entries for missing files),
-// the missing count, and a close-all func.
-func openDisks(scheme *core.Scheme, dir string, man Manifest) ([]*bufio.Reader, int, func(), error) {
-	want := int64(man.Stripes) * int64(scheme.Layout().Rows()) * int64(man.ElemSize)
-	n := scheme.N()
-	files := make([]*os.File, n)
-	readers := make([]*bufio.Reader, n)
-	closeAll := func() {
-		for _, f := range files {
-			if f != nil {
-				f.Close()
-			}
-		}
-	}
-	missing := 0
-	for d := 0; d < n; d++ {
-		f, err := os.Open(DiskFile(dir, d))
-		if err != nil {
-			if os.IsNotExist(err) {
-				missing++
-				continue
-			}
-			closeAll()
-			return nil, 0, nil, err
-		}
-		fi, err := f.Stat()
-		if err != nil {
-			closeAll()
-			return nil, 0, nil, err
-		}
-		if fi.Size() != want {
-			closeAll()
-			return nil, 0, nil, fmt.Errorf("shardio: disk %d has %d bytes, want %d", d, fi.Size(), want)
-		}
-		files[d] = f
-		readers[d] = bufio.NewReaderSize(f, streamBufSize)
-	}
-	return readers, missing, closeAll, nil
 }

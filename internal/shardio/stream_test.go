@@ -2,6 +2,7 @@ package shardio
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,98 +14,110 @@ import (
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/lrc"
+	"repro/internal/rs"
 )
 
-// readDir reads every disk file and the manifest of a shard directory for
-// byte-level comparison between the buffered and streaming encoders.
-func readDir(t *testing.T, scheme *core.Scheme, dir string) map[string][]byte {
+func scheme622() *core.Scheme { return core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM) }
+
+func mustRS(k, m int) *rs.Code {
+	c, err := rs.New(k, m)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// readDisks reads every disk file of a shard directory.
+func readDisks(t *testing.T, scheme *core.Scheme, dir string) [][]byte {
 	t.Helper()
-	out := make(map[string][]byte)
-	for d := 0; d < scheme.N(); d++ {
+	disks := make([][]byte, scheme.N())
+	for d := range disks {
 		b, err := os.ReadFile(DiskFile(dir, d))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[fmt.Sprintf("disk%02d", d)] = b
+		disks[d] = b
 	}
-	b, err := os.ReadFile(filepath.Join(dir, manifestFile))
-	if err != nil {
-		t.Fatal(err)
+	return disks
+}
+
+// stripeCells slices stripe st's cells out of the disk files, leaving the
+// erased disks' cells nil.
+func stripeCells(scheme *core.Scheme, disks [][]byte, elemSize, st int, erased map[int]bool) [][]byte {
+	lay, n := scheme.Layout(), scheme.N()
+	cells := make([][]byte, scheme.CellsPerStripe())
+	for row := 0; row < lay.Rows(); row++ {
+		for col := 0; col < n; col++ {
+			if d := lay.Disk(st, col); !erased[d] {
+				off := (st*lay.Rows() + row) * elemSize
+				cells[row*n+col] = disks[d][off : off+elemSize]
+			}
+		}
 	}
-	out["manifest"] = b
-	return out
+	return cells
 }
 
 // TestStreamMatchesBufferedProperty is the central equivalence property:
-// across layouts, codes, element sizes, odd payload sizes, and worker
-// counts, EncodeStream writes byte-identical shard directories to Encode,
-// and DecodeStream returns byte-identical payloads to Decode — including
-// decodes through missing disks.
+// across layouts, codes, element sizes, odd payload sizes and worker
+// counts, every stripe EncodeStream writes — each cell in its disk's file
+// at its row — is the stripe core.Scheme.EncodeStripe computes from the
+// zero-padded payload, and with up to f disk files erased,
+// core.Scheme.ReconstructStripe gets the payload back from the rest.
 func TestStreamMatchesBufferedProperty(t *testing.T) {
 	schemes := map[string]*core.Scheme{
 		"lrc-standard": core.MustScheme(lrc.Must(6, 2, 2), layout.FormStandard),
 		"lrc-rotated":  core.MustScheme(lrc.Must(6, 2, 2), layout.FormRotated),
-		"lrc-ecfrm":    core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM),
+		"lrc-ecfrm":    scheme622(),
 		"rs-ecfrm":     core.MustScheme(mustRS(6, 3), layout.FormECFRM),
 	}
 	rng := rand.New(rand.NewSource(99))
 	for name, scheme := range schemes {
+		dps := scheme.DataPerStripe()
 		for _, elemSize := range []int{64, 512} {
-			stripeBytes := scheme.DataPerStripe() * elemSize
+			stripeBytes := dps * elemSize
 			for _, size := range []int{0, 1, elemSize - 1, stripeBytes,
 				stripeBytes + 1, 3*stripeBytes - 17, 4 * stripeBytes} {
 				for _, workers := range []int{1, 3} {
 					label := fmt.Sprintf("%s/elem%d/size%d/w%d", name, elemSize, size, workers)
 					payload := make([]byte, size)
 					rng.Read(payload)
-
-					bufDir, strDir := t.TempDir(), t.TempDir()
-					manBuf, err := Encode(scheme, payload, bufDir, elemSize, Manifest{})
+					dir := t.TempDir()
+					man, err := EncodeStream(scheme, bytes.NewReader(payload), dir, elemSize, Manifest{}, workers)
 					if err != nil {
-						t.Fatalf("%s: buffered encode: %v", label, err)
+						t.Fatalf("%s: encode: %v", label, err)
 					}
-					manStr, err := EncodeStream(scheme, bytes.NewReader(payload), strDir, elemSize, Manifest{}, workers)
-					if err != nil {
-						t.Fatalf("%s: stream encode: %v", label, err)
+					stripes := max(1, (size+stripeBytes-1)/stripeBytes)
+					if want := (Manifest{Scheme: scheme.Name(), ElemSize: elemSize, Stripes: stripes, Length: int64(size)}); man != want {
+						t.Fatalf("%s: manifest %+v, want %+v", label, man, want)
 					}
-					if manBuf != manStr {
-						t.Fatalf("%s: manifests differ:\n%+v\n%+v", label, manBuf, manStr)
+					padded := append(payload, make([]byte, stripes*stripeBytes-size)...)
+					disks := readDisks(t, scheme, dir)
+					erased := map[int]bool{}
+					for _, d := range rng.Perm(scheme.N())[:1+rng.Intn(scheme.FaultTolerance())] {
+						erased[d] = true
 					}
-					want, got := readDir(t, scheme, bufDir), readDir(t, scheme, strDir)
-					for k := range want {
-						if !bytes.Equal(want[k], got[k]) {
-							t.Fatalf("%s: %s differs between buffered and streaming encode", label, k)
+					for st := 0; st < stripes; st++ {
+						data := make([][]byte, dps)
+						for e := range data {
+							off := st*stripeBytes + e*elemSize
+							data[e] = padded[off : off+elemSize]
 						}
-					}
-
-					// Decode the streamed directory both ways, complete.
-					var out bytes.Buffer
-					missing, err := DecodeStream(scheme, strDir, &out, workers)
-					if err != nil || missing != 0 {
-						t.Fatalf("%s: stream decode: missing=%d err=%v", label, missing, err)
-					}
-					if !bytes.Equal(out.Bytes(), payload) {
-						t.Fatalf("%s: stream decode payload differs", label)
-					}
-
-					// Knock out a tolerated set of disks and decode again.
-					rmDisks := rng.Perm(scheme.N())[:scheme.FaultTolerance()]
-					for _, d := range rmDisks {
-						if err := os.Remove(DiskFile(strDir, d)); err != nil {
+						want, err := scheme.EncodeStripe(data)
+						if err != nil {
 							t.Fatal(err)
 						}
-					}
-					out.Reset()
-					missing, err = DecodeStream(scheme, strDir, &out, workers)
-					if err != nil {
-						t.Fatalf("%s: degraded stream decode (missing %v): %v", label, rmDisks, err)
-					}
-					if missing != len(rmDisks) || !bytes.Equal(out.Bytes(), payload) {
-						t.Fatalf("%s: degraded stream decode wrong (missing=%d)", label, missing)
-					}
-					bufPayload, bufMissing, err := Decode(scheme, strDir)
-					if err != nil || bufMissing != missing || !bytes.Equal(bufPayload, out.Bytes()) {
-						t.Fatalf("%s: buffered decode of degraded dir disagrees: %v", label, err)
+						for i, c := range stripeCells(scheme, disks, elemSize, st, nil) {
+							if !bytes.Equal(c, want[i]) {
+								t.Fatalf("%s: stripe %d cell %d differs from EncodeStripe's", label, st, i)
+							}
+						}
+						cells := stripeCells(scheme, disks, elemSize, st, erased)
+						if err := scheme.ReconstructStripe(cells); err != nil {
+							t.Fatalf("%s: stripe %d with disks %v erased: %v", label, st, erased, err)
+						}
+						if got := bytes.Join(scheme.DataShards(cells), nil); !bytes.Equal(got, padded[st*stripeBytes:(st+1)*stripeBytes]) {
+							t.Fatalf("%s: stripe %d reconstructed around disks %v differs from the payload", label, st, erased)
+						}
 					}
 				}
 			}
@@ -112,63 +125,19 @@ func TestStreamMatchesBufferedProperty(t *testing.T) {
 	}
 }
 
-// TestDecodeStreamBeyondTolerance mirrors the buffered error contract when
-// too many disks are gone.
-func TestDecodeStreamBeyondTolerance(t *testing.T) {
-	scheme := scheme622(t)
-	dir := t.TempDir()
-	encodeSample(t, dir, 50_000, 5)
-	for d := 0; d <= scheme.FaultTolerance(); d++ {
-		if err := os.Remove(DiskFile(dir, d)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := DecodeStream(scheme, dir, io.Discard, 2)
-	if !errors.Is(err, core.ErrUnrecoverable) {
-		t.Fatalf("err = %v, want ErrUnrecoverable", err)
-	}
-}
-
-// TestVerifyStreamDetectsCorruption checks the parallel verifier reports
-// exactly the stripes whose cells were flipped, in order.
-func TestVerifyStreamDetectsCorruption(t *testing.T) {
-	scheme := scheme622(t)
-	dir := t.TempDir()
-	_, man := encodeSample(t, dir, 6*scheme.DataPerStripe()*512, 7)
-	if man.Stripes < 6 {
-		t.Fatalf("want ≥6 stripes, got %d", man.Stripes)
-	}
-	if err := VerifyStream(scheme, dir, 3); err != nil {
-		t.Fatalf("clean dir: %v", err)
-	}
-	// Flip one byte in stripes 1 and 4 on disk 0.
-	path := DiskFile(dir, 0)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perStripe := scheme.Layout().Rows() * man.ElemSize
-	b[1*perStripe] ^= 0xff
-	b[4*perStripe] ^= 0xff
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = VerifyStream(scheme, dir, 3)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-	if want := "stripes [1 4]"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
-		t.Fatalf("err %q does not list %q", err, want)
+// TestEncodeValidation: a non-positive element size is refused.
+func TestEncodeValidation(t *testing.T) {
+	if _, err := EncodeStream(scheme622(), bytes.NewReader([]byte("x")), t.TempDir(), 0, Manifest{}, 1); err == nil {
+		t.Fatal("zero element size must fail")
 	}
 }
 
 // TestEncodeStreamPropagatesReadError checks a failing reader aborts the
 // pipeline cleanly (no hang, no partial manifest confusion).
 func TestEncodeStreamPropagatesReadError(t *testing.T) {
-	scheme := scheme622(t)
 	boom := errors.New("boom")
 	r := io.MultiReader(bytes.NewReader(make([]byte, 10_000)), errReader{boom})
-	_, err := EncodeStream(scheme, r, t.TempDir(), 512, Manifest{}, 2)
+	_, err := EncodeStream(scheme622(), r, t.TempDir(), 512, Manifest{}, 2)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -179,9 +148,9 @@ type errReader struct{ err error }
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // TestEncodeStreamEmptyPayload pins the one-zero-stripe rule for empty
-// input, matching the buffered encoder.
+// input: every disk file holds one stripe's rows of zeros.
 func TestEncodeStreamEmptyPayload(t *testing.T) {
-	scheme := scheme622(t)
+	scheme := scheme622()
 	dir := t.TempDir()
 	man, err := EncodeStream(scheme, bytes.NewReader(nil), dir, 512, Manifest{}, 2)
 	if err != nil {
@@ -190,11 +159,43 @@ func TestEncodeStreamEmptyPayload(t *testing.T) {
 	if man.Stripes != 1 || man.Length != 0 {
 		t.Fatalf("manifest %+v, want 1 stripe / length 0", man)
 	}
-	var out bytes.Buffer
-	if _, err := DecodeStream(scheme, dir, &out, 1); err != nil {
+	zeros := make([]byte, scheme.Layout().Rows()*512)
+	for d, b := range readDisks(t, scheme, dir) {
+		if !bytes.Equal(b, zeros) {
+			t.Fatalf("disk %d holds %d bytes, want one stripe of zeros", d, len(b))
+		}
+	}
+}
+
+// TestEmptyPayloadStillOneStripe: the manifest written for an empty payload
+// records one stripe of length 0, and that stripe still decodes — around f
+// erased disks — to zeros, of which the payload is the empty prefix.
+func TestEmptyPayloadStillOneStripe(t *testing.T) {
+	scheme, dir := scheme622(), t.TempDir()
+	if _, err := EncodeStream(scheme, bytes.NewReader(nil), dir, 64, Manifest{}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 0 {
-		t.Fatalf("decoded %d bytes from empty payload", out.Len())
+	mb, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man Manifest
+	if err := json.Unmarshal(mb, &man); err != nil {
+		t.Fatal(err)
+	}
+	if man.Stripes != 1 || man.Length != 0 {
+		t.Fatalf("empty payload manifest on disk: %+v", man)
+	}
+	erased := map[int]bool{}
+	for d := 0; d < scheme.FaultTolerance(); d++ {
+		erased[d] = true
+	}
+	cells := stripeCells(scheme, readDisks(t, scheme, dir), 64, 0, erased)
+	if err := scheme.ReconstructStripe(cells); err != nil {
+		t.Fatalf("empty payload's stripe with disks %v erased: %v", erased, err)
+	}
+	data := bytes.Join(scheme.DataShards(cells), nil)
+	if !bytes.Equal(data, make([]byte, scheme.DataPerStripe()*64)) {
+		t.Fatalf("empty payload's stripe decodes to %d non-zero bytes", len(bytes.Trim(data, "\x00")))
 	}
 }

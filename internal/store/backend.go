@@ -233,6 +233,10 @@ type CellStoreConfig struct {
 	// every device on its node, as the gateway's node clients do; with no
 	// map each device is its own node.
 	NodeOf []int
+	// durable is the stripe count already known durable — the file
+	// backend's manifest records it — below which recovery refuses to
+	// truncate: an unrecoverable stripe there is lost data, not a torn tail.
+	durable int
 }
 
 // NewWithCellBackends creates a store whose devices are the CellBackends
@@ -272,7 +276,7 @@ func NewWithCellBackends(scheme *core.Scheme, elemSize int, cfg CellStoreConfig,
 	}
 	report := &RecoveryReport{}
 	if cfg.Recover {
-		if err := st.recoverExtent(report); err != nil {
+		if err := st.recoverExtent(report, cfg.durable); err != nil {
 			st.closeBackends()
 			return nil, nil, err
 		}

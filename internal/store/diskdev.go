@@ -27,13 +27,15 @@
 //
 // Startup recovery (OpenFileBacked) scrubs the directory before serving, once
 // the manifest's recorded geometry matches the requested one: the stripe
-// count is derived from the files themselves (never trusted from the
-// manifest), and each stripe goes through the read executor's heal job —
-// torn or missing cells are rebuilt from their group when the code allows —
-// then a parity check, which re-seals a stripe with clean checksums but
-// inconsistent parity (a cell rewritten, checksum and all, outside a seal)
-// from its data cells; an unrecoverable torn tail is truncated. The store
-// that comes back is always decode-clean.
+// count is derived from the files themselves, and each stripe goes through
+// the read executor's heal job — torn or missing cells are rebuilt from
+// their group when the code allows — then a parity check, which re-seals a
+// stripe with clean checksums but inconsistent parity (a cell rewritten,
+// checksum and all, outside a seal) from its data cells; an unrecoverable
+// torn tail is truncated. The manifest's stripe count only ever counts
+// fsynced stripes, so it is a floor: an unrecoverable stripe below it is lost
+// data, and the open fails with nothing truncated and the manifest kept. The
+// store that comes back is always decode-clean.
 package store
 
 import (
@@ -465,9 +467,10 @@ type RecoveryReport struct {
 }
 
 // backendManifest is the file backend's metadata: the geometry the
-// directory was written under, which a reopen must match, and the user-byte
-// length (recovery re-derives the stripe count from the files themselves
-// and never trusts this for it).
+// directory was written under, which a reopen must match, the user-byte
+// length, and the stripes known durable when it was written — a floor
+// recovery may not truncate below (it re-derives the count itself from the
+// files). Open and Close fsync every device before writing it.
 type backendManifest struct {
 	Scheme   string `json:"scheme"`
 	Disks    int    `json:"disks"`
@@ -526,7 +529,7 @@ func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, 
 		return openFileDisk(devDataFile(dir, d)+suffix, devCRCFile(dir, d)+suffix, elemSize, cfg, trunc)
 	}
 	direct := false
-	st, report, err := NewWithCellBackends(scheme, elemSize, CellStoreConfig{Sync: cfg.fsyncAlways(), Recover: true},
+	st, report, err := NewWithCellBackends(scheme, elemSize, CellStoreConfig{Sync: cfg.fsyncAlways(), Recover: true, durable: man.Stripes},
 		func(d int) (CellBackend, error) {
 			ds, err := open(d, "", false)
 			if err != nil {
@@ -563,6 +566,12 @@ func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, 
 	if found && man.Stripes == st.stripes && man.Length >= 0 && man.Length <= st.length {
 		st.length = man.Length
 	}
+	// The manifest counts only durable stripes: whatever the previous run
+	// left unsynced, and recovery's rewrites, are fsynced before it.
+	if err := st.writeRuns(barrier(st.deviceIDs()), true); err != nil {
+		st.closeBackends()
+		return nil, nil, err
+	}
 	if err := st.writeBackendManifest(); err != nil {
 		st.closeBackends()
 		return nil, nil, err
@@ -581,11 +590,13 @@ func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, 
 // cells, which are truth. A
 // stripe whose erasures exceed its groups is legal only as the torn tail —
 // possibly several stripes, since one crashed commit can seal a multi-stripe
-// batch — and is truncated there. One *followed by* a stripe that still
-// heals is no crash artifact (seals are ordered), so recovery refuses loudly
-// rather than silently drop sealed stripes (healing that later stripe on the
-// way). The store is not shared yet, so no lock is held.
-func (s *Store) recoverExtent(report *RecoveryReport) error {
+// batch — and is truncated there. One below the durable floor, or *followed
+// by* a stripe that still heals, is no crash artifact (seals are ordered,
+// and the floor counts only fsynced stripes), so recovery refuses loudly
+// rather than silently drop sealed stripes (past the floor, healing that
+// later stripe on the way). The store is not shared yet, so no lock is
+// held.
+func (s *Store) recoverExtent(report *RecoveryReport, durable int) error {
 	maxStripes := 0
 	for _, dev := range s.devices {
 		maxStripes = max(maxStripes, dev.be.Slots()/s.rows)
@@ -600,6 +611,19 @@ func (s *Store) recoverExtent(report *RecoveryReport) error {
 		// A group that does not decode around an unreachable device is not
 		// a torn tail: that error fails recovery below instead.
 		if errors.Is(err, core.ErrUnrecoverable) && !errors.Is(err, ErrUnavailable) {
+			if stripe < durable {
+				var lost []int // devices whose cells of the stripe are missing or torn
+				for d := range s.devices {
+					dr, derr := s.execute(context.TODO(), s.exactly(s.deviceCells(stripe, d)), corruptStops, ReadOptions{Sequential: true})
+					if derr != nil {
+						lost = append(lost, d)
+						continue
+					}
+					dr.release()
+				}
+				return fmt.Errorf("store: recovery: stripe %d unrecoverable (devices %v missing or tearing its cells) below the %d stripes recorded durable (not a torn tail): %w",
+					stripe, lost, durable, err)
+			}
 			for later := stripe + 1; later < maxStripes; later++ {
 				if lr, lerr := heal(later); lerr == nil {
 					lr.release()
@@ -731,10 +755,11 @@ func (s *Store) closeBackends() error {
 	return err
 }
 
-// Close writes the file backend's manifest and syncs its files, then closes
-// every device backend. Buffered partial-stripe bytes are NOT sealed — Flush
-// first if they should survive (they were never durable). The store must
-// not be used afterwards; a second Close is a no-op.
+// Close syncs the file backend's devices and then writes its manifest, so
+// the stripes it records are durable, then closes every device backend.
+// Buffered partial-stripe bytes are NOT sealed — Flush first if they should
+// survive (they were never durable). The store must not be used afterwards;
+// a second Close is a no-op.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -744,9 +769,8 @@ func (s *Store) Close() error {
 	s.closed = true
 	var err error
 	if s.dataDir != "" {
-		err = s.writeBackendManifest()
-		if serr := s.writeRuns(barrier(s.deviceIDs()), true); err == nil {
-			err = serr
+		if err = s.writeRuns(barrier(s.deviceIDs()), true); err == nil {
+			err = s.writeBackendManifest()
 		}
 	}
 	if cerr := s.closeBackends(); err == nil {

@@ -189,7 +189,9 @@ func TestFileBackendTornTailTruncated(t *testing.T) {
 	if s.Stripes() != 5 {
 		t.Fatalf("stripes = %d, want 5", s.Stripes())
 	}
-	if err := s.Close(); err != nil {
+	// Killed: Close never runs, so the manifest still records the empty
+	// store open found.
+	if err := s.closeBackends(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -222,6 +224,71 @@ func TestFileBackendTornTailTruncated(t *testing.T) {
 	}
 	if !bytes.Equal(readAll(t, s2), data[:want]) {
 		t.Fatal("surviving prefix mismatch")
+	}
+}
+
+// TestFileBackendDurableStripesNeverTruncated: the stripes a Close recorded
+// in the manifest were fsynced first, so no crash can tear them. Damage
+// there beyond the code's tolerance — garbage over the last two stripes on
+// every device, or f+1 devices' files gone — is lost data, not a torn tail:
+// the open must refuse, naming the stripe, and leave every file as it was.
+func TestFileBackendDurableStripesNeverTruncated(t *testing.T) {
+	sch := fileScheme()
+	rows := rowsOf(sch)
+	for _, tc := range []struct {
+		name   string
+		stripe int // the first stripe lost
+		damage func(dir string)
+	}{
+		{"torn-below-manifest", 3, func(dir string) {
+			garbage := bytes.Repeat([]byte{0x5a}, 2*rows*testElemSize)
+			for d := 0; d < sch.N(); d++ {
+				f, err := os.OpenFile(devDataFile(dir, d), os.O_RDWR, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.WriteAt(garbage, int64(3*rows*testElemSize)); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+			}
+		}},
+		{"devices-beyond-tolerance", 0, func(dir string) {
+			for d := 0; d <= sch.FaultTolerance(); d++ {
+				os.Remove(devDataFile(dir, d))
+				os.Remove(devCRCFile(dir, d))
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := openFileStore(t, dir)
+			fill(t, s, 5*sch.DataPerStripe()*testElemSize, 79)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(dir)
+			before := map[string][]byte{}
+			names, _ := filepath.Glob(filepath.Join(dir, "*"))
+			for _, p := range names {
+				raw, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before[p] = raw
+			}
+
+			_, _, err := OpenFileBacked(sch, testElemSize, FileConfig{Dir: dir})
+			if want := fmt.Sprintf("stripe %d unrecoverable", tc.stripe); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("open over damaged durable stripes: %v, want a refusal naming %q", err, want)
+			}
+			for p, raw := range before {
+				got, err := os.ReadFile(p)
+				if err != nil || !bytes.Equal(got, raw) {
+					t.Fatalf("refused open changed %s (%d bytes, was %d): %v", filepath.Base(p), len(got), len(raw), err)
+				}
+			}
+		})
 	}
 }
 

@@ -23,7 +23,10 @@
 #   5. the store still accepts writes after recovery (a post-restart PUT
 #      acks and reads back),
 #   6. the daemon drains gracefully on SIGTERM (manifest sealed for the
-#      next open).
+#      next open),
+#   7. a directory `ecfrm encode` writes is one ecfrmd -backend=file serves
+#      with default flags: /admin/status shows the stripe count encode
+#      printed, and /admin/scrub finds every stripe clean.
 #
 # Exits nonzero (and dumps the daemon logs) on any miss.
 set -eu
@@ -36,6 +39,7 @@ DATA="$TMP/data"
 LOG1="$TMP/ecfrmd.1.log"
 LOG2="$TMP/ecfrmd.2.log"
 LOGRS="$TMP/ecfrmd.rs.log"
+LOG3="$TMP/ecfrmd.encoded.log"
 PID=""
 
 cleanup() {
@@ -45,7 +49,7 @@ cleanup() {
         wait "$PID" 2>/dev/null || true
     fi
     if [ "$status" -ne 0 ]; then
-        for f in "$LOG1" "$LOGRS" "$LOG2"; do
+        for f in "$LOG1" "$LOGRS" "$LOG2" "$LOG3"; do
             if [ -f "$f" ]; then
                 echo "disk-smoke: FAILED — $f:" >&2
                 cat "$f" >&2
@@ -238,5 +242,32 @@ grep -q "drained" "$LOG2" || {
     echo "disk-smoke: daemon did not report graceful drain" >&2
     exit 1
 }
+
+# The CLI writes the format the daemon serves.
+echo "disk-smoke: ecfrm encode into a fresh directory, then ecfrmd serves it"
+go build -o "$TMP/ecfrm" ./cmd/ecfrm
+head -c 5000000 /dev/urandom >"$TMP/blob.bin"
+ENCODED=$("$TMP/ecfrm" encode -in "$TMP/blob.bin" -out "$TMP/encoded")
+echo "disk-smoke: $ENCODED"
+ENC_STRIPES=$(echo "$ENCODED" | sed -n 's/.* into \([0-9]*\) stripes .*/\1/p')
+"$BIN" -addr "127.0.0.1:$PORT" -backend file -data-dir "$TMP/encoded" >"$LOG3" 2>&1 &
+PID=$!
+wait_up
+SERVED=$(fetch /admin/status | sed -n 's/.*"stripes":\([0-9]*\).*/\1/p')
+if [ -z "$ENC_STRIPES" ] || [ "$SERVED" != "$ENC_STRIPES" ]; then
+    echo "disk-smoke: ecfrmd serves $SERVED stripes of a directory ecfrm encoded as '$ENC_STRIPES'" >&2
+    exit 1
+fi
+SCRUB=$(fetch /admin/scrub -X POST)
+case "$SCRUB" in
+*'"corrupt_stripes":[]'* | *'"corrupt_stripes":null'*) ;;
+*)
+    echo "disk-smoke: scrub of the encoded directory found corruption: $SCRUB" >&2
+    exit 1
+    ;;
+esac
+kill -TERM "$PID"
+wait "$PID"
+PID=""
 
 echo "disk-smoke: OK"
