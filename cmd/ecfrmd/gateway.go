@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"log"
 	"strings"
 
@@ -33,10 +34,12 @@ func runGateway() {
 		NodeTimeout:   *nodeTimeout,
 		ProbeInterval: *probeEvery,
 		SyncWrites:    *fsync == string(store.FsyncAlways),
-		Recover:       *gwRecover,
 	})
 	if err != nil {
 		log.Fatal("ecfrmd: ", err)
+	}
+	for grp, report := range gw.Recovered() {
+		logRecovery(fmt.Sprintf("gateway group %d", grp), report)
 	}
 	log.Printf("gateway: %s over %d nodes, %d groups, elem %d, tolerates %d disk failures per group, on %s",
 		scheme.Name(), len(urls), *groups, *elem, scheme.FaultTolerance(), *addr)

@@ -104,9 +104,9 @@
 // The gateway accepts the same scheme, WAL, read-executor, -faults and -obs
 // flags as single mode (the plan drives every group; the imbalance line sums
 // per-disk reads over every group; /admin/fail and friends take &group=G),
-// probes node health every -probe-interval, re-derives sealed extents from
-// the nodes with -recover, and runs the node-side fsync commit barrier
-// unless -fsync=never. Killing a
+// probes node health every -probe-interval, recovers every group at start
+// (refusing another geometry; a node down within tolerance degrades reads),
+// and runs the node-side fsync commit barrier unless -fsync=never. Killing a
 // whole node mid-traffic keeps reads serving degraded through the surviving
 // nodes as long as the placement keeps each group within the scheme's fault
 // tolerance (the gateway refuses to start otherwise; add nodes or lower n).
@@ -167,7 +167,6 @@ var (
 	groups      = flag.Int("groups", 4, "stripe groups object names hash across (gateway mode)")
 	probeEvery  = flag.Duration("probe-interval", time.Second, "node health-probe cadence (gateway mode)")
 	nodeTimeout = flag.Duration("node-timeout", 5*time.Second, "per-node request timeout before a node counts as unavailable (gateway mode)")
-	gwRecover   = flag.Bool("recover", false, "re-derive sealed extents from the nodes at startup (gateway mode)")
 )
 
 // heapFloor keeps the garbage collector's pacing sane for a process that
@@ -346,6 +345,13 @@ func serveUntilSignalled(h http.Handler, drain func(), closers ...func() error) 
 	}
 }
 
+// logRecovery logs what a store's open-time recovery found: once for single
+// mode's file backend, once per group in gateway mode.
+func logRecovery(what string, r *store.RecoveryReport) {
+	log.Printf("%s: %d stripes recovered (healed %d cells, re-encoded %d stripes, truncated %d torn stripes, O_DIRECT=%v)",
+		what, r.Stripes, r.HealedCells, r.ReencodedStripes, r.TruncatedStripes, r.DirectActive)
+}
+
 // runSingle is everything in one process: the object surface over one
 // placement group of local devices.
 func runSingle() {
@@ -370,9 +376,7 @@ func runSingle() {
 		if err != nil {
 			log.Fatal("ecfrmd: ", err)
 		}
-		log.Printf("file backend %s: %d stripes recovered (healed %d cells, re-encoded %d stripes, truncated %d torn stripes, O_DIRECT=%v)",
-			*dataDir, report.Stripes, report.HealedCells, report.ReencodedStripes,
-			report.TruncatedStripes, report.DirectActive)
+		logRecovery("file backend "+*dataDir, report)
 		if *walLog == "" {
 			*walLog = filepath.Join(*dataDir, "wal.log")
 		}

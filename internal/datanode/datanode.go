@@ -9,6 +9,8 @@
 // off the node means a node cannot mask its own torn writes: checksums are
 // recomputed only where the data is consumed.
 //
+// It also holds each group's manifest copy verbatim, for the gateway.
+//
 // Extents are store.CellBackends — a store.MemDisk, or a file
 // store.DiskStore when the node has a data directory, the same disks a local
 // store runs on — created lazily on first write and rediscovered from the
@@ -56,6 +58,10 @@ type Server struct {
 	mu    sync.Mutex
 	disks map[diskKey]store.CellBackend
 
+	// manMu guards the manifest copies (in gNNNN.manifest files with a Dir).
+	manMu     sync.Mutex
+	manifests map[int][]byte
+
 	reg        *obs.Registry
 	readCells  *obs.Counter
 	writeCells *obs.Counter
@@ -72,10 +78,11 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("datanode: element size %d", cfg.ElemSize)
 	}
 	s := &Server{
-		cfg:   cfg,
-		mux:   http.NewServeMux(),
-		disks: make(map[diskKey]store.CellBackend),
-		reg:   cfg.Registry,
+		cfg:       cfg,
+		mux:       http.NewServeMux(),
+		disks:     make(map[diskKey]store.CellBackend),
+		manifests: make(map[int][]byte),
+		reg:       cfg.Registry,
 	}
 	if s.reg != nil {
 		s.readCells = s.reg.Counter("ecfrm_node_read_cells_total", "Cells served by this node.")

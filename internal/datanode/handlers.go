@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 
@@ -19,6 +21,8 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("PUT /cells/runs", s.timed(s.handleWriteRuns))
 	s.mux.HandleFunc("GET /cells/{group}/{disk}/meta", s.timed(s.handleMeta))
 	s.mux.HandleFunc("POST /truncate/{group}/{disk}", s.timed(s.handleTruncate))
+	s.mux.HandleFunc("GET /manifest/{group}", s.timed(s.handleManifest))
+	s.mux.HandleFunc("PUT /manifest/{group}", s.timed(s.handleManifest))
 	s.mux.HandleFunc("GET "+nodeapi.StatusPath, s.timed(s.handleStatus))
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -237,6 +241,42 @@ func (s *Server) handleTruncate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// handleManifest stores (PUT) or serves (GET) a group's manifest copy
+// verbatim, an empty one before the first PUT; with a data directory the
+// copy is a file, replaced atomically.
+func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
+	g, err := strconv.Atoi(r.PathValue("group"))
+	if err != nil || g < 0 {
+		http.Error(w, "bad group", http.StatusBadRequest)
+		return
+	}
+	path := filepath.Join(s.cfg.Dir, fmt.Sprintf("g%04d.manifest", g))
+	s.manMu.Lock()
+	defer s.manMu.Unlock()
+	raw, ok := s.manifests[g]
+	switch {
+	case r.Method == http.MethodPut:
+		if raw, err = io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<10)); err == nil && s.cfg.Dir != "" {
+			err = store.AtomicWriteFile(path, raw)
+		}
+		if err == nil {
+			s.manifests[g] = raw
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+	case !ok && s.cfg.Dir != "":
+		if raw, err = os.ReadFile(path); errors.Is(err, os.ErrNotExist) {
+			err = nil
+		}
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(raw)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -11,8 +11,11 @@
 // around dead ones (a refused connection surfaces as ErrUnavailable exactly
 // like a failed local disk), group-commit WAL writes seal through the
 // two-phase gate with the fsync barrier riding on each node's last write,
-// and startup recovery can re-derive the sealed extents from whatever the
-// nodes kept.
+// and every start recovers each group through the store's one open path,
+// its manifest (geometry, group count, node order, durable stripes) kept as
+// a copy on every node (nodeManifest): a restart neither overwrites nor
+// reinterprets acked stripes, and a node down at start degrades reads within
+// the scheme's tolerance (/admin/recover brings it back) and refuses past it.
 //
 // Object names hash across Groups independent stripe groups
 // (placement.Map), so capacity and traffic scale horizontally with nodes ×
@@ -22,8 +25,8 @@
 // The object API itself is internal/httpd's, the same surface single mode
 // serves, handed the group stores and placement.Map.GroupOf: PUT/GET/HEAD
 // /objects/{name}, /admin/*, /faults, /metrics and /healthz behave
-// identically in both modes. The gateway adds only GET /placement and a
-// cluster-formed gate in front of /readyz.
+// identically in both modes. The gateway adds only GET /placement: by the
+// time it serves, every group has opened, so the cluster has formed.
 package gateway
 
 import (
@@ -68,24 +71,21 @@ type Config struct {
 	// SyncWrites runs the commit-path durability barrier (node-side fsync)
 	// before publishing stripes.
 	SyncWrites bool
-	// Recover re-derives each group's sealed extent from the nodes at
-	// startup (the gateway-restart path).
-	Recover bool
 	// Scheme builds the erasure-coding scheme (required).
 	Scheme *core.Scheme
 }
 
 // Gateway is the access service.
 type Gateway struct {
-	cfg    Config
-	pm     *placement.Map
-	nodes  []*nodeClient
-	stores []*store.Store
-	srv    *httpd.Server
-	mux    *http.ServeMux
+	cfg       Config
+	pm        *placement.Map
+	nodes     []*nodeClient
+	stores    []*store.Store
+	recovered []*store.RecoveryReport // each group's, from New
+	srv       *httpd.Server
+	mux       *http.ServeMux
 
 	closed atomic.Bool
-	formed atomic.Bool // every node answered at least one probe
 
 	probeStop chan struct{}
 	probeDone chan struct{}
@@ -132,14 +132,18 @@ func New(cfg Config) (*Gateway, error) {
 	reg := cfg.HTTP.Registry
 	gwReg := reg.With(obs.L("component", "gateway"))
 	g.probes = gwReg.Counter("ecfrm_gateway_probes_total", "Health-probe sweeps completed.")
+	bases := make([]string, len(cfg.Nodes))
 	for i, base := range cfg.Nodes {
-		g.nodes = append(g.nodes, newNodeClient(i, strings.TrimRight(base, "/"), cfg.NodeTimeout, gwReg))
+		bases[i] = strings.TrimRight(base, "/")
+		g.nodes = append(g.nodes, newNodeClient(i, bases[i], cfg.NodeTimeout, gwReg))
 	}
 
 	for grp := 0; grp < cfg.Groups; grp++ {
 		grp := grp
-		st, _, err := store.NewWithCellBackends(cfg.Scheme, cfg.ElemSize,
-			store.CellStoreConfig{Sync: cfg.SyncWrites, Recover: cfg.Recover, NodeOf: pm.NodeOf(grp)},
+		st, rep, err := store.NewWithCellBackends(cfg.Scheme, cfg.ElemSize,
+			store.CellStoreConfig{Sync: cfg.SyncWrites, NodeOf: pm.NodeOf(grp),
+				Manifest:  nodeManifest{nodes: g.nodes, group: grp},
+				Placement: fmt.Sprintf("%d groups over nodes %s", cfg.Groups, strings.Join(bases, ","))},
 			func(disk int) (store.CellBackend, error) {
 				return &remoteCell{
 					nc:    g.nodes[pm.Node(grp, disk)],
@@ -153,6 +157,7 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("gateway: group %d: %w", grp, err)
 		}
 		g.stores = append(g.stores, st)
+		g.recovered = append(g.recovered, rep)
 		// Per-group metrics live in a labelled view of the shared registry —
 		// identical family names, disjoint series (the obs.With contract).
 		st.SetMetrics(store.NewMetrics(reg.With(obs.L("group", strconv.Itoa(grp))), cfg.Scheme.N()))
@@ -165,16 +170,17 @@ func New(cfg Config) (*Gateway, error) {
 
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("/placement", g.handlePlacement)
-	g.mux.HandleFunc("/readyz", g.handleReadyz)
 	g.mux.Handle("/", g.srv)
 	if cfg.ProbeInterval > 0 {
 		go g.probeLoop()
 	} else {
 		close(g.probeDone)
-		g.formed.Store(true)
 	}
 	return g, nil
 }
+
+// Recovered returns what each group's open-time recovery found, by group.
+func (g *Gateway) Recovered() []*store.RecoveryReport { return g.recovered }
 
 // Server returns the object surface the gateway serves.
 func (g *Gateway) Server() *httpd.Server { return g.srv }
@@ -193,9 +199,9 @@ func (g *Gateway) closeStores() error {
 	return err
 }
 
-// Close drains the write path, stops probing and closes the node clients'
-// idle connections. /readyz fails immediately; queued PUTs commit before
-// their WALs shut down.
+// Close drains the write path, stops probing, saves every group's manifest
+// on the nodes and closes the node clients' idle connections. /readyz fails
+// immediately; queued PUTs commit before their WALs shut down.
 func (g *Gateway) Close() error {
 	if g.closed.Swap(true) {
 		return nil
@@ -213,7 +219,7 @@ func (g *Gateway) Close() error {
 }
 
 // probeLoop sweeps every node's /healthz on the configured cadence, feeding
-// the per-node up gauges and the cluster-formed latch /readyz gates on.
+// the per-node up gauges.
 func (g *Gateway) probeLoop() {
 	defer close(g.probeDone)
 	timeout := g.cfg.ProbeInterval
@@ -223,20 +229,12 @@ func (g *Gateway) probeLoop() {
 	tick := time.NewTicker(g.cfg.ProbeInterval)
 	defer tick.Stop()
 	for {
-		allSeen := true
 		for _, nc := range g.nodes {
 			if nc.healthz(timeout) {
-				nc.seen.Store(true)
 				nc.upGauge.Set(1)
 			} else {
 				nc.upGauge.Set(0)
 			}
-			if !nc.seen.Load() {
-				allSeen = false
-			}
-		}
-		if allSeen {
-			g.formed.Store(true)
 		}
 		g.probes.Inc()
 		select {
@@ -249,18 +247,6 @@ func (g *Gateway) probeLoop() {
 
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
-
-// handleReadyz gates the surface's readiness (drain) on cluster formation:
-// every node answered at least one probe. A node dying after formation does
-// NOT flip readiness: serving degraded reads through failures is the
-// design, not an outage.
-func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodGet && !g.formed.Load() {
-		http.Error(w, "cluster not formed", http.StatusServiceUnavailable)
-		return
-	}
-	g.srv.ServeHTTP(w, r)
-}
 
 func (g *Gateway) handlePlacement(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -29,8 +30,6 @@ type nodeClient struct {
 	// exponentially weighted moving average (α = 1/8) of request latency.
 	inflight  atomic.Int64
 	ewmaNanos atomic.Int64
-	// seen flips once the node has answered any probe — readiness gating.
-	seen atomic.Bool
 
 	readBytes  *obs.Counter // cell payload bytes fetched from this node
 	writeBytes *obs.Counter // cell payload bytes shipped to this node
@@ -101,6 +100,20 @@ func (nc *nodeClient) do(req *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
+// call sends one request and returns the reply, which must carry status
+// want: any other is an error (errBody). The caller closes the reply.
+func (nc *nodeClient) call(method, path string, body io.Reader, want int) (*http.Response, error) {
+	req, err := http.NewRequest(method, nc.base+path, body)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := nc.do(req)
+	if err == nil && resp.StatusCode != want {
+		return nil, errBody(nc, resp)
+	}
+	return resp, err
+}
+
 // drainClose discards and closes a response body so the connection returns
 // to the pool.
 func drainClose(resp *http.Response) {
@@ -130,6 +143,62 @@ func (nc *nodeClient) healthz(timeout time.Duration) bool {
 	}
 	drainClose(resp)
 	return resp.StatusCode == http.StatusOK
+}
+
+// nodeManifest keeps one group store's store.Manifest on the data nodes:
+// each stores a copy verbatim (nodeapi.ManifestPath), so whichever nodes
+// answer at the next open tell it what the group was written as.
+type nodeManifest struct {
+	nodes []*nodeClient
+	group int
+}
+
+func (m nodeManifest) String() string { return fmt.Sprintf("group %d on the nodes", m.group) }
+
+// Load reads every node's copy, skipping a node that does not answer (the
+// open finds it down) or holds none. The copies must agree on the geometry,
+// and the one recording the most stripes is the newest.
+func (m nodeManifest) Load() (best store.Manifest, err error) {
+	for _, nc := range m.nodes {
+		resp, err := nc.call(http.MethodGet, nodeapi.ManifestPath(m.group), nil, http.StatusOK)
+		if err != nil {
+			continue
+		}
+		var man store.Manifest
+		err = json.NewDecoder(resp.Body).Decode(&man)
+		drainClose(resp)
+		switch {
+		case err == io.EOF: // no copy
+		case err != nil:
+			return best, fmt.Errorf("node %s: %w", nc.base, err)
+		case best.Scheme != "" && man.Geometry() != best.Geometry():
+			return best, fmt.Errorf("node %s holds a copy written as %s, another node one written as %s",
+				nc.base, man.Geometry(), best.Geometry())
+		case man.Stripes > best.Stripes || man.Stripes == best.Stripes && man.Length >= best.Length:
+			best = man
+		}
+	}
+	return best, nil
+}
+
+// Save writes the copy to every node. A node that does not take it keeps
+// its older copy, which Load outranks; only a copy no node took is an
+// error.
+func (m nodeManifest) Save(man store.Manifest) error {
+	raw, _ := json.Marshal(man) // a Manifest always marshals
+	var errs []error
+	for _, nc := range m.nodes {
+		resp, err := nc.call(http.MethodPut, nodeapi.ManifestPath(m.group), bytes.NewReader(raw), http.StatusNoContent)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		drainClose(resp)
+	}
+	if len(errs) == len(m.nodes) {
+		return fmt.Errorf("no node took the manifest: %w", errors.Join(errs...))
+	}
+	return nil
 }
 
 // remoteCell is one (group, disk) extent on one node, as a store.CellBackend.
@@ -352,37 +421,21 @@ func (rc *remoteCell) WriteRuns(runs []store.Run, sync bool) error {
 }
 
 func (rc *remoteCell) Truncate(slots int) error {
-	u := fmt.Sprintf("%s?slots=%d", rc.url(nodeapi.TruncatePath(rc.group, rc.disk)), slots)
-	req, err := http.NewRequest(http.MethodPost, u, nil)
-	if err != nil {
-		return err
+	path := fmt.Sprintf("%s?slots=%d", nodeapi.TruncatePath(rc.group, rc.disk), slots)
+	resp, err := rc.nc.call(http.MethodPost, path, nil, http.StatusNoContent)
+	if err == nil {
+		drainClose(resp)
 	}
-	resp, err := rc.nc.do(req)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusNoContent {
-		return errBody(rc.nc, resp)
-	}
-	drainClose(resp)
-	return nil
+	return err
 }
 
 // meta fetches the extent's geometry; errors degrade to the zero value so
 // status endpoints stay serviceable while a node is down.
 func (rc *remoteCell) meta() nodeapi.DiskMeta {
 	var m nodeapi.DiskMeta
-	req, err := http.NewRequest(http.MethodGet, rc.url(nodeapi.MetaPath(rc.group, rc.disk)), nil)
-	if err != nil {
-		return m
-	}
-	resp, err := rc.nc.do(req)
-	if err != nil {
-		return m
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
+	if resp, err := rc.nc.call(http.MethodGet, nodeapi.MetaPath(rc.group, rc.disk), nil, http.StatusOK); err == nil {
 		json.NewDecoder(resp.Body).Decode(&m)
+		drainClose(resp)
 	}
 	return m
 }

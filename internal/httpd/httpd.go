@@ -528,8 +528,8 @@ func (s *Server) readObject(ctx context.Context, obj *object, opts store.ReadOpt
 
 // Status is the admin status document. Counters sum over the placement
 // groups; device counters are per disk index, summed over groups, and
-// failed_disks lists each disk index failed in any group
-// (failed_disks_by_group breaks that down when there is more than one).
+// failed_disks lists each disk index failed in any group (stripes_by_group
+// and failed_disks_by_group break them down when there is more than one).
 type Status struct {
 	Scheme         string  `json:"scheme"`
 	Disks          int     `json:"disks"`
@@ -537,6 +537,7 @@ type Status struct {
 	Overhead       float64 `json:"storage_overhead"`
 	Groups         int     `json:"groups"`
 	Stripes        int     `json:"stripes"`
+	StripesByGroup []int   `json:"stripes_by_group,omitempty"`
 	Bytes          int64   `json:"bytes"`
 	Objects        int     `json:"objects"`
 	FailedDisks    []int   `json:"failed_disks"`
@@ -580,6 +581,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			failed[d] = true
 		}
 		if len(s.stores) > 1 {
+			st.StripesByGroup = append(st.StripesByGroup, gs.Stripes())
 			st.FailedByGroup = append(st.FailedByGroup, fd)
 		}
 		for d := 0; d < sch.N(); d++ {

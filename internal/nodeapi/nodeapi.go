@@ -262,6 +262,10 @@ func MetaPath(group, disk int) string {
 	return fmt.Sprintf("/cells/%d/%d/meta", group, disk)
 }
 
+// ManifestPath is a group's manifest copy: PUT stores the body verbatim,
+// GET returns it (empty before the first PUT).
+func ManifestPath(group int) string { return fmt.Sprintf("/manifest/%d", group) }
+
 // StatusPath is the whole-node status endpoint (GET → NodeStatus).
 const StatusPath = "/node/status"
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/store"
 )
@@ -43,32 +42,11 @@ func LoadCursor(path string) (Cursor, error) {
 	return c, nil
 }
 
-// Save atomically persists the cursor: write a temp file in the same
-// directory, fsync, rename over the target. A crash leaves either the old
-// cursor or the new one, never a torn file.
+// Save atomically persists the cursor (store.AtomicWriteFile): a crash
+// leaves either the old cursor or the new one, never a torn file.
 func (c Cursor) Save(path string) error {
-	b, err := json.Marshal(c)
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".scrub-cursor-*")
-	if err != nil {
-		return fmt.Errorf("repair: save scrub cursor: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		return fmt.Errorf("repair: save scrub cursor: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("repair: save scrub cursor: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("repair: save scrub cursor: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	b, _ := json.Marshal(c) // a Cursor always marshals
+	if err := store.AtomicWriteFile(path, b); err != nil {
 		return fmt.Errorf("repair: save scrub cursor: %w", err)
 	}
 	return nil

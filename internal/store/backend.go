@@ -217,11 +217,6 @@ type CellStoreConfig struct {
 	// writes with sync set, so every device is durable before the stripe is
 	// published — the node-side fsync of the two-phase gate.
 	Sync bool
-	// Recover re-derives the sealed extent from the backends at open (the
-	// gateway-restart path): each stripe is healed, verified and, on a
-	// write hole, re-sealed through the read executor, and a torn tail is
-	// truncated — the same recovery OpenFileBacked runs over local files.
-	Recover bool
 	// NodeOf, when set, names the placement node that serves each device
 	// (one entry per device), from the first batch on — recovery's
 	// included. The executor then hands each node's runs to its backend as
@@ -233,16 +228,48 @@ type CellStoreConfig struct {
 	// every device on its node, as the gateway's node clients do; with no
 	// map each device is its own node.
 	NodeOf []int
-	// durable is the stripe count already known durable — the file
-	// backend's manifest records it — below which recovery refuses to
-	// truncate: an unrecoverable stripe there is lost data, not a torn tail.
-	durable int
+	// Manifest is where the store keeps its Manifest; nil keeps none, so no
+	// geometry is checked and recovery has no durable floor.
+	Manifest ManifestStore
+	// Placement, a gateway's group count and node order, joins the geometry.
+	Placement string
 }
 
-// NewWithCellBackends creates a store whose devices are the CellBackends
-// returned by open(disk). open is also retained as the device factory
-// RecoverDisk uses for a replacement backend (the returned backend is
-// truncated to empty first).
+// Manifest is what a store records at open and at Close only: the geometry
+// a reopen must match, the stripes known durable (recovery's floor), and the
+// length.
+type Manifest struct {
+	Scheme    string `json:"scheme"`
+	Disks     int    `json:"disks"`
+	Rows      int    `json:"rows"`
+	ElemSize  int    `json:"elem_size"`
+	Placement string `json:"placement,omitempty"`
+	Stripes   int    `json:"stripes"`
+	Length    int64  `json:"length"`
+}
+
+// Geometry names what the cells mean: under any other, each is misread.
+func (m Manifest) Geometry() string {
+	g := fmt.Sprintf("%s over %d disks, %d rows, %d-byte elements", m.Scheme, m.Disks, m.Rows, m.ElemSize)
+	if m.Placement != "" {
+		g += ", " + m.Placement
+	}
+	return g
+}
+
+// ManifestStore is where a store keeps its Manifest: Load returns the zero
+// Manifest when none was saved, and Save replaces it durably.
+type ManifestStore interface {
+	Load() (Manifest, error)
+	Save(Manifest) error
+}
+
+// NewWithCellBackends creates a store over the CellBackends open(disk)
+// returns and recovers it: the one open path of every persistent store.
+// Another geometry than the manifest's is refused before any device opens;
+// recovery is floored at its stripes, fails devices that do not answer, and
+// cuts a torn tail only while none is failed. open also serves RecoverDisk's
+// replacements (truncated to empty first).
 func NewWithCellBackends(scheme *core.Scheme, elemSize int, cfg CellStoreConfig, open func(disk int) (CellBackend, error)) (*Store, *RecoveryReport, error) {
 	st, err := New(scheme, elemSize)
 	if err != nil {
@@ -254,13 +281,24 @@ func NewWithCellBackends(scheme *core.Scheme, elemSize int, cfg CellStoreConfig,
 		}
 		st.nodeOf = append([]int(nil), cfg.NodeOf...)
 	}
+	st.record = Manifest{Scheme: scheme.Name(), Disks: scheme.N(), Rows: st.rows, ElemSize: elemSize, Placement: cfg.Placement}
+	var rec Manifest
+	if st.manifest = cfg.Manifest; st.manifest != nil {
+		if rec, err = st.manifest.Load(); err == nil && rec.Scheme != "" && rec.Geometry() != st.record.Geometry() {
+			err = fmt.Errorf("written as %s; refusing to open it as %s", rec.Geometry(), st.record.Geometry())
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("store: %v: %w", st.manifest, err)
+		}
+	}
+	slots := make([]int, len(st.devices))
 	for d, dev := range st.devices {
 		cb, err := open(d)
 		if err != nil {
 			st.closeBackends()
 			return nil, nil, fmt.Errorf("store: open device %d: %w", d, err)
 		}
-		dev.be = cb
+		dev.be, slots[d] = cb, cb.Slots()
 	}
 	st.fsync = cfg.Sync
 	st.newBackendFn = func(d int) (CellBackend, error) {
@@ -275,13 +313,9 @@ func NewWithCellBackends(scheme *core.Scheme, elemSize int, cfg CellStoreConfig,
 		return cb, nil
 	}
 	report := &RecoveryReport{}
-	if cfg.Recover {
-		if err := st.recoverExtent(report, cfg.durable); err != nil {
-			st.closeBackends()
-			return nil, nil, err
-		}
-		st.length = int64(st.stripes) * int64(st.stripeBytes())
+	if err := st.recover(report, rec, slots); err != nil {
+		st.closeBackends()
+		return nil, nil, err
 	}
-	report.Stripes = st.stripes
 	return st, report, nil
 }

@@ -25,17 +25,7 @@
 // FsyncNever trades that barrier away for throughput (the recovery scrub
 // still bounds the damage to torn tails).
 //
-// Startup recovery (OpenFileBacked) scrubs the directory before serving, once
-// the manifest's recorded geometry matches the requested one: the stripe
-// count is derived from the files themselves, and each stripe goes through
-// the read executor's heal job — torn or missing cells are rebuilt from
-// their group when the code allows — then a parity check, which re-seals a
-// stripe with clean checksums but inconsistent parity (a cell rewritten,
-// checksum and all, outside a seal) from its data cells; an unrecoverable
-// torn tail is truncated. The manifest's stripe count only ever counts
-// fsynced stripes, so it is a floor: an unrecoverable stripe below it is lost
-// data, and the open fails with nothing truncated and the manifest kept. The
-// store that comes back is always decode-clean.
+// Startup recovery (recover) leaves the store decode-clean.
 package store
 
 import (
@@ -466,39 +456,33 @@ type RecoveryReport struct {
 	DirectActive bool
 }
 
-// backendManifest is the file backend's metadata: the geometry the
-// directory was written under, which a reopen must match, the user-byte
-// length, and the stripes known durable when it was written — a floor
-// recovery may not truncate below (it re-derives the count itself from the
-// files). Open and Close fsync every device before writing it.
-type backendManifest struct {
-	Scheme   string `json:"scheme"`
-	Disks    int    `json:"disks"`
-	Rows     int    `json:"rows"`
-	ElemSize int    `json:"elem_size"`
-	Stripes  int    `json:"stripes"`
-	Length   int64  `json:"length"`
-}
-
 const backendManifestName = "backend.json"
 
-// geometry names what a directory's cells mean: a reopen under another
-// scheme, disk count, row count or element size would misread every cell.
-func (m backendManifest) geometry() string {
-	return fmt.Sprintf("%s over %d disks, %d rows, %d-byte elements", m.Scheme, m.Disks, m.Rows, m.ElemSize)
+// fileManifest keeps a local store's Manifest in dir/backend.json.
+type fileManifest string
+
+func (dir fileManifest) String() string { return "data dir " + string(dir) }
+
+func (dir fileManifest) Load() (m Manifest, err error) {
+	raw, err := os.ReadFile(filepath.Join(string(dir), backendManifestName))
+	if errors.Is(err, os.ErrNotExist) {
+		return m, nil
+	}
+	if err == nil {
+		err = json.Unmarshal(raw, &m)
+	}
+	return m, err
+}
+
+func (dir fileManifest) Save(m Manifest) error {
+	raw, _ := json.MarshalIndent(m, "", "  ") // a Manifest always marshals
+	return AtomicWriteFile(filepath.Join(string(dir), backendManifestName), raw)
 }
 
 // OpenFileBacked creates (or reopens) a store whose devices are DiskStores
-// in cfg.Dir, one data/checksum file pair per device. It is
-// NewWithCellBackends with Recover over those disks, plus what only files
-// have: the migration staging hooks and the manifest. A directory whose
-// manifest records another geometry is refused before recovery touches it
-// (recovery would re-seal every stripe under the wrong code); one with no
-// manifest (a store killed before any open wrote it) is accepted. The
-// manifest is written at open, so a killed store leaves one behind. The
-// returned report says what recovery found. All existing store APIs behave
-// identically to the memory backend — tests and tools select the backend
-// purely by construction.
+// in cfg.Dir, one data/checksum file pair per device: NewWithCellBackends
+// with backend.json as the manifest, plus the migration staging hooks. All
+// store APIs behave identically to the memory backend.
 func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, *RecoveryReport, error) {
 	if cfg.Dir == "" {
 		return nil, nil, fmt.Errorf("store: file backend needs a data directory")
@@ -507,42 +491,24 @@ func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	man, err := readBackendManifest(dir)
-	found := err == nil
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, fmt.Errorf("store: %s: %w", backendManifestName, err)
-	}
-	want := backendManifest{Scheme: scheme.Name(), Disks: scheme.N(), Rows: scheme.Layout().Rows(), ElemSize: elemSize}
-	if found && man.geometry() != want.geometry() {
-		return nil, nil, fmt.Errorf("store: data dir %s was written as %s; refusing to open it as %s",
-			dir, man.geometry(), want.geometry())
-	}
-	// A *.new pair is a migration that crashed before its promote renames:
-	// the live dev_NN pair is still authoritative, so the stale staging copy
-	// is simply dropped.
-	if stray, err := filepath.Glob(filepath.Join(dir, "dev_*"+stagingSuffix)); err == nil {
-		for _, p := range stray {
-			os.Remove(p)
-		}
-	}
 	open := func(d int, suffix string, trunc bool) (*DiskStore, error) {
 		return openFileDisk(devDataFile(dir, d)+suffix, devCRCFile(dir, d)+suffix, elemSize, cfg, trunc)
 	}
-	direct := false
-	st, report, err := NewWithCellBackends(scheme, elemSize, CellStoreConfig{Sync: cfg.fsyncAlways(), Recover: true, durable: man.Stripes},
+	discard := func(d int) {
+		os.Remove(devDataFile(dir, d) + stagingSuffix)
+		os.Remove(devCRCFile(dir, d) + stagingSuffix)
+	}
+	st, report, err := NewWithCellBackends(scheme, elemSize, CellStoreConfig{Sync: cfg.fsyncAlways(), Manifest: fileManifest(dir)},
 		func(d int) (CellBackend, error) {
-			ds, err := open(d, "", false)
-			if err != nil {
-				return nil, err
-			}
-			direct = ds.direct
-			return ds, nil
+			// A *.new pair is a migration that crashed before its promote
+			// renames: the live dev_NN pair is still authoritative.
+			discard(d)
+			return open(d, "", false)
 		})
 	if err != nil {
 		return nil, nil, err
 	}
-	report.DirectActive = direct
-	st.dataDir = dir
+	report.DirectActive = st.devices[0].be.(*DiskStore).direct
 	st.newBackendFn = func(d int) (CellBackend, error) { return open(d, "", true) }
 	st.newStagingBackendFn = func(d int) (CellBackend, error) { return open(d, stagingSuffix, true) }
 	st.promoteStagingFn = func(d int) error {
@@ -557,79 +523,82 @@ func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, 
 		}
 		return syncDir(dir)
 	}
-	st.discardStagingFn = func(d int) {
-		os.Remove(devDataFile(dir, d) + stagingSuffix)
-		os.Remove(devCRCFile(dir, d) + stagingSuffix)
-	}
-	// Length: the manifest is trusted only when it agrees with the
-	// recovered extent; otherwise the sealed extent is all we know.
-	if found && man.Stripes == st.stripes && man.Length >= 0 && man.Length <= st.length {
-		st.length = man.Length
-	}
-	// The manifest counts only durable stripes: whatever the previous run
-	// left unsynced, and recovery's rewrites, are fsynced before it.
-	if err := st.writeRuns(barrier(st.deviceIDs()), true); err != nil {
-		st.closeBackends()
-		return nil, nil, err
-	}
-	if err := st.writeBackendManifest(); err != nil {
-		st.closeBackends()
-		return nil, nil, err
-	}
+	st.discardStagingFn = discard
 	return st, report, nil
 }
 
-// recoverExtent derives the sealed extent from the backends and makes it
-// decode-clean, one executor job per stripe: HealStripe's job, reading every
-// cell as one run per device, except that no cell may be skipped — a device
-// out of reach fails recovery. An erased cell — torn (payload and recorded
-// checksum disagree) or missing from its device — is rebuilt from its group
-// and rewritten (healCell). The healed stripe is then verified against
-// parity, and one that disagrees with clean checksums (a cell rewritten,
-// checksum and all, outside a seal) is re-sealed at its index from its data
-// cells, which are truth. A
-// stripe whose erasures exceed its groups is legal only as the torn tail —
-// possibly several stripes, since one crashed commit can seal a multi-stripe
-// batch — and is truncated there. One below the durable floor, or *followed
-// by* a stripe that still heals, is no crash artifact (seals are ordered,
-// and the floor counts only fsynced stripes), so recovery refuses loudly
-// rather than silently drop sealed stripes (past the floor, healing that
-// later stripe on the way). The store is not shared yet, so no lock is
-// held.
-func (s *Store) recoverExtent(report *RecoveryReport, durable int) error {
+// recover is NewWithCellBackends' recovery over the slots devices held.
+func (s *Store) recover(report *RecoveryReport, rec Manifest, slots []int) error {
+	if err := s.recoverExtent(report, rec.Stripes, slots); err != nil {
+		return err
+	}
+	if report.Stripes = s.stripes; s.manifest != nil || report.HealedCells > 0 || report.ReencodedStripes > 0 {
+		if err := s.syncLive(); err != nil {
+			return err
+		}
+	}
+	// A torn tail's failed heals may have written past the extent anywhere.
+	for d, dev := range s.devices {
+		if (slots[d] > s.stripes*s.rows || report.TruncatedStripes > 0) && len(s.failedDisksLocked()) == 0 {
+			if err := dev.be.Truncate(s.stripes * s.rows); err != nil {
+				return err
+			}
+		}
+	}
+	s.length = int64(s.stripes) * int64(s.stripeBytes())
+	if rec.Stripes == s.stripes && rec.Length >= 0 && rec.Length <= s.length {
+		s.length = rec.Length
+	}
+	return s.saveManifest()
+}
+
+// recoverExtent makes the extent the slots span decode-clean, one executor
+// job per stripe reading every cell; the store is not shared yet, so no lock
+// is held. A device the job cannot reach is failed (failDown) and its
+// stripes go unverified. A torn or missing cell is rebuilt and rewritten
+// (healCell); a stripe whose parity disagrees with clean checksums (a cell
+// rewritten outside a seal) is re-sealed from its data cells. An undecodable
+// stripe is legal only as the torn tail, which recover cuts: one met while a
+// device is failed, below the floor, or before a stripe that heals refuses.
+func (s *Store) recoverExtent(report *RecoveryReport, durable int, slots []int) error {
 	maxStripes := 0
-	for _, dev := range s.devices {
-		maxStripes = max(maxStripes, dev.be.Slots()/s.rows)
+	for _, n := range slots {
+		maxStripes = max(maxStripes, n/s.rows)
 	}
 	heal := func(stripe int) (*served, error) {
-		return s.execute(context.TODO(), s.exactly(s.allCells(stripe)), corruptHeals, ReadOptions{Sequential: true})
+		return s.execute(context.TODO(), func(avoid, _ []int) (*core.Plan, error) {
+			return s.scheme.PlanCells(s.allCells(stripe), avoid, nil)
+		}, corruptHeals, ReadOptions{Sequential: true})
 	}
-	s.syncAt = -1 // one barrier at the end covers every re-seal
+	s.syncAt = -1 // recover's barrier covers every re-seal
 	for s.stripes = 0; s.stripes < maxStripes; {
 		stripe := s.stripes
 		r, err := heal(stripe)
 		// A group that does not decode around an unreachable device is not
 		// a torn tail: that error fails recovery below instead.
 		if errors.Is(err, core.ErrUnrecoverable) && !errors.Is(err, ErrUnavailable) {
-			if stripe < durable {
-				var lost []int // devices whose cells of the stripe are missing or torn
+			why := ""
+			if down := s.failedDisksLocked(); len(down) > 0 {
+				why = fmt.Sprintf("while devices %v are down", down)
+			} else if stripe < durable {
+				var lost []int
 				for d := range s.devices {
-					dr, derr := s.execute(context.TODO(), s.exactly(s.deviceCells(stripe, d)), corruptStops, ReadOptions{Sequential: true})
-					if derr != nil {
+					if dr, derr := s.execute(context.TODO(), s.exactly(s.deviceCells(stripe, d)), corruptStops, ReadOptions{Sequential: true}); derr != nil {
 						lost = append(lost, d)
-						continue
+					} else {
+						dr.release()
 					}
-					dr.release()
 				}
-				return fmt.Errorf("store: recovery: stripe %d unrecoverable (devices %v missing or tearing its cells) below the %d stripes recorded durable (not a torn tail): %w",
-					stripe, lost, durable, err)
+				why = fmt.Sprintf("(devices %v missing or tearing its cells) below the %d stripes recorded durable", lost, durable)
 			}
-			for later := stripe + 1; later < maxStripes; later++ {
+			for later := stripe + 1; later < maxStripes && why == ""; later++ {
 				if lr, lerr := heal(later); lerr == nil {
 					lr.release()
-					return fmt.Errorf("store: recovery: stripe %d unrecoverable but stripe %d still decodes (not a torn tail): %w",
-						stripe, later, err)
+					why = fmt.Sprintf("but stripe %d still decodes", later)
 				}
+			}
+			if why != "" {
+				return fmt.Errorf("store: recovery: stripe %d unrecoverable %s (not a torn tail): %w", stripe, why, err)
 			}
 			report.TruncatedStripes = maxStripes - stripe
 			break
@@ -638,12 +607,14 @@ func (s *Store) recoverExtent(report *RecoveryReport, durable int) error {
 			return fmt.Errorf("store: recovery: stripe %d: %w", stripe, err)
 		}
 		report.HealedCells += r.healed
-		cells := r.stripes[0].cells
-		ok, err := s.scheme.VerifyStripe(cells)
+		ok, err := len(r.plan.Failed) > 0, s.failDown(r.plan.Failed)
+		if !ok && err == nil {
+			ok, err = s.scheme.VerifyStripe(r.stripes[0].cells)
+		}
 		if err == nil && !ok {
-			err = s.seal(slices.Concat(s.scheme.DataShards(cells)...)) // advances s.stripes
+			err = s.seal(slices.Concat(s.scheme.DataShards(r.stripes[0].cells)...)) // advances s.stripes
 			report.ReencodedStripes++
-		} else if ok {
+		} else if err == nil {
 			s.stripes++
 		}
 		r.release()
@@ -651,50 +622,53 @@ func (s *Store) recoverExtent(report *RecoveryReport, durable int) error {
 			return fmt.Errorf("store: recovery: stripe %d: %w", stripe, err)
 		}
 	}
-	for _, dev := range s.devices {
-		if err := dev.be.Truncate(s.stripes * s.rows); err != nil {
-			return err
+	return nil
+}
+
+// failDown fails the devices that do not answer within the scheme's
+// tolerance, and past it is ErrUnavailable. Caller holds mu exclusively.
+func (s *Store) failDown(down []int) error {
+	for _, d := range down {
+		if !s.devices[d].failed && len(s.failedDisksLocked()) >= s.scheme.FaultTolerance() {
+			return fmt.Errorf("%w: devices %v do not answer, more than %s tolerates", ErrUnavailable, down, s.scheme.Name())
 		}
-	}
-	if report.HealedCells > 0 || report.ReencodedStripes > 0 || report.TruncatedStripes > 0 {
-		return s.writeRuns(barrier(s.deviceIDs()), true)
+		s.devices[d].failed = true
 	}
 	return nil
 }
 
-func readBackendManifest(dir string) (backendManifest, error) {
-	var man backendManifest
-	raw, err := os.ReadFile(filepath.Join(dir, backendManifestName))
-	if err != nil {
-		return man, err
+// syncLive fsyncs every device, one barrier per node, and fails (failDown)
+// those whose node does not take it. Caller holds mu exclusively.
+func (s *Store) syncLive() error {
+	runs := make([]Run, len(s.devices))
+	for d := range runs {
+		runs[d].Disk = d
 	}
-	if err := json.Unmarshal(raw, &man); err != nil {
-		return man, err
-	}
-	return man, nil
+	nodes := s.byNode(runs)
+	down := make([][]int, len(nodes))
+	eachDevice(len(nodes), func(i int) error {
+		if s.writeBatch(s.devices[nodes[i][0].Disk], nodes[i], true) != nil {
+			for _, r := range nodes[i] {
+				down[i] = append(down[i], r.Disk)
+			}
+		}
+		return nil
+	})
+	return s.failDown(slices.Concat(down...))
 }
 
-// writeBackendManifest writes the manifest atomically (temp file, fsync,
-// rename, directory fsync).
-func (s *Store) writeBackendManifest() error {
-	man := backendManifest{
-		Scheme:   s.scheme.Name(),
-		Disks:    s.scheme.N(),
-		Rows:     s.rows,
-		ElemSize: s.elemSize,
-		Stripes:  s.stripes,
-		Length:   s.length,
+// saveManifest records the geometry, stripes and length, if kept anywhere.
+func (s *Store) saveManifest() error {
+	if s.manifest == nil {
+		return nil
 	}
-	raw, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicWriteFile(filepath.Join(s.dataDir, backendManifestName), raw)
+	s.record.Stripes, s.record.Length = s.stripes, s.length
+	return s.manifest.Save(s.record)
 }
 
-// atomicWriteFile durably replaces path with data: write a temp sibling,
+// AtomicWriteFile durably replaces path with data: write a temp sibling,
 // fsync it, rename over path, fsync the directory.
-func atomicWriteFile(path string, data []byte) error {
+func AtomicWriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -735,15 +709,6 @@ func syncDir(dir string) error {
 	return err
 }
 
-// deviceIDs lists every device index, ascending.
-func (s *Store) deviceIDs() []int {
-	ids := make([]int, len(s.devices))
-	for d := range ids {
-		ids[d] = d
-	}
-	return ids
-}
-
 // closeBackends closes every device backend, keeping the first error.
 func (s *Store) closeBackends() error {
 	var err error
@@ -755,8 +720,8 @@ func (s *Store) closeBackends() error {
 	return err
 }
 
-// Close syncs the file backend's devices and then writes its manifest, so
-// the stripes it records are durable, then closes every device backend.
+// Close fsyncs every device and saves the manifest (syncLive; past the
+// scheme's tolerance Close fails), then closes every backend.
 // Buffered partial-stripe bytes are NOT sealed — Flush first if they should
 // survive (they were never durable). The store must not be used afterwards;
 // a second Close is a no-op.
@@ -768,9 +733,9 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	var err error
-	if s.dataDir != "" {
-		if err = s.writeRuns(barrier(s.deviceIDs()), true); err == nil {
-			err = s.writeBackendManifest()
+	if s.manifest != nil {
+		if err = s.syncLive(); err == nil {
+			err = s.saveManifest()
 		}
 	}
 	if cerr := s.closeBackends(); err == nil {

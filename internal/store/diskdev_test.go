@@ -665,3 +665,34 @@ func TestReopenRefusesOtherGeometry(t *testing.T) {
 		refuses(t, dir)
 	})
 }
+
+// TestParentBackendManifestOpens: a backend.json as the commit before the
+// shared manifest seam wrote it — every field, byte for byte — still opens,
+// its length still caps the extent, and a Close writes it back in the same
+// format.
+func TestParentBackendManifestOpens(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openFileStore(t, dir)
+	data := fill(t, s, 5000, 93)
+	stripes := s.Stripes()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sch := fileScheme()
+	parent := fmt.Sprintf("{\n  \"scheme\": %q,\n  \"disks\": %d,\n  \"rows\": %d,\n  \"elem_size\": %d,\n  \"stripes\": %d,\n  \"length\": 5000\n}",
+		sch.Name(), sch.N(), rowsOf(sch), testElemSize, stripes)
+	path := filepath.Join(dir, backendManifestName)
+	if err := os.WriteFile(path, []byte(parent), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, rep := openFileStore(t, dir)
+	if rep.Stripes != stripes || s.Len() != 5000 || !bytes.Equal(readAll(t, s), data) {
+		t.Fatalf("reopen over the parent's manifest: %d stripes, length %d (or other bytes)", rep.Stripes, s.Len())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(path); err != nil || string(raw) != parent {
+		t.Fatalf("Close wrote %q (%v), want the parent's format %q", raw, err, parent)
+	}
+}

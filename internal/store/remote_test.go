@@ -3,7 +3,9 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -120,7 +122,7 @@ func TestRemoteStoreRecoverExtent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, report, err := NewWithCellBackends(scheme, elem, CellStoreConfig{Sync: true, Recover: true}, open)
+	st2, report, err := NewWithCellBackends(scheme, elem, CellStoreConfig{Sync: true}, open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestRemoteStoreRecoverTornTail(t *testing.T) {
 			}
 		}
 		open := func(d int) (CellBackend, error) { return disks[d], nil }
-		cfg := CellStoreConfig{Sync: true, Recover: true}
+		cfg := CellStoreConfig{Sync: true}
 		st2, rep, err := NewWithCellBackends(scheme, elem, cfg, open)
 		if err != nil {
 			t.Fatalf("seed %d: recovery failed (barrier %d of %d): %v", seed, barrier, stripes, err)
@@ -244,28 +246,58 @@ func (downDisk) ReadRuns(runs []Run) {
 }
 func (downDisk) WriteRuns([]Run, bool) error { return errors.New("connection refused") }
 
-// TestRemoteStoreRecoverRefusesUnreachableDisk: a device out of reach is not
-// an erasure to heal or a torn tail to cut. Recovery fails with
-// ErrUnavailable and truncates nothing.
+// TestRemoteStoreRecoverRefusesUnreachableDisk: a device out of reach at
+// open is neither an erasure to heal nor a torn tail to cut. Within the
+// scheme's tolerance the store opens with it failed and serves degraded
+// reads byte-identically; with f+1 out of reach the open fails with
+// ErrUnavailable. Either way no device is truncated — not even the one
+// holding a torn partial stripe past the extent, which an open with every
+// device answering cuts.
 func TestRemoteStoreRecoverRefusesUnreachableDisk(t *testing.T) {
 	scheme := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
-	const elem = 32
-	st, disks := newRemoteOverDisks(t, scheme, elem, CellStoreConfig{Sync: true})
-	fill(t, st, 3*scheme.DataPerStripe()*elem, 5)
-	st.Close()
-	_, _, err := NewWithCellBackends(scheme, elem, CellStoreConfig{Recover: true}, func(d int) (CellBackend, error) {
-		if d == 2 {
-			return downDisk{disks[d]}, nil
-		}
-		return disks[d], nil
-	})
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("recovery with disk 2 down: %v, want ErrUnavailable", err)
-	}
-	for d, disk := range disks {
-		if disk.Slots() != 3*scheme.Layout().Rows() {
-			t.Fatalf("disk %d holds %d slots after the refused recovery", d, disk.Slots())
-		}
+	const elem, torn = 32, 1
+	rows := scheme.Layout().Rows()
+	for _, down := range [][]int{nil, {2}, {0, 2, 4, 6}} {
+		t.Run(fmt.Sprintf("down=%v", down), func(t *testing.T) {
+			st, disks := newRemoteOverDisks(t, scheme, elem, CellStoreConfig{Sync: true})
+			data := fill(t, st, 3*scheme.DataPerStripe()*elem, 5)
+			st.Close()
+			tail := []Run{{Disk: torn, Slot: 3 * rows, Count: 1, Data: make([]byte, elem), CRCs: []uint32{0}}}
+			if err := disks[torn].WriteRuns(tail, false); err != nil {
+				t.Fatal(err)
+			}
+			st2, _, err := NewWithCellBackends(scheme, elem, CellStoreConfig{}, func(d int) (CellBackend, error) {
+				if slices.Contains(down, d) {
+					return downDisk{disks[d]}, nil
+				}
+				return disks[d], nil
+			})
+			switch {
+			case len(down) > scheme.FaultTolerance():
+				if !errors.Is(err, ErrUnavailable) {
+					t.Fatalf("open with disks %v down: %v, want ErrUnavailable", down, err)
+				}
+			case err != nil:
+				t.Fatalf("open with disks %v down: %v", down, err)
+			default:
+				if got := st2.FailedDisks(); !slices.Equal(got, down) {
+					t.Fatalf("failed disks after the open: %v, want %v", got, down)
+				}
+				if st2.Stripes() != 3 || !bytes.Equal(readAll(t, st2), data) {
+					t.Fatalf("open with disks %v down serves %d stripes, or other bytes", down, st2.Stripes())
+				}
+				st2.Close()
+			}
+			for d, disk := range disks {
+				want := 3 * rows
+				if d == torn && len(down) > 0 {
+					want++
+				}
+				if disk.Slots() != want {
+					t.Fatalf("disk %d holds %d slots after the open, want %d", d, disk.Slots(), want)
+				}
+			}
+		})
 	}
 }
 
@@ -349,7 +381,7 @@ func TestRecoverBatchesByNode(t *testing.T) {
 	st.Close()
 
 	var calls atomic.Int64
-	st2, rep, err := NewWithCellBackends(scheme, elem, CellStoreConfig{Recover: true, NodeOf: nodeOf},
+	st2, rep, err := NewWithCellBackends(scheme, elem, CellStoreConfig{NodeOf: nodeOf},
 		func(d int) (CellBackend, error) { return nodeDisk{disks[d], disks, &calls}, nil })
 	if err != nil {
 		t.Fatal(err)

@@ -508,7 +508,7 @@ func TestRepairBackendCallsPerStripe(t *testing.T) {
 				n, rows := sch.N(), sch.Layout().Rows()
 				takeCalls(s)
 				// Reopen over the same disks, as a gateway restart does.
-				rec, rep, err := NewWithCellBackends(sch, 64, CellStoreConfig{Recover: true}, func(d int) (CellBackend, error) {
+				rec, rep, err := NewWithCellBackends(sch, 64, CellStoreConfig{}, func(d int) (CellBackend, error) {
 					return s.devices[d].be, nil
 				})
 				if err != nil {

@@ -301,11 +301,12 @@ type Store struct {
 	elemSize int
 	rows     int // scheme.Layout().Rows(), cached: slot math sits on hot paths
 
-	// Backend state: the file backend's data directory ("" otherwise),
-	// whether commits run the fsync barrier before publishing, and the
-	// factory RecoverDisk uses to open a fresh truncated backend for a
-	// replacement device (nil: a new MemDisk). closed poisons use-after-Close.
-	dataDir      string
+	// Backend state: the manifest's home (nil: none) and record, whether
+	// commits run the fsync barrier before publishing, and the factory
+	// RecoverDisk uses to open a fresh truncated backend for a replacement
+	// device (nil: a new MemDisk). closed poisons use-after-Close.
+	manifest     ManifestStore
+	record       Manifest
 	fsync        bool
 	newBackendFn func(d int) (CellBackend, error)
 	closed       bool

@@ -20,7 +20,21 @@
 #   4. /metrics shows the failure handling: replans, degraded-mode reads, and
 #      the dead node's up-gauge at 0 — and /readyz stays 200 (a degraded
 #      cluster is serving, not down),
-#   5. the gateway and surviving nodes drain gracefully on SIGTERM.
+#   5. the gateway drains gracefully on SIGTERM,
+#   6. restarted with the same flags (node 3 back on its data directory), the
+#      gateway recovers every group's sealed stripes from the nodes: the
+#      per-group counts in /admin/status are unchanged, a fresh PUT lands
+#      past them and reads back, and /admin/scrub is clean,
+#   7. restarted with -form rotated, it exits nonzero naming both geometries
+#      and leaves every node's extents as they were,
+#   8. restarted with node 3 killed, it starts degraded — same stripe counts,
+#      node 3's three disks failed in every group — and once node 3 is back,
+#      /admin/recover rebuilds its extents byte-identical from the survivors
+#      and /admin/scrub is clean; then everything drains on SIGTERM.
+#
+# Object names live in the gateway's memory, so after a restart the objects
+# PUT before it are checked through the stripe counts, the scrub and the
+# byte-identical rebuild, not by name.
 #
 # Every GET adds ?nocache=1: the gateway serves the same object surface as
 # single mode, decoded-object cache included, and a cache hit would never
@@ -79,14 +93,17 @@ wait_200() { # wait_200 <port> <path> <what>
 echo "cluster-smoke: building ecfrmd"
 go build -o "$BIN" ./cmd/ecfrmd
 
+start_node() { # start_node <n> — node n on its port and data directory
+    mkdir -p "$TMP/node$1"
+    "$BIN" -mode=node -addr "127.0.0.1:$((GW_PORT + $1))" -elem 4096 \
+        -backend=file -data-dir "$TMP/node$1" >>"$TMP/node$1.log" 2>&1 &
+    eval "NODE$1_PID=$!"
+    PIDS="$PIDS $!"
+}
+
 echo "cluster-smoke: starting 3 file-backed nodes on :$N1_PORT-:$N3_PORT"
 for n in 1 2 3; do
-    port=$((GW_PORT + n))
-    mkdir -p "$TMP/node$n"
-    "$BIN" -mode=node -addr "127.0.0.1:$port" -elem 4096 \
-        -backend=file -data-dir "$TMP/node$n" >"$TMP/node$n.log" 2>&1 &
-    eval "NODE${n}_PID=$!"
-    PIDS="$PIDS $!"
+    start_node "$n"
 done
 wait_200 "$N1_PORT" /healthz "node 1"
 wait_200 "$N2_PORT" /healthz "node 2"
@@ -96,15 +113,19 @@ wait_200 "$N3_PORT" /healthz "node 3"
 # scheme's tolerance, so losing one whole node must stay readable.
 echo "cluster-smoke: starting gateway on :$GW_PORT"
 echo '{"seed": 7, "policies": [{"device": 8, "latency": 1000}]}' >"$TMP/start-plan.json"
-"$BIN" -mode=gateway -addr "127.0.0.1:$GW_PORT" -elem 4096 \
-    -code rs -k 6 -m 3 -form ecfrm -groups 4 \
-    -nodes "http://127.0.0.1:$N1_PORT,http://127.0.0.1:$N2_PORT,http://127.0.0.1:$N3_PORT" \
-    -hedge -hedge-quantile 0.5 -probe-interval 200ms -wal-flush-interval 5ms \
-    -faults "$TMP/start-plan.json" -obs -obs-interval 200ms \
-    >"$TMP/gateway.log" 2>&1 &
-GW_PID=$!
-PIDS="$PIDS $GW_PID"
-# The gateway's /readyz gates on cluster formation (every node probed up).
+start_gateway() { # start_gateway <log> <form> — every start takes the same flags but -form
+    "$BIN" -mode=gateway -addr "127.0.0.1:$GW_PORT" -elem 4096 \
+        -code rs -k 6 -m 3 -form "$2" -groups 4 \
+        -nodes "http://127.0.0.1:$N1_PORT,http://127.0.0.1:$N2_PORT,http://127.0.0.1:$N3_PORT" \
+        -hedge -hedge-quantile 0.5 -probe-interval 200ms -wal-flush-interval 5ms \
+        -faults "$TMP/start-plan.json" -obs -obs-interval 200ms \
+        >"$1" 2>&1 &
+    GW_PID=$!
+    PIDS="$PIDS $GW_PID"
+}
+start_gateway "$TMP/gateway.log" ecfrm
+# Every group has recovered from the nodes before the gateway listens, so
+# /readyz answers as soon as it serves.
 wait_200 "$GW_PORT" /readyz "gateway"
 gw /faults | grep -q '"seed":7' || {
     echo "cluster-smoke: the -faults plan does not read back from GET /faults" >&2
@@ -255,13 +276,134 @@ gw /readyz -o /dev/null || {
 }
 
 # --- 5. graceful drain -------------------------------------------------------
-kill -TERM "$GW_PID"
-wait "$GW_PID"
-grep -q "drained" "$TMP/gateway.log" || {
-    echo "cluster-smoke: gateway did not report graceful drain" >&2
+stripes_by_group() { # the per-group sealed-stripe counts /admin/status reports
+    gw /admin/status | sed -n 's/.*"stripes_by_group":\[\([0-9,]*\)\].*/\1/p'
+}
+drain_gateway() { # drain_gateway <log>
+    kill -TERM "$GW_PID"
+    wait "$GW_PID"
+    grep -q "drained" "$1" || {
+        echo "cluster-smoke: gateway did not report graceful drain ($1)" >&2
+        exit 1
+    }
+}
+scrub_clean() { # scrub_clean <stage>
+    SCRUB=$(gw /admin/scrub -X POST)
+    case "$SCRUB" in
+    *'"corrupt_stripes":[]'* | *'"corrupt_stripes":null'*) ;;
+    *)
+        echo "cluster-smoke: $1: scrub found corruption: $SCRUB" >&2
+        exit 1
+        ;;
+    esac
+}
+SEALED=$(stripes_by_group)
+drain_gateway "$TMP/gateway.log"
+
+# --- 6. restart with the same flags: every acked stripe kept ----------------
+# Node 3 was killed under reads only, so its extents are whole.
+echo "cluster-smoke: restarting node 3 and the gateway with the same flags ($SEALED stripes by group)"
+start_node 3
+wait_200 "$N3_PORT" /healthz "node 3"
+start_gateway "$TMP/gateway-2.log" ecfrm
+wait_200 "$GW_PORT" /readyz "restarted gateway"
+[ "$(stripes_by_group)" = "$SEALED" ] || {
+    echo "cluster-smoke: stripes by group $(stripes_by_group) after the restart, $SEALED before" >&2
     exit 1
 }
-for n in 1 2; do
+[ "$(grep -c 'gateway group [0-9]*: [0-9]* stripes recovered' "$TMP/gateway-2.log")" -eq 4 ] || {
+    echo "cluster-smoke: the restart did not log one recovery line per group" >&2
+    exit 1
+}
+head -c 50000 /dev/urandom >"$TMP/fresh.bin"
+ACK=$(gw /objects/fresh -X PUT --data-binary @"$TMP/fresh.bin")
+grp=$(echo "$ACK" | sed -n 's/.* in group \([0-9]*\) at offset [0-9]*$/\1/p')
+off=$(echo "$ACK" | sed -n 's/.* at offset \([0-9]*\)$/\1/p')
+sealed=$(echo "$SEALED" | cut -d, -f$((grp + 1)))
+# RS(6,3)/ecfrm at 4096-byte elements: 18 data elements, 73,728 bytes a stripe.
+if [ -z "$off" ] || [ "$off" -lt $((sealed * 73728)) ]; then
+    echo "cluster-smoke: fresh PUT '$ACK' lands inside group $grp's $sealed sealed stripes" >&2
+    exit 1
+fi
+gw "/objects/fresh?nocache=1" -o "$TMP/out.bin"
+cmp -s "$TMP/fresh.bin" "$TMP/out.bin" || {
+    echo "cluster-smoke: the post-restart PUT does not read back" >&2
+    exit 1
+}
+scrub_clean "after the restart"
+KEPT=$(stripes_by_group)
+
+# --- 7. restart under another layout: refused, nodes untouched --------------
+node_status() {
+    for port in "$N1_PORT" "$N2_PORT" "$N3_PORT"; do
+        curl -fsS "http://127.0.0.1:$port/node/status"
+    done
+}
+drain_gateway "$TMP/gateway-2.log"
+echo "cluster-smoke: restarting the gateway with -form rotated (must refuse)"
+BEFORE=$(node_status)
+start_gateway "$TMP/gateway-rotated.log" rotated
+i=0
+while kill -0 "$GW_PID" 2>/dev/null; do
+    i=$((i + 1))
+    if [ "$i" -ge 100 ]; then
+        echo "cluster-smoke: the gateway is serving -form rotated over nodes written as ecfrm" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+if wait "$GW_PID"; then
+    echo "cluster-smoke: the gateway exited 0 under -form rotated" >&2
+    exit 1
+fi
+for scheme in 'EC-FRM-RS(6,3)' 'R-RS(6,3)'; do
+    grep -qF "$scheme" "$TMP/gateway-rotated.log" || {
+        echo "cluster-smoke: the refusal does not name $scheme" >&2
+        exit 1
+    }
+done
+[ "$(node_status)" = "$BEFORE" ] || {
+    echo "cluster-smoke: the refused restart changed the nodes' extents" >&2
+    exit 1
+}
+
+# --- 8. restart with node 3 down, then rebuild it ---------------------------
+echo "cluster-smoke: SIGKILL node 3, restart the gateway degraded"
+mkdir "$TMP/node3-before"
+cp "$TMP"/node3/g*_d*.data "$TMP"/node3/g*_d*.crc "$TMP/node3-before/"
+kill -9 "$NODE3_PID"
+wait "$NODE3_PID" 2>/dev/null || true
+start_gateway "$TMP/gateway-3.log" ecfrm
+wait_200 "$GW_PORT" /readyz "gateway with node 3 down"
+[ "$(stripes_by_group)" = "$KEPT" ] || {
+    echo "cluster-smoke: stripes by group $(stripes_by_group) with node 3 down, $KEPT before" >&2
+    exit 1
+}
+FAILED=$(gw /admin/status | sed -n 's/.*"failed_disks_by_group":\[\(\[[0-9,]*\]\(,\[[0-9,]*\]\)*\)\].*/\1/p')
+[ "$(echo "$FAILED" | grep -o '\[[0-9]*,[0-9]*,[0-9]*\]' | wc -l)" -eq 4 ] || {
+    echo "cluster-smoke: failed disks by group '$FAILED', want node 3's three in each of 4" >&2
+    exit 1
+}
+# With node 3 back, each group rebuilds its disks from the survivors: every
+# cell decoded around node 3 must match what node 3 held.
+start_node 3
+wait_200 "$N3_PORT" /healthz "node 3"
+g=0
+for disks in $(echo "$FAILED" | tr -d '[' | tr ']' ' ' | sed 's/^,//; s/ ,/ /g'); do
+    for d in $(echo "$disks" | tr ',' ' '); do
+        gw "/admin/recover?group=$g&disk=$d" -X POST -o /dev/null
+    done
+    g=$((g + 1))
+done
+for f in "$TMP"/node3-before/*; do
+    cmp -s "$f" "$TMP/node3/$(basename "$f")" || {
+        echo "cluster-smoke: node 3's $(basename "$f") rebuilt degraded differs from what it held" >&2
+        exit 1
+    }
+done
+scrub_clean "after rebuilding node 3"
+drain_gateway "$TMP/gateway-3.log"
+for n in 1 2 3; do
     eval "pid=\$NODE${n}_PID"
     kill -TERM "$pid"
     wait "$pid"
