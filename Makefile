@@ -108,7 +108,8 @@ repair-chaos:
 # behind a gateway process on localhost, readiness-gated startup, a concurrent
 # PUT burst, hedge activity under an injected slow device, and a SIGKILLed
 # node mid-traffic with zero failed reads — every GET byte-identical through
-# degraded reconstruction, replan/degraded/node-down series live on /metrics.
+# degraded reconstruction, replan/degraded/node-down series live on /metrics —
+# and a node wiped under a gateway run with -repair, rebuilt unprompted.
 cluster-smoke:
 	./scripts/cluster-smoke.sh
 

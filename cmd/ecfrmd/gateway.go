@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/gateway"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -24,12 +25,13 @@ func runGateway() {
 		log.Fatal("ecfrmd: -mode=gateway requires -nodes (comma-separated base URLs)")
 	}
 	scheme := buildScheme()
+	reg := obs.NewRegistry()
 	gw, err := gateway.New(gateway.Config{
 		Nodes:         urls,
 		Groups:        *groups,
 		ElemSize:      *elem,
 		Scheme:        scheme,
-		HTTP:          httpConfig(nil, ""), // the gateway creates the registry
+		HTTP:          httpConfig(reg, ""),
 		Read:          readOptions(),
 		NodeTimeout:   *nodeTimeout,
 		ProbeInterval: *probeEvery,
@@ -43,5 +45,5 @@ func runGateway() {
 	}
 	log.Printf("gateway: %s over %d nodes, %d groups, elem %d, tolerates %d disk failures per group, on %s",
 		scheme.Name(), len(urls), *groups, *elem, scheme.FaultTolerance(), *addr)
-	serveObjects(gw.Server(), gw, gw.Close)
+	serveObjects(gw.Server(), gw, reg, "", gw.Close)
 }

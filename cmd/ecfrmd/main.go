@@ -60,19 +60,24 @@
 // recovered bytes are reachable by offset (store-level), not by name.
 //
 // Self-healing: -repair starts the background repair scheduler
-// (internal/repair). It watches per-device error counts and latency
-// quantiles, fail-stops disks that exceed the error burst (a disk limping
-// far behind its peers is reported, not stopped), and rebuilds them
-// incrementally under a token-bucket rate limit (-repair-rate MiB/s) that
-// backs off further whenever foreground reads are in flight. It also runs a continuous incremental
-// checksum scrub (-scrub-interval between batches) whose cursor persists
-// in <data-dir>/scrub.cursor with -backend=file, so a restarted daemon
-// resumes scrubbing where it left off. Operator surface under /repair/:
+// (internal/repair) over every placement group, in single and gateway mode
+// alike. It watches per-device error counts and latency quantiles,
+// fail-stops disks that exceed the error burst or hold fewer cells than
+// their group's sealed stripes (a wiped or unreachable node's extents; a
+// disk limping far behind its peers is reported, not stopped), and
+// rebuilds them in place incrementally under one token-bucket rate limit
+// (-repair-rate MiB/s for the whole daemon) that backs off further
+// whenever foreground reads are in flight; a disk whose rebuild cannot
+// start, on a node that stays down, is retried once a second. It also runs
+// a continuous incremental checksum scrub over the groups in turn
+// (-scrub-interval between batches) whose cursor persists in
+// <data-dir>/scrub.cursor with single mode's -backend=file, so a restarted
+// daemon resumes scrubbing where it left off; a gateway keeps it in
+// memory. Operator surface under /repair/:
 //
 //	ecfrmd -repair -repair-rate 64 -scrub-interval 30s
 //	curl localhost:8080/repair/                       # JSON status
-//	curl -X POST 'localhost:8080/repair/rebuild?disk=3'
-//	curl -X POST 'localhost:8080/repair/migrate?disk=3'
+//	curl -X POST 'localhost:8080/repair/rebuild?disk=3&group=1'
 //	curl -X POST 'localhost:8080/repair/scrub'        # kick a batch now
 //	curl -X POST 'localhost:8080/repair/rate?bytes=8388608'
 //
@@ -101,15 +106,16 @@
 //	curl -X PUT --data-binary @song.mp3 localhost:8080/objects/song.mp3
 //	curl localhost:8080/objects/song.mp3 -o out.mp3    # cells fetched node-side
 //
-// The gateway accepts the same scheme, WAL, read-executor, -faults and -obs
-// flags as single mode (the plan drives every group; the imbalance line sums
-// per-disk reads over every group; /admin/fail and friends take &group=G),
-// probes node health every -probe-interval, recovers every group at start
-// (refusing another geometry; a node down within tolerance degrades reads),
-// and runs the node-side fsync commit barrier unless -fsync=never. Killing a
-// whole node mid-traffic keeps reads serving degraded through the surviving
-// nodes as long as the placement keeps each group within the scheme's fault
-// tolerance (the gateway refuses to start otherwise; add nodes or lower n).
+// The gateway accepts the same scheme, WAL, read-executor, -faults, -obs and
+// -repair flags as single mode (the plan drives every group; the imbalance
+// line sums per-disk reads over every group; /admin/fail, /repair/rebuild
+// and friends take &group=G), probes node health every -probe-interval,
+// recovers every group at start (refusing another geometry; a node down
+// within tolerance degrades reads), and runs the node-side fsync commit
+// barrier unless -fsync=never. Killing a whole node mid-traffic keeps reads
+// serving degraded through the surviving nodes as long as the placement
+// keeps each group within the scheme's fault tolerance (the gateway refuses
+// to start otherwise; add nodes or lower n).
 package main
 
 import (
@@ -236,10 +242,12 @@ func httpConfig(reg *obs.Registry, walLogPath string) httpd.Config {
 
 // serveObjects runs the object surface srv, reached through root, the way
 // both serving modes run it: the -faults plan goes in through the same path
-// as PUT /faults (so GET /faults round-trips it), -obs starts the
-// load-imbalance line, and after the drain that line stops before the
-// closers run in order.
-func serveObjects(srv *httpd.Server, root http.Handler, closers ...func() error) {
+// as PUT /faults (so GET /faults round-trips it), -repair mounts the repair
+// scheduler over srv's groups under /repair/ (metrics into reg, the scrub
+// cursor persisted at cursor unless it is empty), -obs starts the
+// load-imbalance line, and after the drain that line and the scheduler stop
+// before the closers run in order.
+func serveObjects(srv *httpd.Server, root http.Handler, reg *obs.Registry, cursor string, closers ...func() error) {
 	if *faults != "" {
 		blob, err := os.ReadFile(*faults)
 		if err != nil {
@@ -252,6 +260,30 @@ func serveObjects(srv *httpd.Server, root http.Handler, closers ...func() error)
 		srv.SetFaultPlan(plan)
 		log.Printf("fault plan %s installed: seed %d, %d device policies",
 			*faults, plan.Seed, len(plan.Policies))
+	}
+	if *repairOn {
+		sch, err := repair.New(srv.Stores(), repair.Config{
+			Rate:          *repairRate * (1 << 20),
+			ScrubInterval: *scrubEvery,
+			CursorPath:    cursor,
+			Registry:      reg,
+			Logf:          log.Printf,
+		})
+		if err != nil {
+			log.Fatal("ecfrmd: repair: ", err)
+		}
+		// The scheduler mounts beside the object surface, not inside it:
+		// httpd stays ignorant of the repair package.
+		mux := http.NewServeMux()
+		mux.Handle("/repair/", http.StripPrefix("/repair", sch.Handler()))
+		mux.Handle("/", root)
+		root = mux
+		// Stop detection, scrub, and any in-flight rebuild (the disk stays
+		// failed and a restarted daemon's detector re-queues it) before
+		// the stores seal.
+		closers = append([]func() error{func() error { sch.Close(); return nil }}, closers...)
+		log.Printf("repair scheduler on /repair/ over %d groups: rate %.0f MiB/s, scrub interval %v, cursor %q",
+			len(srv.Stores()), *repairRate, *scrubEvery, cursor)
 	}
 	if *obsOn {
 		closers = append([]func() error{logLoadImbalance(srv.Stores())}, closers...)
@@ -358,6 +390,7 @@ func runSingle() {
 	scheme := buildScheme()
 	var err error
 	var st *store.Store
+	var cursor string // the scrub cursor's file: a data dir's only
 	switch *backend {
 	case "mem":
 		if st, err = store.New(scheme, *elem); err != nil {
@@ -377,6 +410,7 @@ func runSingle() {
 			log.Fatal("ecfrmd: ", err)
 		}
 		logRecovery("file backend "+*dataDir, report)
+		cursor = filepath.Join(*dataDir, "scrub.cursor")
 		if *walLog == "" {
 			*walLog = filepath.Join(*dataDir, "wal.log")
 		}
@@ -397,42 +431,9 @@ func runSingle() {
 	st.SetReadOptions(readOptions())
 	reg := obs.NewRegistry()
 	srv := httpd.NewServerWith(st, httpConfig(reg, *walLog))
-
-	// The repair scheduler mounts beside the object server, not inside it:
-	// httpd stays ignorant of the repair package and the scheduler's own
-	// handler owns everything under /repair/.
-	var root http.Handler = srv
-	stopRepair := func() error { return nil }
-	if *repairOn {
-		cursor := ""
-		if *backend == "file" {
-			cursor = filepath.Join(*dataDir, "scrub.cursor")
-		}
-		sch, err := repair.New(st, repair.Config{
-			Rate:          *repairRate * (1 << 20),
-			ScrubInterval: *scrubEvery,
-			CursorPath:    cursor,
-			Registry:      reg,
-			Logf:          log.Printf,
-		})
-		if err != nil {
-			log.Fatal("ecfrmd: repair: ", err)
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/repair/", http.StripPrefix("/repair", sch.Handler()))
-		mux.Handle("/", srv)
-		root = mux
-		// Stop detection, scrub, and any in-flight rebuild (aborted batches
-		// roll back; the disk stays failed and a restarted daemon's
-		// detector re-queues it) before the store seals.
-		stopRepair = func() error { sch.Close(); return nil }
-		log.Printf("repair scheduler on /repair/: rate %.0f MiB/s, scrub interval %v, cursor %q",
-			*repairRate, *scrubEvery, cursor)
-	}
-
 	log.Printf("serving %s (%d disks, tolerates %d failures, %.2fx overhead) on %s",
 		scheme.Name(), scheme.N(), scheme.FaultTolerance(), scheme.StorageOverhead(), *addr)
 	// After the drain: commit any queued PUTs and stop the WAL, then seal
 	// the backend (file: manifest write + final fsync).
-	serveObjects(srv, root, stopRepair, srv.Close, st.Close)
+	serveObjects(srv, srv, reg, cursor, srv.Close, st.Close)
 }

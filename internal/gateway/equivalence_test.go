@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,8 +46,17 @@ func schemeGrid(t testing.TB) map[string]*core.Scheme {
 type testCluster struct {
 	gw      *Gateway
 	nodes   []*datanode.Server
+	live    []*liveNode // what each server serves: its node, unless swapped
 	servers []*httptest.Server
 }
+
+// liveNode serves whatever handler it holds, so a test can restart a node
+// on an empty directory, or take it down, under the same URL.
+type liveNode struct{ h atomic.Pointer[http.Handler] }
+
+func (n *liveNode) set(h http.Handler) { n.h.Store(&h) }
+
+func (n *liveNode) ServeHTTP(w http.ResponseWriter, r *http.Request) { (*n.h.Load()).ServeHTTP(w, r) }
 
 func newTestCluster(t testing.TB, scheme *core.Scheme, elem, groups, nNodes int, opts store.ReadOptions) *testCluster {
 	t.Helper()
@@ -61,8 +71,11 @@ func newTestCluster(t testing.TB, scheme *core.Scheme, elem, groups, nNodes int,
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(n)
+		live := &liveNode{}
+		live.set(n)
+		srv := httptest.NewServer(live)
 		tc.nodes = append(tc.nodes, n)
+		tc.live = append(tc.live, live)
 		tc.servers = append(tc.servers, srv)
 		urls[i] = srv.URL
 	}

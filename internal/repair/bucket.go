@@ -1,6 +1,6 @@
-// Package repair hosts the background maintenance scheduler: failure
-// detection from device health signals, rate-limited disk rebuild and
-// rebalance driven through the store's incremental DiskRebuild machinery,
+// Package repair hosts the background maintenance scheduler over a server's
+// group stores: failure detection from device health signals, rate-limited
+// disk rebuild driven through the store's incremental DiskRebuild machinery,
 // and a continuous incremental checksum scrub with a crash-safe persisted
 // cursor.
 //

@@ -160,7 +160,7 @@ func chaosKilledDisk(t *testing.T, seed int64) {
 	t.Logf("baseline p99 = %v over %d requests", p99Base, len(baseline))
 
 	// Start the repair scheduler at a modest default-ish rate limit.
-	sch, err := New(st, Config{
+	sch, err := New([]*store.Store{st}, Config{
 		Rate:           4 << 20,
 		BatchStripes:   8,
 		DetectInterval: 5 * time.Millisecond,
@@ -296,7 +296,7 @@ func BenchmarkRebuildAtRate(b *testing.B) {
 			st := chaosStore(elemBytes)
 			defer st.Close()
 			fillStripes(b, st, stripes, 42)
-			sch, err := New(st, Config{
+			sch, err := New([]*store.Store{st}, Config{
 				Rate:           float64(mib << 20),
 				BatchStripes:   8,
 				DetectInterval: 2 * time.Millisecond,

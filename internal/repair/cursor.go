@@ -8,16 +8,20 @@ import (
 	"repro/internal/store"
 )
 
-// Cursor is the scrub's persisted position: which full pass we are on and
-// the next stripe to verify. It is saved after each batch completes, so a
-// crash resumes at the start of the in-flight batch. Re-verifying (and, if
-// needed, re-healing) those few stripes is idempotent — healing rewrites a
-// cell to the value it should already have — so the at-least-once semantics
-// never skip a stripe and never corrupt one.
+// Cursor is the scrub's persisted position: which full pass over every
+// group we are on, the group it is in, and the next stripe of that group to
+// verify. It is saved after each batch completes, so a crash resumes at the
+// start of the in-flight batch. Re-verifying (and, if needed, re-healing)
+// those few stripes is idempotent — healing rewrites a cell to the value it
+// should already have — so the at-least-once semantics never skip a stripe
+// and never corrupt one.
 type Cursor struct {
-	// Cycle counts completed full passes over the store.
+	// Cycle counts completed full passes over the groups.
 	Cycle int `json:"cycle"`
-	// Next is the first unverified stripe of the current pass.
+	// Group is the group the current pass is in; a cursor saved before
+	// groups existed has none and loads as group 0.
+	Group int `json:"group"`
+	// Next is the first unverified stripe of Group in the current pass.
 	Next int `json:"next"`
 }
 
@@ -36,7 +40,7 @@ func LoadCursor(path string) (Cursor, error) {
 	if err := json.Unmarshal(b, &c); err != nil {
 		return Cursor{}, fmt.Errorf("repair: parse scrub cursor %s: %w", path, err)
 	}
-	if c.Next < 0 || c.Cycle < 0 {
+	if c.Next < 0 || c.Cycle < 0 || c.Group < 0 {
 		return Cursor{}, fmt.Errorf("repair: scrub cursor %s has negative fields", path)
 	}
 	return c, nil
@@ -54,8 +58,9 @@ func (c Cursor) Save(path string) error {
 
 // ScrubReport summarises one incremental scrub batch.
 type ScrubReport struct {
-	// Start and End bound the stripes verified this batch: [Start, End).
-	Start, End int
+	// Group is the group verified; Start and End bound its stripes
+	// verified this batch: [Start, End).
+	Group, Start, End int
 	// Bad lists stripes where a checksum or parity check failed.
 	Bad []int
 	// Healed counts cells rebuilt from redundancy and rewritten.
@@ -64,9 +69,11 @@ type ScrubReport struct {
 	Wrapped bool
 }
 
-// ScrubStep verifies one batch of stripes starting at cur, heals any stripe
-// that fails verification, and persists the advanced cursor to path (skipped
-// when path is empty, for callers that keep the cursor in memory).
+// ScrubStep verifies one batch of stripes of the group stores starting at
+// cur, heals any stripe that fails verification, and persists the advanced
+// cursor to path (skipped when path is empty, for callers that keep the
+// cursor in memory). A pass walks the groups in order, each from stripe 0
+// to its sealed extent, skipping empty ones.
 //
 // The store lock is held per batch, not per pass: ScrubRange takes a shared
 // read lock over at most batch stripes, and each heal is its own short
@@ -74,33 +81,24 @@ type ScrubReport struct {
 //
 // Persisting after the work (not before) gives crash-safe at-least-once
 // coverage: a crash between verify and save re-runs the batch on restart.
-func ScrubStep(st *store.Store, cur Cursor, batch int, path string) (Cursor, ScrubReport, error) {
+func ScrubStep(stores []*store.Store, cur Cursor, batch int, path string) (Cursor, ScrubReport, error) {
 	if batch <= 0 {
 		batch = store.DefaultScrubBatch
 	}
-	rep := ScrubReport{Start: cur.Next, End: cur.Next}
-
-	stripes := st.Stripes()
-	if stripes == 0 {
-		// Nothing sealed yet; stay at the pass origin so the first
-		// sealed stripe is covered.
-		cur.Next = 0
-		return cur, rep, nil
+	// A cursor at or past its group's extent (a stale cursor file over a
+	// shrunken store) moves on to the next group holding stripes.
+	cur, wrapped := advance(stores, cur)
+	switch {
+	case cur.Group >= len(stores):
+		// Nothing sealed yet; stay at the pass origin so the first sealed
+		// stripe is covered.
+		return Cursor{Cycle: cur.Cycle}, ScrubReport{}, nil
+	case wrapped:
+		return cur, ScrubReport{Wrapped: true}, saveCursor(cur, path)
 	}
-	if cur.Next >= stripes {
-		// The store shrank below the cursor (fresh data dir with a
-		// stale cursor file) — wrap to a new pass.
-		cur.Cycle++
-		cur.Next = 0
-		rep.Start, rep.End, rep.Wrapped = 0, 0, true
-		if path != "" {
-			if err := cur.Save(path); err != nil {
-				return cur, rep, err
-			}
-		}
-		return cur, rep, nil
-	}
+	rep := ScrubReport{Group: cur.Group, Start: cur.Next, End: cur.Next}
 
+	st := stores[cur.Group]
 	bad, next, err := st.ScrubRange(cur.Next, batch)
 	if err != nil {
 		return cur, rep, err
@@ -110,21 +108,38 @@ func ScrubStep(st *store.Store, cur Cursor, batch int, path string) (Cursor, Scr
 	for _, stripe := range bad {
 		healed, err := st.HealStripe(stripe)
 		if err != nil {
-			return cur, rep, fmt.Errorf("repair: heal stripe %d: %w", stripe, err)
+			return cur, rep, fmt.Errorf("repair: heal group %d stripe %d: %w", cur.Group, stripe, err)
 		}
 		rep.Healed += healed
 	}
 
 	cur.Next = next
-	if cur.Next >= st.Stripes() {
-		cur.Cycle++
-		cur.Next = 0
-		rep.Wrapped = true
+	cur, rep.Wrapped = advance(stores, cur)
+	return cur, rep, saveCursor(cur, path)
+}
+
+// advance moves a cursor at or past its group's sealed extent to the start
+// of the next group holding stripes, wrapping to a new pass after the last
+// (wrapped). With no stripes in any group it returns a Group past the last.
+func advance(stores []*store.Store, cur Cursor) (_ Cursor, wrapped bool) {
+	for cur.Group < len(stores) && cur.Next >= stores[cur.Group].Stripes() {
+		cur.Group, cur.Next = cur.Group+1, 0
 	}
-	if path != "" {
-		if err := cur.Save(path); err != nil {
-			return cur, rep, err
+	if cur.Group < len(stores) {
+		return cur, false
+	}
+	for _, st := range stores {
+		if st.Stripes() > 0 {
+			return Cursor{Cycle: cur.Cycle + 1}, true
 		}
 	}
-	return cur, rep, nil
+	return cur, false
+}
+
+// saveCursor persists cur to path unless path is empty.
+func saveCursor(cur Cursor, path string) error {
+	if path == "" {
+		return nil
+	}
+	return cur.Save(path)
 }

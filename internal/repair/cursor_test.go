@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -37,13 +38,20 @@ func TestCursorRoundTrip(t *testing.T) {
 	if err != nil || c != (Cursor{}) {
 		t.Fatalf("LoadCursor(missing) = %+v, %v", c, err)
 	}
-	want := Cursor{Cycle: 3, Next: 17}
+	want := Cursor{Cycle: 3, Group: 2, Next: 17}
 	if err := want.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadCursor(path)
 	if err != nil || got != want {
 		t.Fatalf("LoadCursor = %+v, %v; want %+v", got, err, want)
+	}
+	// A cursor saved before groups existed has no group field: group 0.
+	if err := os.WriteFile(path, []byte(`{"cycle":3,"next":17}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadCursor(path); err != nil || got != (Cursor{Cycle: 3, Next: 17}) {
+		t.Fatalf("LoadCursor(no group) = %+v, %v; want group 0", got, err)
 	}
 	// Corrupt file is an error, not a silent restart.
 	if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
@@ -64,7 +72,7 @@ func TestScrubStepWalksAndWraps(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		var rep ScrubReport
 		var err error
-		cur, rep, err = ScrubStep(s, cur, 3, path)
+		cur, rep, err = ScrubStep([]*store.Store{s}, cur, 3, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,6 +89,28 @@ func TestScrubStepWalksAndWraps(t *testing.T) {
 	if got, err := LoadCursor(path); err != nil || got != cur {
 		t.Fatalf("persisted cursor = %+v, %v; want %+v", got, err, cur)
 	}
+
+	// Over groups a pass walks each in turn, skipping an empty one, and
+	// wraps after the last: [0,3) [3,6) [6,7) of group 0, then [0,2) of
+	// group 2.
+	g2 := testStore(t)
+	fillStripes(t, g2, 2, 6)
+	groups := []*store.Store{s, testStore(t), g2}
+	var walk []ScrubReport
+	for cur = (Cursor{}); cur.Cycle == 0; {
+		var rep ScrubReport
+		var err error
+		if cur, rep, err = ScrubStep(groups, cur, 3, path); err != nil {
+			t.Fatal(err)
+		}
+		walk = append(walk, rep)
+	}
+	if got := fmt.Sprint(walk); got != "[{0 0 3 [] 0 false} {0 3 6 [] 0 false} {0 6 7 [] 0 false} {2 0 2 [] 0 true}]" {
+		t.Fatalf("scrub over groups walked %s", got)
+	}
+	if got, err := LoadCursor(path); err != nil || got != (Cursor{Cycle: 1}) {
+		t.Fatalf("persisted cursor = %+v, %v; want a new pass at group 0", got, err)
+	}
 }
 
 func TestScrubStepHealsCorruption(t *testing.T) {
@@ -89,7 +119,7 @@ func TestScrubStepHealsCorruption(t *testing.T) {
 	if err := s.CorruptCell(2, layout.Pos{Row: 0, Col: 1}); err != nil {
 		t.Fatal(err)
 	}
-	cur, rep, err := ScrubStep(s, Cursor{}, 6, "")
+	cur, rep, err := ScrubStep([]*store.Store{s}, Cursor{}, 6, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,18 +136,23 @@ func TestScrubStepHealsCorruption(t *testing.T) {
 
 func TestScrubStepEmptyAndStaleCursor(t *testing.T) {
 	s := testStore(t)
-	// Empty store: no-op, cursor pinned at origin.
-	cur, rep, err := ScrubStep(s, Cursor{Next: 5}, 4, "")
-	if err != nil || cur.Next != 0 || rep.End != rep.Start {
-		t.Fatalf("empty store: cur=%+v rep=%+v err=%v", cur, rep, err)
+	// Empty store: no-op, cursor pinned at origin, from any stale cursor.
+	for _, stale := range []Cursor{{Next: 5}, {Group: 3, Next: 5}} {
+		cur, rep, err := ScrubStep([]*store.Store{s}, stale, 4, "")
+		if err != nil || cur != (Cursor{}) || rep.End != rep.Start {
+			t.Fatalf("empty store from %+v: cur=%+v rep=%+v err=%v", stale, cur, rep, err)
+		}
 	}
-	// Stale cursor beyond a shrunken extent wraps to a fresh pass.
+	// Stale cursor beyond a shrunken extent, or past the last group, wraps
+	// to a fresh pass.
 	fillStripes(t, s, 2, 3)
-	cur, rep, err = ScrubStep(s, Cursor{Cycle: 4, Next: 99}, 4, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur.Cycle != 5 || cur.Next != 0 || !rep.Wrapped {
-		t.Fatalf("stale cursor: cur=%+v rep=%+v", cur, rep)
+	for _, stale := range []Cursor{{Cycle: 4, Next: 99}, {Cycle: 4, Group: 3}} {
+		cur, rep, err := ScrubStep([]*store.Store{s}, stale, 4, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur != (Cursor{Cycle: 5}) || !rep.Wrapped {
+			t.Fatalf("stale cursor %+v: cur=%+v rep=%+v", stale, cur, rep)
+		}
 	}
 }

@@ -17,7 +17,7 @@ type Sample struct {
 	Latency []time.Duration
 	// Failed lists disks already marked failed in the store.
 	Failed []int
-	// Rebuilding lists disks with an in-progress rebuild or migration.
+	// Rebuilding lists disks with an in-progress rebuild.
 	Rebuilding []int
 }
 

@@ -10,8 +10,7 @@ import (
 // /repair:
 //
 //	GET  /          scheduler status JSON (rates, queues, active repairs, scrub cursor)
-//	POST /rebuild?disk=N   queue a rebuild of failed disk N now
-//	POST /migrate?disk=N   queue a migration of healthy disk N onto fresh media
+//	POST /rebuild?disk=N[&group=G]   queue a rebuild of failed disk N of group G (default 0) now
 //	POST /scrub            run an extra scrub batch without waiting the interval
 //	POST /rate?bytes=N     retune the repair bandwidth budget (0 pauses)
 func (s *Scheduler) Handler() http.Handler {
@@ -30,12 +29,7 @@ func (s *Scheduler) Handler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(s.StatusSnapshot())
 	})
-	mux.HandleFunc("/rebuild", func(w http.ResponseWriter, r *http.Request) {
-		s.handleDiskAction(w, r, s.TriggerRebuild)
-	})
-	mux.HandleFunc("/migrate", func(w http.ResponseWriter, r *http.Request) {
-		s.handleDiskAction(w, r, s.TriggerMigrate)
-	})
+	mux.HandleFunc("/rebuild", s.handleRebuild)
 	mux.HandleFunc("/scrub", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -60,17 +54,25 @@ func (s *Scheduler) Handler() http.Handler {
 	return mux
 }
 
-func (s *Scheduler) handleDiskAction(w http.ResponseWriter, r *http.Request, fn func(int) error) {
+func (s *Scheduler) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
+	}
+	g := 0
+	if v := r.URL.Query().Get("group"); v != "" {
+		var err error
+		if g, err = strconv.Atoi(v); err != nil || g < 0 || g >= len(s.stores) {
+			http.Error(w, "bad group parameter", http.StatusBadRequest)
+			return
+		}
 	}
 	d, err := strconv.Atoi(r.URL.Query().Get("disk"))
 	if err != nil {
 		http.Error(w, "bad disk parameter: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := fn(d); err != nil {
+	if err := s.TriggerRebuild(g, d); err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}

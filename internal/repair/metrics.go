@@ -13,11 +13,11 @@ var mttrBuckets = obs.ExpBuckets(0.01, 4, 8)
 //
 // Metric names:
 //
-//	ecfrm_repair_bytes_total{kind}         bytes rebuilt, by rebuild|migrate
+//	ecfrm_repair_bytes_total{kind="rebuild"} bytes rebuilt
 //	ecfrm_repair_mttr_seconds             histogram: detection → rebuilt
 //	ecfrm_repair_last_mttr_seconds        gauge: most recent repair's MTTR
 //	ecfrm_repair_backoff_total{reason}    rate-limit stalls, tokens|pressure
-//	ecfrm_repair_detections_total{kind}   detector verdicts, failed|errored|limping
+//	ecfrm_repair_detections_total{kind}   detector verdicts, failed|errored|lost|limping
 //	ecfrm_repair_rebuilds_total{outcome}  finished repairs, ok|error
 //	ecfrm_scrub_stripes_total             stripes verified by the scrubber
 //	ecfrm_scrub_heals_total               cells healed by the scrubber
@@ -25,7 +25,6 @@ var mttrBuckets = obs.ExpBuckets(0.01, 4, 8)
 //	ecfrm_scrub_cursor                    next stripe the scrubber will verify
 type metrics struct {
 	bytesRebuild *obs.Counter
-	bytesMigrate *obs.Counter
 
 	mttr     *obs.Histogram
 	lastMTTR *obs.Gauge
@@ -35,6 +34,7 @@ type metrics struct {
 
 	detectFailed  *obs.Counter
 	detectErrored *obs.Counter
+	detectLost    *obs.Counter
 	detectLimping *obs.Counter
 
 	rebuildsOK  *obs.Counter
@@ -54,9 +54,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 	m.bytesRebuild = reg.Counter("ecfrm_repair_bytes_total",
 		"Bytes written to replacement devices by background repair, by kind.",
 		obs.L("kind", "rebuild"))
-	m.bytesMigrate = reg.Counter("ecfrm_repair_bytes_total",
-		"Bytes written to replacement devices by background repair, by kind.",
-		obs.L("kind", "migrate"))
 	m.mttr = reg.Histogram("ecfrm_repair_mttr_seconds",
 		"Mean-time-to-repair: failure detection to rebuilt-and-live.",
 		mttrBuckets)
@@ -72,6 +69,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 		"Detector verdicts acted on, by kind.", obs.L("kind", "failed"))
 	m.detectErrored = reg.Counter("ecfrm_repair_detections_total",
 		"Detector verdicts acted on, by kind.", obs.L("kind", "errored"))
+	m.detectLost = reg.Counter("ecfrm_repair_detections_total",
+		"Detector verdicts acted on, by kind.", obs.L("kind", "lost"))
 	m.detectLimping = reg.Counter("ecfrm_repair_detections_total",
 		"Detector verdicts acted on, by kind.", obs.L("kind", "limping"))
 	m.rebuildsOK = reg.Counter("ecfrm_repair_rebuilds_total",
@@ -89,15 +88,11 @@ func newMetrics(reg *obs.Registry) *metrics {
 	return m
 }
 
-func (m *metrics) observeBytes(kind string, n int) {
+func (m *metrics) observeBytes(n int) {
 	if m == nil {
 		return
 	}
-	if kind == "migrate" {
-		m.bytesMigrate.Add(int64(n))
-	} else {
-		m.bytesRebuild.Add(int64(n))
-	}
+	m.bytesRebuild.Add(int64(n))
 }
 
 func (m *metrics) observeMTTR(seconds float64) {
@@ -128,6 +123,8 @@ func (m *metrics) observeDetection(kind string) {
 		m.detectFailed.Inc()
 	case "errored":
 		m.detectErrored.Inc()
+	case "lost":
+		m.detectLost.Inc()
 	case "limping":
 		m.detectLimping.Inc()
 	}

@@ -1,9 +1,10 @@
 package repair
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,15 +23,22 @@ const (
 // concurrently.
 const DefaultWorkers = 2
 
+// burstBatches sizes the token bucket: four rebuild batches' worth of bytes
+// may go at once.
+const burstBatches = 4
+
+// retryInterval is how long a disk whose repair attempt failed waits before
+// the next one: a node that stays down is asked once a second, not every
+// detect tick.
+const retryInterval = time.Second
+
 // Config tunes the background repair scheduler.
 type Config struct {
 	// Rate is the repair bandwidth budget in bytes/second of replacement-
-	// device writes. <= 0 pauses repair: failures are still detected and
-	// queued, but no rebuild batch runs until SetRate raises the budget.
+	// device writes, shared by every group. <= 0 pauses repair: failures
+	// are still detected and queued, but no rebuild batch runs until
+	// SetRate raises the budget.
 	Rate float64
-	// Burst caps the token bucket (and so the largest instantaneous batch
-	// debt). <= 0 uses four batches' worth of bytes.
-	Burst float64
 	// BatchStripes is how many stripes one rebuild Step covers between
 	// rate-limit checks. <= 0 uses DefaultBatchStripes.
 	BatchStripes int
@@ -42,9 +50,6 @@ type Config struct {
 	// ScrubInterval is the pause between incremental scrub batches.
 	// 0 uses DefaultScrubInterval; negative disables scrubbing.
 	ScrubInterval time.Duration
-	// ScrubBatch is stripes verified per scrub batch. <= 0 uses the
-	// store's DefaultScrubBatch.
-	ScrubBatch int
 	// CursorPath persists the scrub cursor (atomic write per batch) so a
 	// restart resumes mid-pass. Empty keeps the cursor in memory only.
 	CursorPath string
@@ -65,74 +70,80 @@ func (c Config) withDefaults() Config {
 	if c.ScrubInterval == 0 {
 		c.ScrubInterval = DefaultScrubInterval
 	}
-	if c.ScrubBatch <= 0 {
-		c.ScrubBatch = store.DefaultScrubBatch
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
 
-// task is one unit of repair work handed to the worker pool.
-type task struct {
-	disk int
-	kind store.RebuildKind
+// DiskRef names one disk of one group: the unit the scheduler detects,
+// queues and rebuilds.
+type DiskRef struct {
+	Group int `json:"group"`
+	Disk  int `json:"disk"`
 }
 
-// pendingRepair tracks a detected-but-unfinished repair for dedup and MTTR.
-type pendingRepair struct {
-	since time.Time
-	kind  store.RebuildKind
+func (k DiskRef) String() string { return fmt.Sprintf("group %d disk %d", k.Group, k.Disk) }
+
+func (k DiskRef) compare(o DiskRef) int {
+	return cmp.Or(cmp.Compare(k.Group, o.Group), cmp.Compare(k.Disk, o.Disk))
 }
 
-// Scheduler is the background maintenance loop: a detect goroutine samples
-// device health and fail-stops error-bursting disks, a worker pool drains
-// rebuild/migration tasks through the store's incremental DiskRebuild
-// machinery under the token bucket's rate limit, and a scrub goroutine
-// walks the store verifying checksums with a persisted cursor.
+// backoff holds a disk back after a failed repair attempt until the next
+// one is due. Its presence marks a failing streak, which is logged once;
+// since keeps the streak's detection time for MTTR.
+type backoff struct{ since, until time.Time }
+
+// Scheduler is the background maintenance loop over a server's group
+// stores: a detect goroutine samples every group's device health (each
+// group its own detector, so a disk is compared with its own group's
+// peers) and fail-stops error-bursting disks, a worker pool drains rebuild
+// tasks keyed by (group, disk) through the store's incremental DiskRebuild
+// machinery under one token bucket, and a scrub goroutine walks the groups
+// in turn verifying checksums with one cursor.
 type Scheduler struct {
-	st     *store.Store
+	stores []*store.Store
 	cfg    Config
 	bucket *TokenBucket
 	m      *metrics
 
-	mu      sync.Mutex
-	det     *Detector
-	pending map[int]pendingRepair
-	active  map[int]*store.DiskRebuild
-	cursor  Cursor
-	limping []int
-	lastRep ScrubReport
+	mu       sync.Mutex
+	dets     []*Detector
+	pending  map[DiskRef]time.Time // queued or running, since detection
+	active   map[DiskRef]*store.DiskRebuild
+	backoffs map[DiskRef]backoff
+	cursor   Cursor
+	limping  []DiskRef
+	lastRep  ScrubReport
 
-	tasks     chan task
+	tasks     chan DiskRef
 	scrubKick chan struct{}
 	done      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 }
 
-// New starts a scheduler over st. Call Close to stop it; an in-flight
+// New starts a scheduler over the group stores (one for single mode), which
+// share one scheme and element size. Call Close to stop it; an in-flight
 // rebuild batch finishes, then the rebuild aborts cleanly (the disk stays
 // failed and a later scheduler resumes it from scratch).
-func New(st *store.Store, cfg Config) (*Scheduler, error) {
+func New(stores []*store.Store, cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
-		st:        st,
+		stores:    stores,
 		cfg:       cfg,
 		m:         newMetrics(cfg.Registry),
-		det:       NewDetector(cfg.Detector),
-		pending:   make(map[int]pendingRepair),
-		active:    make(map[int]*store.DiskRebuild),
-		tasks:     make(chan task, st.Scheme().N()),
+		pending:   make(map[DiskRef]time.Time),
+		active:    make(map[DiskRef]*store.DiskRebuild),
+		backoffs:  make(map[DiskRef]backoff),
+		tasks:     make(chan DiskRef, len(stores)*stores[0].Scheme().N()),
 		scrubKick: make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
-	burst := cfg.Burst
-	if burst <= 0 {
-		burst = float64(4 * s.batchBytes())
+	for range stores {
+		s.dets = append(s.dets, NewDetector(cfg.Detector))
 	}
-	s.bucket = NewTokenBucket(cfg.Rate, burst)
+	s.bucket = NewTokenBucket(cfg.Rate, float64(burstBatches*s.batchBytes()))
 	if cfg.CursorPath != "" {
 		cur, err := LoadCursor(cfg.CursorPath)
 		if err != nil {
@@ -168,38 +179,26 @@ func (s *Scheduler) Close() {
 // stripes × rows-per-disk × element size. The token bucket charges this per
 // Step.
 func (s *Scheduler) batchBytes() int {
-	rows := s.st.Scheme().Layout().Rows()
-	return s.cfg.BatchStripes * rows * s.st.ElementSize()
+	st := s.stores[0]
+	return s.cfg.BatchStripes * st.Scheme().Layout().Rows() * st.ElementSize()
 }
 
 // SetRate retunes the repair bandwidth budget at runtime; <= 0 pauses.
 func (s *Scheduler) SetRate(rate float64) { s.bucket.SetRate(rate) }
 
-// TriggerRebuild queues failed disk d for rebuild without waiting for the
-// next detect tick.
-func (s *Scheduler) TriggerRebuild(d int) error {
-	return s.trigger(d, store.RebuildFailed)
-}
-
-// TriggerMigrate queues healthy disk d for migration onto a fresh
-// replacement device — the rebalance path after swapping in new hardware.
-func (s *Scheduler) TriggerMigrate(d int) error {
-	return s.trigger(d, store.RebuildMigrate)
-}
-
-func (s *Scheduler) trigger(d int, kind store.RebuildKind) error {
-	if d < 0 || d >= s.st.Scheme().N() {
-		return fmt.Errorf("repair: no disk %d", d)
+// TriggerRebuild queues disk d of group g for rebuild without waiting for
+// the next detect tick.
+func (s *Scheduler) TriggerRebuild(g, d int) error {
+	if g < 0 || g >= len(s.stores) || d < 0 || d >= s.stores[g].Scheme().N() {
+		return fmt.Errorf("repair: no disk %d in group %d", d, g)
 	}
+	k := DiskRef{g, d}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, busy := s.pending[d]; busy {
-		return fmt.Errorf("repair: disk %d already queued", d)
+	if _, busy := s.pending[k]; busy {
+		return fmt.Errorf("repair: %v already queued", k)
 	}
-	if _, busy := s.active[d]; busy {
-		return fmt.Errorf("repair: disk %d repair already running", d)
-	}
-	return s.enqueueLocked(d, kind)
+	return s.enqueueLocked(k, time.Now())
 }
 
 // TriggerScrub requests an extra scrub batch as soon as the scrub loop can
@@ -211,16 +210,37 @@ func (s *Scheduler) TriggerScrub() {
 	}
 }
 
-// enqueueLocked records the repair as pending (MTTR clock starts now) and
-// hands it to the worker pool. Caller holds s.mu.
-func (s *Scheduler) enqueueLocked(d int, kind store.RebuildKind) error {
+// enqueueLocked records the repair as pending since the given detection time
+// (the MTTR clock) and hands it to the worker pool. Caller holds s.mu.
+func (s *Scheduler) enqueueLocked(k DiskRef, since time.Time) error {
 	select {
-	case s.tasks <- task{disk: d, kind: kind}:
-		s.pending[d] = pendingRepair{since: time.Now(), kind: kind}
+	case s.tasks <- k:
+		s.pending[k] = since
 		return nil
 	default:
-		return fmt.Errorf("repair: task queue full, disk %d not queued", d)
+		return fmt.Errorf("repair: task queue full, %v not queued", k)
 	}
+}
+
+// queueLocked queues a detected disk unless it is queued, running or backing
+// off. A disk in a failing streak is re-queued silently with the streak's
+// detection time; a fresh detection is counted under kind and logged.
+// Caller holds s.mu.
+func (s *Scheduler) queueLocked(k DiskRef, kind, why string) {
+	if _, ok := s.pending[k]; ok {
+		return
+	}
+	since := time.Now()
+	if b, retry := s.backoffs[k]; retry {
+		if since.Before(b.until) {
+			return
+		}
+		since = b.since
+	} else {
+		s.m.observeDetection(kind)
+		s.cfg.Logf("repair: %v %s", k, why)
+	}
+	s.enqueueLocked(k, since)
 }
 
 // detectLoop samples device health every DetectInterval and turns detector
@@ -239,54 +259,72 @@ func (s *Scheduler) detectLoop() {
 	}
 }
 
-// detectOnce runs one sample → verdict → enqueue round.
+// detectOnce runs one sample → verdict → enqueue round over every group.
+// It samples under s.mu, so a rebuild that finishes meanwhile is either
+// still pending or already healthy in the sample.
 func (s *Scheduler) detectOnce() {
-	sample := Sample{
-		Errors:     s.st.DiskErrorCounts(),
-		Latency:    s.st.DiskLatencies(),
-		Failed:     s.st.FailedDisks(),
-		Rebuilding: s.st.Rebuilding(),
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.det.Observe(sample)
-	s.limping = v.Limping
-
-	for _, d := range v.Failed {
-		if s.skipLocked(d) {
-			continue
+	var limping []DiskRef
+	for g, st := range s.stores {
+		sample := Sample{
+			Errors:     st.DiskErrorCounts(),
+			Latency:    st.DiskLatencies(),
+			Failed:     st.FailedDisks(),
+			Rebuilding: st.Rebuilding(),
 		}
-		s.m.observeDetection("failed")
-		s.cfg.Logf("repair: disk %d is failed, queueing rebuild", d)
-		s.enqueueLocked(d, store.RebuildFailed)
+		// A streak ends when its disk is back in service by other means.
+		for k := range s.backoffs {
+			if k.Group == g && !slices.Contains(sample.Failed, k.Disk) {
+				delete(s.backoffs, k)
+			}
+		}
+		v := s.dets[g].Observe(sample)
+		for _, d := range v.Failed {
+			s.queueLocked(DiskRef{g, d}, "failed", "is failed, queueing rebuild")
+		}
+		for _, d := range v.Errored {
+			k := DiskRef{g, d}
+			if _, ok := s.pending[k]; ok {
+				continue
+			}
+			if !s.stores[g].FailDiskWithinTolerance(d) {
+				s.cfg.Logf("repair: %v error burst, but failing it would exceed tolerance; leaving in service", k)
+				continue
+			}
+			s.queueLocked(k, "errored", "exceeded error threshold, fail-stopped for rebuild")
+		}
+		for _, d := range v.Limping {
+			k := DiskRef{g, d}
+			limping = append(limping, k)
+			if _, ok := s.pending[k]; !ok {
+				s.m.observeDetection("limping")
+			}
+		}
 	}
-	for _, d := range v.Errored {
-		if s.skipLocked(d) {
-			continue
-		}
-		if !s.st.FailDiskWithinTolerance(d) {
-			s.cfg.Logf("repair: disk %d error burst, but failing it would exceed tolerance; leaving in service", d)
-			continue
-		}
-		s.m.observeDetection("errored")
-		s.cfg.Logf("repair: disk %d exceeded error threshold, fail-stopped for rebuild", d)
-		s.enqueueLocked(d, store.RebuildFailed)
-	}
-	for _, d := range v.Limping {
-		if s.skipLocked(d) {
-			continue
-		}
-		s.m.observeDetection("limping")
-	}
+	s.limping = limping
 }
 
-// skipLocked reports whether disk d already has a repair queued or running.
-func (s *Scheduler) skipLocked(d int) bool {
-	if _, ok := s.pending[d]; ok {
-		return true
+// censusOnce fail-stops every in-service disk holding fewer cells than its
+// group's sealed extent: one that lost cells it was written, such as a node
+// restarted on an empty directory, or that cannot say, such as a node that
+// is down. Healthy GETs read no parity, so they alone may never trip the
+// error detector on such a disk.
+func (s *Scheduler) censusOnce() {
+	for g, st := range s.stores {
+		want := st.Stripes() * st.Scheme().Layout().Rows()
+		for d := 0; d < st.Scheme().N(); d++ {
+			if slices.Contains(st.FailedDisks(), d) || st.Device(d).Elements() >= want {
+				continue
+			}
+			k := DiskRef{g, d}
+			s.mu.Lock()
+			if _, ok := s.pending[k]; !ok && st.FailDiskWithinTolerance(d) {
+				s.queueLocked(k, "lost", "holds fewer cells than the group's sealed stripes, fail-stopped for rebuild")
+			}
+			s.mu.Unlock()
+		}
 	}
-	_, ok := s.active[d]
-	return ok
 }
 
 // workerLoop drains the task channel through runRepair.
@@ -296,63 +334,53 @@ func (s *Scheduler) workerLoop() {
 		select {
 		case <-s.done:
 			return
-		case t := <-s.tasks:
-			s.runRepair(t)
+		case k := <-s.tasks:
+			s.runRepair(k)
 		}
 	}
 }
 
-// runRepair drives one disk's rebuild or migration to completion under the
-// rate limit, recording bytes, backoffs, MTTR, and the outcome.
-func (s *Scheduler) runRepair(t task) {
-	var (
-		r   *store.DiskRebuild
-		err error
-	)
-	if t.kind == store.RebuildMigrate {
-		r, err = s.st.BeginDiskMigration(t.disk)
-	} else {
-		r, err = s.st.BeginDiskRebuild(t.disk)
+// runRepair drives one disk's rebuild to completion under the rate limit,
+// recording bytes, backoffs, MTTR, and the outcome.
+func (s *Scheduler) runRepair(k DiskRef) {
+	st := s.stores[k.Group]
+	r, err := st.BeginDiskRebuild(k.Disk)
+	if errors.Is(err, store.ErrNotFailed) {
+		// A disk that healed between detection and here is not an error
+		// worth counting.
+		s.mu.Lock()
+		delete(s.pending, k)
+		delete(s.backoffs, k)
+		s.mu.Unlock()
+		return
 	}
 	if err != nil {
-		s.mu.Lock()
-		delete(s.pending, t.disk)
-		s.mu.Unlock()
-		// A disk that healed (or was migrated) between detection and here
-		// is not an error worth counting.
-		if !errors.Is(err, store.ErrNotFailed) {
-			s.cfg.Logf("repair: begin %s of disk %d: %v", t.kind, t.disk, err)
-			s.m.observeRebuildDone(false)
-		}
+		s.endRepair(k, fmt.Errorf("begin rebuild: %w", err))
 		return
 	}
 
 	s.mu.Lock()
-	since := s.pending[t.disk].since
-	if since.IsZero() {
-		since = r.Started()
-	}
-	s.active[t.disk] = r
+	since := s.pending[k]
+	s.active[k] = r
 	s.mu.Unlock()
 
 	batchBytes := s.batchBytes()
-	rowBytes := s.st.Scheme().Layout().Rows() * s.st.ElementSize()
+	rowBytes := st.Scheme().Layout().Rows() * st.ElementSize()
 	for {
 		select {
 		case <-s.done:
 			r.Abort()
-			s.finishRepair(t.disk)
+			s.endRepair(k, nil)
 			return
 		default:
 		}
 
-		// Foreground pressure: the busiest disk's in-flight fan-out runs
-		// shrink the bucket's refill, so client traffic wins the I/O race.
+		// Foreground pressure: the busiest disk's in-flight fan-out runs in
+		// any group shrink the bucket's refill, so client traffic wins the
+		// I/O race against the daemon's whole repair budget.
 		pressure := 0
-		for _, n := range s.st.InflightRuns() {
-			if n > pressure {
-				pressure = n
-			}
+		for _, gs := range s.stores {
+			pressure = max(pressure, slices.Max(gs.InflightRuns()))
 		}
 		s.bucket.SetPressure(float64(pressure))
 
@@ -363,16 +391,11 @@ func (s *Scheduler) runRepair(t task) {
 				// Paused: poll for a rate change at detect cadence.
 				wait = s.cfg.DetectInterval
 			}
-			if wait < time.Millisecond {
-				wait = time.Millisecond
-			}
-			if wait > 250*time.Millisecond {
-				wait = 250 * time.Millisecond
-			}
+			wait = min(max(wait, time.Millisecond), 250*time.Millisecond)
 			select {
 			case <-s.done:
 				r.Abort()
-				s.finishRepair(t.disk)
+				s.endRepair(k, nil)
 				return
 			case <-time.After(wait):
 			}
@@ -382,47 +405,55 @@ func (s *Scheduler) runRepair(t task) {
 		before, _, _ := r.Progress()
 		done, err := r.Step(s.cfg.BatchStripes)
 		after, _, _ := r.Progress()
-		s.m.observeBytes(string(t.kind), (after-before)*rowBytes)
+		s.m.observeBytes((after - before) * rowBytes)
 		if err != nil {
-			s.cfg.Logf("repair: %s of disk %d failed: %v", t.kind, t.disk, err)
-			s.m.observeRebuildDone(false)
-			s.finishRepair(t.disk)
+			s.endRepair(k, err)
 			return
 		}
 		if done {
 			s.m.observeRebuildDone(true)
-			if t.kind == store.RebuildFailed {
-				mttr := time.Since(since)
-				s.m.observeMTTR(mttr.Seconds())
-				s.cfg.Logf("repair: disk %d rebuilt in %v", t.disk, mttr.Round(time.Millisecond))
-			} else {
-				s.cfg.Logf("repair: disk %d migrated in %v", t.disk,
-					time.Since(r.Started()).Round(time.Millisecond))
-			}
+			mttr := time.Since(since)
+			s.m.observeMTTR(mttr.Seconds())
+			s.cfg.Logf("repair: %v rebuilt in %v", k, mttr.Round(time.Millisecond))
 			s.mu.Lock()
 			// Rebaseline the detector at the disk's current error count so
 			// historical errors don't re-trip it forever.
-			s.det.Reset(t.disk, s.st.DiskErrorCounts()[t.disk])
-			delete(s.pending, t.disk)
-			delete(s.active, t.disk)
+			s.dets[k.Group].Reset(k.Disk, st.DiskErrorCounts()[k.Disk])
+			delete(s.pending, k)
+			delete(s.active, k)
+			delete(s.backoffs, k)
 			s.mu.Unlock()
 			return
 		}
 	}
 }
 
-// finishRepair clears tracking for an aborted or failed repair. The detect
-// loop re-detects a still-failed disk on its next tick, so retries are
-// automatic (and rate-limited by the bucket like any other batch).
-func (s *Scheduler) finishRepair(d int) {
+// endRepair clears tracking for an aborted (err == nil) or failed repair. A
+// failed attempt is counted, logged only when it starts a failing streak,
+// and holds the disk back for retryInterval; the detect loop then re-queues
+// a still-failed disk, so a node that comes back is rebuilt unprompted.
+func (s *Scheduler) endRepair(k DiskRef, err error) {
 	s.mu.Lock()
-	delete(s.pending, d)
-	delete(s.active, d)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	since := s.pending[k]
+	delete(s.pending, k)
+	delete(s.active, k)
+	if err == nil {
+		return
+	}
+	s.m.observeRebuildDone(false)
+	b, retry := s.backoffs[k]
+	if !retry {
+		s.cfg.Logf("repair: %v: %v (retrying every %v)", k, err, retryInterval)
+		b.since = since
+	}
+	b.until = time.Now().Add(retryInterval)
+	s.backoffs[k] = b
 }
 
-// scrubLoop runs one incremental scrub batch per interval (or kick), sitting
-// out while any disk is failed or rebuilding — repair I/O outranks scrub.
+// scrubLoop takes the cell census and runs one incremental scrub batch per
+// interval (or kick), the batch sitting out while any disk is failed or
+// rebuilding — repair I/O outranks scrub.
 func (s *Scheduler) scrubLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.ScrubInterval)
@@ -434,10 +465,12 @@ func (s *Scheduler) scrubLoop() {
 		case <-t.C:
 		case <-s.scrubKick:
 		}
-		if len(s.st.FailedDisks()) > 0 || len(s.st.Rebuilding()) > 0 {
-			continue
+		s.censusOnce()
+		if !slices.ContainsFunc(s.stores, func(st *store.Store) bool {
+			return len(st.FailedDisks()) > 0 || len(st.Rebuilding()) > 0
+		}) {
+			s.scrubOnce()
 		}
-		s.scrubOnce()
 	}
 }
 
@@ -447,13 +480,13 @@ func (s *Scheduler) scrubOnce() {
 	cur := s.cursor
 	s.mu.Unlock()
 
-	next, rep, err := ScrubStep(s.st, cur, s.cfg.ScrubBatch, s.cfg.CursorPath)
+	next, rep, err := ScrubStep(s.stores, cur, store.DefaultScrubBatch, s.cfg.CursorPath)
 	if err != nil {
-		s.cfg.Logf("repair: scrub batch at stripe %d: %v", cur.Next, err)
+		s.cfg.Logf("repair: scrub batch at group %d stripe %d: %v", cur.Group, cur.Next, err)
 		return
 	}
 	if rep.Healed > 0 {
-		s.cfg.Logf("repair: scrub healed %d cells in stripes [%d,%d)", rep.Healed, rep.Start, rep.End)
+		s.cfg.Logf("repair: scrub healed %d cells in group %d stripes [%d,%d)", rep.Healed, rep.Group, rep.Start, rep.End)
 	}
 	s.m.observeScrub(rep)
 	s.m.setScrubCursor(next.Next)
@@ -464,10 +497,9 @@ func (s *Scheduler) scrubOnce() {
 	s.mu.Unlock()
 }
 
-// RebuildStatus describes one in-flight repair for Status.
+// RebuildStatus describes one in-flight rebuild for Status.
 type RebuildStatus struct {
-	Disk       int     `json:"disk"`
-	Kind       string  `json:"kind"`
+	DiskRef
 	Next       int     `json:"next"`
 	Total      int     `json:"total"`
 	ReadCost   int     `json:"read_cost"`
@@ -475,15 +507,17 @@ type RebuildStatus struct {
 }
 
 // Status is the scheduler's live state, served by the /repair endpoint.
+// Stripes sums the groups'.
 type Status struct {
 	RateBytesPerSec      float64         `json:"rate_bytes_per_sec"`
 	EffectiveBytesPerSec float64         `json:"effective_bytes_per_sec"`
 	Tokens               float64         `json:"tokens"`
-	FailedDisks          []int           `json:"failed_disks"`
-	LimpingDisks         []int           `json:"limping_disks"`
-	QueuedDisks          []int           `json:"queued_disks"`
+	FailedDisks          []DiskRef       `json:"failed_disks"`
+	LimpingDisks         []DiskRef       `json:"limping_disks"`
+	QueuedDisks          []DiskRef       `json:"queued_disks"`
 	Active               []RebuildStatus `json:"active"`
 	ScrubCycle           int             `json:"scrub_cycle"`
+	ScrubGroup           int             `json:"scrub_group"`
 	ScrubNext            int             `json:"scrub_next"`
 	ScrubLastHealed      int             `json:"scrub_last_healed"`
 	Stripes              int             `json:"stripes"`
@@ -495,31 +529,35 @@ func (s *Scheduler) StatusSnapshot() Status {
 		RateBytesPerSec:      s.bucket.Rate(),
 		EffectiveBytesPerSec: s.bucket.EffectiveRate(),
 		Tokens:               s.bucket.Tokens(),
-		FailedDisks:          s.st.FailedDisks(),
-		Stripes:              s.st.Stripes(),
+	}
+	for g, gs := range s.stores {
+		for _, d := range gs.FailedDisks() {
+			st.FailedDisks = append(st.FailedDisks, DiskRef{g, d})
+		}
+		st.Stripes += gs.Stripes()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st.LimpingDisks = append([]int(nil), s.limping...)
-	for d, p := range s.pending {
-		if _, running := s.active[d]; !running && p.kind == store.RebuildFailed {
-			st.QueuedDisks = append(st.QueuedDisks, d)
+	st.LimpingDisks = append([]DiskRef(nil), s.limping...)
+	for k := range s.pending {
+		if _, running := s.active[k]; !running {
+			st.QueuedDisks = append(st.QueuedDisks, k)
 		}
 	}
-	sort.Ints(st.QueuedDisks)
-	for _, r := range s.active {
+	for k, r := range s.active {
 		next, total, cost := r.Progress()
 		st.Active = append(st.Active, RebuildStatus{
-			Disk:       r.Disk(),
-			Kind:       string(r.Kind()),
+			DiskRef:    k,
 			Next:       next,
 			Total:      total,
 			ReadCost:   cost,
 			RunningSec: time.Since(r.Started()).Seconds(),
 		})
 	}
-	sort.Slice(st.Active, func(i, j int) bool { return st.Active[i].Disk < st.Active[j].Disk })
+	slices.SortFunc(st.QueuedDisks, DiskRef.compare)
+	slices.SortFunc(st.Active, func(a, b RebuildStatus) int { return a.compare(b.DiskRef) })
 	st.ScrubCycle = s.cursor.Cycle
+	st.ScrubGroup = s.cursor.Group
 	st.ScrubNext = s.cursor.Next
 	st.ScrubLastHealed = s.lastRep.Healed
 	return st

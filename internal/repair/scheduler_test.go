@@ -80,7 +80,7 @@ func TestSchedulerRebuildsFailedDisk(t *testing.T) {
 	s := testStore(t)
 	data := fillStripes(t, s, 12, 21)
 	reg := obs.NewRegistry()
-	sch, err := New(s, fastConfig(reg))
+	sch, err := New([]*store.Store{s}, fastConfig(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSchedulerSkipsDiskRecoveredBeforeBegin(t *testing.T) {
 	s := testStore(t)
 	fillStripes(t, s, 2, 22)
 	reg := obs.NewRegistry()
-	sch, err := New(s, fastConfig(reg))
+	sch, err := New([]*store.Store{s}, fastConfig(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSchedulerSkipsDiskRecoveredBeforeBegin(t *testing.T) {
 
 	s.FailDisk(3)
 	sch.mu.Lock()
-	sch.pending[3] = pendingRepair{since: time.Now(), kind: store.RebuildFailed}
+	sch.pending[DiskRef{0, 3}] = time.Now()
 	sch.mu.Unlock()
 	if _, err := s.RecoverDisk(3); err != nil {
 		t.Fatal(err)
@@ -136,14 +136,14 @@ func TestSchedulerSkipsDiskRecoveredBeforeBegin(t *testing.T) {
 	if _, err := s.BeginDiskRebuild(3); !errors.Is(err, store.ErrNotFailed) {
 		t.Fatalf("BeginDiskRebuild of a healthy disk: %v, want ErrNotFailed", err)
 	}
-	sch.runRepair(task{disk: 3, kind: store.RebuildFailed})
+	sch.runRepair(DiskRef{0, 3})
 	if v := metricValue(t, reg, `ecfrm_repair_rebuilds_total{outcome="error"}`); v != 0 {
 		t.Fatalf("failed rebuilds = %v after a disk recovered before Begin, want 0", v)
 	}
-	if _, queued := sch.pending[3]; queued {
+	if _, queued := sch.pending[DiskRef{0, 3}]; queued {
 		t.Fatal("disk 3 still pending")
 	}
-	sch.runRepair(task{disk: 99, kind: store.RebuildFailed})
+	sch.runRepair(DiskRef{0, 99})
 	if v := metricValue(t, reg, `ecfrm_repair_rebuilds_total{outcome="error"}`); v != 1 {
 		t.Fatalf("failed rebuilds = %v after a refused Begin of no disk, want 1", v)
 	}
@@ -157,7 +157,7 @@ func TestSchedulerDetectsErrorBurst(t *testing.T) {
 	s.SetRetryPolicy(200*time.Microsecond, 1)
 	data := fillStripes(t, s, 12, 33)
 	reg := obs.NewRegistry()
-	sch, err := New(s, fastConfig(reg))
+	sch, err := New([]*store.Store{s}, fastConfig(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestSchedulerZeroRatePaused(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := fastConfig(reg)
 	cfg.Rate = 0
-	sch, err := New(s, cfg)
+	sch, err := New([]*store.Store{s}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,34 +238,6 @@ func TestSchedulerZeroRatePaused(t *testing.T) {
 	}
 }
 
-// TestSchedulerMigration: the rebalance trigger copies a healthy disk onto
-// fresh media in the background.
-func TestSchedulerMigration(t *testing.T) {
-	s := testStore(t)
-	data := fillStripes(t, s, 10, 51)
-	reg := obs.NewRegistry()
-	sch, err := New(s, fastConfig(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sch.Close()
-
-	if err := sch.TriggerMigrate(3); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "migration", func() bool {
-		return len(s.Rebuilding()) == 0 &&
-			metricValue(t, reg, `ecfrm_repair_bytes_total{kind="migrate"}`) > 0
-	})
-	res, err := s.ReadAt(0, len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Data, data) {
-		t.Fatal("migrated store returned different data")
-	}
-}
-
 // TestSchedulerScrubHeals: the background scrub loop finds and heals silent
 // corruption, advancing its cursor and cycle metrics.
 func TestSchedulerScrubHeals(t *testing.T) {
@@ -277,8 +249,7 @@ func TestSchedulerScrubHeals(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := fastConfig(reg)
 	cfg.ScrubInterval = 2 * time.Millisecond
-	cfg.ScrubBatch = 3
-	sch, err := New(s, cfg)
+	sch, err := New([]*store.Store{s}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +269,7 @@ func TestSchedulerHTTP(t *testing.T) {
 	s := testStore(t)
 	data := fillStripes(t, s, 8, 71)
 	reg := obs.NewRegistry()
-	sch, err := New(s, fastConfig(reg))
+	sch, err := New([]*store.Store{s}, fastConfig(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,18 +316,20 @@ func TestSchedulerHTTP(t *testing.T) {
 		t.Fatalf("POST /rate = %d, rate now %v", resp.StatusCode, sch.bucket.Rate())
 	}
 
-	// Migrate via HTTP and watch it finish.
-	resp, err = http.Post(ts.URL+"/migrate?disk=0", "", nil)
-	if err != nil {
-		t.Fatal(err)
+	// A group the scheduler does not serve is a bad request, as on /admin/*.
+	for _, g := range []string{"1", "-1", "x"} {
+		resp, err = http.Post(ts.URL+"/rebuild?disk=0&group="+g, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST /rebuild?disk=0&group=%s = %d, want bad request", g, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /migrate = %d", resp.StatusCode)
-	}
-	waitFor(t, 5*time.Second, "HTTP-triggered migration", func() bool {
-		return len(s.Rebuilding()) == 0 &&
-			metricValue(t, reg, `ecfrm_repair_bytes_total{kind="migrate"}`) > 0
+
+	waitFor(t, 5*time.Second, "the queued rebuild to no-op", func() bool {
+		return len(sch.StatusSnapshot().QueuedDisks) == 0
 	})
 	res, err := s.ReadAt(0, len(data))
 	if err != nil {
@@ -384,7 +357,7 @@ func TestSchedulerCloseAbortsCleanly(t *testing.T) {
 	cfg := fastConfig(nil)
 	cfg.Rate = float64(s.Scheme().Layout().Rows() * s.ElementSize()) // ~1 stripe/sec: glacial
 	cfg.BatchStripes = 1
-	sch, err := New(s, cfg)
+	sch, err := New([]*store.Store{s}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +374,7 @@ func TestSchedulerCloseAbortsCleanly(t *testing.T) {
 	}
 
 	// A new scheduler (a daemon restart) finishes the job.
-	sch2, err := New(s, fastConfig(nil))
+	sch2, err := New([]*store.Store{s}, fastConfig(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

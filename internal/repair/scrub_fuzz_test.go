@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/layout"
+	"repro/internal/store"
 )
 
 // FuzzScrubCursor crash-tests the incremental scrub the way FuzzDiskRecovery
@@ -55,7 +56,7 @@ func FuzzScrubCursor(f *testing.F) {
 		healed := 0
 		var ranges [][2]int // verified [start,end) in scrub order
 		step := func() {
-			next, rep, err := ScrubStep(s, cur, batch, path)
+			next, rep, err := ScrubStep([]*store.Store{s}, cur, batch, path)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -99,12 +99,6 @@ func devCRCFile(dir string, d int) string {
 	return filepath.Join(dir, fmt.Sprintf("dev_%02d.crc", d))
 }
 
-// stagingSuffix marks a migration's staging file pair (repair.go): the copy
-// of a device being rebalanced onto new storage, promoted over the live pair
-// by rename. A *.new pair found at startup is a crashed migration and is
-// discarded — the live pair is still authoritative.
-const stagingSuffix = ".new"
-
 // DiskStore is a file disk: a CellBackend over one data/checksum file pair —
 // a local store's device, or a data node's extent. Checksums are stored
 // verbatim and never verified here; integrity checking stays with the
@@ -159,20 +153,10 @@ func (o *diskIO) done(op ioOp, t time.Time) {
 
 // OpenFileDisk creates (or reopens) a DiskStore on the given data/checksum
 // file pair. Only cfg.Direct applies: the paths name the files, and the
-// caller decides when to Sync.
+// caller decides when to Sync. Direct I/O is attempted when requested and
+// the element size permits; a refused O_DIRECT open falls back to buffered.
 func OpenFileDisk(dataPath, crcPath string, elemSize int, cfg FileConfig) (*DiskStore, error) {
-	return openFileDisk(dataPath, crcPath, elemSize, cfg, false)
-}
-
-// openFileDisk opens the pair and loads the checksum index. With trunc the
-// files are emptied first — the fresh-replacement path rebuilds use. Direct
-// I/O is attempted when requested and the element size permits; a refused
-// O_DIRECT open falls back to buffered.
-func openFileDisk(dataPath, crcPath string, elemSize int, cfg FileConfig, trunc bool) (*DiskStore, error) {
-	flags := os.O_RDWR | os.O_CREATE
-	if trunc {
-		flags |= os.O_TRUNC
-	}
+	const flags = os.O_RDWR | os.O_CREATE
 	ds := &DiskStore{elem: elemSize, zeroCRC: zeroChecksum(elemSize),
 		direct: cfg.Direct && oDirectFlag != 0 && elemSize%directAlign == 0}
 	var err error
@@ -481,8 +465,8 @@ func (dir fileManifest) Save(m Manifest) error {
 
 // OpenFileBacked creates (or reopens) a store whose devices are DiskStores
 // in cfg.Dir, one data/checksum file pair per device: NewWithCellBackends
-// with backend.json as the manifest, plus the migration staging hooks. All
-// store APIs behave identically to the memory backend.
+// with backend.json as the manifest. All store APIs behave identically to
+// the memory backend.
 func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, *RecoveryReport, error) {
 	if cfg.Dir == "" {
 		return nil, nil, fmt.Errorf("store: file backend needs a data directory")
@@ -491,39 +475,14 @@ func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	open := func(d int, suffix string, trunc bool) (*DiskStore, error) {
-		return openFileDisk(devDataFile(dir, d)+suffix, devCRCFile(dir, d)+suffix, elemSize, cfg, trunc)
-	}
-	discard := func(d int) {
-		os.Remove(devDataFile(dir, d) + stagingSuffix)
-		os.Remove(devCRCFile(dir, d) + stagingSuffix)
-	}
 	st, report, err := NewWithCellBackends(scheme, elemSize, CellStoreConfig{Sync: cfg.fsyncAlways(), Manifest: fileManifest(dir)},
 		func(d int) (CellBackend, error) {
-			// A *.new pair is a migration that crashed before its promote
-			// renames: the live dev_NN pair is still authoritative.
-			discard(d)
-			return open(d, "", false)
+			return OpenFileDisk(devDataFile(dir, d), devCRCFile(dir, d), elemSize, cfg)
 		})
 	if err != nil {
 		return nil, nil, err
 	}
 	report.DirectActive = st.devices[0].be.(*DiskStore).direct
-	st.newBackendFn = func(d int) (CellBackend, error) { return open(d, "", true) }
-	st.newStagingBackendFn = func(d int) (CellBackend, error) { return open(d, stagingSuffix, true) }
-	st.promoteStagingFn = func(d int) error {
-		// The staging pair is a byte-exact copy of the live pair's cells, so
-		// even a crash between the two renames leaves equivalent content
-		// under both names. Open fds survive the rename.
-		if err := os.Rename(devDataFile(dir, d)+stagingSuffix, devDataFile(dir, d)); err != nil {
-			return err
-		}
-		if err := os.Rename(devCRCFile(dir, d)+stagingSuffix, devCRCFile(dir, d)); err != nil {
-			return err
-		}
-		return syncDir(dir)
-	}
-	st.discardStagingFn = discard
 	return st, report, nil
 }
 

@@ -1,5 +1,5 @@
 // Read executor: the one way the store reads cells. GETs, hedges, heals,
-// disk rebuild, migration, scrub and startup recovery each hand it a plan
+// disk rebuild, scrub and startup recovery each hand it a plan
 // and a rule for corrupt runs (execute).
 //
 // A plan lists cells. The executor regroups them by device, coalesces cells
@@ -293,8 +293,7 @@ type corruptRule int
 
 const (
 	// corruptStops fails the job with the run's ErrCorrupt: a shared-lock
-	// GET escalates to a heal, a scrub marks the stripe bad, a migration
-	// gives up.
+	// GET escalates to a heal, a scrub marks the stripe bad.
 	corruptStops corruptRule = iota
 	// corruptHeals heals the run's corrupt cells in place (healRun): inline
 	// jobs under the exclusive lock only.
@@ -346,7 +345,7 @@ func (r *served) release() {
 
 // execute is the store's one way to read cells: plan, serve the plan's
 // coalesced runs, and replan around every device a pass took out, until a
-// pass completes. GETs, hedges, heals, rebuild, migration, scrub and
+// pass completes. GETs, hedges, heals, rebuild, scrub and
 // recovery all read through it. The caller holds mu shared, or
 // exclusively for corruptHeals (recovery holds no lock: its store is not
 // shared yet). Every goroutine spawned here is joined
@@ -433,7 +432,7 @@ func (s *Store) around(targets []core.Access, dev int) planFunc {
 }
 
 // exactly plans reading the targets themselves, for callers that need the
-// stored bytes — scrub, migration, recovery, overwrites: a target on a
+// stored bytes — scrub, recovery, overwrites: a target on a
 // device to avoid is an error, not a reason to reconstruct.
 func (s *Store) exactly(targets []core.Access) planFunc {
 	return func(avoid, _ []int) (*core.Plan, error) {
@@ -684,7 +683,7 @@ func (p *fanoutPass) serveNode(q nodeQueue) {
 
 // readRuns reads one node's runs as one batch (readRunsCtx). The rule for
 // accounting is the same for every pass — GET, hedge, heal re-read,
-// rebuild, migration, scrub: each run counts in its device's in-flight
+// rebuild, scrub: each run counts in its device's in-flight
 // gauge while the batch is served, and a batch that completes whole feeds
 // its latency to the hedge ring. Both describe the devices, not the caller.
 func (p *fanoutPass) readRuns(ctx context.Context, runs []devRun, batch []Run) {

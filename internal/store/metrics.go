@@ -37,9 +37,8 @@ type Metrics struct {
 	diskErrors   []*obs.Counter
 	diskLatency  []*obs.Gauge
 
-	recoverElems      *obs.Counter
-	recoverSecRebuild *obs.Histogram
-	recoverSecMigrate *obs.Histogram
+	recoverElems *obs.Counter
+	recoverSec   *obs.Histogram
 
 	readsNormal   *obs.Counter
 	readsDegraded *obs.Counter
@@ -97,13 +96,10 @@ func NewMetrics(reg *obs.Registry, disks int) *Metrics {
 			"Exponentially weighted moving average of per-op service latency per disk (the limping-disk detector input).", lbl))
 	}
 	m.recoverElems = reg.Counter("ecfrm_store_recover_read_elements_total",
-		"Distinct survivor elements read by disk rebuilds and migrations (the paper's recovery read cost).")
-	m.recoverSecRebuild = reg.Histogram("ecfrm_store_recover_seconds",
+		"Distinct survivor elements read by disk rebuilds (the paper's recovery read cost).")
+	m.recoverSec = reg.Histogram("ecfrm_store_recover_seconds",
 		"Wall-clock duration of completed disk recoveries, by kind.",
 		recoverSecondsBuckets, obs.L("kind", "rebuild"))
-	m.recoverSecMigrate = reg.Histogram("ecfrm_store_recover_seconds",
-		"Wall-clock duration of completed disk recoveries, by kind.",
-		recoverSecondsBuckets, obs.L("kind", "migrate"))
 	m.readsNormal = reg.Counter("ecfrm_store_reads_total",
 		"Completed store reads by mode.", obs.L("mode", "normal"))
 	m.readsDegraded = reg.Counter("ecfrm_store_reads_total",
@@ -194,17 +190,13 @@ var requestSecondsBuckets = obs.ExpBuckets(1e-4, 4, 9)
 var recoverSecondsBuckets = obs.ExpBuckets(1e-3, 4, 9)
 
 // observeRecover records one completed disk recovery: its survivor read
-// cost and wall-clock duration, labeled by kind ("rebuild" or "migrate").
-func (m *Metrics) observeRecover(kind string, readElems int, seconds float64) {
+// cost and wall-clock duration.
+func (m *Metrics) observeRecover(readElems int, seconds float64) {
 	if m == nil {
 		return
 	}
 	m.recoverElems.Add(int64(readElems))
-	if kind == string(RebuildMigrate) {
-		m.recoverSecMigrate.Observe(seconds)
-	} else {
-		m.recoverSecRebuild.Observe(seconds)
-	}
+	m.recoverSec.Observe(seconds)
 }
 
 // RecoverReadElements returns the cumulative survivor-element read count
@@ -216,16 +208,12 @@ func (m *Metrics) RecoverReadElements() int64 {
 	return m.recoverElems.Value()
 }
 
-// RecoverCount returns how many recoveries of the given kind have recorded
-// a duration.
-func (m *Metrics) RecoverCount(kind string) int64 {
+// RecoverCount returns how many recoveries have recorded a duration.
+func (m *Metrics) RecoverCount() int64 {
 	if m == nil {
 		return 0
 	}
-	if kind == string(RebuildMigrate) {
-		return m.recoverSecMigrate.Count()
-	}
-	return m.recoverSecRebuild.Count()
+	return m.recoverSec.Count()
 }
 
 // observeRead records one completed read: its mode and its plan's max load.

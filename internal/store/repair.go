@@ -1,5 +1,5 @@
-// Incremental disk repair: batched rebuild and migration that interleave
-// with foreground traffic, and the batched scrub.
+// Incremental disk repair: batched rebuild that interleaves with foreground
+// traffic, and the batched scrub.
 //
 // Recovery is split into bounded stripe batches:
 //
@@ -15,18 +15,10 @@
 //   - The final Step takes the exclusive lock briefly to fsync the
 //     replacement, clear the failed flag, and bump the epoch.
 //
-// BeginDiskMigration is the rebalance counterpart: it copies a *healthy*
-// device onto a freshly added replacement (one read per element instead of a
-// k-element decode), staging file backends into dev_NN.{data,crc}.new and
-// promoting them by rename. Migration steps run under the exclusive lock —
-// the source keeps serving reads between batches — and the copy is
-// byte-identical to the source, so even a crash between the two renames
-// leaves equivalent content behind.
-//
-// Every stripe a rebuild, migration, scrub, heal or startup recovery
-// (diskdev.go) touches is one executor job (fanout.go) over that stripe's
-// cells: the device's share of it is one coalesced run, and the replacement
-// takes one write per stripe.
+// Every stripe a rebuild, scrub, heal or startup recovery (diskdev.go)
+// touches is one executor job (fanout.go) over that stripe's cells: the
+// device's share of it is one coalesced run, and the replacement takes one
+// write per stripe.
 //
 // Scrub is batched the same way: ScrubRange verifies one section per shared
 // lock hold, Scrub stitches sections together releasing the lock between
@@ -59,50 +51,30 @@ const DefaultScrubBatch = 32
 // — one that came back between a failure detector's verdict and the rebuild.
 var ErrNotFailed = errors.New("store: device not failed")
 
-// RebuildKind distinguishes the two incremental repair flavours.
-type RebuildKind string
-
-const (
-	// RebuildFailed reconstructs a failed device from survivors.
-	RebuildFailed RebuildKind = "rebuild"
-	// RebuildMigrate copies a healthy device onto a newly added replacement.
-	RebuildMigrate RebuildKind = "migrate"
-)
-
-// DiskRebuild is an in-progress incremental reconstruction or migration of
-// one device. Obtain one with BeginDiskRebuild or BeginDiskMigration and
-// drive it with Step until done; Abort abandons it (the device keeps its
-// pre-existing state: failed for rebuilds, healthy source for migrations).
-// Methods are safe for concurrent use, but Steps serialize internally — the
-// intended driver is one scheduler goroutine.
+// DiskRebuild is an in-progress incremental reconstruction of one failed
+// device. Obtain one with BeginDiskRebuild and drive it with Step until
+// done; Abort abandons it (the device stays failed). Methods are safe for
+// concurrent use, but Steps serialize internally — the intended driver is
+// one scheduler goroutine.
 type DiskRebuild struct {
 	s           *Store
 	dev         int
-	kind        RebuildKind
 	replacement *Device
 	started     time.Time
 
 	mu       sync.Mutex
-	total    int // rebuild: stripes sealed at Begin; migrate: live, grows
-	next     int // first stripe not yet reconstructed/copied
-	readCost int // distinct survivor elements read (rebuild) or cells copied (migrate)
-	written  int // elements written to the replacement
+	total    int // stripes sealed at Begin
+	next     int // first stripe not yet reconstructed
+	readCost int // distinct survivor elements read
 	done     bool
 	aborted  bool
 }
-
-// Disk returns the device index being rebuilt or migrated.
-func (r *DiskRebuild) Disk() int { return r.dev }
-
-// Kind returns the repair flavour.
-func (r *DiskRebuild) Kind() RebuildKind { return r.kind }
 
 // Started returns when the rebuild began.
 func (r *DiskRebuild) Started() time.Time { return r.started }
 
 // Progress reports stripes completed so far, the total the rebuild covers,
-// and the survivor elements read. For migrations the total tracks the live
-// sealed extent (it can grow between calls).
+// and the survivor elements read.
 func (r *DiskRebuild) Progress() (next, total, readCost int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -120,9 +92,6 @@ func (r *DiskRebuild) Abort() {
 	}
 	r.aborted = true
 	r.s.endRebuild(r.dev)
-	if r.kind == RebuildMigrate {
-		r.s.discardStaging(r.dev, r.replacement)
-	}
 }
 
 // BeginDiskRebuild starts the incremental reconstruction of failed device d.
@@ -176,54 +145,6 @@ func (s *Store) BeginDiskRebuild(d int) (*DiskRebuild, error) {
 	return &DiskRebuild{
 		s:           s,
 		dev:         d,
-		kind:        RebuildFailed,
-		replacement: replacement,
-		started:     time.Now(),
-		total:       s.stripes,
-	}, nil
-}
-
-// BeginDiskMigration starts copying healthy device d onto a fresh
-// replacement — the "device added" rebalance path: the operator swaps in new
-// hardware, the scheduler streams the old device's cells across. Unlike a
-// rebuild this is one read per element (no decode), but the source keeps
-// serving and mutating, so Step batches run under the exclusive lock and the
-// swap happens in the same critical section that observes the copy caught up
-// with the sealed extent. File backends stage into dev_NN.{data,crc}.new and
-// promote by rename.
-func (s *Store) BeginDiskMigration(d int) (*DiskRebuild, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errors.New("store: closed")
-	}
-	if d < 0 || d >= len(s.devices) {
-		return nil, fmt.Errorf("store: no device %d", d)
-	}
-	dev := s.devices[d]
-	if dev.failed {
-		return nil, fmt.Errorf("store: device %d is failed; rebuild it instead of migrating", d)
-	}
-	if s.rebuilding[d] {
-		return nil, fmt.Errorf("store: device %d rebuild already in progress", d)
-	}
-	var be CellBackend = NewMemDisk(s.elemSize)
-	if s.newStagingBackendFn != nil {
-		var err error
-		if be, err = s.newStagingBackendFn(d); err != nil {
-			return nil, fmt.Errorf("store: migrate device %d: open staging backend: %w", d, err)
-		}
-	}
-	replacement := newDevice(d, s.rows, be)
-	s.Metrics().wire(d, replacement)
-	if s.rebuilding == nil {
-		s.rebuilding = make(map[int]bool)
-	}
-	s.rebuilding[d] = true
-	return &DiskRebuild{
-		s:           s,
-		dev:         d,
-		kind:        RebuildMigrate,
 		replacement: replacement,
 		started:     time.Now(),
 		total:       s.stripes,
@@ -231,11 +152,10 @@ func (s *Store) BeginDiskMigration(d int) (*DiskRebuild, error) {
 }
 
 // Step advances the rebuild by up to batch stripes (DefaultRebuildBatch when
-// batch < 1) and reports whether the device is now healthy. Rebuild batches
-// run under the shared lock so foreground reads proceed concurrently;
-// migration batches and the finalize run under short exclusive holds. On
-// error the rebuild aborts: a failed device stays failed (retry with a fresh
-// BeginDiskRebuild), a migration source stays in service.
+// batch < 1) and reports whether the device is now healthy. Batches run
+// under the shared lock so foreground reads proceed concurrently; the
+// finalize runs under a short exclusive hold. On error the rebuild aborts
+// and the device stays failed (retry with a fresh BeginDiskRebuild).
 func (r *DiskRebuild) Step(batch int) (done bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -248,24 +168,16 @@ func (r *DiskRebuild) Step(batch int) (done bool, err error) {
 	if batch < 1 {
 		batch = DefaultRebuildBatch
 	}
-	if r.kind == RebuildMigrate {
-		done, err = r.stepMigrate(batch)
-	} else {
-		done, err = r.stepRebuild(batch)
-	}
-	if err != nil {
+	if done, err = r.step(batch); err != nil {
 		r.aborted = true
 		r.s.endRebuild(r.dev)
-		if r.kind == RebuildMigrate {
-			r.s.discardStaging(r.dev, r.replacement)
-		}
 	}
 	return done, err
 }
 
-// stepRebuild reconstructs one batch under the shared lock, then finalizes
+// step reconstructs one batch under the shared lock, then finalizes
 // exclusively once every pre-Begin stripe is rebuilt. Caller holds r.mu.
-func (r *DiskRebuild) stepRebuild(batch int) (bool, error) {
+func (r *DiskRebuild) step(batch int) (bool, error) {
 	s := r.s
 	s.mu.RLock()
 	if s.closed {
@@ -291,21 +203,15 @@ func (r *DiskRebuild) stepRebuild(batch int) (bool, error) {
 }
 
 // fillStripe writes device r.dev's share of one stripe to the replacement
-// as one run. A rebuild plans the cells around the failed device — one
-// pass over the survivors, then one targeted decode per cell, routing around
-// corrupt survivors; a migration reads them from the live source as stored,
-// and a corrupt source cell aborts it (heal first, then retry). Caller
-// holds r.mu and the store's lock.
+// as one run. It plans the cells around the failed device — one pass over
+// the survivors, then one targeted decode per cell, routing around corrupt
+// survivors. Caller holds r.mu and the store's lock.
 func (r *DiskRebuild) fillStripe(stripe int) error {
 	s := r.s
 	targets := s.deviceCells(stripe, r.dev)
-	plan, rule := s.around(targets, r.dev), corruptAvoids
-	if r.kind == RebuildMigrate {
-		plan, rule = s.exactly(targets), corruptStops
-	}
-	res, err := s.execute(context.TODO(), plan, rule, ReadOptions{})
+	res, err := s.execute(context.TODO(), s.around(targets, r.dev), corruptAvoids, ReadOptions{})
 	if err != nil {
-		return fmt.Errorf("store: %s device %d stripe %d: %w", r.kind, r.dev, stripe, err)
+		return fmt.Errorf("store: rebuild device %d stripe %d: %w", r.dev, stripe, err)
 	}
 	defer res.release()
 	es := s.elemSize
@@ -313,16 +219,15 @@ func (r *DiskRebuild) fillStripe(stripe int) error {
 	for i, t := range targets {
 		cell, err := res.cell(stripe, t.Pos)
 		if err != nil {
-			return fmt.Errorf("store: %s device %d stripe %d: %w", r.kind, r.dev, stripe, err)
+			return fmt.Errorf("store: rebuild device %d stripe %d: %w", r.dev, stripe, err)
 		}
 		copy(flat[i*es:], cell)
 		crcs[i] = crc32.Checksum(cell, castagnoli)
 	}
 	if err := s.writeBatch(r.replacement, []Run{s.cellRun(r.dev, cellKey{stripe, targets[0].Pos}, flat, crcs)}, false); err != nil {
-		return fmt.Errorf("store: %s device %d stripe %d: %w", r.kind, r.dev, stripe, err)
+		return fmt.Errorf("store: rebuild device %d stripe %d: %w", r.dev, stripe, err)
 	}
 	r.readCost += res.plan.TotalReads()
-	r.written += len(targets)
 	return nil
 }
 
@@ -346,63 +251,8 @@ func (r *DiskRebuild) finalizeRebuild() error {
 	delete(s.rebuilding, r.dev)
 	s.bumpEpoch()
 	r.done = true
-	s.Metrics().observeRecover(string(r.kind), r.readCost, time.Since(r.started).Seconds())
+	s.Metrics().observeRecover(r.readCost, time.Since(r.started).Seconds())
 	return nil
-}
-
-// stepMigrate copies one batch of stripes from the live source device to the
-// staging replacement under the exclusive lock, and — in the same critical
-// section that observes the copy caught up with the sealed extent — promotes
-// the staging files and swaps the replacement in. Caller holds r.mu.
-func (r *DiskRebuild) stepMigrate(batch int) (bool, error) {
-	s := r.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false, errors.New("store: closed")
-	}
-	src := s.devices[r.dev]
-	if src.failed {
-		return false, fmt.Errorf("store: migrate device %d: source failed mid-migration", r.dev)
-	}
-	r.total = s.stripes
-	end := r.next + batch
-	if end > r.total {
-		end = r.total
-	}
-	for stripe := r.next; stripe < end; stripe++ {
-		if err := r.fillStripe(stripe); err != nil {
-			return false, err
-		}
-	}
-	r.next = end
-	if r.next < s.stripes {
-		return false, nil
-	}
-	// Caught up inside this exclusive hold: no seal can slip in before the
-	// swap. Durability, promote (file rename), then install.
-	if s.fsync {
-		if err := s.writeBatch(r.replacement, barrier([]int{r.dev}), true); err != nil {
-			return false, fmt.Errorf("store: migrate device %d: fsync staging: %w", r.dev, err)
-		}
-	}
-	if s.promoteStagingFn != nil {
-		if err := s.promoteStagingFn(r.dev); err != nil {
-			return false, fmt.Errorf("store: migrate device %d: promote staging files: %w", r.dev, err)
-		}
-	}
-	old := s.devices[r.dev]
-	s.devices[r.dev] = r.replacement
-	delete(s.rebuilding, r.dev)
-	s.bumpEpoch()
-	r.done = true
-	s.Metrics().observeRecover(string(r.kind), r.readCost, time.Since(r.started).Seconds())
-	// The old backend's files were renamed over (file) or are garbage (mem);
-	// a close failure no longer threatens the data.
-	if err := old.be.Close(); err != nil {
-		return true, fmt.Errorf("store: migrate device %d: close old backend: %w", r.dev, err)
-	}
-	return true, nil
 }
 
 // endRebuild clears the in-progress flag for device d so a fresh Begin can
@@ -413,20 +263,7 @@ func (s *Store) endRebuild(d int) {
 	s.mu.Unlock()
 }
 
-// discardStaging closes and removes an abandoned migration's staging
-// backend and files.
-func (s *Store) discardStaging(d int, replacement *Device) {
-	replacement.be.Close()
-	s.mu.RLock()
-	discard := s.discardStagingFn
-	s.mu.RUnlock()
-	if discard != nil {
-		discard(d)
-	}
-}
-
-// Rebuilding returns the device IDs with a rebuild or migration in
-// progress, ascending.
+// Rebuilding returns the device IDs with a rebuild in progress, ascending.
 func (s *Store) Rebuilding() []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"errors"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,11 +84,8 @@ func TestRecoverDiskMetrics(t *testing.T) {
 	if got := m.RecoverReadElements(); got != int64(cost) {
 		t.Fatalf("recover-read-elements counter = %d, want %d", got, cost)
 	}
-	if got := m.RecoverCount(string(RebuildFailed)); got != 1 {
+	if got := m.RecoverCount(); got != 1 {
 		t.Fatalf("rebuild duration histogram count = %d, want 1", got)
-	}
-	if got := m.RecoverCount(string(RebuildMigrate)); got != 0 {
-		t.Fatalf("migrate duration histogram count = %d, want 0", got)
 	}
 }
 
@@ -155,9 +151,6 @@ func TestBeginDiskRebuildValidation(t *testing.T) {
 	if _, err := s.BeginDiskRebuild(1); err == nil {
 		t.Fatal("double begin must fail")
 	}
-	if _, err := s.BeginDiskMigration(1); err == nil {
-		t.Fatal("migrating a failed disk must fail")
-	}
 	r.Abort()
 	if got := s.Rebuilding(); len(got) != 0 {
 		t.Fatalf("abort left rebuild registered: %v", got)
@@ -217,124 +210,6 @@ func TestConcurrentReadsDuringRebuild(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestMigrationMem migrates a healthy device onto a fresh in-memory
-// replacement and checks nothing observable changes.
-func TestMigrationMem(t *testing.T) {
-	s := testStore(t, layout.FormECFRM)
-	stripeBytes := s.Scheme().DataPerStripe() * s.ElementSize()
-	data := fill(t, s, 9*stripeBytes+5, 31)
-
-	r, err := s.BeginDiskMigration(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Rebuilding(); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("Rebuilding = %v, want [5]", got)
-	}
-	for {
-		done, err := r.Step(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-	}
-	res, err := s.ReadAt(0, len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Data, data) {
-		t.Fatal("migrated store returned different data")
-	}
-	if bad, err := s.Scrub(); err != nil || len(bad) != 0 {
-		t.Fatalf("post-migration scrub: bad=%v err=%v", bad, err)
-	}
-}
-
-// TestMigrationFileBacked checks the staging-file protocol: cells stream
-// into dev_NN.{data,crc}.new, promotion renames them over the originals,
-// and a reopened store recovers cleanly with identical contents.
-func TestMigrationFileBacked(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openFileStore(t, dir)
-	stripeBytes := s.Scheme().DataPerStripe() * s.ElementSize()
-	data := fill(t, s, 6*stripeBytes, 59)
-
-	r, err := s.BeginDiskMigration(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Step(2); err != nil {
-		t.Fatal(err)
-	}
-	// Mid-migration the staging pair exists alongside the live files.
-	if _, err := os.Stat(devDataFile(dir, 1) + stagingSuffix); err != nil {
-		t.Fatalf("staging data file missing mid-migration: %v", err)
-	}
-	for {
-		done, err := r.Step(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-	}
-	// Promotion renamed the staging pair over the originals.
-	for _, name := range []string{devDataFile(dir, 1) + stagingSuffix, devCRCFile(dir, 1) + stagingSuffix} {
-		if _, err := os.Stat(name); !os.IsNotExist(err) {
-			t.Fatalf("staging file %s survived promotion (err=%v)", name, err)
-		}
-	}
-	res, err := s.ReadAt(0, len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Data, data) {
-		t.Fatal("migrated store returned different data")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, rep := openFileStore(t, dir)
-	defer s2.Close()
-	if rep.HealedCells != 0 {
-		t.Fatalf("reopen after migration healed %d cells, want 0", rep.HealedCells)
-	}
-	if got := readAll(t, s2); !bytes.Equal(got, data) {
-		t.Fatal("reopened store returned different data")
-	}
-}
-
-// TestMigrationAbortDiscardsStaging checks an abandoned migration removes
-// its staging files and leaves the source device serving.
-func TestMigrationAbortDiscardsStaging(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openFileStore(t, dir)
-	defer s.Close()
-	stripeBytes := s.Scheme().DataPerStripe() * s.ElementSize()
-	data := fill(t, s, 6*stripeBytes, 61)
-
-	r, err := s.BeginDiskMigration(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Step(2); err != nil {
-		t.Fatal(err)
-	}
-	r.Abort()
-	for _, name := range []string{devDataFile(dir, 2) + stagingSuffix, devCRCFile(dir, 2) + stagingSuffix} {
-		if _, err := os.Stat(name); !os.IsNotExist(err) {
-			t.Fatalf("staging file %s survived abort (err=%v)", name, err)
-		}
-	}
-	if got := readAll(t, s); !bytes.Equal(got, data) {
-		t.Fatal("aborted migration changed data")
-	}
 }
 
 // TestScrubRangeBounds exercises the incremental scrub cursor arithmetic.
@@ -491,10 +366,9 @@ func sum(xs []int64) (n int64) {
 }
 
 // TestRepairBackendCallsPerStripe counts backend calls per stripe for
-// recovery, scrub, migration and rebuild, each of which reads a stripe as one
-// executor job: recovering a clean store and scrub issue one read per device
-// (and recovery no write), a migration one read of the source and one write,
-// a rebuild one write and fewer reads than cells read. With one row per
+// recovery, scrub and rebuild, each of which reads a stripe as one executor
+// job: recovering a clean store and scrub issue one read per device (and
+// recovery no write), a rebuild one write and fewer reads than cells read. With one row per
 // stripe (standard, rotated) every device holds one cell of a stripe, so the
 // counts equal the cell counts. It logs rebuild read calls per stripe,
 // averaged over every failed disk.
@@ -556,29 +430,6 @@ func TestRepairBackendCallsPerStripe(t *testing.T) {
 				}
 				t.Logf("%s: rebuild reads %.2f cells in %.2f calls per stripe (averaged over every disk)",
 					sch.Name(), float64(rebuildCells)/float64(n*stripes), float64(rebuildCalls)/float64(n*stripes))
-
-				src := s.devices[1].be.(*countingDisk)
-				s.newStagingBackendFn = func(int) (CellBackend, error) {
-					return &countingDisk{MemDisk: NewMemDisk(64)}, nil
-				}
-				r, err := s.BeginDiskMigration(1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for done := false; !done; {
-					if done, err = r.Step(2); err != nil {
-						t.Fatal(err)
-					}
-				}
-				// Device 1 is the staging disk now.
-				reads, writes := takeCalls(s)
-				if src.reads.Load() != stripes || sum(reads) != 0 {
-					t.Fatalf("migration read calls: %d on the source, %v elsewhere; want one per stripe on the source",
-						src.reads.Load(), reads)
-				}
-				if sum(writes) != stripes || writes[1] != stripes {
-					t.Fatalf("migration write calls %v, want one per stripe on the staging disk", writes)
-				}
 			})
 		}
 	}

@@ -229,9 +229,8 @@ func (s *Store) writeRuns(runs []Run, sync bool) error {
 }
 
 // writeBatch writes one node's batch through d's backend and counts each
-// run's payload cells on its device: the store's device at the run's disk,
-// or d itself for its own disk — a migration's replacement is not installed
-// yet. The cells zero runs record count apart, never as device writes.
+// run's payload cells on the store's device at the run's disk. The cells
+// zero runs record count apart, never as device writes.
 func (s *Store) writeBatch(d *Device, runs []Run, sync bool) error {
 	if err := d.be.WriteRuns(runs, sync); err != nil {
 		disks := make([]int, len(runs))
@@ -243,9 +242,6 @@ func (s *Store) writeBatch(d *Device, runs []Run, sync bool) error {
 	zeros := 0
 	for _, r := range runs {
 		w := s.devices[r.Disk]
-		if r.Disk == d.id {
-			w = d
-		}
 		w.writes.Add(int64(len(r.CRCs)))
 		w.obsWrites.Add(int64(len(r.CRCs)))
 		if r.Zeros() {
@@ -259,7 +255,9 @@ func (s *Store) writeBatch(d *Device, runs []Run, sync bool) error {
 // readBatch hands one node's runs to the backend of the first run's device
 // in one call, and settles each as its device sees it: a cell the backend
 // lacks is an erasure like a checksum-failing one (ErrCorrupt wrapping
-// ErrCellMissing, so every corruptRule treats the two alike), any other
+// ErrCellMissing, so every corruptRule treats the two alike) and one hard
+// error, since a device that lost cells it was written — a node restarted
+// on an empty directory — must trip the failure detector; any other
 // failure makes the device ErrUnavailable, and a run that checks out counts
 // as device reads and keeps its verified cells in Data.
 func (s *Store) readBatch(runs []Run) {
@@ -274,6 +272,7 @@ func (s *Store) readBatch(runs []Run) {
 		}
 		switch {
 		case errors.Is(r.Err, ErrCellMissing):
+			d.noteError()
 			r.Err = fmt.Errorf("%w: device %d run at slot %d: %w", ErrCorrupt, d.id, r.Slot, r.Err)
 		case r.Err != nil:
 			d.noteError()
@@ -316,16 +315,7 @@ type Store struct {
 	// aggregates per node. Fixed at construction.
 	nodeOf []int
 
-	// Migration staging hooks (file backends; nil means in-memory staging):
-	// newStagingBackendFn opens device d's dev_NN.{data,crc}.new staging
-	// pair, promoteStagingFn renames it over the live pair, and
-	// discardStagingFn removes an abandoned one. See repair.go.
-	newStagingBackendFn func(d int) (CellBackend, error)
-	promoteStagingFn    func(d int) error
-	discardStagingFn    func(d int)
-
-	// rebuilding marks devices with an incremental rebuild or migration in
-	// progress (guarded by mu), so two repairs cannot race on one device.
+	// rebuilding marks devices with an incremental rebuild in progress (guarded by mu), so two repairs cannot race on one device.
 	rebuilding map[int]bool
 
 	// testScrubYield, when set by a test, runs between Scrub batches while

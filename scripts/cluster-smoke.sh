@@ -30,7 +30,14 @@
 #   8. restarted with node 3 killed, it starts degraded — same stripe counts,
 #      node 3's three disks failed in every group — and once node 3 is back,
 #      /admin/recover rebuilds its extents byte-identical from the survivors
-#      and /admin/scrub is clean; then everything drains on SIGTERM.
+#      and /admin/scrub is clean,
+#   9. restarted with -repair and the objects PUT again, node 3 SIGKILLed,
+#      its data directory emptied and the node restarted: every GET by name
+#      stays byte-identical, and the repair scheduler alone rebuilds node 3's
+#      twelve extents (4 groups × 3 disks), each once — /repair/ ends with
+#      nothing queued or active, no group has a failed disk,
+#      ecfrm_repair_mttr_seconds_count is 12 and /admin/scrub is clean; then
+#      everything drains on SIGTERM.
 #
 # Object names live in the gateway's memory, so after a restart the objects
 # PUT before it are checked through the stripe counts, the scrub and the
@@ -113,13 +120,16 @@ wait_200 "$N3_PORT" /healthz "node 3"
 # scheme's tolerance, so losing one whole node must stay readable.
 echo "cluster-smoke: starting gateway on :$GW_PORT"
 echo '{"seed": 7, "policies": [{"device": 8, "latency": 1000}]}' >"$TMP/start-plan.json"
-start_gateway() { # start_gateway <log> <form> — every start takes the same flags but -form
+start_gateway() { # start_gateway <log> <form> [flags...] — every start takes the same flags but -form and these
+    log="$1"
+    form="$2"
+    shift 2
     "$BIN" -mode=gateway -addr "127.0.0.1:$GW_PORT" -elem 4096 \
-        -code rs -k 6 -m 3 -form "$2" -groups 4 \
+        -code rs -k 6 -m 3 -form "$form" -groups 4 \
         -nodes "http://127.0.0.1:$N1_PORT,http://127.0.0.1:$N2_PORT,http://127.0.0.1:$N3_PORT" \
         -hedge -hedge-quantile 0.5 -probe-interval 200ms -wal-flush-interval 5ms \
-        -faults "$TMP/start-plan.json" -obs -obs-interval 200ms \
-        >"$1" 2>&1 &
+        -faults "$TMP/start-plan.json" -obs -obs-interval 200ms "$@" \
+        >"$log" 2>&1 &
     GW_PID=$!
     PIDS="$PIDS $GW_PID"
 }
@@ -403,6 +413,40 @@ for f in "$TMP"/node3-before/*; do
 done
 scrub_clean "after rebuilding node 3"
 drain_gateway "$TMP/gateway-3.log"
+
+# --- 9. a wiped node, rebuilt by the repair scheduler alone ------------------
+echo "cluster-smoke: restarting the gateway with -repair, PUTting $OBJECTS objects, then wiping node 3"
+start_gateway "$TMP/gateway-4.log" ecfrm -repair -scrub-interval 100ms
+wait_200 "$GW_PORT" /readyz "gateway with -repair"
+i=0
+while [ "$i" -lt "$OBJECTS" ]; do
+    gw "/objects/obj-$i" -X PUT --data-binary @"$TMP/obj-$i.bin" -o /dev/null
+    i=$((i + 1))
+done
+kill -9 "$NODE3_PID"
+wait "$NODE3_PID" 2>/dev/null || true
+rm -rf "$TMP/node3"
+start_node 3
+wait_200 "$N3_PORT" /healthz "node 3 on an empty directory"
+verify_all "" "node 3 wiped"
+settled() { # nothing queued or rebuilding, no failed disk, and the rebuilds counted
+    [ "$(gw_sum ecfrm_repair_mttr_seconds_count)" -ge 12 ] &&
+        gw /repair/ | tr -d ' \n' | grep -q '"queued_disks":null,"active":null' &&
+        gw /admin/status | grep -q '"failed_disks":null'
+}
+i=0
+until settled; do
+    i=$((i + 1))
+    if [ "$i" -ge 300 ]; then
+        echo "cluster-smoke: the scheduler did not rebuild node 3: $(gw /repair/)" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+wire_check "rebuilds of node 3's extents" "$(gw_sum ecfrm_repair_mttr_seconds_count)" -eq 12
+verify_all "" "node 3 rebuilt"
+scrub_clean "after the scheduler rebuilt node 3"
+drain_gateway "$TMP/gateway-4.log"
 for n in 1 2 3; do
     eval "pid=\$NODE${n}_PID"
     kill -TERM "$pid"
