@@ -67,9 +67,9 @@ loc:
 obs-smoke:
 	./scripts/obs-smoke.sh
 
-# End-to-end fan-out read check against a real daemon under a jittered
-# slow-disk fault plan: hedged fan-out GETs must beat sequential GETs on
-# total and worst-case latency, and the hedge counters must move.
+# End-to-end fan-out read check against a real daemon under a fault plan
+# that slows every device alike: fan-out GETs must beat sequential GETs on
+# total and worst-case latency.
 fanout-smoke:
 	./scripts/fanout-smoke.sh
 
@@ -106,7 +106,7 @@ repair-chaos:
 
 # End-to-end networked-cluster check: three file-backed data-node processes
 # behind a gateway process on localhost, readiness-gated startup, a concurrent
-# PUT burst, hedge activity under an injected slow device, and a SIGKILLed
+# PUT burst, byte-identical reads under an injected slow device, a SIGKILLed
 # node mid-traffic with zero failed reads — every GET byte-identical through
 # degraded reconstruction, replan/degraded/node-down series live on /metrics —
 # and a node wiped under a gateway run with -repair, rebuilt unprompted.
@@ -116,7 +116,7 @@ cluster-smoke:
 # Short fuzz runs: the GF(2^8) kernel equivalence target (the SIMD and word
 # kernels against the reference, for the one field every code uses), the
 # exact planner's safety on every target shape the store plans (GET ranges,
-# disk rebuilds, hedged runs), the scrub cursor under crash schedules,
+# disk rebuilds, a device's run planned around it), the scrub cursor under crash schedules,
 # startup recovery of file devices torn unevenly past a barrier stripe, and
 # the node's parsers of what arrives off the network (cell-run frames and
 # batch run lists).

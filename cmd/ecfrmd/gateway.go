@@ -12,8 +12,8 @@ import (
 
 // runGateway serves the object API over the data nodes in -nodes: one real
 // store per placement group whose devices are HTTP cell clients, so fan-out,
-// hedging, degraded replanning, and group-commit WAL writes all run across
-// the network unchanged, behind the same object surface as single mode.
+// degraded replanning, and group-commit WAL writes all run across the
+// network unchanged, behind the same object surface as single mode.
 func runGateway() {
 	var urls []string
 	for _, u := range strings.Split(*nodesFlag, ",") {
@@ -32,7 +32,6 @@ func runGateway() {
 		ElemSize:      *elem,
 		Scheme:        scheme,
 		HTTP:          httpConfig(reg, ""),
-		Read:          readOptions(),
 		NodeTimeout:   *nodeTimeout,
 		ProbeInterval: *probeEvery,
 		SyncWrites:    *fsync == string(store.FsyncAlways),

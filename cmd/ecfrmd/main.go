@@ -31,11 +31,9 @@
 //
 // Read execution: a GET's plan is served as per-device coalesced runs, one
 // worker per device — per data node in gateway mode, which gets all its
-// runs in one request — inline below 64 KiB planned. -hedge enables
-// speculative re-reads of straggling devices after a -hedge-quantile latency
-// delay (clamped below by -hedge-min). Individual GETs can serve every run
-// inline and unhedged with ?sequential=1, toggle hedging with ?hedge=, and
-// bypass the cache with ?nocache=1.
+// runs in one request — inline below 64 KiB planned. Individual GETs can
+// serve every run inline with ?sequential=1 and bypass the cache with
+// ?nocache=1.
 //
 // Write execution: PUTs queue into a group-commit WAL and ack once their
 // batch seals, so concurrent small objects pack into shared stripes instead
@@ -165,10 +163,6 @@ var (
 	repairRate = flag.Float64("repair-rate", 32, "repair bandwidth budget in MiB/s of rebuilt data (0 pauses rebuilds)")
 	scrubEvery = flag.Duration("scrub-interval", time.Minute, "pause between incremental scrub batches (negative disables scrub; needs -repair)")
 
-	hedge    = flag.Bool("hedge", false, "hedge straggling device reads from parity-equivalent sources")
-	hedgeQ   = flag.Float64("hedge-quantile", 0.9, "latency quantile in (0,1) after which a straggler is hedged")
-	hedgeMin = flag.Duration("hedge-min", time.Millisecond, "lower clamp on the hedge delay (> 0)")
-
 	nodesFlag   = flag.String("nodes", "", "comma-separated data-node base URLs (gateway mode, required)")
 	groups      = flag.Int("groups", 4, "stripe groups object names hash across (gateway mode)")
 	probeEvery  = flag.Duration("probe-interval", time.Second, "node health-probe cadence (gateway mode)")
@@ -185,7 +179,7 @@ var heapFloor = make([]byte, 32<<20)
 
 func main() {
 	flag.Parse()
-	if err := checkFlags(*fsync, *hedgeQ, *hedgeMin); err != nil {
+	if err := checkFlags(*fsync); err != nil {
 		log.Fatal("ecfrmd: ", err)
 	}
 	switch *mode {
@@ -201,17 +195,10 @@ func main() {
 }
 
 // checkFlags refuses, at startup, flag values that would otherwise be
-// silently replaced: an unknown -fsync mode, a -hedge-quantile outside (0,1)
-// (the store would hedge at p90) or a non-positive -hedge-min (1 ms).
-func checkFlags(fsyncMode string, hedgeQuantile float64, hedgeMinDelay time.Duration) error {
+// silently replaced: an unknown -fsync mode.
+func checkFlags(fsyncMode string) error {
 	if fsyncMode != string(store.FsyncAlways) && fsyncMode != string(store.FsyncNever) {
 		return fmt.Errorf("unknown -fsync mode %q (always or never)", fsyncMode)
-	}
-	if !(hedgeQuantile > 0 && hedgeQuantile < 1) {
-		return fmt.Errorf("-hedge-quantile %v outside (0,1)", hedgeQuantile)
-	}
-	if hedgeMinDelay <= 0 {
-		return fmt.Errorf("-hedge-min %v must be positive", hedgeMinDelay)
 	}
 	return nil
 }
@@ -223,12 +210,6 @@ func buildScheme() *core.Scheme {
 		log.Fatal("ecfrmd: ", err)
 	}
 	return scheme
-}
-
-// readOptions is the default read-executor configuration both serving modes
-// install, from -hedge*.
-func readOptions() store.ReadOptions {
-	return store.ReadOptions{Hedge: store.HedgeConfig{Enabled: *hedge, Quantile: *hedgeQ, Min: *hedgeMin}}
 }
 
 // httpConfig is the object-surface configuration both serving modes share.
@@ -428,7 +409,6 @@ func runSingle() {
 	default:
 		log.Fatalf("ecfrmd: unknown backend %q (mem or file)", *backend)
 	}
-	st.SetReadOptions(readOptions())
 	reg := obs.NewRegistry()
 	srv := httpd.NewServerWith(st, httpConfig(reg, *walLog))
 	log.Printf("serving %s (%d disks, tolerates %d failures, %.2fx overhead) on %s",

@@ -89,8 +89,8 @@ func FuzzLayoutInversion(f *testing.F) {
 // degraded planner with two failed disks (LRC(6,2,2) tolerates three), in
 // the three shapes the store plans: a range of data elements (a GET), every
 // cell of one failed disk in a stripe (a disk rebuild), and a run of one
-// device's cells at consecutive on-disk offsets with that device avoided too
-// (a hedge). It asserts the planner's safety properties: no read on an
+// device's cells at consecutive on-disk offsets planned around that device
+// (the store's around, which heals and rebuilds plan with). It asserts the planner's safety properties: no read on an
 // avoided disk, loads that add up, and a plan that can decode — every target
 // on an avoided disk has its group read on one of its usable recovery sets,
 // or on every survivor when none is usable.

@@ -310,7 +310,7 @@ func (s *Scheme) ReconstructStripeInto(bufs *Buffers, cells [][]byte) error {
 // cells of its group are present (non-nil) in cells, stores it into cells,
 // and returns it. Cells outside pos's group are ignored, and other erased
 // cells of the group are left nil — this is the targeted decode a degraded
-// read, a disk rebuild, a heal or a hedge performs after fetching only a
+// read, a disk rebuild or a heal performs after fetching only a
 // recovery set. The decode buffer comes from bufs and the scratch is pooled,
 // so it allocates nothing in steady state.
 func (s *Scheme) RebuildCellInto(bufs *Buffers, cells [][]byte, pos layout.Pos) ([]byte, error) {

@@ -153,8 +153,8 @@ type search struct {
 // (every survivor of the group when no set avoids the failed disks), the
 // sets chosen jointly and exactly as PlanDegradedRead chooses them. The
 // layout places each target, so its Disk field is not consulted. This is
-// the one recovery-set chooser: degraded reads, disk rebuild, healing and
-// hedging all plan through it. Plan.Requested is len(targets).
+// the one recovery-set chooser: degraded reads, disk rebuild and healing
+// all plan through it. Plan.Requested is len(targets).
 func (s *Scheme) PlanCells(targets []Access, failed, bias []int) (*Plan, error) {
 	p, _, err := s.planCells(targets, failed, bias)
 	return p, err

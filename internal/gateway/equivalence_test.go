@@ -58,7 +58,7 @@ func (n *liveNode) set(h http.Handler) { n.h.Store(&h) }
 
 func (n *liveNode) ServeHTTP(w http.ResponseWriter, r *http.Request) { (*n.h.Load()).ServeHTTP(w, r) }
 
-func newTestCluster(t testing.TB, scheme *core.Scheme, elem, groups, nNodes int, opts store.ReadOptions) *testCluster {
+func newTestCluster(t testing.TB, scheme *core.Scheme, elem, groups, nNodes int) *testCluster {
 	t.Helper()
 	reg := obs.NewRegistry()
 	tc := &testCluster{}
@@ -85,7 +85,6 @@ func newTestCluster(t testing.TB, scheme *core.Scheme, elem, groups, nNodes int,
 		ElemSize:      elem,
 		HTTP:          httpd.Config{Registry: reg, WAL: store.WALConfig{FlushInterval: time.Millisecond}},
 		Scheme:        scheme,
-		Read:          opts,
 		SyncWrites:    true,
 		ProbeInterval: 50 * time.Millisecond,
 		NodeTimeout:   5 * time.Second,
@@ -123,7 +122,7 @@ func (tc *testCluster) put(t testing.TB, name string, body []byte) {
 
 // get reads an object through the gateway's HTTP surface, always bypassing
 // the decoded-object cache so every read crosses the network (query adds
-// further knobs, e.g. "&hedge=1").
+// further knobs, e.g. "&sequential=1").
 func (tc *testCluster) get(t testing.TB, name, query string) ([]byte, int) {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, "/objects/"+name+"?nocache=1"+query, nil)
@@ -146,7 +145,7 @@ func nodesNeeded(scheme *core.Scheme) int {
 // TestGatewayLocalEquivalence is the acceptance property: the same objects
 // PUT through a gateway over in-process networked nodes and into a single
 // local store must read back byte-identical — across every code × layout
-// cell, through the default, sequential and hedged read options, and still
+// cell, through the default and sequential read options, and still
 // after one whole node is killed (degraded reads reconstruct over the
 // network). Runs under -race via `make race-io`.
 func TestGatewayLocalEquivalence(t *testing.T) {
@@ -155,7 +154,7 @@ func TestGatewayLocalEquivalence(t *testing.T) {
 	for name, scheme := range schemeGrid(t) {
 		scheme := scheme
 		t.Run(name, func(t *testing.T) {
-			tc := newTestCluster(t, scheme, elem, 3, nodesNeeded(scheme), store.ReadOptions{})
+			tc := newTestCluster(t, scheme, elem, 3, nodesNeeded(scheme))
 			defer tc.teardown()
 
 			// The local twin: one store + WAL fed the same bytes.
@@ -185,7 +184,7 @@ func TestGatewayLocalEquivalence(t *testing.T) {
 
 			check := func(stage string) {
 				for _, o := range objs {
-					for _, q := range []string{"", "&sequential=1", "&hedge=1"} {
+					for _, q := range []string{"", "&sequential=1"} {
 						got, code := tc.get(t, o.name, q)
 						if code != http.StatusOK {
 							t.Fatalf("%s: GET %s%s: status %d %s", stage, o.name, q, code, got)
@@ -222,7 +221,7 @@ func TestGatewayLocalEquivalence(t *testing.T) {
 func TestGatewayConcurrentPutGetWithNodeKill(t *testing.T) {
 	scheme := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	const elem = 512
-	tc := newTestCluster(t, scheme, elem, 4, nodesNeeded(scheme), store.ReadOptions{})
+	tc := newTestCluster(t, scheme, elem, 4, nodesNeeded(scheme))
 	defer tc.teardown()
 
 	rng := rand.New(rand.NewSource(7))
@@ -250,7 +249,7 @@ func TestGatewayConcurrentPutGetWithNodeKill(t *testing.T) {
 				name := fmt.Sprintf("pre-%02d", r.Intn(24))
 				q := ""
 				if i%3 == 1 {
-					q = "&hedge=1"
+					q = "&sequential=1"
 				}
 				got, code := tc.get(t, name, q)
 				if code != http.StatusOK {

@@ -6,9 +6,8 @@
 // whose devices are HTTP clients (remoteCell) against the nodes the
 // placement map assigns. That one decision buys the whole single-process
 // feature set across the process boundary unchanged — the fan-out executor
-// sends each node its coalesced cell runs as one request, hedged reads race
-// parity reconstruction against slow nodes, degraded replanning routes
-// around dead ones (a refused connection surfaces as ErrUnavailable exactly
+// sends each node its coalesced cell runs as one request, degraded
+// replanning routes around dead ones (a refused connection surfaces as ErrUnavailable exactly
 // like a failed local disk), group-commit WAL writes seal through the
 // two-phase gate with the fsync barrier riding on each node's last write,
 // and every start recovers each group through the store's one open path,
@@ -19,8 +18,11 @@
 //
 // Object names hash across Groups independent stripe groups
 // (placement.Map), so capacity and traffic scale horizontally with nodes ×
-// groups; per-node inflight and latency EWMAs — not per-disk queues — feed
-// the degraded planner, because in this regime contention lives at the node.
+// groups. Each group store maps its disks onto their nodes
+// (store.CellStoreConfig.NodeOf), so the degraded planner's load bias is the
+// store's in-flight run count summed per node, not per disk, because in this
+// regime contention lives at the node. The gateway's own per-node in-flight
+// and latency EWMA signals (nodeClient) only feed /metrics gauges.
 //
 // The object API itself is internal/httpd's, the same surface single mode
 // serves, handed the group stores and placement.Map.GroupOf: PUT/GET/HEAD
@@ -60,8 +62,6 @@ type Config struct {
 	// each group's write path; LogPath must stay empty with more than one
 	// group — durability comes from the nodes' fsync barrier.
 	HTTP httpd.Config
-	// Read sets the default read-executor options for every group store.
-	Read store.ReadOptions
 	// NodeTimeout bounds one node request — one batch: every run a read
 	// pass or a seal sends that node (default 5s); a hung node turns into
 	// ErrUnavailable and a replan once it expires.
@@ -161,7 +161,6 @@ func New(cfg Config) (*Gateway, error) {
 		// Per-group metrics live in a labelled view of the shared registry —
 		// identical family names, disjoint series (the obs.With contract).
 		st.SetMetrics(store.NewMetrics(reg.With(obs.L("group", strconv.Itoa(grp))), cfg.Scheme.N()))
-		st.SetReadOptions(cfg.Read)
 	}
 	if g.srv, err = httpd.NewGroups(g.stores, pm.GroupOf, cfg.HTTP); err != nil {
 		g.closeStores()

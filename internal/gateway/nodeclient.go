@@ -18,10 +18,12 @@ import (
 )
 
 // nodeClient is the gateway's connection to one data node: a pooled HTTP
-// client plus the live load signals (in-flight requests, latency EWMA) the
-// degraded planner and the health prober consume. Requests queue in the
-// transport's connection pool, and the signals are observed per node
-// because that is where network contention lives.
+// client plus its live load signals (in-flight requests, latency EWMA),
+// which only feed the ecfrm_gateway_node_inflight and
+// ecfrm_gateway_node_latency_ewma_seconds gauges. Requests queue in the
+// transport's connection pool. The degraded planner does not read these
+// signals: its bias is the group store's per-device in-flight count summed
+// per node (store's inflightBias).
 type nodeClient struct {
 	base string // http://host:port, no trailing slash
 	hc   *http.Client
@@ -202,8 +204,8 @@ func (m nodeManifest) Save(man store.Manifest) error {
 }
 
 // remoteCell is one (group, disk) extent on one node, as a store.CellBackend.
-// The whole single-process store machinery — fan-out runs, hedged reads,
-// degraded replanning, the two-phase commit barrier — drives the cluster
+// The whole single-process store machinery — fan-out runs, degraded
+// replanning, the two-phase commit barrier — drives the cluster
 // through this type. A batch may hold runs of every disk of the group the
 // node serves (store.CellStoreConfig.NodeOf), and goes out as one request.
 type remoteCell struct {

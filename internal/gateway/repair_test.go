@@ -18,7 +18,6 @@ import (
 	"repro/internal/nodeapi"
 	"repro/internal/obs"
 	"repro/internal/repair"
-	"repro/internal/store"
 )
 
 // repairCluster is RS(6,3)/ecfrm over 3 in-process nodes and 4 groups, its
@@ -28,7 +27,7 @@ func repairCluster(t *testing.T, logf func(string, ...any)) (*testCluster, map[s
 	t.Helper()
 	scheme := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	const elem, groups = 512, 4
-	tc := newTestCluster(t, scheme, elem, groups, 3, store.ReadOptions{})
+	tc := newTestCluster(t, scheme, elem, groups, 3)
 	rng := rand.New(rand.NewSource(39))
 	objects := make(map[string][]byte)
 	for i := 0; i < 32; i++ {

@@ -89,7 +89,7 @@ func readAt(t *testing.T, gw *Gateway, grp int, off int64, want []byte) {
 func TestGatewayRestartKeepsAckedStripes(t *testing.T) {
 	scheme := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	const elem, groups = 512, 4
-	tc := newTestCluster(t, scheme, elem, groups, 3, store.ReadOptions{})
+	tc := newTestCluster(t, scheme, elem, groups, 3)
 	defer tc.teardown()
 	cfg := restartConfig(tc, scheme, elem, groups)
 
@@ -206,7 +206,7 @@ func TestGatewayRestartKeepsAckedStripes(t *testing.T) {
 func TestGatewayDurableStripesNeverTruncated(t *testing.T) {
 	scheme := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	const elem, groups, wiped = 512, 2, 1
-	tc := newTestCluster(t, scheme, elem, groups, 3, store.ReadOptions{})
+	tc := newTestCluster(t, scheme, elem, groups, 3)
 	defer tc.teardown()
 	cfg := restartConfig(tc, scheme, elem, groups)
 	for i := 0; tc.gw.Store(wiped).Stripes() < 3; i++ {

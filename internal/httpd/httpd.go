@@ -14,8 +14,7 @@
 //	                             stripes instead of sealing one each
 //	GET  /objects/{name}         read it back (degraded reads transparent)
 //	                             ?sequential=1     serve every device run on
-//	                                               one goroutine, unhedged
-//	                             ?hedge=1|0        enable/disable hedged reads
+//	                                               one goroutine
 //	                             ?nocache=1        bypass the decoded cache
 //	                             (a non-boolean knob value is a 400)
 //	HEAD /objects/{name}         metadata only: Content-Length, X-Read-Cost,
@@ -404,19 +403,16 @@ func (s *Server) lookup(name string) (*object, bool) {
 }
 
 // parseReadOptions derives per-request executor options from query
-// parameters, starting from the group store's installed defaults. It
-// reports whether the request also asked to bypass the decoded-payload
-// cache. A read knob whose value is not a boolean is an error naming it;
-// unknown parameters are ignored.
-func (s *Server) parseReadOptions(r *http.Request, grp int) (opts store.ReadOptions, nocache bool, err error) {
-	opts = s.stores[grp].ReadDefaults()
+// parameters onto the zero ReadOptions. It reports whether the request also
+// asked to bypass the decoded-payload cache. A read knob whose value is not
+// a boolean is an error naming it; unknown parameters are ignored.
+func parseReadOptions(r *http.Request) (opts store.ReadOptions, nocache bool, err error) {
 	q := r.URL.Query()
 	for _, knob := range []struct {
 		name string
 		dst  *bool
 	}{
 		{"sequential", &opts.Sequential},
-		{"hedge", &opts.Hedge.Enabled},
 		{"nocache", &nocache},
 	} {
 		if v := q.Get(knob.name); v != "" {
@@ -446,7 +442,7 @@ func (s *Server) getObject(w http.ResponseWriter, r *http.Request, name string) 
 		http.Error(w, "no such object", http.StatusNotFound)
 		return
 	}
-	opts, nocache, err := s.parseReadOptions(r, obj.group)
+	opts, nocache, err := parseReadOptions(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

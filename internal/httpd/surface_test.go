@@ -130,23 +130,22 @@ func getStatus(t *testing.T, url string) httpd.Status {
 
 // TestReadKnobValidation: a read knob whose value is not a boolean answers
 // 400 naming the knob instead of being silently dropped (which served
-// ?nocache=yes from the cache and ?hedge=2 unhedged); unknown parameters,
-// the retired ?concurrency= among them, stay ignored.
+// ?nocache=yes from the cache); unknown parameters, the retired
+// ?concurrency= and ?hedge= among them, stay ignored whatever their value.
 func TestReadKnobValidation(t *testing.T) {
 	forEachSurface(t, httpd.Config{}, func(t *testing.T, s *surface) {
 		payload := putTestObject(t, s.url, "knobs", 3000)
 		for _, c := range []struct{ query, knob string }{
 			{"nocache=yes", "nocache"},
-			{"hedge=2", "hedge"},
 			{"sequential=fast", "sequential"},
-			{"nocache=1&hedge=maybe", "hedge"},
+			{"nocache=1&sequential=maybe", "sequential"},
 		} {
 			resp, body := doReq(t, http.MethodGet, s.url+"/objects/knobs?"+c.query, nil)
 			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.knob) {
 				t.Errorf("?%s: status %d %.80q, want 400 naming %s", c.query, resp.StatusCode, body, c.knob)
 			}
 		}
-		for _, q := range []string{"concurrency=8", "bogus=1", "hedge=", "nocache=1&hedge=0&sequential=true"} {
+		for _, q := range []string{"concurrency=8", "bogus=1", "hedge=", "hedge=2", "nocache=1&hedge=maybe", "nocache=1&hedge=0&sequential=true"} {
 			resp, body := doReq(t, http.MethodGet, s.url+"/objects/knobs?"+q, nil)
 			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
 				t.Errorf("?%s: status %d, want 200 with the payload", q, resp.StatusCode)

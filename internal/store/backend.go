@@ -5,7 +5,7 @@
 // device every New store starts with), DiskStore (a data/checksum file pair,
 // diskdev.go), and the gateway's client for one extent on a data node
 // (internal/gateway). The store's machinery — the fan-out executor's
-// coalesced runs, hedged reads racing parity rebuild, degraded replanning on
+// coalesced runs, degraded replanning on
 // ErrUnavailable, group-commit WAL sealing through the two-phase gate, heal,
 // scrub, rebuild and startup recovery — runs unchanged over any of them. A
 // dead node surfaces as ErrUnavailable from its backend, exactly like a

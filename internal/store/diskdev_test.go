@@ -61,7 +61,6 @@ func TestFileBackendRoundTrip(t *testing.T) {
 		for _, opts := range []ReadOptions{
 			{Sequential: true},
 			{},
-			{Hedge: HedgeConfig{Enabled: true}},
 		} {
 			res, err := s.ReadAtCtx(context.Background(), int64(off), ln, opts)
 			if err != nil {

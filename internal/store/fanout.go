@@ -1,4 +1,4 @@
-// Read executor: the one way the store reads cells. GETs, hedges, heals,
+// Read executor: the one way the store reads cells. GETs, heals,
 // disk rebuild, scrub and startup recovery each hand it a plan
 // and a rule for corrupt runs (execute).
 //
@@ -11,31 +11,21 @@
 // per-node service times rather than their sum, the layout's
 // load-balancing win (PAPER.md §III, Lemma 1) reaches the client, and a
 // data node is asked once per pass. Small plans, ReadOptions.Sequential,
-// heal passes and the nested recovery passes of heals and hedges serve the
-// same batches inline on the calling goroutine.
+// heal passes and the nested recovery passes of heals serve the same batches
+// inline on the calling goroutine.
 //
 // Determinism with the seeded fault injector is preserved by construction:
 // every device's runs draw their faults in ascending offset order on
 // exactly one worker, a pass always drains (devices that turn out
 // unavailable are collected, never raced against with cancellation), and
-// the hedging and load-bias features below are either opt-in or quiescent
-// when the store is idle, so single-threaded replays draw identical
-// per-device fault streams.
+// the load bias below is quiescent when the store is idle, so
+// single-threaded replays draw identical per-device fault streams.
 //
-// Two tail-latency features ride on top:
-//
-//   - Hedged reads (opt-in): each run's primary executes on a child
-//     goroutine; if it has not finished after a delay derived from a live
-//     latency quantile, the worker rebuilds the same cells from a
-//     parity-equivalent recovery set on other devices and the first result
-//     wins. The loser is cancelled through its context — injected stuck-op
-//     sleeps are cancellable — and joined before the read returns.
-//
-//   - Load-aware degraded planning: when a degraded plan must choose among
-//     survivor subsets, live per-device in-flight run counts are fed into
-//     core's exact planner so the choice avoids momentarily busy disks.
-//     With no concurrent load the bias is nil and plans are exactly the
-//     unbiased planner's.
+// Load-aware degraded planning rides on top: when a degraded plan must
+// choose among survivor subsets, live per-device in-flight run counts are
+// fed into core's exact planner so the choice avoids momentarily busy disks.
+// With no concurrent load the bias is nil and plans are exactly the
+// unbiased planner's.
 package store
 
 import (
@@ -43,54 +33,20 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/layout"
 )
 
-// HedgeConfig controls hedged (speculative duplicate) reads. The zero value
-// disables hedging.
-type HedgeConfig struct {
-	// Enabled turns hedging on.
-	Enabled bool
-	// Quantile of recent run latencies after which a straggling run is
-	// hedged. Defaults to 0.9; values outside (0,1) use the default.
-	Quantile float64
-	// Min and Max clamp the derived hedge delay. Min defaults to 1ms; Max
-	// defaults to the store's per-op timeout. Until enough latency samples
-	// accumulate the delay is Max.
-	Min time.Duration
-	Max time.Duration
-}
-
-// ReadOptions selects the execution strategy for one read.
+// ReadOptions selects the execution strategy for one read. The zero value —
+// one worker per node's queues, inline below 64 KiB planned — is what ReadAt
+// uses.
 type ReadOptions struct {
-	// Sequential serves every run on the calling goroutine, unhedged: the
-	// same coalesced pass with one worker and no speculation. Results are
-	// byte-identical either way.
+	// Sequential serves every run on the calling goroutine: the same
+	// coalesced pass with one worker. Results are byte-identical either way.
 	Sequential bool
-	// Hedge configures speculative re-reads of straggling runs.
-	Hedge HedgeConfig
-}
-
-// SetReadOptions installs the default options ReadAt uses. The zero value
-// (one worker per node's queues, inline below 64 KiB planned, no hedging) is
-// the initial default.
-func (s *Store) SetReadOptions(o ReadOptions) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.readOpts = o
-}
-
-// ReadDefaults returns the options installed with SetReadOptions.
-func (s *Store) ReadDefaults() ReadOptions {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.readOpts
 }
 
 // ReadAtCtx is ReadAt with an explicit context and per-call options. The
@@ -108,9 +64,8 @@ func (s *Store) ReadAtCtx(ctx context.Context, off int64, length int, opts ReadO
 	if s.testBeforeHeal != nil {
 		s.testBeforeHeal()
 	}
-	// Corruption found: rerun the pass inline and unhedged under the
-	// exclusive lock so healCell may rewrite devices. Healing never runs on
-	// worker goroutines.
+	// Corruption found: rerun the pass inline under the exclusive lock so
+	// healCell may rewrite devices. Healing never runs on worker goroutines.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.fanoutRead(ctx, off, length, ReadOptions{Sequential: true}, corruptHeals)
@@ -135,9 +90,9 @@ func (s *Store) checkReadRange(off int64, length int) (startElem, count int, err
 }
 
 // stripeCells is one stripe's fetched cell set plus the indices of cells
-// whose buffers came from the shard arena (decoded shards, or hedge results)
-// and go back to it. Device-read cells are fresh buffers the garbage
-// collector reclaims. The containers themselves are pooled per store.
+// whose buffers came from the shard arena (decoded shards) and go back to
+// it. Device-read cells are fresh buffers the garbage collector reclaims.
+// The containers themselves are pooled per store.
 type stripeCells struct {
 	cells [][]byte
 	owned []int
@@ -300,7 +255,7 @@ const (
 	corruptHeals
 	// corruptAvoids replans around the device, as if unavailable. By Lemma 1
 	// it holds one element of each group, so this erases the corrupt cell:
-	// how rebuild, heal and hedge plans read.
+	// how rebuild and heal plans read.
 	corruptAvoids
 )
 
@@ -345,7 +300,7 @@ func (r *served) release() {
 
 // execute is the store's one way to read cells: plan, serve the plan's
 // coalesced runs, and replan around every device a pass took out, until a
-// pass completes. GETs, hedges, heals, rebuild, scrub and
+// pass completes. GETs, heals, rebuild, scrub and
 // recovery all read through it. The caller holds mu shared, or
 // exclusively for corruptHeals (recovery holds no lock: its store is not
 // shared yet). Every goroutine spawned here is joined
@@ -379,14 +334,10 @@ func (s *Store) execute(ctx context.Context, plan planFunc, rule corruptRule, op
 			r.stripes[i] = s.getStripeCells()
 		}
 		p := &fanoutPass{s: s, ctx: ctx, into: r, rule: rule, out: make(map[int]error), errs: make(map[int]error)}
-		if opts.Hedge.Enabled && !opts.Sequential {
-			p.hedge = true
-			p.hedgeDelay = s.hedgeDelay(opts.Hedge)
-		}
 		// Small plans run the same coalesced pass inline: below the
 		// threshold, goroutine dispatch costs more than the per-device
-		// overlap could save. Hedging needs a worker per queue.
-		inline := opts.Sequential || !p.hedge && len(pl.Reads)*s.elemSize < fanoutInlineBytes
+		// overlap could save.
+		inline := opts.Sequential || len(pl.Reads)*s.elemSize < fanoutInlineBytes
 		p.runQueues(buildRuns(s.scheme, pl.Reads), inline)
 		healed += p.healed
 
@@ -420,8 +371,7 @@ func (s *Store) execute(ctx context.Context, plan planFunc, rule corruptRule, op
 
 // around plans targets, cells of device dev, from the rest of the array:
 // dev joins the avoid set, so every target is rebuilt from a recovery set
-// chosen by core's exact planner. Disk rebuild, healing and hedging plan
-// this way.
+// chosen by core's exact planner. Disk rebuild and healing plan this way.
 func (s *Store) around(targets []core.Access, dev int) planFunc {
 	return func(avoid, bias []int) (*core.Plan, error) {
 		if !slices.Contains(avoid, dev) {
@@ -520,19 +470,16 @@ func (s *Store) assemble(r *served, startElem, endElem int, off int64, length in
 
 // fanoutPass is the shared state of one drain-to-completion execution pass.
 type fanoutPass struct {
-	s          *Store
-	ctx        context.Context
-	into       *served
-	rule       corruptRule
-	hedge      bool
-	hedgeDelay time.Duration
-	healed     int // cells healRun rewrote (corruptHeals passes only: one goroutine)
+	s      *Store
+	ctx    context.Context
+	into   *served
+	rule   corruptRule
+	healed int // cells healRun rewrote (corruptHeals passes only: one goroutine)
 
-	mu         sync.Mutex
-	out        map[int]error // devices taken out of the job, and why
-	corrupt    error         // first corrupt run (corruptStops)
-	errs       map[int]error // first internal error per device
-	stragglers sync.WaitGroup
+	mu      sync.Mutex
+	out     map[int]error // devices taken out of the job, and why
+	corrupt error         // first corrupt run (corruptStops)
+	errs    map[int]error // first internal error per device
 }
 
 // slot returns the container a run slot's cell lands in.
@@ -565,15 +512,14 @@ func (p *fanoutPass) fail(dev int, err error) {
 
 // fanoutInlineBytes is the planned-read size below which the executor skips
 // worker goroutines and serves the queues inline: on tiny reads the dispatch
-// cost exceeds anything per-device overlap could recover. Hedging overrides
-// the heuristic.
+// cost exceeds anything per-device overlap could recover.
 const fanoutInlineBytes = 64 << 10
 
-// runQueues serves every device queue and joins them all (including hedged
-// stragglers) before returning. The queues are grouped by node — the map
-// CellStoreConfig.NodeOf sets; with none, each device is its own node — and one
-// worker serves each node's as one backend call: one request to a data
-// node, one pread per run on a local disk. Inline, the nodes are served one
+// runQueues serves every device queue and joins them all before returning.
+// The queues are grouped by node — the map CellStoreConfig.NodeOf sets; with
+// none, each device is its own node — and one worker serves each node's as
+// one backend call: one request to a data node, one pread per run on a local
+// disk. Inline, the nodes are served one
 // after another on the calling goroutine — same coalescing, same order,
 // zero dispatch overhead. Otherwise each node gets its own worker (the
 // caller serves the first), so a device's runs stay on one goroutine, in
@@ -596,7 +542,6 @@ func (p *fanoutPass) runQueues(queues []devQueue, inline bool) {
 		p.serveNode(nodes[0])
 		wg.Wait()
 	}
-	p.stragglers.Wait()
 }
 
 // nodeQueue is one node's runs — its devices' queues in ascending device
@@ -633,17 +578,15 @@ func (s *Store) nodeQueues(queues []devQueue) []nodeQueue {
 	return nodes
 }
 
-// serveNode executes one node's runs. Unhedged they go to the node as one
-// batch (execRuns); hedged, each races its own rebuild (execHedged), one
-// after another. Either way the outcomes settle in order, device by device:
-// a device taken out has its remaining runs skipped — the replan routes
-// around the whole device anyway — while other devices keep draining (no
-// cross-device cancellation, which keeps per-device fault streams
-// deterministic).
+// serveNode executes one node's runs as one batch (execRuns), then settles
+// the outcomes in order, device by device: a device taken out has its
+// remaining runs skipped — the replan routes around the whole device
+// anyway — while other devices keep draining (no cross-device
+// cancellation, which keeps per-device fault streams deterministic).
 func (p *fanoutPass) serveNode(q nodeQueue) {
 	runs, batch := q.runs, q.batch
-	if !p.hedge && p.ctx.Err() == nil {
-		p.execRuns(p.ctx, runs, batch, nil)
+	if p.ctx.Err() == nil {
+		p.execRuns(runs, batch)
 	}
 	out := -1 // the device taken out, skipped until its runs end
 	for i, run := range runs {
@@ -651,11 +594,7 @@ func (p *fanoutPass) serveNode(q nodeQueue) {
 			continue
 		}
 		err := p.ctx.Err()
-		switch {
-		case err != nil:
-		case p.hedge:
-			err = p.execHedged(run)
-		default:
+		if err == nil {
 			err = batch[i].Err
 		}
 		if p.rule == corruptHeals && errors.Is(err, ErrCorrupt) {
@@ -682,11 +621,10 @@ func (p *fanoutPass) serveNode(q nodeQueue) {
 }
 
 // readRuns reads one node's runs as one batch (readRunsCtx). The rule for
-// accounting is the same for every pass — GET, hedge, heal re-read,
-// rebuild, scrub: each run counts in its device's in-flight
-// gauge while the batch is served, and a batch that completes whole feeds
-// its latency to the hedge ring. Both describe the devices, not the caller.
-func (p *fanoutPass) readRuns(ctx context.Context, runs []devRun, batch []Run) {
+// accounting is the same for every pass — GET, heal re-read, rebuild,
+// scrub: each run counts in its device's in-flight gauge while the batch is
+// served. It describes the devices, not the caller.
+func (p *fanoutPass) readRuns(runs []devRun, batch []Run) {
 	s := p.s
 	for _, run := range runs {
 		d := s.devices[run.dev]
@@ -694,27 +632,19 @@ func (p *fanoutPass) readRuns(ctx context.Context, runs []devRun, batch []Run) {
 		d.obsInflight.Add(1)
 		s.Metrics().observeRun(len(run.slots) * s.elemSize)
 	}
-	start := time.Now()
-	s.readRunsCtx(ctx, runs, batch)
-	whole := true
-	for i, run := range runs {
+	s.readRunsCtx(p.ctx, runs, batch)
+	for _, run := range runs {
 		d := s.devices[run.dev]
 		d.inflight.Add(-1)
 		d.obsInflight.Add(-1)
-		whole = whole && batch[i].Err == nil
-	}
-	if whole {
-		s.hedgeLat.observe(time.Since(start))
 	}
 }
 
 // execRuns serves coalesced runs of one node (readRuns) into batch, one
-// entry per run. With staged non-nil — a hedged primary's lone run — the
-// cells go there and commit under the pass lock; otherwise they land
-// directly in the job's containers, which is safe because distinct devices
-// own distinct slots.
-func (p *fanoutPass) execRuns(ctx context.Context, runs []devRun, batch []Run, staged [][]byte) {
-	p.readRuns(ctx, runs, batch)
+// entry per run, and places each run's cells directly in the job's
+// containers, which is safe because distinct devices own distinct slots.
+func (p *fanoutPass) execRuns(runs []devRun, batch []Run) {
+	p.readRuns(runs, batch)
 	es := p.s.elemSize
 	for i, run := range runs {
 		if batch[i].Err != nil {
@@ -722,12 +652,7 @@ func (p *fanoutPass) execRuns(ctx context.Context, runs []devRun, batch []Run, s
 		}
 		flat := batch[i].Data
 		for c, sl := range run.slots {
-			cell := flat[c*es : (c+1)*es : (c+1)*es]
-			if staged != nil {
-				staged[c] = cell
-			} else {
-				p.slot(sl).cells[sl.idx] = cell
-			}
+			p.slot(sl).cells[sl.idx] = flat[c*es : (c+1)*es : (c+1)*es]
 		}
 	}
 }
@@ -739,7 +664,7 @@ func (p *fanoutPass) execRuns(ctx context.Context, runs []devRun, batch []Run, s
 func (p *fanoutPass) healRun(run devRun) error {
 	for i, sl := range run.slots {
 		one := make([]Run, 1)
-		p.readRuns(p.ctx, []devRun{{dev: run.dev, slots: run.slots[i : i+1]}}, one)
+		p.readRuns([]devRun{{dev: run.dev, slots: run.slots[i : i+1]}}, one)
 		cell, err := one[0].Data, one[0].Err
 		if errors.Is(err, ErrCorrupt) {
 			if cell, err = p.s.healCell(p.ctx, sl.key.stripe, sl.key.pos); err == nil {
@@ -752,181 +677,6 @@ func (p *fanoutPass) healRun(run devRun) error {
 		p.slot(sl).cells[sl.idx] = cell
 	}
 	return nil
-}
-
-// commit publishes a completed run's cell buffers into the job's
-// containers. owned marks arena buffers (hedge results) for recycling.
-func (p *fanoutPass) commit(run devRun, vals [][]byte, owned bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, sl := range run.slots {
-		sc := p.slot(sl)
-		sc.cells[sl.idx] = vals[i]
-		if owned {
-			sc.owned = append(sc.owned, sl.idx)
-		}
-	}
-}
-
-// execHedged races a run's primary against a parity-equivalent rebuild. The
-// primary runs on a child goroutine staging into a private buffer; if it has
-// not finished after the hedge delay, the worker rebuilds the same cells
-// from other devices and the first to commit (atomic winner election) wins.
-// The loser's context is cancelled — injected delays and stuck-op waits are
-// cancellable sleeps — and joined via the pass's straggler group.
-func (p *fanoutPass) execHedged(run devRun) error {
-	s := p.s
-	runCtx, cancel := context.WithCancel(p.ctx)
-	defer cancel()
-	// The hedge gets its own child context so a finishing primary can abort
-	// an in-flight rebuild: the worker runs hedgeFetch synchronously, and
-	// without this cancel it would sit out the full rebuild (its device
-	// reads include injected delays) even after the run is already served —
-	// turning a latency hedge into a throughput tax whenever every device is
-	// uniformly slow.
-	hedgeCtx, hedgeCancel := context.WithCancel(runCtx)
-	defer hedgeCancel()
-	primStaged := make([][]byte, len(run.slots))
-	var winner atomic.Int32 // 0 undecided, 1 primary, 2 hedge
-	done := make(chan error, 1)
-	p.stragglers.Add(1)
-	go func() {
-		defer p.stragglers.Done()
-		prim := make([]Run, 1)
-		p.execRuns(runCtx, []devRun{run}, prim, primStaged)
-		err := prim[0].Err
-		if err == nil && winner.CompareAndSwap(0, 1) {
-			p.commit(run, primStaged, false)
-			hedgeCancel()
-		}
-		done <- err
-	}()
-	timer := time.NewTimer(p.hedgeDelay)
-	defer timer.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-timer.C:
-	}
-	s.Metrics().hedge("fired")
-	hedged, herr := p.hedgeFetch(hedgeCtx, run)
-	if herr == nil {
-		if winner.CompareAndSwap(0, 2) {
-			p.commit(run, hedged, true)
-			s.Metrics().hedge("won")
-			return nil
-		}
-		// The primary committed while we were decoding: drop our copy.
-		for _, b := range hedged {
-			s.bufs.PutShard(b)
-		}
-	}
-	err := <-done
-	if err == nil {
-		s.Metrics().hedge("cancelled")
-		return nil
-	}
-	return err
-}
-
-// hedgeFetch rebuilds every cell of a straggling run without reading the
-// straggler: a nested inline, unhedged job plans the run's cells around its
-// device (and every failed one). Returned buffers are arena-owned copies. On
-// any failure it reports the error and the caller falls back to the primary.
-func (p *fanoutPass) hedgeFetch(ctx context.Context, run devRun) ([][]byte, error) {
-	s := p.s
-	targets := make([]core.Access, len(run.slots))
-	for i, sl := range run.slots {
-		targets[i] = core.Access{Disk: run.dev, Stripe: sl.stripe, Pos: sl.key.pos}
-	}
-	r, err := s.execute(ctx, s.around(targets, run.dev), corruptAvoids, ReadOptions{Sequential: true})
-	if err != nil {
-		return nil, fmt.Errorf("store: hedge device %d run at stripe %d: %w", run.dev, targets[0].Stripe, err)
-	}
-	defer r.release()
-	out := make([][]byte, len(targets))
-	for i, t := range targets {
-		cell, err := r.cell(t.Stripe, t.Pos)
-		if err != nil {
-			for _, b := range out[:i] {
-				s.bufs.PutShard(b)
-			}
-			return nil, err
-		}
-		out[i] = s.bufs.GetShard(s.elemSize)
-		copy(out[i], cell)
-	}
-	return out, nil
-}
-
-// latencyRing is a small lock-guarded reservoir of recent run latencies
-// backing the hedge-delay quantile.
-type latencyRing struct {
-	mu  sync.Mutex
-	buf [128]int64
-	n   int // saturates at len(buf)
-	idx int
-}
-
-// hedgeMinSamples is how many latency samples must accumulate before the
-// quantile is trusted; below it the hedge delay stays at its maximum.
-const hedgeMinSamples = 8
-
-func (r *latencyRing) observe(d time.Duration) {
-	r.mu.Lock()
-	r.buf[r.idx] = int64(d)
-	r.idx = (r.idx + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-// quantile returns the q-quantile of the recorded samples, or -1 while
-// fewer than hedgeMinSamples have been observed.
-func (r *latencyRing) quantile(q float64) time.Duration {
-	r.mu.Lock()
-	if r.n < hedgeMinSamples {
-		r.mu.Unlock()
-		return -1
-	}
-	tmp := make([]int64, r.n)
-	copy(tmp, r.buf[:r.n])
-	r.mu.Unlock()
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	i := int(q * float64(len(tmp)))
-	if i >= len(tmp) {
-		i = len(tmp) - 1
-	}
-	return time.Duration(tmp[i])
-}
-
-// hedgeDelay derives the current hedge delay from cfg and the live latency
-// reservoir.
-func (s *Store) hedgeDelay(cfg HedgeConfig) time.Duration {
-	q := cfg.Quantile
-	if q <= 0 || q >= 1 {
-		q = 0.9
-	}
-	min := cfg.Min
-	if min <= 0 {
-		min = time.Millisecond
-	}
-	max := cfg.Max
-	if max <= 0 {
-		max = s.opTimeout
-	}
-	if max < min {
-		max = min
-	}
-	d := s.hedgeLat.quantile(q)
-	if d < 0 || d > max {
-		return max
-	}
-	if d < min {
-		return min
-	}
-	return d
 }
 
 // sleepCtx sleeps for d or until ctx is done, whichever comes first.

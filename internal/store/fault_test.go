@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -239,54 +238,41 @@ func TestHealSurvivesInterleavedFailureWithinTolerance(t *testing.T) {
 // of a multi-stripe read form one run, so corrupting the middle cell of a
 // 3-cell run fails the whole run's checksum. The exclusive retry re-reads
 // that run cell by cell and rebuilds only the corrupt cell: one heal, one
-// device write, exact bytes, clean checksums. With hedging as the store
-// default the result is the same, because the retry never hedges: it slows
-// the corrupt device past the hedge delay, which a hedged retry would
-// answer by rebuilding the run from other devices without healing it.
+// device write, exact bytes, clean checksums.
 func TestHealInsideCoalescedRun(t *testing.T) {
-	for _, hedge := range []bool{false, true} {
-		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
-			sch := core.MustScheme(mustRS(6, 3), layout.FormStandard)
-			s := MustNew(sch, 64)
-			s.SetRetryPolicy(time.Second, 0)
-			if hedge {
-				s.SetReadOptions(ReadOptions{Hedge: HedgeConfig{Enabled: true, Min: 10 * time.Millisecond, Max: 10 * time.Millisecond}})
-			}
-			const stripes, dev = 3, 2
-			want := fill(t, s, stripes*s.stripeBytes(), 20)
-			plan, err := sch.PlanNormalRead(0, stripes*sch.DataPerStripe())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, q := range buildRuns(sch, plan.Reads) {
-				if q.dev == dev && (len(q.runs) != 1 || len(q.runs[0].slots) != stripes) {
-					t.Fatalf("device %d runs %+v, want one %d-cell run", dev, q.runs, stripes)
-				}
-			}
-			if err := s.CorruptCell(1, layout.Pos{Row: 0, Col: dev}); err != nil {
-				t.Fatal(err)
-			}
-			s.testBeforeHeal = func() {
-				s.SetFaultInjector(stubInjector{read: onlyDev(dev, Fault{Delay: 40 * time.Millisecond})})
-			}
-			writes := s.Device(dev).Writes()
-			res, err := s.ReadAt(0, len(want))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(res.Data, want) {
-				t.Fatal("healing read returned wrong bytes")
-			}
-			if res.Healed != 1 {
-				t.Fatalf("Healed = %d, want 1", res.Healed)
-			}
-			if got := s.Device(dev).Writes() - writes; got != 1 {
-				t.Fatalf("device %d took %d writes, want 1 (the healed cell)", dev, got)
-			}
-			if bad := s.VerifyChecksums(); bad != nil {
-				t.Fatalf("checksums after heal: %+v", bad)
-			}
-		})
+	sch := core.MustScheme(mustRS(6, 3), layout.FormStandard)
+	s := MustNew(sch, 64)
+	s.SetRetryPolicy(time.Second, 0)
+	const stripes, dev = 3, 2
+	want := fill(t, s, stripes*s.stripeBytes(), 20)
+	plan, err := sch.PlanNormalRead(0, stripes*sch.DataPerStripe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range buildRuns(sch, plan.Reads) {
+		if q.dev == dev && (len(q.runs) != 1 || len(q.runs[0].slots) != stripes) {
+			t.Fatalf("device %d runs %+v, want one %d-cell run", dev, q.runs, stripes)
+		}
+	}
+	if err := s.CorruptCell(1, layout.Pos{Row: 0, Col: dev}); err != nil {
+		t.Fatal(err)
+	}
+	writes := s.Device(dev).Writes()
+	res, err := s.ReadAt(0, len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Data, want) {
+		t.Fatal("healing read returned wrong bytes")
+	}
+	if res.Healed != 1 {
+		t.Fatalf("Healed = %d, want 1", res.Healed)
+	}
+	if got := s.Device(dev).Writes() - writes; got != 1 {
+		t.Fatalf("device %d took %d writes, want 1 (the healed cell)", dev, got)
+	}
+	if bad := s.VerifyChecksums(); bad != nil {
+		t.Fatalf("checksums after heal: %+v", bad)
 	}
 }
 

@@ -52,10 +52,7 @@ type Metrics struct {
 	epochInval   *obs.Counter
 	zeros        *obs.Counter
 
-	hedgeFired     *obs.Counter
-	hedgeWon       *obs.Counter
-	hedgeCancelled *obs.Counter
-	runBytes       *obs.Histogram
+	runBytes *obs.Histogram
 
 	walQueuedObjects *obs.Gauge
 	walQueuedBytes   *obs.Gauge
@@ -122,15 +119,6 @@ func NewMetrics(reg *obs.Registry, disks int) *Metrics {
 		"Mutation-epoch bumps; each invalidates decoded-read caches.")
 	m.zeros = reg.Counter("ecfrm_store_zero_cells_total",
 		"Cells zero by construction (padding, and parity reading only padding) that seals recorded as zero runs instead of writing.")
-	m.hedgeFired = reg.Counter("ecfrm_store_hedge_total",
-		"Hedged-read outcomes: fired (speculation launched), won (hedge beat the primary), cancelled (primary finished first).",
-		obs.L("outcome", "fired"))
-	m.hedgeWon = reg.Counter("ecfrm_store_hedge_total",
-		"Hedged-read outcomes: fired (speculation launched), won (hedge beat the primary), cancelled (primary finished first).",
-		obs.L("outcome", "won"))
-	m.hedgeCancelled = reg.Counter("ecfrm_store_hedge_total",
-		"Hedged-read outcomes: fired (speculation launched), won (hedge beat the primary), cancelled (primary finished first).",
-		obs.L("outcome", "cancelled"))
 	m.runBytes = reg.Histogram("ecfrm_store_read_run_bytes",
 		"Bytes per coalesced device run issued by the fan-out executor.",
 		obs.ExpBuckets(1024, 4, 9))
@@ -267,21 +255,6 @@ func (m *Metrics) zeroCells(n int) {
 func (m *Metrics) epochBump() {
 	if m != nil {
 		m.epochInval.Inc()
-	}
-}
-
-// hedge records one hedged-read outcome: "fired", "won", or "cancelled".
-func (m *Metrics) hedge(outcome string) {
-	if m == nil {
-		return
-	}
-	switch outcome {
-	case "fired":
-		m.hedgeFired.Inc()
-	case "won":
-		m.hedgeWon.Inc()
-	case "cancelled":
-		m.hedgeCancelled.Inc()
 	}
 }
 

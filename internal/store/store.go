@@ -363,13 +363,6 @@ type Store struct {
 	// executor from allocating per-stripe garbage on every request.
 	bufs      core.Buffers
 	cellsPool sync.Pool // *stripeCells
-
-	// readOpts are the default execution options ReadAt uses (see fanout.go).
-	// Guarded by mu like inject.
-	readOpts ReadOptions
-	// hedgeLat records recent per-run latencies; hedged reads derive their
-	// speculation delay from its quantiles.
-	hedgeLat latencyRing
 }
 
 // New creates a store using the given scheme with elemSize-byte elements.
@@ -502,8 +495,9 @@ func (s *Store) stripeBytes() int { return s.scheme.DataPerStripe() * s.elemSize
 // its Err. Every run first draws its faults from its own device's stream,
 // in that order (readGate), so a seeded plan replays whatever the node
 // grouping. A device taken out by its faults draws no more: its later runs
-// share the error, as the executor skips them. Caller holds mu in either
-// mode.
+// share the error, as the executor skips them. The batch's latency is one
+// sample for each device it read, however many of its runs it held. Caller
+// holds mu in either mode.
 func (s *Store) readRunsCtx(ctx context.Context, runs []devRun, out []Run) {
 	start := time.Now()
 	ready := 0
@@ -532,9 +526,11 @@ func (s *Store) readRunsCtx(ctx context.Context, runs []devRun, out []Run) {
 			}
 		}
 	}
+	folded := -1 // runs of one device are adjacent
 	for _, r := range out {
-		if r.Err == nil {
+		if r.Err == nil && r.Disk != folded {
 			s.devices[r.Disk].observeLatency(time.Since(start))
+			folded = r.Disk
 		}
 	}
 }
@@ -548,8 +544,8 @@ func takesOut(err error) bool { return errors.Is(err, ErrUnavailable) || errors.
 // timed-out/stuck operations, checksum-failing mis-reads (the run is read
 // alone and discarded) — are retried up to the retry budget; a device that
 // exhausts it is ErrUnavailable, so read paths route around it. Waits
-// return early when ctx is done, so hedged and fanned-out reads can abandon
-// a straggling device without leaking a sleeping goroutine. Checksum
+// return early when ctx is done, so a cancelled read can abandon a
+// straggling device without leaking a sleeping goroutine. Checksum
 // failures of the stored bytes themselves surface from the read as
 // ErrCorrupt (persistent corruption: retrying cannot help, healing can).
 func (s *Store) readGate(ctx context.Context, r Run) error {
@@ -942,10 +938,9 @@ type ReadResult struct {
 // rewrites the cell, so the read retries under the exclusive lock.
 //
 // Plans execute as per-device coalesced runs (see fanout.go), concurrently
-// by default; SetReadOptions or ReadAtCtx serve them inline or hedged per
-// call.
+// by default; ReadAtCtx serves them inline per call.
 func (s *Store) ReadAt(off int64, length int) (*ReadResult, error) {
-	return s.ReadAtCtx(context.Background(), off, length, s.ReadDefaults())
+	return s.ReadAtCtx(context.Background(), off, length, ReadOptions{})
 }
 
 // PlanRead plans the read of length bytes at offset off — normal or

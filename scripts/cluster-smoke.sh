@@ -12,8 +12,8 @@
 #      together, 9 fsyncs each) and per GET; and from the gateway's, each
 #      60,000-byte PUT ships its 24 cells that user bytes reach (15 data, 9
 #      parity: 98,304 bytes) and none of the stripe's 3 padding cells,
-#   2. hedged GETs under an injected slow-device fault plan fire the hedge
-#      counters (ecfrm_store_hedge_total{...outcome="fired"}),
+#   2. under an injected slow-device fault plan every object still GETs
+#      back byte-identical,
 #   3. SIGKILLing one node mid-traffic loses ZERO reads: every in-flight and
 #      subsequent GET keeps returning byte-identical payloads, reconstructed
 #      degraded over the surviving nodes,
@@ -127,7 +127,7 @@ start_gateway() { # start_gateway <log> <form> [flags...] — every start takes 
     "$BIN" -mode=gateway -addr "127.0.0.1:$GW_PORT" -elem 4096 \
         -code rs -k 6 -m 3 -form "$form" -groups 4 \
         -nodes "http://127.0.0.1:$N1_PORT,http://127.0.0.1:$N2_PORT,http://127.0.0.1:$N3_PORT" \
-        -hedge -hedge-quantile 0.5 -probe-interval 200ms -wal-flush-interval 5ms \
+        -probe-interval 200ms -wal-flush-interval 5ms \
         -faults "$TMP/start-plan.json" -obs -obs-interval 200ms "$@" \
         >"$log" 2>&1 &
     GW_PID=$!
@@ -198,11 +198,9 @@ done
 reqs1=$(node_sum ecfrm_node_request_seconds_count)
 syncs1=$(node_sum ecfrm_node_syncs_total)
 shipped1=$(gw_sum ecfrm_gateway_node_write_bytes_total)
-# Hedged reads send each run on its own (a run races its own rebuild), so the
-# count is taken unhedged.
 i=0
 while [ "$i" -lt "$QUIET" ]; do
-    gw "/objects/quiet-$i?nocache=1&hedge=0" -o "$TMP/out.bin"
+    gw "/objects/quiet-$i?nocache=1" -o "$TMP/out.bin"
     cmp -s "$TMP/quiet-$i.bin" "$TMP/out.bin" || {
         echo "cluster-smoke: quiet phase: GET quiet-$i returned wrong bytes" >&2
         exit 1
@@ -216,18 +214,13 @@ wire_check "cell bytes shipped for $QUIET PUTs" $((shipped1 - shipped0)) -eq $((
 wire_check "node requests for $QUIET GETs" $((reqs2 - reqs1)) -le $((3 * QUIET))
 echo "cluster-smoke: $QUIET PUTs took $((reqs1 - reqs0)) node requests, $((syncs1 - syncs0)) fsyncs and $((shipped1 - shipped0)) cell bytes, $QUIET GETs $((reqs2 - reqs1)) requests"
 
-# --- 2. hedge activity under an injected slow device -------------------------
+# --- 2. byte-identical reads under an injected slow device -------------------
 cat >"$TMP/plan.json" <<'EOF'
 {"seed": 5, "policies": [{"device": 0, "latency": 8000000, "jitter": 4000000}]}
 EOF
 gw /faults -X PUT --data-binary @"$TMP/plan.json" -o /dev/null
-verify_all "&hedge=1" "hedge warmup" # populates the hedge latency rings
-verify_all "&hedge=1" "hedged"
-gw /metrics >"$TMP/hedge.prom"
-grep -Eq 'ecfrm_store_hedge_total\{[^}]*outcome="fired"\} [1-9]' "$TMP/hedge.prom" || {
-    echo "cluster-smoke: hedges never fired under the slow-device plan" >&2
-    exit 1
-}
+verify_all "" "slow device 0"
+verify_all "&sequential=1" "slow device 0, sequential"
 gw /faults -X DELETE -o /dev/null
 
 # --- 3. SIGKILL one node mid-traffic: zero failed reads ----------------------
@@ -239,7 +232,7 @@ echo "cluster-smoke: SIGKILL node 3 under live GET traffic"
         i=0
         while [ "$i" -lt "$OBJECTS" ]; do
             q=""
-            [ $((i % 3)) -eq 1 ] && q="&hedge=1"
+            [ $((i % 3)) -eq 1 ] && q="&sequential=1"
             if ! curl -fsS -o "$TMP/bg-out.bin" "http://127.0.0.1:$GW_PORT/objects/obj-$i?nocache=1$q"; then
                 echo "GET obj-$i$q failed (round $round)" >>"$TMP/readerr"
             elif ! cmp -s "$TMP/obj-$i.bin" "$TMP/bg-out.bin"; then
