@@ -238,42 +238,49 @@ func TestHealSurvivesInterleavedFailureWithinTolerance(t *testing.T) {
 // of a multi-stripe read form one run, so corrupting the middle cell of a
 // 3-cell run fails the whole run's checksum. The exclusive retry re-reads
 // that run cell by cell and rebuilds only the corrupt cell: one heal, one
-// device write, exact bytes, clean checksums.
+// device write, exact bytes, clean checksums, even with the corrupt device
+// slowed before the retry.
 func TestHealInsideCoalescedRun(t *testing.T) {
-	sch := core.MustScheme(mustRS(6, 3), layout.FormStandard)
-	s := MustNew(sch, 64)
-	s.SetRetryPolicy(time.Second, 0)
-	const stripes, dev = 3, 2
-	want := fill(t, s, stripes*s.stripeBytes(), 20)
-	plan, err := sch.PlanNormalRead(0, stripes*sch.DataPerStripe())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range buildRuns(sch, plan.Reads) {
-		if q.dev == dev && (len(q.runs) != 1 || len(q.runs[0].slots) != stripes) {
-			t.Fatalf("device %d runs %+v, want one %d-cell run", dev, q.runs, stripes)
+	// The subtest keeps the name it had beside a hedged variant.
+	t.Run("hedge=false", func(t *testing.T) {
+		sch := core.MustScheme(mustRS(6, 3), layout.FormStandard)
+		s := MustNew(sch, 64)
+		s.SetRetryPolicy(time.Second, 0)
+		const stripes, dev = 3, 2
+		want := fill(t, s, stripes*s.stripeBytes(), 20)
+		plan, err := sch.PlanNormalRead(0, stripes*sch.DataPerStripe())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := s.CorruptCell(1, layout.Pos{Row: 0, Col: dev}); err != nil {
-		t.Fatal(err)
-	}
-	writes := s.Device(dev).Writes()
-	res, err := s.ReadAt(0, len(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Data, want) {
-		t.Fatal("healing read returned wrong bytes")
-	}
-	if res.Healed != 1 {
-		t.Fatalf("Healed = %d, want 1", res.Healed)
-	}
-	if got := s.Device(dev).Writes() - writes; got != 1 {
-		t.Fatalf("device %d took %d writes, want 1 (the healed cell)", dev, got)
-	}
-	if bad := s.VerifyChecksums(); bad != nil {
-		t.Fatalf("checksums after heal: %+v", bad)
-	}
+		for _, q := range buildRuns(sch, plan.Reads) {
+			if q.dev == dev && (len(q.runs) != 1 || len(q.runs[0].slots) != stripes) {
+				t.Fatalf("device %d runs %+v, want one %d-cell run", dev, q.runs, stripes)
+			}
+		}
+		if err := s.CorruptCell(1, layout.Pos{Row: 0, Col: dev}); err != nil {
+			t.Fatal(err)
+		}
+		s.testBeforeHeal = func() {
+			s.SetFaultInjector(stubInjector{read: onlyDev(dev, Fault{Delay: 40 * time.Millisecond})})
+		}
+		writes := s.Device(dev).Writes()
+		res, err := s.ReadAt(0, len(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res.Data, want) {
+			t.Fatal("healing read returned wrong bytes")
+		}
+		if res.Healed != 1 {
+			t.Fatalf("Healed = %d, want 1", res.Healed)
+		}
+		if got := s.Device(dev).Writes() - writes; got != 1 {
+			t.Fatalf("device %d took %d writes, want 1 (the healed cell)", dev, got)
+		}
+		if bad := s.VerifyChecksums(); bad != nil {
+			t.Fatalf("checksums after heal: %+v", bad)
+		}
+	})
 }
 
 // TestHealExported: HealStripe repairs exactly the corrupt cell and
