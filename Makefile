@@ -32,9 +32,11 @@ race-io:
 # A fast benchmark pass (one short iteration per benchmark) that catches
 # panics/regressions in the bench harnesses without waiting for full timings.
 # RebuildAtRate is the repair scheduler's MTTR-vs-rate-limit curve (mttr_ms at
-# 4/16/64 MiB/s).
+# 4/16/64 MiB/s); ObjectGet prints the B/op of a 20-element GET through
+# httpd, single and gateway mode, so a per-byte allocation creeping back
+# into the read path shows in every run.
 bench-smoke:
-	$(GO) test -run NONE -bench 'Encode|Reconstruct|RebuildAtRate' -benchtime 1x -benchmem ./...
+	$(GO) test -run NONE -bench 'Encode|Reconstruct|RebuildAtRate|ObjectGet' -benchtime 1x -benchmem ./...
 
 # The nested benchmark module (bench/, its own go.mod): root `go vet ./...`
 # and `go test ./...` never reach it, so vet and test it here, then run one

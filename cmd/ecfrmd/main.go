@@ -169,14 +169,6 @@ var (
 	nodeTimeout = flag.Duration("node-timeout", 5*time.Second, "per-node request timeout before a node counts as unavailable (gateway mode)")
 )
 
-// heapFloor keeps the garbage collector's pacing sane for a process that
-// holds almost nothing — the write path keeps no bytes after an ack — yet
-// moves megabytes per request: under GOGC's proportional trigger alone a
-// ~10 MB live heap is collected every ~7 GETs, a third more CPU per GET than
-// collecting every few dozen. The slice is never touched, so it costs address
-// space, not memory; the collector just treats the heap as at least this big.
-var heapFloor = make([]byte, 32<<20)
-
 func main() {
 	flag.Parse()
 	if err := checkFlags(*fsync); err != nil {

@@ -58,6 +58,8 @@ type Server struct {
 	mu    sync.Mutex
 	disks map[diskKey]store.CellBackend
 
+	runs *store.RunPool // batch reads' buffers, and write frames'
+
 	// manMu guards the manifest copies (in gNNNN.manifest files with a Dir).
 	manMu     sync.Mutex
 	manifests map[int][]byte
@@ -82,6 +84,7 @@ func New(cfg Config) (*Server, error) {
 		mux:       http.NewServeMux(),
 		disks:     make(map[diskKey]store.CellBackend),
 		manifests: make(map[int][]byte),
+		runs:      store.NewRunPool(cfg.ElemSize),
 		reg:       cfg.Registry,
 	}
 	if s.reg != nil {

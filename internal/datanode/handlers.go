@@ -63,9 +63,9 @@ func pathKey(r *http.Request) (diskKey, error) {
 }
 
 // handleReadRuns serves a batch read: every listed run's cells in one frame,
-// in list order, sent from where each run's read left them. Runs the node
-// never stored are named in the missing header instead; a batch of which no
-// run is present answers 404.
+// in list order, sent from the pooled buffer each run was read into. Runs
+// the node never stored are named in the missing header instead; a batch of
+// which no run is present answers 404.
 func (s *Server) handleReadRuns(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	refs, err := nodeapi.ParseRuns(q.Get("runs"), q.Get("zero"), s.cfg.ElemSize)
@@ -74,6 +74,12 @@ func (s *Server) handleReadRuns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	runs := make([]store.Run, len(refs))
+	lent := make([]*store.RunBuf, len(refs))
+	defer func() {
+		for _, b := range lent {
+			s.runs.Put(b) // the frame is written
+		}
+	}()
 	crcs := make([][]uint32, 0, len(refs))
 	var missing []int
 	cells := 0
@@ -84,6 +90,8 @@ func (s *Server) handleReadRuns(w http.ResponseWriter, r *http.Request) {
 		}
 		runs[i] = store.Run{Disk: ref.Disk, Slot: ref.Slot, Count: ref.Count, Err: store.ErrCellMissing}
 		if ds, _ := s.getDisk(diskKey{ref.Group, ref.Disk}, false); ds != nil {
+			lent[i] = s.runs.Get(ref.Count * s.cfg.ElemSize)
+			runs[i].Data, runs[i].CRCs = lent[i].Data, lent[i].CRCs
 			ds.ReadRuns(runs[i : i+1])
 		}
 		switch err := runs[i].Err; {
@@ -124,7 +132,7 @@ func (s *Server) handleReadRuns(w http.ResponseWriter, r *http.Request) {
 // with nothing from the frame, and with ?sync=1 every named extent is
 // fsynced before the answer. A run of no cells writes nothing and never
 // creates an extent; its barrier on an extent never stored is a durable
-// no-op.
+// no-op. The frame's pooled buffer goes back once the extents wrote it.
 func (s *Server) handleWriteRuns(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	refs, err := nodeapi.ParseRuns(q.Get("runs"), q.Get("zero"), s.cfg.ElemSize)
@@ -136,12 +144,13 @@ func (s *Server) handleWriteRuns(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
 		return
 	}
-	body, err := store.ReadBody(io.LimitReader(r.Body, nodeapi.MaxBatchBytes+1), r.ContentLength)
+	buf, err := s.runs.ReadBody(io.LimitReader(r.Body, nodeapi.MaxBatchBytes+1), r.ContentLength)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(body) > nodeapi.MaxBatchBytes {
+	defer s.runs.Put(buf)
+	if len(buf.Data) > nodeapi.MaxBatchBytes {
 		http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
 		return
 	}
@@ -153,8 +162,8 @@ func (s *Server) handleWriteRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	var data []byte
 	var crcs []uint32
-	if cells > 0 || len(body) > 0 {
-		if data, crcs, err = nodeapi.DecodeRun(body, s.cfg.ElemSize); err == nil && len(crcs) != cells {
+	if cells > 0 || len(buf.Data) > 0 {
+		if data, crcs, err = nodeapi.DecodeRun(buf.Data, s.cfg.ElemSize); err == nil && len(crcs) != cells {
 			err = fmt.Errorf("frame carries %d cells for runs of %d", len(crcs), cells)
 		}
 		if err != nil {

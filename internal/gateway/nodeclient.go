@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/nodeapi"
@@ -18,29 +17,20 @@ import (
 )
 
 // nodeClient is the gateway's connection to one data node: a pooled HTTP
-// client plus its live load signals (in-flight requests, latency EWMA),
-// which only feed the ecfrm_gateway_node_inflight and
-// ecfrm_gateway_node_latency_ewma_seconds gauges. Requests queue in the
-// transport's connection pool. The degraded planner does not read these
-// signals: its bias is the group store's per-device in-flight count summed
-// per node (store's inflightBias).
+// client and its traffic counters. Requests queue in the transport's
+// connection pool. The node's load signals live in the group stores: the
+// degraded planner's bias is their per-device in-flight count summed per
+// node (store's inflightBias), and the limping-disk detector reads their
+// per-device latency EWMAs.
 type nodeClient struct {
 	base string // http://host:port, no trailing slash
 	hc   *http.Client
-
-	// inflight counts requests currently on the wire; ewmaNanos is an
-	// exponentially weighted moving average (α = 1/8) of request latency.
-	inflight  atomic.Int64
-	ewmaNanos atomic.Int64
 
 	readBytes  *obs.Counter // cell payload bytes fetched from this node
 	writeBytes *obs.Counter // cell payload bytes shipped to this node
 	errs       *obs.Counter
 	upGauge    *obs.Gauge
 }
-
-// ewmaAlphaShift: newEWMA = old + (sample-old)/8.
-const ewmaAlphaShift = 3
 
 func newNodeClient(id int, base string, timeout time.Duration, reg *obs.Registry) *nodeClient {
 	if timeout <= 0 {
@@ -65,37 +55,12 @@ func newNodeClient(id int, base string, timeout time.Duration, reg *obs.Registry
 	nc.upGauge = reg.Gauge("ecfrm_gateway_node_up",
 		"1 while the node answers health probes.", l)
 	nc.upGauge.Set(1)
-	reg.GaugeFunc("ecfrm_gateway_node_inflight",
-		"Requests currently on the wire per node.",
-		func() float64 { return float64(nc.inflight.Load()) }, l)
-	reg.GaugeFunc("ecfrm_gateway_node_latency_ewma_seconds",
-		"EWMA of node request latency.",
-		func() float64 { return time.Duration(nc.ewmaNanos.Load()).Seconds() }, l)
 	return nc
 }
 
-// observe folds one request's latency into the EWMA.
-func (nc *nodeClient) observe(d time.Duration) {
-	sample := d.Nanoseconds()
-	for {
-		old := nc.ewmaNanos.Load()
-		next := old + (sample-old)>>ewmaAlphaShift
-		if old == 0 {
-			next = sample
-		}
-		if nc.ewmaNanos.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// do runs one request with the load accounting every call shares.
+// do runs one request, counting a transport failure.
 func (nc *nodeClient) do(req *http.Request) (*http.Response, error) {
-	nc.inflight.Add(1)
-	t0 := time.Now()
 	resp, err := nc.hc.Do(req)
-	nc.inflight.Add(-1)
-	nc.observe(time.Since(t0))
 	if err != nil {
 		nc.errs.Inc()
 	}
@@ -267,12 +232,13 @@ func (rc *remoteCell) path(runs []store.Run, req []piece, sync bool) string {
 	return rc.url(nodeapi.RunsPath(refs, sync))
 }
 
-// ReadRuns reads the batch, one request per cut (requests). A run's cells
-// alias the reply buffer when one reply carries them all. A request that
-// fails — transport, status, a short or malformed frame — fails its runs.
+// ReadRuns reads the batch, one request per cut (requests), into each run's
+// buffers (store.Run.ReadBuffers). A request that fails — transport,
+// status, a short or malformed frame — fails its runs.
 func (rc *remoteCell) ReadRuns(runs []store.Run) {
 	for i := range runs {
-		runs[i].Data, runs[i].CRCs, runs[i].Err = nil, nil, nil
+		runs[i].ReadBuffers(rc.elem)
+		runs[i].Err = nil
 	}
 	for _, req := range rc.requests(runs, false) {
 		if err := rc.readRequest(runs, req); err != nil {
@@ -293,8 +259,8 @@ func (rc *remoteCell) ReadRuns(runs []store.Run) {
 
 // readRequest issues one batch read and settles its pieces: a piece the
 // node names missing fails its run with store.ErrCellMissing (reconstruct
-// from the group, not replan); the rest take their cells from the frame, in
-// list order.
+// from the group, not replan); the rest read their checksums and cells
+// off the wire into their run's buffers, in list order.
 func (rc *remoteCell) readRequest(runs []store.Run, req []piece) error {
 	hreq, err := http.NewRequest(http.MethodGet, rc.path(runs, req, false), nil)
 	if err != nil {
@@ -317,60 +283,51 @@ func (rc *remoteCell) readRequest(runs []store.Run, req []piece) error {
 		}
 		nMissing = len(idx)
 	}
-	var data []byte
-	var crcs []uint32
+	es := rc.elem
 	switch {
 	case resp.StatusCode == http.StatusNotFound && nMissing == len(req):
 		drainClose(resp)
 	case resp.StatusCode != http.StatusOK:
 		return errBody(rc.nc, resp)
 	default:
-		// The run list and the missing header fix the frame's size: read it
-		// into a buffer of exactly that many bytes, then require the end of
-		// the body. A short or long answer fails the request — the store
-		// slices each run's buffer count ways, so this is where a node's
-		// answer is checked.
+		// The run list and the missing header fix the frame, and the body
+		// must end with it: a short or long answer fails the request — the
+		// store slices each run's buffer count ways, so this is where a
+		// node's answer is checked.
+		crcs := make([][]uint32, 0, len(req)-nMissing)
 		want := 0
 		for j, p := range req {
 			if !missing[j] {
+				crcs = append(crcs, runs[p.run].CRCs[p.from:p.from+p.n])
 				want += p.n
 			}
 		}
-		body, err := store.ReadBody(resp.Body, int64(nodeapi.FrameLen(rc.elem, want)))
+		head := make([]byte, nodeapi.HeadLen(want))
+		_, err := io.ReadFull(resp.Body, head)
 		if err == nil {
-			if _, end := io.ReadFull(resp.Body, make([]byte, 1)); end != io.EOF {
+			err = nodeapi.DecodeHead(head, es, crcs)
+		}
+		for j, p := range req {
+			if err == nil && !missing[j] {
+				_, err = io.ReadFull(resp.Body, runs[p.run].Data[p.from*es:(p.from+p.n)*es])
+			}
+		}
+		if err == nil {
+			if _, end := io.ReadFull(resp.Body, head[:1]); end != io.EOF {
 				err = fmt.Errorf("reply is not a %d-cell frame", want)
 			}
 		}
 		resp.Body.Close()
-		if err == nil {
-			data, crcs, err = nodeapi.DecodeRun(body, rc.elem)
-		}
 		if err != nil {
 			return fmt.Errorf("node %s: batch of %d cells: %w", rc.nc.base, want, err)
 		}
-		rc.nc.readBytes.Add(int64(len(data)))
+		rc.nc.readBytes.Add(int64(want * es))
 	}
-	es := rc.elem
 	for j, p := range req {
-		r := &runs[p.run]
-		switch {
-		case missing[j]:
-			if r.Err == nil {
-				r.Err = fmt.Errorf("%w: node %s group %d disk %d slot %d",
-					store.ErrCellMissing, rc.nc.base, rc.group, r.Disk, r.Slot+p.from)
-			}
-			continue
-		case p.n == r.Count:
-			r.Data, r.CRCs = data[:p.n*es:p.n*es], crcs[:p.n:p.n]
-		case r.Err == nil:
-			if r.Data == nil {
-				r.Data, r.CRCs = make([]byte, r.Count*es), make([]uint32, r.Count)
-			}
-			copy(r.Data[p.from*es:], data[:p.n*es])
-			copy(r.CRCs[p.from:], crcs[:p.n])
+		if r := &runs[p.run]; missing[j] && r.Err == nil {
+			r.Err = fmt.Errorf("%w: node %s group %d disk %d slot %d",
+				store.ErrCellMissing, rc.nc.base, rc.group, r.Disk, r.Slot+p.from)
 		}
-		data, crcs = data[p.n*es:], crcs[p.n:]
 	}
 	return nil
 }

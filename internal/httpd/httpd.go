@@ -85,10 +85,9 @@ const (
 
 // cachedRead is one decoded GET result, valid while the store epoch holds.
 type cachedRead struct {
-	epoch   int64
-	data    []byte
-	cost    float64
-	maxLoad int
+	epoch int64
+	data  []byte
+	plan  *core.Plan
 }
 
 // object is one stored object: its group and its offset and size in that
@@ -326,14 +325,18 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) putObject(w http.ResponseWriter, r *http.Request, name string) {
-	// One exactly sized buffer, which the WAL borrows until the object
-	// commits: the body is never copied again in user space.
-	body, err := store.ReadBody(r.Body, r.ContentLength)
+	// One exactly sized pooled buffer, which the WAL borrows until the
+	// object commits: the body is never copied again in user space.
+	grp := s.groupOf(name)
+	pool := s.stores[grp].RunPool()
+	buf, err := pool.ReadBody(r.Body, r.ContentLength)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	body := buf.Data
 	if len(body) == 0 {
+		pool.Put(buf)
 		http.Error(w, "empty object", http.StatusBadRequest)
 		return
 	}
@@ -346,6 +349,7 @@ func (s *Server) putObject(w http.ResponseWriter, r *http.Request, name string) 
 	s.mu.Lock()
 	if _, exists := s.objects[name]; exists {
 		s.mu.Unlock()
+		pool.Put(buf)
 		http.Error(w, "object exists (store is append-only)", http.StatusConflict)
 		return
 	}
@@ -354,13 +358,13 @@ func (s *Server) putObject(w http.ResponseWriter, r *http.Request, name string) 
 
 	// Queue into the group's WAL and wait for the group commit that makes
 	// the bytes durable. Many concurrent PUTs pack into shared stripes here.
-	grp := s.groupOf(name)
 	off, err := s.wals[grp].Put(r.Context(), body)
 	if err != nil {
 		// The commit failed or the client gave up: free the name so a
 		// retry can claim it. Fault-aborted commits are transient by
 		// construction (the WAL retains its queue and retries), so steer
-		// the client back just like degraded reads do.
+		// the client back just like degraded reads do. The WAL may still
+		// hold the body, so it is dropped, not pooled.
 		s.mu.Lock()
 		delete(s.objects, name)
 		s.mu.Unlock()
@@ -380,6 +384,7 @@ func (s *Server) putObject(w http.ResponseWriter, r *http.Request, name string) 
 		return
 	}
 	obj.group, obj.off, obj.size = grp, off, len(body)
+	pool.Put(buf)             // acked: the WAL holds no reference
 	obj.committed.Store(true) // publish: readers load-acquire this flag
 	w.WriteHeader(http.StatusCreated)
 	if len(s.stores) > 1 {
@@ -447,7 +452,9 @@ func (s *Server) getObject(w http.ResponseWriter, r *http.Request, name string) 
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	data, cost, maxLoad, err := s.readObject(r.Context(), obj, opts, nocache)
+	// Every cell, decoded ones included, is in hand before the status
+	// line: a read that fails is a 503, never a truncated 200.
+	res, err := s.readObject(r.Context(), obj, opts, nocache)
 	if err != nil {
 		// Both flavors of degradation are availability failures, but
 		// exhausted retries against slow/erroring devices are transient:
@@ -458,8 +465,10 @@ func (s *Server) getObject(w http.ResponseWriter, r *http.Request, name string) 
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	s.setReadHeaders(w.Header(), obj.group, cost, maxLoad)
-	w.Write(data)
+	defer res.Release()
+	s.setReadHeaders(w.Header(), obj.group, res.Plan.Cost(), res.Plan.MaxLoad())
+	w.Header().Set("Content-Length", strconv.Itoa(obj.size))
+	res.WriteTo(w) // a client gone mid-body ends the reply; Release still runs
 }
 
 // headObject serves object metadata without decoding or transferring the
@@ -482,14 +491,15 @@ func (s *Server) headObject(w http.ResponseWriter, name string) {
 	w.WriteHeader(http.StatusOK)
 }
 
-// readObject returns the object's decoded payload, serving from the
-// epoch-tagged cache when valid and filling it otherwise. The per-object
-// mutex is held only for a cache-consulting decode, never while writing the
+// readObject returns the object's payload: the epoch-tagged cache's when
+// valid, a contiguous read that fills it when the object may be cached,
+// and otherwise a streamed one, which the caller Releases. The per-object
+// mutex is held only for a cache-consulting read, never while writing the
 // response, and cached payloads are immutable once published. The context
 // cancels device waits when the client disconnects; nocache requests
 // neither consult nor fill the cache (latency benchmarking must hit the
 // executor every time), so they skip the mutex and concurrent ones overlap.
-func (s *Server) readObject(ctx context.Context, obj *object, opts store.ReadOptions, nocache bool) ([]byte, float64, int, error) {
+func (s *Server) readObject(ctx context.Context, obj *object, opts store.ReadOptions, nocache bool) (*store.ReadResult, error) {
 	st := s.stores[obj.group]
 	var epoch int64
 	if !nocache {
@@ -499,7 +509,7 @@ func (s *Server) readObject(ctx context.Context, obj *object, opts store.ReadOpt
 		if c := obj.cache; c != nil {
 			if c.epoch == epoch {
 				s.cacheHits.Inc()
-				return c.data, c.cost, c.maxLoad, nil
+				return &store.ReadResult{Data: c.data, Plan: c.plan}, nil
 			}
 			// Stale: drop it and release its budget before re-reading.
 			s.cacheBytes.Add(-int64(len(c.data)))
@@ -507,19 +517,19 @@ func (s *Server) readObject(ctx context.Context, obj *object, opts store.ReadOpt
 		}
 	}
 	s.cacheMisses.Inc()
-	res, err := st.ReadAtCtx(ctx, obj.off, obj.size, opts)
-	if err != nil {
-		return nil, 0, 0, err
+	// Cache small objects while the budget lasts: only a fill makes a
+	// contiguous copy.
+	if nocache || obj.size > maxCachedObjectBytes || s.cacheBytes.Load()+int64(obj.size) > cacheBudgetBytes {
+		return st.ReadStream(ctx, obj.off, obj.size, opts)
 	}
-	cost, maxLoad := res.Plan.Cost(), res.Plan.MaxLoad()
-	// Cache small objects while the budget lasts. A healing read bumps the
-	// epoch itself, so re-check: only results still current are cacheable.
-	if !nocache && obj.size <= maxCachedObjectBytes && st.Epoch() == epoch && res.Healed == 0 &&
-		s.cacheBytes.Load()+int64(len(res.Data)) <= cacheBudgetBytes {
-		obj.cache = &cachedRead{epoch: epoch, data: res.Data, cost: cost, maxLoad: maxLoad}
+	res, err := st.ReadAtCtx(ctx, obj.off, obj.size, opts)
+	// A healing read bumps the epoch itself, so re-check: only results
+	// still current are cacheable.
+	if err == nil && st.Epoch() == epoch && res.Healed == 0 {
+		obj.cache = &cachedRead{epoch: epoch, data: res.Data, plan: res.Plan}
 		s.cacheBytes.Add(int64(len(res.Data)))
 	}
-	return res.Data, cost, maxLoad, nil
+	return res, err
 }
 
 // Status is the admin status document. Counters sum over the placement
@@ -543,6 +553,7 @@ type Status struct {
 	CachedBytes    int64   `json:"cached_bytes"`
 	WALQueued      int     `json:"wal_queued_objects"`
 	WALQueuedBytes int     `json:"wal_queued_bytes"`
+	RunBuffersLent int     `json:"run_buffers_lent"` // zero while no request is in flight
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -572,6 +583,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		q, qb := s.wals[grp].Depth()
 		st.WALQueued += q
 		st.WALQueuedBytes += qb
+		st.RunBuffersLent += gs.RunPool().Lent()
 		fd := gs.FailedDisks()
 		for _, d := range fd {
 			failed[d] = true

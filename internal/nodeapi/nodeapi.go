@@ -58,9 +58,6 @@ const MaxBatchRuns = 1024
 // frame; a read of which no run is present answers 404.
 const MissingHeader = "X-Ecfrm-Missing"
 
-// FrameLen is the size of a frame of cells cells of elem bytes.
-func FrameLen(elem, cells int) int { return runHeaderLen + (4+elem)*cells }
-
 // MaxCells is the most cells of elem bytes one batch frame may carry.
 func MaxCells(elem int) int { return (MaxBatchBytes - runHeaderLen) / (elem + 4) }
 
@@ -95,26 +92,44 @@ func EncodeRun(elem int, data []byte, crcs []uint32) []byte {
 // (magic, element size agreement, a count within MaxBatchBytes, exact
 // length). The slices it returns alias body.
 func DecodeRun(body []byte, wantElem int) (data []byte, crcs []uint32, err error) {
-	if len(body) < runHeaderLen || string(body[:4]) != Magic {
-		return nil, nil, fmt.Errorf("nodeapi: bad cell-run frame (%d bytes)", len(body))
+	count := 0
+	if len(body) >= runHeaderLen {
+		count = int(binary.LittleEndian.Uint32(body[8:]))
 	}
-	elem := int(binary.LittleEndian.Uint32(body[4:]))
-	count := int(binary.LittleEndian.Uint32(body[8:]))
-	if elem != wantElem || elem < 1 {
-		return nil, nil, fmt.Errorf("nodeapi: element size %d, want %d", elem, wantElem)
-	}
-	if count < 1 || count > MaxCells(elem) {
-		return nil, nil, fmt.Errorf("nodeapi: cell count %d out of range", count)
-	}
-	if want := FrameLen(elem, count); len(body) != want {
-		return nil, nil, fmt.Errorf("nodeapi: frame is %d bytes, want %d for %d cells of %d",
-			len(body), want, count, elem)
+	if count < 1 || wantElem < 1 || count > MaxCells(wantElem) || len(body) != HeadLen(count)+count*wantElem {
+		return nil, nil, fmt.Errorf("nodeapi: bad cell-run frame of %d bytes (%d cells of %d)", len(body), count, wantElem)
 	}
 	crcs = make([]uint32, count)
-	for i := range crcs {
-		crcs[i] = binary.LittleEndian.Uint32(body[runHeaderLen+4*i:])
+	if err := DecodeHead(body[:HeadLen(count)], wantElem, [][]uint32{crcs}); err != nil {
+		return nil, nil, err
 	}
-	return body[runHeaderLen+4*count:], crcs, nil
+	return body[HeadLen(count):], crcs, nil
+}
+
+// HeadLen is the size of a frame's header and checksum array for cells
+// cells: what FrameHead returns, and the payloads follow.
+func HeadLen(cells int) int { return runHeaderLen + 4*cells }
+
+// DecodeHead is FrameHead's inverse: it checks head — magic, element size,
+// a count of exactly the cells crcs has room for — and fills crcs run by
+// run, so a reader that knows its frame's cells reads the payloads that
+// follow straight to where they belong.
+func DecodeHead(head []byte, elem int, crcs [][]uint32) error {
+	cells := 0
+	for _, c := range crcs {
+		cells += len(c)
+	}
+	if len(head) != HeadLen(cells) || string(head[:4]) != Magic ||
+		binary.LittleEndian.Uint32(head[4:]) != uint32(elem) || binary.LittleEndian.Uint32(head[8:]) != uint32(cells) {
+		return fmt.Errorf("nodeapi: bad frame head of %d bytes for %d cells of %d", len(head), cells, elem)
+	}
+	head = head[runHeaderLen:]
+	for _, run := range crcs {
+		for i := range run {
+			run[i], head = binary.LittleEndian.Uint32(head), head[4:]
+		}
+	}
+	return nil
 }
 
 // RunRef names one run of a batch: Count cells of the (Group, Disk) extent

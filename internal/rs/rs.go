@@ -61,28 +61,32 @@ func (c *Code) RecoverySets(idx int) [][]int {
 	if idx < 0 || idx >= n {
 		panic(fmt.Sprintf("rs: element %d out of [0,%d)", idx, n))
 	}
-	var sets [][]int
-	otherData := make([]int, 0, k)
-	for j := 0; j < k && len(otherData) < k; j++ {
-		if j != idx {
-			otherData = append(otherData, j)
-		}
-	}
+	// Every set holds k elements; one array backs them all.
+	sets, flat := make([][]int, 0, 2*(n-k)), make([]int, 0, 2*(n-k)*k)
+	next := func() { sets = append(sets, flat[len(flat)-k:len(flat):len(flat)]) }
 	if idx < k {
 		// Lost data: other k-1 data + each parity in turn.
 		for p := k; p < n; p++ {
-			sets = append(sets, append(append([]int{}, otherData...), p))
+			for j := 0; j < k; j++ {
+				if j != idx {
+					flat = append(flat, j)
+				}
+			}
+			flat = append(flat, p)
+			next()
 		}
 	} else {
 		// Lost parity: recompute from the k data elements.
-		sets = append(sets, otherData)
+		for j := 0; j < k; j++ {
+			flat = append(flat, j)
+		}
+		next()
 	}
 	for t := 0; t < n-k; t++ {
-		set := make([]int, 0, k)
 		for j := 0; j < k; j++ {
-			set = append(set, (idx+1+t+j)%n)
+			flat = append(flat, (idx+1+t+j)%n)
 		}
-		sets = append(sets, set)
+		next()
 	}
 	return sets
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
-	"unsafe"
 
 	"repro/internal/core"
 )
@@ -30,16 +29,24 @@ var ErrCellMissing = errors.New("store: cell not present")
 
 // Run is one entry of a batch: Count contiguous cells of device Disk from
 // Slot, flattened into Data (Count*elemSize bytes), with their checksums. A
-// read fills Data and CRCs, or Err. A write hands Data and CRCs (its cell
-// count is len(CRCs)); or, as a zero run, only Count: cells that are zero by
-// construction, which the backend records as the all-zero element under its
-// checksum without being handed their bytes; or no cells at all, to put Disk
-// under the batch's barrier only.
+// read fills Data and CRCs (ReadBuffers), or Err. A write hands Data and
+// CRCs (its cell count is len(CRCs)); or, as a zero run, only Count: cells
+// that are zero by construction, which the backend records as the all-zero
+// element under its checksum without being handed their bytes; or no cells
+// at all, to put Disk under the batch's barrier only.
 type Run struct {
 	Disk, Slot, Count int
 	Data              []byte
 	CRCs              []uint32
 	Err               error
+}
+
+// ReadBuffers readies the buffers a read of r fills — the read-into rule:
+// those handed when they fit its Count cells of elem bytes, else fresh ones.
+func (r *Run) ReadBuffers(elem int) {
+	if len(r.Data) != r.Count*elem || len(r.CRCs) != r.Count {
+		r.Data, r.CRCs = alignedBytes(r.Count*elem), make([]uint32, r.Count)
+	}
 }
 
 // Zeros reports whether a write run is a zero run: Count cells to record,
@@ -58,7 +65,8 @@ func zeroChecksum(elem int) uint32 { return crc32.Checksum(make([]byte, elem), c
 // serves a batch in one request. A backend holding one extent — MemDisk,
 // DiskStore — is only ever handed its own device's runs. Every slice a
 // CellBackend returns belongs to the caller, and every slice it is handed
-// stays the caller's: a backend keeps no reference either way.
+// stays the caller's: a backend keeps no reference either way, and reads a
+// run into the buffers it is handed when they fit it (Run.ReadBuffers).
 // Implementations must be safe for concurrent use — the fan-out executor
 // issues batches from many goroutines.
 type CellBackend interface {
@@ -118,33 +126,34 @@ func NewMemDisk(elemSize int) *MemDisk {
 		zero: memCell{make([]byte, elemSize), zeroChecksum(elemSize)}}
 }
 
-func (m *MemDisk) ReadRuns(runs []Run) {
+func (m *MemDisk) ReadRuns(runs []Run) { readEach(runs, m.readRun) }
+
+// readEach reads each run of a backend holding one extent with read, and
+// leaves a failed run nothing but its Err.
+func readEach(runs []Run, read func(*Run) error) {
 	for i := range runs {
-		r := &runs[i]
-		r.Data, r.CRCs, r.Err = m.readRun(r.Slot, r.Count)
+		if runs[i].Err = read(&runs[i]); runs[i].Err != nil {
+			runs[i].Data, runs[i].CRCs = nil, nil
+		}
 	}
 }
 
-func (m *MemDisk) readRun(slot, count int) ([]byte, []uint32, error) {
-	if err := checkRun(slot, count, 0, nil); err != nil {
-		return nil, nil, err
+func (m *MemDisk) readRun(r *Run) error {
+	if err := checkRun(r.Slot, r.Count, 0, nil); err != nil {
+		return err
 	}
-	// One allocation per run, however many cells: the checksums head a word
-	// array whose tail, viewed as bytes, holds the data.
-	words := make([]uint32, count+(count*m.elem+3)/4)
-	crcs := words[:count:count]
-	data := unsafe.Slice((*byte)(unsafe.Pointer(&words[count])), count*m.elem)
+	r.ReadBuffers(m.elem)
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	for i := range crcs {
-		c, ok := m.cells[slot+i]
+	for i := range r.CRCs {
+		c, ok := m.cells[r.Slot+i]
 		if !ok {
-			return nil, nil, fmt.Errorf("%w: slot %d", ErrCellMissing, slot+i)
+			return fmt.Errorf("%w: slot %d", ErrCellMissing, r.Slot+i)
 		}
-		copy(data[i*m.elem:], c.data)
-		crcs[i] = c.crc
+		copy(r.Data[i*m.elem:], c.data)
+		r.CRCs[i] = c.crc
 	}
-	return data, crcs, nil
+	return nil
 }
 
 // WriteRuns stores each run, pointing a zero run's slots at the one shared

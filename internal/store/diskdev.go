@@ -213,40 +213,40 @@ func (ds *DiskStore) loadIndex() error {
 }
 
 // ReadRuns reads each run as one pread.
-func (ds *DiskStore) ReadRuns(runs []Run) {
-	for i := range runs {
-		r := &runs[i]
-		r.Data, r.CRCs, r.Err = ds.ReadRun(r.Slot, r.Count)
-	}
-}
+func (ds *DiskStore) ReadRuns(runs []Run) { readEach(runs, ds.readRun) }
 
 // ReadRun reads count contiguous slots as one pread, returning the
 // concatenated payloads alongside copies of their recorded checksums.
 func (ds *DiskStore) ReadRun(slot, count int) ([]byte, []uint32, error) {
+	r := []Run{{Slot: slot, Count: count}}
+	ds.ReadRuns(r)
+	return r[0].Data, r[0].CRCs, r[0].Err
+}
+
+// readRun reads r into r.ReadBuffers, which under O_DIRECT must be
+// directAlign-aligned, as RunPool's and ReadBuffers' own are.
+func (ds *DiskStore) readRun(r *Run) error {
+	slot, count := r.Slot, r.Count
 	if err := checkRun(slot, count, 0, nil); err != nil {
-		return nil, nil, err
+		return err
 	}
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
 	for s := slot; s < slot+count; s++ {
 		if s >= len(ds.present) || !ds.present[s] {
-			return nil, nil, fmt.Errorf("%w: slot %d", ErrCellMissing, s)
+			return fmt.Errorf("%w: slot %d", ErrCellMissing, s)
 		}
 	}
-	var buf []byte
-	if ds.direct {
-		buf = alignedBytes(count * ds.elem)
-	} else {
-		buf = make([]byte, count*ds.elem)
-	}
+	r.ReadBuffers(ds.elem)
 	o := ds.obs.Load()
 	t := o.start()
-	_, err := ds.data.ReadAt(buf, int64(slot)*int64(ds.elem))
+	_, err := ds.data.ReadAt(r.Data, int64(slot)*int64(ds.elem))
 	o.done(opRead, t)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: disk read run [%d,+%d): %w", slot, count, err)
+		return fmt.Errorf("store: disk read run [%d,+%d): %w", slot, count, err)
 	}
-	return buf, append([]uint32(nil), ds.crcs[slot:slot+count]...), nil
+	copy(r.CRCs, ds.crcs[slot:slot+count])
+	return nil
 }
 
 // WriteRuns writes each run that carries cells, records each zero run

@@ -29,6 +29,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -50,8 +51,25 @@ type ReadOptions struct {
 }
 
 // ReadAtCtx is ReadAt with an explicit context and per-call options. The
-// context cancels device waits, including injected stuck-op sleeps.
+// context cancels device waits, including injected stuck-op sleeps. It
+// writes ReadStream's result into one fresh buffer of length bytes.
 func (s *Store) ReadAtCtx(ctx context.Context, off int64, length int, opts ReadOptions) (*ReadResult, error) {
+	res, err := s.ReadStream(ctx, off, length, opts)
+	if err != nil {
+		return nil, err
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, length))
+	res.WriteTo(buf) // a bytes.Buffer write never fails
+	res.Release()
+	res.Data = buf.Bytes()
+	return res, nil
+}
+
+// ReadStream is ReadAtCtx without the copy: the result's WriteTo sends the
+// payload from the cells it was read or decoded into, which the result's
+// Release, due once on every path, gives back. Every cell is in hand
+// before it returns, so a read fails here, before a byte is written.
+func (s *Store) ReadStream(ctx context.Context, off int64, length int, opts ReadOptions) (*ReadResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -91,7 +109,7 @@ func (s *Store) checkReadRange(off int64, length int) (startElem, count int, err
 
 // stripeCells is one stripe's fetched cell set plus the indices of cells
 // whose buffers came from the shard arena (decoded shards) and go back to
-// it. Device-read cells are fresh buffers the garbage collector reclaims.
+// it. Device-read cells slice the run buffers their job holds (served).
 // The containers themselves are pooled per store.
 type stripeCells struct {
 	cells [][]byte
@@ -265,13 +283,15 @@ const (
 type planFunc func(avoid, bias []int) (*core.Plan, error)
 
 // served is what an executed job leaves: the plan its last pass served,
-// per-stripe containers for the stripes that plan reads, and the cells heal
-// passes rewrote. Its owner reads cells out, then releases it once.
+// per-stripe containers for the stripes that plan reads, the run buffers
+// its cells slice, and the cells heal passes rewrote. Its owner reads cells
+// out, then releases it once; no cell may be read after.
 type served struct {
 	s       *Store
 	plan    *core.Plan
 	first   int
 	stripes []*stripeCells
+	held    []*RunBuf // per run of the last pass
 	healed  int
 }
 
@@ -291,8 +311,11 @@ func (r *served) cell(stripe int, pos layout.Pos) ([]byte, error) {
 	return c, err
 }
 
-// release recycles every container, and the arena buffers they own.
+// release recycles every run buffer, container and arena buffer it holds.
 func (r *served) release() {
+	for _, b := range r.held {
+		r.s.runs.Put(b)
+	}
 	for _, sc := range r.stripes {
 		r.s.putStripeCells(sc)
 	}
@@ -419,8 +442,9 @@ func (s *Store) allCells(stripe int) []core.Access {
 }
 
 // fanoutRead executes one GET: the requested range's plan — normal, or
-// degraded around the avoided devices — served by execute, then decoded.
-// With corruptStops (mu shared) a corrupt run fails it with ErrCorrupt; with
+// degraded around the avoided devices — served by execute, then each
+// element resolved, decoded where the plan read around it. With
+// corruptStops (mu shared) a corrupt run fails it with ErrCorrupt; with
 // corruptHeals (mu exclusive, inline) corrupt cells are healed in place.
 func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts ReadOptions, rule corruptRule) (*ReadResult, error) {
 	startElem, count, err := s.checkReadRange(off, length)
@@ -435,37 +459,21 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 	if err != nil {
 		return nil, err
 	}
-	defer r.release()
-	data, err := s.assemble(r, startElem, startElem+count-1, off, length)
-	if err != nil {
-		return nil, err
-	}
-	s.Metrics().observeRead(len(r.plan.Failed) > 0, r.plan.MaxLoad())
-	return &ReadResult{Data: data, Plan: r.plan, Healed: r.healed}, nil
-}
-
-// assemble copies the requested bytes out of the served cells into a fresh
-// exactly-sized buffer, decoding the elements the plan read around.
-func (s *Store) assemble(r *served, startElem, endElem int, off int64, length int) ([]byte, error) {
 	dps := s.scheme.DataPerStripe()
-	data := make([]byte, length)
-	written := 0
-	for x := startElem; x <= endElem; x++ {
-		shard, err := r.cell(x/dps, s.scheme.Layout().DataPos(x%dps))
+	parts := make([][]byte, count)
+	lo := int(off - int64(startElem)*int64(s.elemSize))
+	for i := range parts {
+		x := startElem + i
+		cell, err := r.cell(x/dps, s.scheme.Layout().DataPos(x%dps))
 		if err != nil {
+			r.release()
 			return nil, err
 		}
-		lo := 0
-		if x == startElem {
-			lo = int(off - int64(startElem)*int64(s.elemSize))
-		}
-		hi := s.elemSize
-		if rem := length - written; hi-lo > rem {
-			hi = lo + rem
-		}
-		written += copy(data[written:], shard[lo:hi])
+		hi := min(s.elemSize, lo+length)
+		parts[i], length, lo = cell[lo:hi], length-(hi-lo), 0
 	}
-	return data, nil
+	s.Metrics().observeRead(len(r.plan.Failed) > 0, r.plan.MaxLoad())
+	return &ReadResult{Plan: r.plan, Healed: r.healed, parts: parts, held: r}, nil
 }
 
 // fanoutPass is the shared state of one drain-to-completion execution pass.
@@ -525,7 +533,8 @@ const fanoutInlineBytes = 64 << 10
 // caller serves the first), so a device's runs stay on one goroutine, in
 // offset order.
 func (p *fanoutPass) runQueues(queues []devQueue, inline bool) {
-	nodes := p.s.nodeQueues(queues)
+	nodes, held := p.s.nodeQueues(queues)
+	p.into.held = held
 	if inline || len(nodes) < 2 {
 		for _, q := range nodes {
 			p.serveNode(q)
@@ -545,15 +554,17 @@ func (p *fanoutPass) runQueues(queues []devQueue, inline bool) {
 }
 
 // nodeQueue is one node's runs — its devices' queues in ascending device
-// order — and the batch entries they are read into.
+// order — and the batch entries and run buffers they are read into.
 type nodeQueue struct {
 	runs  []devRun
 	batch []Run
+	held  []*RunBuf
 }
 
 // nodeQueues groups the device queues by node, nodes in order of their
-// first device; one allocation backs every node's batch entries.
-func (s *Store) nodeQueues(queues []devQueue) []nodeQueue {
+// first device; one allocation backs every node's batch entries, and one
+// their lent buffers, which it returns.
+func (s *Store) nodeQueues(queues []devQueue) ([]nodeQueue, []*RunBuf) {
 	nodes := make([]nodeQueue, 0, len(queues))
 	at := make(map[int]int)
 	total := 0
@@ -571,11 +582,12 @@ func (s *Store) nodeQueues(queues []devQueue) []nodeQueue {
 		}
 		nodes[i].runs = append(nodes[i].runs, q.runs...)
 	}
-	batch := make([]Run, total)
+	batch, held, lo := make([]Run, total), make([]*RunBuf, total), 0
 	for i := range nodes {
-		nodes[i].batch, batch = batch[:len(nodes[i].runs):len(nodes[i].runs)], batch[len(nodes[i].runs):]
+		hi := lo + len(nodes[i].runs)
+		nodes[i].batch, nodes[i].held, lo = batch[lo:hi:hi], held[lo:hi:hi], hi
 	}
-	return nodes
+	return nodes, held
 }
 
 // serveNode executes one node's runs as one batch (execRuns), then settles
@@ -586,7 +598,7 @@ func (s *Store) nodeQueues(queues []devQueue) []nodeQueue {
 func (p *fanoutPass) serveNode(q nodeQueue) {
 	runs, batch := q.runs, q.batch
 	if p.ctx.Err() == nil {
-		p.execRuns(runs, batch)
+		p.execRuns(runs, batch, q.held)
 	}
 	out := -1 // the device taken out, skipped until its runs end
 	for i, run := range runs {
@@ -640,12 +652,17 @@ func (p *fanoutPass) readRuns(runs []devRun, batch []Run) {
 	}
 }
 
-// execRuns serves coalesced runs of one node (readRuns) into batch, one
-// entry per run, and places each run's cells directly in the job's
-// containers, which is safe because distinct devices own distinct slots.
-func (p *fanoutPass) execRuns(runs []devRun, batch []Run) {
-	p.readRuns(runs, batch)
+// execRuns serves coalesced runs of one node (readRuns) into batch and the
+// run buffers it lends in held, one entry per run, and places each run's
+// cells directly in the job's containers, which is safe because distinct
+// devices own distinct slots.
+func (p *fanoutPass) execRuns(runs []devRun, batch []Run, held []*RunBuf) {
 	es := p.s.elemSize
+	for i, run := range runs {
+		held[i] = p.s.runs.Get(len(run.slots) * es)
+		batch[i].Data, batch[i].CRCs = held[i].Data, held[i].CRCs
+	}
+	p.readRuns(runs, batch)
 	for i, run := range runs {
 		if batch[i].Err != nil {
 			continue

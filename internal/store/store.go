@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -359,10 +360,11 @@ type Store struct {
 	testBeforeHeal func()
 
 	// bufs is the shard arena decoded cells are drawn from; cellsPool
-	// recycles per-stripe cell containers. Together they keep the read
-	// executor from allocating per-stripe garbage on every request.
+	// recycles per-stripe cell containers; runs lends the buffers device
+	// runs are read into. The read executor allocates nothing per byte.
 	bufs      core.Buffers
 	cellsPool sync.Pool // *stripeCells
+	runs      *RunPool
 }
 
 // New creates a store using the given scheme with elemSize-byte elements.
@@ -380,6 +382,7 @@ func New(scheme *core.Scheme, elemSize int) (*Store, error) {
 		elemSize:  elemSize,
 		rows:      rows,
 		devices:   devs,
+		runs:      NewRunPool(elemSize),
 		opTimeout: DefaultOpTimeout,
 		retries:   DefaultRetries,
 	}, nil
@@ -399,6 +402,9 @@ func (s *Store) Scheme() *core.Scheme { return s.scheme }
 
 // ElementSize returns the element size in bytes.
 func (s *Store) ElementSize() int { return s.elemSize }
+
+// RunPool returns the pool of the store's run buffers, and its writers'.
+func (s *Store) RunPool() *RunPool { return s.runs }
 
 // Len returns the total number of bytes appended so far.
 func (s *Store) Len() int64 {
@@ -492,7 +498,8 @@ func (s *Store) stripeBytes() int { return s.scheme.DataPerStripe() * s.elemSize
 // readRunsCtx reads the runs of one node — its devices in ascending order,
 // each device's runs in offset order — as one backend call (readBatch), and
 // settles each in its entry of out: the run's cells, flattened, in Data, or
-// its Err. Every run first draws its faults from its own device's stream,
+// its Err; a run handed buffers in out is read into them. Every run first
+// draws its faults from its own device's stream,
 // in that order (readGate), so a seeded plan replays whatever the node
 // grouping. A device taken out by its faults draws no more: its later runs
 // share the error, as the executor skips them. The batch's latency is one
@@ -502,7 +509,7 @@ func (s *Store) readRunsCtx(ctx context.Context, runs []devRun, out []Run) {
 	start := time.Now()
 	ready := 0
 	for i, run := range runs {
-		out[i] = Run{Disk: run.dev, Slot: s.devices[run.dev].slot(run.slots[0].key), Count: len(run.slots)}
+		out[i].Disk, out[i].Slot, out[i].Count, out[i].Err = run.dev, s.devices[run.dev].slot(run.slots[0].key), len(run.slots), nil
 		if i > 0 && run.dev == runs[i-1].dev && takesOut(out[i-1].Err) {
 			out[i].Err = out[i-1].Err
 		} else if out[i].Err = s.readGate(ctx, out[i]); out[i].Err == nil {
@@ -914,13 +921,42 @@ func (s *Store) failedDisksLocked() []int {
 }
 
 // ReadResult carries a read's payload alongside the plan that produced it,
-// so callers can feed the plan's loads into a timing model.
+// so callers can feed the plan's loads into a timing model. ReadStream's
+// leaves the payload, not in Data, but in the cells it was read into.
 type ReadResult struct {
 	Data []byte
 	Plan *core.Plan
 	// Healed counts cells whose checksum failed during this read and that
 	// were rebuilt from their group and rewritten in place.
 	Healed int
+
+	parts [][]byte // the payload, element by element, in held's cells
+	held  *served
+}
+
+// WriteTo writes the payload to w: Data, or each element's bytes straight
+// from the served cells until Release.
+func (res *ReadResult) WriteTo(w io.Writer) (total int64, err error) {
+	parts := res.parts
+	if res.held == nil {
+		parts = [][]byte{res.Data}
+	}
+	for _, p := range parts {
+		n, err := w.Write(p)
+		if total += int64(n); err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
+// Release gives a streamed result's cells back to the store; WriteTo must
+// not follow it. Releasing twice, or a result that carries Data, is a no-op.
+func (res *ReadResult) Release() {
+	if res.held != nil {
+		res.held.release()
+		res.held, res.parts = nil, nil
+	}
 }
 
 // ReadAt reads length bytes starting at byte offset off. With no failed

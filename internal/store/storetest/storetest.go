@@ -122,6 +122,19 @@ func TestCellBackend(t *testing.T, elem int, open func(t *testing.T) (cb store.C
 		}
 	})
 
+	run("a run handed buffers of its size is read into them", func(t *testing.T, cb store.CellBackend) {
+		write(t, cb, 0, append(cell(4), cell(5)...), sum(cell(4)), sum(cell(5)))
+		data, crcs := make([]byte, 2*elem), make([]uint32, 2)
+		runs := []store.Run{{Count: 2, Data: data, CRCs: crcs}, {Slot: 1, Count: 1, Data: make([]byte, elem+1)}}
+		if cb.ReadRuns(runs); runs[0].Err != nil || &runs[0].Data[0] != &data[0] || &runs[0].CRCs[0] != &crcs[0] ||
+			!bytes.Equal(data, append(cell(4), cell(5)...)) || crcs[0] != sum(cell(4)) || crcs[1] != sum(cell(5)) {
+			t.Fatalf("a run handed buffers of its size was not read into them: %v", runs[0].Err)
+		}
+		if r := runs[1]; r.Err != nil || !bytes.Equal(r.Data, cell(5)) || len(r.CRCs) != 1 || r.CRCs[0] != sum(cell(5)) {
+			t.Fatalf("a run handed a misfit buffer read %d bytes, %d checksums: %v", len(r.Data), len(r.CRCs), r.Err)
+		}
+	})
+
 	run("a wrong checksum round-trips verbatim", func(t *testing.T, cb store.CellBackend) {
 		const wrong = 0xdeadbeef
 		write(t, cb, 4, cell(3), wrong)

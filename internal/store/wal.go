@@ -184,8 +184,8 @@ func (w *WAL) Depth() (objects, bytes int) {
 // Data is borrowed, not copied: the WAL references it until the object
 // commits. After a nil-error return the caller may reuse it; after an error
 // return (a faulted commit retains the entry, an abandoned one leaves it
-// queued) the caller must not modify it again. Callers therefore hand Put
-// plain garbage-collected buffers, never pooled ones.
+// queued) the caller must not modify it again: a pooled buffer goes back to
+// its pool after a nil-error return only (RunPool.ReadBody).
 func (w *WAL) Put(ctx context.Context, data []byte) (int64, error) {
 	if len(data) == 0 {
 		return 0, fmt.Errorf("store: wal: empty object")
@@ -230,25 +230,6 @@ func (w *WAL) Put(ctx context.Context, data []byte) (int64, error) {
 	}
 	w.st.Metrics().walPut(time.Since(start).Seconds())
 	return r.off, r.err
-}
-
-// maxPresizedBody caps the buffer ReadBody sizes from a declared length
-// alone, so a header cannot make the process allocate what is never sent.
-const maxPresizedBody = 64 << 20
-
-// ReadBody reads an object of the declared length (negative: unknown) from r
-// into one buffer of exactly that size — the buffer to hand to Put, and a
-// plain garbage-collected one by design: Put may go on referencing it after
-// an error return, which a pooled buffer could not allow.
-func ReadBody(r io.Reader, length int64) ([]byte, error) {
-	if length < 0 || length > maxPresizedBody {
-		return io.ReadAll(r)
-	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
 }
 
 // armTimer schedules a FlushInterval commit of whatever is queued unless one
