@@ -24,10 +24,11 @@ race:
 	$(GO) test -race ./...
 
 # The concurrency-heavy packages under the race detector: the sharded object
-# server, the store's reader/mutator paths, the streaming pipeline, and the
-# metrics registry every scrape races against.
+# server, the store's reader/mutator paths, the streaming pipeline, the
+# metrics registry every scrape races against, and the fault decorator
+# concurrent batches draw through.
 race-io:
-	$(GO) test -race ./internal/httpd/... ./internal/store/... ./internal/shardio/... ./internal/obs/... ./internal/gateway/... ./internal/datanode/...
+	$(GO) test -race ./internal/httpd/... ./internal/store/... ./internal/shardio/... ./internal/obs/... ./internal/gateway/... ./internal/datanode/... ./internal/faultinject/...
 
 # A fast benchmark pass (one short iteration per benchmark) that catches
 # panics/regressions in the bench harnesses without waiting for full timings.
@@ -135,7 +136,7 @@ fuzz-smoke:
 chaos:
 	@seed=$${CHAOS_SEED:-$$(date +%s)}; \
 	echo "chaos: extra seed $$seed (reproduce with CHAOS_SEED=$$seed make chaos)"; \
-	CHAOS_SEED=$$seed $(GO) test -race -count=2 -run 'Chaos|FaultSequence|Replays|FaultStreams|StreamSourceFault' \
+	CHAOS_SEED=$$seed $(GO) test -race -count=2 -run 'Chaos|FaultSequence|Replays|FaultStreams|SealVerdicts|StreamSourceFault' \
 		./internal/faultinject/ ./internal/shardio/
 
 ci: vet race race-io fuzz-smoke bench-smoke bench-quick obs-smoke fanout-smoke writepath-smoke disk-smoke repair-smoke repair-chaos cluster-smoke chaos

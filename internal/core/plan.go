@@ -204,13 +204,29 @@ func (s *Scheme) planCells(targets []Access, failed, bias []int) (*Plan, searchS
 	}
 	cps, groups := s.CellsPerStripe(), s.lay.Groups()
 	stripes := last - first + 1
+	// Size the search for the lost targets' candidates: every recovery set
+	// of each, and the group's survivors should none be usable.
+	sets := make([][][]int, s.code.N()) // RecoverySets memo
+	lost, nOpts, nCells := 0, 0, 0
+	for _, tg := range targets {
+		if isFailed[s.lay.Disk(tg.Stripe, tg.Pos.Col)] {
+			e := s.lay.CellAt(tg.Pos).Element
+			if sets[e] == nil {
+				sets[e] = s.code.RecoverySets(e)
+			}
+			lost, nOpts, nCells = lost+1, nOpts+len(sets[e])+1, nCells+s.code.N()
+			for _, set := range sets[e] {
+				nCells += len(set)
+			}
+		}
+	}
 	sr := &search{first: first, refs: make([]int32, stripes*cps), level: make([]int, n),
-		lost: []int{0}, bestReads: math.MaxInt}
+		lost: make([]int, 1, lost+1), opts: make([]option, 0, nOpts), cells: make([]planCell, 0, nCells),
+		bestReads: math.MaxInt}
 	copy(sr.level, bias)
 
 	// Direct reads first, so that recovery sets are scored against them.
-	sets := make([][][]int, s.code.N()) // RecoverySets memo
-	var groupOf []int                   // per lost target: its group in the request
+	groupOf := make([]int, 0, lost) // per lost target: its group in the request
 	for _, tg := range targets {
 		stripe, pos := tg.Stripe, tg.Pos
 		if disk := s.lay.Disk(stripe, pos.Col); !isFailed[disk] {
@@ -222,9 +238,6 @@ func (s *Scheme) planCells(targets []Access, failed, bias []int) (*Plan, searchS
 			continue
 		}
 		c := s.lay.CellAt(pos)
-		if sets[c.Element] == nil {
-			sets[c.Element] = s.code.RecoverySets(c.Element)
-		}
 		for _, set := range sets[c.Element] {
 			s.addOption(sr, stripe, c.Group, set, isFailed)
 		}

@@ -3,8 +3,8 @@
 //
 // A node is deliberately dumb. It stores cells and checksums verbatim,
 // reads them back, fsyncs on demand, and truncates when told — all the
-// erasure-coding intelligence (planning, degraded reads, heal,
-// the two-phase commit gate) lives on the gateway side, which drives the
+// erasure-coding intelligence (planning, degraded reads, heal, the commit
+// barrier) lives on the gateway side, which drives the
 // node through store.CellBackend clients. Keeping integrity verification
 // off the node means a node cannot mask its own torn writes: checksums are
 // recomputed only where the data is consumed.

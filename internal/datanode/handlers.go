@@ -92,7 +92,7 @@ func (s *Server) handleReadRuns(w http.ResponseWriter, r *http.Request) {
 		if ds, _ := s.getDisk(diskKey{ref.Group, ref.Disk}, false); ds != nil {
 			lent[i] = s.runs.Get(ref.Count * s.cfg.ElemSize)
 			runs[i].Data, runs[i].CRCs = lent[i].Data, lent[i].CRCs
-			ds.ReadRuns(runs[i : i+1])
+			ds.ReadRuns(r.Context(), runs[i:i+1])
 		}
 		switch err := runs[i].Err; {
 		case errors.Is(err, store.ErrCellMissing):
@@ -203,7 +203,7 @@ func (s *Server) handleWriteRuns(w http.ResponseWriter, r *http.Request) {
 		if ds == nil {
 			continue
 		}
-		if err := ds.WriteRuns(runs, sync); err != nil {
+		if err := ds.WriteRuns(r.Context(), runs, sync); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}

@@ -8,8 +8,9 @@ import (
 )
 
 // CheckStore verifies the store's end-state invariants after a fault
-// schedule, with fault injection suspended for the duration of the check
-// (the checker inspects the store, not the fault plan):
+// schedule, with the store's backend decorator — the fault plan — lifted
+// for the duration of the check (the checker inspects the store, not the
+// plan):
 //
 //  1. Decode correctness — the first len(want) logical bytes read back
 //     equal want, through whatever failures are still outstanding.
@@ -24,9 +25,7 @@ import (
 // A nil error is the "within tolerance" verdict: no byte was silently
 // wrong, nothing unrecoverable happened, geometry is intact.
 func CheckStore(st *store.Store, want []byte) error {
-	prev := st.FaultInjector()
-	st.SetFaultInjector(nil)
-	defer st.SetFaultInjector(prev)
+	defer st.WrapBackends(st.WrapBackends(nil))
 
 	// 1. Every logical byte decodes correctly.
 	if len(want) > 0 {

@@ -27,10 +27,20 @@ func spicyPlan(seed int64) Plan {
 	}
 }
 
-// faultString flattens a fault for byte-for-byte sequence comparison.
-func faultString(f store.Fault) string {
-	return fmt.Sprintf("d=%v stuck=%v err=%v corrupt=%v failed=%v",
-		f.Delay, f.Stuck, f.Err, f.Corrupt, f.Failed)
+// ops returns how many verdicts device dev has drawn.
+func ops(in *Injector, dev int) int {
+	ds := in.devs[dev]
+	if ds == nil {
+		return 0
+	}
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	return ds.ops
+}
+
+// faultString flattens a verdict for byte-for-byte sequence comparison.
+func faultString(v verdict) string {
+	return fmt.Sprintf("%+v", v)
 }
 
 // TestFaultSequenceDeterministic is the determinism contract: two injectors
@@ -41,13 +51,13 @@ func TestFaultSequenceDeterministic(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		dev := i % 3
 		if i%5 == 0 {
-			fa, fb := a.WriteFault(dev), b.WriteFault(dev)
+			fa, fb := a.draw(dev, true), b.draw(dev, true)
 			if faultString(fa) != faultString(fb) {
 				t.Fatalf("write op %d device %d: %q vs %q", i, dev, faultString(fa), faultString(fb))
 			}
 			continue
 		}
-		fa, fb := a.ReadFault(dev), b.ReadFault(dev)
+		fa, fb := a.draw(dev, false), b.draw(dev, false)
 		if faultString(fa) != faultString(fb) {
 			t.Fatalf("read op %d device %d: %q vs %q", i, dev, faultString(fa), faultString(fb))
 		}
@@ -60,10 +70,10 @@ func TestFaultStreamsPerDeviceIndependent(t *testing.T) {
 	a, b := New(spicyPlan(77)), New(spicyPlan(77))
 	// Drive device 0 identically on both, but hammer device 2 only on b.
 	for i := 0; i < 200; i++ {
-		b.ReadFault(2)
+		b.draw(2, false)
 	}
 	for i := 0; i < 200; i++ {
-		fa, fb := a.ReadFault(0), b.ReadFault(0)
+		fa, fb := a.draw(0, false), b.draw(0, false)
 		if faultString(fa) != faultString(fb) {
 			t.Fatalf("op %d: device 0 stream shifted by device 2 traffic: %q vs %q",
 				i, faultString(fa), faultString(fb))
@@ -75,7 +85,7 @@ func TestFaultStreamsPerDeviceIndependent(t *testing.T) {
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := New(spicyPlan(1)), New(spicyPlan(2))
 	for i := 0; i < 400; i++ {
-		if faultString(a.ReadFault(0)) != faultString(b.ReadFault(0)) {
+		if faultString(a.draw(0, false)) != faultString(b.draw(0, false)) {
 			return
 		}
 	}
@@ -87,22 +97,21 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 func TestFailAfterOps(t *testing.T) {
 	in := New(Plan{Seed: 9, Policies: []Policy{{Device: 0, FailAfterOps: 10}}})
 	for i := 0; i < 10; i++ {
-		if f := in.ReadFault(0); f.Failed {
+		if f := in.draw(0, false); f.failed {
 			t.Fatalf("op %d fail-stopped before the threshold", i)
 		}
 	}
 	for i := 0; i < 5; i++ {
-		if f := in.WriteFault(0); !f.Failed {
+		if f := in.draw(0, true); !f.failed {
 			t.Fatalf("op %d after threshold did not fail-stop", 10+i)
 		}
 	}
-	if got := in.Ops(0); got != 15 {
+	if got := ops(in, 0); got != 15 {
 		t.Fatalf("Ops(0) = %d, want 15", got)
 	}
 }
 
-// TestPlanJSONRoundTrip: marshal → ParsePlan is the identity, and the
-// injector keeps the plan it was compiled from.
+// TestPlanJSONRoundTrip: marshal → ParsePlan is the identity.
 func TestPlanJSONRoundTrip(t *testing.T) {
 	p := spicyPlan(4242)
 	blob, err := json.Marshal(p)
@@ -115,9 +124,6 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	}
 	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", p) {
 		t.Fatalf("round-trip changed the plan:\n%+v\n%+v", got, p)
-	}
-	if inPlan := New(p).plan; fmt.Sprintf("%+v", inPlan) != fmt.Sprintf("%+v", p) {
-		t.Fatalf("Injector.plan = %+v, want %+v", inPlan, p)
 	}
 }
 
@@ -148,13 +154,12 @@ func TestScheduleReplaysIdentically(t *testing.T) {
 	run := func() string {
 		scheme := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 		st := store.MustNew(scheme, 64)
-		st.SetRetryPolicy(200*time.Microsecond, 2)
 		payload := make([]byte, 3*scheme.DataPerStripe()*64)
 		rand.New(rand.NewSource(5)).Read(payload)
 		if err := st.Append(payload); err != nil {
 			t.Fatal(err)
 		}
-		st.SetFaultInjector(New(spicyPlan(31337)))
+		install(st, spicyPlan(31337))
 
 		var log bytes.Buffer
 		rng := rand.New(rand.NewSource(5))
@@ -218,7 +223,6 @@ func TestCheckStoreCatchesViolations(t *testing.T) {
 func TestCheckStoreSuspendsInjection(t *testing.T) {
 	scheme := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	st := store.MustNew(scheme, 64)
-	st.SetRetryPolicy(200*time.Microsecond, 1)
 	payload := make([]byte, scheme.DataPerStripe()*64)
 	rand.New(rand.NewSource(7)).Read(payload)
 	if err := st.Append(payload); err != nil {
@@ -229,12 +233,15 @@ func TestCheckStoreSuspendsInjection(t *testing.T) {
 	for d := range pols {
 		pols[d] = Policy{Device: d, ReadErrProb: 1}
 	}
-	in := New(Plan{Seed: 1, Policies: pols})
-	st.SetFaultInjector(in)
+	in := install(st, Plan{Seed: 1, Policies: pols})
 	if err := CheckStore(st, payload); err != nil {
 		t.Fatalf("CheckStore under a total-outage plan: %v", err)
 	}
-	if got := st.FaultInjector(); got != in {
+	before := ops(in, 0)
+	if _, err := st.ReadAt(0, len(payload)); !errors.Is(err, store.ErrUnavailable) {
+		t.Fatalf("read after CheckStore: %v; want the restored plan's ErrUnavailable", err)
+	}
+	if ops(in, 0) == before {
 		t.Fatal("CheckStore did not restore the installed injector")
 	}
 }

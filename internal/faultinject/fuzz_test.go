@@ -55,13 +55,12 @@ func replayVerdict(t *testing.T, plan Plan) string {
 	t.Helper()
 	scheme := core.MustScheme(mustRS(4, 2), layout.FormECFRM)
 	st := store.MustNew(scheme, 64)
-	st.SetRetryPolicy(200*time.Microsecond, 1)
 	payload := make([]byte, 2*scheme.DataPerStripe()*64)
 	rand.New(rand.NewSource(99)).Read(payload)
 	if err := st.Append(payload); err != nil {
 		t.Fatal(err)
 	}
-	st.SetFaultInjector(New(plan))
+	install(st, plan)
 
 	var log bytes.Buffer
 	rng := rand.New(rand.NewSource(99))

@@ -8,8 +8,8 @@
 // feature set across the process boundary unchanged — the fan-out executor
 // sends each node its coalesced cell runs as one request, degraded
 // replanning routes around dead ones (a refused connection surfaces as ErrUnavailable exactly
-// like a failed local disk), group-commit WAL writes seal through the
-// two-phase gate with the fsync barrier riding on each node's last write,
+// like a failed local disk), group-commit WAL writes seal with the fsync
+// barrier riding on each node's last write,
 // and every start recovers each group through the store's one open path,
 // its manifest (geometry, group count, node order, durable stripes) kept as
 // a copy on every node (nodeManifest): a restart neither overwrites nor

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/nodeapi"
@@ -36,10 +37,15 @@ func newNodeClient(id int, base string, timeout time.Duration, reg *obs.Registry
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
+	dialer := &net.Dialer{}
 	tr := &http.Transport{
 		MaxIdleConns:        64,
 		MaxIdleConnsPerHost: 64,
 		IdleConnTimeout:     60 * time.Second,
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := dialer.DialContext(ctx, network, addr)
+			return frameConn{c}, err // the transport drops a failed dial's conn
+		},
 	}
 	nc := &nodeClient{
 		base: base,
@@ -58,10 +64,23 @@ func newNodeClient(id int, base string, timeout time.Duration, reg *obs.Registry
 	return nc
 }
 
-// do runs one request, counting a transport failure.
+// frameConn is a node connection whose ReadFrom — how net/http sends a
+// request body once its headers are out — copies through a pooled buffer,
+// where the TCP connection's own would allocate 32 KiB per write frame.
+type frameConn struct{ net.Conn }
+
+var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+
+func (c frameConn) ReadFrom(r io.Reader) (int64, error) {
+	buf := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(buf)
+	return io.CopyBuffer(struct{ io.Writer }{c.Conn}, r, *buf)
+}
+
+// do runs one request, counting a transport failure its caller did not cause.
 func (nc *nodeClient) do(req *http.Request) (*http.Response, error) {
 	resp, err := nc.hc.Do(req)
-	if err != nil {
+	if err != nil && req.Context().Err() == nil {
 		nc.errs.Inc()
 	}
 	return resp, err
@@ -234,15 +253,17 @@ func (rc *remoteCell) path(runs []store.Run, req []piece, sync bool) string {
 
 // ReadRuns reads the batch, one request per cut (requests), into each run's
 // buffers (store.Run.ReadBuffers). A request that fails — transport,
-// status, a short or malformed frame — fails its runs.
-func (rc *remoteCell) ReadRuns(runs []store.Run) {
+// status, a short or malformed frame, ctx ending — fails its runs.
+func (rc *remoteCell) ReadRuns(ctx context.Context, runs []store.Run) {
 	for i := range runs {
 		runs[i].ReadBuffers(rc.elem)
 		runs[i].Err = nil
 	}
 	for _, req := range rc.requests(runs, false) {
-		if err := rc.readRequest(runs, req); err != nil {
-			rc.nc.errs.Inc()
+		if err := rc.readRequest(ctx, runs, req); err != nil {
+			if ctx.Err() == nil {
+				rc.nc.errs.Inc()
+			}
 			for _, p := range req {
 				if runs[p.run].Err == nil {
 					runs[p.run].Err = err
@@ -261,8 +282,8 @@ func (rc *remoteCell) ReadRuns(runs []store.Run) {
 // node names missing fails its run with store.ErrCellMissing (reconstruct
 // from the group, not replan); the rest read their checksums and cells
 // off the wire into their run's buffers, in list order.
-func (rc *remoteCell) readRequest(runs []store.Run, req []piece) error {
-	hreq, err := http.NewRequest(http.MethodGet, rc.path(runs, req, false), nil)
+func (rc *remoteCell) readRequest(ctx context.Context, runs []store.Run, req []piece) error {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, rc.path(runs, req, false), nil)
 	if err != nil {
 		return err
 	}
@@ -336,7 +357,7 @@ func (rc *remoteCell) readRequest(runs []store.Run, req []piece) error {
 // sent from where the cells lie; zero runs travel in the URL alone. With
 // sync every request carries the barrier, so the node fsyncs every extent it
 // names before answering.
-func (rc *remoteCell) WriteRuns(runs []store.Run, sync bool) error {
+func (rc *remoteCell) WriteRuns(ctx context.Context, runs []store.Run, sync bool) error {
 	es := rc.elem
 	for _, req := range rc.requests(runs, true) {
 		crcs := make([][]uint32, len(req))
@@ -360,7 +381,7 @@ func (rc *remoteCell) WriteRuns(runs []store.Run, sync bool) error {
 			size += len(body[0])
 			rd = &body
 		}
-		hreq, err := http.NewRequest(http.MethodPut, rc.path(runs, req, sync), rd)
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPut, rc.path(runs, req, sync), rd)
 		if err != nil {
 			return err
 		}

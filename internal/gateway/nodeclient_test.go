@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -94,7 +95,7 @@ func TestRemoteCellShortFrame(t *testing.T) {
 
 	rc := &remoteCell{nc: nc, group: 0, disk: liar, elem: elem}
 	runs := []store.Run{{Disk: liar, Slot: 0, Count: 2}, {Disk: 1, Slot: 0, Count: 1}}
-	rc.ReadRuns(runs)
+	rc.ReadRuns(context.Background(), runs)
 	for _, r := range runs {
 		if r.Err == nil || r.Data != nil || r.CRCs != nil {
 			t.Fatalf("disk %d of a batch answered 1 cell short: %d bytes, %d checksums, err %v; want an error and nothing else",

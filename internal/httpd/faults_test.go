@@ -24,11 +24,13 @@ func putTestObject(t *testing.T, url, name string, size int) []byte {
 	return payload
 }
 
-// injectors counts the group stores with a fault injector installed.
+// injectors counts the group stores with a backend decorator installed,
+// lifting and reinstalling each to see it.
 func injectors(s *surface) int {
 	n := 0
 	for _, st := range s.stores {
-		if st.FaultInjector() != nil {
+		prev := st.WrapBackends(nil)
+		if st.WrapBackends(prev); prev != nil {
 			n++
 		}
 	}
@@ -104,14 +106,11 @@ func TestFaultsRejectsInvalidPlan(t *testing.T) {
 }
 
 // TestGetReturns503WithRetryAfter: a plan pushing more devices into
-// persistent errors than the code tolerates exhausts the read's retries —
-// the GET must come back 503 with Retry-After, and clearing the plan must
+// persistent errors than the code tolerates leaves the read no plan — the
+// GET must come back 503 with Retry-After, and clearing the plan must
 // make the same GET succeed again (the failure was transient).
 func TestGetReturns503WithRetryAfter(t *testing.T) {
 	forEachSurface(t, httpd.Config{}, func(t *testing.T, s *surface) {
-		for _, st := range s.stores {
-			st.SetRetryPolicy(200*time.Microsecond, 1)
-		}
 		payload := putTestObject(t, s.url, "blob", 4096)
 
 		// Both schemes tolerate 3 erasures; error out 5 devices persistently.

@@ -36,11 +36,10 @@
 // request adds ?group=G. With more than one group, GET and HEAD also report
 // X-Placement-Group.
 //
-// Reads that exhaust their retry budget against slow or erroring devices
-// surface as 503 with a Retry-After header: the condition is transient by
-// construction (a cleared plan or a healthier disk serves the next attempt),
-// unlike unrecoverable degradation which is also 503 but permanent until an
-// admin intervenes.
+// Reads left without a plan by unavailable devices surface as 503 with a
+// Retry-After header: the condition is transient (a cleared plan or a
+// healthier disk serves the next attempt), unlike unrecoverable degradation,
+// also 503 but permanent until an admin intervenes.
 //
 // All handlers are safe for concurrent use. Locking is sharded so
 // independent GETs plan and decode in parallel: the server holds only a
@@ -48,8 +47,8 @@
 // reserve the name, never across store I/O), each object carries its own
 // mutex (which single-flights cache fills; GETs that bypass the cache never
 // take it), and the store synchronizes device access internally with
-// shared-read locking and atomic I/O counters. PUTs whose group commit trips
-// the fault injector get 503 with Retry-After — the WAL keeps their bytes
+// shared-read locking and atomic I/O counters. PUTs whose group commit a
+// device write fails get 503 with Retry-After — the WAL keeps their bytes
 // queued for the next batch, and the name reservation is released so the
 // retry can claim it. Hot objects are served from an epoch-tagged
 // decoded-payload cache that failure injection, recovery, corruption, and
@@ -257,19 +256,20 @@ func (s *Server) Close() error {
 	return err
 }
 
-// SetFaultPlan compiles plan into every group's store (per-device policies
-// apply to the same disk index in each group) and bumps their epochs, which
-// invalidates every decoded-read cache. A plan without policies injects
-// nothing, so it clears injection. GET /faults reports the plan last set.
+// SetFaultPlan compiles plan into every group's store as a decorator of its
+// device backends (per-device policies apply to the same disk index in
+// each group) and bumps their epochs, which invalidates every decoded-read
+// cache. A plan without policies lifts the decorator. GET /faults reports
+// the plan last set.
 func (s *Server) SetFaultPlan(plan faultinject.Plan) {
 	s.faultMu.Lock()
 	defer s.faultMu.Unlock()
 	s.faultPlan = plan
 	for _, st := range s.stores {
 		if len(plan.Policies) == 0 {
-			st.SetFaultInjector(nil)
+			st.WrapBackends(nil)
 		} else {
-			st.SetFaultInjector(faultinject.New(plan))
+			st.WrapBackends(faultinject.New(plan).Wrap)
 		}
 	}
 }
@@ -361,7 +361,7 @@ func (s *Server) putObject(w http.ResponseWriter, r *http.Request, name string) 
 	off, err := s.wals[grp].Put(r.Context(), body)
 	if err != nil {
 		// The commit failed or the client gave up: free the name so a
-		// retry can claim it. Fault-aborted commits are transient by
+		// retry can claim it. Failed commits are transient by
 		// construction (the WAL retains its queue and retries), so steer
 		// the client back just like degraded reads do. The WAL may still
 		// hold the body, so it is dropped, not pooled.
@@ -457,8 +457,8 @@ func (s *Server) getObject(w http.ResponseWriter, r *http.Request, name string) 
 	res, err := s.readObject(r.Context(), obj, opts, nocache)
 	if err != nil {
 		// Both flavors of degradation are availability failures, but
-		// exhausted retries against slow/erroring devices are transient:
-		// tell the client when to come back.
+		// unavailable devices are transient: tell the client when to come
+		// back.
 		if errors.Is(err, store.ErrUnavailable) {
 			w.Header().Set("Retry-After", "1")
 		}

@@ -3,6 +3,7 @@ package httpd_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -10,6 +11,8 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -141,36 +144,45 @@ func TestNocacheGetAllocatesLessThanAnElement(t *testing.T) {
 
 // TestPutBodyIsPooled: an acked PUT's body goes back to the run pool and a
 // data node's write frame to the node's, so a PUT allocates a small
-// fraction of its body: 20 KiB for a 640 KiB object over file disks in
-// single mode (660 KiB before bodies were pooled), bounded here at twice
-// that.
+// fraction of its body. For a 640 KiB object over file disks: 20 KiB in
+// single mode (660 KiB before bodies were pooled), and 82 KiB through a
+// gateway over three in-process nodes (203 KiB while net/http copied each
+// node request's frame through a fresh 32 KiB buffer); each bounded here at
+// twice its figure.
 func TestPutBodyIsPooled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector, so allocation counts are meaningless")
 	}
-	o := openObjectServer(t, "single")
-	payload := bytes.Repeat([]byte{0x5c}, 10*getElem)
-	put := func(i int) {
-		rec := httptest.NewRecorder()
-		o.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, fmt.Sprintf("/objects/p%d", i), bytes.NewReader(payload)))
-		if rec.Code != http.StatusCreated {
-			t.Fatalf("put %d: %d %s", i, rec.Code, rec.Body)
-		}
-	}
-	for i := 0; i < 5; i++ { // warm the pools and the seal's buffers
-		put(i)
-	}
-	const puts = 40
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 5; i < 5+puts; i++ {
-		put(i)
-	}
-	runtime.ReadMemStats(&m1)
-	per := (m1.TotalAlloc - m0.TotalAlloc) / puts
-	t.Logf("%d bytes allocated per %d-byte PUT", per, len(payload))
-	if per > 40<<10 {
-		t.Fatalf("a %d-byte PUT allocates %d bytes; want at most 40 KiB", len(payload), per)
+	for _, tc := range []struct {
+		mode  string
+		bound uint64
+	}{{"single", 40 << 10}, {"gateway", 164 << 10}} {
+		t.Run(tc.mode, func(t *testing.T) {
+			o := openObjectServer(t, tc.mode)
+			payload := bytes.Repeat([]byte{0x5c}, 10*getElem)
+			put := func(i int) {
+				rec := httptest.NewRecorder()
+				o.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, fmt.Sprintf("/objects/p%d", i), bytes.NewReader(payload)))
+				if rec.Code != http.StatusCreated {
+					t.Fatalf("put %d: %d %s", i, rec.Code, rec.Body)
+				}
+			}
+			for i := 0; i < 5; i++ { // warm the pools, the seal's buffers and the connections
+				put(i)
+			}
+			const puts = 40
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 5; i < 5+puts; i++ {
+				put(i)
+			}
+			runtime.ReadMemStats(&m1)
+			per := (m1.TotalAlloc - m0.TotalAlloc) / puts
+			t.Logf("%d bytes allocated per %d-byte PUT", per, len(payload))
+			if per > tc.bound {
+				t.Fatalf("a %d-byte PUT allocates %d bytes; want at most %d", len(payload), per, tc.bound)
+			}
+		})
 	}
 }
 
@@ -225,44 +237,118 @@ func TestDegradedGetFailureIs503(t *testing.T) {
 	})
 }
 
-// TestGetClientGoneReleasesBuffers: a client that stops reading mid-body
-// and hangs up leaves no run buffer lent once the handler returns.
+// TestGetClientGoneReleasesBuffers: a client that goes away mid-GET leaves
+// no run buffer lent. In single mode it stops reading mid-body and hangs
+// up; the buffers come back once the handler returns. Through a gateway one
+// node's read handler stalls 2 s and the client cancels after 20 ms: the
+// GET's context reaches the node request, which is cancelled at the node,
+// and the gateway's buffers come back within 200 ms of the cancel rather
+// than after the stall.
 func TestGetClientGoneReleasesBuffers(t *testing.T) {
-	st := store.MustNew(core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM), getElem)
-	srv := httpd.NewServerWith(st, httpd.Config{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	// Larger than loopback socket buffering, so the handler blocks in its
-	// write with the object's buffers lent.
-	const elems = 192
-	o := &objectServer{h: srv}
-	o.put(t, "big", elems)
-	conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(conn, "GET /objects/big?nocache=1 HTTP/1.1\r\nHost: x\r\n\r\n")
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil || !strings.Contains(line, "200") {
-		t.Fatalf("status line %q: %v", line, err)
-	}
-	lent := func(want func(int) bool) int {
-		n := 0
-		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			if n = st.RunPool().Lent(); want(n) {
-				break
-			}
+	t.Run("single", func(t *testing.T) {
+		st := store.MustNew(core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM), getElem)
+		srv := httpd.NewServerWith(st, httpd.Config{})
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		// Larger than loopback socket buffering, so the handler blocks in its
+		// write with the object's buffers lent.
+		const elems = 192
+		o := &objectServer{h: srv}
+		o.put(t, "big", elems)
+		conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return n
+		fmt.Fprintf(conn, "GET /objects/big?nocache=1 HTTP/1.1\r\nHost: x\r\n\r\n")
+		line, err := bufio.NewReader(conn).ReadString('\n')
+		if err != nil || !strings.Contains(line, "200") {
+			t.Fatalf("status line %q: %v", line, err)
+		}
+		if n := lentWithin(st, 10*time.Second, func(n int) bool { return n > 0 }); n == 0 {
+			t.Fatal("no buffer lent while the body is being written")
+		}
+		conn.Close()
+		if n := lentWithin(st, 10*time.Second, func(n int) bool { return n == 0 }); n != 0 {
+			t.Fatalf("%d run buffers still lent after the client hung up", n)
+		}
+		if got := getStatus(t, ts.URL).RunBuffersLent; got != 0 {
+			t.Fatalf("status reports %d run buffers lent", got)
+		}
+	})
+	t.Run("gateway-cancel", func(t *testing.T) {
+		var stalling atomic.Bool
+		gone := make(chan struct{}) // closed when the stalled node request is cancelled
+		var once sync.Once
+		var urls []string
+		for i := 0; i < 3; i++ {
+			n, err := datanode.New(datanode.Config{ElemSize: getElem, Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := http.Handler(n)
+			if i == 1 {
+				h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if stalling.Load() && r.Method == http.MethodGet && r.URL.Path == "/cells/runs" {
+						select {
+						case <-time.After(2 * time.Second):
+						case <-r.Context().Done():
+							once.Do(func() { close(gone) })
+							return
+						}
+					}
+					n.ServeHTTP(w, r)
+				})
+			}
+			ns := httptest.NewServer(h)
+			defer func() { ns.Close(); n.Close() }()
+			urls = append(urls, ns.URL)
+		}
+		gw, err := gateway.New(gateway.Config{Nodes: urls, Groups: 1, ElemSize: getElem,
+			Scheme: core.MustScheme(mustRS(6, 3), layout.FormECFRM)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer gw.Close()
+		ts := httptest.NewServer(gw)
+		defer ts.Close()
+		(&objectServer{h: gw}).put(t, "obj", 20)
+
+		stalling.Store(true)
+		ctx, cancel := context.WithCancel(context.Background())
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/objects/obj?nocache=1", nil)
+		cancelled := make(chan time.Time, 1)
+		go func() {
+			time.Sleep(20 * time.Millisecond)
+			cancelled <- time.Now()
+			cancel()
+		}()
+		if resp, err := ts.Client().Do(req); err == nil {
+			resp.Body.Close()
+			t.Fatalf("GET answered %d through a stalled node despite the cancel", resp.StatusCode)
+		}
+		at := <-cancelled
+		select {
+		case <-gone:
+		case <-time.After(time.Second):
+			t.Fatal("the stalled node request was not cancelled")
+		}
+		if n := lentWithin(gw.Store(0), time.Second, func(n int) bool { return n == 0 }); n != 0 {
+			t.Fatalf("%d run buffers still lent after the client cancelled", n)
+		}
+		if took := time.Since(at); took > 200*time.Millisecond {
+			t.Fatalf("run buffers came back %v after the cancel; want within 200ms", took)
+		}
+	})
+}
+
+// lentWithin polls st's lent run buffers until want holds or d passes, and
+// returns the last count.
+func lentWithin(st *store.Store, d time.Duration, want func(int) bool) int {
+	n := 0
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if n = st.RunPool().Lent(); want(n) {
+			break
+		}
 	}
-	if n := lent(func(n int) bool { return n > 0 }); n == 0 {
-		t.Fatal("no buffer lent while the body is being written")
-	}
-	conn.Close()
-	if n := lent(func(n int) bool { return n == 0 }); n != 0 {
-		t.Fatalf("%d run buffers still lent after the client hung up", n)
-	}
-	if got := getStatus(t, ts.URL).RunBuffersLent; got != 0 {
-		t.Fatalf("status reports %d run buffers lent", got)
-	}
+	return n
 }

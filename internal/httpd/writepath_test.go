@@ -2,6 +2,7 @@ package httpd_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -60,10 +61,6 @@ func TestPutFaulted503ThenRetrySucceeds(t *testing.T) {
 	// A short interval lets the WAL's own retry timer drive both the faulted
 	// attempt and the post-clear recovery — no manual flushing.
 	forEachSurface(t, httpd.Config{WAL: store.WALConfig{FlushInterval: time.Millisecond}}, func(t *testing.T, s *surface) {
-		for _, st := range s.stores {
-			st.SetRetryPolicy(200*time.Microsecond, 2)
-		}
-
 		// Deterministic plan: device 3 fails every write. Installed through
 		// the HTTP surface so the whole fault path is end-to-end.
 		plan := `{"seed": 42, "policies": [{"device": 3, "write_err_prob": 1}]}`
@@ -116,22 +113,27 @@ func TestPutFaulted503ThenRetrySucceeds(t *testing.T) {
 	})
 }
 
-// holdGate is a fault injector that parks the first device write it is asked
-// about until release is closed: it holds a PUT's commit in flight (a lone
-// PUT commits at once, so no flush interval can).
+// holdGate parks the first device write beneath the stores it wraps until
+// release is closed: it holds a PUT's commit in flight (a lone PUT commits
+// at once, so no flush interval can).
 type holdGate struct {
 	once             sync.Once
 	entered, release chan struct{}
 }
 
-func (g *holdGate) ReadFault(int) store.Fault { return store.Fault{} }
+func (g *holdGate) wrap(be store.CellBackend) store.CellBackend { return heldBackend{be, g} }
 
-func (g *holdGate) WriteFault(int) store.Fault {
-	g.once.Do(func() {
-		close(g.entered)
-		<-g.release
+type heldBackend struct {
+	store.CellBackend
+	g *holdGate
+}
+
+func (b heldBackend) WriteRuns(ctx context.Context, runs []store.Run, sync bool) error {
+	b.g.once.Do(func() {
+		close(b.g.entered)
+		<-b.g.release
 	})
-	return store.Fault{}
+	return b.CellBackend.WriteRuns(ctx, runs, sync)
 }
 
 // TestPutDuplicateConflictsWhilePending: the 409 contract holds even while
@@ -141,7 +143,7 @@ func TestPutDuplicateConflictsWhilePending(t *testing.T) {
 	forEachSurface(t, httpd.Config{}, func(t *testing.T, s *surface) {
 		gate := &holdGate{entered: make(chan struct{}), release: make(chan struct{})}
 		for _, st := range s.stores {
-			st.SetFaultInjector(gate)
+			st.WrapBackends(gate.wrap)
 		}
 		payload := bytes.Repeat([]byte{7}, 100)
 

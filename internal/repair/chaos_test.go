@@ -72,11 +72,9 @@ func TestChaosKilledDiskMTTR(t *testing.T) {
 }
 
 // chaosStore is the store the chaos suite and BenchmarkRebuildAtRate share:
-// LRC(6,2,2) under EC-FRM on in-memory devices with a short retry policy.
+// LRC(6,2,2) under EC-FRM on in-memory devices.
 func chaosStore(elemBytes int) *store.Store {
-	st := store.MustNew(core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM), elemBytes)
-	st.SetRetryPolicy(10*time.Millisecond, 2)
-	return st
+	return store.MustNew(core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM), elemBytes)
 }
 
 func chaosKilledDisk(t *testing.T, seed int64) {
@@ -121,7 +119,7 @@ func chaosKilledDisk(t *testing.T, seed int64) {
 		}
 		return p
 	}
-	st.SetFaultInjector(faultinject.New(latencyPlan()))
+	st.WrapBackends(faultinject.New(latencyPlan()).Wrap)
 
 	names := make([]string, 0, objects)
 	for name := range payloads {
@@ -211,7 +209,7 @@ func chaosKilledDisk(t *testing.T, seed int64) {
 		}(c)
 	}
 
-	st.SetFaultInjector(faultinject.New(killPlan))
+	st.WrapBackends(faultinject.New(killPlan).Wrap)
 
 	// Wait for detection + rebuild, observed via the live metrics endpoint
 	// like an operator would.
@@ -228,15 +226,22 @@ func chaosKilledDisk(t *testing.T, seed int64) {
 		return string(b)
 	}
 	deadline := time.Now().Add(30 * time.Second)
+	for scrapeValue(t, scrape(), `ecfrm_repair_detections_total{kind="errored"}`) < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no detection within 30s; errs=%v failed=%v", st.DiskErrorCounts(), st.FailedDisks())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// The faulty hardware is replaced once detected: back to the
+	// latency-only plan, which the replacement device — under the plan like
+	// every device — must have for the rebuild to write it.
+	st.WrapBackends(faultinject.New(latencyPlan()).Wrap)
 	for scrapeValue(t, scrape(), "ecfrm_repair_mttr_seconds_count") < 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no rebuild completed within 30s; errs=%v failed=%v", st.DiskErrorCounts(), st.FailedDisks())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// The faulty hardware is replaced: back to the latency-only plan so the
-	// rebuilt disk stops re-erroring.
-	st.SetFaultInjector(faultinject.New(latencyPlan()))
 	for len(st.FailedDisks()) != 0 || len(st.Rebuilding()) != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("store not healthy within 30s: failed=%v rebuilding=%v", st.FailedDisks(), st.Rebuilding())

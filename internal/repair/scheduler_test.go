@@ -2,6 +2,7 @@ package repair
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -61,18 +62,25 @@ func metricValue(t *testing.T, reg *obs.Registry, sample string) float64 {
 	return 0
 }
 
-// stubInjector scripts per-device read faults for detector tests.
-type stubInjector struct {
-	read func(dev int) store.Fault
+// failReads fails every read of device dev beneath the store, as a device
+// that fail-stopped would, and lets writes through.
+func failReads(dev int) func(store.CellBackend) store.CellBackend {
+	return func(be store.CellBackend) store.CellBackend { return deadReads{be, dev} }
 }
 
-func (s stubInjector) ReadFault(dev int) store.Fault {
-	if s.read != nil {
-		return s.read(dev)
-	}
-	return store.Fault{}
+type deadReads struct {
+	store.CellBackend
+	dev int
 }
-func (s stubInjector) WriteFault(int) store.Fault { return store.Fault{} }
+
+func (b deadReads) ReadRuns(ctx context.Context, runs []store.Run) {
+	b.CellBackend.ReadRuns(ctx, runs)
+	for i := range runs {
+		if runs[i].Disk == b.dev {
+			runs[i].Err, runs[i].Data, runs[i].CRCs = store.ErrFailed, nil, nil
+		}
+	}
+}
 
 // TestSchedulerRebuildsFailedDisk: an operator fail-stop is detected on the
 // next tick and rebuilt automatically, with MTTR and byte metrics recorded.
@@ -154,7 +162,6 @@ func TestSchedulerSkipsDiskRecoveredBeforeBegin(t *testing.T) {
 // tolerance, and rebuilds — while foreground reads keep succeeding degraded.
 func TestSchedulerDetectsErrorBurst(t *testing.T) {
 	s := testStore(t)
-	s.SetRetryPolicy(200*time.Microsecond, 1)
 	data := fillStripes(t, s, 12, 33)
 	reg := obs.NewRegistry()
 	sch, err := New([]*store.Store{s}, fastConfig(reg))
@@ -163,12 +170,7 @@ func TestSchedulerDetectsErrorBurst(t *testing.T) {
 	}
 	defer sch.Close()
 
-	s.SetFaultInjector(stubInjector{read: func(d int) store.Fault {
-		if d == 2 {
-			return store.Fault{Failed: true}
-		}
-		return store.Fault{}
-	}})
+	s.WrapBackends(failReads(2))
 	// Drive reads until the error budget on disk 2 trips the detector. The
 	// tiny store rebuilds near-instantly, so wait on the detection counter
 	// rather than trying to catch the transient failed state.
@@ -178,8 +180,9 @@ func TestSchedulerDetectsErrorBurst(t *testing.T) {
 		}
 		return metricValue(t, reg, `ecfrm_repair_detections_total{kind="errored"}`) >= 1
 	})
-	// The faulty hardware is "replaced" (plan cleared) and the rebuild runs.
-	s.SetFaultInjector(nil)
+	// The faulty hardware is "replaced" (decorator lifted) and the rebuild
+	// runs.
+	s.WrapBackends(nil)
 	waitFor(t, 5*time.Second, "rebuild after error burst", func() bool {
 		return len(s.FailedDisks()) == 0 && len(s.Rebuilding()) == 0
 	})

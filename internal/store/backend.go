@@ -5,14 +5,17 @@
 // device every New store starts with), DiskStore (a data/checksum file pair,
 // diskdev.go), and the gateway's client for one extent on a data node
 // (internal/gateway). The store's machinery — the fan-out executor's
-// coalesced runs, degraded replanning on
-// ErrUnavailable, group-commit WAL sealing through the two-phase gate, heal,
-// scrub, rebuild and startup recovery — runs unchanged over any of them. A
-// dead node surfaces as ErrUnavailable from its backend, exactly like a
-// failed local disk, and the replan loop routes around it.
+// coalesced runs, degraded replanning on ErrUnavailable, group-commit WAL
+// sealing, heal, scrub, rebuild and startup recovery — runs unchanged over
+// any of them. A dead node surfaces as ErrUnavailable from its backend,
+// exactly like a failed local disk, and the replan loop routes around it.
+// A decorator installed with Store.WrapBackends sits on this seam too —
+// internal/faultinject's is how tests and /faults make devices slow, flaky
+// or dead — so an injected fault reaches the store the way a real one does.
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -68,22 +71,22 @@ func zeroChecksum(elem int) uint32 { return crc32.Checksum(make([]byte, elem), c
 // stays the caller's: a backend keeps no reference either way, and reads a
 // run into the buffers it is handed when they fit it (Run.ReadBuffers).
 // Implementations must be safe for concurrent use — the fan-out executor
-// issues batches from many goroutines.
+// issues batches from many goroutines. A batch whose ctx has ended may fail
+// whole with ctx's error; a backend checks it at least once per call.
 type CellBackend interface {
 	// ReadRuns reads every run of the batch into its Data and CRCs — the
 	// checksums recorded at write time — or sets its Err: one wrapping
 	// ErrCellMissing when the backend never stored some cell of the run,
 	// any other error when the run, or the whole batch (a node that does
 	// not answer), failed.
-	ReadRuns(runs []Run)
+	ReadRuns(ctx context.Context, runs []Run)
 	// WriteRuns stores each run's cells and checksums verbatim — never
 	// recomputed, the store side owns integrity — and records each zero
 	// run's cells as the all-zero element under its checksum, which then
 	// read back like any written cell. With sync, every device a run names
-	// is made durable before it returns: the commit barrier of the
-	// two-phase gate, riding on the commit's last write (a no-op in
-	// memory).
-	WriteRuns(runs []Run, sync bool) error
+	// is made durable before it returns: the commit barrier, riding on the
+	// commit's last write (a no-op in memory).
+	WriteRuns(ctx context.Context, runs []Run, sync bool) error
 	// Truncate drops every slot at or above the bound (recovery's torn-tail
 	// cut, and rebuilds clearing a replacement device).
 	Truncate(slots int) error
@@ -126,13 +129,18 @@ func NewMemDisk(elemSize int) *MemDisk {
 		zero: memCell{make([]byte, elemSize), zeroChecksum(elemSize)}}
 }
 
-func (m *MemDisk) ReadRuns(runs []Run) { readEach(runs, m.readRun) }
+func (m *MemDisk) ReadRuns(ctx context.Context, runs []Run) { readEach(ctx, runs, m.readRun) }
 
-// readEach reads each run of a backend holding one extent with read, and
-// leaves a failed run nothing but its Err.
-func readEach(runs []Run, read func(*Run) error) {
+// readEach reads each run of a backend holding one extent with read, once
+// ctx is checked, and leaves a failed run nothing but its Err. A started
+// read is never abandoned: a pread cannot be interrupted.
+func readEach(ctx context.Context, runs []Run, read func(*Run) error) {
+	cut := ctx.Err()
 	for i := range runs {
-		if runs[i].Err = read(&runs[i]); runs[i].Err != nil {
+		if runs[i].Err = cut; cut == nil {
+			runs[i].Err = read(&runs[i])
+		}
+		if runs[i].Err != nil {
 			runs[i].Data, runs[i].CRCs = nil, nil
 		}
 	}
@@ -158,7 +166,10 @@ func (m *MemDisk) readRun(r *Run) error {
 
 // WriteRuns stores each run, pointing a zero run's slots at the one shared
 // zero cell; memory has nothing to sync.
-func (m *MemDisk) WriteRuns(runs []Run, _ bool) error {
+func (m *MemDisk) WriteRuns(ctx context.Context, runs []Run, _ bool) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	for _, r := range runs {
 		cells, own := len(r.CRCs), []byte(nil)
 		switch {
@@ -224,7 +235,7 @@ func (m *MemDisk) Close() error { return nil }
 type CellStoreConfig struct {
 	// Sync runs the commit-path durability barrier: a commit's last seal
 	// writes with sync set, so every device is durable before the stripe is
-	// published — the node-side fsync of the two-phase gate.
+	// published — the node-side fsync.
 	Sync bool
 	// NodeOf, when set, names the placement node that serves each device
 	// (one entry per device), from the first batch on — recovery's
@@ -307,7 +318,8 @@ func NewWithCellBackends(scheme *core.Scheme, elemSize int, cfg CellStoreConfig,
 			st.closeBackends()
 			return nil, nil, fmt.Errorf("store: open device %d: %w", d, err)
 		}
-		dev.be, slots[d] = cb, cb.Slots()
+		st.plug(dev, cb)
+		slots[d] = cb.Slots()
 	}
 	st.fsync = cfg.Sync
 	st.newBackendFn = func(d int) (CellBackend, error) {

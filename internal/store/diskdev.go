@@ -18,10 +18,9 @@
 // but leaves a hole in the data file: past the file's end it only extends
 // the file, and only slots below the end are written, with zeros, so the
 // file reads back exactly as if the zeros had been written. Durability
-// discipline maps the store's two-phase gated writes onto
-// write-then-fsync-then-publish: a seal gates every cell, writes every
-// device, fsyncs every touched device, and only then advances the
-// sealed-stripe counter; healing and recovery follow the same order.
+// discipline is write-then-fsync-then-publish: a seal writes every device,
+// fsyncs every touched device, and only then advances the sealed-stripe
+// counter; healing and recovery follow the same order.
 // FsyncNever trades that barrier away for throughput (the recovery scrub
 // still bounds the damage to torn tails).
 //
@@ -213,13 +212,13 @@ func (ds *DiskStore) loadIndex() error {
 }
 
 // ReadRuns reads each run as one pread.
-func (ds *DiskStore) ReadRuns(runs []Run) { readEach(runs, ds.readRun) }
+func (ds *DiskStore) ReadRuns(ctx context.Context, runs []Run) { readEach(ctx, runs, ds.readRun) }
 
 // ReadRun reads count contiguous slots as one pread, returning the
 // concatenated payloads alongside copies of their recorded checksums.
 func (ds *DiskStore) ReadRun(slot, count int) ([]byte, []uint32, error) {
 	r := []Run{{Slot: slot, Count: count}}
-	ds.ReadRuns(r)
+	ds.ReadRuns(context.TODO(), r)
 	return r[0].Data, r[0].CRCs, r[0].Err
 }
 
@@ -251,7 +250,10 @@ func (ds *DiskStore) readRun(r *Run) error {
 
 // WriteRuns writes each run that carries cells, records each zero run
 // (writeZeros), then with sync fsyncs the pair.
-func (ds *DiskStore) WriteRuns(runs []Run, sync bool) error {
+func (ds *DiskStore) WriteRuns(ctx context.Context, runs []Run, sync bool) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	for _, r := range runs {
 		var err error
 		switch {
@@ -482,7 +484,7 @@ func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, 
 	if err != nil {
 		return nil, nil, err
 	}
-	report.DirectActive = st.devices[0].be.(*DiskStore).direct
+	report.DirectActive = st.devices[0].base.(*DiskStore).direct
 	return st, report, nil
 }
 
@@ -672,7 +674,7 @@ func syncDir(dir string) error {
 func (s *Store) closeBackends() error {
 	var err error
 	for _, dev := range s.devices {
-		if cerr := dev.be.Close(); err == nil {
+		if cerr := dev.base.Close(); err == nil {
 			err = cerr
 		}
 	}

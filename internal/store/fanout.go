@@ -14,12 +14,13 @@
 // heal passes and the nested recovery passes of heals serve the same batches
 // inline on the calling goroutine.
 //
-// Determinism with the seeded fault injector is preserved by construction:
-// every device's runs draw their faults in ascending offset order on
-// exactly one worker, a pass always drains (devices that turn out
-// unavailable are collected, never raced against with cancellation), and
-// the load bias below is quiescent when the store is idle, so
-// single-threaded replays draw identical per-device fault streams.
+// Determinism under a seeded backend decorator (internal/faultinject) is
+// preserved by construction: every device's runs reach its backend in
+// ascending offset order within one batch on exactly one worker, a pass
+// always drains (devices that turn out unavailable are collected, never
+// raced against with cancellation), and the load bias below is quiescent
+// when the store is idle, so single-threaded replays draw identical
+// per-device fault streams.
 //
 // Load-aware degraded planning rides on top: when a degraded plan must
 // choose among survivor subsets, live per-device in-flight run counts are
@@ -51,8 +52,9 @@ type ReadOptions struct {
 }
 
 // ReadAtCtx is ReadAt with an explicit context and per-call options. The
-// context cancels device waits, including injected stuck-op sleeps. It
-// writes ReadStream's result into one fresh buffer of length bytes.
+// context reaches every backend call, so it cancels device waits — a node
+// request, a decorator's injected stall. It writes ReadStream's result into
+// one fresh buffer of length bytes.
 func (s *Store) ReadAtCtx(ctx context.Context, off int64, length int, opts ReadOptions) (*ReadResult, error) {
 	res, err := s.ReadStream(ctx, off, length, opts)
 	if err != nil {
@@ -614,7 +616,7 @@ func (p *fanoutPass) serveNode(q nodeQueue) {
 		}
 		switch {
 		case err == nil:
-		case takesOut(err) || p.rule == corruptAvoids && errors.Is(err, ErrCorrupt):
+		case errors.Is(err, ErrUnavailable) || p.rule == corruptAvoids && errors.Is(err, ErrCorrupt):
 			p.mu.Lock()
 			p.out[run.dev] = err
 			p.mu.Unlock()
@@ -632,23 +634,35 @@ func (p *fanoutPass) serveNode(q nodeQueue) {
 	}
 }
 
-// readRuns reads one node's runs as one batch (readRunsCtx). The rule for
-// accounting is the same for every pass — GET, heal re-read, rebuild,
-// scrub: each run counts in its device's in-flight gauge while the batch is
-// served. It describes the devices, not the caller.
+// readRuns reads the runs of one node — its devices in ascending order,
+// each device's runs in offset order — as one backend call (readBatch) with
+// the pass's context, and settles each in its entry of batch: the run's
+// cells, flattened, in Data, or its Err; a run handed buffers in batch is
+// read into them. The rule for accounting is the same for every pass —
+// GET, heal re-read, rebuild, scrub: each run counts in its device's
+// in-flight gauge while the batch is served, and the batch's latency is
+// one sample for each device it read, however many of its runs it held.
+// Caller holds mu in either mode.
 func (p *fanoutPass) readRuns(runs []devRun, batch []Run) {
 	s := p.s
-	for _, run := range runs {
+	for i, run := range runs {
 		d := s.devices[run.dev]
 		d.inflight.Add(1)
 		d.obsInflight.Add(1)
 		s.Metrics().observeRun(len(run.slots) * s.elemSize)
+		batch[i].Disk, batch[i].Slot, batch[i].Count, batch[i].Err = run.dev, d.slot(run.slots[0].key), len(run.slots), nil
 	}
-	s.readRunsCtx(p.ctx, runs, batch)
-	for _, run := range runs {
+	start := time.Now()
+	s.readBatch(p.ctx, batch)
+	folded := -1 // runs of one device are adjacent
+	for i, run := range runs {
 		d := s.devices[run.dev]
 		d.inflight.Add(-1)
 		d.obsInflight.Add(-1)
+		if batch[i].Err == nil && run.dev != folded {
+			d.observeLatency(time.Since(start))
+			folded = run.dev
+		}
 	}
 }
 
@@ -694,20 +708,4 @@ func (p *fanoutPass) healRun(run devRun) error {
 		p.slot(sl).cells[sl.idx] = cell
 	}
 	return nil
-}
-
-// sleepCtx sleeps for d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if ctx == nil || ctx.Done() == nil {
-		time.Sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

@@ -69,7 +69,6 @@ func TestFanoutMatchesSequentialProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(500))
 			for trial := 0; trial < 6; trial++ {
 				st := MustNew(scheme, 64)
-				st.SetRetryPolicy(200*time.Microsecond, 2)
 				payload := make([]byte, 4*scheme.DataPerStripe()*64)
 				rng.Read(payload)
 				if err := st.Append(payload); err != nil {
@@ -118,13 +117,12 @@ func TestFanoutConcurrentSharedStore(t *testing.T) {
 	const elem = 4096
 	sch := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	st := MustNew(sch, elem)
-	st.SetRetryPolicy(200*time.Microsecond, 1)
 	payload := make([]byte, 6*sch.DataPerStripe()*elem)
 	rand.New(rand.NewSource(501)).Read(payload)
 	if err := st.Append(payload); err != nil {
 		t.Fatal(err)
 	}
-	st.SetFaultInjector(stubInjector{read: onlyDev(2, Fault{Err: errors.New("io error")})})
+	stub(st, onlyDev(2, errors.New("io error")), nil)
 
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -205,6 +203,7 @@ func TestFanoutBoundedAllocs(t *testing.T) {
 	// own allocations).
 	st.FailDiskWithinTolerance(0)
 	degraded := measure("degraded", 4*sch.DataPerStripe()*st.ElementSize(), ReadOptions{})
+	t.Logf("allocs/op: 1-element %v, 24-element %v, degraded 24-element %v", small, large, degraded)
 	if degraded > large+60 {
 		t.Errorf("degraded 24-element read: %v allocs/op vs %v healthy — decoded shards are not pooled",
 			degraded, large)
@@ -220,7 +219,6 @@ func TestFanoutBoundedAllocs(t *testing.T) {
 func TestFanoutReplanRecyclesBuffers(t *testing.T) {
 	sch := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	st := MustNew(sch, 64)
-	st.SetRetryPolicy(200*time.Microsecond, 1)
 	payload := make([]byte, 4*sch.DataPerStripe()*64)
 	rand.New(rand.NewSource(503)).Read(payload)
 	if err := st.Append(payload); err != nil {
@@ -228,7 +226,7 @@ func TestFanoutReplanRecyclesBuffers(t *testing.T) {
 	}
 	// Device 1 always errors: every read plans normally, fails, replans
 	// degraded around it — exercising the recycle-before-continue path.
-	st.SetFaultInjector(stubInjector{read: onlyDev(1, Fault{Err: errors.New("io error")})})
+	stub(st, onlyDev(1, errors.New("io error")), nil)
 	for i := 0; i < 30; i++ {
 		res, err := st.ReadAtCtx(context.Background(), 0, len(payload), ReadOptions{})
 		if err != nil {
@@ -243,21 +241,21 @@ func TestFanoutReplanRecyclesBuffers(t *testing.T) {
 	}
 }
 
-// TestFanoutStuckOpCancellable is the satellite fault-injection-safety test:
-// a stuck-op fault sleeping toward the op timeout must be cut short by
-// context cancellation, and the read must return promptly with the context's
-// error — no goroutine parked in a sleep it cannot leave.
+// TestFanoutStuckOpCancellable is the fault-injection-safety test: every
+// backend stalling for 5 s must be cut short by context cancellation,
+// because the read's context reaches the backend call, and the read must
+// return promptly with the context's error — no goroutine parked in a wait
+// it cannot leave.
 func TestFanoutStuckOpCancellable(t *testing.T) {
 	fanoutLeakCheck(t)
 	sch := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	st := MustNew(sch, 64)
-	st.SetRetryPolicy(5*time.Second, 0) // stuck op would sleep 5s uncancelled
 	payload := make([]byte, sch.DataPerStripe()*64)
 	rand.New(rand.NewSource(504)).Read(payload)
 	if err := st.Append(payload); err != nil {
 		t.Fatal(err)
 	}
-	st.SetFaultInjector(stubInjector{read: func(int) Fault { return Fault{Stuck: true} }})
+	stub(st, stall(5*time.Second, errors.New("stuck")), nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -293,7 +291,7 @@ func TestFanoutBeatsSequentialUnderUniformLatency(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st.SetFaultInjector(stubInjector{read: func(int) Fault { return Fault{Delay: 2 * time.Millisecond} }})
+	stub(st, stall(2*time.Millisecond, nil), nil)
 
 	best := func(opts ReadOptions) time.Duration {
 		t.Helper()
@@ -346,7 +344,7 @@ func TestLatencyEWMAOneSamplePerDevicePerBatch(t *testing.T) {
 		out := make([]Run, len(runs))
 		start := time.Now()
 		st.mu.RLock()
-		st.readRunsCtx(context.Background(), runs, out)
+		(&fanoutPass{s: st, ctx: context.Background()}).readRuns(runs, out)
 		st.mu.RUnlock()
 		elapsed := time.Since(start)
 		for _, r := range out {
@@ -363,7 +361,7 @@ func TestLatencyEWMAOneSamplePerDevicePerBatch(t *testing.T) {
 		t.Fatalf("seed EWMA = %d, want a positive sample", seed)
 	}
 	const delay = 20 * time.Millisecond
-	st.SetFaultInjector(stubInjector{read: onlyDev(dev, Fault{Delay: delay})})
+	stub(st, on(dev, stall(delay, nil)), nil)
 	// Stripes 0 and 2 sit at offsets 0 and 2 of the device: two runs, one
 	// batch. The batch's latency is at least both delays and at most the
 	// call's own wall time.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -10,47 +11,83 @@ import (
 	"repro/internal/layout"
 )
 
-// stubInjector adapts plain funcs to the FaultInjector interface so tests
-// can script exact per-device behaviour.
-type stubInjector struct {
-	read  func(dev int) Fault
-	write func(dev int) Fault
+// stubBackend decorates a device's backend for tests: before the device
+// serves a run, read or write (when set) is asked about the run's device,
+// and an error fails the run — a write, its whole batch — instead.
+type stubBackend struct {
+	CellBackend
+	read, write func(ctx context.Context, dev int) error
 }
 
-func (s stubInjector) ReadFault(dev int) Fault {
-	if s.read != nil {
-		return s.read(dev)
-	}
-	return Fault{}
-}
-
-func (s stubInjector) WriteFault(dev int) Fault {
-	if s.write != nil {
-		return s.write(dev)
-	}
-	return Fault{}
-}
-
-// onlyDev returns a fault for one device and no fault for the rest.
-func onlyDev(dev int, f Fault) func(int) Fault {
-	return func(d int) Fault {
-		if d == dev {
-			return f
+func (b stubBackend) ReadRuns(ctx context.Context, runs []Run) {
+	for i := range runs {
+		if b.read != nil {
+			if err := b.read(ctx, runs[i].Disk); err != nil {
+				runs[i].Err, runs[i].Data, runs[i].CRCs = err, nil, nil
+				continue
+			}
 		}
-		return Fault{}
+		b.CellBackend.ReadRuns(ctx, runs[i:i+1])
 	}
 }
 
-func fastRetries(s *Store) { s.SetRetryPolicy(200*time.Microsecond, 2) }
+func (b stubBackend) WriteRuns(ctx context.Context, runs []Run, sync bool) error {
+	for _, r := range runs {
+		if b.write == nil {
+			break
+		}
+		if err := b.write(ctx, r.Disk); err != nil {
+			return err
+		}
+	}
+	return b.CellBackend.WriteRuns(ctx, runs, sync)
+}
+
+// stub puts read and write hooks beneath every device of s.
+func stub(s *Store, read, write func(ctx context.Context, dev int) error) {
+	s.WrapBackends(func(be CellBackend) CellBackend { return stubBackend{be, read, write} })
+}
+
+// onlyDev fails device dev's runs with err and lets the rest through.
+func onlyDev(dev int, err error) func(context.Context, int) error {
+	return func(_ context.Context, d int) error {
+		if d == dev {
+			return err
+		}
+		return nil
+	}
+}
+
+// stall holds a run for d, or until its context ends, then lets it through
+// (fail nil) or fails it.
+func stall(d time.Duration, fail error) func(context.Context, int) error {
+	return func(ctx context.Context, _ int) error {
+		select {
+		case <-time.After(d):
+			return fail
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// on applies hook to device dev's runs only.
+func on(dev int, hook func(context.Context, int) error) func(context.Context, int) error {
+	return func(ctx context.Context, d int) error {
+		if d == dev {
+			return hook(ctx, d)
+		}
+		return nil
+	}
+}
 
 // TestReadFallsBackOnErroringDevice: a device that always errors (but is
 // not marked failed) must be routed around via the degraded-read fallback,
 // returning correct bytes from a plan that never touches it.
 func TestReadFallsBackOnErroringDevice(t *testing.T) {
 	s := testStore(t, layout.FormECFRM)
-	fastRetries(s)
 	want := fill(t, s, 4*s.stripeBytes(), 11)
-	s.SetFaultInjector(stubInjector{read: onlyDev(0, Fault{Err: errors.New("io error")})})
+	stub(s, onlyDev(0, errors.New("io error")), nil)
 
 	res, err := s.ReadAt(0, len(want))
 	if err != nil {
@@ -66,13 +103,12 @@ func TestReadFallsBackOnErroringDevice(t *testing.T) {
 	}
 }
 
-// TestReadFallsBackOnStuckDevice: a stuck device times out per-op and the
-// read degrades around it instead of hanging.
+// TestReadFallsBackOnStuckDevice: a device whose backend stalls and then
+// fails is routed around: the read degrades instead of failing.
 func TestReadFallsBackOnStuckDevice(t *testing.T) {
 	s := testStore(t, layout.FormECFRM)
-	fastRetries(s)
 	want := fill(t, s, 2*s.stripeBytes(), 12)
-	s.SetFaultInjector(stubInjector{read: onlyDev(3, Fault{Stuck: true})})
+	stub(s, on(3, stall(50*time.Millisecond, errors.New("stuck"))), nil)
 
 	start := time.Now()
 	res, err := s.ReadAt(0, len(want))
@@ -87,14 +123,13 @@ func TestReadFallsBackOnStuckDevice(t *testing.T) {
 	}
 }
 
-// TestReadFallsBackOnInjectedFailStop: a fault-plan fail-stop (fail-after-N
-// tripping) degrades reads exactly like a FailDisk, without the device ever
-// being marked failed.
+// TestReadFallsBackOnInjectedFailStop: a backend that reports a fail-stop
+// (ErrFailed, as a fault plan's fail-after-N does) degrades reads exactly
+// like a FailDisk, without the device ever being marked failed.
 func TestReadFallsBackOnInjectedFailStop(t *testing.T) {
 	s := testStore(t, layout.FormECFRM)
-	fastRetries(s)
 	want := fill(t, s, 2*s.stripeBytes(), 13)
-	s.SetFaultInjector(stubInjector{read: onlyDev(5, Fault{Failed: true})})
+	stub(s, onlyDev(5, ErrFailed), nil)
 
 	res, err := s.ReadAt(0, len(want))
 	if err != nil {
@@ -106,6 +141,10 @@ func TestReadFallsBackOnInjectedFailStop(t *testing.T) {
 	if len(s.FailedDisks()) != 0 {
 		t.Fatal("injected fail-stop must not mark the device failed")
 	}
+	runs := []Run{{Disk: 5, Count: 1}}
+	if s.readBatch(context.Background(), runs); !errors.Is(runs[0].Err, ErrFailed) || !errors.Is(runs[0].Err, ErrUnavailable) {
+		t.Fatalf("a fail-stopped run settles as %v; want ErrFailed and ErrUnavailable both", runs[0].Err)
+	}
 }
 
 // TestReadUnavailableBeyondTolerance: when more devices are unavailable
@@ -113,49 +152,45 @@ func TestReadFallsBackOnInjectedFailStop(t *testing.T) {
 // never silent wrong bytes.
 func TestReadUnavailableBeyondTolerance(t *testing.T) {
 	s := testStore(t, layout.FormECFRM) // LRC(6,2,2): tolerance 3
-	fastRetries(s)
 	want := fill(t, s, s.stripeBytes(), 14)
 	bad := map[int]bool{0: true, 1: true, 2: true, 3: true}
-	s.SetFaultInjector(stubInjector{read: func(d int) Fault {
+	stub(s, func(_ context.Context, d int) error {
 		if bad[d] {
-			return Fault{Err: errors.New("io error")}
+			return errors.New("io error")
 		}
-		return Fault{}
-	}})
+		return nil
+	}, nil)
 
 	_, err := s.ReadAt(0, len(want))
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
 
-	// The failure is transient: clearing the plan restores the read.
-	s.SetFaultInjector(nil)
+	// The failure is transient: lifting the decorator restores the read.
+	s.WrapBackends(nil)
 	res, err := s.ReadAt(0, len(want))
 	if err != nil || !bytes.Equal(res.Data, want) {
 		t.Fatalf("read after clearing faults: %v", err)
 	}
 }
 
-// TestInjectedLatencyIsServed: latency within the timeout is slept, not
-// treated as a fault.
+// TestInjectedLatencyIsServed: a slow backend is waited for, not treated
+// as a fault.
 func TestInjectedLatencyIsServed(t *testing.T) {
 	s := testStore(t, layout.FormECFRM)
 	want := fill(t, s, s.stripeBytes(), 15)
-	s.SetFaultInjector(stubInjector{read: func(int) Fault {
-		return Fault{Delay: 100 * time.Microsecond}
-	}})
+	stub(s, stall(100*time.Microsecond, nil), nil)
 	res, err := s.ReadAt(0, len(want))
 	if err != nil || !bytes.Equal(res.Data, want) {
 		t.Fatalf("latency-only plan broke the read: %v", err)
 	}
 }
 
-// TestWriteFaultAbortsSealCleanly: a seal that cannot clear its write gate
-// fails whole — no partial stripe, bytes retryable after the fault clears.
+// TestWriteFaultAbortsSealCleanly: a seal one device's backend refuses
+// publishes nothing — no stripe, bytes retryable after the fault clears.
 func TestWriteFaultAbortsSealCleanly(t *testing.T) {
 	s := testStore(t, layout.FormECFRM)
-	fastRetries(s)
-	s.SetFaultInjector(stubInjector{write: onlyDev(2, Fault{Err: errors.New("io error")})})
+	stub(s, nil, onlyDev(2, errors.New("io error")))
 
 	data := make([]byte, s.stripeBytes())
 	for i := range data {
@@ -169,7 +204,7 @@ func TestWriteFaultAbortsSealCleanly(t *testing.T) {
 	}
 
 	// Clearing the fault and flushing the retained buffer must succeed.
-	s.SetFaultInjector(nil)
+	s.WrapBackends(nil)
 	if err := s.Flush(); err != nil {
 		t.Fatalf("Flush after clearing faults: %v", err)
 	}
@@ -245,7 +280,6 @@ func TestHealInsideCoalescedRun(t *testing.T) {
 	t.Run("hedge=false", func(t *testing.T) {
 		sch := core.MustScheme(mustRS(6, 3), layout.FormStandard)
 		s := MustNew(sch, 64)
-		s.SetRetryPolicy(time.Second, 0)
 		const stripes, dev = 3, 2
 		want := fill(t, s, stripes*s.stripeBytes(), 20)
 		plan, err := sch.PlanNormalRead(0, stripes*sch.DataPerStripe())
@@ -261,7 +295,7 @@ func TestHealInsideCoalescedRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.testBeforeHeal = func() {
-			s.SetFaultInjector(stubInjector{read: onlyDev(dev, Fault{Delay: 40 * time.Millisecond})})
+			stub(s, on(dev, stall(40*time.Millisecond, nil)), nil)
 		}
 		writes := s.Device(dev).Writes()
 		res, err := s.ReadAt(0, len(want))
@@ -306,18 +340,24 @@ func TestHealExported(t *testing.T) {
 	}
 }
 
-// TestSetFaultInjectorBumpsEpoch: installing, replacing, or clearing a
-// fault plan must invalidate epoch-keyed decoded-read caches.
-func TestSetFaultInjectorBumpsEpoch(t *testing.T) {
+// TestWrapBackendsBumpsEpoch: installing, replacing, or lifting a backend
+// decorator must invalidate epoch-keyed decoded-read caches, and
+// WrapBackends hands back the decorator it replaced.
+func TestWrapBackendsBumpsEpoch(t *testing.T) {
 	s := testStore(t, layout.FormECFRM)
 	before := s.Epoch()
-	s.SetFaultInjector(stubInjector{})
+	stub(s, nil, nil)
 	if s.Epoch() == before {
-		t.Fatal("SetFaultInjector did not bump the epoch")
+		t.Fatal("WrapBackends did not bump the epoch")
 	}
 	mid := s.Epoch()
-	s.SetFaultInjector(nil)
+	if prev := s.WrapBackends(nil); prev == nil {
+		t.Fatal("WrapBackends(nil) did not return the decorator it lifted")
+	}
 	if s.Epoch() == mid {
-		t.Fatal("clearing the injector did not bump the epoch")
+		t.Fatal("lifting the decorator did not bump the epoch")
+	}
+	if _, wrapped := s.Device(0).be.(stubBackend); wrapped {
+		t.Fatal("a lifted decorator still sits under device 0")
 	}
 }

@@ -14,8 +14,8 @@ var maxLoadBuckets = []float64{1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32}
 
 // Metrics is the store's observability bundle: per-disk element I/O
 // counters, the per-request max-disk-load histogram the paper's design
-// minimizes (§III-B), and counters for the fault-handling machinery
-// (retries, degraded replans, heals, epoch invalidations). A nil *Metrics
+// minimizes (§III-B), and counters for the degraded-read machinery
+// (replans, heals, epoch invalidations). A nil *Metrics
 // disables everything — every method is nil-safe, so the store's hot paths
 // carry no "is observability on?" branches.
 //
@@ -26,7 +26,6 @@ var maxLoadBuckets = []float64{1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32}
 //	ecfrm_store_zero_cells_total             zero cells seals recorded without writing
 //	ecfrm_store_reads_total{mode}            completed reads, normal|degraded
 //	ecfrm_store_read_max_disk_load{mode}     histogram of Plan.MaxLoad per read
-//	ecfrm_store_op_retries_total{op}         transient-fault retries, read|write
 //	ecfrm_store_read_replans_total           read jobs re-planned around devices a pass took out
 //	ecfrm_store_heals_total                  corrupt cells rebuilt and rewritten
 //	ecfrm_store_epoch_invalidations_total    mutation-epoch bumps (cache invalidations)
@@ -45,12 +44,10 @@ type Metrics struct {
 	loadNormal    *obs.Histogram
 	loadDegraded  *obs.Histogram
 
-	readRetries  *obs.Counter
-	writeRetries *obs.Counter
-	replans      *obs.Counter
-	heals        *obs.Counter
-	epochInval   *obs.Counter
-	zeros        *obs.Counter
+	replans    *obs.Counter
+	heals      *obs.Counter
+	epochInval *obs.Counter
+	zeros      *obs.Counter
 
 	runBytes *obs.Histogram
 
@@ -60,7 +57,7 @@ type Metrics struct {
 	walBatchBytes    *obs.Histogram
 	walPutSeconds    *obs.Histogram
 	walCommitsOK     *obs.Counter
-	walCommitsFault  *obs.Counter
+	walCommitsFailed *obs.Counter
 
 	// File-backend instruments: per-disk data-file I/Os in flight, per-op
 	// syscall service time, the commit-path fsync barrier, and the spilled
@@ -88,7 +85,7 @@ func NewMetrics(reg *obs.Registry, disks int) *Metrics {
 		m.diskInflight = append(m.diskInflight, reg.Gauge("ecfrm_disk_inflight_runs",
 			"Fan-out runs currently in flight per disk (the load-aware planner's bias signal).", lbl))
 		m.diskErrors = append(m.diskErrors, reg.Counter("ecfrm_disk_errors_total",
-			"Hard device errors per disk: fail-stops, exhausted retry budgets, backend I/O failures (the repair scheduler's error-rate detector input).", lbl))
+			"Hard device errors per disk: runs its backend failed to serve (the repair scheduler's error-rate detector input).", lbl))
 		m.diskLatency = append(m.diskLatency, reg.Gauge("ecfrm_disk_latency_ewma_seconds",
 			"Exponentially weighted moving average of per-op service latency per disk (the limping-disk detector input).", lbl))
 	}
@@ -107,10 +104,6 @@ func NewMetrics(reg *obs.Registry, disks int) *Metrics {
 	m.loadDegraded = reg.Histogram("ecfrm_store_read_max_disk_load",
 		"Per-request element count on the most-loaded disk (the paper's max-load metric).",
 		maxLoadBuckets, obs.L("mode", "degraded"))
-	m.readRetries = reg.Counter("ecfrm_store_op_retries_total",
-		"Transient-fault retries by operation.", obs.L("op", "read"))
-	m.writeRetries = reg.Counter("ecfrm_store_op_retries_total",
-		"Transient-fault retries by operation.", obs.L("op", "write"))
 	m.replans = reg.Counter("ecfrm_store_read_replans_total",
 		"Read jobs re-planned around devices a pass took out (unavailable, or corrupt in a recovery read).")
 	m.heals = reg.Counter("ecfrm_store_heals_total",
@@ -138,7 +131,7 @@ func NewMetrics(reg *obs.Registry, disks int) *Metrics {
 	m.walCommitsOK = reg.Counter("ecfrm_wal_commits_total",
 		"Group-commit attempts by outcome: ok (batch sealed) or fault (aborted whole, entries retained).",
 		obs.L("outcome", "ok"))
-	m.walCommitsFault = reg.Counter("ecfrm_wal_commits_total",
+	m.walCommitsFailed = reg.Counter("ecfrm_wal_commits_total",
 		"Group-commit attempts by outcome: ok (batch sealed) or fault (aborted whole, entries retained).",
 		obs.L("outcome", "fault"))
 	for d := 0; d < disks; d++ {
@@ -218,18 +211,6 @@ func (m *Metrics) observeRead(degraded bool, maxLoad int) {
 	}
 }
 
-// retry records one transient-fault retry on the given path.
-func (m *Metrics) retry(write bool) {
-	if m == nil {
-		return
-	}
-	if write {
-		m.writeRetries.Inc()
-	} else {
-		m.readRetries.Inc()
-	}
-}
-
 // replan records a read falling back to a degraded plan mid-flight.
 func (m *Metrics) replan() {
 	if m != nil {
@@ -284,7 +265,7 @@ func (m *Metrics) walCommit(ok bool, objects, bytes int) {
 		m.walBatchObjects.Observe(float64(objects))
 		m.walBatchBytes.Observe(float64(bytes))
 	} else {
-		m.walCommitsFault.Inc()
+		m.walCommitsFailed.Inc()
 	}
 }
 
@@ -346,7 +327,7 @@ func (m *Metrics) wire(i int, d *Device) {
 		d.obsErrors, d.obsLatency = m.diskErrors[i], m.diskLatency[i]
 		io = &diskIO{depth: m.devqDepth[i], sec: m.devqSec}
 	}
-	if ds, ok := d.be.(*DiskStore); ok {
+	if ds, ok := d.base.(*DiskStore); ok {
 		ds.obs.Store(io)
 	}
 }

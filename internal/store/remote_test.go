@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -217,7 +218,7 @@ func TestRemoteStoreRecoverTornTail(t *testing.T) {
 				if a.Disk == disk {
 					lost++
 					run := []Run{{Disk: disk, Slot: a.Stripe*rows + a.Pos.Row, Count: 1}}
-					if disks[disk].ReadRuns(run); run[0].Err != nil {
+					if disks[disk].ReadRuns(context.Background(), run); run[0].Err != nil {
 						t.Fatalf("seed %d pass %d: cell %+v not rewritten: %v", seed, pass, a, run[0].Err)
 					}
 				}
@@ -239,12 +240,14 @@ func TestRemoteStoreRecoverTornTail(t *testing.T) {
 // downDisk is a node that does not answer.
 type downDisk struct{ *MemDisk }
 
-func (downDisk) ReadRuns(runs []Run) {
+func (downDisk) ReadRuns(_ context.Context, runs []Run) {
 	for i := range runs {
 		runs[i].Err = errors.New("connection refused")
 	}
 }
-func (downDisk) WriteRuns([]Run, bool) error { return errors.New("connection refused") }
+func (downDisk) WriteRuns(context.Context, []Run, bool) error {
+	return errors.New("connection refused")
+}
 
 // TestRemoteStoreRecoverRefusesUnreachableDisk: a device out of reach at
 // open is neither an erasure to heal nor a torn tail to cut. Within the
@@ -263,7 +266,7 @@ func TestRemoteStoreRecoverRefusesUnreachableDisk(t *testing.T) {
 			data := fill(t, st, 3*scheme.DataPerStripe()*elem, 5)
 			st.Close()
 			tail := []Run{{Disk: torn, Slot: 3 * rows, Count: 1, Data: make([]byte, elem), CRCs: []uint32{0}}}
-			if err := disks[torn].WriteRuns(tail, false); err != nil {
+			if err := disks[torn].WriteRuns(context.Background(), tail, false); err != nil {
 				t.Fatal(err)
 			}
 			st2, _, err := NewWithCellBackends(scheme, elem, CellStoreConfig{}, func(d int) (CellBackend, error) {
@@ -349,17 +352,17 @@ type nodeDisk struct {
 	calls    *atomic.Int64
 }
 
-func (nd nodeDisk) ReadRuns(runs []Run) {
+func (nd nodeDisk) ReadRuns(ctx context.Context, runs []Run) {
 	nd.calls.Add(1)
 	for i := range runs {
-		nd.disks[runs[i].Disk].ReadRuns(runs[i : i+1])
+		nd.disks[runs[i].Disk].ReadRuns(ctx, runs[i:i+1])
 	}
 }
 
-func (nd nodeDisk) WriteRuns(runs []Run, sync bool) error {
+func (nd nodeDisk) WriteRuns(ctx context.Context, runs []Run, sync bool) error {
 	nd.calls.Add(1)
 	for i := range runs {
-		if err := nd.disks[runs[i].Disk].WriteRuns(runs[i:i+1], sync); err != nil {
+		if err := nd.disks[runs[i].Disk].WriteRuns(ctx, runs[i:i+1], sync); err != nil {
 			return err
 		}
 	}

@@ -123,8 +123,8 @@ func (s *Store) BeginDiskRebuild(d int) (*DiskRebuild, error) {
 		// them truncated. The old contents are untrusted anyway — that is
 		// what "failed" means — and the device stays marked failed until the
 		// rebuild completes, so no reader touches the half-built files.
-		err := dev.be.Close()
-		dev.be = be // dead placeholder; keeps later Close safe
+		err := dev.base.Close()
+		s.plug(dev, be) // dead placeholder; keeps later Close safe
 		if err != nil {
 			return nil, fmt.Errorf("store: recover device %d: close old backend: %w", d, err)
 		}
@@ -133,6 +133,7 @@ func (s *Store) BeginDiskRebuild(d int) (*DiskRebuild, error) {
 		}
 	}
 	replacement := newDevice(d, s.rows, be)
+	s.plug(replacement, be)
 	replacement.failed = true // cleared by the final Step
 	// The replacement reports to the failed device's metric series: to the
 	// registry it is the same disk slot.
@@ -425,8 +426,8 @@ func (s *Store) InflightRuns() []int {
 	return out
 }
 
-// DiskErrorCounts snapshots every device's hard-error count (fail-stops,
-// exhausted retry budgets, backend I/O failures) for the failure detectors.
+// DiskErrorCounts snapshots every device's hard-error count (runs its
+// backend failed to serve) for the failure detectors.
 func (s *Store) DiskErrorCounts() []int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -300,10 +301,9 @@ func TestDeviceHealthSignals(t *testing.T) {
 	}
 
 	errsBefore := s.DiskErrorCounts()
-	// An injected fail-stop verdict counts as a hard error on every touch;
-	// the degraded fallback still serves the read.
-	fastRetries(s)
-	s.SetFaultInjector(stubInjector{read: onlyDev(0, Fault{Failed: true})})
+	// A backend's fail-stop counts as a hard error on every touch; the
+	// degraded fallback still serves the read.
+	stub(s, onlyDev(0, ErrFailed), nil)
 	if _, err := s.ReadAt(0, 512); err != nil {
 		t.Fatal(err)
 	}
@@ -320,18 +320,18 @@ type countingDisk struct {
 	reads, writes atomic.Int64
 }
 
-func (c *countingDisk) ReadRuns(runs []Run) {
+func (c *countingDisk) ReadRuns(ctx context.Context, runs []Run) {
 	c.reads.Add(int64(len(runs)))
-	c.MemDisk.ReadRuns(runs)
+	c.MemDisk.ReadRuns(ctx, runs)
 }
 
-func (c *countingDisk) WriteRuns(runs []Run, sync bool) error {
+func (c *countingDisk) WriteRuns(ctx context.Context, runs []Run, sync bool) error {
 	for _, r := range runs {
 		if len(r.CRCs) > 0 {
 			c.writes.Add(1)
 		}
 	}
-	return c.MemDisk.WriteRuns(runs, sync)
+	return c.MemDisk.WriteRuns(ctx, runs, sync)
 }
 
 // countingStore fills a store over counting disks with stripes full stripes.

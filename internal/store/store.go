@@ -43,60 +43,22 @@ var ErrFailed = errors.New("store: device failed")
 // group has enough redundancy.
 var ErrCorrupt = errors.New("store: corrupt cell")
 
-// ErrUnavailable is returned when a device exhausted its retry budget on
-// slow-or-transient faults. It is softer than ErrFailed: the device is not
-// marked failed, but the current operation could not complete through it,
-// and reads fall back to a degraded plan that routes around it.
+// ErrUnavailable is returned when a device's backend could not serve an
+// operation. It is softer than ErrFailed: the device is not marked failed,
+// but the current operation could not complete through it, and reads fall
+// back to a degraded plan that routes around it.
 var ErrUnavailable = errors.New("store: device unavailable")
-
-// Default per-operation retry policy: how long one device operation may
-// take before it counts as timed out, and how many times a transient fault
-// is retried before the device is reported ErrUnavailable.
-const (
-	DefaultOpTimeout = 50 * time.Millisecond
-	DefaultRetries   = 2
-)
-
-// Fault is the injected outcome of one device operation, decided by a
-// FaultInjector before the store touches the device. The zero value means
-// "no fault": the operation proceeds normally.
-type Fault struct {
-	// Delay is added service latency. A delay exceeding the store's per-op
-	// timeout counts as a timed-out operation (the store waits out the
-	// timeout, not the full delay).
-	Delay time.Duration
-	// Stuck marks an operation that would hang past any timeout — a stuck
-	// or pathologically slow disk.
-	Stuck bool
-	// Err is a transient error returned instead of performing the
-	// operation. Retried up to the store's retry budget.
-	Err error
-	// Corrupt marks a read whose returned bits fail the cell checksum — a
-	// transient medium mis-read, detected and retried like Err (reads only).
-	Corrupt bool
-	// Failed marks a device that has fail-stopped (e.g. a fail-after-N-ops
-	// policy tripping). The operation returns ErrFailed and reads treat the
-	// device exactly like one marked by FailDisk.
-	Failed bool
-}
-
-// FaultInjector decides the fault, if any, for every device operation. The
-// store consults it on each element-granularity read and write (including
-// retries — every attempt is a fresh decision). Implementations must be
-// safe for concurrent use; internal/faultinject provides a seeded,
-// deterministic one.
-type FaultInjector interface {
-	ReadFault(dev int) Fault
-	WriteFault(dev int) Fault
-}
 
 // Device is one disk of the array: I/O accounting and checksum verification
 // over a CellBackend that holds the cells — a MemDisk for simulated devices,
-// a DiskStore file pair for real ones, or an extent on a data node.
+// a DiskStore file pair for real ones, or an extent on a data node. be is
+// what the store calls: base, the backend as opened, or the store's
+// decorator around it (WrapBackends).
 type Device struct {
 	id     int
 	rows   int // cells per stripe on this device; slot = stripe*rows + row
 	be     CellBackend
+	base   CellBackend
 	failed bool
 	// reads and writes count element-granularity accesses. They are atomic
 	// because reads are served under the store's shared lock, so many
@@ -114,10 +76,10 @@ type Device struct {
 	// obsInflight mirrors it into the metrics registry.
 	inflight    atomic.Int64
 	obsInflight *obs.Gauge
-	// errs counts hard device errors — fail-stops, exhausted retry budgets,
-	// backend I/O failures — the repair scheduler's error-rate detector
-	// watches. latEWMA is an exponentially weighted moving average of op
-	// service latency in nanoseconds (α = 1/8), the limping-disk signal.
+	// errs counts hard device errors — every backend failure to serve a
+	// run — the repair scheduler's error-rate detector watches. latEWMA is
+	// an exponentially weighted moving average of op service latency in
+	// nanoseconds (α = 1/8), the limping-disk signal.
 	// obsErrors/obsLatency mirror both into the metrics registry.
 	errs       atomic.Int64
 	latEWMA    atomic.Int64
@@ -131,7 +93,16 @@ type cellKey struct {
 }
 
 func newDevice(id, rows int, be CellBackend) *Device {
-	return &Device{id: id, rows: rows, be: be}
+	return &Device{id: id, rows: rows, be: be, base: be}
+}
+
+// plug makes be device d's backend, under the store's decorator if one is
+// set. Caller holds mu exclusively, or owns a store not yet shared.
+func (s *Store) plug(d *Device, be CellBackend) {
+	d.base, d.be = be, be
+	if s.wrap != nil {
+		d.be = s.wrap(be)
+	}
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -229,16 +200,16 @@ func (s *Store) writeRuns(runs []Run, sync bool) error {
 	})
 }
 
-// writeBatch writes one node's batch through d's backend and counts each
-// run's payload cells on the store's device at the run's disk. The cells
-// zero runs record count apart, never as device writes.
+// writeBatch writes one node's batch through d's backend, which no caller's
+// context may cut short, and counts each run's payload cells on the device
+// at the run's disk; the cells zero runs record count apart.
 func (s *Store) writeBatch(d *Device, runs []Run, sync bool) error {
-	if err := d.be.WriteRuns(runs, sync); err != nil {
+	if err := d.be.WriteRuns(context.Background(), runs, sync); err != nil {
 		disks := make([]int, len(runs))
 		for i, r := range runs {
 			disks[i] = r.Disk
 		}
-		return fmt.Errorf("%w: devices %v: %v", ErrUnavailable, disks, err)
+		return fmt.Errorf("%w: devices %v: %w", ErrUnavailable, disks, err)
 	}
 	zeros := 0
 	for _, r := range runs {
@@ -258,11 +229,13 @@ func (s *Store) writeBatch(d *Device, runs []Run, sync bool) error {
 // lacks is an erasure like a checksum-failing one (ErrCorrupt wrapping
 // ErrCellMissing, so every corruptRule treats the two alike) and one hard
 // error, since a device that lost cells it was written — a node restarted
-// on an empty directory — must trip the failure detector; any other
-// failure makes the device ErrUnavailable, and a run that checks out counts
-// as device reads and keeps its verified cells in Data.
-func (s *Store) readBatch(runs []Run) {
-	s.devices[runs[0].Disk].be.ReadRuns(runs)
+// on an empty directory — must trip the failure detector; a run cut short
+// because ctx ended keeps its error and blames no device; any other
+// failure makes the device ErrUnavailable (still ErrFailed for a backend
+// that reports a fail-stop), and a run that checks out counts as device
+// reads and keeps its verified cells in Data.
+func (s *Store) readBatch(ctx context.Context, runs []Run) {
+	s.devices[runs[0].Disk].be.ReadRuns(ctx, runs)
 	for i := range runs {
 		r := &runs[i]
 		d := s.devices[r.Disk]
@@ -275,9 +248,10 @@ func (s *Store) readBatch(runs []Run) {
 		case errors.Is(r.Err, ErrCellMissing):
 			d.noteError()
 			r.Err = fmt.Errorf("%w: device %d run at slot %d: %w", ErrCorrupt, d.id, r.Slot, r.Err)
+		case r.Err != nil && ctx.Err() != nil:
 		case r.Err != nil:
 			d.noteError()
-			r.Err = fmt.Errorf("%w: device %d: %v", ErrUnavailable, d.id, r.Err)
+			r.Err = fmt.Errorf("%w: device %d: %w", ErrUnavailable, d.id, r.Err)
 		default:
 			d.reads.Add(int64(r.Count))
 			d.obsReads.Add(int64(r.Count))
@@ -337,8 +311,8 @@ type Store struct {
 
 	// epoch increments on every mutation that can change the bytes a read
 	// returns or the plan it follows (failure, recovery, corruption, heal,
-	// fault-plan change). Callers caching decoded reads key them by this
-	// value.
+	// backend decorator change). Callers caching decoded reads key them by
+	// this value.
 	epoch atomic.Int64
 
 	// obs, when non-nil, is the metrics bundle every interesting event feeds
@@ -346,13 +320,9 @@ type Store struct {
 	// the instruments themselves are atomic.
 	obs atomic.Pointer[Metrics]
 
-	// inject, when non-nil, decides a fault for every device operation.
-	// Guarded by mu (set exclusively, consulted under either lock mode).
-	inject FaultInjector
-	// opTimeout and retries are the per-operation retry policy applied when
-	// a fault injector is installed.
-	opTimeout time.Duration
-	retries   int
+	// wrap, when set, decorates every device's backend (WrapBackends).
+	// Guarded by mu.
+	wrap func(CellBackend) CellBackend
 
 	// testBeforeHeal, when set by a test, runs between a shared-lock read
 	// detecting corruption and the exclusive re-acquisition that heals it —
@@ -378,13 +348,11 @@ func New(scheme *core.Scheme, elemSize int) (*Store, error) {
 		devs[i] = newDevice(i, rows, NewMemDisk(elemSize))
 	}
 	return &Store{
-		scheme:    scheme,
-		elemSize:  elemSize,
-		rows:      rows,
-		devices:   devs,
-		runs:      NewRunPool(elemSize),
-		opTimeout: DefaultOpTimeout,
-		retries:   DefaultRetries,
+		scheme:   scheme,
+		elemSize: elemSize,
+		rows:     rows,
+		devices:  devs,
+		runs:     NewRunPool(elemSize),
 	}, nil
 }
 
@@ -443,36 +411,19 @@ func (s *Store) bumpEpoch() {
 	s.Metrics().epochBump()
 }
 
-// SetFaultInjector installs (or with nil, removes) the fault injector
-// consulted on every device operation. Installing a plan bumps the epoch:
-// a plan can change what reads observe (e.g. corruption behaviour), so any
-// decoded-read cache keyed by the epoch must invalidate.
-func (s *Store) SetFaultInjector(fi FaultInjector) {
+// WrapBackends puts wrap(be) between the store and every device's backend
+// be, RecoverDisk's replacements included, and returns the decorator it
+// replaces; nil removes it, so the store calls its backends directly. A
+// decorator can change what reads observe, so the epoch moves.
+func (s *Store) WrapBackends(wrap func(CellBackend) CellBackend) (prev func(CellBackend) CellBackend) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.inject = fi
+	prev, s.wrap = s.wrap, wrap
+	for _, d := range s.devices {
+		s.plug(d, d.base)
+	}
 	s.bumpEpoch()
-}
-
-// FaultInjector returns the currently installed fault injector (nil if none).
-func (s *Store) FaultInjector() FaultInjector {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.inject
-}
-
-// SetRetryPolicy overrides the per-operation timeout and transient-fault
-// retry budget (attempts = retries+1). Zero or negative arguments keep the
-// defaults.
-func (s *Store) SetRetryPolicy(perOp time.Duration, retries int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if perOp > 0 {
-		s.opTimeout = perOp
-	}
-	if retries >= 0 {
-		s.retries = retries
-	}
+	return prev
 }
 
 // Device returns device d for inspection.
@@ -495,172 +446,15 @@ func (s *Store) ResetCounters() {
 // stripeBytes is the user-data capacity of one stripe.
 func (s *Store) stripeBytes() int { return s.scheme.DataPerStripe() * s.elemSize }
 
-// readRunsCtx reads the runs of one node — its devices in ascending order,
-// each device's runs in offset order — as one backend call (readBatch), and
-// settles each in its entry of out: the run's cells, flattened, in Data, or
-// its Err; a run handed buffers in out is read into them. Every run first
-// draws its faults from its own device's stream,
-// in that order (readGate), so a seeded plan replays whatever the node
-// grouping. A device taken out by its faults draws no more: its later runs
-// share the error, as the executor skips them. The batch's latency is one
-// sample for each device it read, however many of its runs it held. Caller
-// holds mu in either mode.
-func (s *Store) readRunsCtx(ctx context.Context, runs []devRun, out []Run) {
-	start := time.Now()
-	ready := 0
-	for i, run := range runs {
-		out[i].Disk, out[i].Slot, out[i].Count, out[i].Err = run.dev, s.devices[run.dev].slot(run.slots[0].key), len(run.slots), nil
-		if i > 0 && run.dev == runs[i-1].dev && takesOut(out[i-1].Err) {
-			out[i].Err = out[i-1].Err
-		} else if out[i].Err = s.readGate(ctx, out[i]); out[i].Err == nil {
-			ready++
-		}
-	}
-	switch {
-	case ready == len(out):
-		s.readBatch(out)
-	case ready > 0:
-		batch := make([]Run, 0, ready)
-		for _, r := range out {
-			if r.Err == nil {
-				batch = append(batch, r)
-			}
-		}
-		s.readBatch(batch)
-		for i := range out {
-			if out[i].Err == nil {
-				out[i], batch = batch[0], batch[1:]
-			}
-		}
-	}
-	folded := -1 // runs of one device are adjacent
-	for _, r := range out {
-		if r.Err == nil && r.Disk != folded {
-			s.devices[r.Disk].observeLatency(time.Since(start))
-			folded = r.Disk
-		}
-	}
-}
-
-// takesOut reports whether a run's error takes its device out of the pass.
-func takesOut(err error) bool { return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrFailed) }
-
-// readGate runs the read-side fault decisions for one run before the batch
-// reads it. Each attempt draws one fault: injected latency is served
-// (capped at the per-op timeout), and transient faults — errors,
-// timed-out/stuck operations, checksum-failing mis-reads (the run is read
-// alone and discarded) — are retried up to the retry budget; a device that
-// exhausts it is ErrUnavailable, so read paths route around it. Waits
-// return early when ctx is done, so a cancelled read can abandon a
-// straggling device without leaking a sleeping goroutine. Checksum
-// failures of the stored bytes themselves surface from the read as
-// ErrCorrupt (persistent corruption: retrying cannot help, healing can).
-func (s *Store) readGate(ctx context.Context, r Run) error {
-	dev := r.Disk
-	d := s.devices[dev]
-	var last error
-	for attempt := 0; attempt <= s.retries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var f Fault
-		if s.inject != nil {
-			f = s.inject.ReadFault(dev)
-		}
-		if f.Failed {
-			d.noteError()
-			return fmt.Errorf("%w: device %d fail-stopped by fault plan", ErrFailed, dev)
-		}
-		if f.Stuck || f.Delay > s.opTimeout {
-			if err := sleepCtx(ctx, s.opTimeout); err != nil {
-				return err
-			}
-			last = fmt.Errorf("%w: device %d read timed out after %v", ErrUnavailable, dev, s.opTimeout)
-			s.Metrics().retry(false)
-			d.observeLatency(s.opTimeout)
-			continue
-		}
-		if f.Delay > 0 {
-			if err := sleepCtx(ctx, f.Delay); err != nil {
-				return err
-			}
-		}
-		if f.Err != nil {
-			last = fmt.Errorf("%w: device %d: %v", ErrUnavailable, dev, f.Err)
-			s.Metrics().retry(false)
-			continue
-		}
-		if d.failed {
-			return fmt.Errorf("%w: device %d", ErrFailed, dev)
-		}
-		if !f.Corrupt {
-			return nil
-		}
-		// The device returned bits failing the checksum — a transient
-		// medium mis-read (the stored cells are clean). Retry; a missing or
-		// corrupt stored cell, or a backend failure, is no transient.
-		one := []Run{r}
-		if s.readBatch(one); one[0].Err != nil {
-			return one[0].Err
-		}
-		last = fmt.Errorf("%w: device %d returned bytes failing checksum", ErrUnavailable, dev)
-		s.Metrics().retry(false)
-	}
-	if last != nil {
-		// Retry budget exhausted: the device is limping hard enough to count.
-		d.noteError()
-	}
-	return last
-}
-
-// writeGate runs the write-side fault decision for one cell write on device
-// dev: latency is served and transient faults retried, exactly like
-// readRunCtx. Actual cell commits are pure memory mutations that cannot fail,
-// so multi-cell updates gate every write first and only then mutate — a
-// faulted update aborts with no partial state, keeping stripes
-// parity-consistent under any fault schedule. Caller holds mu exclusively.
-func (s *Store) writeGate(dev int) error {
-	var last error
-	for attempt := 0; attempt <= s.retries; attempt++ {
-		var f Fault
-		if s.inject != nil {
-			f = s.inject.WriteFault(dev)
-		}
-		if f.Failed {
-			s.devices[dev].noteError()
-			return fmt.Errorf("%w: device %d fail-stopped by fault plan", ErrFailed, dev)
-		}
-		if f.Stuck || f.Delay > s.opTimeout {
-			time.Sleep(s.opTimeout)
-			last = fmt.Errorf("%w: device %d write timed out after %v", ErrUnavailable, dev, s.opTimeout)
-			s.Metrics().retry(true)
-			continue
-		}
-		if f.Delay > 0 {
-			time.Sleep(f.Delay)
-		}
-		if f.Err != nil {
-			last = fmt.Errorf("%w: device %d: %v", ErrUnavailable, dev, f.Err)
-			s.Metrics().retry(true)
-			continue
-		}
-		return nil
-	}
-	if last != nil {
-		s.devices[dev].noteError()
-	}
-	return last
-}
-
 // Append adds data to the store, sealing (encoding and distributing) every
 // stripe that fills. Partial tails stay buffered until more data arrives or
 // Flush pads them out. The bytes are copied; data stays the caller's.
 //
 // On a file-backed store with the FsyncAlways discipline, Append returns
-// only after every sealed stripe is durably on disk: each seal gates all
-// writes, then writes, and one fsync barrier covers every device before
-// Append returns — write-then-fsync-then-publish, with the publish being the
-// lock release that makes the new stripes visible to readers.
+// only after every sealed stripe is durably on disk: each seal writes every
+// device, and one fsync barrier covers every device before Append returns —
+// write-then-fsync-then-publish, with the publish being the lock release
+// that makes the new stripes visible to readers.
 func (s *Store) Append(data []byte) error { return s.commit(false, data) }
 
 // Flush zero-pads and seals any buffered partial stripe. The store's Len is
@@ -673,8 +467,8 @@ func (s *Store) Flush() error { return s.commit(true) }
 // each object in turn, sealing every stripe that fills, then (flush) pads
 // and seals the tail, and runs one fsync barrier over whatever sealed — how a
 // group commit hands over its batch, with no concatenated copy. Every byte
-// handed over is buffered even when a seal faults (a faulted seal publishes
-// nothing), so callers never hand bytes twice; the next commit retries.
+// handed over is buffered even when a seal fails (a failed seal publishes
+// nothing), so callers never hand bytes twice; the next commit tries again.
 func (s *Store) commit(flush bool, objs ...[]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -689,7 +483,7 @@ func (s *Store) commit(flush bool, objs ...[]byte) error {
 		seals++
 	}
 	s.syncAt = s.stripes + seals - 1
-	err := s.buffer(nil) // first, whatever an earlier faulted seal left
+	err := s.buffer(nil) // first, whatever an earlier failed seal left
 	for _, data := range objs {
 		s.length += int64(len(data))
 		if err == nil {
@@ -712,7 +506,7 @@ func (s *Store) commit(flush bool, objs ...[]byte) error {
 
 // buffer appends data to the pending buffer, sealing and recycling it each
 // time it fills, so it stays one stripe long however large the hand-over.
-// After a seal fault the rest of data is still buffered: pending exceeds a
+// After a failed seal the rest of data is still buffered: pending exceeds a
 // stripe until a later call drains it, oldest first. Caller holds mu.
 func (s *Store) buffer(data []byte) error {
 	sb := s.stripeBytes()
@@ -807,22 +601,12 @@ func (s *Store) seal(buf []byte) error {
 			}
 		}
 	}
-	// Fault gate every cell before touching any device, zero cells too: a
-	// faulted seal aborts whole, leaving the pending buffer for a retry
-	// instead of a half-written stripe. Serial, in this order: seeded plans
-	// replay.
-	for col := 0; col < n; col++ {
-		disk := lay.Disk(s.stripes, col)
-		for row := 0; row < s.rows; row++ {
-			if err := s.writeGate(disk); err != nil {
-				return fmt.Errorf("store: seal stripe %d: %w", s.stripes, err)
-			}
-		}
-	}
 	// Each device's share of the stripe is rows contiguous slots, cut into
 	// alternating payload runs (a single pwrite each on file backends) and
 	// zero runs; one batch per node, all nodes at once. The stripe counter
-	// advances only if every write succeeded.
+	// advances only if every write succeeded: a failed seal publishes
+	// nothing, though the devices whose batches went through hold its cells
+	// until a retry rewrites them, and the pending buffer stays for it.
 	runs := make([]Run, 0, 2*n)
 	for col := 0; col < n; col++ {
 		disk := lay.Disk(s.stripes, col)
@@ -964,14 +748,14 @@ func (res *ReadResult) Release() {
 // sets and the store decodes the lost elements. Bytes must lie within
 // sealed stripes (append full stripes or Flush first).
 //
-// Slow or erroring devices (injected faults) are retried with a bounded
-// budget; a device that stays unavailable is routed around exactly like a
-// failed one — the read re-plans degraded and decodes the missing elements —
-// so availability degrades gracefully long before a disk is marked failed.
+// A device whose backend cannot serve its runs is routed around exactly
+// like a failed one — the read re-plans degraded and decodes the missing
+// elements — so availability degrades gracefully long before a disk is
+// marked failed.
 //
 // Concurrent ReadAt calls share the store lock and proceed in parallel. The
 // one exception is a read that trips over silent corruption: healing
-// rewrites the cell, so the read retries under the exclusive lock.
+// rewrites the cell, so the read runs again under the exclusive lock.
 //
 // Plans execute as per-device coalesced runs (see fanout.go), concurrently
 // by default; ReadAtCtx serves them inline per call.
@@ -1057,10 +841,6 @@ func (s *Store) healCell(ctx context.Context, stripe int, pos layout.Pos) ([]byt
 	if err != nil {
 		return nil, fmt.Errorf("store: cannot heal stripe %d cell (%d,%d): %w", stripe, pos.Row, pos.Col, err)
 	}
-	if err := s.writeGate(ownDisk); err != nil {
-		return nil, fmt.Errorf("store: heal stripe %d cell (%d,%d) rewrite: %w",
-			stripe, pos.Row, pos.Col, err)
-	}
 	if err := s.writeRuns([]Run{s.oneCell(ownDisk, cellKey{stripe, pos}, clean)}, s.fsync); err != nil {
 		return nil, fmt.Errorf("store: heal stripe %d cell (%d,%d) rewrite: %w",
 			stripe, pos.Row, pos.Col, err)
@@ -1071,21 +851,21 @@ func (s *Store) healCell(ctx context.Context, stripe int, pos layout.Pos) ([]byt
 }
 
 // CorruptCell flips every bit of one stored cell while keeping its recorded
-// checksum — silent bit rot, a test hook for scrub and failure-injection
-// scenarios.
+// checksum — silent bit rot on the medium, beneath any decorator — a test
+// hook for scrub and failure-injection scenarios.
 func (s *Store) CorruptCell(stripe int, pos layout.Pos) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	disk := s.scheme.Layout().Disk(stripe, pos.Col)
 	dev := s.devices[disk]
 	run := []Run{{Disk: disk, Slot: dev.slot(cellKey{stripe, pos}), Count: 1}}
-	if dev.be.ReadRuns(run); run[0].Err != nil {
+	if dev.base.ReadRuns(context.TODO(), run); run[0].Err != nil {
 		return fmt.Errorf("store: corrupt stripe %d cell (%d,%d) on device %d: %w", stripe, pos.Row, pos.Col, disk, run[0].Err)
 	}
 	for i := range run[0].Data {
 		run[0].Data[i] ^= 0xff
 	}
-	if err := dev.be.WriteRuns(run, false); err != nil {
+	if err := dev.base.WriteRuns(context.TODO(), run, false); err != nil {
 		return err
 	}
 	s.bumpEpoch()
@@ -1093,16 +873,17 @@ func (s *Store) CorruptCell(stripe int, pos layout.Pos) error {
 }
 
 // VerifyChecksums re-checks every stored cell against its recorded CRC32C
-// without counting I/O, returning the locations that fail.
+// without counting I/O or passing the store's decorator, returning the
+// locations that fail.
 func (s *Store) VerifyChecksums() []core.Access {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	lay := s.scheme.Layout()
 	var bad []core.Access
 	for d, dev := range s.devices {
-		for slot, n := 0, dev.be.Slots(); slot < n; slot++ {
+		for slot, n := 0, dev.base.Slots(); slot < n; slot++ {
 			run := []Run{{Disk: d, Slot: slot, Count: 1}}
-			if dev.be.ReadRuns(run); run[0].Err == nil && crc32.Checksum(run[0].Data, castagnoli) != run[0].CRCs[0] {
+			if dev.base.ReadRuns(context.TODO(), run); run[0].Err == nil && crc32.Checksum(run[0].Data, castagnoli) != run[0].CRCs[0] {
 				stripe := slot / s.rows
 				bad = append(bad, core.Access{Disk: d, Stripe: stripe,
 					Pos: layout.Pos{Row: slot % s.rows, Col: lay.Col(stripe, d)}})

@@ -6,6 +6,7 @@ package storetest
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -32,25 +33,25 @@ func TestCellBackend(t *testing.T, elem int, open func(t *testing.T) (cb store.C
 	zeroSum := sum(cell(0))
 	batch := func(t *testing.T, cb store.CellBackend, sync bool, runs ...store.Run) {
 		t.Helper()
-		if err := cb.WriteRuns(runs, sync); err != nil {
+		if err := cb.WriteRuns(context.Background(), runs, sync); err != nil {
 			t.Fatalf("WriteRuns(%d runs): %v", len(runs), err)
 		}
 	}
 	write := func(t *testing.T, cb store.CellBackend, slot int, data []byte, crcs ...uint32) {
 		t.Helper()
-		if err := cb.WriteRuns([]store.Run{runOf(slot, data, crcs...)}, false); err != nil {
+		if err := cb.WriteRuns(context.Background(), []store.Run{runOf(slot, data, crcs...)}, false); err != nil {
 			t.Fatalf("WriteRuns(%d, %d cells): %v", slot, len(crcs), err)
 		}
 	}
 	readErr := func(cb store.CellBackend, slot, count int) error {
 		runs := []store.Run{{Slot: slot, Count: count}}
-		cb.ReadRuns(runs)
+		cb.ReadRuns(context.Background(), runs)
 		return runs[0].Err
 	}
 	read := func(t *testing.T, cb store.CellBackend, slot, count int) ([]byte, []uint32) {
 		t.Helper()
 		runs := []store.Run{{Slot: slot, Count: count}}
-		cb.ReadRuns(runs)
+		cb.ReadRuns(context.Background(), runs)
 		data, crcs, err := runs[0].Data, runs[0].CRCs, runs[0].Err
 		if err != nil {
 			t.Fatalf("ReadRuns(%d, %d): %v", slot, count, err)
@@ -126,13 +127,27 @@ func TestCellBackend(t *testing.T, elem int, open func(t *testing.T) (cb store.C
 		write(t, cb, 0, append(cell(4), cell(5)...), sum(cell(4)), sum(cell(5)))
 		data, crcs := make([]byte, 2*elem), make([]uint32, 2)
 		runs := []store.Run{{Count: 2, Data: data, CRCs: crcs}, {Slot: 1, Count: 1, Data: make([]byte, elem+1)}}
-		if cb.ReadRuns(runs); runs[0].Err != nil || &runs[0].Data[0] != &data[0] || &runs[0].CRCs[0] != &crcs[0] ||
+		if cb.ReadRuns(context.Background(), runs); runs[0].Err != nil || &runs[0].Data[0] != &data[0] || &runs[0].CRCs[0] != &crcs[0] ||
 			!bytes.Equal(data, append(cell(4), cell(5)...)) || crcs[0] != sum(cell(4)) || crcs[1] != sum(cell(5)) {
 			t.Fatalf("a run handed buffers of its size was not read into them: %v", runs[0].Err)
 		}
 		if r := runs[1]; r.Err != nil || !bytes.Equal(r.Data, cell(5)) || len(r.CRCs) != 1 || r.CRCs[0] != sum(cell(5)) {
 			t.Fatalf("a run handed a misfit buffer read %d bytes, %d checksums: %v", len(r.Data), len(r.CRCs), r.Err)
 		}
+	})
+
+	run("a batch whose context ended fails and stores nothing", func(t *testing.T, cb store.CellBackend) {
+		write(t, cb, 0, cell(1), sum(cell(1)))
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		runs := []store.Run{{Count: 1}}
+		if cb.ReadRuns(ctx, runs); runs[0].Err == nil || runs[0].Data != nil {
+			t.Fatalf("read under an ended context: err %v, %d bytes; want a failed run", runs[0].Err, len(runs[0].Data))
+		}
+		if err := cb.WriteRuns(ctx, []store.Run{runOf(0, cell(2), sum(cell(2)))}, false); err == nil {
+			t.Fatal("write under an ended context succeeded")
+		}
+		holds(t, cb, 0, cell(1))
 	})
 
 	run("a wrong checksum round-trips verbatim", func(t *testing.T, cb store.CellBackend) {
@@ -159,14 +174,14 @@ func TestCellBackend(t *testing.T, elem int, open func(t *testing.T) (cb store.C
 			t.Fatalf("truncated slot: %v, want ErrCellMissing", err)
 		}
 		read(t, cb, 0, 1)
-		if err := cb.WriteRuns([]store.Run{{}}, true); err != nil {
+		if err := cb.WriteRuns(context.Background(), []store.Run{{}}, true); err != nil {
 			t.Fatalf("a barrier-only batch: %v", err)
 		}
 	})
 
 	run("a batch settles run by run, in list order", func(t *testing.T, cb store.CellBackend) {
 		// One write batch of two runs and a barrier-only entry, synced.
-		if err := cb.WriteRuns([]store.Run{
+		if err := cb.WriteRuns(context.Background(), []store.Run{
 			runOf(0, append(cell(1), cell(2)...), sum(cell(1)), sum(cell(2))),
 			{},
 			runOf(6, cell(3), sum(cell(3))),
@@ -174,7 +189,7 @@ func TestCellBackend(t *testing.T, elem int, open func(t *testing.T) (cb store.C
 			t.Fatalf("WriteRuns(two runs and a barrier, sync): %v", err)
 		}
 		runs := []store.Run{{Slot: 6, Count: 1}, {Slot: 2, Count: 1}, {Slot: 0, Count: 2}, {Slot: 5, Count: 2}}
-		cb.ReadRuns(runs)
+		cb.ReadRuns(context.Background(), runs)
 		want := [][]byte{cell(3), nil, append(cell(1), cell(2)...), nil}
 		for i, r := range runs {
 			if want[i] == nil {
@@ -249,12 +264,12 @@ func TestCellBackend(t *testing.T, elem int, open func(t *testing.T) (cb store.C
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
 					c := cell(byte(slot*rounds + r))
-					if err := cb.WriteRuns([]store.Run{runOf(slot, c, sum(c))}, false); err != nil {
+					if err := cb.WriteRuns(context.Background(), []store.Run{runOf(slot, c, sum(c))}, false); err != nil {
 						errs <- err
 						return
 					}
 					runs := []store.Run{{Slot: slot, Count: 1}}
-					cb.ReadRuns(runs)
+					cb.ReadRuns(context.Background(), runs)
 					data, crcs, err := runs[0].Data, runs[0].CRCs, runs[0].Err
 					if err == nil && (!bytes.Equal(data, c) || crcs[0] != sum(c)) {
 						err = fmt.Errorf("slot %d round %d read back another write", slot, r)

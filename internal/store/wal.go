@@ -25,13 +25,16 @@
 //     flusher goroutine; an idle WAL owns no timers, no goroutines and no
 //     object bytes.
 //
-// Fault semantics compose with the store's two-phase gated writes: a seal
-// that trips the fault injector aborts whole, so a faulted group commit
-// commits nothing new. Waiters of that batch are told ErrUnavailable (HTTP
+// A device that fails a seal's write — a real backend error, or one a
+// decorator such as internal/faultinject injects — fails the seal, and a
+// failed seal publishes nothing: the stripe counter does not move, so a
+// faulted group commit commits nothing new, though devices whose batches
+// went through may hold the unpublished stripe's cells until the retry
+// rewrites them. Waiters of that batch are told ErrUnavailable (HTTP
 // surfaces it as 503 + Retry-After, exactly like the read path) but the queue
 // still holds their entries, so the next commit attempt — triggered by a
 // later Put or the retry timer — re-seals them. Because the store's own
-// pending buffer survives a faulted seal, the WAL tracks how much of the
+// pending buffer survives a failed seal, the WAL tracks how much of the
 // batch it already handed over and hands only the delta on retry: bytes are
 // never appended twice.
 //

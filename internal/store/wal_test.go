@@ -24,10 +24,11 @@ func walStore(t testing.TB) *Store {
 	return MustNew(core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM), 64)
 }
 
-// holdGate is a fault injector that parks the first device write gate it is
-// asked about until release is closed — how tests hold a commit in flight now
-// that a lone Put leads its own commit at once. entered closes when the
-// commit has reached the gate (it then holds the store's exclusive lock).
+// holdGate parks the first device write it is asked about until release is
+// closed — how tests hold a commit in flight now that a lone Put leads its
+// own commit at once. entered closes when the commit has reached the gate
+// (it then holds the store's exclusive lock). Install it with
+// stub(s, nil, gate.write).
 type holdGate struct {
 	once             sync.Once
 	entered, release chan struct{}
@@ -37,14 +38,12 @@ func newHoldGate() *holdGate {
 	return &holdGate{entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (g *holdGate) ReadFault(int) Fault { return Fault{} }
-
-func (g *holdGate) WriteFault(int) Fault {
+func (g *holdGate) write(context.Context, int) error {
 	g.once.Do(func() {
 		close(g.entered)
 		<-g.release
 	})
-	return Fault{}
+	return nil
 }
 
 // TestWALPutAcksWithReadableOffset: every Put's returned offset must read
@@ -146,24 +145,23 @@ func TestWALConcurrentPutsBatch(t *testing.T) {
 	}
 }
 
-// TestWALFaultedCommitRetainsAndRetries: a group commit that trips the fault
-// injector must tell its waiters ErrUnavailable, keep the objects queued,
+// TestWALFaultedCommitRetainsAndRetries: a group commit a device write
+// fails must tell its waiters ErrUnavailable, keep the objects queued,
 // and commit them on the next (healthy) attempt — the write-path analog of
 // the read path's 503-then-retry contract.
 func TestWALFaultedCommitRetainsAndRetries(t *testing.T) {
 	s := walStore(t)
-	fastRetries(s)
 	w := NewWAL(s, WALConfig{FlushInterval: time.Hour}) // no timer rescue of the retained entry: explicit Sync drives
 	var faulting sync.Mutex
 	active := true
-	s.SetFaultInjector(stubInjector{write: func(d int) Fault {
+	stub(s, nil, func(context.Context, int) error {
 		faulting.Lock()
 		defer faulting.Unlock()
 		if active {
-			return Fault{Err: errors.New("injected write fault")}
+			return errors.New("injected write fault")
 		}
-		return Fault{}
-	}})
+		return nil
+	})
 
 	data := bytes.Repeat([]byte{0xab}, 3*s.ElementSize())
 	// The lone put leads its own commit straight into the faulting plan.
@@ -191,7 +189,7 @@ func TestWALFaultedCommitRetainsAndRetries(t *testing.T) {
 	if n, _ := w.Depth(); n != 0 {
 		t.Fatalf("retry left %d entries queued", n)
 	}
-	s.SetFaultInjector(nil)
+	s.WrapBackends(nil)
 	res, err := s.ReadAt(0, len(data))
 	if err != nil {
 		t.Fatalf("read back retained object: %v", err)
@@ -209,25 +207,24 @@ func TestWALFaultedCommitRetainsAndRetries(t *testing.T) {
 // the committed bytes must contain exactly one copy of every object.
 func TestWALFaultedCommitNeverDoubleAppends(t *testing.T) {
 	s := walStore(t)
-	fastRetries(s)
 	w := NewWAL(s, WALConfig{FlushInterval: time.Hour})
 
 	// First object fills several stripes; fault the seal partway through by
-	// failing writes on device 5 after a few clean gates.
+	// failing every device write after the first 30 runs.
 	var mu sync.Mutex
-	gates, failFrom, active := 0, 30, true
-	s.SetFaultInjector(stubInjector{write: func(d int) Fault {
+	writes, failFrom, active := 0, 30, true
+	stub(s, nil, func(context.Context, int) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if !active {
-			return Fault{}
+			return nil
 		}
-		gates++
-		if gates > failFrom {
-			return Fault{Err: errors.New("seal fault")}
+		writes++
+		if writes > failFrom {
+			return errors.New("seal fault")
 		}
-		return Fault{}
-	}})
+		return nil
+	})
 
 	rng := rand.New(rand.NewSource(7))
 	first := make([]byte, 3*s.stripeBytes()+s.ElementSize())
@@ -249,7 +246,7 @@ func TestWALFaultedCommitNeverDoubleAppends(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry commit: %v", err)
 	}
-	s.SetFaultInjector(nil)
+	s.WrapBackends(nil)
 
 	if want := int64(len(first)); off2 != want {
 		t.Fatalf("second object at offset %d; want %d (exactly one copy of the first)", off2, want)
@@ -272,18 +269,17 @@ func TestWALFaultedCommitNeverDoubleAppends(t *testing.T) {
 // oldest stripe first — not the first stripe's worth and drop the rest.
 func TestWALFaultedMultiStripeCommitRetriedBySync(t *testing.T) {
 	s := walStore(t)
-	fastRetries(s)
 	w := NewWAL(s, WALConfig{FlushInterval: time.Hour})
 	var mu sync.Mutex
 	failing := true
-	s.SetFaultInjector(stubInjector{write: func(int) Fault {
+	stub(s, nil, func(context.Context, int) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if failing {
-			return Fault{Err: errors.New("seal fault")}
+			return errors.New("seal fault")
 		}
-		return Fault{}
-	}})
+		return nil
+	})
 	data := make([]byte, 2*s.stripeBytes()+3*s.ElementSize()+5)
 	rand.New(rand.NewSource(8)).Read(data)
 	if _, err := w.Put(context.Background(), data); !errors.Is(err, ErrUnavailable) {
@@ -295,7 +291,7 @@ func TestWALFaultedMultiStripeCommitRetriedBySync(t *testing.T) {
 	if err := w.Sync(); err != nil {
 		t.Fatalf("retry commit: %v", err)
 	}
-	s.SetFaultInjector(nil)
+	s.WrapBackends(nil)
 	if got := s.Stripes(); got != 3 {
 		t.Fatalf("retry sealed %d stripes; want 3", got)
 	}
@@ -328,7 +324,7 @@ func TestWALPutContextCancel(t *testing.T) {
 	s := walStore(t)
 	w := NewWAL(s, WALConfig{FlushInterval: time.Hour})
 	gate := newHoldGate()
-	s.SetFaultInjector(gate)
+	stub(s, nil, gate.write)
 	first := bytes.Repeat([]byte{3}, 64)
 	led := make(chan error, 1)
 	go func() {
@@ -439,7 +435,7 @@ func TestWALDepthGaugeMoves(t *testing.T) {
 	w := NewWAL(s, WALConfig{FlushInterval: time.Hour})
 	gauge := reg.Gauge("ecfrm_wal_queued_objects", "")
 	gate := newHoldGate()
-	s.SetFaultInjector(gate)
+	stub(s, nil, gate.write)
 
 	done := make(chan error, 1)
 	go func() {

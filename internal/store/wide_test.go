@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/codes"
 	"repro/internal/core"
@@ -40,7 +39,6 @@ func TestWideStripeStoreEndToEnd(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const elem = 64
 			st := MustNew(scheme, elem)
-			st.SetRetryPolicy(200*time.Microsecond, 2)
 			rng := rand.New(rand.NewSource(int64(len(name))))
 			payload := make([]byte, 3*scheme.DataPerStripe()*elem+elem/2)
 			rng.Read(payload)

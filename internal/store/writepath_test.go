@@ -92,11 +92,11 @@ type failingDisk struct {
 	broken *bool
 }
 
-func (d failingDisk) WriteRuns(runs []Run, sync bool) error {
+func (d failingDisk) WriteRuns(ctx context.Context, runs []Run, sync bool) error {
 	if *d.broken {
 		return errors.New("disk write failed")
 	}
-	return d.MemDisk.WriteRuns(runs, sync)
+	return d.MemDisk.WriteRuns(ctx, runs, sync)
 }
 
 // TestSealDeviceWriteFailureMidFanOut: the per-device writes of a seal run
