@@ -44,11 +44,11 @@
 //
 // Storage backend: by default the store lives in memory and dies with the
 // process. -backend=file puts one data/checksum file pair per device in
-// -data-dir, read and written with positioned I/O, and makes
-// commits crash-consistent (write, fsync barrier, then publish; tune with
-// -fsync=always|never and -direct). Startup re-derives the sealed extent
-// from the files, heals torn cells, truncates torn tails, and replays the
-// spilled WAL (-wal-log, default <data-dir>/wal.log):
+// -data-dir, read and written with positioned I/O, and makes commits
+// crash-consistent (write, fsync barrier, then publish; tune with -direct
+// and -fsync=always|never, where never's barrier is the WAL's fsynced spill
+// to <data-dir>/wal.log). Startup re-derives the sealed extent from the
+// files, heals torn cells, truncates torn tails, and replays wal.log:
 //
 //	ecfrmd -backend=file -data-dir /var/lib/ecfrm
 //	curl -X PUT --data-binary @song.mp3 localhost:8080/objects/song.mp3
@@ -150,7 +150,6 @@ var (
 	dataDir  = flag.String("data-dir", "", "data directory for -backend=file")
 	fsync    = flag.String("fsync", "always", "file backend durability: always (fsync barrier per commit) or never")
 	direct   = flag.Bool("direct", false, "request O_DIRECT on device data files (needs 4KiB-aligned -elem)")
-	walLog   = flag.String("wal-log", "", "WAL spill file (default <data-dir>/wal.log with -backend=file; empty with mem)")
 	faults   = flag.String("faults", "", "JSON fault plan to install at startup (see internal/faultinject)")
 	obsOn    = flag.Bool("obs", false, "enable pprof endpoints and the periodic load-imbalance log line")
 	obsEvery = flag.Duration("obs-interval", 10*time.Second, "load-imbalance log interval (with -obs)")
@@ -363,7 +362,7 @@ func runSingle() {
 	scheme := buildScheme()
 	var err error
 	var st *store.Store
-	var cursor string // the scrub cursor's file: a data dir's only
+	var cursor, walLog string // a data dir's scrub cursor and (-fsync=never) WAL spill
 	switch *backend {
 	case "mem":
 		if st, err = store.New(scheme, *elem); err != nil {
@@ -384,25 +383,25 @@ func runSingle() {
 		}
 		logRecovery("file backend "+*dataDir, report)
 		cursor = filepath.Join(*dataDir, "scrub.cursor")
-		if *walLog == "" {
-			*walLog = filepath.Join(*dataDir, "wal.log")
-		}
-		// Replay the spilled WAL before the new WAL attaches (attaching
-		// truncates the file): commits that hardened in the log but not on
-		// the devices are re-applied; orphaned un-acked puts are dropped.
-		extents, dropped, err := store.RecoverWALFile(*walLog, st)
+		// Replay (and empty) any log a -fsync=never run spilled: re-apply what
+		// hardened in it but not on the devices, drop orphaned un-acked puts.
+		walLog = filepath.Join(*dataDir, "wal.log")
+		extents, dropped, err := store.RecoverWALFile(walLog, st)
 		if err != nil {
 			log.Fatal("ecfrmd: wal recovery: ", err)
 		}
 		if len(extents) > 0 || dropped > 0 {
 			log.Printf("wal log %s: %d committed objects verified, %d un-acked puts dropped",
-				*walLog, len(extents), dropped)
+				walLog, len(extents), dropped)
+		}
+		if store.FsyncMode(*fsync) == store.FsyncAlways {
+			walLog = "" // the device barrier is each commit's durable record
 		}
 	default:
 		log.Fatalf("ecfrmd: unknown backend %q (mem or file)", *backend)
 	}
 	reg := obs.NewRegistry()
-	srv := httpd.NewServerWith(st, httpConfig(reg, *walLog))
+	srv := httpd.NewServerWith(st, httpConfig(reg, walLog))
 	log.Printf("serving %s (%d disks, tolerates %d failures, %.2fx overhead) on %s",
 		scheme.Name(), scheme.N(), scheme.FaultTolerance(), scheme.StorageOverhead(), *addr)
 	// After the drain: commit any queued PUTs and stop the WAL, then seal

@@ -70,7 +70,7 @@ func RecoverySweep(opt Options) ([]RecoveryRow, error) {
 					return nil, err
 				}
 				readCost += cost
-				rebuilt += st.Device(d).Elements()
+				rebuilt += st.DiskElements(d)
 			}
 			readCost /= scheme.N()
 			rebuilt /= scheme.N()

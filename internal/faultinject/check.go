@@ -113,7 +113,7 @@ func checkPlacement(st *store.Store) error {
 	}
 	for d := 0; d < n; d++ {
 		want := st.Stripes() * lay.Rows()
-		if got := st.Device(d).Elements(); got != want {
+		if got := st.DiskElements(d); got != want {
 			return fmt.Errorf("faultinject: device %d holds %d cells, want %d", d, got, want)
 		}
 	}

@@ -95,6 +95,7 @@ func (nc *nodeClient) call(method, path string, body io.Reader, want int) (*http
 	}
 	resp, err := nc.do(req)
 	if err == nil && resp.StatusCode != want {
+		nc.errs.Inc()
 		return nil, errBody(nc, resp)
 	}
 	return resp, err
@@ -111,7 +112,6 @@ func drainClose(resp *http.Response) {
 func errBody(nc *nodeClient, resp *http.Response) error {
 	b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 	resp.Body.Close()
-	nc.errs.Inc()
 	return fmt.Errorf("node %s: %s: %s", nc.base, resp.Status, bytes.TrimSpace(b))
 }
 
@@ -252,8 +252,8 @@ func (rc *remoteCell) path(runs []store.Run, req []piece, sync bool) string {
 }
 
 // ReadRuns reads the batch, one request per cut (requests), into each run's
-// buffers (store.Run.ReadBuffers). A request that fails — transport,
-// status, a short or malformed frame, ctx ending — fails its runs.
+// buffers (store.Run.ReadBuffers). A request that fails — transport, status,
+// a short or malformed frame, ctx ending — fails its runs and counts once.
 func (rc *remoteCell) ReadRuns(ctx context.Context, runs []store.Run) {
 	for i := range runs {
 		runs[i].ReadBuffers(rc.elem)
@@ -287,7 +287,7 @@ func (rc *remoteCell) readRequest(ctx context.Context, runs []store.Run, req []p
 	if err != nil {
 		return err
 	}
-	resp, err := rc.nc.do(hreq)
+	resp, err := rc.nc.hc.Do(hreq) // uncounted: ReadRuns counts each failure
 	if err != nil {
 		return err
 	}
@@ -392,6 +392,7 @@ func (rc *remoteCell) WriteRuns(ctx context.Context, runs []store.Run, sync bool
 			return err
 		}
 		if resp.StatusCode != http.StatusNoContent {
+			rc.nc.errs.Inc()
 			return errBody(rc.nc, resp)
 		}
 		drainClose(resp)

@@ -118,6 +118,48 @@ func TestRemoteCellShortFrame(t *testing.T) {
 	}
 }
 
+// TestNodeReadErrorsCountOnce: a failed node read request moves the node's
+// ecfrm_gateway_node_errors_total by exactly one, whichever step saw it
+// fail — the transport, the status, or the frame.
+func TestNodeReadErrorsCountOnce(t *testing.T) {
+	const elem = 64
+	closed := httptest.NewServer(http.NotFoundHandler())
+	closed.Close()
+	for _, tc := range []struct {
+		name string
+		url  string           // the node's base URL, unless
+		node http.HandlerFunc // serves it
+	}{
+		{name: "closed port", url: closed.URL},
+		{name: "status 500", node: func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "disk on fire", http.StatusInternalServerError)
+		}},
+		{name: "short frame", node: func(w http.ResponseWriter, r *http.Request) {
+			w.Write(nodeapi.FrameHead(elem, [][]uint32{{0}})) // one cell of the two asked for
+			w.Write(make([]byte, elem))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			url := tc.url
+			if tc.node != nil {
+				srv := httptest.NewServer(tc.node)
+				defer srv.Close()
+				url = srv.URL
+			}
+			nc := newNodeClient(0, url, 5*time.Second, obs.NewRegistry())
+			defer nc.hc.CloseIdleConnections()
+			runs := []store.Run{{Disk: 0, Slot: 0, Count: 2}}
+			(&remoteCell{nc: nc, elem: elem}).ReadRuns(context.Background(), runs)
+			if runs[0].Err == nil {
+				t.Fatal("the read succeeded")
+			}
+			if n := nc.errs.Value(); n != 1 {
+				t.Fatalf("ecfrm_gateway_node_errors_total = %d after one failed request, want 1 (%v)", n, runs[0].Err)
+			}
+		})
+	}
+}
+
 // TestGatewayCloseClosesNodeConnections: a closed gateway leaves no
 // keep-alive connection to any node behind — every connection the nodes
 // saw open is closed once Close returns.

@@ -314,7 +314,7 @@ func (s *Scheduler) censusOnce() {
 	for g, st := range s.stores {
 		want := st.Stripes() * st.Scheme().Layout().Rows()
 		for d := 0; d < st.Scheme().N(); d++ {
-			if slices.Contains(st.FailedDisks(), d) || st.Device(d).Elements() >= want {
+			if slices.Contains(st.FailedDisks(), d) || st.DiskElements(d) >= want {
 				continue
 			}
 			k := DiskRef{g, d}

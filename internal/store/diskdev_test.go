@@ -443,65 +443,97 @@ func TestFileBackendCorruptCellHealOnRead(t *testing.T) {
 	}
 }
 
+// TestWALSpillSkippedAfterDeviceRecovery: under FsyncAlways the device
+// barrier runs before any PUT is acked, so the device files alone recover
+// every acked object at its acked offset. With a log its replay must skip
+// every commit; with none — ecfrmd's -fsync=always — the store is reopened
+// without Close, as after a SIGKILL: no manifest save, no final sync.
 func TestWALSpillSkippedAfterDeviceRecovery(t *testing.T) {
-	dir := t.TempDir()
-	logPath := filepath.Join(dir, "wal.log")
-	s, _ := openFileStore(t, dir)
-	w := NewWAL(s, WALConfig{LogPath: logPath})
-	var objs [][]byte
-	var offs []int64
-	for i := 0; i < 5; i++ {
-		obj := bytes.Repeat([]byte{byte('a' + i)}, 200+i)
-		off, err := w.Put(context.Background(), obj)
-		if err != nil {
-			t.Fatal(err)
+	for _, spill := range []bool{true, false} {
+		name := "log"
+		if !spill {
+			name = "no log, killed"
 		}
-		objs = append(objs, obj)
-		offs = append(offs, off)
-	}
-	if err := w.SpillErr(); err != nil {
-		t.Fatalf("spill failed: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(logPath); err != nil || fi.Size() == 0 {
-		t.Fatalf("log not spilled: %v size=%v", err, fi)
-	}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			logPath := filepath.Join(dir, "wal.log")
+			s, _ := openFileStore(t, dir)
+			cfg := WALConfig{}
+			if spill {
+				cfg.LogPath = logPath
+			}
+			w := NewWAL(s, cfg)
+			var objs [][]byte
+			var offs []int64
+			for i := 0; i < 5; i++ {
+				obj := bytes.Repeat([]byte{byte('a' + i)}, 200+i)
+				off, err := w.Put(context.Background(), obj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				objs = append(objs, obj)
+				offs = append(offs, off)
+			}
+			if !spill {
+				t.Cleanup(func() { s.Close() })
+				s2, _ := openFileStore(t, dir)
+				defer s2.Close()
+				for i, obj := range objs {
+					res, err := s2.ReadAt(offs[i], len(obj))
+					if err != nil {
+						t.Fatalf("acked object %d at %d after the kill: %v", i, offs[i], err)
+					}
+					if !bytes.Equal(res.Data, obj) {
+						t.Fatalf("acked object %d at %d does not read back after the kill", i, offs[i])
+					}
+				}
+				return
+			}
+			if err := w.SpillErr(); err != nil {
+				t.Fatalf("spill failed: %v", err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if fi, err := os.Stat(logPath); err != nil || fi.Size() == 0 {
+				t.Fatalf("log not spilled: %v size=%v", err, fi)
+			}
 
-	// Under FsyncAlways the devices hardened before every commit record, so
-	// reopening recovers everything from the device files and the log replay
-	// must skip every commit without touching the store.
-	s2, _ := openFileStore(t, dir)
-	defer s2.Close()
-	sealed := s2.NextOffset()
-	extents, dropped, err := RecoverWALFile(logPath, s2)
-	if err != nil {
-		t.Fatalf("RecoverWALFile: %v", err)
-	}
-	if len(extents) != 5 || dropped != 0 {
-		t.Fatalf("extents=%d dropped=%d, want 5/0", len(extents), dropped)
-	}
-	if s2.NextOffset() != sealed {
-		t.Fatal("skip path mutated the store")
-	}
-	for i, e := range extents {
-		if e.Off != offs[i] || e.Size != len(objs[i]) {
-			t.Fatalf("extent %d = %+v, want {%d %d}", i, e, offs[i], len(objs[i]))
-		}
-		res, err := s2.ReadAt(e.Off, e.Size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(res.Data, objs[i]) {
-			t.Fatalf("object %d mismatch after recovery", i)
-		}
-	}
-	if fi, err := os.Stat(logPath); err != nil || fi.Size() != 0 {
-		t.Fatalf("log not truncated after recovery: %v", fi.Size())
+			// The devices hardened before every commit record, so reopening
+			// recovers everything from the device files and the log replay
+			// must skip every commit without touching the store.
+			s2, _ := openFileStore(t, dir)
+			defer s2.Close()
+			sealed := s2.NextOffset()
+			extents, dropped, err := RecoverWALFile(logPath, s2)
+			if err != nil {
+				t.Fatalf("RecoverWALFile: %v", err)
+			}
+			if len(extents) != 5 || dropped != 0 {
+				t.Fatalf("extents=%d dropped=%d, want 5/0", len(extents), dropped)
+			}
+			if s2.NextOffset() != sealed {
+				t.Fatal("skip path mutated the store")
+			}
+			for i, e := range extents {
+				if e.Off != offs[i] || e.Size != len(objs[i]) {
+					t.Fatalf("extent %d = %+v, want {%d %d}", i, e, offs[i], len(objs[i]))
+				}
+				res, err := s2.ReadAt(e.Off, e.Size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(res.Data, objs[i]) {
+					t.Fatalf("object %d mismatch after recovery", i)
+				}
+			}
+			if fi, err := os.Stat(logPath); err != nil || fi.Size() != 0 {
+				t.Fatalf("log not truncated after recovery: %v", fi.Size())
+			}
+		})
 	}
 }
 

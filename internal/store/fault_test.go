@@ -187,7 +187,8 @@ func TestInjectedLatencyIsServed(t *testing.T) {
 }
 
 // TestWriteFaultAbortsSealCleanly: a seal one device's backend refuses
-// publishes nothing — no stripe, bytes retryable after the fault clears.
+// publishes nothing — no stripe, bytes retryable after the fault clears —
+// and counts one error against that device alone.
 func TestWriteFaultAbortsSealCleanly(t *testing.T) {
 	s := testStore(t, layout.FormECFRM)
 	stub(s, nil, onlyDev(2, errors.New("io error")))
@@ -201,6 +202,15 @@ func TestWriteFaultAbortsSealCleanly(t *testing.T) {
 	}
 	if s.Stripes() != 0 {
 		t.Fatalf("faulted seal left %d stripes", s.Stripes())
+	}
+	for d, n := range s.DiskErrorCounts() {
+		want := int64(0)
+		if d == 2 {
+			want = 1
+		}
+		if n != want {
+			t.Fatalf("device %d error count after the refused seal = %d, want %d", d, n, want)
+		}
 	}
 
 	// Clearing the fault and flushing the retained buffer must succeed.
@@ -360,4 +370,27 @@ func TestWrapBackendsBumpsEpoch(t *testing.T) {
 	if _, wrapped := s.Device(0).be.(stubBackend); wrapped {
 		t.Fatal("a lifted decorator still sits under device 0")
 	}
+}
+
+// TestDiskElementsDuringWrapBackends: the repair census asks every device
+// for its cell count while a fault plan may be installed or lifted; run
+// under -race, the two must not touch a device's backend unordered.
+func TestDiskElementsDuringWrapBackends(t *testing.T) {
+	s := testStore(t, layout.FormECFRM)
+	fill(t, s, s.stripeBytes(), 23)
+	want := s.DiskElements(0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			stub(s, nil, nil)
+			s.WrapBackends(nil)
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if got := s.DiskElements(0); got != want {
+			t.Errorf("device 0 holds %d cells during WrapBackends, want %d", got, want)
+		}
+	}
+	<-done
 }

@@ -426,6 +426,15 @@ func (s *Store) InflightRuns() []int {
 	return out
 }
 
+// DiskElements returns how many elements device d stores, asking its backend
+// (which WrapBackends or a rebuild may swap) outside the lock.
+func (s *Store) DiskElements(d int) int {
+	s.mu.RLock()
+	be := s.devices[d].be
+	s.mu.RUnlock()
+	return be.Elements()
+}
+
 // DiskErrorCounts snapshots every device's hard-error count (runs its
 // backend failed to serve) for the failure detectors.
 func (s *Store) DiskErrorCounts() []int64 {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -106,9 +107,6 @@ func (s *Store) plug(d *Device, be CellBackend) {
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Elements returns the number of elements currently stored on the device.
-func (d *Device) Elements() int { return d.be.Elements() }
 
 // Reads returns the element-granularity read count.
 func (d *Device) Reads() int { return int(d.reads.Load()) }
@@ -201,13 +199,16 @@ func (s *Store) writeRuns(runs []Run, sync bool) error {
 }
 
 // writeBatch writes one node's batch through d's backend, which no caller's
-// context may cut short, and counts each run's payload cells on the device
-// at the run's disk; the cells zero runs record count apart.
+// context may cut short, and counts each run's payload cells on its device,
+// zero runs' cells apart; a refused batch notes one error on each device.
 func (s *Store) writeBatch(d *Device, runs []Run, sync bool) error {
 	if err := d.be.WriteRuns(context.Background(), runs, sync); err != nil {
-		disks := make([]int, len(runs))
-		for i, r := range runs {
-			disks[i] = r.Disk
+		var disks []int
+		for _, r := range runs {
+			if !slices.Contains(disks, r.Disk) {
+				disks = append(disks, r.Disk)
+				s.devices[r.Disk].noteError()
+			}
 		}
 		return fmt.Errorf("%w: devices %v: %w", ErrUnavailable, disks, err)
 	}

@@ -197,7 +197,7 @@ func TestPlannedLoadsMatchObservedIO(t *testing.T) {
 func TestRecoverDiskRestoresContent(t *testing.T) {
 	s := testStore(t, layout.FormECFRM)
 	data := fill(t, s, 10000, 67)
-	before := s.Device(3).Elements()
+	before := s.DiskElements(3)
 	s.FailDisk(3)
 	cost, err := s.RecoverDisk(3)
 	if err != nil {
@@ -206,7 +206,7 @@ func TestRecoverDiskRestoresContent(t *testing.T) {
 	if cost <= 0 {
 		t.Fatal("recovery read nothing")
 	}
-	if got := s.Device(3).Elements(); got != before {
+	if got := s.DiskElements(3); got != before {
 		t.Fatalf("replacement has %d elements, want %d", got, before)
 	}
 	if s.Device(3).failed {
@@ -313,9 +313,9 @@ func TestRotatedLayoutBalancesDevices(t *testing.T) {
 	// across devices (each device gets the same cell count).
 	s := MustNew(core.MustScheme(mustRS(6, 3), layout.FormRotated), 16)
 	fill(t, s, 16*6*9*3, 72) // 27 stripes
-	want := s.Device(0).Elements()
+	want := s.DiskElements(0)
 	for d := 1; d < 9; d++ {
-		if got := s.Device(d).Elements(); got != want {
+		if got := s.DiskElements(d); got != want {
 			t.Fatalf("device %d has %d elements, device 0 has %d", d, got, want)
 		}
 	}

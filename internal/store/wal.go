@@ -1,14 +1,11 @@
 // Group-committed write path: a write-ahead log and packing layer that turns
 // many small synchronous appends into few full-stripe seals.
 //
-// The store's Append/Flush path is correct but brutal for small objects: each
-// object seals a stripe of its own and pays its own fsync barrier. A seal
-// writes only the cells user bytes reach — a 4 KiB object on an RS(6,3)
-// ecfrm layout writes 4 of the stripe's 27 cells, its element and its
-// group's three parities, and records the other 23 as zero runs — but the
-// whole stripe's space is spent, where packing would amortize the object to
-// ~1.5 cells. The WAL fixes the space amplification and the serialization at
-// once:
+// Through the store's Append/Flush path each small object seals a stripe of
+// its own and pays its own fsync barrier. A seal writes only the cells user
+// bytes reach (a 4 KiB object on RS(6,3)/ecfrm: 4 of 27 cells), but the whole
+// stripe's space is spent, where packing would amortize the object to ~1.5
+// cells. The WAL fixes the space amplification and the serialization at once:
 //
 //   - Put queues the object — the caller's buffer itself, borrowed, not a
 //     copy — and blocks on a per-object ack. Many goroutines enqueue
@@ -20,36 +17,30 @@
 //   - A Put that finds the queue empty and no commit running leads its own
 //     commit at once: a lone PUT never waits. Puts that arrive while a commit
 //     runs queue behind it and commit by size (BatchBytes queued) or by time
-//     (FlushInterval after the running commit ends), whichever comes first.
-//     The triggering Put becomes the commit leader — there is no resident
-//     flusher goroutine; an idle WAL owns no timers, no goroutines and no
+//     (FlushInterval after the running commit ends), whichever comes first,
+//     led by the triggering Put: an idle WAL owns no timers, goroutines or
 //     object bytes.
 //
 // A device that fails a seal's write — a real backend error, or one a
-// decorator such as internal/faultinject injects — fails the seal, and a
-// failed seal publishes nothing: the stripe counter does not move, so a
-// faulted group commit commits nothing new, though devices whose batches
-// went through may hold the unpublished stripe's cells until the retry
-// rewrites them. Waiters of that batch are told ErrUnavailable (HTTP
-// surfaces it as 503 + Retry-After, exactly like the read path) but the queue
-// still holds their entries, so the next commit attempt — triggered by a
-// later Put or the retry timer — re-seals them. Because the store's own
-// pending buffer survives a failed seal, the WAL tracks how much of the
-// batch it already handed over and hands only the delta on retry: bytes are
-// never appended twice.
+// decorator such as internal/faultinject injects — fails the seal, which
+// publishes nothing (devices whose batches went through may hold the
+// unpublished cells until the retry rewrites them). Waiters of that batch
+// are told ErrUnavailable (HTTP 503 + Retry-After) but the queue keeps their
+// entries for the next commit attempt, led by a later Put or the retry
+// timer. The store's pending buffer survives a failed seal, so the WAL hands
+// only the not-yet-handed delta on retry: bytes are never appended twice.
 //
-// There is no resident log. With a LogPath the commit leader serializes the
-// batch's records — a put record per object, then the commit record —
-// straight from the queued entries into the file and fsyncs it before any
-// waiter is acked; without one (memory backend, gateway mode) nothing is
-// serialized at all. ReplayWAL applied to the file's bytes, or to any prefix
-// of them (a crash point), rebuilds the committed store byte-for-byte, which
-// FuzzWALReplay checks under random sizes, batch boundaries and crash points.
+// There is no resident log, and a commit has one durable record: without a
+// LogPath (memory backend, gateway mode, ecfrmd under FsyncAlways) the
+// store's device barrier; with one (ecfrmd under FsyncNever) the log, into
+// which the commit leader serializes the batch — a put record per object,
+// then the commit record — from the queued entries, and fsyncs it before
+// any waiter is acked. ReplayWAL applied to the file's bytes, or to any
+// prefix of them, rebuilds the committed store byte-for-byte (FuzzWALReplay).
 //
 // While a WAL is attached to a store, all appends must go through it: the
 // offset bookkeeping assumes no other writer advances NextOffset between
-// hand-over and commit. (Reads, healing, and recovery touch sealed stripes
-// only and compose freely.)
+// hand-over and commit. Reads, healing and recovery touch sealed stripes only.
 package store
 
 import (
@@ -86,13 +77,12 @@ type WALConfig struct {
 	// never waits it. Zero or negative means DefaultFlushInterval.
 	FlushInterval time.Duration
 	// LogPath, when non-empty, spills the log to this file: every
-	// successful group commit appends the batch's put records and its
-	// commit record and fsyncs them before any waiter is acked. RecoverWALFile replays such a file at startup. The file is
-	// truncated when the WAL attaches: recover first.
-	//
-	// A spill failure after the store commit succeeded never fails the
-	// commit (the bytes are sealed); it is counted, the error is retained
-	// (SpillErr), and further spilling is disabled.
+	// successful group commit appends the batch's records and fsyncs them
+	// before any waiter is acked — the commit's durable record under
+	// FsyncNever, a second copy under FsyncAlways. The file is truncated when
+	// the WAL attaches: replay it first (RecoverWALFile). A spill failure
+	// after the store commit succeeded never fails the commit (the bytes are
+	// sealed); it is counted, retained (SpillErr), and disables spilling.
 	LogPath string
 }
 

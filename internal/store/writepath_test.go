@@ -279,7 +279,7 @@ func TestSealElidesZeroCells(t *testing.T) {
 			for d := 0; d < scheme.N(); d++ {
 				dev := st.Device(d)
 				writes += dev.Writes()
-				records += dev.Elements()
+				records += st.DiskElements(d)
 				if dev.Writes() == 0 && idle < 0 {
 					idle = d
 				}

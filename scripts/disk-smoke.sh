@@ -10,7 +10,9 @@
 #   0. before the crash, every cell of every sealed stripe was recorded —
 #      50 per stripe for the default LRC(6,2,2), counted as element writes
 #      plus zero cells — and the padding was never written: element writes
-#      alone fall short of it,
+#      alone fall short of it; and under the default -fsync=always, where
+#      the device barrier is each commit's durable record, nothing was
+#      spilled: ecfrm_wal_log_bytes is 0 and wal.log is empty or absent,
 #   1. a restart under another geometry (-code rs -m 3) exits nonzero
 #      before touching the directory, naming the scheme the directory was
 #      written as and the one requested (the manifest written at open
@@ -24,7 +26,10 @@
 #      acks and reads back),
 #   6. the daemon drains gracefully on SIGTERM (manifest sealed for the
 #      next open),
-#   7. a directory `ecfrm encode` writes is one ecfrmd -backend=file serves
+#   7. an -fsync=never daemon, whose one durable record is wal.log, spills
+#      every PUT (ecfrm_wal_log_bytes > 0), and after a SIGKILL its restart
+#      replays each one from the log and recovers every stripe,
+#   8. a directory `ecfrm encode` writes is one ecfrmd -backend=file serves
 #      with default flags: /admin/status shows the stripe count encode
 #      printed, and /admin/scrub finds every stripe clean.
 #
@@ -40,6 +45,8 @@ LOG1="$TMP/ecfrmd.1.log"
 LOG2="$TMP/ecfrmd.2.log"
 LOGRS="$TMP/ecfrmd.rs.log"
 LOG3="$TMP/ecfrmd.encoded.log"
+LOGN1="$TMP/ecfrmd.never.1.log"
+LOGN2="$TMP/ecfrmd.never.2.log"
 PID=""
 
 cleanup() {
@@ -49,7 +56,7 @@ cleanup() {
         wait "$PID" 2>/dev/null || true
     fi
     if [ "$status" -ne 0 ]; then
-        for f in "$LOG1" "$LOGRS" "$LOG2" "$LOG3"; do
+        for f in "$LOG1" "$LOGRS" "$LOG2" "$LOGN1" "$LOGN2" "$LOG3"; do
             if [ -f "$f" ]; then
                 echo "disk-smoke: FAILED — $f:" >&2
                 cat "$f" >&2
@@ -145,8 +152,14 @@ if [ "$WRITES" -ge $((50 * STRIPES_BEFORE)) ]; then
     exit 1
 fi
 
+WAL_BYTES=$(metric_sum ecfrm_wal_log_bytes)
+if [ "$WAL_BYTES" -ne 0 ] || [ -s "$DATA/wal.log" ]; then
+    echo "disk-smoke: -fsync=always spilled the WAL: ecfrm_wal_log_bytes $WAL_BYTES, $(cat "$DATA/wal.log" 2>/dev/null | wc -c) bytes in wal.log" >&2
+    exit 1
+fi
+
 # Crash: no drain — recovery must re-derive the extent from the device files
-# and the spilled WAL.
+# alone.
 echo "disk-smoke: SIGKILL mid-life ($STRIPES_BEFORE stripes on disk)"
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
@@ -242,6 +255,47 @@ grep -q "drained" "$LOG2" || {
     echo "disk-smoke: daemon did not report graceful drain" >&2
     exit 1
 }
+
+# -fsync=never: the log is the commit's one barrier, so it is spilled and
+# replayed.
+NEVER="$TMP/never"
+NPUTS=5
+echo "disk-smoke: -fsync=never on a fresh directory: $NPUTS PUTs, SIGKILL, restart"
+"$BIN" -addr "127.0.0.1:$PORT" -elem 4096 -backend file -data-dir "$NEVER" \
+    -fsync never >"$LOGN1" 2>&1 &
+PID=$!
+wait_up
+i=0
+while [ "$i" -lt "$NPUTS" ]; do
+    curl -fsS -X PUT --data-binary @"$TMP/in.$i" -o /dev/null "http://127.0.0.1:$PORT/objects/n$i"
+    i=$((i + 1))
+done
+WAL_BYTES=$(metric_sum ecfrm_wal_log_bytes)
+NEVER_BEFORE=$(fetch /admin/status | sed -n 's/.*"stripes":\([0-9]*\).*/\1/p')
+if [ "$WAL_BYTES" -le 0 ] || [ ! -s "$NEVER/wal.log" ]; then
+    echo "disk-smoke: -fsync=never acked $NPUTS PUTs with ecfrm_wal_log_bytes $WAL_BYTES" >&2
+    exit 1
+fi
+kill -9 "$PID"
+wait "$PID" 2>/dev/null || true
+PID=""
+"$BIN" -addr "127.0.0.1:$PORT" -elem 4096 -backend file -data-dir "$NEVER" \
+    -fsync never >"$LOGN2" 2>&1 &
+PID=$!
+wait_up
+grep -q "wal log .*: $NPUTS committed objects verified" "$LOGN2" || {
+    echo "disk-smoke: the -fsync=never restart did not replay $NPUTS committed objects from wal.log" >&2
+    exit 1
+}
+NEVER_AFTER=$(fetch /admin/status | sed -n 's/.*"stripes":\([0-9]*\).*/\1/p')
+echo "disk-smoke: -fsync=never: $WAL_BYTES log bytes, recovered $NEVER_AFTER of $NEVER_BEFORE stripes"
+if [ -z "$NEVER_AFTER" ] || [ "$NEVER_AFTER" -ne "$NEVER_BEFORE" ]; then
+    echo "disk-smoke: -fsync=never lost acked stripes across SIGKILL" >&2
+    exit 1
+fi
+kill -TERM "$PID"
+wait "$PID"
+PID=""
 
 # The CLI writes the format the daemon serves.
 echo "disk-smoke: ecfrm encode into a fresh directory, then ecfrmd serves it"
