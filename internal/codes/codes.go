@@ -26,8 +26,8 @@ import (
 // ErrUnrecoverable is returned when an erasure pattern cannot be decoded.
 var ErrUnrecoverable = errors.New("codes: erasure pattern unrecoverable")
 
-// ErrShardSize is returned when shards passed to Encode/Reconstruct are
-// missing, ragged, or of inconsistent counts.
+// ErrShardSize is returned when shards passed to EncodeInto or
+// ReconstructElementsInto are missing, ragged, or of inconsistent counts.
 var ErrShardSize = errors.New("codes: invalid shard sizes")
 
 // Code is a systematic one-row candidate erasure code.
@@ -43,12 +43,6 @@ type Code interface {
 	// codes have f = N-K; LRC has f < N-K but recovers many larger patterns
 	// too (see CanRecover).
 	FaultTolerance() int
-	// Encode computes the n-k parity shards for k equally sized data shards.
-	Encode(data [][]byte) ([][]byte, error)
-	// Reconstruct rebuilds every nil shard in the length-n slice in place,
-	// given the non-nil survivors. Returns ErrUnrecoverable if the pattern
-	// is information-theoretically lost.
-	Reconstruct(shards [][]byte) error
 	// Generator returns the n×k generator matrix (first k rows identity):
 	// element i of a row is Generator().Row(i)·data. Callers must not modify
 	// it.
@@ -61,15 +55,14 @@ type Code interface {
 	// consists of surviving element indices that suffice to rebuild idx.
 	// At least one set is always returned for a valid code.
 	RecoverySets(idx int) [][]int
-	// EncodeInto is Encode writing the parity into caller-provided cells —
-	// the zero-allocation encode path.
+	// EncodeInto computes the n-k parity shards for k equally sized data
+	// shards into caller-provided cells — the one encode path.
 	EncodeInto(parity, data [][]byte) error
-	// ReconstructInto is Reconstruct drawing output buffers from alloc.
-	ReconstructInto(shards [][]byte, alloc Allocator) error
-	// ReconstructElementsInto rebuilds only the listed target elements in
-	// place, drawing output buffers from alloc, and succeeds whenever those
-	// targets (not necessarily every erased shard) are decodable from the
-	// survivors.
+	// ReconstructElementsInto rebuilds the listed target elements of a
+	// length-n shard slice in place from its non-nil survivors, drawing
+	// output buffers from alloc — the one decode path. It succeeds whenever
+	// those targets (not necessarily every erased shard) are decodable, and
+	// returns ErrUnrecoverable otherwise.
 	ReconstructElementsInto(shards [][]byte, targets []int, alloc Allocator) error
 }
 
@@ -80,12 +73,6 @@ type Code interface {
 type Allocator interface {
 	GetShard(size int) []byte
 }
-
-// heapAlloc is the fallback Allocator: plain make. Zero-sized, so converting
-// it to the Allocator interface does not allocate.
-type heapAlloc struct{}
-
-func (heapAlloc) GetShard(size int) []byte { return make([]byte, size) }
 
 // baseScratch holds the index and shard-pointer slices a decode needs,
 // recycled through a pool so steady-state reconstruct allocates nothing.
@@ -276,20 +263,6 @@ func (b *Base) solveCoefficients(avail, targets []int) (*matrix.Matrix, error) {
 	return coeff, nil
 }
 
-// Encode computes the parity shards for the given data shards.
-func (b *Base) Encode(data [][]byte) ([][]byte, error) {
-	size, err := b.checkData(data)
-	if err != nil {
-		return nil, err
-	}
-	parity := make([][]byte, b.n-b.k)
-	for i := range parity {
-		parity[i] = make([]byte, size)
-	}
-	b.parityMat.MulVec(parity, data)
-	return parity, nil
-}
-
 // EncodeInto computes the parity shards into the caller-provided cells —
 // the zero-allocation encode path. parity must hold n-k buffers, each the
 // size of a data shard; contents are overwritten.
@@ -328,62 +301,12 @@ func (b *Base) checkData(data [][]byte) (int, error) {
 	return size, nil
 }
 
-// Reconstruct rebuilds nil shards in place. shards must have length n.
-func (b *Base) Reconstruct(shards [][]byte) error {
-	return b.ReconstructInto(shards, heapAlloc{})
-}
-
-// ReconstructInto rebuilds nil shards in place, drawing the output buffers
-// from alloc — the zero-allocation decode path when alloc recycles memory.
-func (b *Base) ReconstructInto(shards [][]byte, alloc Allocator) error {
-	if len(shards) != b.n {
-		return fmt.Errorf("%w: got %d shards, want %d", ErrShardSize, len(shards), b.n)
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	size := -1
-	for i, s := range shards {
-		if s == nil {
-			sc.targetIdx = append(sc.targetIdx, i)
-			continue
-		}
-		if size == -1 {
-			size = len(s)
-		} else if len(s) != size {
-			return fmt.Errorf("%w: shard %d has %d bytes, want %d", ErrShardSize, i, len(s), size)
-		}
-		sc.availIdx = append(sc.availIdx, i)
-	}
-	erased := sc.targetIdx
-	if len(erased) == 0 {
-		return nil
-	}
-	if size == -1 {
-		return fmt.Errorf("%w: all shards erased", ErrShardSize)
-	}
-	coeff, err := b.solveCoefficients(sc.availIdx, erased)
-	if err != nil {
-		return fmt.Errorf("%w: erased %v", ErrUnrecoverable, erased)
-	}
-	for _, a := range sc.availIdx {
-		sc.availShards = append(sc.availShards, shards[a])
-	}
-	for range erased {
-		sc.out = append(sc.out, alloc.GetShard(size))
-	}
-	coeff.MulVec(sc.out, sc.availShards)
-	for i, e := range erased {
-		shards[e] = sc.out[i]
-	}
-	return nil
-}
-
 // ReconstructElementsInto rebuilds only the listed target elements from the
 // non-nil shards, writing the results — buffers drawn from alloc — into
-// shards. Unlike Reconstruct it succeeds as long as the *targets* are in the
-// span of the survivors, even when other erased elements are unrecoverable —
-// exactly the degraded-read situation, where a recovery set was read and
-// nothing else.
+// shards. It succeeds as long as the *targets* are in the span of the
+// survivors, even when other erased elements are unrecoverable — exactly
+// the degraded-read situation, where a recovery set was read and nothing
+// else. A whole-row repair lists every erased shard as a target.
 func (b *Base) ReconstructElementsInto(shards [][]byte, targets []int, alloc Allocator) error {
 	if len(shards) != b.n {
 		return fmt.Errorf("%w: got %d shards, want %d", ErrShardSize, len(shards), b.n)

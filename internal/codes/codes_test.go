@@ -29,6 +29,37 @@ func randShards(rng *rand.Rand, count, size int) [][]byte {
 	return s
 }
 
+// heapAlloc is the test Allocator: plain make. Zero-sized, so converting it
+// to the Allocator interface does not allocate.
+type heapAlloc struct{}
+
+func (heapAlloc) GetShard(size int) []byte { return make([]byte, size) }
+
+// encode is EncodeInto writing into freshly allocated parity cells.
+func encode(c *Base, data [][]byte) ([][]byte, error) {
+	size := 0
+	if len(data) > 0 {
+		size = len(data[0])
+	}
+	parity := make([][]byte, c.N()-c.K())
+	for i := range parity {
+		parity[i] = make([]byte, size)
+	}
+	return parity, c.EncodeInto(parity, data)
+}
+
+// reconstruct rebuilds every nil shard in place through
+// ReconstructElementsInto.
+func reconstruct(c *Base, shards [][]byte) error {
+	var erased []int
+	for i, s := range shards {
+		if s == nil {
+			erased = append(erased, i)
+		}
+	}
+	return c.ReconstructElementsInto(shards, erased, heapAlloc{})
+}
+
 func TestNewBaseValidation(t *testing.T) {
 	mds := matrix.Identity(2).Stack(matrix.Cauchy(2, 2))
 	for name, tc := range map[string]struct {
@@ -56,7 +87,7 @@ func TestNewBaseValidation(t *testing.T) {
 func TestEncodeShapes(t *testing.T) {
 	b := testCode(t, 3, 2)
 	rng := rand.New(rand.NewSource(1))
-	parity, err := b.Encode(randShards(rng, 3, 64))
+	parity, err := encode(b, randShards(rng, 3, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +98,13 @@ func TestEncodeShapes(t *testing.T) {
 
 func TestEncodeErrors(t *testing.T) {
 	b := testCode(t, 3, 2)
-	if _, err := b.Encode(make([][]byte, 2)); !errors.Is(err, ErrShardSize) {
+	if _, err := encode(b, make([][]byte, 2)); !errors.Is(err, ErrShardSize) {
 		t.Fatalf("wrong shard count: err = %v", err)
 	}
-	if _, err := b.Encode([][]byte{{1}, nil, {3}}); !errors.Is(err, ErrShardSize) {
+	if _, err := encode(b, [][]byte{{1}, nil, {3}}); !errors.Is(err, ErrShardSize) {
 		t.Fatalf("nil shard: err = %v", err)
 	}
-	if _, err := b.Encode([][]byte{{1, 2}, {3}, {4, 5}}); !errors.Is(err, ErrShardSize) {
+	if _, err := encode(b, [][]byte{{1, 2}, {3}, {4, 5}}); !errors.Is(err, ErrShardSize) {
 		t.Fatalf("ragged shards: err = %v", err)
 	}
 }
@@ -86,7 +117,7 @@ func TestReconstructAllPatterns(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	data := randShards(rng, k, 37)
-	parity, err := b.Encode(data)
+	parity, err := encode(b, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +141,7 @@ func TestReconstructAllPatterns(t *testing.T) {
 				shards[i] = append([]byte(nil), full[i]...)
 			}
 		}
-		if err := b.Reconstruct(shards); err != nil {
+		if err := reconstruct(b, shards); err != nil {
 			t.Fatalf("mask %b: %v", mask, err)
 		}
 		for i := range shards {
@@ -125,9 +156,9 @@ func TestReconstructTooManyErasures(t *testing.T) {
 	b := testCode(t, 3, 2)
 	rng := rand.New(rand.NewSource(3))
 	data := randShards(rng, 3, 8)
-	parity, _ := b.Encode(data)
+	parity, _ := encode(b, data)
 	shards := [][]byte{nil, nil, nil, parity[0], parity[1]}
-	if err := b.Reconstruct(shards); !errors.Is(err, ErrUnrecoverable) {
+	if err := b.ReconstructElementsInto(shards, []int{0, 1, 2}, heapAlloc{}); !errors.Is(err, ErrUnrecoverable) {
 		t.Fatalf("err = %v, want ErrUnrecoverable", err)
 	}
 }
@@ -136,23 +167,23 @@ func TestReconstructNoErasures(t *testing.T) {
 	b := testCode(t, 3, 2)
 	rng := rand.New(rand.NewSource(4))
 	data := randShards(rng, 3, 8)
-	parity, _ := b.Encode(data)
+	parity, _ := encode(b, data)
 	shards := append(append([][]byte{}, data...), parity...)
-	if err := b.Reconstruct(shards); err != nil {
+	if err := reconstruct(b, shards); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestReconstructErrors(t *testing.T) {
 	b := testCode(t, 3, 2)
-	if err := b.Reconstruct(make([][]byte, 3)); !errors.Is(err, ErrShardSize) {
+	if err := b.ReconstructElementsInto(make([][]byte, 3), []int{0, 1, 2}, heapAlloc{}); !errors.Is(err, ErrShardSize) {
 		t.Fatalf("short slice: err = %v", err)
 	}
-	if err := b.Reconstruct(make([][]byte, 5)); !errors.Is(err, ErrShardSize) {
+	if err := b.ReconstructElementsInto(make([][]byte, 5), []int{0, 1, 2, 3, 4}, heapAlloc{}); !errors.Is(err, ErrShardSize) {
 		t.Fatalf("all nil: err = %v", err)
 	}
 	ragged := [][]byte{{1, 2}, {3}, nil, {4, 5}, {6, 7}}
-	if err := b.Reconstruct(ragged); !errors.Is(err, ErrShardSize) {
+	if err := b.ReconstructElementsInto(ragged, []int{2}, heapAlloc{}); !errors.Is(err, ErrShardSize) {
 		t.Fatalf("ragged: err = %v", err)
 	}
 }
@@ -209,14 +240,14 @@ func TestFaultToleranceNonMDS(t *testing.T) {
 }
 
 func TestReconstructedParityConsistent(t *testing.T) {
-	// Reconstructing a parity shard must yield exactly what Encode yields.
+	// Reconstructing a parity shard must yield exactly what EncodeInto yields.
 	b := testCode(t, 3, 3)
 	rng := rand.New(rand.NewSource(5))
 	data := randShards(rng, 3, 50)
-	parity, _ := b.Encode(data)
+	parity, _ := encode(b, data)
 	shards := append(append([][]byte{}, data...), parity...)
 	shards[4] = nil
-	if err := b.Reconstruct(shards); err != nil {
+	if err := reconstruct(b, shards); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(shards[4], parity[1]) {
@@ -240,13 +271,13 @@ func TestReconstructElementsPartialPattern(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(60))
 	data := randShards(rng, 4, 10)
-	parity, err := b.Encode(data)
+	parity, err := encode(b, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shards := [][]byte{nil, data[1], nil, nil, parity[0], nil}
 	// Full reconstruct must fail: d2,d3 have no surviving equation.
-	if err := b.Reconstruct(append([][]byte{}, shards...)); !errors.Is(err, ErrUnrecoverable) {
+	if err := reconstruct(b, append([][]byte{}, shards...)); !errors.Is(err, ErrUnrecoverable) {
 		t.Fatalf("full reconstruct err = %v, want ErrUnrecoverable", err)
 	}
 	// Targeted reconstruct of d0 alone succeeds via d1 + p0.
@@ -293,7 +324,7 @@ func TestDecodeCacheCorrectAndConcurrent(t *testing.T) {
 	b := testCode(t, 4, 3)
 	rng := rand.New(rand.NewSource(70))
 	data := randShards(rng, 4, 40)
-	parity, _ := b.Encode(data)
+	parity, _ := encode(b, data)
 	full := append(append([][]byte{}, data...), parity...)
 	// Hammer the same erasure pattern from many goroutines (run under
 	// -race); results must stay byte-correct.
@@ -306,7 +337,7 @@ func TestDecodeCacheCorrectAndConcurrent(t *testing.T) {
 			for trial := 0; trial < 50; trial++ {
 				shards := append([][]byte{}, full...)
 				shards[1], shards[5] = nil, nil
-				if err := b.Reconstruct(shards); err != nil {
+				if err := reconstruct(b, shards); err != nil {
 					errs <- err
 					return
 				}
@@ -325,7 +356,7 @@ func TestDecodeCacheCorrectAndConcurrent(t *testing.T) {
 	// Different patterns must not collide in the cache.
 	shards := append([][]byte{}, full...)
 	shards[0], shards[6] = nil, nil
-	if err := b.Reconstruct(shards); err != nil {
+	if err := reconstruct(b, shards); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(shards[0], full[0]) || !bytes.Equal(shards[6], full[6]) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/codes"
+	"repro/internal/gf"
 	"repro/internal/layout"
 	"repro/internal/lrc"
 	"repro/internal/rs"
@@ -22,9 +23,34 @@ func makeStripeData(s *Scheme, size int, seed int64) [][]byte {
 	return data
 }
 
-// TestIntoPathsMatchAllocatingPaths checks the pooled ...Into variants
-// produce bit-identical stripes to the allocating paths, across codes and
-// layouts.
+// referenceStripe builds the stripe the scheme must encode from data
+// without going through codes: each group's parity is its generator rows
+// applied byte by byte with gf.Mul.
+func referenceStripe(s *Scheme, data [][]byte) [][]byte {
+	cells := make([][]byte, s.CellsPerStripe())
+	for e, d := range data {
+		cells[s.cellIndex(s.lay.DataPos(e))] = d
+	}
+	gen := s.code.Generator()
+	k, n := s.code.K(), s.code.N()
+	for g := 0; g < s.lay.Groups(); g++ {
+		for t := k; t < n; t++ {
+			p := make([]byte, len(data[0]))
+			for j := 0; j < k; j++ {
+				src := cells[s.cellIndex(s.lay.GroupCell(g, j))]
+				for b := range p {
+					p[b] ^= gf.Mul(gen.At(t, j), src[b])
+				}
+			}
+			cells[s.cellIndex(s.lay.GroupCell(g, t))] = p
+		}
+	}
+	return cells
+}
+
+// TestIntoPathsMatchAllocatingPaths checks the pooled ...Into forms and
+// their allocating wrappers against a stripe built from the source bytes,
+// across codes and layouts.
 func TestIntoPathsMatchAllocatingPaths(t *testing.T) {
 	const size = 96
 	codesUnder := []codes.Code{mustRS(6, 3), lrc.Must(6, 2, 2)}
@@ -34,33 +60,39 @@ func TestIntoPathsMatchAllocatingPaths(t *testing.T) {
 			t.Run(s.Name(), func(t *testing.T) {
 				var bufs Buffers
 				data := makeStripeData(s, size, 42)
-				want, err := s.EncodeStripe(data)
+				want := referenceStripe(s, data)
+				same := func(what string, cells [][]byte) {
+					t.Helper()
+					for i := range want {
+						if !bytes.Equal(cells[i], want[i]) {
+							t.Fatalf("%s: cell %d differs from the source stripe", what, i)
+						}
+					}
+				}
+				alloc, err := s.EncodeStripe(data)
 				if err != nil {
 					t.Fatal(err)
 				}
+				same("EncodeStripe", alloc)
 				cells := make([][]byte, s.CellsPerStripe())
 				if err := s.EncodeStripeInto(&bufs, cells, data); err != nil {
 					t.Fatal(err)
 				}
-				for i := range cells {
-					if !bytes.Equal(cells[i], want[i]) {
-						t.Fatalf("cell %d differs between EncodeStripeInto and EncodeStripe", i)
-					}
-				}
+				same("EncodeStripeInto", cells)
 
-				// Knock out two cells and repair via the pooled path.
+				// Knock out two cells and repair through both forms.
 				lost := []int{0, len(cells) / 2}
 				for _, i := range lost {
-					cells[i] = nil
+					cells[i], alloc[i] = nil, nil
 				}
+				if err := s.ReconstructStripe(alloc); err != nil {
+					t.Fatal(err)
+				}
+				same("ReconstructStripe", alloc)
 				if err := s.ReconstructStripeInto(&bufs, cells); err != nil {
 					t.Fatal(err)
 				}
-				for i := range cells {
-					if !bytes.Equal(cells[i], want[i]) {
-						t.Fatalf("cell %d differs after ReconstructStripeInto", i)
-					}
-				}
+				same("ReconstructStripeInto", cells)
 
 				// Degraded single-element rebuild via the pooled path.
 				idx := s.cellIndex(s.lay.DataPos(0))
@@ -78,14 +110,15 @@ func TestIntoPathsMatchAllocatingPaths(t *testing.T) {
 }
 
 // TestZeroAllocSteadyState asserts the pooled encode/reconstruct/rebuild
-// paths allocate nothing once the Buffers arena and scratch pools are warm —
+// paths and VerifyStripe allocate nothing once the Buffers arena and scratch pools are warm —
 // the regression gate for the zero-allocation hot path.
 func TestZeroAllocSteadyState(t *testing.T) {
 	checkZeroAllocSteadyState(t, mustRS(6, 3), lrc.Must(6, 2, 2))
 }
 
 // checkZeroAllocSteadyState warms each code's ECFRM scheme, then asserts its
-// pooled encode, reconstruct, and degraded-rebuild paths allocate nothing.
+// pooled encode, reconstruct, degraded-rebuild and verify paths allocate
+// nothing.
 func checkZeroAllocSteadyState(t *testing.T, cs ...codes.Code) {
 	t.Helper()
 	if raceEnabled {
@@ -132,6 +165,18 @@ func checkZeroAllocSteadyState(t *testing.T, cs ...codes.Code) {
 				t.Fatal(err)
 			}
 		})
+		check("VerifyStripe", func() {
+			if ok, err := s.VerifyStripe(&bufs, cells); err != nil || !ok {
+				t.Fatalf("clean stripe: ok=%v err=%v", ok, err)
+			}
+		})
+		// The pooled re-encode must still see one flipped parity byte.
+		last := cells[len(cells)-1]
+		last[size/2] ^= 1
+		if ok, err := s.VerifyStripe(&bufs, cells); err != nil || ok {
+			t.Errorf("%s: flipped parity byte verified: ok=%v err=%v", s.Name(), ok, err)
+		}
+		last[size/2] ^= 1
 	}
 }
 

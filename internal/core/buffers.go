@@ -7,10 +7,10 @@ import (
 )
 
 // Buffers is a reusable shard arena backed by sync.Pool. The steady-state
-// encode/reconstruct paths (EncodeStripeInto, ReconstructStripeInto,
-// RebuildCellInto) draw every parity and decode-output buffer from it, so a
-// long-running server performs zero heap allocations per stripe once the
-// pools are warm.
+// encode/reconstruct/verify paths (EncodeStripeInto, ReconstructStripeInto,
+// RebuildCellInto, VerifyStripe) draw every parity and decode-output buffer
+// from it, so a long-running server performs zero heap allocations per
+// stripe once the pools are warm.
 //
 // Two pools cooperate: shards holds recycled backing arrays (as *[]byte so
 // the slice header itself lives on the heap exactly once), and headers holds
@@ -67,6 +67,9 @@ type stripeScratch struct {
 	groupData [][]byte // one group's data cells, length k
 	parity    [][]byte // one group's parity cells, length n-k
 	target    [1]int   // single-element target list for RebuildCellInto
+	erased    []int    // one group's erased elements, for ReconstructStripeInto
+	data      [][]byte // a stripe's data cells, for VerifyStripe
+	cells     [][]byte // a re-encoded stripe, for VerifyStripe
 }
 
 var stripeScratchPool = sync.Pool{New: func() any { return new(stripeScratch) }}
@@ -83,6 +86,8 @@ func putStripeScratch(sc *stripeScratch) {
 	clearCells(sc.group)
 	clearCells(sc.groupData)
 	clearCells(sc.parity)
+	clearCells(sc.data)
+	clearCells(sc.cells)
 	stripeScratchPool.Put(sc)
 }
 

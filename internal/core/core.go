@@ -12,6 +12,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -134,29 +135,12 @@ func (s *Scheme) cellIndex(p layout.Pos) int { return p.Row*s.lay.N() + p.Col }
 // EncodeStripe computes a full stripe from its data elements. data must hold
 // DataPerStripe() equally sized shards in sequential (user byte) order. The
 // result has CellsPerStripe() cells indexed row-major; data shards are
-// aliased, parity shards freshly allocated.
+// aliased, parity shards freshly allocated. It is the allocating form of
+// EncodeStripeInto.
 func (s *Scheme) EncodeStripe(data [][]byte) ([][]byte, error) {
-	dps := s.DataPerStripe()
-	if len(data) != dps {
-		return nil, fmt.Errorf("%w: got %d data shards, want %d", ErrBadRequest, len(data), dps)
-	}
 	cells := make([][]byte, s.CellsPerStripe())
-	for e, d := range data {
-		cells[s.cellIndex(s.lay.DataPos(e))] = d
-	}
-	k, n := s.code.K(), s.code.N()
-	groupData := make([][]byte, k)
-	for g := 0; g < s.lay.Groups(); g++ {
-		for t := 0; t < k; t++ {
-			groupData[t] = cells[s.cellIndex(s.lay.GroupCell(g, t))]
-		}
-		parity, err := s.code.Encode(groupData)
-		if err != nil {
-			return nil, err
-		}
-		for t := k; t < n; t++ {
-			cells[s.cellIndex(s.lay.GroupCell(g, t))] = parity[t-k]
-		}
+	if err := s.EncodeStripeInto(new(Buffers), cells, data); err != nil {
+		return nil, err
 	}
 	return cells, nil
 }
@@ -240,40 +224,16 @@ func (s *Scheme) ZeroCells(fill int) []bool {
 }
 
 // ReconstructStripe rebuilds every nil cell of a stripe in place, group by
-// group (the paper's §IV-D three-step reconstruction). It fails with
-// ErrUnrecoverable if any group's erasure pattern is undecodable.
+// group (the paper's §IV-D three-step reconstruction), into freshly
+// allocated cells. It is the allocating form of ReconstructStripeInto.
 func (s *Scheme) ReconstructStripe(cells [][]byte) error {
-	if len(cells) != s.CellsPerStripe() {
-		return fmt.Errorf("%w: got %d cells, want %d", ErrBadRequest, len(cells), s.CellsPerStripe())
-	}
-	n := s.code.N()
-	group := make([][]byte, n)
-	for g := 0; g < s.lay.Groups(); g++ {
-		missing := false
-		for t := 0; t < n; t++ {
-			group[t] = cells[s.cellIndex(s.lay.GroupCell(g, t))]
-			if group[t] == nil {
-				missing = true
-			}
-		}
-		if !missing {
-			continue
-		}
-		if err := s.code.Reconstruct(group); err != nil {
-			return fmt.Errorf("%w: group %d: %v", ErrUnrecoverable, g, err)
-		}
-		for t := 0; t < n; t++ {
-			idx := s.cellIndex(s.lay.GroupCell(g, t))
-			if cells[idx] == nil {
-				cells[idx] = group[t]
-			}
-		}
-	}
-	return nil
+	return s.ReconstructStripeInto(new(Buffers), cells)
 }
 
-// ReconstructStripeInto is ReconstructStripe drawing decode buffers from
-// bufs and pooling its scratch — the zero-allocation repair path.
+// ReconstructStripeInto rebuilds every nil cell of a stripe in place, group
+// by group, drawing decode buffers from bufs and pooling its scratch — the
+// zero-allocation repair path. It fails with ErrUnrecoverable if any group's
+// erasure pattern is undecodable.
 func (s *Scheme) ReconstructStripeInto(bufs *Buffers, cells [][]byte) error {
 	if len(cells) != s.CellsPerStripe() {
 		return fmt.Errorf("%w: got %d cells, want %d", ErrBadRequest, len(cells), s.CellsPerStripe())
@@ -283,24 +243,21 @@ func (s *Scheme) ReconstructStripeInto(bufs *Buffers, cells [][]byte) error {
 	defer putStripeScratch(sc)
 	group := sc.group
 	for g := 0; g < s.lay.Groups(); g++ {
-		missing := false
+		sc.erased = sc.erased[:0]
 		for t := 0; t < n; t++ {
 			group[t] = cells[s.cellIndex(s.lay.GroupCell(g, t))]
 			if group[t] == nil {
-				missing = true
+				sc.erased = append(sc.erased, t)
 			}
 		}
-		if !missing {
+		if len(sc.erased) == 0 {
 			continue
 		}
-		if err := s.code.ReconstructInto(group, bufs); err != nil {
+		if err := s.code.ReconstructElementsInto(group, sc.erased, bufs); err != nil {
 			return fmt.Errorf("%w: group %d: %v", ErrUnrecoverable, g, err)
 		}
-		for t := 0; t < n; t++ {
-			idx := s.cellIndex(s.lay.GroupCell(g, t))
-			if cells[idx] == nil {
-				cells[idx] = group[t]
-			}
+		for _, t := range sc.erased {
+			cells[s.cellIndex(s.lay.GroupCell(g, t))] = group[t]
 		}
 	}
 	return nil
@@ -347,24 +304,28 @@ func (s *Scheme) DataShards(cells [][]byte) [][]byte {
 }
 
 // VerifyStripe re-encodes the stripe's data and reports whether every parity
-// cell matches. Used by scrubbing and by tests.
-func (s *Scheme) VerifyStripe(cells [][]byte) (bool, error) {
+// cell matches. Used by scrubbing, startup recovery and tests. The
+// re-encoded parity is drawn from bufs and given back, so it allocates
+// nothing in steady state.
+func (s *Scheme) VerifyStripe(bufs *Buffers, cells [][]byte) (bool, error) {
 	if len(cells) != s.CellsPerStripe() {
 		return false, fmt.Errorf("%w: got %d cells, want %d", ErrBadRequest, len(cells), s.CellsPerStripe())
 	}
-	fresh, err := s.EncodeStripe(s.DataShards(cells))
-	if err != nil {
-		return false, err
+	sc := getStripeScratch(s.code.N(), s.code.K())
+	defer putStripeScratch(sc)
+	sc.data = growCells(sc.data, s.DataPerStripe())
+	for e := range sc.data {
+		sc.data[e] = cells[s.cellIndex(s.lay.DataPos(e))]
 	}
-	for i := range cells {
-		if len(cells[i]) != len(fresh[i]) {
-			return false, nil
+	sc.cells = growCells(sc.cells, len(cells))
+	err := s.EncodeStripeInto(bufs, sc.cells, sc.data)
+	same := err == nil
+	for i, fresh := range sc.cells {
+		if s.lay.CellAt(layout.Pos{Row: i / s.lay.N(), Col: i % s.lay.N()}).IsData {
+			continue // aliased from cells
 		}
-		for b := range cells[i] {
-			if cells[i][b] != fresh[i][b] {
-				return false, nil
-			}
-		}
+		same = same && bytes.Equal(cells[i], fresh)
+		bufs.PutShard(fresh)
 	}
-	return true, nil
+	return same, err
 }

@@ -96,7 +96,7 @@ func TestEncodeStripeShapes(t *testing.T) {
 				t.Fatalf("%s: data shard %d not preserved", s.Name(), e)
 			}
 		}
-		if ok, err := s.VerifyStripe(cells); err != nil || !ok {
+		if ok, err := s.VerifyStripe(new(Buffers), cells); err != nil || !ok {
 			t.Fatalf("%s: fresh stripe fails verify: ok=%v err=%v", s.Name(), ok, err)
 		}
 	}
@@ -192,7 +192,7 @@ func TestVerifyStripeDetectsCorruption(t *testing.T) {
 	s := MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM)
 	cells, _ := s.EncodeStripe(randData(rng, s.DataPerStripe(), 8))
 	cells[len(cells)-1][0] ^= 0xff
-	if ok, err := s.VerifyStripe(cells); err != nil || ok {
+	if ok, err := s.VerifyStripe(new(Buffers), cells); err != nil || ok {
 		t.Fatalf("corruption not detected: ok=%v err=%v", ok, err)
 	}
 }

@@ -41,7 +41,7 @@ func TestWideStripeSchemes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ok, err := s.VerifyStripe(cells); err != nil || !ok {
+				if ok, err := s.VerifyStripe(new(Buffers), cells); err != nil || !ok {
 					t.Fatalf("VerifyStripe: ok=%v err=%v", ok, err)
 				}
 

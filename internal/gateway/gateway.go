@@ -21,8 +21,7 @@
 // groups. Each group store maps its disks onto their nodes
 // (store.CellStoreConfig.NodeOf), so the degraded planner's load bias is the
 // store's in-flight run count summed per node, not per disk, because in this
-// regime contention lives at the node. The gateway's own per-node in-flight
-// and latency EWMA signals (nodeClient) only feed /metrics gauges.
+// regime contention lives at the node.
 //
 // The object API itself is internal/httpd's, the same surface single mode
 // serves, handed the group stores and placement.Map.GroupOf: PUT/GET/HEAD

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codes"
 	"repro/internal/gf"
 )
 
@@ -96,7 +97,7 @@ func TestEncodeMatchesPaperEquations(t *testing.T) {
 		data[i] = make([]byte, 13)
 		rng.Read(data[i])
 	}
-	parity, err := c.Encode(data)
+	parity, err := encode(c, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +129,14 @@ func TestTripleFailureRecoveryPaperFig6(t *testing.T) {
 		data[i] = make([]byte, 32)
 		rng.Read(data[i])
 	}
-	parity, _ := c.Encode(data)
+	parity, _ := encode(c, data)
 	full := append(append([][]byte{}, data...), parity...)
 	shards := make([][]byte, 10)
 	for i, s := range full {
 		shards[i] = append([]byte(nil), s...)
 	}
 	shards[3], shards[4], shards[5] = nil, nil, nil
-	if err := c.Reconstruct(shards); err != nil {
+	if err := reconstruct(c, shards); err != nil {
 		t.Fatal(err)
 	}
 	for i := range shards {
@@ -153,7 +154,7 @@ func TestAllTriplePatterns622(t *testing.T) {
 		data[i] = make([]byte, 8)
 		rng.Read(data[i])
 	}
-	parity, _ := c.Encode(data)
+	parity, _ := encode(c, data)
 	full := append(append([][]byte{}, data...), parity...)
 	for a := 0; a < 10; a++ {
 		for b := a + 1; b < 10; b++ {
@@ -163,7 +164,7 @@ func TestAllTriplePatterns622(t *testing.T) {
 					shards[i] = append([]byte(nil), s...)
 				}
 				shards[a], shards[b], shards[d] = nil, nil, nil
-				if err := c.Reconstruct(shards); err != nil {
+				if err := reconstruct(c, shards); err != nil {
 					t.Fatalf("pattern {%d,%d,%d}: %v", a, b, d, err)
 				}
 				for i := range shards {
@@ -332,7 +333,7 @@ func BenchmarkEncodeLRC622(b *testing.B) {
 	b.SetBytes(6 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Encode(data); err != nil {
+		if _, err := encode(c, data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -344,14 +345,14 @@ func BenchmarkLocalRepairLRC622(b *testing.B) {
 	for i := range data {
 		data[i] = make([]byte, 1<<20)
 	}
-	parity, _ := c.Encode(data)
+	parity, _ := encode(c, data)
 	full := append(append([][]byte{}, data...), parity...)
 	b.SetBytes(1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		shards := append([][]byte{}, full...)
 		shards[1] = nil
-		if err := c.Reconstruct(shards); err != nil {
+		if err := reconstruct(c, shards); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -411,7 +412,7 @@ func TestMoreLocalGroups(t *testing.T) {
 			data[i] = make([]byte, 16)
 			rng.Read(data[i])
 		}
-		parity, err := c.Encode(data)
+		parity, err := encode(c, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +424,7 @@ func TestMoreLocalGroups(t *testing.T) {
 		for _, e := range rng.Perm(c.N())[:c.FaultTolerance()] {
 			shards[e] = nil
 		}
-		if err := c.Reconstruct(shards); err != nil {
+		if err := reconstruct(c, shards); err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
 		for i := range shards {
@@ -482,4 +483,30 @@ func TestWideGroupBreaksAzureGuarantee(t *testing.T) {
 		}
 	}
 	t.Fatal("no four points of group 0 sum to zero")
+}
+
+// heapAlloc is the test Allocator: plain make.
+type heapAlloc struct{}
+
+func (heapAlloc) GetShard(size int) []byte { return make([]byte, size) }
+
+// encode is EncodeInto writing into freshly allocated parity cells.
+func encode(c codes.Code, data [][]byte) ([][]byte, error) {
+	parity := make([][]byte, c.N()-c.K())
+	for i := range parity {
+		parity[i] = make([]byte, len(data[0]))
+	}
+	return parity, c.EncodeInto(parity, data)
+}
+
+// reconstruct rebuilds every nil shard in place through
+// ReconstructElementsInto.
+func reconstruct(c codes.Code, shards [][]byte) error {
+	var erased []int
+	for i, s := range shards {
+		if s == nil {
+			erased = append(erased, i)
+		}
+	}
+	return c.ReconstructElementsInto(shards, erased, heapAlloc{})
 }

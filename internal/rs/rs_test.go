@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/codes"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -57,7 +59,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			data[i] = make([]byte, 97)
 			rng.Read(data[i])
 		}
-		parity, err := c.Encode(data)
+		parity, err := encode(c, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +74,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			for _, e := range perm[:c.M()] {
 				shards[e] = nil
 			}
-			if err := c.Reconstruct(shards); err != nil {
+			if err := reconstruct(c, shards); err != nil {
 				t.Fatalf("%s trial %d: %v", c.Name(), trial, err)
 			}
 			for i := range shards {
@@ -133,7 +135,7 @@ func TestPropertyAnyKSubsetDecodes(t *testing.T) {
 		data[i] = make([]byte, 16)
 		rng.Read(data[i])
 	}
-	parity, _ := c.Encode(data)
+	parity, _ := encode(c, data)
 	full := append(append([][]byte{}, data...), parity...)
 
 	f := func(seed int64) bool {
@@ -143,7 +145,7 @@ func TestPropertyAnyKSubsetDecodes(t *testing.T) {
 		for _, keep := range perm[:c.K()] {
 			shards[keep] = append([]byte(nil), full[keep]...)
 		}
-		if err := c.Reconstruct(shards); err != nil {
+		if err := reconstruct(c, shards); err != nil {
 			return false
 		}
 		for i := range shards {
@@ -175,7 +177,7 @@ func BenchmarkEncodeRS63(b *testing.B) {
 	b.SetBytes(6 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Encode(data); err != nil {
+		if _, err := encode(c, data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,14 +189,14 @@ func BenchmarkReconstructRS63(b *testing.B) {
 	for i := range data {
 		data[i] = make([]byte, 1<<20)
 	}
-	parity, _ := c.Encode(data)
+	parity, _ := encode(c, data)
 	full := append(append([][]byte{}, data...), parity...)
 	b.SetBytes(1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		shards := append([][]byte{}, full...)
 		shards[2] = nil
-		if err := c.Reconstruct(shards); err != nil {
+		if err := reconstruct(c, shards); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -224,4 +226,30 @@ func mustRS(k, m int) *Code {
 		panic(err)
 	}
 	return c
+}
+
+// heapAlloc is the test Allocator: plain make.
+type heapAlloc struct{}
+
+func (heapAlloc) GetShard(size int) []byte { return make([]byte, size) }
+
+// encode is EncodeInto writing into freshly allocated parity cells.
+func encode(c codes.Code, data [][]byte) ([][]byte, error) {
+	parity := make([][]byte, c.N()-c.K())
+	for i := range parity {
+		parity[i] = make([]byte, len(data[0]))
+	}
+	return parity, c.EncodeInto(parity, data)
+}
+
+// reconstruct rebuilds every nil shard in place through
+// ReconstructElementsInto.
+func reconstruct(c codes.Code, shards [][]byte) error {
+	var erased []int
+	for i, s := range shards {
+		if s == nil {
+			erased = append(erased, i)
+		}
+	}
+	return c.ReconstructElementsInto(shards, erased, heapAlloc{})
 }

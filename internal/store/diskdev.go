@@ -570,7 +570,7 @@ func (s *Store) recoverExtent(report *RecoveryReport, durable int, slots []int) 
 		report.HealedCells += r.healed
 		ok, err := len(r.plan.Failed) > 0, s.failDown(r.plan.Failed)
 		if !ok && err == nil {
-			ok, err = s.scheme.VerifyStripe(r.stripes[0].cells)
+			ok, err = s.scheme.VerifyStripe(&s.bufs, r.stripes[0].cells)
 		}
 		if err == nil && !ok {
 			err = s.seal(slices.Concat(s.scheme.DataShards(r.stripes[0].cells)...)) // advances s.stripes

@@ -357,7 +357,7 @@ func (s *Store) verifyStripe(stripe int) (bool, error) {
 		return false, err
 	}
 	defer r.release()
-	return s.scheme.VerifyStripe(r.stripes[0].cells)
+	return s.scheme.VerifyStripe(&s.bufs, r.stripes[0].cells)
 }
 
 // Scrub verifies parity consistency of every sealed stripe, returning the
