@@ -31,23 +31,21 @@
 //
 // Read execution: a GET's plan is served as per-device coalesced runs, one
 // worker per device — per data node in gateway mode, which gets all its
-// runs in one request — inline below 64 KiB planned. Individual GETs can
-// serve every run inline with ?sequential=1 and bypass the cache with
-// ?nocache=1.
+// runs in one request. Individual GETs can serve every run inline with
+// ?sequential=1 and bypass the cache with ?nocache=1.
 //
 // Write execution: PUTs queue into a group-commit WAL and ack once their
 // batch seals, so concurrent small objects pack into shared stripes instead
-// of flush-padding one stripe each. -wal-batch sets the byte threshold that
-// triggers an immediate commit (default one stripe of user data);
-// -wal-flush-interval is how long a PUT that arrived during another commit
-// waits for company; a lone PUT never waits.
+// of flush-padding one stripe each. A stripe of user data queued commits at
+// once; -wal-flush-interval is how long a PUT that arrived during another
+// commit waits for company; a lone PUT never waits.
 //
 // Storage backend: by default the store lives in memory and dies with the
 // process. -backend=file puts one data/checksum file pair per device in
 // -data-dir, read and written with positioned I/O, and makes commits
-// crash-consistent (write, fsync barrier, then publish; tune with -direct
-// and -fsync=always|never, where never's barrier is the WAL's fsynced spill
-// to <data-dir>/wal.log). Startup re-derives the sealed extent from the
+// crash-consistent (write, fsync barrier, then publish; tune with
+// -fsync=always|never, where never's barrier is the WAL's fsynced spill to
+// <data-dir>/wal.log). Startup re-derives the sealed extent from the
 // files, heals torn cells, truncates torn tails, and replays wal.log:
 //
 //	ecfrmd -backend=file -data-dir /var/lib/ecfrm
@@ -149,12 +147,10 @@ var (
 	backend  = flag.String("backend", "mem", "device backend: mem (volatile) or file (one data/crc file pair per device)")
 	dataDir  = flag.String("data-dir", "", "data directory for -backend=file")
 	fsync    = flag.String("fsync", "always", "file backend durability: always (fsync barrier per commit) or never")
-	direct   = flag.Bool("direct", false, "request O_DIRECT on device data files (needs 4KiB-aligned -elem)")
 	faults   = flag.String("faults", "", "JSON fault plan to install at startup (see internal/faultinject)")
 	obsOn    = flag.Bool("obs", false, "enable pprof endpoints and the periodic load-imbalance log line")
 	obsEvery = flag.Duration("obs-interval", 10*time.Second, "load-imbalance log interval (with -obs)")
 
-	walBatch = flag.Int("wal-batch", 0, "group-commit byte threshold for PUTs (0 = one stripe of user data)")
 	walEvery = flag.Duration("wal-flush-interval", store.DefaultFlushInterval,
 		"how long a PUT that arrived during another commit waits for company; a lone PUT never waits")
 
@@ -208,7 +204,7 @@ func httpConfig(reg *obs.Registry, walLogPath string) httpd.Config {
 	return httpd.Config{
 		Registry:    reg,
 		EnablePprof: *obsOn,
-		WAL:         store.WALConfig{BatchBytes: *walBatch, FlushInterval: *walEvery, LogPath: walLogPath},
+		WAL:         store.WALConfig{FlushInterval: *walEvery, LogPath: walLogPath},
 	}
 }
 
@@ -352,8 +348,8 @@ func serveUntilSignalled(h http.Handler, drain func(), closers ...func() error) 
 // logRecovery logs what a store's open-time recovery found: once for single
 // mode's file backend, once per group in gateway mode.
 func logRecovery(what string, r *store.RecoveryReport) {
-	log.Printf("%s: %d stripes recovered (healed %d cells, re-encoded %d stripes, truncated %d torn stripes, O_DIRECT=%v)",
-		what, r.Stripes, r.HealedCells, r.ReencodedStripes, r.TruncatedStripes, r.DirectActive)
+	log.Printf("%s: %d stripes recovered (healed %d cells, re-encoded %d stripes, truncated %d torn stripes)",
+		what, r.Stripes, r.HealedCells, r.ReencodedStripes, r.TruncatedStripes)
 }
 
 // runSingle is everything in one process: the object surface over one
@@ -374,9 +370,8 @@ func runSingle() {
 		}
 		var report *store.RecoveryReport
 		st, report, err = store.OpenFileBacked(scheme, *elem, store.FileConfig{
-			Dir:    *dataDir,
-			Fsync:  store.FsyncMode(*fsync),
-			Direct: *direct,
+			Dir:   *dataDir,
+			Fsync: store.FsyncMode(*fsync),
 		})
 		if err != nil {
 			log.Fatal("ecfrmd: ", err)

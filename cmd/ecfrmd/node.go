@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/datanode"
 	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // runNode serves one data node: per-(group,disk) cell extents behind the
@@ -24,7 +23,6 @@ func runNode() {
 			log.Fatal("ecfrmd: -mode=node -backend=file requires -data-dir")
 		}
 		cfg.Dir = *dataDir
-		cfg.File = store.FileConfig{Fsync: store.FsyncMode(*fsync), Direct: *direct}
 	default:
 		log.Fatalf("ecfrmd: unknown backend %q (mem or file)", *backend)
 	}

@@ -124,7 +124,7 @@ func FuzzPlannerNeverTouchesFailedDisks(f *testing.F) {
 		for row := 0; row < rows; row++ {
 			diskCells = append(diskCells, Access{Stripe: stripe, Pos: Pos{Row: row, Col: lay.Col(stripe, failed[0])}})
 		}
-		plan, err = scheme.PlanCells(diskCells, failed, nil)
+		plan, err = scheme.PlanCells(diskCells, failed)
 		checkPlan(t, code, scheme, diskCells, failed, plan, err)
 
 		dev := (failed[1] + 1) % n
@@ -135,7 +135,7 @@ func FuzzPlannerNeverTouchesFailedDisks(f *testing.F) {
 			runCells = append(runCells, Access{Stripe: slot / rows, Pos: Pos{Row: slot % rows, Col: lay.Col(slot/rows, dev)}})
 		}
 		avoid := append([]int{dev}, failed...)
-		plan, err = scheme.PlanCells(runCells, avoid, nil)
+		plan, err = scheme.PlanCells(runCells, avoid)
 		checkPlan(t, code, scheme, runCells, avoid, plan, err)
 	})
 }

@@ -94,20 +94,7 @@ func (s *Scheme) PlanNormalRead(start, count int) (*Plan, error) {
 // the pattern is information-theoretically decodable; otherwise
 // ErrUnrecoverable is returned.
 func (s *Scheme) PlanDegradedRead(start, count int, failed []int) (*Plan, error) {
-	return s.PlanDegradedReadBiased(start, count, failed, nil)
-}
-
-// PlanDegradedReadBiased is PlanDegradedRead with an external per-disk load
-// bias: the planner minimizes the max over disks of (planned load + bias[d])
-// instead of the planned load alone, so a momentarily busy disk (bias =
-// live queue depth) loses choices it would otherwise win. A nil bias is the
-// unbiased planner; a non-nil bias must have one entry per disk. The bias
-// never trades reads for balance and influences only which survivors are
-// selected — Plan.Loads still reports the plan's own element counts — and
-// any recovery set produces the same decoded bytes, so biased and unbiased
-// plans are byte-equivalent to execute.
-func (s *Scheme) PlanDegradedReadBiased(start, count int, failed, bias []int) (*Plan, error) {
-	p, _, err := s.planDegraded(start, count, failed, bias)
+	p, _, err := s.planDegraded(start, count, failed)
 	return p, err
 }
 
@@ -137,7 +124,7 @@ type search struct {
 	opts               []option // lost element i chooses from opts[lost[i]:lost[i+1]]
 	lost               []int
 	refs               []int32 // per cell: chosen reads covering it
-	level              []int   // per disk: planned load + bias
+	level              []int   // per disk: planned load
 	reads              int
 	choice, best       []option
 	bestReads, bestMax int
@@ -147,22 +134,21 @@ type search struct {
 }
 
 // PlanCells plans reading the target cells — data or parity, in any
-// stripes — while the given disks are failed, with an optional per-disk load
-// bias as in PlanDegradedReadBiased. A target on a surviving disk is read
-// directly; every other target is rebuilt from one recovery set of its group
-// (every survivor of the group when no set avoids the failed disks), the
-// sets chosen jointly and exactly as PlanDegradedRead chooses them. The
-// layout places each target, so its Disk field is not consulted. This is
-// the one recovery-set chooser: degraded reads, disk rebuild and healing
-// all plan through it. Plan.Requested is len(targets).
-func (s *Scheme) PlanCells(targets []Access, failed, bias []int) (*Plan, error) {
-	p, _, err := s.planCells(targets, failed, bias)
+// stripes — while the given disks are failed. A target on a surviving disk
+// is read directly; every other target is rebuilt from one recovery set of
+// its group (every survivor of the group when no set avoids the failed
+// disks), the sets chosen jointly and exactly as PlanDegradedRead chooses
+// them. The layout places each target, so its Disk field is not consulted.
+// This is the one recovery-set chooser: degraded reads, disk rebuild and
+// healing all plan through it. Plan.Requested is len(targets).
+func (s *Scheme) PlanCells(targets []Access, failed []int) (*Plan, error) {
+	p, _, err := s.planCells(targets, failed)
 	return p, err
 }
 
 // planDegraded is the degraded read of count data elements from start: the
 // exact planner with the requested range as its targets.
-func (s *Scheme) planDegraded(start, count int, failed, bias []int) (*Plan, searchStats, error) {
+func (s *Scheme) planDegraded(start, count int, failed []int) (*Plan, searchStats, error) {
 	if start < 0 || count <= 0 {
 		return nil, searchStats{}, fmt.Errorf("%w: start=%d count=%d", ErrBadRequest, start, count)
 	}
@@ -172,7 +158,7 @@ func (s *Scheme) planDegraded(start, count int, failed, bias []int) (*Plan, sear
 		x := start + i
 		targets[i] = Access{Stripe: x / dps, Pos: s.lay.DataPos(x % dps)}
 	}
-	return s.planCells(targets, failed, bias)
+	return s.planCells(targets, failed)
 }
 
 // planCells is the exact planner behind PlanCells: a depth-first
@@ -180,13 +166,10 @@ func (s *Scheme) planDegraded(start, count int, failed, bias []int) (*Plan, sear
 // (reads, max level) lexicographically. Children are tried in greedy order
 // — fewest new reads, then lowest max, then candidate order — so the first
 // leaf is the greedy plan and ties keep the earliest leaf.
-func (s *Scheme) planCells(targets []Access, failed, bias []int) (*Plan, searchStats, error) {
+func (s *Scheme) planCells(targets []Access, failed []int) (*Plan, searchStats, error) {
 	n := s.N()
 	if len(targets) == 0 {
 		return nil, searchStats{}, fmt.Errorf("%w: no target cells", ErrBadRequest)
-	}
-	if bias != nil && len(bias) != n {
-		return nil, searchStats{}, fmt.Errorf("%w: bias has %d entries for %d disks", ErrBadRequest, len(bias), n)
 	}
 	isFailed := make([]bool, n)
 	for _, d := range failed {
@@ -223,7 +206,6 @@ func (s *Scheme) planCells(targets []Access, failed, bias []int) (*Plan, searchS
 	sr := &search{first: first, refs: make([]int32, stripes*cps), level: make([]int, n),
 		lost: make([]int, 1, lost+1), opts: make([]option, 0, nOpts), cells: make([]planCell, 0, nCells),
 		bestReads: math.MaxInt}
-	copy(sr.level, bias)
 
 	// Direct reads first, so that recovery sets are scored against them.
 	groupOf := make([]int, 0, lost) // per lost target: its group in the request

@@ -238,7 +238,7 @@ func TestDegradedPlanIsExact(t *testing.T) {
 					row := &rows[len(failed)]
 					for start := 0; start < 2*s.DataPerStripe(); start++ {
 						for count := 1; count <= 20; count++ {
-							p, st, err := s.planDegraded(start, count, failed, nil)
+							p, st, err := s.planDegraded(start, count, failed)
 							if err != nil {
 								t.Fatalf("failed %v start %d count %d: %v", failed, start, count, err)
 							}
@@ -310,7 +310,7 @@ func TestRebuildPlanIsExact(t *testing.T) {
 							for row := 0; row < lay.Rows(); row++ {
 								targets = append(targets, Access{Stripe: stripe, Pos: layout.Pos{Row: row, Col: lay.Col(stripe, d)}})
 							}
-							p, err := s.PlanCells(targets, failed, nil)
+							p, err := s.PlanCells(targets, failed)
 							if err != nil {
 								t.Fatalf("disk %d failed %v stripe %d: %v", d, failed, stripe, err)
 							}
@@ -360,7 +360,7 @@ func TestDegradedPlanBenchRequests(t *testing.T) {
 	s := MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM)
 	var reads, load, greedyReads, greedyLoad, asked int
 	for _, r := range benchDegradedRequests(s) {
-		p, st, err := s.planDegraded(r[0], r[1], benchFailed, nil)
+		p, st, err := s.planDegraded(r[0], r[1], benchFailed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +381,7 @@ func TestDegradedPlanBenchRequests(t *testing.T) {
 // avoids the failed disks.
 func TestDegradedPlanBudgetKeepsBestFound(t *testing.T) {
 	s := MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM)
-	p, st, err := s.planDegraded(7, 1024, benchFailed, nil)
+	p, st, err := s.planDegraded(7, 1024, benchFailed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func BenchmarkPlanDegraded(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				load, reads, greedyLoad, greedyReads, nodes = 0, 0, 0, 0, 0
 				for _, r := range c.reqs {
-					p, st, err := s.planDegraded(r[0], r[1], benchFailed, nil)
+					p, st, err := s.planDegraded(r[0], r[1], benchFailed)
 					if err != nil {
 						b.Fatal(err)
 					}

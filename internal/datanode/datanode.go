@@ -38,8 +38,8 @@ type Config struct {
 	// gNNNN_dNN.data/.crc pair under it, rediscovered on restart. Empty
 	// selects in-memory extents.
 	Dir string
-	// File tunes the file backend: only Direct applies, since the gateway
-	// decides when to sync. File.Dir is ignored.
+	// File is unused: extents live under Dir, and the gateway decides when
+	// to sync.
 	File store.FileConfig
 	// Registry receives the node's metrics; nil disables instrumentation.
 	Registry *obs.Registry

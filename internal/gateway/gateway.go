@@ -19,9 +19,8 @@
 // Object names hash across Groups independent stripe groups
 // (placement.Map), so capacity and traffic scale horizontally with nodes ×
 // groups. Each group store maps its disks onto their nodes
-// (store.CellStoreConfig.NodeOf), so the degraded planner's load bias is the
-// store's in-flight run count summed per node, not per disk, because in this
-// regime contention lives at the node.
+// (store.CellStoreConfig.NodeOf), so a read pass or a seal asks each node
+// once.
 //
 // The object API itself is internal/httpd's, the same surface single mode
 // serves, handed the group stores and placement.Map.GroupOf: PUT/GET/HEAD

@@ -20,9 +20,8 @@ import (
 // nodeClient is the gateway's connection to one data node: a pooled HTTP
 // client and its traffic counters. Requests queue in the transport's
 // connection pool. The node's load signals live in the group stores: the
-// degraded planner's bias is their per-device in-flight count summed per
-// node (store's inflightBias), and the limping-disk detector reads their
-// per-device latency EWMAs.
+// repair scheduler reads their per-device in-flight counts, and the
+// limping-disk detector their per-device latency EWMAs.
 type nodeClient struct {
 	base string // http://host:port, no trailing slash
 	hc   *http.Client

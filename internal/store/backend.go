@@ -48,7 +48,7 @@ type Run struct {
 // those handed when they fit its Count cells of elem bytes, else fresh ones.
 func (r *Run) ReadBuffers(elem int) {
 	if len(r.Data) != r.Count*elem || len(r.CRCs) != r.Count {
-		r.Data, r.CRCs = alignedBytes(r.Count*elem), make([]uint32, r.Count)
+		r.Data, r.CRCs = make([]byte, r.Count*elem), make([]uint32, r.Count)
 	}
 }
 
@@ -240,13 +240,10 @@ type CellStoreConfig struct {
 	// NodeOf, when set, names the placement node that serves each device
 	// (one entry per device), from the first batch on — recovery's
 	// included. The executor then hands each node's runs to its backend as
-	// one batch — a read pass's, a seal's — and the inflight bias fed to
-	// the degraded planner is aggregated per node — every disk of a busy or
-	// slow node carries that node's whole queue depth — because in the
-	// networked regime contention lives at the node (its NIC, its process),
-	// not the individual disk. Every backend must then serve the runs of
-	// every device on its node, as the gateway's node clients do; with no
-	// map each device is its own node.
+	// one batch — a read pass's, a seal's — so a data node is asked once per
+	// pass. Every backend must then serve the runs of every device on its
+	// node, as the gateway's node clients do; with no map each device is its
+	// own node.
 	NodeOf []int
 	// Manifest is where the store keeps its Manifest; nil keeps none, so no
 	// geometry is checked and recovery has no durable floor.

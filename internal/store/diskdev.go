@@ -5,11 +5,10 @@
 //	dev_NN.data  — cells at elemSize-byte strides, slot = stripe*rows + row
 //	dev_NN.crc   — 4-byte CRC32C records at the same slot index
 //
-// The data file is strided (no per-record headers) so offsets stay
-// block-aligned and O_DIRECT can bypass the page cache when the element size
-// permits; checksums live in the sidecar so a torn data write and a torn
-// checksum write are independently detectable — a mismatch between the two
-// is exactly how recovery finds cells a crash half-wrote.
+// The data file is strided (no per-record headers), so a cell's offset is its
+// slot times elemSize; checksums live in the sidecar so a torn data write and
+// a torn checksum write are independently detectable — a mismatch between
+// the two is exactly how recovery finds cells a crash half-wrote.
 //
 // A DiskStore is one such pair as a CellBackend. Every cell run is one
 // positioned pread or pwrite of the data file on the calling goroutine (plus
@@ -39,7 +38,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -67,28 +65,9 @@ type FileConfig struct {
 	Dir string
 	// Fsync is the durability discipline; empty means FsyncAlways.
 	Fsync FsyncMode
-	// Direct requests O_DIRECT on the data files. Honored when the element
-	// size is a multiple of 4096 and the filesystem accepts the flag;
-	// otherwise the store falls back to buffered I/O (see
-	// RecoveryReport.DirectActive).
-	Direct bool
 }
 
 func (c *FileConfig) fsyncAlways() bool { return c.Fsync != FsyncNever }
-
-// directAlign is the alignment O_DIRECT requires of offsets and buffers.
-const directAlign = 4096
-
-// alignedBytes returns an n-byte slice whose backing array is
-// directAlign-aligned, for O_DIRECT transfers.
-func alignedBytes(n int) []byte {
-	raw := make([]byte, n+directAlign)
-	off := 0
-	if rem := uintptr(unsafe.Pointer(&raw[0])) % directAlign; rem != 0 {
-		off = directAlign - int(rem)
-	}
-	return raw[off : off+n : off+n]
-}
 
 func devDataFile(dir string, d int) string {
 	return filepath.Join(dir, fmt.Sprintf("dev_%02d.data", d))
@@ -111,9 +90,8 @@ type DiskStore struct {
 	crcs    []uint32 // in-memory checksum index, slot-indexed
 	present []bool
 	count   int
-	size    int64  // the data file's actual size, which may pass the index
-	zeroCRC uint32 // the checksum zero-run cells are recorded under
-	direct  bool
+	size    int64                  // the data file's actual size, which may pass the index
+	zeroCRC uint32                 // the checksum zero-run cells are recorded under
 	obs     atomic.Pointer[diskIO] // set by Store.SetMetrics; nil records nothing
 }
 
@@ -151,23 +129,14 @@ func (o *diskIO) done(op ioOp, t time.Time) {
 }
 
 // OpenFileDisk creates (or reopens) a DiskStore on the given data/checksum
-// file pair. Only cfg.Direct applies: the paths name the files, and the
-// caller decides when to Sync. Direct I/O is attempted when requested and
-// the element size permits; a refused O_DIRECT open falls back to buffered.
-func OpenFileDisk(dataPath, crcPath string, elemSize int, cfg FileConfig) (*DiskStore, error) {
+// file pair. The FileConfig is unused: the paths name the files, and the
+// caller decides when to Sync.
+func OpenFileDisk(dataPath, crcPath string, elemSize int, _ FileConfig) (*DiskStore, error) {
 	const flags = os.O_RDWR | os.O_CREATE
-	ds := &DiskStore{elem: elemSize, zeroCRC: zeroChecksum(elemSize),
-		direct: cfg.Direct && oDirectFlag != 0 && elemSize%directAlign == 0}
+	ds := &DiskStore{elem: elemSize, zeroCRC: zeroChecksum(elemSize)}
 	var err error
-	if ds.direct {
-		if ds.data, err = os.OpenFile(dataPath, flags|oDirectFlag, 0o644); err != nil {
-			ds.direct = false
-		}
-	}
-	if !ds.direct {
-		if ds.data, err = os.OpenFile(dataPath, flags, 0o644); err != nil {
-			return nil, err
-		}
+	if ds.data, err = os.OpenFile(dataPath, flags, 0o644); err != nil {
+		return nil, err
 	}
 	if ds.crcf, err = os.OpenFile(crcPath, flags, 0o644); err != nil {
 		ds.data.Close()
@@ -222,8 +191,7 @@ func (ds *DiskStore) ReadRun(slot, count int) ([]byte, []uint32, error) {
 	return r[0].Data, r[0].CRCs, r[0].Err
 }
 
-// readRun reads r into r.ReadBuffers, which under O_DIRECT must be
-// directAlign-aligned, as RunPool's and ReadBuffers' own are.
+// readRun reads r into r.ReadBuffers.
 func (ds *DiskStore) readRun(r *Run) error {
 	slot, count := r.Slot, r.Count
 	if err := checkRun(slot, count, 0, nil); err != nil {
@@ -290,7 +258,7 @@ func (ds *DiskStore) writeZeros(slot, count int) error {
 	if lo < ds.size {
 		o := ds.obs.Load()
 		t := o.start()
-		_, err := ds.data.WriteAt(alignedBytes(int(min(hi, ds.size)-lo)), lo)
+		_, err := ds.data.WriteAt(make([]byte, min(hi, ds.size)-lo), lo)
 		o.done(opWrite, t)
 		if err != nil {
 			return fmt.Errorf("store: disk zero run [%d,+%d): %w", slot, count, err)
@@ -306,17 +274,11 @@ func (ds *DiskStore) writeZeros(slot, count int) error {
 }
 
 // WriteRun writes contiguous slots as one data-file pwrite plus one sidecar
-// pwrite, then publishes them in the index. data is written from where it
-// lies (O_DIRECT stages an unaligned one through an aligned copy).
+// pwrite, then publishes them in the index.
 func (ds *DiskStore) WriteRun(slot int, data []byte, crcs []uint32) error {
 	n := len(crcs)
 	if err := checkRun(slot, n, ds.elem, data); err != nil {
 		return err
-	}
-	if ds.direct && uintptr(unsafe.Pointer(&data[0]))%directAlign != 0 {
-		aligned := alignedBytes(len(data))
-		copy(aligned, data)
-		data = aligned
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -436,10 +398,6 @@ type RecoveryReport struct {
 	ReencodedStripes int
 	// TruncatedStripes counts the unrecoverable torn tail stripes dropped.
 	TruncatedStripes int
-	// DirectActive reports whether the data files actually opened with
-	// O_DIRECT (the request downgrades on unaligned element sizes and
-	// filesystems that refuse the flag). File-backed stores only.
-	DirectActive bool
 }
 
 const backendManifestName = "backend.json"
@@ -477,15 +435,10 @@ func OpenFileBacked(scheme *core.Scheme, elemSize int, cfg FileConfig) (*Store, 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	st, report, err := NewWithCellBackends(scheme, elemSize, CellStoreConfig{Sync: cfg.fsyncAlways(), Manifest: fileManifest(dir)},
+	return NewWithCellBackends(scheme, elemSize, CellStoreConfig{Sync: cfg.fsyncAlways(), Manifest: fileManifest(dir)},
 		func(d int) (CellBackend, error) {
 			return OpenFileDisk(devDataFile(dir, d), devCRCFile(dir, d), elemSize, cfg)
 		})
-	if err != nil {
-		return nil, nil, err
-	}
-	report.DirectActive = st.devices[0].base.(*DiskStore).direct
-	return st, report, nil
 }
 
 // recover is NewWithCellBackends' recovery over the slots devices held.
@@ -527,8 +480,8 @@ func (s *Store) recoverExtent(report *RecoveryReport, durable int, slots []int) 
 		maxStripes = max(maxStripes, n/s.rows)
 	}
 	heal := func(stripe int) (*served, error) {
-		return s.execute(context.TODO(), func(avoid, _ []int) (*core.Plan, error) {
-			return s.scheme.PlanCells(s.allCells(stripe), avoid, nil)
+		return s.execute(context.TODO(), func(avoid []int) (*core.Plan, error) {
+			return s.scheme.PlanCells(s.allCells(stripe), avoid)
 		}, corruptHeals, ReadOptions{Sequential: true})
 	}
 	s.syncAt = -1 // recover's barrier covers every re-seal

@@ -9,7 +9,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -577,6 +579,77 @@ func TestWALSpillReplaysIntoFreshStore(t *testing.T) {
 		if !bytes.Equal(res.Data, objs[i]) {
 			t.Fatalf("object %d mismatch after replay", i)
 		}
+	}
+}
+
+// syncLogSizes decorates a device's backend: each synced write records, for
+// every device it names, the size the WAL log at path has at that moment.
+type syncLogSizes struct {
+	CellBackend
+	path  string
+	mu    *sync.Mutex
+	sizes map[int][]int64
+}
+
+func (b syncLogSizes) WriteRuns(ctx context.Context, runs []Run, sync bool) error {
+	if sync {
+		fi, err := os.Stat(b.path)
+		if err != nil {
+			return err
+		}
+		b.mu.Lock()
+		for _, r := range runs {
+			b.sizes[r.Disk] = append(b.sizes[r.Disk], fi.Size())
+		}
+		b.mu.Unlock()
+	}
+	return b.CellBackend.WriteRuns(ctx, runs, sync)
+}
+
+// TestRecoverWALFileSyncsBeforeTruncating: under FsyncNever a replayed
+// commit writes no barrier of its own, and the log is its only durable
+// record, so every device must be synced while the log is still whole —
+// else a crash right after recovery loses acked objects from both.
+func TestRecoverWALFileSyncsBeforeTruncating(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "wal.log")
+	src := MustNew(fileScheme(), testElemSize)
+	w := NewWAL(src, WALConfig{LogPath: logPath})
+	for i := 0; i < 4; i++ {
+		if _, err := w.Put(context.Background(), bytes.Repeat([]byte{byte(i + 1)}, 3*testElemSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dst, _, err := OpenFileBacked(fileScheme(), testElemSize, FileConfig{Dir: filepath.Join(dir, "dst"), Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	var mu sync.Mutex
+	sizes := make(map[int][]int64)
+	dst.WrapBackends(func(be CellBackend) CellBackend { return syncLogSizes{be, logPath, &mu, sizes} })
+	extents, _, err := RecoverWALFile(logPath, dst)
+	if err != nil {
+		t.Fatalf("RecoverWALFile: %v", err)
+	}
+	if len(extents) != 4 || dst.NextOffset() != src.NextOffset() {
+		t.Fatalf("replayed %d objects to offset %d, want 4 to %d", len(extents), dst.NextOffset(), src.NextOffset())
+	}
+	for d := 0; d < dst.Scheme().N(); d++ {
+		if !slices.Contains(sizes[d], fi.Size()) {
+			t.Errorf("device %d: log sizes at its synced writes %v, want one at the whole log's %d bytes", d, sizes[d], fi.Size())
+		}
+	}
+	if fi, err := os.Stat(logPath); err != nil || fi.Size() != 0 {
+		t.Fatalf("log not truncated after recovery: %v", err)
 	}
 }
 

@@ -10,23 +10,18 @@
 // worker as one backend call, so a read's latency approaches the *max* of
 // per-node service times rather than their sum, the layout's
 // load-balancing win (PAPER.md §III, Lemma 1) reaches the client, and a
-// data node is asked once per pass. Small plans, ReadOptions.Sequential,
-// heal passes and the nested recovery passes of heals serve the same batches
-// inline on the calling goroutine.
+// data node is asked once per pass. ReadOptions.Sequential, single-node
+// plans, heal passes and the nested recovery passes of heals serve the same
+// batches inline on the calling goroutine.
 //
-// Determinism under a seeded backend decorator (internal/faultinject) is
-// preserved by construction: every device's runs reach its backend in
-// ascending offset order within one batch on exactly one worker, a pass
+// Plans depend on the request and the devices to avoid alone, never on live
+// load, so a HEAD (Store.PlanRead) reports exactly the plan its GET serves.
+// Determinism under a seeded backend decorator (internal/faultinject)
+// follows by construction: every device's runs reach its backend in
+// ascending offset order within one batch on exactly one worker, and a pass
 // always drains (devices that turn out unavailable are collected, never
-// raced against with cancellation), and the load bias below is quiescent
-// when the store is idle, so single-threaded replays draw identical
-// per-device fault streams.
-//
-// Load-aware degraded planning rides on top: when a degraded plan must
-// choose among survivor subsets, live per-device in-flight run counts are
-// fed into core's exact planner so the choice avoids momentarily busy disks.
-// With no concurrent load the bias is nil and plans are exactly the
-// unbiased planner's.
+// raced against with cancellation), so single-threaded replays draw
+// identical per-device fault streams.
 package store
 
 import (
@@ -43,8 +38,7 @@ import (
 )
 
 // ReadOptions selects the execution strategy for one read. The zero value —
-// one worker per node's queues, inline below 64 KiB planned — is what ReadAt
-// uses.
+// one worker per node's queues — is what ReadAt uses.
 type ReadOptions struct {
 	// Sequential serves every run on the calling goroutine: the same
 	// coalesced pass with one worker. Results are byte-identical either way.
@@ -234,34 +228,6 @@ type devQueue struct {
 	runs []devRun
 }
 
-// inflightBias snapshots live per-device in-flight run counts for the
-// load-aware planner. It returns nil when every device is idle, so
-// single-threaded callers always get the unbiased (deterministic) planner.
-// When CellStoreConfig.NodeOf maps devices onto placement nodes, counts are
-// aggregated per node: in the networked regime queueing happens at the node,
-// so every disk a busy node serves inherits its whole depth.
-func (s *Store) inflightBias() []int {
-	var bias []int
-	for i, d := range s.devices {
-		if v := int(d.inflight.Load()); v > 0 {
-			if bias == nil {
-				bias = make([]int, len(s.devices))
-			}
-			bias[i] = v
-		}
-	}
-	if bias != nil && s.nodeOf != nil {
-		nodeSum := make(map[int]int)
-		for i, v := range bias {
-			nodeSum[s.nodeOf[i]] += v
-		}
-		for i := range bias {
-			bias[i] = nodeSum[s.nodeOf[i]]
-		}
-	}
-	return bias
-}
-
 // corruptRule is what a run whose stored bytes fail their checksum means:
 // the one thing, besides its plan, in which the executor's callers differ.
 type corruptRule int
@@ -279,10 +245,9 @@ const (
 	corruptAvoids
 )
 
-// planFunc plans a job's cells around the devices to avoid — failed, or
-// taken out by an earlier pass — given the live load bias (nil when none is
-// avoided or every device is idle).
-type planFunc func(avoid, bias []int) (*core.Plan, error)
+// planFunc plans a job's cells around the devices to avoid: failed, or
+// taken out by an earlier pass.
+type planFunc func(avoid []int) (*core.Plan, error)
 
 // served is what an executed job leaves: the plan its last pass served,
 // per-stripe containers for the stripes that plan reads, the run buffers
@@ -335,12 +300,7 @@ func (s *Store) execute(ctx context.Context, plan planFunc, rule corruptRule, op
 	out := make(map[int]error) // devices passes took out, and why
 	healed := 0
 	for {
-		avoid := s.avoidSet(out)
-		var bias []int
-		if len(avoid) > 0 {
-			bias = s.inflightBias()
-		}
-		pl, err := plan(avoid, bias)
+		pl, err := plan(s.avoidSet(out))
 		if err != nil {
 			for _, d := range keysSorted(out) {
 				if cause := out[d]; !errors.Is(cause, ErrCorrupt) {
@@ -359,11 +319,7 @@ func (s *Store) execute(ctx context.Context, plan planFunc, rule corruptRule, op
 			r.stripes[i] = s.getStripeCells()
 		}
 		p := &fanoutPass{s: s, ctx: ctx, into: r, rule: rule, out: make(map[int]error), errs: make(map[int]error)}
-		// Small plans run the same coalesced pass inline: below the
-		// threshold, goroutine dispatch costs more than the per-device
-		// overlap could save.
-		inline := opts.Sequential || len(pl.Reads)*s.elemSize < fanoutInlineBytes
-		p.runQueues(buildRuns(s.scheme, pl.Reads), inline)
+		p.runQueues(buildRuns(s.scheme, pl.Reads), opts.Sequential)
 		healed += p.healed
 
 		if len(p.out) > 0 {
@@ -398,11 +354,11 @@ func (s *Store) execute(ctx context.Context, plan planFunc, rule corruptRule, op
 // dev joins the avoid set, so every target is rebuilt from a recovery set
 // chosen by core's exact planner. Disk rebuild and healing plan this way.
 func (s *Store) around(targets []core.Access, dev int) planFunc {
-	return func(avoid, bias []int) (*core.Plan, error) {
+	return func(avoid []int) (*core.Plan, error) {
 		if !slices.Contains(avoid, dev) {
 			avoid = append(avoid, dev)
 		}
-		return s.scheme.PlanCells(targets, avoid, bias)
+		return s.scheme.PlanCells(targets, avoid)
 	}
 }
 
@@ -410,14 +366,14 @@ func (s *Store) around(targets []core.Access, dev int) planFunc {
 // stored bytes — scrub, recovery, overwrites: a target on a
 // device to avoid is an error, not a reason to reconstruct.
 func (s *Store) exactly(targets []core.Access) planFunc {
-	return func(avoid, _ []int) (*core.Plan, error) {
+	return func(avoid []int) (*core.Plan, error) {
 		for _, t := range targets {
 			if slices.Contains(avoid, t.Disk) {
 				return nil, fmt.Errorf("%w: device %d holds stripe %d cell (%d,%d)",
 					ErrFailed, t.Disk, t.Stripe, t.Pos.Row, t.Pos.Col)
 			}
 		}
-		return s.scheme.PlanCells(targets, nil, nil)
+		return s.scheme.PlanCells(targets, nil)
 	}
 }
 
@@ -456,7 +412,7 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 	if length == 0 {
 		return &ReadResult{Data: []byte{}, Plan: &core.Plan{}}, nil
 	}
-	plan := func(avoid, bias []int) (*core.Plan, error) { return s.plan(startElem, count, avoid, bias) }
+	plan := func(avoid []int) (*core.Plan, error) { return s.plan(startElem, count, avoid) }
 	r, err := s.execute(ctx, plan, rule, opts)
 	if err != nil {
 		return nil, err
@@ -519,11 +475,6 @@ func (p *fanoutPass) fail(dev int, err error) {
 	}
 	p.mu.Unlock()
 }
-
-// fanoutInlineBytes is the planned-read size below which the executor skips
-// worker goroutines and serves the queues inline: on tiny reads the dispatch
-// cost exceeds anything per-device overlap could recover.
-const fanoutInlineBytes = 64 << 10
 
 // runQueues serves every device queue and joins them all before returning.
 // The queues are grouped by node — the map CellStoreConfig.NodeOf sets; with

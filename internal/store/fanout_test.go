@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -50,9 +51,8 @@ func fanoutLeakCheck(t *testing.T) {
 	})
 }
 
-// readOptionsGrid is every way a read can be served: the default (inline
-// below fanoutInlineBytes, a worker per device queue above) and sequential
-// (always inline).
+// readOptionsGrid is every way a read can be served: the default (a worker
+// per node's queues) and sequential (inline).
 var readOptionsGrid = []ReadOptions{
 	{},
 	{Sequential: true},
@@ -131,7 +131,7 @@ func TestFanoutConcurrentSharedStore(t *testing.T) {
 			opts := readOptionsGrid[g%len(readOptionsGrid)]
 			for i := 0; i < 40; i++ {
 				off := rng.Intn(len(payload) - 1)
-				ln := 1 + rng.Intn(2*fanoutInlineBytes)
+				ln := 1 + rng.Intn(128<<10) // 1 B to 128 KiB
 				if off+ln > len(payload) {
 					ln = len(payload) - off
 				}
@@ -436,6 +436,47 @@ func TestReadAtCtxRespectsSealedExtent(t *testing.T) {
 	res, err := st.ReadAtCtx(context.Background(), 0, 0, ReadOptions{})
 	if err != nil || len(res.Data) != 0 {
 		t.Fatalf("zero-length read = (%v, %v), want empty success", res, err)
+	}
+}
+
+// TestDegradedGetPlansWhatHeadPlans: a degraded GET serves the plan HEAD
+// (PlanRead) reports, even while a surviving disk has runs in flight —
+// planning reads the request and the failed set alone, so X-Max-Disk-Load
+// and X-Read-Cost describe the read a GET makes.
+func TestDegradedGetPlansWhatHeadPlans(t *testing.T) {
+	for _, sch := range []*core.Scheme{
+		core.MustScheme(mustRS(6, 3), layout.FormECFRM),
+		core.MustScheme(lrc.Must(6, 2, 2), layout.FormECFRM),
+	} {
+		const elem = 64
+		st := MustNew(sch, elem)
+		length := 2 * sch.DataPerStripe() * elem
+		data := fill(t, st, length, 509)
+		st.FailDisk(0)
+		head, err := st.PlanRead(0, length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Make the busiest surviving disk of that plan look very busy.
+		busy := 1
+		for d, l := range head.Loads {
+			if d != 0 && l > head.Loads[busy] {
+				busy = d
+			}
+		}
+		st.devices[busy].inflight.Add(1000)
+		res, err := st.ReadAt(0, length)
+		st.devices[busy].inflight.Add(-1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res.Data, data) {
+			t.Fatalf("%s: degraded GET returned wrong bytes", sch.Name())
+		}
+		if !reflect.DeepEqual(res.Plan, head) {
+			t.Fatalf("%s: with disk %d busy the GET planned loads %v (max %d), HEAD %v (max %d)",
+				sch.Name(), busy, res.Plan.Loads, res.Plan.MaxLoad(), head.Loads, head.MaxLoad())
+		}
 	}
 }
 

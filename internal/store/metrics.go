@@ -83,7 +83,7 @@ func NewMetrics(reg *obs.Registry, disks int) *Metrics {
 		m.diskWrites = append(m.diskWrites, reg.Counter("ecfrm_disk_element_writes_total",
 			"Element-granularity writes per disk.", lbl))
 		m.diskInflight = append(m.diskInflight, reg.Gauge("ecfrm_disk_inflight_runs",
-			"Fan-out runs currently in flight per disk (the load-aware planner's bias signal).", lbl))
+			"Fan-out runs currently in flight per disk (the repair scheduler's pressure signal).", lbl))
 		m.diskErrors = append(m.diskErrors, reg.Counter("ecfrm_disk_errors_total",
 			"Hard device errors per disk: runs its backend failed to serve (the repair scheduler's error-rate detector input).", lbl))
 		m.diskLatency = append(m.diskLatency, reg.Gauge("ecfrm_disk_latency_ewma_seconds",

@@ -304,45 +304,6 @@ func TestRemoteStoreRecoverRefusesUnreachableDisk(t *testing.T) {
 	}
 }
 
-// TestNodeOfBias: with a device→node map configured, a busy device
-// inflates the bias of every device on its node, and a map of the wrong
-// length is refused at construction.
-func TestNodeOfBias(t *testing.T) {
-	scheme := core.MustScheme(mustRS(4, 2), layout.FormStandard)
-	n := scheme.N()
-	nodeOf := make([]int, n)
-	for d := range nodeOf {
-		nodeOf[d] = d % 3 // 3 nodes
-	}
-	open := func(int) (CellBackend, error) { return NewMemDisk(32), nil }
-	if _, _, err := NewWithCellBackends(scheme, 32, CellStoreConfig{NodeOf: make([]int, n+1)}, open); err == nil {
-		t.Fatal("wrong-length map accepted")
-	}
-	st, _, err := NewWithCellBackends(scheme, 32, CellStoreConfig{NodeOf: nodeOf}, open)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	// Simulate inflight load on device 0 (node 0); every node-0 device must
-	// inherit it, others stay zero.
-	st.devices[0].inflight.Add(5)
-	defer st.devices[0].inflight.Add(-5)
-	bias := st.inflightBias()
-	if bias == nil {
-		t.Fatal("bias nil with inflight load")
-	}
-	for d := 0; d < n; d++ {
-		want := 0
-		if nodeOf[d] == 0 {
-			want = 5
-		}
-		if bias[d] != want {
-			t.Fatalf("bias[%d] = %d, want %d (node %d)", d, bias[d], want, nodeOf[d])
-		}
-	}
-}
-
 // nodeDisk is one device's extent on a node that serves any of the group's
 // devices' runs, and counts each batch it is handed — one request to a data
 // node.
@@ -371,7 +332,8 @@ func (nd nodeDisk) WriteRuns(ctx context.Context, runs []Run, sync bool) error {
 
 // TestRecoverBatchesByNode: the device→node map is in force while recovery
 // runs, so a gateway restart over RS(6,3)/ecfrm on 3 nodes reads each
-// recovered stripe with one request per node — 3, not one per disk (9).
+// recovered stripe with one request per node — 3, not one per disk (9). A
+// map of the wrong length is refused at construction.
 func TestRecoverBatchesByNode(t *testing.T) {
 	scheme := core.MustScheme(mustRS(6, 3), layout.FormECFRM)
 	const elem, stripes, nodes = 32, 4, 3
@@ -384,8 +346,11 @@ func TestRecoverBatchesByNode(t *testing.T) {
 	st.Close()
 
 	var calls atomic.Int64
-	st2, rep, err := NewWithCellBackends(scheme, elem, CellStoreConfig{NodeOf: nodeOf},
-		func(d int) (CellBackend, error) { return nodeDisk{disks[d], disks, &calls}, nil })
+	open := func(d int) (CellBackend, error) { return nodeDisk{disks[d], disks, &calls}, nil }
+	if _, _, err := NewWithCellBackends(scheme, elem, CellStoreConfig{NodeOf: append(nodeOf, 0)}, open); err == nil {
+		t.Fatal("wrong-length map accepted")
+	}
+	st2, rep, err := NewWithCellBackends(scheme, elem, CellStoreConfig{NodeOf: nodeOf}, open)
 	if err != nil {
 		t.Fatal(err)
 	}

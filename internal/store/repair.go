@@ -399,10 +399,10 @@ func (s *Store) HealStripe(stripe int) (healed int, err error) {
 		return 0, fmt.Errorf("%w: stripe %d of %d", ErrRange, stripe, s.stripes)
 	}
 	cells := s.allCells(stripe)
-	live := func(avoid, _ []int) (*core.Plan, error) {
+	live := func(avoid []int) (*core.Plan, error) {
 		return s.scheme.PlanCells(slices.DeleteFunc(slices.Clone(cells), func(c core.Access) bool {
 			return slices.Contains(avoid, c.Disk)
-		}), nil, nil)
+		}), nil)
 	}
 	r, err := s.execute(context.TODO(), live, corruptHeals, ReadOptions{Sequential: true})
 	if err != nil {
@@ -413,9 +413,9 @@ func (s *Store) HealStripe(stripe int) (healed int, err error) {
 }
 
 // InflightRuns snapshots every device's in-flight executor run count — the
-// live pressure signal the load-aware degraded planner biases on and the
-// repair scheduler's token bucket shrinks on. A repair samples it between
-// its Steps, when none of its own runs is in flight.
+// live pressure signal the repair scheduler's token bucket shrinks on. A
+// repair samples it between its Steps, when none of its own runs is in
+// flight.
 func (s *Store) InflightRuns() []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

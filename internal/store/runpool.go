@@ -19,8 +19,8 @@ var poisonReleased = testing.Testing()
 
 const poisonByte = 0xdb
 
-// RunBuf is one buffer a RunPool lends: Data holds the bytes asked for,
-// directAlign-aligned, and CRCs a checksum per whole cell of them.
+// RunBuf is one buffer a RunPool lends: Data holds the bytes asked for, and
+// CRCs a checksum per whole cell of them.
 type RunBuf struct {
 	Data  []byte
 	CRCs  []uint32
@@ -48,11 +48,11 @@ func (p *RunPool) Get(n int) *RunBuf {
 	class := bits.Len(uint(max(cells, 1) - 1))
 	var b *RunBuf
 	if class >= runClasses {
-		b = &RunBuf{class: -1, data: alignedBytes(n), crcs: make([]uint32, cells)}
+		b = &RunBuf{class: -1, data: make([]byte, n), crcs: make([]uint32, cells)}
 	} else {
 		p.lent.Add(1)
 		if b, _ = p.classes[class].Get().(*RunBuf); b == nil {
-			b = &RunBuf{class: class, data: alignedBytes(p.elem << class), crcs: make([]uint32, 1<<class)}
+			b = &RunBuf{class: class, data: make([]byte, p.elem<<class), crcs: make([]uint32, 1<<class)}
 		}
 	}
 	b.Data, b.CRCs = b.data[:n:n], b.crcs[:n/p.elem:n/p.elem]

@@ -72,8 +72,8 @@ type Device struct {
 	// writes of the pointers; the counters themselves are atomic.
 	obsReads  *obs.Counter
 	obsWrites *obs.Counter
-	// inflight counts executor runs currently being served by this device.
-	// The load-aware degraded planner reads it as a live queue-depth signal;
+	// inflight counts executor runs currently being served by this device,
+	// the repair scheduler's foreground-pressure signal (InflightRuns);
 	// obsInflight mirrors it into the metrics registry.
 	inflight    atomic.Int64
 	obsInflight *obs.Gauge
@@ -287,8 +287,8 @@ type Store struct {
 	closed       bool
 
 	// nodeOf, when set, maps each device to its placement node
-	// (CellStoreConfig.NodeOf): batches go one per node and inflightBias
-	// aggregates per node. Fixed at construction.
+	// (CellStoreConfig.NodeOf): batches go one per node. Fixed at
+	// construction.
 	nodeOf []int
 
 	// rebuilding marks devices with an incremental rebuild in progress (guarded by mu), so two repairs cannot race on one device.
@@ -552,7 +552,7 @@ func (s *Store) newSealBufs() *sealBufs {
 		runs: make([][]byte, n), crcs: make([][]uint32, n), zero: make([]byte, es),
 		zeroCells: make([][]bool, s.scheme.DataPerStripe()+1)}
 	for col := range sl.runs {
-		sl.runs[col] = alignedBytes(rows * es)
+		sl.runs[col] = make([]byte, rows*es)
 		sl.crcs[col] = make([]uint32, rows)
 		for row := 0; row < rows; row++ {
 			sl.cells[row*n+col] = sl.runs[col][row*es : (row+1)*es : (row+1)*es]
@@ -758,8 +758,8 @@ func (res *ReadResult) Release() {
 // one exception is a read that trips over silent corruption: healing
 // rewrites the cell, so the read runs again under the exclusive lock.
 //
-// Plans execute as per-device coalesced runs (see fanout.go), concurrently
-// by default; ReadAtCtx serves them inline per call.
+// Plans execute as per-device coalesced runs (see fanout.go), one worker per
+// node; ReadAtCtx with ReadOptions.Sequential serves them inline.
 func (s *Store) ReadAt(off int64, length int) (*ReadResult, error) {
 	return s.ReadAtCtx(context.Background(), off, length, ReadOptions{})
 }
@@ -778,17 +778,16 @@ func (s *Store) PlanRead(off int64, length int) (*core.Plan, error) {
 	if length == 0 {
 		return &core.Plan{}, nil
 	}
-	return s.plan(startElem, count, s.failedDisksLocked(), nil)
+	return s.plan(startElem, count, s.failedDisksLocked())
 }
 
 // plan plans count elements from startElem around the failed disks: a
-// normal read when there are none, else the exact degraded planner with
-// the given per-disk bias (nil for none).
-func (s *Store) plan(startElem, count int, failed, bias []int) (*core.Plan, error) {
+// normal read when there are none, else the exact degraded planner.
+func (s *Store) plan(startElem, count int, failed []int) (*core.Plan, error) {
 	if len(failed) == 0 {
 		return s.scheme.PlanNormalRead(startElem, count)
 	}
-	return s.scheme.PlanDegradedReadBiased(startElem, count, failed, bias)
+	return s.scheme.PlanDegradedRead(startElem, count, failed)
 }
 
 // avoidSet returns the failed devices plus those a job took out, ascending.

@@ -565,9 +565,10 @@ func ReplayWAL(log []byte, st *Store) (extents []Extent, orphans int, err error)
 }
 
 // RecoverWALFile replays a spilled WAL log file into a freshly (re)opened
-// store (see ReplayWAL) and truncates the file, returning every committed
-// object's extent plus the count of logged-but-uncommitted objects the crash
-// orphaned. A missing file is an empty log.
+// store (see ReplayWAL), syncs every device, and truncates the file,
+// returning every committed object's extent plus the count of
+// logged-but-uncommitted objects the crash orphaned. A missing file is an
+// empty log.
 func RecoverWALFile(path string, st *Store) (extents []Extent, dropped int, err error) {
 	log, rerr := os.ReadFile(path)
 	if rerr != nil {
@@ -579,8 +580,15 @@ func RecoverWALFile(path string, st *Store) (extents []Extent, dropped int, err 
 	if extents, dropped, err = ReplayWAL(log, st); err != nil {
 		return extents, 0, err
 	}
-	// The log's content is now fully reflected in the store; empty it so the
-	// next WAL's spill starts from a clean file.
+	// A replayed commit runs no barrier on an FsyncNever store, and the log
+	// is its only durable record until one does: sync every device, then
+	// empty the log so the next WAL's spill starts from a clean file.
+	st.mu.Lock()
+	err = st.syncLive()
+	st.mu.Unlock()
+	if err != nil {
+		return extents, dropped, err
+	}
 	if terr := os.Truncate(path, 0); terr != nil && !os.IsNotExist(terr) {
 		return extents, dropped, terr
 	}
