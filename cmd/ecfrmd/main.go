@@ -57,13 +57,11 @@
 //
 // Self-healing: -repair starts the background repair scheduler
 // (internal/repair) over every placement group, in single and gateway mode
-// alike. It watches per-device error counts and latency quantiles,
-// fail-stops disks that exceed the error burst or hold fewer cells than
-// their group's sealed stripes (a wiped or unreachable node's extents; a
-// disk limping far behind its peers is reported, not stopped), and
-// rebuilds them in place incrementally under one token-bucket rate limit
-// (-repair-rate MiB/s for the whole daemon) that backs off further
-// whenever foreground reads are in flight; a disk whose rebuild cannot
+// alike. It watches each device's hard-error count, fail-stops disks that
+// exceed the error burst or hold fewer cells than their group's sealed
+// stripes (a wiped or unreachable node's extents), and rebuilds them in
+// place incrementally under one token-bucket rate limit (-repair-rate MiB/s
+// of rebuilt data for the whole daemon); a disk whose rebuild cannot
 // start, on a node that stays down, is retried once a second. It also runs
 // a continuous incremental checksum scrub over the groups in turn
 // (-scrub-interval between batches) whose cursor persists in
@@ -89,6 +87,8 @@
 // above. -mode=node serves a data node: dumb per-(group,disk) cell extents
 // behind the nodeapi HTTP protocol (mem or file backend, rediscovered from
 // -data-dir on restart), plus /healthz, /readyz, /node/status, and /metrics.
+// A node never reads -fsync: it fsyncs a file extent when the gateway's
+// write batch asks for it (?sync=1).
 // -mode=gateway serves the same object API — one surface (internal/httpd)
 // for both modes, single mode being its one-group case — by fanning
 // erasure-coded cell I/O out to the nodes listed in -nodes, hashing object
@@ -120,6 +120,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -146,7 +147,7 @@ var (
 	elem     = flag.Int("elem", 64<<10, "element size in bytes")
 	backend  = flag.String("backend", "mem", "device backend: mem (volatile) or file (one data/crc file pair per device)")
 	dataDir  = flag.String("data-dir", "", "data directory for -backend=file")
-	fsync    = flag.String("fsync", "always", "file backend durability: always (fsync barrier per commit) or never")
+	fsync    = flag.String("fsync", "always", "file backend durability: always (fsync barrier per commit) or never; a node ignores it and fsyncs when the gateway's batch asks")
 	faults   = flag.String("faults", "", "JSON fault plan to install at startup (see internal/faultinject)")
 	obsOn    = flag.Bool("obs", false, "enable pprof endpoints and the periodic load-imbalance log line")
 	obsEvery = flag.Duration("obs-interval", 10*time.Second, "load-imbalance log interval (with -obs)")
@@ -166,7 +167,7 @@ var (
 
 func main() {
 	flag.Parse()
-	if err := checkFlags(*fsync); err != nil {
+	if err := checkFlags(*fsync, *repairRate, *obsOn, *obsEvery); err != nil {
 		log.Fatal("ecfrmd: ", err)
 	}
 	switch *mode {
@@ -182,10 +183,18 @@ func main() {
 }
 
 // checkFlags refuses, at startup, flag values that would otherwise be
-// silently replaced: an unknown -fsync mode.
-func checkFlags(fsyncMode string) error {
+// silently replaced or stop the daemon later: an unknown -fsync mode, a
+// non-finite -repair-rate (flag.Float64 parses "NaN"), and under -obs a
+// non-positive -obs-interval, on which the imbalance line's ticker panics.
+func checkFlags(fsyncMode string, repairMiBs float64, obs bool, obsInterval time.Duration) error {
 	if fsyncMode != string(store.FsyncAlways) && fsyncMode != string(store.FsyncNever) {
 		return fmt.Errorf("unknown -fsync mode %q (always or never)", fsyncMode)
+	}
+	if math.IsNaN(repairMiBs) || math.IsInf(repairMiBs, 0) {
+		return fmt.Errorf("-repair-rate %v is not a finite MiB/s", repairMiBs)
+	}
+	if obs && obsInterval <= 0 {
+		return fmt.Errorf("-obs-interval %v must be positive under -obs", obsInterval)
 	}
 	return nil
 }

@@ -19,9 +19,9 @@ import (
 
 // nodeClient is the gateway's connection to one data node: a pooled HTTP
 // client and its traffic counters. Requests queue in the transport's
-// connection pool. The node's load signals live in the group stores: the
-// repair scheduler reads their per-device in-flight counts, and the
-// limping-disk detector their per-device latency EWMAs.
+// connection pool. A node's one health signal lives in the group stores:
+// each device's hard-error count, which the repair scheduler's detector
+// reads.
 type nodeClient struct {
 	base string // http://host:port, no trailing slash
 	hc   *http.Client

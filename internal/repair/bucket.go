@@ -1,15 +1,13 @@
 // Package repair hosts the background maintenance scheduler over a server's
-// group stores: failure detection from device health signals, rate-limited
-// disk rebuild driven through the store's incremental DiskRebuild machinery,
-// and a continuous incremental checksum scrub with a crash-safe persisted
-// cursor.
+// group stores: failure detection from each device's hard-error count and
+// the scrub's cell census, rate-limited disk rebuild driven through the
+// store's incremental DiskRebuild machinery, and a continuous incremental
+// checksum scrub with a crash-safe persisted cursor.
 //
-// The scheduler's contract is the paper's repair-bandwidth trade-off: rebuild
-// as fast as the configured budget allows, but never so fast that foreground
-// reads starve. Repair traffic flows through a token bucket whose effective
-// refill rate shrinks when foreground pressure (in-flight fan-out runs on
-// the data disks) rises, so a busy store automatically yields bandwidth to
-// clients and an idle store rebuilds at full speed.
+// Repair is priced by the bytes it moves: rebuild traffic flows through a
+// token bucket that caps replacement-device writes at the configured budget
+// (Config.Rate, retunable at runtime), and that cap is what leaves device
+// bandwidth to foreground reads.
 package repair
 
 import (
@@ -20,19 +18,15 @@ import (
 // TokenBucket is a byte-granularity rate limiter for repair traffic.
 //
 // Tokens accrue at rate bytes/second up to a burst cap. Take consumes
-// tokens if available; Wait reports how long until enough accrue. The
-// effective refill rate is rate/(1+pressure): pressure is a dimensionless
-// foreground-load signal (the scheduler feeds it the maximum per-disk
-// in-flight run count), so refill halves when one request is in flight per
-// busy disk, thirds at two, and so on. A zero rate pauses repair entirely.
+// tokens if available; Wait reports how long until enough accrue. A zero
+// rate pauses repair entirely.
 type TokenBucket struct {
-	mu       sync.Mutex
-	rate     float64 // tokens (bytes) per second at zero pressure
-	burst    float64 // token cap; also the largest single Take
-	tokens   float64
-	pressure float64
-	last     time.Time
-	now      func() time.Time
+	mu     sync.Mutex
+	rate   float64 // tokens (bytes) per second
+	burst  float64 // token cap; also the largest single Take
+	tokens float64
+	last   time.Time
+	now    func() time.Time
 }
 
 // NewTokenBucket creates a bucket refilling at rate bytes/second with the
@@ -57,8 +51,8 @@ func newTokenBucket(rate, burst float64, now func() time.Time) *TokenBucket {
 	}
 }
 
-// refillLocked accrues tokens for the time elapsed since the last refill at
-// the pressure-scaled rate. Callers hold b.mu.
+// refillLocked accrues tokens for the time elapsed since the last refill.
+// Callers hold b.mu.
 func (b *TokenBucket) refillLocked() {
 	t := b.now()
 	dt := t.Sub(b.last).Seconds()
@@ -66,7 +60,7 @@ func (b *TokenBucket) refillLocked() {
 	if dt <= 0 || b.rate <= 0 {
 		return
 	}
-	b.tokens += b.rate / (1 + b.pressure) * dt
+	b.tokens += b.rate * dt
 	if b.tokens > b.burst {
 		b.tokens = b.burst
 	}
@@ -94,8 +88,8 @@ func (b *TokenBucket) Take(n int) bool {
 }
 
 // Wait reports how long until n tokens (clamped to burst) will have accrued
-// at the current effective rate, or a negative duration when the bucket is
-// paused (rate <= 0) and no amount of waiting will help.
+// at the current rate, or a negative duration when the bucket is paused
+// (rate <= 0) and no amount of waiting will help.
 func (b *TokenBucket) Wait(n int) time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -110,29 +104,16 @@ func (b *TokenBucket) Wait(n int) time.Duration {
 	if b.tokens >= need {
 		return 0
 	}
-	eff := b.rate / (1 + b.pressure)
-	return time.Duration((need - b.tokens) / eff * float64(time.Second))
+	return time.Duration((need - b.tokens) / b.rate * float64(time.Second))
 }
 
-// SetRate changes the zero-pressure refill rate. Accrued tokens are settled
-// at the old rate first, so a mid-flight change never rewrites history.
+// SetRate changes the refill rate. Accrued tokens are settled at the old
+// rate first, so a mid-flight change never rewrites history.
 func (b *TokenBucket) SetRate(rate float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.refillLocked()
 	b.rate = rate
-}
-
-// SetPressure updates the foreground-load signal. Negative values clamp to
-// zero. As with SetRate, elapsed time is settled at the old pressure first.
-func (b *TokenBucket) SetPressure(p float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refillLocked()
-	if p < 0 {
-		p = 0
-	}
-	b.pressure = p
 }
 
 // Tokens returns the current token balance after settling elapsed time.
@@ -143,19 +124,9 @@ func (b *TokenBucket) Tokens() float64 {
 	return b.tokens
 }
 
-// Rate returns the configured zero-pressure rate.
+// Rate returns the configured rate.
 func (b *TokenBucket) Rate() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.rate
-}
-
-// EffectiveRate returns the pressure-scaled refill rate in bytes/second.
-func (b *TokenBucket) EffectiveRate() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.rate <= 0 {
-		return 0
-	}
-	return b.rate / (1 + b.pressure)
 }

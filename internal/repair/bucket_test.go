@@ -19,7 +19,6 @@ func TestTokenBucketTable(t *testing.T) {
 		wait     int // Wait(n) when > 0
 		wantWait time.Duration
 		rate     float64 // SetRate when != 0 (use -1 to pause)
-		pressure float64 // SetPressure when >= 0 (use -1 to skip)
 	}
 	cases := []struct {
 		name        string
@@ -30,91 +29,56 @@ func TestTokenBucketTable(t *testing.T) {
 			name: "starts full and burst caps the balance",
 			rate: 100, burst: 50,
 			ops: []op{
-				{take: 50, wantTake: true, pressure: -1},
-				{take: 1, wantTake: false, pressure: -1},
+				{take: 50, wantTake: true},
+				{take: 1, wantTake: false},
 				// 10s at 100/s would be 1000 tokens; cap is 50.
-				{advance: 10 * time.Second, take: 50, wantTake: true, pressure: -1},
-				{take: 1, wantTake: false, pressure: -1},
+				{advance: 10 * time.Second, take: 50, wantTake: true},
+				{take: 1, wantTake: false},
 			},
 		},
 		{
 			name: "refills at rate",
 			rate: 100, burst: 100,
 			ops: []op{
-				{take: 100, wantTake: true, pressure: -1},
-				{advance: 250 * time.Millisecond, take: 26, wantTake: false, pressure: -1},
-				{take: 25, wantTake: true, pressure: -1},
+				{take: 100, wantTake: true},
+				{advance: 250 * time.Millisecond, take: 26, wantTake: false},
+				{take: 25, wantTake: true},
 			},
 		},
 		{
 			name: "request larger than burst clamps instead of deadlocking",
 			rate: 100, burst: 10,
 			ops: []op{
-				{take: 1000, wantTake: true, pressure: -1}, // costs the full bucket
-				{take: 1, wantTake: false, pressure: -1},
-				{advance: time.Second, wait: 1000, wantWait: 0, pressure: -1},
-			},
-		},
-		{
-			name: "pressure shrinks the effective refill",
-			rate: 100, burst: 100,
-			ops: []op{
-				{take: 100, wantTake: true, pressure: -1},
-				// pressure 1 → effective 50/s → 1s accrues 50.
-				{pressure: 1},
-				{advance: time.Second, take: 51, wantTake: false, pressure: -1},
-				{take: 50, wantTake: true, pressure: -1},
-				// pressure 3 → effective 25/s → need 25 → 1s wait.
-				{pressure: 3},
-				{wait: 25, wantWait: time.Second, pressure: -1},
-			},
-		},
-		{
-			name: "pressure change settles elapsed time at old pressure",
-			rate: 100, burst: 200,
-			ops: []op{
-				{take: 200, wantTake: true, pressure: -1},
-				// 1s at zero pressure accrues 100 even though pressure
-				// rises immediately after.
-				{advance: time.Second, pressure: 9},
-				{take: 100, wantTake: true, pressure: -1},
-				{take: 1, wantTake: false, pressure: -1},
-			},
-		},
-		{
-			name: "negative pressure clamps to zero",
-			rate: 100, burst: 100,
-			ops: []op{
-				{take: 100, wantTake: true, pressure: -1},
-				{pressure: -0.5},
-				{advance: time.Second, take: 100, wantTake: true, pressure: -1},
+				{take: 1000, wantTake: true}, // costs the full bucket
+				{take: 1, wantTake: false},
+				{advance: time.Second, wait: 1000, wantWait: 0},
 			},
 		},
 		{
 			name: "zero rate is paused",
 			rate: 0, burst: 100,
 			ops: []op{
-				{take: 1, wantTake: false, pressure: -1},
-				{advance: time.Hour, take: 1, wantTake: false, pressure: -1},
-				{wait: 1, wantWait: -1, pressure: -1},
+				{take: 1, wantTake: false},
+				{advance: time.Hour, take: 1, wantTake: false},
+				{wait: 1, wantWait: -1},
 			},
 		},
 		{
 			name: "rate change applies after settling",
 			rate: 100, burst: 100,
 			ops: []op{
-				{take: 100, wantTake: true, pressure: -1},
+				{take: 100, wantTake: true},
 				// 1s at 100/s settles 100 tokens before the pause lands,
 				// but a paused bucket refuses takes regardless of balance.
-				{advance: time.Second, rate: -1, pressure: -1},
-				{take: 100, wantTake: false, pressure: -1},
-				{advance: time.Hour, take: 1, wantTake: false, pressure: -1},
+				{advance: time.Second, rate: -1},
+				{take: 100, wantTake: false},
+				{advance: time.Hour, take: 1, wantTake: false},
 				// Unpausing releases the settled balance without waiting.
-				{rate: 200, pressure: -1},
-				{take: 100, wantTake: true, pressure: -1},
-				{take: 1, wantTake: false, pressure: -1},
+				{rate: 200},
+				{take: 100, wantTake: true},
+				{take: 1, wantTake: false},
 				// And the new rate governs accrual: 500ms at 200/s = 100.
-				{advance: 500 * time.Millisecond, take: 100, wantTake: true, pressure: -1},
+				{advance: 500 * time.Millisecond, take: 100, wantTake: true},
 			},
 		},
 	}
@@ -131,9 +95,6 @@ func TestTokenBucketTable(t *testing.T) {
 						r = 0
 					}
 					b.SetRate(r)
-				}
-				if o.pressure >= 0 {
-					b.SetPressure(o.pressure)
 				}
 				if o.take > 0 {
 					if got := b.Take(o.take); got != o.wantTake {
@@ -161,20 +122,5 @@ func TestTokenBucketBurstFloor(t *testing.T) {
 	// Burst clamps to 1 so a positive rate can always make progress.
 	if !b.Take(1) {
 		t.Fatal("burst floor of 1 did not allow a take")
-	}
-}
-
-func TestTokenBucketEffectiveRate(t *testing.T) {
-	b := newTokenBucket(100, 100, (&fakeClock{t: time.Unix(0, 0)}).now)
-	if got := b.EffectiveRate(); got != 100 {
-		t.Fatalf("EffectiveRate = %v, want 100", got)
-	}
-	b.SetPressure(3)
-	if got := b.EffectiveRate(); got != 25 {
-		t.Fatalf("EffectiveRate under pressure 3 = %v, want 25", got)
-	}
-	b.SetRate(0)
-	if got := b.EffectiveRate(); got != 0 {
-		t.Fatalf("EffectiveRate paused = %v, want 0", got)
 	}
 }

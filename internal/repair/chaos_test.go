@@ -162,7 +162,7 @@ func chaosKilledDisk(t *testing.T, seed int64) {
 		Rate:           4 << 20,
 		BatchStripes:   8,
 		DetectInterval: 5 * time.Millisecond,
-		Detector:       DetectorConfig{ErrorBurst: 6},
+		ErrorBurst:     6,
 		ScrubInterval:  50 * time.Millisecond,
 		Registry:       reg,
 		Logf:           t.Logf,

@@ -3,13 +3,10 @@ package repair
 import (
 	"reflect"
 	"testing"
-	"time"
 )
 
-func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-
 func TestDetectorErrorBurst(t *testing.T) {
-	d := NewDetector(DetectorConfig{ErrorBurst: 5})
+	d := NewDetector(5)
 	// First sample sets baselines — pre-existing errors don't trip.
 	v := d.Observe(Sample{Errors: []int64{100, 0, 0}})
 	if len(v.Errored) != 0 {
@@ -39,7 +36,7 @@ func TestDetectorErrorBurst(t *testing.T) {
 }
 
 func TestDetectorSkipsFailedAndRebuilding(t *testing.T) {
-	d := NewDetector(DetectorConfig{ErrorBurst: 1})
+	d := NewDetector(1)
 	d.Observe(Sample{Errors: []int64{0, 0, 0}})
 	// Disk 0 failed, disk 1 rebuilding: both over threshold, neither may be
 	// re-detected.
@@ -56,68 +53,8 @@ func TestDetectorSkipsFailedAndRebuilding(t *testing.T) {
 	}
 }
 
-func TestDetectorLimping(t *testing.T) {
-	d := NewDetector(DetectorConfig{LatencyFactor: 4, MinLatency: ms(2), LimpWindows: 3})
-	slow := Sample{Latency: []time.Duration{ms(100), ms(5), ms(5), ms(4)}}
-	// Two slow windows: not yet.
-	for i := 0; i < 2; i++ {
-		if v := d.Observe(slow); len(v.Limping) != 0 {
-			t.Fatalf("window %d: Limping = %v, want none yet", i, v.Limping)
-		}
-	}
-	// Third consecutive window trips.
-	if v := d.Observe(slow); !reflect.DeepEqual(v.Limping, []int{0}) {
-		t.Fatalf("Limping = %v, want [0]", v.Limping)
-	}
-	// One healthy window clears the streak.
-	if v := d.Observe(Sample{Latency: []time.Duration{ms(5), ms(5), ms(5), ms(4)}}); len(v.Limping) != 0 {
-		t.Fatalf("healthy window still limping: %v", v.Limping)
-	}
-	if v := d.Observe(slow); len(v.Limping) != 0 {
-		t.Fatalf("streak did not reset: %v", v.Limping)
-	}
-}
-
-func TestDetectorLimpingGuards(t *testing.T) {
-	cases := []struct {
-		name   string
-		sample Sample
-	}{
-		{
-			// Sub-floor latencies never limp however skewed the ratio.
-			name:   "below MinLatency floor",
-			sample: Sample{Latency: []time.Duration{800 * time.Microsecond, 10 * time.Microsecond, 11 * time.Microsecond, 10 * time.Microsecond}},
-		},
-		{
-			// One serving disk: no peer median to compare against.
-			name:   "fewer than two peers",
-			sample: Sample{Latency: []time.Duration{ms(100), 0, 0, 0}},
-		},
-		{
-			// The slow disk is already rebuilding.
-			name: "rebuilding disk skipped",
-			sample: Sample{
-				Latency:    []time.Duration{ms(100), ms(5), ms(5), ms(4)},
-				Rebuilding: []int{0},
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			d := NewDetector(DetectorConfig{LimpWindows: 1})
-			for i := 0; i < 3; i++ {
-				if v := d.Observe(tc.sample); len(v.Limping) != 0 {
-					t.Fatalf("Limping = %v, want none", v.Limping)
-				}
-			}
-		})
-	}
-}
-
 func TestDetectorDefaults(t *testing.T) {
-	cfg := DetectorConfig{}.withDefaults()
-	if cfg.ErrorBurst != 8 || cfg.LatencyFactor != 4 ||
-		cfg.MinLatency != 2*time.Millisecond || cfg.LimpWindows != 3 {
-		t.Fatalf("unexpected defaults: %+v", cfg)
+	if got := (Config{}).withDefaults().ErrorBurst; got != 8 {
+		t.Fatalf("default ErrorBurst = %d, want 8", got)
 	}
 }

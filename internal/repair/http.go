@@ -2,6 +2,8 @@ package repair
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 )
@@ -12,7 +14,7 @@ import (
 //	GET  /          scheduler status JSON (rates, queues, active repairs, scrub cursor)
 //	POST /rebuild?disk=N[&group=G]   queue a rebuild of failed disk N of group G (default 0) now
 //	POST /scrub            run an extra scrub batch without waiting the interval
-//	POST /rate?bytes=N     retune the repair bandwidth budget (0 pauses)
+//	POST /rate?bytes=N     retune the repair bandwidth budget (0 pauses; N must be finite)
 func (s *Scheduler) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -27,7 +29,9 @@ func (s *Scheduler) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(s.StatusSnapshot())
+		if err := enc.Encode(s.StatusSnapshot()); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 	})
 	mux.HandleFunc("/rebuild", s.handleRebuild)
 	mux.HandleFunc("/scrub", func(w http.ResponseWriter, r *http.Request) {
@@ -43,9 +47,10 @@ func (s *Scheduler) Handler() http.Handler {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		bytes, err := strconv.ParseFloat(r.URL.Query().Get("bytes"), 64)
-		if err != nil {
-			http.Error(w, "bad bytes parameter: "+err.Error(), http.StatusBadRequest)
+		q := r.URL.Query().Get("bytes")
+		bytes, err := strconv.ParseFloat(q, 64)
+		if err != nil || math.IsNaN(bytes) || math.IsInf(bytes, 0) {
+			http.Error(w, fmt.Sprintf("bad bytes parameter %q: want a finite number", q), http.StatusBadRequest)
 			return
 		}
 		s.SetRate(bytes)

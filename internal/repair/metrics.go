@@ -16,8 +16,8 @@ var mttrBuckets = obs.ExpBuckets(0.01, 4, 8)
 //	ecfrm_repair_bytes_total{kind="rebuild"} bytes rebuilt
 //	ecfrm_repair_mttr_seconds             histogram: detection → rebuilt
 //	ecfrm_repair_last_mttr_seconds        gauge: most recent repair's MTTR
-//	ecfrm_repair_backoff_total{reason}    rate-limit stalls, tokens|pressure
-//	ecfrm_repair_detections_total{kind}   detector verdicts, failed|errored|lost|limping
+//	ecfrm_repair_backoff_total{reason}    rate-limit stalls, tokens (budget exhausted)
+//	ecfrm_repair_detections_total{kind}   detector verdicts, failed|errored|lost
 //	ecfrm_repair_rebuilds_total{outcome}  finished repairs, ok|error
 //	ecfrm_scrub_stripes_total             stripes verified by the scrubber
 //	ecfrm_scrub_heals_total               cells healed by the scrubber
@@ -29,13 +29,11 @@ type metrics struct {
 	mttr     *obs.Histogram
 	lastMTTR *obs.Gauge
 
-	backoffTokens   *obs.Counter
-	backoffPressure *obs.Counter
+	backoffTokens *obs.Counter
 
 	detectFailed  *obs.Counter
 	detectErrored *obs.Counter
 	detectLost    *obs.Counter
-	detectLimping *obs.Counter
 
 	rebuildsOK  *obs.Counter
 	rebuildsErr *obs.Counter
@@ -60,19 +58,14 @@ func newMetrics(reg *obs.Registry) *metrics {
 	m.lastMTTR = reg.Gauge("ecfrm_repair_last_mttr_seconds",
 		"MTTR of the most recently completed repair.")
 	m.backoffTokens = reg.Counter("ecfrm_repair_backoff_total",
-		"Repair batches stalled by the rate limiter, by reason: tokens (budget exhausted) or pressure (foreground load shrank the refill).",
+		"Repair batches stalled by the rate limiter, by reason: tokens (repair budget exhausted).",
 		obs.L("reason", "tokens"))
-	m.backoffPressure = reg.Counter("ecfrm_repair_backoff_total",
-		"Repair batches stalled by the rate limiter, by reason: tokens (budget exhausted) or pressure (foreground load shrank the refill).",
-		obs.L("reason", "pressure"))
 	m.detectFailed = reg.Counter("ecfrm_repair_detections_total",
 		"Detector verdicts acted on, by kind.", obs.L("kind", "failed"))
 	m.detectErrored = reg.Counter("ecfrm_repair_detections_total",
 		"Detector verdicts acted on, by kind.", obs.L("kind", "errored"))
 	m.detectLost = reg.Counter("ecfrm_repair_detections_total",
 		"Detector verdicts acted on, by kind.", obs.L("kind", "lost"))
-	m.detectLimping = reg.Counter("ecfrm_repair_detections_total",
-		"Detector verdicts acted on, by kind.", obs.L("kind", "limping"))
 	m.rebuildsOK = reg.Counter("ecfrm_repair_rebuilds_total",
 		"Background repairs finished, by outcome.", obs.L("outcome", "ok"))
 	m.rebuildsErr = reg.Counter("ecfrm_repair_rebuilds_total",
@@ -103,15 +96,11 @@ func (m *metrics) observeMTTR(seconds float64) {
 	m.lastMTTR.Set(seconds)
 }
 
-func (m *metrics) observeBackoff(pressure bool) {
+func (m *metrics) observeBackoff() {
 	if m == nil {
 		return
 	}
-	if pressure {
-		m.backoffPressure.Inc()
-	} else {
-		m.backoffTokens.Inc()
-	}
+	m.backoffTokens.Inc()
 }
 
 func (m *metrics) observeDetection(kind string) {
@@ -125,8 +114,6 @@ func (m *metrics) observeDetection(kind string) {
 		m.detectErrored.Inc()
 	case "lost":
 		m.detectLost.Inc()
-	case "limping":
-		m.detectLimping.Inc()
 	}
 }
 

@@ -17,6 +17,7 @@ const (
 	DefaultBatchStripes   = 16
 	DefaultDetectInterval = 50 * time.Millisecond
 	DefaultScrubInterval  = time.Second
+	DefaultErrorBurst     = 8
 )
 
 // DefaultWorkers sizes the rebuild goroutine pool: how many disks repair
@@ -44,9 +45,11 @@ type Config struct {
 	BatchStripes int
 	// DetectInterval is the health-sampling period. <= 0 uses 50ms.
 	DetectInterval time.Duration
-	// Detector tunes failure/limping detection thresholds. Limping disks
-	// are reported in Status and counted, but left in service.
-	Detector DetectorConfig
+	// ErrorBurst is how many hard errors beyond a disk's baseline mark it
+	// errored. The baseline resets after the disk's rebuild, so the
+	// detector counts errors per disk lifetime, not per window — a slow
+	// trickle of real faults still trips it. <= 0 uses DefaultErrorBurst.
+	ErrorBurst int64
 	// ScrubInterval is the pause between incremental scrub batches.
 	// 0 uses DefaultScrubInterval; negative disables scrubbing.
 	ScrubInterval time.Duration
@@ -69,6 +72,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ScrubInterval == 0 {
 		c.ScrubInterval = DefaultScrubInterval
+	}
+	if c.ErrorBurst <= 0 {
+		c.ErrorBurst = DefaultErrorBurst
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -95,9 +101,9 @@ func (k DiskRef) compare(o DiskRef) int {
 type backoff struct{ since, until time.Time }
 
 // Scheduler is the background maintenance loop over a server's group
-// stores: a detect goroutine samples every group's device health (each
-// group its own detector, so a disk is compared with its own group's
-// peers) and fail-stops error-bursting disks, a worker pool drains rebuild
+// stores: a detect goroutine samples every group's device error counts
+// (each group its own detector, since baselines are kept per disk index)
+// and fail-stops error-bursting disks, a worker pool drains rebuild
 // tasks keyed by (group, disk) through the store's incremental DiskRebuild
 // machinery under one token bucket, and a scrub goroutine walks the groups
 // in turn verifying checksums with one cursor.
@@ -113,7 +119,6 @@ type Scheduler struct {
 	active   map[DiskRef]*store.DiskRebuild
 	backoffs map[DiskRef]backoff
 	cursor   Cursor
-	limping  []DiskRef
 	lastRep  ScrubReport
 
 	tasks     chan DiskRef
@@ -141,7 +146,7 @@ func New(stores []*store.Store, cfg Config) (*Scheduler, error) {
 		done:      make(chan struct{}),
 	}
 	for range stores {
-		s.dets = append(s.dets, NewDetector(cfg.Detector))
+		s.dets = append(s.dets, NewDetector(cfg.ErrorBurst))
 	}
 	s.bucket = NewTokenBucket(cfg.Rate, float64(burstBatches*s.batchBytes()))
 	if cfg.CursorPath != "" {
@@ -265,11 +270,9 @@ func (s *Scheduler) detectLoop() {
 func (s *Scheduler) detectOnce() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var limping []DiskRef
 	for g, st := range s.stores {
 		sample := Sample{
 			Errors:     st.DiskErrorCounts(),
-			Latency:    st.DiskLatencies(),
 			Failed:     st.FailedDisks(),
 			Rebuilding: st.Rebuilding(),
 		}
@@ -294,15 +297,7 @@ func (s *Scheduler) detectOnce() {
 			}
 			s.queueLocked(k, "errored", "exceeded error threshold, fail-stopped for rebuild")
 		}
-		for _, d := range v.Limping {
-			k := DiskRef{g, d}
-			limping = append(limping, k)
-			if _, ok := s.pending[k]; !ok {
-				s.m.observeDetection("limping")
-			}
-		}
 	}
-	s.limping = limping
 }
 
 // censusOnce fail-stops every in-service disk holding fewer cells than its
@@ -375,17 +370,8 @@ func (s *Scheduler) runRepair(k DiskRef) {
 		default:
 		}
 
-		// Foreground pressure: the busiest disk's in-flight fan-out runs in
-		// any group shrink the bucket's refill, so client traffic wins the
-		// I/O race against the daemon's whole repair budget.
-		pressure := 0
-		for _, gs := range s.stores {
-			pressure = max(pressure, slices.Max(gs.InflightRuns()))
-		}
-		s.bucket.SetPressure(float64(pressure))
-
 		if !s.bucket.Take(batchBytes) {
-			s.m.observeBackoff(pressure > 0)
+			s.m.observeBackoff()
 			wait := s.bucket.Wait(batchBytes)
 			if wait < 0 {
 				// Paused: poll for a rate change at detect cadence.
@@ -509,26 +495,23 @@ type RebuildStatus struct {
 // Status is the scheduler's live state, served by the /repair endpoint.
 // Stripes sums the groups'.
 type Status struct {
-	RateBytesPerSec      float64         `json:"rate_bytes_per_sec"`
-	EffectiveBytesPerSec float64         `json:"effective_bytes_per_sec"`
-	Tokens               float64         `json:"tokens"`
-	FailedDisks          []DiskRef       `json:"failed_disks"`
-	LimpingDisks         []DiskRef       `json:"limping_disks"`
-	QueuedDisks          []DiskRef       `json:"queued_disks"`
-	Active               []RebuildStatus `json:"active"`
-	ScrubCycle           int             `json:"scrub_cycle"`
-	ScrubGroup           int             `json:"scrub_group"`
-	ScrubNext            int             `json:"scrub_next"`
-	ScrubLastHealed      int             `json:"scrub_last_healed"`
-	Stripes              int             `json:"stripes"`
+	RateBytesPerSec float64         `json:"rate_bytes_per_sec"`
+	Tokens          float64         `json:"tokens"`
+	FailedDisks     []DiskRef       `json:"failed_disks"`
+	QueuedDisks     []DiskRef       `json:"queued_disks"`
+	Active          []RebuildStatus `json:"active"`
+	ScrubCycle      int             `json:"scrub_cycle"`
+	ScrubGroup      int             `json:"scrub_group"`
+	ScrubNext       int             `json:"scrub_next"`
+	ScrubLastHealed int             `json:"scrub_last_healed"`
+	Stripes         int             `json:"stripes"`
 }
 
 // StatusSnapshot assembles the scheduler's current Status.
 func (s *Scheduler) StatusSnapshot() Status {
 	st := Status{
-		RateBytesPerSec:      s.bucket.Rate(),
-		EffectiveBytesPerSec: s.bucket.EffectiveRate(),
-		Tokens:               s.bucket.Tokens(),
+		RateBytesPerSec: s.bucket.Rate(),
+		Tokens:          s.bucket.Tokens(),
 	}
 	for g, gs := range s.stores {
 		for _, d := range gs.FailedDisks() {
@@ -538,7 +521,6 @@ func (s *Scheduler) StatusSnapshot() Status {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st.LimpingDisks = append([]DiskRef(nil), s.limping...)
 	for k := range s.pending {
 		if _, running := s.active[k]; !running {
 			st.QueuedDisks = append(st.QueuedDisks, k)

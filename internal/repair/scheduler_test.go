@@ -22,7 +22,7 @@ func fastConfig(reg *obs.Registry) Config {
 		Rate:           64 << 20, // effectively unthrottled for tiny stores
 		BatchStripes:   4,
 		DetectInterval: 2 * time.Millisecond,
-		Detector:       DetectorConfig{ErrorBurst: 4},
+		ErrorBurst:     4,
 		ScrubInterval:  -1, // scrub off unless the test wants it
 		Registry:       reg,
 	}
@@ -317,6 +317,28 @@ func TestSchedulerHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent || sch.bucket.Rate() != 1<<20 {
 		t.Fatalf("POST /rate = %d, rate now %v", resp.StatusCode, sch.bucket.Rate())
+	}
+	// A non-finite rate is refused and the old one kept: NaN would let
+	// every Take through and leave the status JSON unencodable.
+	for _, v := range []string{"NaN", "Inf", "-Inf"} {
+		resp, err = http.Post(ts.URL+"/rate?bytes="+v, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST /rate?bytes=%s = %d, want bad request", v, resp.StatusCode)
+		}
+		resp, err = http.Get(ts.URL + "/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body.Reset()
+		body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(body.String(), `"rate_bytes_per_sec": 1048576`) {
+			t.Fatalf("after bytes=%s: GET / = %d %q, want the old rate", v, resp.StatusCode, body.String())
+		}
 	}
 
 	// A group the scheduler does not serve is a bad request, as on /admin/*.

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/layout"
@@ -589,32 +588,16 @@ func (p *fanoutPass) serveNode(q nodeQueue) {
 // each device's runs in offset order — as one backend call (readBatch) with
 // the pass's context, and settles each in its entry of batch: the run's
 // cells, flattened, in Data, or its Err; a run handed buffers in batch is
-// read into them. The rule for accounting is the same for every pass —
-// GET, heal re-read, rebuild, scrub: each run counts in its device's
-// in-flight gauge while the batch is served, and the batch's latency is
-// one sample for each device it read, however many of its runs it held.
-// Caller holds mu in either mode.
+// read into them. Every pass — GET, heal re-read, rebuild, scrub — counts
+// its run bytes here. Caller holds mu in either mode.
 func (p *fanoutPass) readRuns(runs []devRun, batch []Run) {
 	s := p.s
 	for i, run := range runs {
 		d := s.devices[run.dev]
-		d.inflight.Add(1)
-		d.obsInflight.Add(1)
 		s.Metrics().observeRun(len(run.slots) * s.elemSize)
 		batch[i].Disk, batch[i].Slot, batch[i].Count, batch[i].Err = run.dev, d.slot(run.slots[0].key), len(run.slots), nil
 	}
-	start := time.Now()
 	s.readBatch(p.ctx, batch)
-	folded := -1 // runs of one device are adjacent
-	for i, run := range runs {
-		d := s.devices[run.dev]
-		d.inflight.Add(-1)
-		d.obsInflight.Add(-1)
-		if batch[i].Err == nil && run.dev != folded {
-			d.observeLatency(time.Since(start))
-			folded = run.dev
-		}
-	}
 }
 
 // execRuns serves coalesced runs of one node (readRuns) into batch and the

@@ -23,6 +23,7 @@ var maxLoadBuckets = []float64{1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32}
 //
 //	ecfrm_disk_element_reads_total{disk}     element reads served per disk
 //	ecfrm_disk_element_writes_total{disk}    element writes per disk
+//	ecfrm_disk_errors_total{disk}            hard device errors per disk, its one health signal
 //	ecfrm_store_zero_cells_total             zero cells seals recorded without writing
 //	ecfrm_store_reads_total{mode}            completed reads, normal|degraded
 //	ecfrm_store_read_max_disk_load{mode}     histogram of Plan.MaxLoad per read
@@ -30,11 +31,9 @@ var maxLoadBuckets = []float64{1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32}
 //	ecfrm_store_heals_total                  corrupt cells rebuilt and rewritten
 //	ecfrm_store_epoch_invalidations_total    mutation-epoch bumps (cache invalidations)
 type Metrics struct {
-	diskReads    []*obs.Counter
-	diskWrites   []*obs.Counter
-	diskInflight []*obs.Gauge
-	diskErrors   []*obs.Counter
-	diskLatency  []*obs.Gauge
+	diskReads  []*obs.Counter
+	diskWrites []*obs.Counter
+	diskErrors []*obs.Counter
 
 	recoverElems *obs.Counter
 	recoverSec   *obs.Histogram
@@ -82,12 +81,8 @@ func NewMetrics(reg *obs.Registry, disks int) *Metrics {
 			"Element-granularity reads served per disk.", lbl))
 		m.diskWrites = append(m.diskWrites, reg.Counter("ecfrm_disk_element_writes_total",
 			"Element-granularity writes per disk.", lbl))
-		m.diskInflight = append(m.diskInflight, reg.Gauge("ecfrm_disk_inflight_runs",
-			"Fan-out runs currently in flight per disk (the repair scheduler's pressure signal).", lbl))
 		m.diskErrors = append(m.diskErrors, reg.Counter("ecfrm_disk_errors_total",
 			"Hard device errors per disk: runs its backend failed to serve (the repair scheduler's error-rate detector input).", lbl))
-		m.diskLatency = append(m.diskLatency, reg.Gauge("ecfrm_disk_latency_ewma_seconds",
-			"Exponentially weighted moving average of per-op service latency per disk (the limping-disk detector input).", lbl))
 	}
 	m.recoverElems = reg.Counter("ecfrm_store_recover_read_elements_total",
 		"Distinct survivor elements read by disk rebuilds (the paper's recovery read cost).")
@@ -320,11 +315,10 @@ func (s *Store) SetMetrics(m *Metrics) {
 // m is nil or i is out of the registered range), including a file disk's
 // syscall instruments, so the device accounts without a store hop.
 func (m *Metrics) wire(i int, d *Device) {
-	d.obsReads, d.obsWrites, d.obsInflight, d.obsErrors, d.obsLatency = nil, nil, nil, nil, nil
+	d.obsReads, d.obsWrites, d.obsErrors = nil, nil, nil
 	var io *diskIO
 	if m != nil && i < len(m.diskReads) {
-		d.obsReads, d.obsWrites, d.obsInflight = m.diskReads[i], m.diskWrites[i], m.diskInflight[i]
-		d.obsErrors, d.obsLatency = m.diskErrors[i], m.diskLatency[i]
+		d.obsReads, d.obsWrites, d.obsErrors = m.diskReads[i], m.diskWrites[i], m.diskErrors[i]
 		io = &diskIO{depth: m.devqDepth[i], sec: m.devqSec}
 	}
 	if ds, ok := d.base.(*DiskStore); ok {

@@ -412,20 +412,6 @@ func (s *Store) HealStripe(stripe int) (healed int, err error) {
 	return r.healed, nil
 }
 
-// InflightRuns snapshots every device's in-flight executor run count — the
-// live pressure signal the repair scheduler's token bucket shrinks on. A
-// repair samples it between its Steps, when none of its own runs is in
-// flight.
-func (s *Store) InflightRuns() []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int, len(s.devices))
-	for i, d := range s.devices {
-		out[i] = int(d.inflight.Load())
-	}
-	return out
-}
-
 // DiskElements returns how many elements device d stores, asking its backend
 // (which WrapBackends or a rebuild may swap) outside the lock.
 func (s *Store) DiskElements(d int) int {
@@ -443,18 +429,6 @@ func (s *Store) DiskErrorCounts() []int64 {
 	out := make([]int64, len(s.devices))
 	for i, d := range s.devices {
 		out[i] = d.errs.Load()
-	}
-	return out
-}
-
-// DiskLatencies snapshots every device's op-latency EWMA (zero until a
-// device has served an operation), for the limping-disk detector.
-func (s *Store) DiskLatencies() []time.Duration {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]time.Duration, len(s.devices))
-	for i, d := range s.devices {
-		out[i] = time.Duration(d.latEWMA.Load())
 	}
 	return out
 }

@@ -72,20 +72,12 @@ type Device struct {
 	// writes of the pointers; the counters themselves are atomic.
 	obsReads  *obs.Counter
 	obsWrites *obs.Counter
-	// inflight counts executor runs currently being served by this device,
-	// the repair scheduler's foreground-pressure signal (InflightRuns);
-	// obsInflight mirrors it into the metrics registry.
-	inflight    atomic.Int64
-	obsInflight *obs.Gauge
 	// errs counts hard device errors — every backend failure to serve a
-	// run — the repair scheduler's error-rate detector watches. latEWMA is
-	// an exponentially weighted moving average of op service latency in
-	// nanoseconds (α = 1/8), the limping-disk signal.
-	// obsErrors/obsLatency mirror both into the metrics registry.
-	errs       atomic.Int64
-	latEWMA    atomic.Int64
-	obsErrors  *obs.Counter
-	obsLatency *obs.Gauge
+	// run — the device's one health signal, which the repair scheduler's
+	// error-burst detector watches. obsErrors mirrors it into the metrics
+	// registry.
+	errs      atomic.Int64
+	obsErrors *obs.Counter
 }
 
 type cellKey struct {
@@ -118,24 +110,6 @@ func (d *Device) Writes() int { return int(d.writes.Load()) }
 func (d *Device) noteError() {
 	d.errs.Add(1)
 	d.obsErrors.Inc()
-}
-
-// observeLatency folds one op's service latency into the device's EWMA
-// (α = 1/8; the first sample seeds it) and mirrors the result to the
-// metrics gauge. Lock-free: concurrent readers fold their samples in
-// CAS-retry order.
-func (d *Device) observeLatency(sample time.Duration) {
-	for {
-		old := d.latEWMA.Load()
-		next := int64(sample)
-		if old != 0 {
-			next = old + (int64(sample)-old)/8
-		}
-		if d.latEWMA.CompareAndSwap(old, next) {
-			d.obsLatency.Set(float64(next) / 1e9)
-			return
-		}
-	}
 }
 
 // slot maps a cell to its dense device-local index: within one device a

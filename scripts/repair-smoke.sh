@@ -16,7 +16,8 @@
 #   4. /admin/scrub comes back clean and the background scrub has both
 #      walked stripes (ecfrm_scrub_stripes_total > 0) and persisted its
 #      cursor next to the device files,
-#   5. POST /repair/rate retunes the limiter (visible in the status JSON).
+#   5. POST /repair/rate retunes the limiter (visible in the status JSON),
+#      and refuses a non-finite rate with 400, keeping the retuned one.
 #
 # Exits nonzero (and dumps the daemon log) on any miss.
 set -eu
@@ -169,6 +170,15 @@ fetch /repair/ | grep -q '"rate_bytes_per_sec": 8388608' || {
     echo "repair-smoke: rate change not reflected in status" >&2
     exit 1
 }
+CODE="$(curl -sS -o /dev/null -w '%{http_code}' -X POST "http://127.0.0.1:$PORT/repair/rate?bytes=NaN")"
+[ "$CODE" = 400 ] || {
+    echo "repair-smoke: POST /repair/rate?bytes=NaN answered $CODE, want 400" >&2
+    exit 1
+}
+fetch /repair/ | grep -q '"rate_bytes_per_sec": 8388608' || {
+    echo "repair-smoke: a refused NaN rate changed the status" >&2
+    exit 1
+}
 
 kill -TERM "$PID"
 wait "$PID" 2>/dev/null || true
@@ -178,4 +188,4 @@ grep -q "drained, bye" "$LOG" || {
     exit 1
 }
 
-echo "repair-smoke: OK (auto fail-stop, rebuild, scrub, rate retune)"
+echo "repair-smoke: OK (auto fail-stop, rebuild, scrub, rate retune, NaN refused)"
