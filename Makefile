@@ -119,13 +119,16 @@ cluster-smoke:
 # Short fuzz runs: the GF(2^8) kernel equivalence target (the SIMD and word
 # kernels against the reference, for the one field every code uses), the
 # exact planner's safety on every target shape the store plans (GET ranges,
-# disk rebuilds, a device's run planned around it), the scrub cursor under crash schedules,
-# startup recovery of file devices torn unevenly past a barrier stripe, and
-# the node's parsers of what arrives off the network (cell-run frames and
-# batch run lists).
+# disk rebuilds, a device's run planned around it) in full and padded
+# stripes, the store's write → fail → degraded-read round trip over objects
+# flushed into stripes of different fills, the scrub cursor under crash
+# schedules, startup recovery of file devices torn unevenly past a barrier
+# stripe, and the node's parsers of what arrives off the network (cell-run
+# frames and batch run lists).
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/gf
 	$(GO) test -run NONE -fuzz FuzzPlannerNeverTouchesFailedDisks -fuzztime 10s .
+	$(GO) test -run NONE -fuzz FuzzStoreRoundTrip -fuzztime 10s .
 	$(GO) test -run NONE -fuzz FuzzScrubCursor -fuzztime 10s ./internal/repair
 	$(GO) test -run NONE -fuzz FuzzDiskRecovery -fuzztime 10s ./internal/store
 	$(GO) test -run NONE -fuzz FuzzDecodeRun -fuzztime 10s ./internal/nodeapi

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/codes"
 	"repro/internal/layout"
@@ -42,6 +43,13 @@ type Scheme struct {
 	// firstData is, per group, the lowest sequential index of its data
 	// elements: a stripe filled below it leaves the group all padding.
 	firstData []int
+	// cellFirst is, per cell (row*N+col), the lowest sequential index of
+	// the data elements the cell holds or its generator row reads
+	// (DataPerStripe when none): a stripe filled up to it leaves the cell
+	// zero (ZeroCell).
+	cellFirst []int
+	// recovery memoizes code.RecoverySets per element for the planner.
+	recovery []atomic.Pointer[[][]int]
 }
 
 // NewScheme deploys code under the given layout form.
@@ -50,15 +58,35 @@ func NewScheme(code codes.Code, form layout.Form) (*Scheme, error) {
 	if err != nil {
 		return nil, err
 	}
+	n, k, dps := lay.N(), code.K(), lay.DataPerStripe()
+	at := func(p layout.Pos) int { return p.Row*n + p.Col }
 	first := make([]int, lay.Groups())
 	for g := range first {
-		first[g] = lay.DataPerStripe()
+		first[g] = dps
 	}
-	for e := 0; e < lay.DataPerStripe(); e++ {
-		g := lay.CellAt(lay.DataPos(e)).Group
+	cellFirst := make([]int, lay.Rows()*n)
+	for i := range cellFirst {
+		cellFirst[i] = dps
+	}
+	for e := 0; e < dps; e++ {
+		p := lay.DataPos(e)
+		cellFirst[at(p)] = e
+		g := lay.CellAt(p).Group
 		first[g] = min(first[g], e)
 	}
-	return &Scheme{code: code, lay: lay, firstData: first}, nil
+	gen := code.Generator()
+	for g := 0; g < lay.Groups(); g++ {
+		for t := k; t < code.N(); t++ {
+			i := at(lay.GroupCell(g, t))
+			for j := 0; j < k; j++ {
+				if gen.At(t, j) != 0 {
+					cellFirst[i] = min(cellFirst[i], cellFirst[at(lay.GroupCell(g, j))])
+				}
+			}
+		}
+	}
+	return &Scheme{code: code, lay: lay, firstData: first, cellFirst: cellFirst,
+		recovery: make([]atomic.Pointer[[][]int], code.N())}, nil
 }
 
 // MustScheme is NewScheme for known-good forms; it panics on error.
@@ -157,7 +185,7 @@ func (s *Scheme) EncodeStripeInto(bufs *Buffers, cells [][]byte, data [][]byte) 
 
 // EncodeFilledInto is EncodeStripeInto for a stripe whose data elements from
 // fill on are zero padding: a group holding none of the first fill elements
-// is not encoded — its parity is zero (ZeroCells) — and its parity cells are
+// is not encoded — its parity is zero (ZeroCell) — and its parity cells are
 // left as they were.
 func (s *Scheme) EncodeFilledInto(bufs *Buffers, cells [][]byte, data [][]byte, fill int) error {
 	dps := s.DataPerStripe()
@@ -198,29 +226,25 @@ func (s *Scheme) EncodeFilledInto(bufs *Buffers, cells [][]byte, data [][]byte, 
 	return nil
 }
 
-// ZeroCells reports which cells of a stripe whose data elements from fill on
-// are zero padding are zero by construction, indexed like EncodeStripe's
-// cells: the padding data cells, and every parity cell whose generator row
-// reads only padding — each parity of a group holding no user data, and an
-// LRC local parity over an all-padding local group. It is read from the
-// generator, never from bytes.
-func (s *Scheme) ZeroCells(fill int) []bool {
-	zero := make([]bool, s.CellsPerStripe())
-	for e := max(fill, 0); e < s.DataPerStripe(); e++ {
-		zero[s.cellIndex(s.lay.DataPos(e))] = true
+// ZeroCell reports whether the cell at pos of stripe is zero by
+// construction, given fills: per stripe, how many of its leading data
+// elements carry user bytes, the rest being zero padding (a stripe fills
+// does not reach is full). The zero cells are the padding data cells and
+// every parity cell whose generator row reads only padding — each parity of
+// a group holding no user data, and an LRC local parity over an all-padding
+// local group. It is read from the generator, never from bytes.
+func (s *Scheme) ZeroCell(fills []int, stripe int, pos layout.Pos) bool {
+	return stripe < len(fills) && fills[stripe] <= s.cellFirst[s.cellIndex(pos)]
+}
+
+// recoverySets returns code.RecoverySets(e), computed once per element.
+func (s *Scheme) recoverySets(e int) [][]int {
+	if sets := s.recovery[e].Load(); sets != nil {
+		return *sets
 	}
-	gen := s.code.Generator()
-	k, n := s.code.K(), s.code.N()
-	for g := 0; g < s.lay.Groups(); g++ {
-		for t := k; t < n; t++ {
-			z := true
-			for j := 0; j < k && z; j++ {
-				z = gen.At(t, j) == 0 || zero[s.cellIndex(s.lay.GroupCell(g, j))]
-			}
-			zero[s.cellIndex(s.lay.GroupCell(g, t))] = z
-		}
-	}
-	return zero
+	sets := s.code.RecoverySets(e)
+	s.recovery[e].Store(&sets)
+	return sets
 }
 
 // ReconstructStripe rebuilds every nil cell of a stripe in place, group by

@@ -502,3 +502,36 @@ func TestSchemeWithVerticalShapeParams(t *testing.T) {
 			lay.Rows(), lay.Groups(), s.DataPerStripe())
 	}
 }
+
+// TestZeroCellMatchesEncode checks ZeroCell against the bytes: for every
+// fill of every scheme, a stripe of random user elements followed by zero
+// padding encodes to all-zero bytes in exactly the cells ZeroCell names —
+// so a cell it calls zero is zero, and one it does not reads user bytes.
+func TestZeroCellMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	for _, s := range allSchemes(t) {
+		n, dps := s.N(), s.DataPerStripe()
+		for fill := 0; fill <= dps; fill++ {
+			data := make([][]byte, dps)
+			for e := range data {
+				data[e] = make([]byte, 16)
+				if e < fill {
+					rng.Read(data[e])
+				}
+			}
+			cells, err := s.EncodeStripe(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for idx, c := range cells {
+				pos := layout.Pos{Row: idx / n, Col: idx % n}
+				if zero := s.ZeroCell([]int{fill}, 0, pos); zero != bytes.Equal(c, make([]byte, 16)) {
+					t.Fatalf("%s fill %d: cell %+v ZeroCell %v, bytes %x", s.Name(), fill, pos, zero, c)
+				}
+				if s.ZeroCell([]int{fill}, 1, pos) {
+					t.Fatalf("%s: cell %+v of a stripe fills does not reach is zero", s.Name(), pos)
+				}
+			}
+		}
+	}
+}

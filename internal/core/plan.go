@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/layout"
 )
@@ -80,14 +82,14 @@ func (s *Scheme) PlanNormalRead(start, count int) (*Plan, error) {
 
 // PlanDegradedRead plans a read of count sequential data elements starting
 // at start while the given disks are failed: PlanCells with the requested
-// data cells as its targets. Elements on surviving disks are read directly;
-// each element on a failed disk is rebuilt from one recovery set of its
-// group. The sets are chosen jointly for the whole request and
-// exactly: the plan reads the fewest cells any choice of sets can (the cost
-// the paper's Jerasure decoder pays, which keeps Figure 9 faithful), and
-// among those choices it has the least max disk load. A request too large
-// to search within the planner's node budget gets the best plan found,
-// never worse than choosing greedily element by element.
+// data cells as its targets and every stripe full. Elements on surviving
+// disks are read directly; each element on a failed disk is rebuilt from
+// one recovery set of its group. The sets are chosen jointly for the whole
+// request and exactly: the plan reads the fewest cells any choice of sets
+// can (the cost the paper's Jerasure decoder pays, which keeps Figure 9
+// faithful), and among those choices it has the least max disk load. A
+// request too large to search within the planner's node budget gets the
+// best plan found, never worse than choosing greedily element by element.
 //
 // An element none of whose minimal recovery sets avoids the failed disks is
 // rebuilt from every surviving element of its group, which succeeds whenever
@@ -117,9 +119,11 @@ type planCell struct{ idx, disk int }
 // reads it adds and the max level it leaves where it was last scored.
 type option struct{ lo, hi, reads, max int }
 
-// search is the branch-and-bound state of one degraded plan.
+// search is the branch-and-bound state of one degraded plan. Plans draw it
+// from searches, so its slices are reused across plans.
 type search struct {
 	first              int // first stripe of the request
+	isFailed           []bool
 	cells              []planCell
 	opts               []option // lost element i chooses from opts[lost[i]:lost[i+1]]
 	lost               []int
@@ -127,10 +131,24 @@ type search struct {
 	level              []int   // per disk: planned load
 	reads              int
 	choice, best       []option
+	groupOf, cheapest  []int // per lost target its group in the request; per group its cheapest set's reads
+	erased, survivors  []int // a group's elements, when no set is usable
 	bestReads, bestMax int
 	lbReads, lbMax     int // no plan beats these
 	stats              searchStats
 	done               bool
+}
+
+var searches = sync.Pool{New: func() any { return new(search) }}
+
+// zeroed returns b resized to n zero values, reusing its array when it fits.
+func zeroed[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // PlanCells plans reading the target cells — data or parity, in any
@@ -138,12 +156,28 @@ type search struct {
 // is read directly; every other target is rebuilt from one recovery set of
 // its group (every survivor of the group when no set avoids the failed
 // disks), the sets chosen jointly and exactly as PlanDegradedRead chooses
-// them. The layout places each target, so its Disk field is not consulted.
-// This is the one recovery-set chooser: degraded reads, disk rebuild and
-// healing all plan through it. Plan.Requested is len(targets).
-func (s *Scheme) PlanCells(targets []Access, failed []int) (*Plan, error) {
-	p, _, err := s.planCells(targets, failed)
+// them. fills names each stripe's zero cells (ZeroCell; nil: none): a zero
+// cell is never read — a zero target needs no read and no set, and a
+// recovery set's zero cells, on a failed disk or not, cost nothing — and
+// the executor hands the decoder zeros for them. The layout places each
+// target, so its Disk field is not consulted. This is the one recovery-set
+// chooser: degraded reads, disk rebuild and healing all plan through it.
+// Plan.Requested is len(targets).
+func (s *Scheme) PlanCells(targets []Access, failed, fills []int) (*Plan, error) {
+	p, _, err := s.planCells(targets, failed, fills)
 	return p, err
+}
+
+// DataCells lists the cells of count sequential data elements from start.
+func (s *Scheme) DataCells(start, count int) []Access {
+	dps := s.DataPerStripe()
+	cells := make([]Access, count)
+	for i := range cells {
+		x := start + i
+		stripe, pos := x/dps, s.lay.DataPos(x%dps)
+		cells[i] = Access{Disk: s.lay.Disk(stripe, pos.Col), Stripe: stripe, Pos: pos}
+	}
+	return cells
 }
 
 // planDegraded is the degraded read of count data elements from start: the
@@ -152,13 +186,7 @@ func (s *Scheme) planDegraded(start, count int, failed []int) (*Plan, searchStat
 	if start < 0 || count <= 0 {
 		return nil, searchStats{}, fmt.Errorf("%w: start=%d count=%d", ErrBadRequest, start, count)
 	}
-	dps := s.DataPerStripe()
-	targets := make([]Access, count)
-	for i := range targets {
-		x := start + i
-		targets[i] = Access{Stripe: x / dps, Pos: s.lay.DataPos(x % dps)}
-	}
-	return s.planCells(targets, failed)
+	return s.planCells(s.DataCells(start, count), failed, nil)
 }
 
 // planCells is the exact planner behind PlanCells: a depth-first
@@ -166,12 +194,15 @@ func (s *Scheme) planDegraded(start, count int, failed []int) (*Plan, searchStat
 // (reads, max level) lexicographically. Children are tried in greedy order
 // — fewest new reads, then lowest max, then candidate order — so the first
 // leaf is the greedy plan and ties keep the earliest leaf.
-func (s *Scheme) planCells(targets []Access, failed []int) (*Plan, searchStats, error) {
+func (s *Scheme) planCells(targets []Access, failed, fills []int) (*Plan, searchStats, error) {
 	n := s.N()
 	if len(targets) == 0 {
 		return nil, searchStats{}, fmt.Errorf("%w: no target cells", ErrBadRequest)
 	}
-	isFailed := make([]bool, n)
+	sr := searches.Get().(*search)
+	defer searches.Put(sr)
+	sr.isFailed = zeroed(sr.isFailed, n)
+	isFailed := sr.isFailed
 	for _, d := range failed {
 		if d < 0 || d >= n {
 			return nil, searchStats{}, fmt.Errorf("%w: failed disk %d out of [0,%d)", ErrBadRequest, d, n)
@@ -189,28 +220,28 @@ func (s *Scheme) planCells(targets []Access, failed []int) (*Plan, searchStats, 
 	stripes := last - first + 1
 	// Size the search for the lost targets' candidates: every recovery set
 	// of each, and the group's survivors should none be usable.
-	sets := make([][][]int, s.code.N()) // RecoverySets memo
 	lost, nOpts, nCells := 0, 0, 0
 	for _, tg := range targets {
-		if isFailed[s.lay.Disk(tg.Stripe, tg.Pos.Col)] {
-			e := s.lay.CellAt(tg.Pos).Element
-			if sets[e] == nil {
-				sets[e] = s.code.RecoverySets(e)
-			}
-			lost, nOpts, nCells = lost+1, nOpts+len(sets[e])+1, nCells+s.code.N()
-			for _, set := range sets[e] {
+		if isFailed[s.lay.Disk(tg.Stripe, tg.Pos.Col)] && !s.ZeroCell(fills, tg.Stripe, tg.Pos) {
+			sets := s.recoverySets(s.lay.CellAt(tg.Pos).Element)
+			lost, nOpts, nCells = lost+1, nOpts+len(sets)+1, nCells+s.code.N()
+			for _, set := range sets {
 				nCells += len(set)
 			}
 		}
 	}
-	sr := &search{first: first, refs: make([]int32, stripes*cps), level: make([]int, n),
-		lost: make([]int, 1, lost+1), opts: make([]option, 0, nOpts), cells: make([]planCell, 0, nCells),
-		bestReads: math.MaxInt}
+	*sr = search{first: first, isFailed: isFailed, refs: zeroed(sr.refs, stripes*cps), level: zeroed(sr.level, n),
+		lost: append(sr.lost[:0], 0), opts: slices.Grow(sr.opts[:0], nOpts), cells: slices.Grow(sr.cells[:0], nCells),
+		groupOf: slices.Grow(sr.groupOf[:0], lost), cheapest: zeroed(sr.cheapest, stripes*groups),
+		choice: zeroed(sr.choice, lost), best: zeroed(sr.best, lost),
+		erased: sr.erased[:0], survivors: sr.survivors[:0], bestReads: math.MaxInt}
 
 	// Direct reads first, so that recovery sets are scored against them.
-	groupOf := make([]int, 0, lost) // per lost target: its group in the request
 	for _, tg := range targets {
 		stripe, pos := tg.Stripe, tg.Pos
+		if s.ZeroCell(fills, stripe, pos) {
+			continue
+		}
 		if disk := s.lay.Disk(stripe, pos.Col); !isFailed[disk] {
 			if idx := (stripe-first)*cps + s.cellIndex(pos); sr.refs[idx] == 0 {
 				sr.refs[idx] = 1
@@ -220,42 +251,41 @@ func (s *Scheme) planCells(targets []Access, failed []int) (*Plan, searchStats, 
 			continue
 		}
 		c := s.lay.CellAt(pos)
-		for _, set := range sets[c.Element] {
-			s.addOption(sr, stripe, c.Group, set, isFailed)
+		for _, set := range s.recoverySets(c.Element) {
+			s.addOption(sr, stripe, c.Group, set, fills)
 		}
 		if len(sr.opts) == sr.lost[len(sr.lost)-1] {
 			// No usable set: read every survivor of the group.
-			var erased, survivors []int
+			sr.erased, sr.survivors = sr.erased[:0], sr.survivors[:0]
 			for t := 0; t < s.code.N(); t++ {
-				if isFailed[s.lay.Disk(stripe, s.lay.GroupCell(c.Group, t).Col)] {
-					erased = append(erased, t)
+				if p := s.lay.GroupCell(c.Group, t); isFailed[s.lay.Disk(stripe, p.Col)] && !s.ZeroCell(fills, stripe, p) {
+					sr.erased = append(sr.erased, t)
 				} else {
-					survivors = append(survivors, t)
+					sr.survivors = append(sr.survivors, t)
 				}
 			}
-			if !s.code.CanRecover(erased) {
+			if !s.code.CanRecover(sr.erased) {
 				return nil, searchStats{}, fmt.Errorf("%w: group %d stripe %d, erased elements %v",
-					ErrUnrecoverable, c.Group, stripe, erased)
+					ErrUnrecoverable, c.Group, stripe, sr.erased)
 			}
-			s.addOption(sr, stripe, c.Group, survivors, isFailed)
+			s.addOption(sr, stripe, c.Group, sr.survivors, fills)
 		}
 		sr.lost = append(sr.lost, len(sr.opts))
-		groupOf = append(groupOf, (stripe-first)*groups+c.Group)
+		sr.groupOf = append(sr.groupOf, (stripe-first)*groups+c.Group)
 	}
 
 	// Lower bounds. Groups own disjoint cells, so each adds at least the
 	// reads of its costliest lost target's cheapest set. The max level is
 	// at least the direct reads' and the survivors' rounded-up average.
-	cheapest := make([]int, stripes*groups)
-	for i, g := range groupOf {
+	for i, g := range sr.groupOf {
 		m := math.MaxInt
 		for _, o := range sr.opts[sr.lost[i]:sr.lost[i+1]] {
 			m = min(m, sr.score(o, 0).reads)
 		}
-		cheapest[g] = max(cheapest[g], m)
+		sr.cheapest[g] = max(sr.cheapest[g], m)
 	}
 	sr.lbReads = sr.reads
-	for _, m := range cheapest {
+	for _, m := range sr.cheapest {
 		sr.lbReads += m
 	}
 	sum, survivors, rootMax := sr.lbReads-sr.reads, 0, math.MinInt
@@ -275,8 +305,6 @@ func (s *Scheme) planCells(targets []Access, failed []int) (*Plan, searchStats, 
 		sr.lbMax = max(sr.lbMax, avg)
 	}
 
-	sr.choice = make([]option, len(groupOf))
-	sr.best = make([]option, len(groupOf))
 	sr.dfs(0, rootMax)
 
 	// The search left refs at the direct reads; add the best sets and read
@@ -297,14 +325,17 @@ func (s *Scheme) planCells(targets []Access, failed []int) (*Plan, searchStats, 
 	return p, sr.stats, nil
 }
 
-// addOption adds group g's elements set as a candidate, unless one of them
-// sits on a failed disk.
-func (s *Scheme) addOption(sr *search, stripe, g int, set []int, failed []bool) {
+// addOption adds group g's elements set as a candidate, its zero cells
+// left out, unless another of them sits on a failed disk.
+func (s *Scheme) addOption(sr *search, stripe, g int, set, fills []int) {
 	lo := len(sr.cells)
 	for _, t := range set {
 		pos := s.lay.GroupCell(g, t)
+		if s.ZeroCell(fills, stripe, pos) {
+			continue
+		}
 		disk := s.lay.Disk(stripe, pos.Col)
-		if failed[disk] {
+		if sr.isFailed[disk] {
 			sr.cells = sr.cells[:lo]
 			return
 		}

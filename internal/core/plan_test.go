@@ -34,11 +34,13 @@ func oracle(s *Scheme, start, count int, failed []int) (readsFirst, loadFirst sc
 	for x := start; x < start+count; x++ {
 		targets = append(targets, Access{Stripe: x / dps, Pos: s.Layout().DataPos(x % dps)})
 	}
-	return oracleCells(s, targets, failed)
+	return oracleCells(s, targets, failed, nil)
 }
 
-// oracleCells is oracle for any target cells, data or parity.
-func oracleCells(s *Scheme, targets []Access, failed []int) (readsFirst, loadFirst score, err error) {
+// oracleCells is oracle for any target cells, data or parity, in stripes
+// whose zero cells fills names: a zero target and a set's zero cells cost
+// nothing, and a zero cell on a failed disk is not erased.
+func oracleCells(s *Scheme, targets []Access, failed, fills []int) (readsFirst, loadFirst score, err error) {
 	n, lay, code := s.N(), s.Layout(), s.code
 	isFailed := make(map[int]bool)
 	for _, d := range failed {
@@ -51,7 +53,11 @@ func oracleCells(s *Scheme, targets []Access, failed []int) (readsFirst, loadFir
 	loads := make([]int, n)
 	reads := 0
 	diskOf := func(k groupKey, t int) int { return lay.Disk(k.stripe, lay.GroupCell(k.group, t).Col) }
+	zero := func(k groupKey, t int) bool { return s.ZeroCell(fills, k.stripe, lay.GroupCell(k.group, t)) }
 	for _, tg := range targets {
+		if s.ZeroCell(fills, tg.Stripe, tg.Pos) {
+			continue
+		}
 		cell := lay.CellAt(tg.Pos)
 		k := groupKey{tg.Stripe, cell.Group}
 		if d := diskOf(k, cell.Element); !isFailed[d] {
@@ -63,14 +69,17 @@ func oracleCells(s *Scheme, targets []Access, failed []int) (readsFirst, loadFir
 		var cands []uint64
 		for _, set := range code.RecoverySets(cell.Element) {
 			var m uint64
+			usable := true
 			for _, t := range set {
-				if isFailed[diskOf(k, t)] {
-					m = 0
-					break
+				switch {
+				case zero(k, t):
+				case isFailed[diskOf(k, t)]:
+					usable = false
+				default:
+					m |= 1 << t
 				}
-				m |= 1 << t
 			}
-			if m != 0 {
+			if usable {
 				cands = append(cands, m)
 			}
 		}
@@ -78,9 +87,11 @@ func oracleCells(s *Scheme, targets []Access, failed []int) (readsFirst, loadFir
 			var erased []int
 			var survivors uint64
 			for t := 0; t < code.N(); t++ {
-				if isFailed[diskOf(k, t)] {
+				switch {
+				case zero(k, t):
+				case isFailed[diskOf(k, t)]:
 					erased = append(erased, t)
-				} else {
+				default:
 					survivors |= 1 << t
 				}
 			}
@@ -288,7 +299,8 @@ func TestDegradedPlanIsExact(t *testing.T) {
 // TestRebuildPlanIsExact audits the planner on disk-rebuild targets
 // against the same oracle: every cell of one disk in a stripe, with that
 // disk failed alone or beside each other disk, on every Table-I
-// configuration × layout form, in the first two stripes.
+// configuration × layout form, in the first two stripes, full and padded
+// (holding one element, and half a stripe).
 func TestRebuildPlanIsExact(t *testing.T) {
 	for _, code := range tableI() {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormRotated, layout.FormECFRM} {
@@ -310,20 +322,27 @@ func TestRebuildPlanIsExact(t *testing.T) {
 							for row := 0; row < lay.Rows(); row++ {
 								targets = append(targets, Access{Stripe: stripe, Pos: layout.Pos{Row: row, Col: lay.Col(stripe, d)}})
 							}
-							p, err := s.PlanCells(targets, failed)
-							if err != nil {
-								t.Fatalf("disk %d failed %v stripe %d: %v", d, failed, stripe, err)
-							}
-							want, _, err := oracleCells(s, targets, failed)
-							if err != nil {
-								t.Fatalf("oracle: disk %d failed %v stripe %d: %v", d, failed, stripe, err)
-							}
-							if got := (score{p.TotalReads(), p.MaxLoad()}); got != want {
-								t.Fatalf("disk %d failed %v stripe %d: plan (reads, max) = %v, optimum %v",
-									d, failed, stripe, got, want)
-							}
-							if p.Loads[d] != 0 || other >= 0 && p.Loads[other] != 0 {
-								t.Fatalf("disk %d failed %v stripe %d: plan reads a failed disk", d, failed, stripe)
+							for _, fills := range [][]int{nil, {1, s.DataPerStripe() / 2}} {
+								p, err := s.PlanCells(targets, failed, fills)
+								if err != nil {
+									t.Fatalf("disk %d failed %v stripe %d fills %v: %v", d, failed, stripe, fills, err)
+								}
+								want, _, err := oracleCells(s, targets, failed, fills)
+								if err != nil {
+									t.Fatalf("oracle: disk %d failed %v stripe %d fills %v: %v", d, failed, stripe, fills, err)
+								}
+								if got := (score{p.TotalReads(), p.MaxLoad()}); got != want {
+									t.Fatalf("disk %d failed %v stripe %d fills %v: plan (reads, max) = %v, optimum %v",
+										d, failed, stripe, fills, got, want)
+								}
+								for _, a := range p.Reads {
+									if s.ZeroCell(fills, a.Stripe, a.Pos) {
+										t.Fatalf("disk %d failed %v stripe %d fills %v: plan reads zero cell %+v", d, failed, stripe, fills, a)
+									}
+								}
+								if p.Loads[d] != 0 || other >= 0 && p.Loads[other] != 0 {
+									t.Fatalf("disk %d failed %v stripe %d fills %v: plan reads a failed disk", d, failed, stripe, fills)
+								}
 							}
 						}
 					}

@@ -27,6 +27,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -471,9 +472,12 @@ func (s *Store) recover(report *RecoveryReport, rec Manifest, slots []int) error
 // is held. A device the job cannot reach is failed (failDown) and its
 // stripes go unverified. A torn or missing cell is rebuilt and rewritten
 // (healCell); a stripe whose parity disagrees with clean checksums (a cell
-// rewritten outside a seal) is re-sealed from its data cells. An undecodable
-// stripe is legal only as the torn tail, which recover cuts: one met while a
-// device is failed, below the floor, or before a stripe that heals refuses.
+// rewritten outside a seal) is re-sealed from its data cells. Each stripe's
+// fill is one past the last of its verified data cells holding a non-zero
+// byte (userFill) — the full stripe while a device is down — so every cell
+// it marks zero is zero on the devices. An undecodable stripe is legal only
+// as the torn tail, which recover cuts: one met while a device is failed,
+// below the floor, or before a stripe that heals refuses.
 func (s *Store) recoverExtent(report *RecoveryReport, durable int, slots []int) error {
 	maxStripes := 0
 	for _, n := range slots {
@@ -481,7 +485,7 @@ func (s *Store) recoverExtent(report *RecoveryReport, durable int, slots []int) 
 	}
 	heal := func(stripe int) (*served, error) {
 		return s.execute(context.TODO(), func(avoid []int) (*core.Plan, error) {
-			return s.scheme.PlanCells(s.allCells(stripe), avoid)
+			return s.scheme.PlanCells(s.allCells(stripe), avoid, nil)
 		}, corruptHeals, ReadOptions{Sequential: true})
 	}
 	s.syncAt = -1 // recover's barrier covers every re-seal
@@ -521,14 +525,21 @@ func (s *Store) recoverExtent(report *RecoveryReport, durable int, slots []int) 
 			return fmt.Errorf("store: recovery: stripe %d: %w", stripe, err)
 		}
 		report.HealedCells += r.healed
-		ok, err := len(r.plan.Failed) > 0, s.failDown(r.plan.Failed)
+		down := len(r.plan.Failed) > 0
+		ok, err := down, s.failDown(r.plan.Failed)
 		if !ok && err == nil {
 			ok, err = s.scheme.VerifyStripe(&s.bufs, r.stripes[0].cells)
 		}
+		data := s.scheme.DataShards(r.stripes[0].cells)
+		fill := len(data)
+		if !down {
+			fill = s.userFill(data)
+		}
 		if err == nil && !ok {
-			err = s.seal(slices.Concat(s.scheme.DataShards(r.stripes[0].cells)...)) // advances s.stripes
+			err = s.seal(slices.Concat(data[:fill]...)) // advances s.stripes
 			report.ReencodedStripes++
 		} else if err == nil {
+			s.fills = append(s.fills[:stripe], fill)
 			s.stripes++
 		}
 		r.release()
@@ -537,6 +548,17 @@ func (s *Store) recoverExtent(report *RecoveryReport, durable int, slots []int) 
 		}
 	}
 	return nil
+}
+
+// userFill returns one past the last of a stripe's data shards holding a
+// non-zero byte.
+func (s *Store) userFill(data [][]byte) int {
+	for e := len(data); e > 0; e-- {
+		if !bytes.Equal(data[e-1], s.zero) {
+			return e
+		}
+	}
+	return 0
 }
 
 // failDown fails the devices that do not answer within the scheme's

@@ -100,6 +100,69 @@ func TestFileBackendReopenPersists(t *testing.T) {
 	}
 }
 
+// TestReopenKeepsZeroCells: open derives each stripe's fill from its
+// verified data, so a file-backed store reopened — after Close, and after a
+// stop without one — serves its objects around two failed disks
+// byte-identical and from the same device reads as before, except that an
+// object whose trailing elements are zero, which its seal wrote, now reads
+// them as zero cells: its zeros come back from no more reads than before.
+func TestReopenKeepsZeroCells(t *testing.T) {
+	for _, clean := range []bool{true, false} {
+		dir := t.TempDir()
+		s, _ := openFileStore(t, dir)
+		var objs [][]byte
+		var offs []int64
+		for size := 1; size <= 8; size++ {
+			offs = append(offs, s.NextOffset())
+			objs = append(objs, fill(t, s, size*testElemSize+size, int64(size)))
+		}
+		zeroTail := make([]byte, 12*testElemSize)
+		rand.New(rand.NewSource(75)).Read(zeroTail[:7*testElemSize])
+		offs = append(offs, s.NextOffset())
+		objs = append(objs, zeroTail)
+		if err := s.Append(zeroTail); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// degraded reads every object around disks 3 and 8 and returns the
+		// device reads each took.
+		degraded := func(s *Store) (reads []int) {
+			s.FailDisk(3)
+			s.FailDisk(8)
+			for i, obj := range objs {
+				s.ResetCounters()
+				res, err := s.ReadAt(offs[i], len(obj))
+				if err != nil || !bytes.Equal(res.Data, obj) {
+					t.Fatalf("clean %v: object %d read back wrong around disks 3 and 8 (%v)", clean, i, err)
+				}
+				n := 0
+				for d := 0; d < s.Scheme().N(); d++ {
+					n += s.Device(d).Reads()
+				}
+				reads = append(reads, n)
+			}
+			return reads
+		}
+		before := degraded(s)
+		if clean {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			t.Cleanup(func() { s.Close() })
+		}
+		s2, _ := openFileStore(t, dir)
+		after := degraded(s2)
+		s2.Close()
+		last := len(objs) - 1
+		if !slices.Equal(after[:last], before[:last]) || after[last] > before[last] {
+			t.Fatalf("clean %v: device reads per object %v after the reopen, %v before", clean, after, before)
+		}
+	}
+}
+
 func TestFileBackendMatchesMemDegraded(t *testing.T) {
 	dir := t.TempDir()
 	fs, _ := openFileStore(t, dir)

@@ -104,11 +104,13 @@ func (s *Store) checkReadRange(off int64, length int) (startElem, count int, err
 
 // stripeCells is one stripe's fetched cell set plus the indices of cells
 // whose buffers came from the shard arena (decoded shards) and go back to
-// it. Device-read cells slice the run buffers their job holds (served).
-// The containers themselves are pooled per store.
+// it. Device-read cells slice the run buffers their job holds (served);
+// zero cells, once a decode needs them (zeroed), are the store's zero
+// element. The containers themselves are pooled per store.
 type stripeCells struct {
-	cells [][]byte
-	owned []int
+	cells  [][]byte
+	owned  []int
+	zeroed bool
 }
 
 // getStripeCells draws a cleared container from the store's pool.
@@ -129,7 +131,7 @@ func (s *Store) putStripeCells(sc *stripeCells) {
 			sc.cells[idx] = nil
 		}
 	}
-	sc.owned = sc.owned[:0]
+	sc.owned, sc.zeroed = sc.owned[:0], false
 	clear(sc.cells)
 	s.cellsPool.Put(sc)
 }
@@ -261,16 +263,31 @@ type served struct {
 	healed  int
 }
 
-// cell returns the cell at pos of a stripe the plan covers, decoding it
-// from its group's fetched cells when the plan read around it. Decoded cells
-// come from the shard arena and go back to it on release.
+// cell returns the cell at pos of a target stripe: as read, the store's
+// zero element for a zero cell the plan did not read, or decoded from its
+// group's fetched cells, the group's zero cells handed in as zeros, when
+// the plan read around it. Decoded cells come from the shard arena and go
+// back to it on release.
 func (r *served) cell(stripe int, pos layout.Pos) ([]byte, error) {
-	sc := r.stripes[stripe-r.first]
-	idx := pos.Row*r.s.scheme.N() + pos.Col
-	if c := sc.cells[idx]; c != nil {
-		return c, nil
+	s, i := r.s, stripe-r.first
+	idx := pos.Row*s.scheme.N() + pos.Col
+	if i >= 0 && i < len(r.stripes) && r.stripes[i].cells[idx] != nil {
+		return r.stripes[i].cells[idx], nil
 	}
-	c, err := r.s.scheme.RebuildCellInto(&r.s.bufs, sc.cells, pos)
+	if s.scheme.ZeroCell(s.fills, stripe, pos) {
+		return s.zero, nil
+	}
+	sc := r.stripes[i]
+	if !sc.zeroed {
+		n := s.scheme.N()
+		for j, c := range sc.cells {
+			if c == nil && s.scheme.ZeroCell(s.fills, stripe, layout.Pos{Row: j / n, Col: j % n}) {
+				sc.cells[j] = s.zero
+			}
+		}
+		sc.zeroed = true
+	}
+	c, err := s.scheme.RebuildCellInto(&s.bufs, sc.cells, pos)
 	if err == nil {
 		sc.owned = append(sc.owned, idx)
 	}
@@ -310,6 +327,10 @@ func (s *Store) execute(ctx context.Context, plan planFunc, rule corruptRule, op
 				}
 			}
 			return nil, err
+		}
+		if len(pl.Reads) == 0 {
+			// Every target is a zero cell.
+			return &served{s: s, plan: pl, healed: healed}, nil
 		}
 		// Plans list their reads in stripe order.
 		first := pl.Reads[0].Stripe
@@ -351,13 +372,14 @@ func (s *Store) execute(ctx context.Context, plan planFunc, rule corruptRule, op
 
 // around plans targets, cells of device dev, from the rest of the array:
 // dev joins the avoid set, so every target is rebuilt from a recovery set
-// chosen by core's exact planner. Disk rebuild and healing plan this way.
+// chosen by core's exact planner, reading no zero cell. Disk rebuild and
+// healing plan this way.
 func (s *Store) around(targets []core.Access, dev int) planFunc {
 	return func(avoid []int) (*core.Plan, error) {
 		if !slices.Contains(avoid, dev) {
 			avoid = append(avoid, dev)
 		}
-		return s.scheme.PlanCells(targets, avoid)
+		return s.scheme.PlanCells(targets, avoid, s.fills)
 	}
 }
 
@@ -372,7 +394,7 @@ func (s *Store) exactly(targets []core.Access) planFunc {
 					ErrFailed, t.Disk, t.Stripe, t.Pos.Row, t.Pos.Col)
 			}
 		}
-		return s.scheme.PlanCells(targets, nil)
+		return s.scheme.PlanCells(targets, nil, nil)
 	}
 }
 

@@ -204,9 +204,11 @@ func (r *DiskRebuild) step(batch int) (bool, error) {
 }
 
 // fillStripe writes device r.dev's share of one stripe to the replacement
-// as one run. It plans the cells around the failed device — one pass over
-// the survivors, then one targeted decode per cell, routing around corrupt
-// survivors. Caller holds r.mu and the store's lock.
+// in one batch: its zero cells as zero runs, read and decoded from nothing,
+// and the rest planned around the failed device — one pass over the
+// survivors, then one targeted decode per cell, routing around corrupt
+// survivors — from a buffer the run pool lends. Caller holds r.mu and the
+// store's lock.
 func (r *DiskRebuild) fillStripe(stripe int) error {
 	s := r.s
 	targets := s.deviceCells(stripe, r.dev)
@@ -216,16 +218,22 @@ func (r *DiskRebuild) fillStripe(stripe int) error {
 	}
 	defer res.release()
 	es := s.elemSize
-	flat, crcs := make([]byte, len(targets)*es), make([]uint32, len(targets))
+	buf := s.runs.Get(len(targets) * es)
+	defer s.runs.Put(buf)
+	zero := func(i int) bool { return s.scheme.ZeroCell(s.fills, stripe, targets[i].Pos) }
 	for i, t := range targets {
+		if zero(i) {
+			continue
+		}
 		cell, err := res.cell(stripe, t.Pos)
 		if err != nil {
 			return fmt.Errorf("store: rebuild device %d stripe %d: %w", r.dev, stripe, err)
 		}
-		copy(flat[i*es:], cell)
-		crcs[i] = crc32.Checksum(cell, castagnoli)
+		copy(buf.Data[i*es:], cell)
+		buf.CRCs[i] = crc32.Checksum(cell, castagnoli)
 	}
-	if err := s.writeBatch(r.replacement, []Run{s.cellRun(r.dev, cellKey{stripe, targets[0].Pos}, flat, crcs)}, false); err != nil {
+	runs := s.appendRuns(nil, r.dev, stripe*s.rows, buf.Data, buf.CRCs, zero)
+	if err := s.writeBatch(r.replacement, runs, false); err != nil {
 		return fmt.Errorf("store: rebuild device %d stripe %d: %w", r.dev, stripe, err)
 	}
 	r.readCost += res.plan.TotalReads()
@@ -402,7 +410,7 @@ func (s *Store) HealStripe(stripe int) (healed int, err error) {
 	live := func(avoid []int) (*core.Plan, error) {
 		return s.scheme.PlanCells(slices.DeleteFunc(slices.Clone(cells), func(c core.Access) bool {
 			return slices.Contains(avoid, c.Disk)
-		}), nil)
+		}), nil, nil)
 	}
 	r, err := s.execute(context.TODO(), live, corruptHeals, ReadOptions{Sequential: true})
 	if err != nil {

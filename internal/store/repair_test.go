@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -486,4 +489,101 @@ func maxOverMean(loads []int, skip int) float64 {
 		}
 	}
 	return float64(most) * float64(len(loads)-1) / float64(total)
+}
+
+// TestRebuildNeverReadsZeroCells rebuilds each disk of the benchmark's
+// object set in turn: the rebuild plans no read of a zero cell and records
+// the device's zero cells as zero runs, so LRC(6,2,2) reads 1,232 cells
+// per set instead of 3,600 and RS(6,3), whose two largest objects spill
+// into a second stripe, 1,772 instead of 3,564 — and every rebuilt device
+// holds exactly the cells and checksums it held before it failed.
+func TestRebuildNeverReadsZeroCells(t *testing.T) {
+	for _, tc := range []struct {
+		code  codes.Code
+		reads int
+	}{
+		{lrc.Must(6, 2, 2), 1232},
+		{mustRS(6, 3), 1772},
+	} {
+		sch := core.MustScheme(tc.code, layout.FormECFRM)
+		st := MustNew(sch, 64)
+		objs, offs := paddedSet(t, st)
+		handed := &handedCells{}
+		st.WrapBackends(func(be CellBackend) CellBackend { return countingBackend{be, handed} })
+		lay, rows := sch.Layout(), sch.Layout().Rows()
+		reads := 0
+		for d := 0; d < sch.N(); d++ {
+			stored := func() Run {
+				r := []Run{{Disk: d, Count: st.Stripes() * rows}}
+				if st.Device(d).base.ReadRuns(context.Background(), r); r[0].Err != nil {
+					t.Fatal(r[0].Err)
+				}
+				return r[0]
+			}
+			before := stored()
+			handed.cells = handed.cells[:0]
+			st.FailDisk(d)
+			cost, err := st.RecoverDisk(d)
+			if err != nil {
+				t.Fatalf("%s: rebuild disk %d: %v", sch.Name(), d, err)
+			}
+			reads += cost
+			if after := stored(); !bytes.Equal(after.Data, before.Data) || !slices.Equal(after.CRCs, before.CRCs) {
+				t.Fatalf("%s: rebuilt disk %d differs from what it held", sch.Name(), d)
+			}
+			if len(handed.cells) != cost {
+				t.Fatalf("%s: rebuild of disk %d planned %d reads, handed backends %d cells", sch.Name(), d, cost, len(handed.cells))
+			}
+			for _, c := range handed.cells {
+				stripe := c.Stripe / rows
+				if pos := (layout.Pos{Row: c.Stripe % rows, Col: lay.Col(stripe, c.Disk)}); sch.ZeroCell(st.fills, stripe, pos) {
+					t.Fatalf("%s: rebuilding disk %d read zero cell %+v of stripe %d", sch.Name(), d, pos, stripe)
+				}
+			}
+		}
+		if reads != tc.reads {
+			t.Fatalf("%s: rebuilding each disk in turn read %d cells, want %d", sch.Name(), reads, tc.reads)
+		}
+		for i, obj := range objs {
+			if res, err := st.ReadAt(offs[i], len(obj)); err != nil || !bytes.Equal(res.Data, obj) {
+				t.Fatalf("%s: object %d after the rebuilds: %v", sch.Name(), i, err)
+			}
+		}
+	}
+}
+
+// TestRebuildAllocsPerStripe bounds what a rebuild allocates per stripe on
+// file devices below one element: the device's cells and checksums are read
+// and decoded into pooled buffers, and written from one the run pool lends.
+// One processor and no collection keep every pool warm from the first
+// rebuild to the measured one.
+func TestRebuildAllocsPerStripe(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector, so alloc counts are meaningless")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const elem, stripes = 16 << 10, 32
+	st, _, err := OpenFileBacked(fileScheme(), elem, FileConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	fill(t, st, stripes*st.stripeBytes(), 52)
+	rebuild := func(d int) {
+		st.FailDisk(d)
+		if _, err := st.RecoverDisk(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rebuild(0)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	rebuild(1)
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / stripes; per >= elem {
+		t.Fatalf("a rebuild allocates %d bytes per stripe; want less than one %d-byte element", per, elem)
+	} else {
+		t.Logf("a rebuild allocates %d bytes per stripe", per)
+	}
 }

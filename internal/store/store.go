@@ -283,6 +283,13 @@ type Store struct {
 	sealing *sealBufs // what every seal reuses, built by the first
 	syncAt  int       // the stripe whose seal carries the commit's barrier
 	length  int64     // total bytes appended
+	// fills is, per sealed stripe, the count of its leading data elements
+	// that may hold non-zero bytes: those its seal was handed, or, from
+	// recovery, those up to the last holding one. Its zero cells
+	// (Scheme.ZeroCell) are never read around a failed device; each reads
+	// as zero, the store's one all-zero element.
+	fills []int
+	zero  []byte
 
 	// epoch increments on every mutation that can change the bytes a read
 	// returns or the plan it follows (failure, recovery, corruption, heal,
@@ -327,6 +334,7 @@ func New(scheme *core.Scheme, elemSize int) (*Store, error) {
 		elemSize: elemSize,
 		rows:     rows,
 		devices:  devs,
+		zero:     make([]byte, elemSize),
 		runs:     NewRunPool(elemSize),
 	}, nil
 }
@@ -513,18 +521,12 @@ func (s *Store) buffer(data []byte) error {
 type sealBufs struct {
 	data, cells, runs [][]byte
 	crcs              [][]uint32
-	zero              []byte // the shared element behind every padding shard
-	// zeroCells holds, per fill (data elements carrying user bytes),
-	// Scheme.ZeroCells(fill): the cells a seal records without writing,
-	// computed by the first seal of that fill.
-	zeroCells [][]bool
 }
 
 func (s *Store) newSealBufs() *sealBufs {
 	n, rows, es := s.scheme.N(), s.rows, s.elemSize
 	sl := &sealBufs{data: make([][]byte, s.scheme.DataPerStripe()), cells: make([][]byte, rows*n),
-		runs: make([][]byte, n), crcs: make([][]uint32, n), zero: make([]byte, es),
-		zeroCells: make([][]bool, s.scheme.DataPerStripe()+1)}
+		runs: make([][]byte, n), crcs: make([][]uint32, n)}
 	for col := range sl.runs {
 		sl.runs[col] = make([]byte, rows*es)
 		sl.crcs[col] = make([]uint32, rows)
@@ -538,11 +540,12 @@ func (s *Store) newSealBufs() *sealBufs {
 // seal encodes one stripe from buf — whole elements, at most a stripe's
 // worth; the elements buf lacks are zero — and writes every cell that user
 // bytes reach to its device, carrying the fsync barrier when it seals stripe
-// syncAt (the commit's last). The cells that are zero by construction
-// (Scheme.ZeroCells: the padding, and parity reading only padding) are
-// neither encoded, checksummed nor written: each device records them as
-// zero runs. Data shards alias buf only while seal runs; devices are handed
-// the store's own runs. Caller holds mu exclusively.
+// syncAt (the commit's last). It records the stripe's fill, the elements
+// buf holds; the cells that are zero by construction (Scheme.ZeroCell: the
+// padding, and parity reading only padding) are neither encoded,
+// checksummed nor written: each device records them as zero runs. Data
+// shards alias buf only while seal runs; devices are handed the store's own
+// runs. Caller holds mu exclusively.
 func (s *Store) seal(buf []byte) error {
 	if s.sealing == nil {
 		s.sealing = s.newSealBufs()
@@ -551,15 +554,13 @@ func (s *Store) seal(buf []byte) error {
 	lay := s.scheme.Layout()
 	n := s.scheme.N()
 	fill := len(buf) / es
-	if sl.zeroCells[fill] == nil {
-		sl.zeroCells[fill] = s.scheme.ZeroCells(fill)
-	}
-	zero := sl.zeroCells[fill]
+	s.fills = append(s.fills[:s.stripes], fill)
+	zero := func(row, col int) bool { return s.scheme.ZeroCell(s.fills, s.stripes, layout.Pos{Row: row, Col: col}) }
 	for e := range sl.data {
 		if e < fill {
 			sl.data[e] = buf[e*es : (e+1)*es]
 		} else {
-			sl.data[e] = sl.zero
+			sl.data[e] = s.zero
 		}
 	}
 	if err := s.scheme.EncodeFilledInto(&s.bufs, sl.cells, sl.data, fill); err != nil {
@@ -571,7 +572,7 @@ func (s *Store) seal(buf []byte) error {
 	}
 	for col, run := range sl.runs {
 		for row := range sl.crcs[col] {
-			if !zero[row*n+col] {
+			if !zero(row, col) {
 				sl.crcs[col][row] = crc32.Checksum(run[row*es:(row+1)*es], castagnoli)
 			}
 		}
@@ -584,19 +585,8 @@ func (s *Store) seal(buf []byte) error {
 	// until a retry rewrites them, and the pending buffer stays for it.
 	runs := make([]Run, 0, 2*n)
 	for col := 0; col < n; col++ {
-		disk := lay.Disk(s.stripes, col)
-		for row := 0; row < s.rows; {
-			end := row + 1
-			for end < s.rows && zero[end*n+col] == zero[row*n+col] {
-				end++
-			}
-			r := Run{Disk: disk, Slot: s.stripes*s.rows + row, Count: end - row}
-			if !zero[row*n+col] {
-				r.Data, r.CRCs = sl.runs[col][row*es:end*es], sl.crcs[col][row:end]
-			}
-			runs = append(runs, r)
-			row = end
-		}
+		runs = s.appendRuns(runs, lay.Disk(s.stripes, col), s.stripes*s.rows, sl.runs[col], sl.crcs[col],
+			func(row int) bool { return zero(row, col) })
 	}
 	sync := s.fsync && s.stripes == s.syncAt
 	start := time.Now()
@@ -608,6 +598,26 @@ func (s *Store) seal(buf []byte) error {
 	}
 	s.stripes++
 	return nil
+}
+
+// appendRuns appends the batch entries writing len(crcs) cells of device
+// disk from slot: the cells zero(i) names as zero runs, the rest as payload
+// runs slicing data and crcs, each run as long as its kind lasts.
+func (s *Store) appendRuns(runs []Run, disk, slot int, data []byte, crcs []uint32, zero func(i int) bool) []Run {
+	es := s.elemSize
+	for i := 0; i < len(crcs); {
+		end := i + 1
+		for end < len(crcs) && zero(end) == zero(i) {
+			end++
+		}
+		r := Run{Disk: disk, Slot: slot + i, Count: end - i}
+		if !zero(i) {
+			r.Data, r.CRCs = data[i*es:end*es], crcs[i:end]
+		}
+		runs = append(runs, r)
+		i = end
+	}
+	return runs
 }
 
 // eachDevice runs fn(0..n-1) concurrently — one backend call each — and
@@ -756,12 +766,13 @@ func (s *Store) PlanRead(off int64, length int) (*core.Plan, error) {
 }
 
 // plan plans count elements from startElem around the failed disks: a
-// normal read when there are none, else the exact degraded planner.
+// normal read when there are none, else the exact degraded planner, which
+// reads no zero cell.
 func (s *Store) plan(startElem, count int, failed []int) (*core.Plan, error) {
 	if len(failed) == 0 {
 		return s.scheme.PlanNormalRead(startElem, count)
 	}
-	return s.scheme.PlanDegradedRead(startElem, count, failed)
+	return s.scheme.PlanCells(s.scheme.DataCells(startElem, count), failed, s.fills)
 }
 
 // avoidSet returns the failed devices plus those a job took out, ascending.
